@@ -12,9 +12,9 @@
 //
 // The upstream nilness and lostcancel analyzers would normally ride along
 // here via multichecker, but this module builds offline with no
-// dependencies, so x/tools is unavailable: lostcancel is replaced by the
-// in-tree internal/analysis/lostcancel, and nilness-class bugs are
-// covered by staticcheck in the same CI lint job.
+// dependencies, so x/tools is unavailable. Neither needs an in-tree copy:
+// lostcancel runs in `go vet ./...`, and nilness-class bugs are covered by
+// staticcheck; both are blocking steps of the same CI lint job.
 package main
 
 import (
@@ -27,7 +27,6 @@ import (
 	"vkgraph/internal/analysis/ctxpropagate"
 	"vkgraph/internal/analysis/lockgraph"
 	"vkgraph/internal/analysis/lockorder"
-	"vkgraph/internal/analysis/lostcancel"
 	"vkgraph/internal/analysis/obssafety"
 	"vkgraph/internal/analysis/sealedps"
 	"vkgraph/internal/analysis/sentinelerr"
@@ -44,7 +43,6 @@ func main() {
 		sentinelerr.Analyzer,
 		obssafety.Analyzer,
 		ctxpropagate.Analyzer,
-		lostcancel.Analyzer,
 		sealedps.Analyzer,
 	}
 	os.Exit(checker.Main(suite))

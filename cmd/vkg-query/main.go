@@ -161,9 +161,8 @@ func printTrace(res *vkg.Result) {
 		return
 	}
 	fmt.Printf("trace: %s\n", res.Trace)
-	if res.TraceID != "" {
-		fmt.Printf("trace id: %s  (/traces/%s on the ops endpoint)\n", res.TraceID, res.TraceID)
-	}
+	id := res.Trace.TraceID()
+	fmt.Printf("trace id: %s  (/traces/%s on the ops endpoint)\n", id, id)
 }
 
 func runTopK(v *vkg.VKG, side, entity, rel string, k int, trace bool) error {

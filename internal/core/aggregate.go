@@ -54,17 +54,19 @@ type AggQuery struct {
 	PTau float64
 }
 
-// AggResult is an aggregate estimate with its Theorem 4 accuracy bound.
+// AggResult is an aggregate estimate with its Theorem 4 accuracy bound. The
+// JSON tags are the HTTP wire form, which carries the estimate and its
+// sample sizes only.
 type AggResult struct {
-	Value float64
+	Value float64 `json:"value"`
 	// Accessed (a) and BallSize (b) are the sampled and total point counts
 	// of the probability ball.
-	Accessed int
-	BallSize int
+	Accessed int `json:"accessed"`
+	BallSize int `json:"ball_size"`
 	// SumVi2 and VM parameterize the Theorem 4 martingale bound:
 	// Pr[|S - mu| >= delta*mu] <= 2 exp(-2 delta^2 mu^2 / (SumVi2 + (b-a) VM^2)).
-	SumVi2 float64
-	VM     float64
+	SumVi2 float64 `json:"-"`
+	VM     float64 `json:"-"`
 }
 
 // ErrorProbability returns the Theorem 4 upper bound on the probability
@@ -230,7 +232,6 @@ func (e *Engine) aggregate(q1 []float64, q AggQuery, skip func(kg.EntityID) bool
 		ball = append(ball, ballPoint{id: eid, d2: math.Sqrt(sqd)})
 		return true
 	})
-	tr.Step(obs.StageSearch)
 
 	b := len(ball)
 	a := b
@@ -280,7 +281,7 @@ func (e *Engine) aggregate(q1 []float64, q AggQuery, skip func(kg.EntityID) bool
 	// overlapping the ball), fall back to the sample maximum.
 	vm := e.tailMaxAbs(q2, r2, attrIdx, ball[:a], q.Kind)
 	e.runlockShards()
-	tr.Step(obs.StageRefine)
+	tr.Step(obs.StageSearch)
 
 	// Crack the index for this query region: aggregate queries shape the
 	// index exactly as top-k queries do. finishQuery releases the read lock

@@ -44,14 +44,14 @@ func (e *Engine) TopKHeadsNoIndex(t kg.EntityID, r kg.RelationID, k int) (*TopKR
 
 func (e *Engine) scanTopK(q1 []float64, k int, skip func(kg.EntityID) bool) *TopKResult {
 	nbs := scan.TopK(e.m.Dim, e.m.Entities, q1, k, func(id int32) bool { return skip(kg.EntityID(id)) })
-	res := &TopKResult{RecallBound: 1, Examined: e.g.NumEntities()}
+	res := &TopKResult{Predictions: make([]Prediction, 0, len(nbs)), RecallBound: 1, Examined: e.g.NumEntities()}
 	for _, nb := range nbs {
 		res.Predictions = append(res.Predictions, Prediction{
 			Entity: kg.EntityID(nb.ID),
 			Dist:   math.Sqrt(nb.SqDist),
 		})
 	}
-	attachProbs(res.Predictions)
+	e.finishPredictions(res.Predictions)
 	return res
 }
 

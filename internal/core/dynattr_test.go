@@ -103,7 +103,7 @@ func TestDynamicAttrSurvivesRoundTrip(t *testing.T) {
 func rewriteMetaAttrs(t *testing.T, snap []byte, extra ...string) []byte {
 	t.Helper()
 	r := bytes.NewReader(snap)
-	version, sections, err := snapfmt.ReadHeader(r, engineMagic, engineVersion)
+	version, sections, err := snapfmt.ReadHeader(r, engineMagic, engineVersion, engineVersion)
 	if err != nil {
 		t.Fatal(err)
 	}

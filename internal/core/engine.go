@@ -65,8 +65,7 @@ type Params struct {
 	// columns used as a conservative distance prefilter; every answer is
 	// re-ranked in exact float64 arithmetic, so results are byte-identical
 	// with the mirror on or off (DefaultParams enables it; this is the
-	// opt-out). Snapshots written before the field existed load with it
-	// off.
+	// opt-out).
 	PackedCoords bool
 }
 
@@ -411,17 +410,6 @@ func (e *Engine) StructureHash() uint64 {
 		io.WriteString(h, name)
 	}
 	return h.Sum64()
-}
-
-// EntityName returns the display name of an entity, synchronized against
-// concurrent InsertEntity calls.
-func (e *Engine) EntityName(id kg.EntityID) string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if id < 0 || int(id) >= e.g.NumEntities() {
-		return ""
-	}
-	return e.g.Entity(id).Name
 }
 
 // IndexStats reports the index structure counters (Figs. 9-11), summed over

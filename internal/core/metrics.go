@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime/metrics"
 	"strconv"
+	"time"
 
 	"vkgraph/internal/obs"
 	"vkgraph/internal/rtree"
@@ -270,91 +271,139 @@ func (e *Engine) SlowLog() *obs.SlowLog { return e.met.slow }
 // disabled; servers arm it via Traces().SetHeadRate.
 func (e *Engine) Traces() *obs.TraceStore { return e.traces }
 
-// MetricsSnapshot is a structured point-in-time view of every engine
-// counter, suitable for programmatic consumption (vkg.Metrics wraps it).
-type MetricsSnapshot struct {
+// Metrics is a structured point-in-time view of every engine counter: query
+// volumes and latency distributions, the paper's cost counters (node
+// accesses of Lemma 3, candidates examined, a and b of Theorem 4), the
+// cracking activity of Section IV, and the serving-layer cache/coalescing/
+// lock statistics. Counters accumulate from Build; LatencyStats percentiles
+// are over all observations so far.
+type Metrics struct {
+	// TopKQueries and AggregateQueries count queries executed against the
+	// index; answers served from the result cache or coalesced onto another
+	// in-flight execution are counted by Cache.Hits and Coalesced instead.
+	// QueryErrors counts rejections (unknown ids, execution failures).
 	TopKQueries      uint64
 	AggregateQueries uint64
 	QueryErrors      uint64
 
-	TopKLatency      obs.HistSnapshot
-	AggregateLatency obs.HistSnapshot
+	TopKLatency      obs.LatencyStats
+	AggregateLatency obs.LatencyStats
 
+	// CandidatesExamined counts entities whose exact S1 distance was
+	// computed — the dominant query cost. PrunedByBound counts candidate
+	// refinements abandoned early by the running kth-distance bound.
 	CandidatesExamined uint64
 	PrunedByBound      uint64
 
+	// NodeAccess* count index nodes visited by traversals, by node type —
+	// the access cost the paper's Lemma 3 bounds.
 	NodeAccessInternal uint64
 	NodeAccessLeaf     uint64
 	NodeAccessPending  uint64
 
+	// AggPointsAccessed (a) and AggBallPoints (b) are summed over aggregate
+	// queries (Theorem 4); AggMaxAccessCapped counts queries whose sample
+	// was truncated by MaxAccess.
 	AggPointsAccessed  uint64
 	AggBallPoints      uint64
 	AggMaxAccessCapped uint64
 
+	// CrackQueries/WarmQueries split queries by whether their region still
+	// needed cracking; a converging index drives the cold share toward 0.
 	CrackQueries      uint64
 	WarmQueries       uint64
 	CrackSplits       uint64
 	CrackNodesCreated uint64
-	CrackWriteLock    obs.HistSnapshot
+	// CrackWriteLock is the time spent holding a shard write lock to crack,
+	// per shard a cracking query had to split.
+	CrackWriteLock obs.LatencyStats
 
-	CacheHits     uint64
-	CacheMisses   uint64
-	CacheEntries  int
-	Coalesced     uint64
-	ReadLockWait  obs.HistSnapshot
-	WriteLockWait obs.HistSnapshot
+	// Cache and Coalesced cover the serving layer: the top-k result cache
+	// and the singleflight coalescing of duplicate in-flight requests.
+	Cache     CacheStats
+	Coalesced uint64
 
-	// Shards is the spatial shard count; the two slices are indexed by
-	// shard and hold the per-shard crack-lock wait and hold times.
-	Shards         int
-	ShardWriteWait []obs.HistSnapshot
-	ShardCrackLock []obs.HistSnapshot
+	// ReadLockWait and WriteLockWait measure contention on the engine lock
+	// (WriteLockWait also folds in the per-shard crack-lock waits).
+	ReadLockWait  obs.LatencyStats
+	WriteLockWait obs.LatencyStats
 
-	// Memory layout: the packed-mirror size, node-arena occupancy summed
-	// over shards, resident point count, and the runtime's GC pause tail —
-	// the observable side of the packed/arena storage.
-	PackedBytes     int
-	ArenaNodesInUse int
-	ArenaNodesFree  int
-	ResidentPoints  int
-	GCPauseP99      float64
+	// Shards is the spatial shard count of the index (Params.Shards);
+	// ShardWriteLockWait and ShardCrackLock break the cracking-path lock
+	// wait and hold times down by shard, indexed 0..Shards-1.
+	Shards             int
+	ShardWriteLockWait []obs.LatencyStats
+	ShardCrackLock     []obs.LatencyStats
 
-	// Traces are the trace store's retention counters.
-	Traces obs.TraceStoreStats
+	// Memory is the memory-layout view of the index: how many bytes the
+	// packed coordinate mirror occupies, the node-arena occupancy, the
+	// resident point count, and the runtime's recent GC pause tail.
+	Memory MemoryStats
 
-	// WAL is the write-ahead log state: append/rotation counters on the
-	// write side, replay/truncation counters from the most recent load.
+	// Index is the current index structure (also available via IndexStats).
+	Index rtree.Stats
+
+	// WAL is the write-ahead log state: appends and rotations on the write
+	// side, replay and truncation counters from the most recent load.
 	WAL WALStats
 
-	// DroppedAttrs lists attributes the snapshot named but the loaded
-	// graph lacked; the load dropped them instead of failing.
-	DroppedAttrs []string
+	// DroppedAttributes lists attributes the snapshot named but the loaded
+	// graph lacked; the load dropped them (degraded) instead of failing.
+	DroppedAttributes []string
 
+	// Generation is the graph mutation counter; cached answers are pinned
+	// to the generation they were computed at.
 	Generation uint64
 }
 
-// MetricsSnapshot captures the current engine counters. Concurrent queries
-// may land between the atomic reads; the snapshot is race-clean but not an
-// instantaneous cut.
-func (e *Engine) MetricsSnapshot() MetricsSnapshot {
-	m := e.met
-	cs := e.CacheStats()
-	sww := make([]obs.HistSnapshot, len(m.shardWriteWait))
-	scl := make([]obs.HistSnapshot, len(m.shardCrackLock))
-	for i := range sww {
-		sww[i] = m.shardWriteWait[i].Snapshot()
-		scl[i] = m.shardCrackLock[i].Snapshot()
+// MemoryStats is the memory-layout block of Metrics (see Params.PackedCoords
+// and the DESIGN.md "Memory layout" section).
+type MemoryStats struct {
+	// PackedBytes is the size of the packed float32 coordinate mirror
+	// (0 when PackedCoords is off). The mirror is shared by all shards.
+	PackedBytes int
+	// ArenaNodesInUse and ArenaNodesFree count tree-node arena records,
+	// summed over shards; free records are reusable capacity already paid
+	// for (freelist plus the unallocated tail of the newest slab).
+	ArenaNodesInUse int
+	ArenaNodesFree  int
+	// ResidentPoints is the number of S2 points held by the point set.
+	ResidentPoints int
+	// GCPauseP99 is the 99th-percentile stop-the-world GC pause of this
+	// process since start, from runtime/metrics (0 before the first GC).
+	GCPauseP99 time.Duration
+}
+
+// CacheHitRate returns hits / (hits + misses), or 0 before any lookup.
+func (m Metrics) CacheHitRate() float64 {
+	total := m.Cache.Hits + m.Cache.Misses
+	if total == 0 {
+		return 0
 	}
-	arenaInUse, arenaFree := e.arenaNodes()
+	return float64(m.Cache.Hits) / float64(total)
+}
+
+// Metrics captures the current engine counters. It is race-clean under
+// concurrent queries but not an instantaneous cut: counters are read one
+// atomic load at a time.
+func (e *Engine) Metrics() Metrics {
+	m := e.met
+	sww := make([]obs.LatencyStats, len(m.shardWriteWait))
+	scl := make([]obs.LatencyStats, len(m.shardCrackLock))
+	for i := range sww {
+		sww[i] = m.shardWriteWait[i].Snapshot().Latency()
+		scl[i] = m.shardCrackLock[i].Snapshot().Latency()
+	}
+	index := e.IndexStats()
 	e.mu.RLock()
-	packedBytes, resident := e.ps.PackedBytes(), e.ps.N()
+	resident := e.ps.N()
 	e.mu.RUnlock()
-	return MetricsSnapshot{
+	return Metrics{
 		TopKQueries:        m.topkQueries.Value(),
 		AggregateQueries:   m.aggQueries.Value(),
 		QueryErrors:        m.queryErrors.Value(),
-		TopKLatency:        m.latTopK.Snapshot(),
-		AggregateLatency:   m.latAgg.Snapshot(),
+		TopKLatency:        m.latTopK.Snapshot().Latency(),
+		AggregateLatency:   m.latAgg.Snapshot().Latency(),
 		CandidatesExamined: m.examined.Value(),
 		PrunedByBound:      m.pruned.Value(),
 		NodeAccessInternal: m.nodeAccess.Internal.Load(),
@@ -367,24 +416,24 @@ func (e *Engine) MetricsSnapshot() MetricsSnapshot {
 		WarmQueries:        m.warmQueries.Value(),
 		CrackSplits:        m.crackSplits.Value(),
 		CrackNodesCreated:  m.crackNodes.Value(),
-		CrackWriteLock:     m.crackLock.Snapshot(),
-		CacheHits:          cs.Hits,
-		CacheMisses:        cs.Misses,
-		CacheEntries:       cs.Entries,
+		CrackWriteLock:     m.crackLock.Snapshot().Latency(),
+		Cache:              e.CacheStats(),
 		Coalesced:          m.sfCoalesced.Value(),
-		ReadLockWait:       m.lockReadWait.Snapshot(),
-		WriteLockWait:      m.lockWriteWait.Snapshot(),
+		ReadLockWait:       m.lockReadWait.Snapshot().Latency(),
+		WriteLockWait:      m.lockWriteWait.Snapshot().Latency(),
 		Shards:             len(e.shards),
-		ShardWriteWait:     sww,
+		ShardWriteLockWait: sww,
 		ShardCrackLock:     scl,
-		PackedBytes:        packedBytes,
-		ArenaNodesInUse:    arenaInUse,
-		ArenaNodesFree:     arenaFree,
-		ResidentPoints:     resident,
-		GCPauseP99:         gcPauseP99(),
-		Traces:             e.traces.Stats(),
-		WAL:                e.WALStats(),
-		DroppedAttrs:       e.DroppedAttrs(),
-		Generation:         e.gen.Load(),
+		Memory: MemoryStats{
+			PackedBytes:     index.PackedBytes,
+			ArenaNodesInUse: index.ArenaNodesInUse,
+			ArenaNodesFree:  index.ArenaNodesFree,
+			ResidentPoints:  resident,
+			GCPauseP99:      time.Duration(gcPauseP99() * float64(time.Second)),
+		},
+		Index:             index,
+		WAL:               e.WALStats(),
+		DroppedAttributes: e.DroppedAttrs(),
+		Generation:        e.gen.Load(),
 	}
 }

@@ -2,7 +2,8 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -116,119 +117,20 @@ func TestPackedMatchesUnpacked(t *testing.T) {
 	}
 }
 
-// TestEngineSnapshotV2RoundTrip hand-builds a version-2 engine snapshot —
-// the wireSharded envelope with version-1 recursive tree blobs, exactly
-// what a pre-upgrade binary wrote — and checks the v3 reader takes it
-// without degrading, that the loaded engine answers like the original, and
-// that re-saving produces a version-3 snapshot that round-trips.
-func TestEngineSnapshotV2RoundTrip(t *testing.T) {
-	eng, g := testEngine(t, Crack, func() Params {
-		p := defaultTestParams()
-		p.Shards = 2
-		p.PackedCoords = false // a v2-era binary had no packed mirror
-		return p
-	}())
-	likes, _ := g.RelationByName("likes")
-	users := g.EntitiesOfType("user")
-	for _, u := range users[:10] {
-		if _, err := eng.TopKTails(u, likes, 5); err != nil {
-			t.Fatalf("warmup TopKTails: %v", err)
-		}
-	}
-
-	// Encode the v2 container by hand from the live engine's parts.
-	eng.prepareIndex()
-	var metaBuf, graphBuf, modelBuf, treeBuf bytes.Buffer
-	if err := gob.NewEncoder(&metaBuf).Encode(wireMeta{Params: eng.params, Mode: eng.mode}); err != nil {
+// TestOldSnapshotVersionsRejected forges version-1 and version-2 headers on
+// an otherwise valid snapshot: the retired formats must be refused with the
+// typed version error, never misread as version 3.
+func TestOldSnapshotVersionsRejected(t *testing.T) {
+	eng, _ := testEngine(t, Crack, defaultTestParams())
+	var buf bytes.Buffer
+	if err := eng.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.g.Save(&graphBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.m.Save(&modelBuf); err != nil {
-		t.Fatal(err)
-	}
-	ws := wireSharded{Bits: eng.router.Bits(), Queries: eng.idxQueries.Load()}
-	ws.FrameLo, ws.FrameHi = eng.router.Frame()
-	for i, sh := range eng.shards {
-		var b bytes.Buffer
-		if err := sh.tree.SaveLegacyV1(&b); err != nil {
-			t.Fatalf("SaveLegacyV1 shard %d: %v", i, err)
-		}
-		ws.Trees = append(ws.Trees, b.Bytes())
-	}
-	if err := gob.NewEncoder(&treeBuf).Encode(ws); err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if err := snapfmt.WriteHeader(&v2, engineMagic, 2, engineSections); err != nil {
-		t.Fatal(err)
-	}
-	for _, sec := range []struct {
-		kind    uint8
-		payload []byte
-	}{
-		{secMeta, metaBuf.Bytes()},
-		{secGraph, graphBuf.Bytes()},
-		{secModel, modelBuf.Bytes()},
-		{secTree, treeBuf.Bytes()},
-	} {
-		if err := snapfmt.WriteSection(&v2, sec.kind, sec.payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	loaded, err := LoadEngine(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatalf("LoadEngine(v2): %v", err)
-	}
-	if loaded.IndexRebuilt() {
-		t.Fatal("v2 snapshot degraded to a cold rebuild")
-	}
-	if loaded.params.PackedCoords {
-		t.Fatal("v2 Params decoded with PackedCoords=true; old snapshots must keep their pre-upgrade behavior")
-	}
-	for _, u := range users[:10] {
-		a, err := eng.TopKTails(u, likes, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := loaded.TopKTails(u, likes, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a.Predictions, b.Predictions) {
-			t.Fatalf("user %d: v2-loaded engine answers differently", u)
-		}
-	}
-
-	// Re-save: the new snapshot must carry version 3 and round-trip.
-	var v3 bytes.Buffer
-	if err := loaded.Save(&v3); err != nil {
-		t.Fatalf("re-Save: %v", err)
-	}
-	version, _, err := snapfmt.ReadHeader(bytes.NewReader(v3.Bytes()), engineMagic, engineVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if version != 3 {
-		t.Fatalf("re-saved snapshot has version %d, want 3", version)
-	}
-	again, err := LoadEngine(bytes.NewReader(v3.Bytes()))
-	if err != nil {
-		t.Fatalf("LoadEngine(v3): %v", err)
-	}
-	if again.IndexRebuilt() {
-		t.Fatal("v3 snapshot degraded to a cold rebuild")
-	}
-	for _, u := range users[:5] {
-		a, _ := eng.TopKTails(u, likes, 5)
-		b, err := again.TopKTails(u, likes, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a.Predictions, b.Predictions) {
-			t.Fatalf("user %d: v3-loaded engine answers differently", u)
+	for _, version := range []uint16{1, 2} {
+		snap := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint16(snap[snapfmt.MagicLen:], version)
+		if _, err := LoadEngine(bytes.NewReader(snap)); !errors.Is(err, snapfmt.ErrVersion) {
+			t.Fatalf("LoadEngine of a version-%d header = %v, want ErrVersion", version, err)
 		}
 	}
 }

@@ -28,16 +28,11 @@ import (
 // model are intact, so a cold cracking index is rebuilt and only the
 // workload-paid-for shape is lost (Engine.IndexRebuilt reports this).
 //
-// Format versions: version 1 stored a single tree blob in the index
-// section; version 2 stores a wireSharded envelope — the shard router's
-// Morton frame plus one embedded tree blob per shard; version 3 is the
-// same envelope with the embedded tree blobs written in the rtree flat
-// format (and Params carrying the PackedCoords flag — the packed float32
-// mirror itself is derived data and is rebuilt on load, never persisted).
-// Version-1 and version-2 snapshots are still read (v1 loads as a
-// single-shard engine; v2 Params gob-decode with PackedCoords=false, so
-// old snapshots keep their exact pre-upgrade behavior); new snapshots are
-// always written at version 3.
+// The index section is a wireSharded envelope — the shard router's Morton
+// frame plus one embedded rtree blob per shard. The packed float32 mirror is
+// derived data and is rebuilt on load from Params.PackedCoords, never
+// persisted. This is format version 3, the only one read or written; any
+// other version fails the load with snapfmt.ErrVersion.
 
 const (
 	engineMagic   = "VKGSNAP\x00"
@@ -71,7 +66,7 @@ type wireMeta struct {
 	EffAttrs []string
 }
 
-// wireSharded is the version-2 index section: the routing frame (which must
+// wireSharded is the index section: the routing frame (which must
 // be persisted — re-deriving it from grown data would re-route points), the
 // engine-wide query count, and one rtree blob per shard.
 type wireSharded struct {
@@ -156,8 +151,7 @@ func (e *Engine) saveLocked(w io.Writer, walGen uint64) error {
 // walappend:allow — loading reconstructs state the snapshot already made
 // durable; the WAL arms only after the load (and replay) completes.
 func LoadEngine(r io.Reader) (*Engine, error) {
-	version, _, err := snapfmt.ReadHeader(r, engineMagic, engineVersion)
-	if err != nil {
+	if _, _, err := snapfmt.ReadHeader(r, engineMagic, engineVersion, engineVersion); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	var meta wireMeta
@@ -228,19 +222,7 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 		queries int64
 	)
 	if treeErr == nil {
-		if version >= 2 {
-			router, trees, queries, treeErr = decodeShardedIndex(sections[secTree], ps)
-		} else {
-			// Version 1: a single raw tree blob; the engine comes up
-			// unsharded regardless of what the current default would be.
-			var t *rtree.Tree
-			t, treeErr = rtree.Load(bytes.NewReader(sections[secTree]), ps)
-			if treeErr == nil {
-				router = rtree.NewShardRouter(ps, ps.N(), 0)
-				trees = []*rtree.Tree{t}
-				queries = int64(t.Stats().Queries)
-			}
-		}
+		router, trees, queries, treeErr = decodeShardedIndex(sections[secTree], ps)
 	}
 
 	e := &Engine{
@@ -274,7 +256,7 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 	return e, nil
 }
 
-// decodeShardedIndex unpacks the version-2 index section: the router frame
+// decodeShardedIndex unpacks the index section: the router frame
 // and one tree per shard. Any inconsistency (bad envelope, shard count not
 // matching the prefix length, per-shard blob damage) is reported as corrupt
 // so LoadEngine degrades to a cold rebuild.

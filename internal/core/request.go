@@ -24,9 +24,9 @@ import (
 type Dir int
 
 const (
-	// DirTail predicts t in (e, r, ?).
+	// DirTail predicts t in (e, r, ?) — "what would Amy like?".
 	DirTail Dir = iota
-	// DirHead predicts h in (?, r, e).
+	// DirHead predicts h in (?, r, e) — "who would like this?".
 	DirHead
 )
 
@@ -72,13 +72,16 @@ type Request struct {
 }
 
 // Response is the answer to one Request: exactly one of TopK or Agg is set
-// on success, Err on failure (including context cancellation).
+// on success, Err on failure (including context cancellation). The batch
+// calls report per-query failures in Err in place instead of failing the
+// batch.
 type Response struct {
 	TopK *TopKResult
 	Agg  *AggResult
 	Err  error
-	// Trace is the stage breakdown when the request asked for one (or the
-	// slow-query log forced one); nil otherwise.
+	// Trace is the stage breakdown when the request asked for one, carried
+	// trace context, or the slow-query log forced tracing on; nil otherwise.
+	// Trace.TraceID() is the handle for /traces/<id> on the ops endpoint.
 	Trace *obs.QueryTrace
 }
 

@@ -120,13 +120,13 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	if err := eng4.CheckInvariants(); err != nil {
 		t.Fatalf("sharded invariants: %v", err)
 	}
-	ms := eng4.MetricsSnapshot()
-	if ms.Shards != 4 || len(ms.ShardWriteWait) != 4 || len(ms.ShardCrackLock) != 4 {
+	ms := eng4.Metrics()
+	if ms.Shards != 4 || len(ms.ShardWriteLockWait) != 4 || len(ms.ShardCrackLock) != 4 {
 		t.Fatalf("per-shard metrics shape: Shards=%d wait=%d hold=%d",
-			ms.Shards, len(ms.ShardWriteWait), len(ms.ShardCrackLock))
+			ms.Shards, len(ms.ShardWriteLockWait), len(ms.ShardCrackLock))
 	}
 	var waits uint64
-	for _, h := range ms.ShardWriteWait {
+	for _, h := range ms.ShardWriteLockWait {
 		waits += h.Count
 	}
 	if waits == 0 {

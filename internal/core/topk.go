@@ -13,27 +13,32 @@ import (
 )
 
 // Prediction is one predicted edge of the virtual knowledge graph: an
-// entity, its S1 distance to the query point, and the paper's probability
-// (the closest entity has probability 1, others inversely proportional to
-// distance).
+// entity with its display name, its S1 distance to the query point (smaller
+// is more plausible), and the paper's probability (the closest entity has
+// probability 1, others inversely proportional to distance).
 type Prediction struct {
-	Entity kg.EntityID
-	Dist   float64
-	Prob   float64
+	Entity kg.EntityID `json:"entity"`
+	Name   string      `json:"name,omitempty"`
+	Dist   float64     `json:"dist"`
+	Prob   float64     `json:"prob"`
 }
 
 // TopKResult carries the predictions together with the data-dependent
-// accuracy guarantee of Theorem 2.
+// accuracy guarantee of Theorem 2. Results may be served from the result
+// cache and are shared between callers: treat them as immutable. The JSON
+// tags are the HTTP wire form.
 type TopKResult struct {
-	Predictions []Prediction
+	// Predictions is never nil, so an empty answer is [] on the wire.
+	Predictions []Prediction `json:"predictions"`
 	// RecallBound is the Theorem 2 lower bound on the probability that no
-	// true top-k entity was missed.
-	RecallBound float64
-	// ExpectedMisses is the Theorem 2 expected number of missing entities.
-	ExpectedMisses float64
+	// true top-k entity is missing from Predictions.
+	RecallBound float64 `json:"recall_bound"`
+	// ExpectedMisses is the Theorem 2 expected number of true top-k entities
+	// missing from Predictions.
+	ExpectedMisses float64 `json:"expected_misses"`
 	// Examined is the number of candidate entities whose S1 distance was
 	// computed — the query's dominant cost.
-	Examined int
+	Examined int `json:"examined"`
 }
 
 // TopKTails answers "top-k entities t most likely to be in relation r with
@@ -111,7 +116,7 @@ func (e *Engine) topKQuery(dir Dir, ent kg.EntityID, rel kg.RelationID, k int, e
 // returns the final query region and whether the caller should complete the
 // cracking step.
 func (e *Engine) findTopK(q1 []float64, k int, eps float64, skip func(kg.EntityID) bool, tr *obs.QueryTrace) (*TopKResult, rtree.Rect, bool) {
-	res := &TopKResult{}
+	res := &TopKResult{Predictions: []Prediction{}}
 	if k <= 0 || e.ps.N() == 0 {
 		res.RecallBound = 1
 		return res, rtree.Rect{}, false
@@ -166,13 +171,12 @@ func (e *Engine) findTopK(q1 []float64, k int, eps float64, skip func(kg.EntityI
 		e.met.examined.Add(uint64(res.Examined))
 		return res, rtree.Rect{}, false
 	}
-	tr.Step(obs.StageRefine)
 
 	// Line 9's index update happens in the caller with this final region.
 	finalQ := rtree.BallRect(q2, top.kth()*(1+eps))
 
 	res.Predictions = top.sorted()
-	attachProbs(res.Predictions)
+	e.finishPredictions(res.Predictions)
 	rStar := make([]float64, len(res.Predictions))
 	for i, p := range res.Predictions {
 		rStar[i] = p.Dist
@@ -188,10 +192,12 @@ func (e *Engine) findTopK(q1 []float64, k int, eps float64, skip func(kg.EntityI
 	return res, finalQ, true
 }
 
-// attachProbs fills in the paper's probability model over a distance-sorted
-// prediction list: the closest entity has probability 1 and the rest decay
-// inversely with distance.
-func attachProbs(preds []Prediction) {
+// finishPredictions completes a distance-sorted prediction list: the display
+// names, read under the engine read lock the caller already holds (so cached
+// answers carry them and nothing downstream re-locks per prediction), and
+// the paper's probability model — the closest entity has probability 1 and
+// the rest decay inversely with distance.
+func (e *Engine) finishPredictions(preds []Prediction) {
 	if len(preds) == 0 {
 		return
 	}
@@ -200,6 +206,7 @@ func attachProbs(preds []Prediction) {
 		d1 = 1e-12
 	}
 	for i := range preds {
+		preds[i].Name = e.g.Entity(preds[i].Entity).Name
 		d := preds[i].Dist
 		if d < d1 {
 			d = d1

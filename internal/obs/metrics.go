@@ -156,6 +156,22 @@ func (s HistSnapshot) Mean() float64 {
 	return s.Sum / float64(s.Count)
 }
 
+// LatencyStats summarizes a latency distribution: the observation count and
+// the mean/median/tail durations.
+type LatencyStats struct {
+	Count uint64
+	Mean  time.Duration
+	P50   time.Duration
+	P95   time.Duration
+	P99   time.Duration
+}
+
+// Latency reads a snapshot of a histogram observed in seconds as durations.
+func (s HistSnapshot) Latency() LatencyStats {
+	sec := func(v float64) time.Duration { return time.Duration(v * float64(time.Second)) }
+	return LatencyStats{Count: s.Count, Mean: sec(s.Mean()), P50: sec(s.P50), P95: sec(s.P95), P99: sec(s.P99)}
+}
+
 // Snapshot summarizes the histogram. Concurrent observations may land
 // between the atomic reads; the snapshot is race-clean but not a perfect
 // cut, which is the usual contract for live metrics.

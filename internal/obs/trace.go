@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -8,24 +9,35 @@ import (
 
 // Stage names used by the engine's query trace. The stages of one query are
 // contiguous — each Step closes the segment since the previous mark — so
-// their durations sum to the traced wall time.
+// their durations sum to the traced wall time. "search" is the whole index
+// walk: the S2-ordered descent together with the exact S1 distance of every
+// candidate it yields (Algorithm 3 lines 2-8 run as one merged pass); for
+// aggregates it is the ball collection plus the sampled S1 accesses.
 const (
 	StageCache     = "cache"     // result-cache lookup
-	StageValidate  = "validate"  // id validation under the read lock
+	StageValidate  = "validate"  // read-lock acquisition + id validation
 	StageTransform = "transform" // query-point construction + JL projection
-	StageSearch    = "search"    // index seed probe (Algorithm 3 line 2)
-	StageRefine    = "refine"    // S2-ordered walk + S1 refinement
-	StageCrack     = "crack"     // index cracking (write lock) or warm no-op
+	StageSearch    = "search"    // index walk + S1 re-rank (see above)
+	StageCrack     = "crack"     // index cracking (shard write locks) or warm no-op
 	StageEstimate  = "estimate"  // aggregate estimation after the crack step
 	StageWait      = "wait"      // blocked on a coalesced in-flight execution
 )
 
-// Span is one timed stage of a query.
+// Span is one timed stage of a query; Stage is one of the Stage* constants.
 type Span struct {
 	Stage string
 	// Start is the offset from the beginning of the query.
 	Start time.Duration
 	Dur   time.Duration
+}
+
+// MarshalJSON renders the span in the query API's wire form: the stage name
+// and its duration in milliseconds at microsecond resolution.
+func (s Span) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Stage string  `json:"stage"`
+		MS    float64 `json:"ms"`
+	}{s.Stage, float64(s.Dur.Microseconds()) / 1000})
 }
 
 // ShardSpan is one per-shard child span of a query trace: the crack step's
@@ -215,7 +227,7 @@ func (t *QueryTrace) Finish() {
 }
 
 // String renders a one-line stage breakdown, e.g.
-// "1.2ms (cache 10µs, validate 1µs, transform 8µs, search 200µs, refine 900µs, crack 80µs)".
+// "1.2ms (cache 10µs, validate 1µs, transform 8µs, search 1.1ms, crack 80µs)".
 func (t *QueryTrace) String() string {
 	if t == nil {
 		return "<no trace>"

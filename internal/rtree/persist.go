@@ -21,40 +21,19 @@ import (
 // so a torn or bit-rotted file is rejected with a typed error before any
 // byte reaches the decoder.
 //
-// Format versions: version 1 encoded the tree as a recursive wireNode gob —
-// one nested struct per node. Version 2 flattens the tree into packed
-// preorder arrays (kinds, child/entry counts, MBR coordinates, concatenated
-// id lists), mirroring the arena's index-addressed records: decoding is one
-// gob of a few flat slices, and nodes rebuild straight into arena slabs.
-// Version-1 blobs are still read; new blobs are written at version 2
-// (SaveLegacyV1 keeps the old writer for compatibility tests).
+// The tree is flattened into packed preorder arrays (kinds, child/entry
+// counts, MBR coordinates, concatenated id lists), mirroring the arena's
+// index-addressed records: decoding is one gob of a few flat slices, and
+// nodes rebuild straight into arena slabs. This is format version 2, the
+// only one read or written; any other version is rejected with ErrVersion.
 
 const (
 	treeMagic   = "VKGRTREE"
 	treeVersion = 2
-	secTreeGob  = 1 // v1: recursive gob wireNode
-	secTreeFlat = 2 // v2: flat preorder packed arrays
+	secTreeFlat = 2 // flat preorder packed arrays
 )
 
-type wireNode struct {
-	// Kind: 0 internal, 1 leaf, 2 pending.
-	Kind     uint8
-	Lo, Hi   []float64
-	Children []wireNode
-	IDs      []int32 // leaf entries or pending id set (resorted on load)
-}
-
-type wireTree struct {
-	Opt      Options
-	Splits   int
-	Explored int
-	Queries  int
-	InitialN int
-	Deleted  []int32
-	Root     *wireNode
-}
-
-// wireFlat is the version-2 payload: the tree in preorder as packed
+// wireFlat is the payload: the tree in preorder as packed
 // parallel arrays. Kinds[i] is node i's state (0 internal, 1 leaf,
 // 2 pending); Counts[i] its child count (internal) or entry count
 // (leaf/pending); Mbrs holds 2*dim coordinates per node (lo then hi); IDs
@@ -73,7 +52,7 @@ type wireFlat struct {
 }
 
 // Save writes the tree structure: a snapfmt header followed by one
-// checksummed gob section in the flat version-2 format.
+// checksummed gob section in the flat format.
 func (t *Tree) Save(w io.Writer) error {
 	t.ensureRoot()
 	wf := wireFlat{
@@ -119,99 +98,38 @@ func (t *Tree) Save(w io.Writer) error {
 	return snapfmt.WriteSection(w, secTreeFlat, payload.Bytes())
 }
 
-// SaveLegacyV1 writes the deprecated version-1 recursive format. It exists
-// so compatibility tests can synthesize old snapshots; new code saves the
-// flat version-2 format via Save.
-func (t *Tree) SaveLegacyV1(w io.Writer) error {
-	t.ensureRoot()
-	wt := wireTree{
-		Opt:      t.opt,
-		Splits:   t.splits,
-		Explored: t.explored,
-		Queries:  int(t.queries.Load()),
-		InitialN: t.initialN,
-		Root:     encodeNode(t.root),
-	}
-	for id := range t.deleted {
-		wt.Deleted = append(wt.Deleted, id)
-	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(wt); err != nil {
-		return fmt.Errorf("rtree: encode tree: %w", err)
-	}
-	if err := snapfmt.WriteHeader(w, treeMagic, 1, 1); err != nil {
-		return err
-	}
-	return snapfmt.WriteSection(w, secTreeGob, payload.Bytes())
-}
-
-func encodeNode(nd *node) *wireNode {
-	w := &wireNode{Lo: nd.mbr.Lo, Hi: nd.mbr.Hi}
-	switch {
-	case nd.isInternal():
-		w.Kind = 0
-		for _, c := range nd.children {
-			w.Children = append(w.Children, *encodeNode(c))
-		}
-	case nd.isLeaf():
-		w.Kind = 1
-		w.IDs = nd.leafIDs
-	default:
-		w.Kind = 2
-		w.IDs = nd.part.ids()
-	}
-	return w
-}
-
-// Load reads a tree written by Save (either format version) and attaches it
-// to ps, which must hold the same points the tree was built over (same
-// embedding, same transform, same seed). Pending elements rebuild their
-// sort orders locally; this is proportional to the pending mass only, far
-// cheaper than re-cracking.
+// Load reads a tree written by Save and attaches it to ps, which must hold
+// the same points the tree was built over (same embedding, same transform,
+// same seed). Pending elements rebuild their sort orders locally; this is
+// proportional to the pending mass only, far cheaper than re-cracking.
 //
 // A stream with bad magic, a failed checksum, or a truncation returns an
-// error satisfying errors.Is(err, snapfmt.ErrCorrupt); an incompatible
-// format version returns one satisfying errors.Is(err, snapfmt.ErrVersion).
+// error satisfying errors.Is(err, snapfmt.ErrCorrupt); any other format
+// version returns one satisfying errors.Is(err, snapfmt.ErrVersion).
 func Load(r io.Reader, ps *PointSet) (*Tree, error) {
-	version, _, err := snapfmt.ReadHeader(r, treeMagic, treeVersion)
-	if err != nil {
+	if _, _, err := snapfmt.ReadHeader(r, treeMagic, treeVersion, treeVersion); err != nil {
 		return nil, fmt.Errorf("rtree: %w", err)
 	}
 	kind, payload, err := snapfmt.ReadSection(r)
 	if err != nil {
 		return nil, fmt.Errorf("rtree: %w", err)
 	}
+	if kind != secTreeFlat {
+		return nil, fmt.Errorf("rtree: unexpected section %d: %w", kind, snapfmt.ErrCorrupt)
+	}
+	var wf wireFlat
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wf); err != nil {
+		return nil, fmt.Errorf("rtree: decode tree: %v: %w", err, snapfmt.ErrCorrupt)
+	}
 	t := &Tree{ps: ps, arena: newNodeArena(ps.Dim), scratch: make([]bool, ps.N())}
-	switch {
-	case version == 1 && kind == secTreeGob:
-		var wt wireTree
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wt); err != nil {
-			return nil, fmt.Errorf("rtree: decode tree: %v: %w", err, snapfmt.ErrCorrupt)
-		}
-		if wt.Root == nil {
-			return nil, fmt.Errorf("rtree: tree without root: %w", snapfmt.ErrCorrupt)
-		}
-		t.opt = wt.Opt.normalize()
-		t.splits, t.explored, t.initialN = wt.Splits, wt.Explored, wt.InitialN
-		t.queries.Store(int64(wt.Queries))
-		t.setDeleted(wt.Deleted)
-		t.root, err = t.decodeNode(wt.Root)
-	case version == 2 && kind == secTreeFlat:
-		var wf wireFlat
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wf); err != nil {
-			return nil, fmt.Errorf("rtree: decode tree: %v: %w", err, snapfmt.ErrCorrupt)
-		}
-		t.opt = wf.Opt.normalize()
-		t.splits, t.explored, t.initialN = wf.Splits, wf.Explored, wf.InitialN
-		t.queries.Store(int64(wf.Queries))
-		t.setDeleted(wf.Deleted)
-		cur := &flatCursor{wf: &wf}
-		t.root, err = t.decodeFlat(cur)
-		if err == nil && (cur.node != len(wf.Kinds) || cur.id != len(wf.IDs) || cur.mbr != len(wf.Mbrs)) {
-			err = fmt.Errorf("rtree: trailing tree data: %w", snapfmt.ErrCorrupt)
-		}
-	default:
-		return nil, fmt.Errorf("rtree: unexpected section %d for version %d: %w", kind, version, snapfmt.ErrCorrupt)
+	t.opt = wf.Opt.normalize()
+	t.splits, t.explored, t.initialN = wf.Splits, wf.Explored, wf.InitialN
+	t.queries.Store(int64(wf.Queries))
+	t.setDeleted(wf.Deleted)
+	cur := &flatCursor{wf: &wf}
+	t.root, err = t.decodeFlat(cur)
+	if err == nil && (cur.node != len(wf.Kinds) || cur.id != len(wf.IDs) || cur.mbr != len(wf.Mbrs)) {
+		err = fmt.Errorf("rtree: trailing tree data: %w", snapfmt.ErrCorrupt)
 	}
 	if err != nil {
 		return nil, err
@@ -231,48 +149,6 @@ func (t *Tree) setDeleted(ids []int32) {
 	for _, id := range ids {
 		t.deleted[id] = true
 	}
-}
-
-func (t *Tree) decodeNode(w *wireNode) (*node, error) {
-	if len(w.Lo) != t.ps.Dim || len(w.Hi) != t.ps.Dim {
-		return nil, fmt.Errorf("rtree: MBR dimension %d, point set %d: %w",
-			len(w.Lo), t.ps.Dim, snapfmt.ErrCorrupt)
-	}
-	nd := t.arena.alloc()
-	nd.setMBR(Rect{Lo: w.Lo, Hi: w.Hi})
-	switch w.Kind {
-	case 0:
-		if len(w.Children) == 0 {
-			return nil, fmt.Errorf("rtree: internal node without children: %w", snapfmt.ErrCorrupt)
-		}
-		for i := range w.Children {
-			c, err := t.decodeNode(&w.Children[i])
-			if err != nil {
-				return nil, err
-			}
-			nd.children = append(nd.children, c)
-		}
-	case 1:
-		if err := t.checkIDs(w.IDs); err != nil {
-			return nil, err
-		}
-		nd.leafIDs = w.IDs
-		if nd.leafIDs == nil {
-			nd.leafIDs = []int32{}
-		}
-	case 2:
-		if err := t.checkIDs(w.IDs); err != nil {
-			return nil, err
-		}
-		if len(w.IDs) == 0 {
-			return nil, fmt.Errorf("rtree: empty pending element: %w", snapfmt.ErrCorrupt)
-		}
-		nd.part = newPartitionFromIDs(t.ps, w.IDs)
-		nd.part.mbr = Rect{Lo: w.Lo, Hi: w.Hi}
-	default:
-		return nil, fmt.Errorf("rtree: unknown node kind %d: %w", w.Kind, snapfmt.ErrCorrupt)
-	}
-	return nd, nil
 }
 
 // flatCursor tracks the decode position in each wireFlat array.

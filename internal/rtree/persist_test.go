@@ -2,8 +2,12 @@ package rtree
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
+
+	"vkgraph/internal/snapfmt"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -129,58 +133,23 @@ func TestSaveFreshTree(t *testing.T) {
 	}
 }
 
-// TestLegacyV1RoundTrip: version-1 snapshots (recursive gob nodes) must
-// keep loading, answer identically to the tree that wrote them, and keep
-// cracking afterwards.
-func TestLegacyV1RoundTrip(t *testing.T) {
-	ps := clusteredPointSet(1500, 3, 5, 68)
-	tr := NewCracking(ps, DefaultOptions())
-	rng := rand.New(rand.NewSource(69))
-	queries := make([]Rect, 16)
-	for i := range queries {
-		queries[i] = randomQuery(rng, 3, 0, 10)
-		tr.Crack(queries[i])
+// TestLoadRejectsOldVersion: a version-1 blob (the retired recursive format)
+// is refused with the typed version error, not misread as the flat format.
+func TestLoadRejectsOldVersion(t *testing.T) {
+	ps := clusteredPointSet(300, 2, 3, 68)
+	var buf bytes.Buffer
+	if err := NewCracking(ps, DefaultOptions()).Save(&buf); err != nil {
+		t.Fatal(err)
 	}
-	tr.Delete(11)
-
-	var v1, v2 bytes.Buffer
-	if err := tr.SaveLegacyV1(&v1); err != nil {
-		t.Fatalf("SaveLegacyV1: %v", err)
-	}
-	if err := tr.Save(&v2); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	fromV1, err := Load(bytes.NewReader(v1.Bytes()), ps)
-	if err != nil {
-		t.Fatalf("Load v1: %v", err)
-	}
-	fromV2, err := Load(bytes.NewReader(v2.Bytes()), ps)
-	if err != nil {
-		t.Fatalf("Load v2: %v", err)
-	}
-	for _, got := range []*Tree{fromV1, fromV2} {
-		if err := got.CheckInvariants(); err != nil {
-			t.Fatalf("invariants: %v", err)
-		}
-		s, w := got.Stats(), tr.Stats()
-		if s.TotalNodes != w.TotalNodes || s.BinarySplits != w.BinarySplits || s.Queries != w.Queries {
-			t.Fatalf("stats changed in round trip: %+v vs %+v", s, w)
-		}
-		for _, q := range queries {
-			if !equalIDs(sortIDs(got.Search(q)), sortIDs(tr.Search(q))) {
-				t.Fatal("loaded tree answers differently")
-			}
-		}
-		q := randomQuery(rng, 3, 0, 10)
-		got.Crack(q)
-		if err := got.CheckInvariants(); err != nil {
-			t.Fatalf("invariants after post-load crack: %v", err)
-		}
+	blob := buf.Bytes()
+	binary.LittleEndian.PutUint16(blob[snapfmt.MagicLen:], 1)
+	if _, err := Load(bytes.NewReader(blob), ps); !errors.Is(err, snapfmt.ErrVersion) {
+		t.Fatalf("Load of a version-1 header = %v, want ErrVersion", err)
 	}
 }
 
-// FuzzTreeLoad drives Load over arbitrary bytes, seeded with both snapshot
-// generations. The contract: never panic, either return a usable tree that
+// FuzzTreeLoad drives Load over arbitrary bytes, seeded with a real blob and
+// damaged copies of it. The contract: never panic, either return a usable tree that
 // passes CheckInvariants or an error — nothing in between.
 func FuzzTreeLoad(f *testing.F) {
 	ps := clusteredPointSet(300, 2, 3, 70)
@@ -190,14 +159,10 @@ func FuzzTreeLoad(f *testing.F) {
 		tr.Crack(randomQuery(rng, 2, 0, 10))
 	}
 	tr.Delete(5)
-	var v1, v2 bytes.Buffer
-	if err := tr.SaveLegacyV1(&v1); err != nil {
-		f.Fatal(err)
-	}
+	var v2 bytes.Buffer
 	if err := tr.Save(&v2); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v1.Bytes())
 	f.Add(v2.Bytes())
 	// Truncations and single-byte corruptions of the flat format.
 	f.Add(v2.Bytes()[:len(v2.Bytes())/2])

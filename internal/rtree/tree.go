@@ -544,8 +544,9 @@ func (t *Tree) ContourOverlap(center []float64, radius float64) []ElementSummary
 	return out
 }
 
-// Stats reports structural counters for the index-size experiments
-// (Figs. 9-11).
+// Stats summarizes the index structure: node counts, binary splits
+// performed, and estimated size in bytes. For a cracking index these grow
+// with the query workload and converge quickly (Figs. 9-11 of the paper).
 type Stats struct {
 	InternalNodes int
 	LeafNodes     int
@@ -559,7 +560,8 @@ type Stats struct {
 	Queries        int
 	// SizeBytes is the true index footprint: arena slab bytes plus the heap
 	// memory nodes reference (child lists, leaf id arrays, pending
-	// partitions). It excludes the PointSet, which is shared across trees.
+	// partitions). It excludes the PointSet and its packed mirror, which are
+	// shared across trees — see PackedBytes.
 	SizeBytes int
 	Height    int
 	Points    int
@@ -568,6 +570,10 @@ type Stats struct {
 	ArenaNodesInUse int
 	ArenaNodesFree  int
 	ArenaBytes      int
+	// PackedBytes is the size of the PointSet's packed float32 coordinate
+	// mirror (0 when packing is off). The mirror is shared by every tree
+	// over the PointSet, so it is not summed across shards.
+	PackedBytes int
 }
 
 // Stats computes current structural statistics.
@@ -588,6 +594,7 @@ func (t *Tree) Stats() Stats {
 		ArenaNodesInUse: t.arena.nodesInUse(),
 		ArenaNodesFree:  t.arena.nodesFree(),
 		ArenaBytes:      t.arena.slabBytes(),
+		PackedBytes:     t.ps.PackedBytes(),
 	}
 }
 

@@ -262,12 +262,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rc.fail(status, code, a.err)
 		return
 	}
-	wr := fromResult(a.res)
-	if !req.Trace {
-		// The engine traced the query for the store; the client only gets
-		// the span breakdown it asked for.
-		wr.Trace = nil
-	}
+	wr := fromResult(a.res, req.Trace)
 	wr.TraceID = rc.id.String()
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(wr)
@@ -357,10 +352,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				results[idxs[j]] = wireResult{Error: res.Err.Error(), Code: code, TraceID: rc.id.String()}
 				continue
 			}
-			r := res
-			wr := fromResult(&r)
-			if !req.Queries[idxs[j]].Trace {
-				wr.Trace = nil
+			wr := fromResult(&res, req.Queries[idxs[j]].Trace)
+			if res.Trace != nil {
+				wr.TraceID = res.Trace.TraceID().String()
 			}
 			results[idxs[j]] = wr
 		}

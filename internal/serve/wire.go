@@ -53,39 +53,16 @@ type wireBatchRequest struct {
 	Queries   []wireQuery `json:"queries"`
 }
 
-type wirePrediction struct {
-	Entity vkg.EntityID `json:"entity"`
-	Name   string       `json:"name,omitempty"`
-	Dist   float64      `json:"dist"`
-	Prob   float64      `json:"prob"`
-}
-
-type wireTopK struct {
-	Predictions    []wirePrediction `json:"predictions"`
-	RecallBound    float64          `json:"recall_bound"`
-	ExpectedMisses float64          `json:"expected_misses"`
-	Examined       int              `json:"examined"`
-}
-
-type wireAggResult struct {
-	Value    float64 `json:"value"`
-	Accessed int     `json:"accessed"`
-	BallSize int     `json:"ball_size"`
-}
-
-type wireTraceSpan struct {
-	Stage string  `json:"stage"`
-	MS    float64 `json:"ms"`
-}
-
 // wireResult is one answer: exactly one of TopK/Agg on success, Error (with
-// a machine-readable Code) on failure. TraceID names the request's trace —
-// present on errors too, including 429 and 504, so a refused client still
-// holds the handle into /traces.
+// a machine-readable Code) on failure. The answer types are the engine's
+// own, shared with the result cache — the wire layer only reads them; their
+// JSON form is declared on their definitions. TraceID names the request's
+// trace — present on errors too, including 429 and 504, so a refused client
+// still holds the handle into /traces.
 type wireResult struct {
-	TopK    *wireTopK       `json:"topk,omitempty"`
-	Agg     *wireAggResult  `json:"agg,omitempty"`
-	Trace   []wireTraceSpan `json:"trace,omitempty"`
+	TopK    *vkg.TopKResult `json:"topk,omitempty"`
+	Agg     *vkg.AggResult  `json:"agg,omitempty"`
+	Trace   []vkg.TraceSpan `json:"trace,omitempty"`
 	TraceID string          `json:"trace_id,omitempty"`
 	Error   string          `json:"error,omitempty"`
 	Code    string          `json:"code,omitempty"`
@@ -185,32 +162,17 @@ func toQuery(wq wireQuery, res Resolver) (vkg.Query, error) {
 	return q, nil
 }
 
-// fromResult lifts a vkg.Result onto the wire.
-func fromResult(res *vkg.Result) wireResult {
-	var out wireResult
+// fromResult puts a successful vkg.Result in the wire envelope; the caller
+// stamps the trace id. The span breakdown goes out only when the client
+// asked for it (withTrace): the engine also traces queries for the trace
+// store.
+func fromResult(res *vkg.Result, withTrace bool) wireResult {
 	if res == nil {
-		return out
+		return wireResult{}
 	}
-	if res.TopK != nil {
-		tk := &wireTopK{
-			Predictions:    make([]wirePrediction, 0, len(res.TopK.Predictions)),
-			RecallBound:    res.TopK.RecallBound,
-			ExpectedMisses: res.TopK.ExpectedMisses,
-			Examined:       res.TopK.Examined,
-		}
-		for _, p := range res.TopK.Predictions {
-			tk.Predictions = append(tk.Predictions, wirePrediction{Entity: p.Entity, Name: p.Name, Dist: p.Dist, Prob: p.Prob})
-		}
-		out.TopK = tk
+	out := wireResult{TopK: res.TopK, Agg: res.Agg}
+	if withTrace && res.Trace != nil {
+		out.Trace = res.Trace.Spans
 	}
-	if res.Agg != nil {
-		out.Agg = &wireAggResult{Value: res.Agg.Value, Accessed: res.Agg.Accessed, BallSize: res.Agg.BallSize}
-	}
-	if res.Trace != nil {
-		for _, s := range res.Trace.Spans {
-			out.Trace = append(out.Trace, wireTraceSpan{Stage: s.Stage, MS: float64(s.Dur.Microseconds()) / 1000})
-		}
-	}
-	out.TraceID = res.TraceID
 	return out
 }

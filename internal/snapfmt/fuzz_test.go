@@ -66,7 +66,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		_, sections, err := ReadHeader(r, fuzzMagic, 3)
+		_, sections, err := ReadHeader(r, fuzzMagic, 1, 3)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
 				t.Fatalf("ReadHeader returned unclassified error: %v", err)

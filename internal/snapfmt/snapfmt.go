@@ -55,8 +55,8 @@ func WriteHeader(w io.Writer, magic string, version, sections uint16) error {
 
 // ReadHeader validates the magic string and returns the version and section
 // count. A magic mismatch (including a short stream) is ErrCorrupt; a
-// version above maxVersion is ErrVersion.
-func ReadHeader(r io.Reader, magic string, maxVersion uint16) (version uint16, sections int, err error) {
+// version outside [minVersion, maxVersion] is ErrVersion.
+func ReadHeader(r io.Reader, magic string, minVersion, maxVersion uint16) (version uint16, sections int, err error) {
 	hdr := make([]byte, MagicLen+4)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, 0, fmt.Errorf("snapfmt: reading header: %w", ErrCorrupt)
@@ -66,9 +66,9 @@ func ReadHeader(r io.Reader, magic string, maxVersion uint16) (version uint16, s
 	}
 	version = binary.LittleEndian.Uint16(hdr[MagicLen : MagicLen+2])
 	sections = int(binary.LittleEndian.Uint16(hdr[MagicLen+2 : MagicLen+4]))
-	if version == 0 || version > maxVersion {
-		return version, sections, fmt.Errorf("snapfmt: version %d (supported <= %d): %w",
-			version, maxVersion, ErrVersion)
+	if version < minVersion || version > maxVersion {
+		return version, sections, fmt.Errorf("snapfmt: version %d (supported %d..%d): %w",
+			version, minVersion, maxVersion, ErrVersion)
 	}
 	return version, sections, nil
 }

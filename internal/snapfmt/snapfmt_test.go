@@ -25,7 +25,7 @@ func frame(t *testing.T, sections ...[]byte) *bytes.Buffer {
 
 func TestRoundTrip(t *testing.T) {
 	buf := frame(t, []byte("graph payload"), []byte{}, []byte("tree payload"))
-	version, n, err := ReadHeader(buf, testMagic, 1)
+	version, n, err := ReadHeader(buf, testMagic, 1, 1)
 	if err != nil || version != 1 || n != 3 {
 		t.Fatalf("ReadHeader = (%d, %d, %v)", version, n, err)
 	}
@@ -45,18 +45,18 @@ func TestBadMagic(t *testing.T) {
 	buf := frame(t, []byte("x"))
 	b := buf.Bytes()
 	b[0] ^= 0xFF
-	_, _, err := ReadHeader(bytes.NewReader(b), testMagic, 1)
+	_, _, err := ReadHeader(bytes.NewReader(b), testMagic, 1, 1)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("got %v, want ErrCorrupt", err)
 	}
 }
 
 func TestEmptyAndTruncatedHeader(t *testing.T) {
-	if _, _, err := ReadHeader(bytes.NewReader(nil), testMagic, 1); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := ReadHeader(bytes.NewReader(nil), testMagic, 1, 1); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("empty stream: got %v, want ErrCorrupt", err)
 	}
 	buf := frame(t, []byte("x"))
-	if _, _, err := ReadHeader(bytes.NewReader(buf.Bytes()[:5]), testMagic, 1); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := ReadHeader(bytes.NewReader(buf.Bytes()[:5]), testMagic, 1, 1); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated header: got %v, want ErrCorrupt", err)
 	}
 }
@@ -66,7 +66,7 @@ func TestFutureVersion(t *testing.T) {
 	if err := WriteHeader(&buf, testMagic, 9, 0); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := ReadHeader(&buf, testMagic, 1)
+	_, _, err := ReadHeader(&buf, testMagic, 1, 1)
 	if !errors.Is(err, ErrVersion) {
 		t.Fatalf("got %v, want ErrVersion", err)
 	}
@@ -78,7 +78,7 @@ func TestChecksumMismatchConsumesFrame(t *testing.T) {
 	// Flip a payload byte of section 1 (header is 12 bytes, frame header 9).
 	raw[12+9+3] ^= 0x40
 	r := bytes.NewReader(raw)
-	if _, _, err := ReadHeader(r, testMagic, 1); err != nil {
+	if _, _, err := ReadHeader(r, testMagic, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	kind, payload, err := ReadSection(r)
@@ -99,7 +99,7 @@ func TestTruncatedSection(t *testing.T) {
 	buf := frame(t, []byte("some payload that gets cut"))
 	raw := buf.Bytes()[:buf.Len()-5]
 	r := bytes.NewReader(raw)
-	if _, _, err := ReadHeader(r, testMagic, 1); err != nil {
+	if _, _, err := ReadHeader(r, testMagic, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ReadSection(r); !errors.Is(err, ErrCorrupt) {

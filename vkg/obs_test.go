@@ -147,7 +147,7 @@ func TestQueryTrace(t *testing.T) {
 		stages = append(stages, s.Stage)
 		sum += s.Dur
 	}
-	want := []string{"cache", "validate", "transform", "search", "refine", "crack"}
+	want := []string{"cache", "validate", "transform", "search", "crack"}
 	if strings.Join(stages, ",") != strings.Join(want, ",") {
 		t.Errorf("stages = %v, want %v", stages, want)
 	}

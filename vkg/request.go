@@ -16,23 +16,23 @@ import (
 // in-flight coalescing of duplicate requests.
 
 // Direction selects which side of the relation a query predicts.
-type Direction int
+type Direction = core.Dir
 
 const (
 	// Tails predicts t in (Entity, Relation, ?) — "what would Amy like?".
-	Tails Direction = iota
+	Tails = core.DirTail
 	// Heads predicts h in (?, Relation, Entity) — "who would like this?".
-	Heads
+	Heads = core.DirHead
 )
 
 // QueryKind selects between the paper's two query families.
-type QueryKind int
+type QueryKind = core.QueryKind
 
 const (
 	// TopK is a predictive top-k entity query (Algorithm 3).
-	TopK QueryKind = iota
+	TopK = core.KindTopK
 	// Aggregate is a sampled aggregate query (Section V-B).
-	Aggregate
+	Aggregate = core.KindAggregate
 )
 
 // Query is a first-class predictive query. Zero values give a tail top-k
@@ -69,18 +69,11 @@ type Query struct {
 
 // Result is the answer to one Query: TopK is set for top-k queries, Agg for
 // aggregates. Err is only used by DoBatch, which reports per-query failures
-// in place instead of failing the batch.
-type Result struct {
-	TopK *TopKResult
-	Agg  *AggResult
-	Err  error
-	// Trace is the stage breakdown when the query asked for one (or the
-	// slow-query log forced tracing on); nil otherwise.
-	Trace *QueryTrace
-	// TraceID is the query's 128-bit trace id as 32 hex digits, set whenever
-	// the query ran traced — the handle for /traces/<id> on the ops endpoint.
-	TraceID string
-}
+// in place instead of failing the batch. Trace is the stage breakdown when
+// the query asked for one, carried a TraceParent, or the slow-query log
+// forced tracing on (nil otherwise); Trace.TraceID() is the handle for
+// /traces/<id> on the ops endpoint.
+type Result = core.Response
 
 // Do answers one query, honoring ctx cancellation. Repeat top-k queries on
 // an unchanged graph are served from an LRU result cache (invalidated by
@@ -91,7 +84,11 @@ func (v *VKG) Do(ctx context.Context, q Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.convertResponse(v.eng.Do(ctx, req))
+	res := v.eng.Do(ctx, req)
+	if res.Err != nil {
+		return nil, res.Err
+	}
+	return &res, nil
 }
 
 // DoBatch answers a batch of queries on a bounded worker pool (one worker
@@ -120,13 +117,8 @@ func (v *VKG) DoBatchWorkers(ctx context.Context, qs []Query, workers int) []Res
 		idxs = append(idxs, i)
 		reqs = append(reqs, req)
 	}
-	for j, resp := range v.eng.DoBatchWorkers(ctx, reqs, workers) {
-		res, err := v.convertResponse(resp)
-		if err != nil {
-			out[idxs[j]].Err = err
-			continue
-		}
-		out[idxs[j]] = *res
+	for j, res := range v.eng.DoBatchWorkers(ctx, reqs, workers) {
+		out[idxs[j]] = res
 	}
 	return out
 }
@@ -135,6 +127,8 @@ func (v *VKG) DoBatchWorkers(ctx context.Context, qs []Query, workers int) []Res
 // request type.
 func (v *VKG) toRequest(q Query) (core.Request, error) {
 	req := core.Request{
+		Kind:    q.Kind,
+		Dir:     q.Dir,
 		Entity:  q.Entity,
 		Rel:     q.Relation,
 		Eps:     q.Epsilon,
@@ -152,20 +146,13 @@ func (v *VKG) toRequest(q Query) (core.Request, error) {
 	if q.ProbThreshold < 0 || q.ProbThreshold > 1 {
 		return req, fmt.Errorf("vkg: probability threshold %v outside (0, 1]", q.ProbThreshold)
 	}
-	switch q.Dir {
-	case Tails:
-		req.Dir = core.DirTail
-	case Heads:
-		req.Dir = core.DirHead
-	default:
+	if q.Dir != Tails && q.Dir != Heads {
 		return req, fmt.Errorf("vkg: unknown query direction %d", q.Dir)
 	}
 	switch q.Kind {
 	case TopK:
-		req.Kind = core.KindTopK
 		req.K = q.K
 	case Aggregate:
-		req.Kind = core.KindAggregate
 		spec := q.Agg
 		if q.ProbThreshold > 0 {
 			spec.ProbThreshold = q.ProbThreshold
@@ -181,35 +168,9 @@ func (v *VKG) toRequest(q Query) (core.Request, error) {
 	return req, nil
 }
 
-// convertResponse lifts an engine response into the public result types,
-// resolving prediction names.
-func (v *VKG) convertResponse(resp core.Response) (*Result, error) {
-	if resp.Err != nil {
-		return nil, resp.Err
-	}
-	res := &Result{Trace: convertTrace(resp.Trace)}
-	if resp.Trace != nil {
-		res.TraceID = resp.Trace.TraceID().String()
-	}
-	if resp.TopK != nil {
-		res.TopK = v.convert(resp.TopK)
-	}
-	if resp.Agg != nil {
-		res.Agg = wrapAgg(resp.Agg)
-	}
-	return res, nil
-}
-
 // CacheStats reports the top-k result cache counters: hits, misses, and
 // resident entries.
-type CacheStats struct {
-	Hits    uint64
-	Misses  uint64
-	Entries int
-}
+type CacheStats = core.CacheStats
 
 // CacheStats returns the current result-cache counters.
-func (v *VKG) CacheStats() CacheStats {
-	s := v.eng.CacheStats()
-	return CacheStats{Hits: s.Hits, Misses: s.Misses, Entries: s.Entries}
-}
+func (v *VKG) CacheStats() CacheStats { return v.eng.CacheStats() }

@@ -7,14 +7,10 @@ import "vkgraph/internal/core"
 // to a live virtual knowledge graph without retraining the embedding or
 // rebuilding the index.
 
-// Fact describes one edge of a new entity for InsertEntity.
-type Fact struct {
-	Rel   RelationID
-	Other EntityID
-	// NewIsHead places the new entity at the head of the fact
-	// (new, Rel, Other); otherwise the fact is (Other, Rel, new).
-	NewIsHead bool
-}
+// Fact describes one edge of a new entity for InsertEntity: the relation
+// Rel, the Other endpoint, and NewIsHead, which places the new entity at the
+// head of the fact (new, Rel, Other); otherwise the fact is (Other, Rel, new).
+type Fact = core.Fact
 
 // AddFact records a new fact (h, r, t) on the live graph. The embedding is
 // untouched — the paper's locality intuition: existing soft constraints
@@ -32,11 +28,7 @@ func (v *VKG) AddFact(h EntityID, r RelationID, t EntityID) error {
 // absorbs it until a query cares). The new entity is immediately queryable
 // and immediately appears among other entities' predictions.
 func (v *VKG) InsertEntity(name, typ string, facts []Fact, attrs map[string]float64) (EntityID, error) {
-	cf := make([]core.Fact, len(facts))
-	for i, f := range facts {
-		cf[i] = core.Fact{Rel: f.Rel, Other: f.Other, NewIsHead: f.NewIsHead}
-	}
-	return v.eng.InsertEntity(name, typ, cf, attrs)
+	return v.eng.InsertEntity(name, typ, facts, attrs)
 }
 
 // SetEntityAttr sets attribute attr of entity id on the live graph,

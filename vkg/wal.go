@@ -2,7 +2,6 @@ package vkg
 
 import (
 	"fmt"
-	"time"
 
 	"vkgraph/internal/core"
 )
@@ -17,83 +16,31 @@ import (
 
 // WALSync selects the log's fsync policy; see the README's durability
 // table for the tradeoff.
-type WALSync int
+type WALSync = core.WALSync
 
 const (
 	// WALSyncInterval (default) fsyncs on a background ticker: bounded
 	// loss on power failure, negligible append cost. Records are written
 	// unbuffered, so a process crash (as opposed to power loss) loses
 	// nothing regardless of fsync timing.
-	WALSyncInterval WALSync = iota
+	WALSyncInterval = core.WALSyncInterval
 	// WALSyncAlways fsyncs inside every mutation: zero loss on power
 	// failure at one disk barrier per mutation.
-	WALSyncAlways
+	WALSyncAlways = core.WALSyncAlways
 	// WALSyncOff never fsyncs; the OS flushes on its own schedule.
-	WALSyncOff
+	WALSyncOff = core.WALSyncOff
 )
 
-// WALConfig configures the write-ahead log.
-type WALConfig struct {
-	// Path of the log file; empty derives "<snapshot path>.wal".
-	Path string
-	// Sync is the fsync policy (default WALSyncInterval).
-	Sync WALSync
-	// SyncInterval is the ticker period under WALSyncInterval
-	// (default 100ms).
-	SyncInterval time.Duration
-}
-
-func (c WALConfig) core() core.WALOptions {
-	return core.WALOptions{Path: c.Path, Sync: core.WALSync(c.Sync), SyncInterval: c.SyncInterval}
-}
+// WALConfig configures the write-ahead log: the log file Path (empty derives
+// "<snapshot path>.wal"), the Sync policy (default WALSyncInterval), and the
+// ticker period SyncInterval under WALSyncInterval (default 100ms).
+type WALConfig = core.WALOptions
 
 // WALStats is a point-in-time view of the write-ahead log, included in
-// Metrics and available directly via VKG.WALStats.
-type WALStats struct {
-	// Enabled reports whether a WAL is configured.
-	Enabled bool
-	// Path of the log file.
-	Path string
-	// Generation of the snapshot the log extends; each WAL-armed SaveFile
-	// bumps it and resets the log.
-	Generation uint64
-
-	AppendedRecords uint64
-	AppendedBytes   uint64
-	// AppendErrors counts mutations whose record was lost to an append
-	// failure; one failure disarms logging until the next snapshot so the
-	// log never has a gap.
-	AppendErrors uint64
-	Rotations    uint64
-
-	// Replay counters from the most recent LoadFileWAL: how many records
-	// warmed the index, how long that took, and how many torn/corrupt
-	// suffix bytes were truncated (ReplayTruncations counts loads that had
-	// to truncate; ReplayStale counts logs discarded whole for a
-	// generation mismatch).
-	ReplayedRecords    uint64
-	ReplayDuration     time.Duration
-	ReplayDroppedBytes uint64
-	ReplayTruncations  uint64
-	ReplayStale        uint64
-}
-
-func walStats(s core.WALStats) WALStats {
-	return WALStats{
-		Enabled:            s.Enabled,
-		Path:               s.Path,
-		Generation:         s.Generation,
-		AppendedRecords:    s.AppendedRecords,
-		AppendedBytes:      s.AppendedBytes,
-		AppendErrors:       s.AppendErrors,
-		Rotations:          s.Rotations,
-		ReplayedRecords:    s.ReplayedRecords,
-		ReplayDuration:     s.ReplayDuration,
-		ReplayDroppedBytes: s.ReplayDroppedBytes,
-		ReplayTruncations:  s.ReplayTruncations,
-		ReplayStale:        s.ReplayStale,
-	}
-}
+// Metrics and available directly via VKG.WALStats: the append-side counters
+// (records, bytes, errors, rotations) and the replay counters of the most
+// recent LoadFileWAL.
+type WALStats = core.WALStats
 
 // LoadFileWAL loads a snapshot with its write-ahead log: records newer
 // than the snapshot are replayed — restoring the crack structure and
@@ -103,7 +50,7 @@ func walStats(s core.WALStats) WALStats {
 // fresh log beside it). See Load for the snapshot error contract; log
 // damage never fails the load.
 func LoadFileWAL(path string, cfg WALConfig) (*VKG, error) {
-	eng, err := core.LoadEngineFileWAL(path, cfg.core())
+	eng, err := core.LoadEngineFileWAL(path, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -118,11 +65,11 @@ func (v *VKG) EnableWAL(snapshotPath string, cfg WALConfig) error {
 	if v.noIdx {
 		return fmt.Errorf("vkg: ModeNoIndex has no index to log")
 	}
-	return v.eng.EnableWAL(snapshotPath, cfg.core())
+	return v.eng.EnableWAL(snapshotPath, cfg)
 }
 
 // WALStats returns the current write-ahead log counters.
-func (v *VKG) WALStats() WALStats { return walStats(v.eng.WALStats()) }
+func (v *VKG) WALStats() WALStats { return v.eng.WALStats() }
 
 // CloseWAL syncs and closes the log; the VKG keeps serving, but mutations
 // are no longer logged. Call it before process exit when not going through
