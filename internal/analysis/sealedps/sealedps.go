@@ -3,7 +3,8 @@
 // packed float32 mirror, and the attribute columns — is private to
 // pointset.go and packed.go. Everything else, including the rest of the
 // rtree package, must go through the accessor API (At, Coord, SqDistTo,
-// GatherSqDists, EachWithin, AttrValue, ...).
+// GatherSqDists, AttrValue, ... and, inside rtree, the walk's leaf scan
+// appendWithin).
 //
 // Go's exported/unexported boundary cannot express "private to two files
 // of the package", so inside rtree the seal is only a convention — and a
@@ -64,7 +65,7 @@ func run(pass *analysis.Pass) error {
 			if _, isField := obj.(*types.Var); !isField {
 				return true
 			}
-			pass.Reportf(sel.Pos(), "direct access to PointSet.%s outside pointset.go/packed.go: the layout is sealed — use the accessor API (At, Coord, SqDistTo, GatherSqDists, EachWithin, AttrValue)", sel.Sel.Name)
+			pass.Reportf(sel.Pos(), "direct access to PointSet.%s outside pointset.go/packed.go: the layout is sealed — use the accessor API (At, Coord, SqDistTo, GatherSqDists, AttrValue; appendWithin for a walk's leaf scan)", sel.Sel.Name)
 			return true
 		})
 	}

@@ -127,7 +127,7 @@ func (e *Engine) findTopK(q1 []float64, k int, eps float64, skip func(kg.EntityI
 	// Lines 2-8 as one merged pass: unbounded while the top-k is filling
 	// (the first k eligible points are the exact seeds), then bounded by the
 	// shrinking (1+eps)-expanded kth distance.
-	top := newTopKSet(k)
+	top := newTopKSet(k, e.ps.N())
 	bound := func() float64 {
 		if top.len() < k {
 			return math.Inf(1)
@@ -215,20 +215,21 @@ func (e *Engine) finishPredictions(preds []Prediction) {
 	}
 }
 
-// topKSet maintains the k closest predictions seen so far.
+// topKSet maintains the k closest predictions seen so far. Callers offer
+// each entity at most once (the merged walk yields every id exactly once:
+// a point lives in one leaf of one shard), so no membership index is kept.
 type topKSet struct {
 	k     int
 	items []Prediction // sorted ascending by (Dist, Entity)
-	inSet map[kg.EntityID]bool
 }
 
-func newTopKSet(k int) *topKSet {
-	return &topKSet{k: k, inSet: make(map[kg.EntityID]bool, k+1)}
+// newTopKSet sizes the set for k results out of at most n candidates, with
+// one spare slot so offer never regrows.
+func newTopKSet(k, n int) *topKSet {
+	return &topKSet{k: k, items: make([]Prediction, 0, min(k, n)+1)}
 }
 
 func (s *topKSet) len() int { return len(s.items) }
-
-func (s *topKSet) contains(id kg.EntityID) bool { return s.inSet[id] }
 
 // kth returns the current kth smallest distance (the largest kept one); if
 // fewer than k items are present it returns the largest so far.
@@ -240,9 +241,6 @@ func (s *topKSet) kth() float64 {
 }
 
 func (s *topKSet) offer(p Prediction) {
-	if s.inSet[p.Entity] {
-		return
-	}
 	pos := sort.Search(len(s.items), func(i int) bool {
 		if s.items[i].Dist != p.Dist {
 			return s.items[i].Dist > p.Dist
@@ -255,10 +253,7 @@ func (s *topKSet) offer(p Prediction) {
 	s.items = append(s.items, Prediction{})
 	copy(s.items[pos+1:], s.items[pos:])
 	s.items[pos] = p
-	s.inSet[p.Entity] = true
 	if len(s.items) > s.k {
-		evicted := s.items[len(s.items)-1]
-		delete(s.inSet, evicted.Entity)
 		s.items = s.items[:s.k]
 	}
 }

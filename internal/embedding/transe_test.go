@@ -8,6 +8,7 @@ import (
 
 	"vkgraph/internal/kg"
 	"vkgraph/internal/kg/kggen"
+	"vkgraph/internal/raceflag"
 )
 
 func smallGraph() *kg.Graph {
@@ -282,7 +283,7 @@ func TestTopTails(t *testing.T) {
 }
 
 func TestParallelTraining(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("Hogwild updates are deliberate benign races; see Config.Workers")
 	}
 	g := smallGraph()

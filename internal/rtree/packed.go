@@ -118,21 +118,21 @@ func (pc *packedCols) gather(ids []int32, q []float64, out []float64) {
 	}
 }
 
-// EachWithin calls fn(id, sqDist) for every given id whose exact squared
-// distance to q is at most bound, preserving the order of ids. With the
-// packed mirror enabled, points provably outside the bound are skipped from
-// the float32 columns without touching their exact rows; survivors are
-// re-ranked exactly, so the emitted (id, distance) pairs are identical with
-// and without the mirror. This is the distance inner loop of every walk.
-func (ps *PointSet) EachWithin(ids []int32, q []float64, bound float64, fn func(id int32, sqDist float64)) {
+// appendWithin appends (sqDist, id) to dst for every given id whose exact
+// squared distance to q is at most bound, preserving the order of ids. With
+// the packed mirror enabled, points provably outside the bound are skipped
+// from the float32 columns without touching their exact rows; survivors are
+// re-ranked exactly, so the appended pairs are identical with and without
+// the mirror. This is the distance inner loop of every walk.
+func (ps *PointSet) appendWithin(dst []walkPoint, ids []int32, q []float64, bound float64) []walkPoint {
 	pc := ps.packed
 	if pc == nil || len(ids) < 16 {
 		for _, id := range ids {
 			if d := ps.SqDistTo(id, q); d <= bound {
-				fn(id, d)
+				dst = append(dst, walkPoint{d: d, id: id})
 			}
 		}
-		return
+		return dst
 	}
 	cutoff := bound + pc.slack(ps.Dim, bound)
 	var buf [gatherChunk]float64
@@ -146,8 +146,9 @@ func (ps *PointSet) EachWithin(ids []int32, q []float64, bound float64, fn func(
 				continue
 			}
 			if d := ps.SqDistTo(id, q); d <= bound {
-				fn(id, d)
+				dst = append(dst, walkPoint{d: d, id: id})
 			}
 		}
 	}
+	return dst
 }

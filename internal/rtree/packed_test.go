@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -64,9 +65,10 @@ func TestPackedWalkByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPackedEachWithin checks the prefilter against a brute-force scan on
-// both sides of the small-batch fallback threshold.
-func TestPackedEachWithin(t *testing.T) {
+// TestPackedAppendWithin checks the leaf scan, with and without the
+// prefilter, against a brute-force scan on both sides of the small-batch
+// fallback threshold: same pairs, same order.
+func TestPackedAppendWithin(t *testing.T) {
 	const dim = 3
 	pps, ups := twinPointSets(500, dim, 73)
 	rng := rand.New(rand.NewSource(74))
@@ -80,17 +82,17 @@ func TestPackedEachWithin(t *testing.T) {
 			q[d] = rng.Float64() * 10
 		}
 		for _, bound := range []float64{0, 0.5, 4, 1e9} {
-			got := map[int32]float64{}
-			pps.EachWithin(ids, q, bound, func(id int32, d float64) { got[id] = d })
-			want := map[int32]float64{}
-			ups.EachWithin(ids, q, bound, func(id int32, d float64) { want[id] = d })
-			if len(got) != len(want) {
-				t.Fatalf("batch %d bound %v: packed emitted %d ids, unpacked %d", batch, bound, len(got), len(want))
-			}
-			for id, d := range want {
-				if gd, ok := got[id]; !ok || gd != d {
-					t.Fatalf("batch %d bound %v id %d: packed %v (present %v), want %v", batch, bound, id, gd, ok, d)
+			var want []walkPoint
+			for _, id := range ids {
+				if d := ups.SqDistTo(id, q); d <= bound {
+					want = append(want, walkPoint{d: d, id: id})
 				}
+			}
+			if got := pps.appendWithin(nil, ids, q, bound); !slices.Equal(got, want) {
+				t.Fatalf("batch %d bound %v: packed appended %v, want %v", batch, bound, got, want)
+			}
+			if got := ups.appendWithin(nil, ids, q, bound); !slices.Equal(got, want) {
+				t.Fatalf("batch %d bound %v: unpacked appended %v, want %v", batch, bound, got, want)
 			}
 		}
 	}
@@ -106,13 +108,7 @@ func TestPackedAppendPoint(t *testing.T) {
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	found := false
-	ps.EachWithin(ids, []float64{0.25, 0.25}, 1e-9, func(got int32, d float64) {
-		if got == id && d == 0 {
-			found = true
-		}
-	})
-	if !found {
+	if !slices.Contains(ps.appendWithin(nil, ids, []float64{0.25, 0.25}, 1e-9), walkPoint{d: 0, id: id}) {
 		t.Fatal("appended point invisible to the packed prefilter")
 	}
 	if ps.PackedBytes() < ps.N()*2*4 {

@@ -10,8 +10,9 @@ import (
 // stride Dim in a row-major block, optionally mirrored by packed float32
 // columns (see packed.go) that the distance kernels use as a conservative
 // prefilter. All access goes through the accessor API — At, Coord,
-// SqDistTo, GatherSqDists, EachWithin, AttrValue — so the layout can change
-// without touching callers; the point index doubles as the entity id.
+// SqDistTo, GatherSqDists, AttrValue, and the walk's leaf scan appendWithin
+// — so the layout can change without touching callers; the point index
+// doubles as the entity id.
 //
 // Attribute columns (for aggregate queries) may be registered so that
 // contour elements can expose min/max/sum statistics, as the paper suggests

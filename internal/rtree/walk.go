@@ -2,6 +2,8 @@ package rtree
 
 import (
 	"math"
+	"slices"
+	"sync"
 )
 
 // WalkAscending streams point ids in non-decreasing S2 distance from q
@@ -21,13 +23,7 @@ func (t *Tree) WalkAscending(q []float64, visit func(id int32, sqDist float64) b
 // frontier. The bound may shrink over time (Algorithm 3's radius does);
 // growing it mid-walk is not supported.
 func (t *Tree) WalkWithin(q []float64, bound func() float64, visit func(id int32, sqDist float64) bool) {
-	t.ensureRoot()
-	// Node accesses are counted locally and flushed once per walk, so the
-	// Lemma 3 cost counters add no atomics to the per-node fast path.
-	var accIn, accLf, accPd uint64
-	defer func() { t.access.flush(accIn, accLf, accPd) }()
-	pq := walkHeap{{n: t.root, d: t.root.mbr.MinSqDist(q)}}
-	walkLoop(t.ps, &pq, q, bound, visit, &accIn, &accLf, &accPd)
+	WalkTreesWithin([]*Tree{t}, q, bound, visit)
 }
 
 // WalkTreesWithin merges the best-first walks of several trees into one
@@ -40,35 +36,79 @@ func (t *Tree) WalkWithin(q []float64, bound func() float64, visit func(id int32
 // points are partitioned into trees, which is what makes sharded and
 // unsharded engines return identical answers.
 func WalkTreesWithin(trees []*Tree, q []float64, bound func() float64, visit func(id int32, sqDist float64) bool) {
-	if len(trees) == 1 {
-		trees[0].WalkWithin(q, bound, visit)
-		return
-	}
-	var accIn, accLf, accPd uint64
-	first := trees[0]
-	defer func() { first.access.flush(accIn, accLf, accPd) }()
+	f := frontierPool.Get().(*frontier)
 	b := bound()
-	pq := make(walkHeap, 0, len(trees))
 	for _, t := range trees {
-		t.ensureRoot()
-		if d := t.root.mbr.MinSqDist(q); d <= b {
-			pq = append(pq, walkItem{n: t.root, d: d})
-		}
+		f.seed(t, q, b)
 	}
-	pq.init()
-	walkLoop(first.ps, &pq, q, bound, visit, &accIn, &accLf, &accPd)
+	f.items.init()
+	f.drain(trees[0].ps, q, bound, visit)
+	f.release(trees[0].access)
 }
 
-// walkLoop drains an initialized frontier in deterministic best-first order.
+// frontier is one walk's state: the best-first heap over nodes and runs,
+// the flat point scratch the runs live in, and the node accesses counted so
+// far. A scanned leaf or pending element contributes one run — its in-bound
+// points, appended to pts and ordered in place as a min-heap on (d, id) —
+// and one heap item keyed by the run's minimum, so the frontier holds an
+// item per leaf, never one per point.
+//
+// Node accesses are counted here and flushed once per walk, so the Lemma 3
+// cost counters add no atomics to the per-node fast path.
+type frontier struct {
+	items               walkHeap
+	pts                 []walkPoint
+	accIn, accLf, accPd uint64
+	hole                bool // the top item is a node under expansion, not yet replaced
+}
+
+// Frontiers are pooled so a warm walk allocates nothing. A walk that grew
+// its buffers past these capacities drops them instead: the first query on
+// a cold index scans a pending root of every point, and pooling that
+// scratch would pin megabytes per P for the life of the process.
+const (
+	maxPooledItems  = 1 << 10
+	maxPooledPoints = 1 << 12
+)
+
+var frontierPool = sync.Pool{New: func() any { return new(frontier) }}
+
+// seed adds t's root to the (not yet heap-ordered) frontier unless it lies
+// beyond the bound b.
+func (f *frontier) seed(t *Tree, q []float64, b float64) {
+	t.ensureRoot()
+	if d := t.root.mbr.MinSqDist(q); d <= b {
+		f.items = append(f.items, walkItem{n: t.root, d: d, id: nodeID})
+	}
+}
+
+// release flushes the access counts and returns the frontier to the pool
+// with no node pointer left in it: arena records must not be reachable
+// once the caller drops the shard read locks. pop clears the slots it
+// vacates, so only the live prefix needs clearing here.
+func (f *frontier) release(access *AccessCounters) {
+	access.flush(f.accIn, f.accLf, f.accPd)
+	if cap(f.items) > maxPooledItems || cap(f.pts) > maxPooledPoints {
+		return
+	}
+	clear(f.items)
+	*f = frontier{items: f.items[:0], pts: f.pts[:0]}
+	frontierPool.Put(f)
+}
+
+// drain visits the frontier's points in deterministic best-first order.
 // Trees sharing the frontier must share ps; LeafCap and friends are not
-// consulted, so mixed-option trees are fine. Points enter the frontier
-// through PointSet.EachWithin, which re-ranks every emitted distance in
-// exact float64 arithmetic — the packed prefilter never changes which
-// points arrive or in what order.
-func walkLoop(ps *PointSet, pq *walkHeap, q []float64, bound func() float64, visit func(id int32, sqDist float64) bool, accIn, accLf, accPd *uint64) {
-	emit := func(id int32, d float64) { pq.push(walkItem{id: id, d: d}) }
-	for len(*pq) > 0 {
-		it := pq.pop()
+// consulted, so mixed-option trees are fine. Points enter through
+// PointSet.appendWithin, which reports exact float64 distances — the packed
+// prefilter never changes which points arrive or in what order.
+//
+// A run's item stays at the top of the heap while its head is visited and
+// is then re-keyed to the run's next point with one sift-down, instead of a
+// pop and a push per point. The bound is read once per step, before the
+// item it gates.
+func (f *frontier) drain(ps *PointSet, q []float64, bound func() float64, visit func(id int32, sqDist float64) bool) {
+	for len(f.items) > 0 {
+		it := f.items[0]
 		b := bound()
 		if it.d > b {
 			return // everything left is farther than the bound
@@ -77,51 +117,162 @@ func walkLoop(ps *PointSet, pq *walkHeap, q []float64, bound func() float64, vis
 			if !visit(it.id, it.d) {
 				return
 			}
+			f.advance()
 			continue
 		}
+		// The node's expansion takes its place: the first item it yields
+		// overwrites the top (a run's key is at least its leaf's, so it
+		// seldom sinks far), the rest are pushed, and only a node that
+		// yields nothing is popped.
+		f.hole = true
 		switch {
 		case it.n.isInternal():
-			*accIn++
+			f.accIn++
 			for _, c := range it.n.children {
 				if d := c.mbr.MinSqDist(q); d <= b {
-					pq.push(walkItem{n: c, d: d})
+					f.put(walkItem{n: c, d: d, id: nodeID})
 				}
 			}
 		case it.n.isLeaf():
-			*accLf++
-			ps.EachWithin(it.n.leafIDs, q, b, emit)
+			f.accLf++
+			f.pushRun(ps, it.n.leafIDs, q, b)
 		default:
-			*accPd++
-			ps.EachWithin(it.n.part.ids(), q, b, emit)
+			f.accPd++
+			f.pushRun(ps, it.n.part.ids(), q, b)
+		}
+		if f.hole {
+			f.hole = false
+			f.items.pop()
 		}
 	}
 }
 
-type walkItem struct {
-	n  *node // nil for point items
-	id int32
-	d  float64
+// put adds an item to the frontier, in the place of the node being
+// expanded if that is still open.
+func (f *frontier) put(it walkItem) {
+	if !f.hole {
+		f.items.push(it)
+		return
+	}
+	f.hole = false
+	f.items[0] = it
+	f.items.down(0)
 }
 
-// walkHeap is the best-first frontier with concrete push/pop methods.
-// container/heap would box every walkItem into an interface value — one
-// heap allocation per pushed node and per pushed point, which used to be
-// the dominant allocation of the whole serving path.
+// pushRun scans ids into a new run of the points within b and puts its
+// item on the frontier. Building the heap is O(m) and the tail of a run the
+// walk never reaches is never ordered, so a cold index's pending root of
+// every point costs one linear pass.
+func (f *frontier) pushRun(ps *PointSet, ids []int32, q []float64, b float64) {
+	lo := len(f.pts)
+	// Make room for the whole run when its size is bounded (a leaf; any scan
+	// while the bound is infinite), else for a long scan's first chunk.
+	// Growing by at least the current length doubles the scratch: append's
+	// ratio of 1.25 would copy an aggregate's ball of thousands of points,
+	// too large to come back from the pool, five times over.
+	room := len(ids)
+	if room > gatherChunk && !math.IsInf(b, 1) {
+		room = gatherChunk
+	}
+	if cap(f.pts)-len(f.pts) < room {
+		f.pts = slices.Grow(f.pts, max(room, len(f.pts)))
+	}
+	f.pts = ps.appendWithin(f.pts, ids, q, b)
+	if len(f.pts) == lo {
+		return
+	}
+	run := walkRun(f.pts[lo:])
+	run.init()
+	f.put(walkItem{d: run[0].d, id: run[0].id, lo: int32(lo), hi: int32(len(f.pts))})
+}
+
+// advance drops the head of the run at the top of the heap and re-keys the
+// item to the run's next point, or pops it when the run is exhausted.
+func (f *frontier) advance() {
+	it := &f.items[0]
+	it.hi--
+	run := walkRun(f.pts[it.lo:it.hi])
+	if len(run) == 0 {
+		f.items.pop()
+		return
+	}
+	run[0] = f.pts[it.hi]
+	run.down(0)
+	it.d, it.id = run[0].d, run[0].id
+	f.items.down(0)
+}
+
+// walkPoint is one in-bound point of a run. It holds no pointer, so the
+// scratch is invisible to the garbage collector's mark phase.
+type walkPoint struct {
+	d  float64
+	id int32
+}
+
+// walkRun is a min-heap of points on (d, id), ordered in place over its
+// slice of the frontier's scratch.
+type walkRun []walkPoint
+
+func (r walkRun) less(i, j int) bool {
+	if r[i].d != r[j].d {
+		return r[i].d < r[j].d
+	}
+	return r[i].id < r[j].id
+}
+
+func (r walkRun) down(i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(r) {
+			return
+		}
+		if c := l + 1; c < len(r) && r.less(c, l) {
+			l = c
+		}
+		if !r.less(l, i) {
+			return
+		}
+		r[i], r[l] = r[l], r[i]
+		i = l
+	}
+}
+
+func (r walkRun) init() {
+	for i := len(r)/2 - 1; i >= 0; i-- {
+		r.down(i)
+	}
+}
+
+// walkItem is a frontier entry: a node still to expand (n != nil, keyed by
+// its MBR's distance and nodeID), or a run of scanned points pts[lo:hi]
+// keyed by its head (d, id).
+type walkItem struct {
+	n      *node
+	d      float64
+	id     int32
+	lo, hi int32
+}
+
+// nodeID is the id half of a node item's key: below every point id, so at
+// equal distance nodes sort before runs.
+const nodeID = -1
+
+// walkHeap is the best-first frontier with concrete push/pop methods;
+// container/heap would box every walkItem into an interface value, one
+// allocation per push.
 type walkHeap []walkItem
 
-// less orders the frontier by ascending distance; at equal distance nodes
-// come before points (so every point at distance d reaches the frontier
-// before any is visited) and point ties break by ascending id. The visit
-// order is therefore exactly ascending (distance, id) — a total order over
-// the data, independent of the tree structure — which keeps walks over
-// differently cracked (or differently sharded) trees bit-identical.
+// less orders the frontier by ascending (distance, id): at equal distance
+// nodes come before runs (so every point at distance d is in some run
+// before any is visited) and runs break ties by their head's id. Every id
+// lives in exactly one run and a run's key is its minimum, so the top run's
+// head is the minimum (distance, id) over all scanned points: the visit
+// order is exactly ascending (distance, id) — a total order over the data,
+// independent of the tree structure — which keeps walks over differently
+// cracked (or differently sharded) trees bit-identical.
 func (h walkHeap) less(i, j int) bool {
 	if h[i].d != h[j].d {
 		return h[i].d < h[j].d
-	}
-	in, jn := h[i].n != nil, h[j].n != nil
-	if in != jn {
-		return in
 	}
 	return h[i].id < h[j].id
 }
@@ -139,14 +290,15 @@ func (h *walkHeap) push(it walkItem) {
 	}
 }
 
-func (h *walkHeap) pop() walkItem {
+// pop removes the top item, clearing the slot it vacates so no node pointer
+// survives past the live prefix.
+func (h *walkHeap) pop() {
 	s := *h
-	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
+	s[n] = walkItem{}
 	*h = s[:n]
 	s[:n].down(0)
-	return top
 }
 
 func (h walkHeap) down(i int) {

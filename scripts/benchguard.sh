@@ -15,9 +15,17 @@
 # hard gate, while allocs/op is deterministic for this workload — it
 # counts allocation sites, not time — so it is the metric that catches a
 # reverted arena or a re-boxed heap.
+#
+# B/op gates too, on the serial sub-benchmark only and at 25%: a walk
+# frontier regrown from nothing on every query is a handful of allocations
+# but ~95% of the bytes, so a reverted frontier pool passes the allocs/op
+# gate and fails this one. The batch sub-benchmarks run workers whose
+# scheduling moves bytes between runs, so they only report.
 set -euo pipefail
 
 BENCH='BenchmarkBatchServing'
+BYTES_BENCH="$BENCH/serial"
+BYTES_LIMIT=25
 SCALE="${VKG_BENCH_SCALE:-tiny}"
 COUNT="${BENCHGUARD_BENCHTIME:-5x}"
 
@@ -46,16 +54,17 @@ compare)
             exit 2
         fi
     done
-    # Emit "name allocs ns" per sub-benchmark from a raw go-test bench log.
+    # Emit "name allocs ns bytes" per sub-benchmark from a raw go-test bench log.
     extract() {
         awk -v bench="$BENCH" '
             $1 ~ "^"bench {
-                name=$1; allocs=""; ns=""
+                name=$1; allocs=""; ns=""; bytes=""
                 for (i = 2; i <= NF; i++) {
                     if ($i == "allocs/op") allocs=$(i-1)
                     if ($i == "ns/op")     ns=$(i-1)
+                    if ($i == "B/op")      bytes=$(i-1)
                 }
-                if (allocs != "") print name, allocs, ns
+                if (allocs != "") print name, allocs, ns, bytes
             }' "$1"
     }
     if [ -z "$(extract "$base")" ]; then
@@ -67,17 +76,27 @@ compare)
         exit 2
     fi
     fail=0
-    while read -r name base_allocs base_ns; do
+    while read -r name base_allocs base_ns base_bytes; do
         line=$(extract "$head_" | awk -v n="$name" '$1 == n {print; exit}')
         [ -n "$line" ] || { echo "benchguard: $name missing from head run" >&2; continue; }
         head_allocs=$(echo "$line" | awk '{print $2}')
         head_ns=$(echo "$line" | awk '{print $3}')
+        head_bytes=$(echo "$line" | awk '{print $4}')
         awk -v b="$base_allocs" -v h="$head_allocs" -v lim="$limit" -v n="$name" '
             BEGIN {
                 pct = (b > 0) ? (h - b) * 100.0 / b : 0
                 printf "%-45s allocs/op %12d -> %12d  (%+.1f%%)\n", n, b, h, pct
                 exit (pct > lim) ? 1 : 0
             }' || { echo "  ^ FAIL: allocs/op regressed more than ${limit}%"; fail=1; }
+        # The name carries go test's -GOMAXPROCS suffix; strip it to match.
+        if [ "${name%-[0-9]*}" = "$BYTES_BENCH" ]; then
+            awk -v b="$base_bytes" -v h="$head_bytes" -v lim="$BYTES_LIMIT" -v n="$name" '
+                BEGIN {
+                    pct = (b > 0) ? (h - b) * 100.0 / b : 0
+                    printf "%-45s B/op      %12d -> %12d  (%+.1f%%)\n", n, b, h, pct
+                    exit (pct > lim) ? 1 : 0
+                }' || { echo "  ^ FAIL: B/op regressed more than ${BYTES_LIMIT}%"; fail=1; }
+        fi
         awk -v b="$base_ns" -v h="$head_ns" -v n="$name" '
             BEGIN {
                 pct = (b > 0) ? (h - b) * 100.0 / b : 0
@@ -85,7 +104,7 @@ compare)
             }'
     done < <(extract "$base")
     [ "$fail" -eq 0 ] || exit 1
-    echo "benchguard: allocs/op within ${limit}% of base for all $BENCH sub-benchmarks"
+    echo "benchguard: allocs/op within ${limit}% of base for all $BENCH sub-benchmarks, B/op within ${BYTES_LIMIT}% on $BYTES_BENCH"
     ;;
 *)
     echo "usage: benchguard.sh run <out.txt> | compare <base.txt> <head.txt> [max_pct]" >&2
