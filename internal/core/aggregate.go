@@ -118,7 +118,11 @@ func (e *Engine) AggregateHeads(t kg.EntityID, r kg.RelationID, q AggQuery) (*Ag
 // tr, when non-nil, collects the per-stage breakdown.
 func (e *Engine) aggregateQuery(dir Dir, ent kg.EntityID, rel kg.RelationID, q AggQuery, eps float64, tr *obs.QueryTrace) (*AggResult, error) {
 	start := time.Now()
-	e.prepareIndex()
+	if e.prepareIndex() {
+		// Building the roots is index construction the first query pays
+		// for, not validation: its time goes to the crack span.
+		tr.Carry(obs.StageCrack)
+	}
 	w0 := time.Now()
 	e.mu.RLock()
 	e.met.lockReadWait.Observe(time.Since(w0).Seconds())

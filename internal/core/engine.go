@@ -477,8 +477,11 @@ func (e *Engine) CheckInvariants() error {
 // prepareIndex materializes the lazy shard roots under the engine write
 // lock, so that everything that follows under the read lock is genuinely
 // read-only (Crack's own ensureRoot is then a no-op, and never writes a root
-// pointer under a mere shard lock). A no-op once every root exists.
-func (e *Engine) prepareIndex() {
+// pointer under a mere shard lock). All the roots are built in one batch,
+// their sort orders concurrently. A no-op once every root exists; it reports
+// whether it built anything, which is the first query's share of the index
+// build.
+func (e *Engine) prepareIndex() bool {
 	e.mu.RLock()
 	ready := true
 	for _, sh := range e.shards {
@@ -489,13 +492,12 @@ func (e *Engine) prepareIndex() {
 	}
 	e.mu.RUnlock()
 	if ready {
-		return
+		return false
 	}
 	e.mu.Lock()
-	for _, sh := range e.shards {
-		sh.tree.Prepare()
-	}
+	rtree.PrepareAll(e.trees)
 	e.mu.Unlock()
+	return true
 }
 
 // finishQuery completes a query that was computed under the engine read lock

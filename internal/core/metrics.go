@@ -31,7 +31,7 @@ type engineMetrics struct {
 	pruned   *obs.Counter // refinements aborted early by the kth-distance bound
 
 	// nodeAccess is wired into the tree (SetAccessCounters): internal/leaf/
-	// pending node visits of every WalkWithin and NearestSeeds traversal.
+	// pending node visits of every index walk.
 	nodeAccess rtree.AccessCounters
 
 	aggAccessed *obs.Counter // a: ball points materialized in S1

@@ -183,3 +183,43 @@ func TestTraceShardSpansAndPropagation(t *testing.T) {
 		t.Errorf("rendered trace missing shard spans:\n%s", out)
 	}
 }
+
+// TestFirstQueryRootBuildBilledToCrack: the first query of a fresh engine
+// builds the shard roots before it validates anything. That time is index
+// construction and belongs to the crack span — it must neither inflate
+// "validate" nor add a span to the stage list, for a top-k and for an
+// aggregate first query alike.
+func TestFirstQueryRootBuildBilledToCrack(t *testing.T) {
+	for _, req := range []Request{
+		{Kind: KindTopK, Dir: DirTail, K: 5, Trace: true},
+		{Kind: KindAggregate, Dir: DirTail, Agg: AggQuery{Kind: Avg, Attr: "year"}, Trace: true},
+	} {
+		eng, g := testEngine(t, Crack, defaultTestParams())
+		req.Rel, _ = g.RelationByName("likes")
+		req.Entity = g.EntitiesOfType("user")[0]
+		resp := eng.Do(context.Background(), req)
+		if resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+		if eng.prepareIndex() {
+			t.Fatal("roots still missing after the first query")
+		}
+		spans := map[string]time.Duration{}
+		var stages []string
+		for _, s := range resp.Trace.Spans {
+			stages = append(stages, s.Stage)
+			spans[s.Stage] += s.Dur
+		}
+		want := "cache,validate,transform,search,crack"
+		if req.Kind == KindAggregate {
+			want = "validate,transform,search,crack,estimate" // aggregates bypass the result cache
+		}
+		if got := strings.Join(stages, ","); got != want {
+			t.Fatalf("kind %v: cold stages = %s, want the warm list %s", req.Kind, got, want)
+		}
+		if spans[obs.StageValidate] >= spans[obs.StageCrack] {
+			t.Fatalf("kind %v: validate %v >= crack %v: the root build was billed to validation",
+				req.Kind, spans[obs.StageValidate], spans[obs.StageCrack])
+		}
+	}
+}

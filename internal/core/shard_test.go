@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"vkgraph/internal/embedding"
@@ -131,6 +132,111 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 	if waits == 0 {
 		t.Fatal("no per-shard crack-lock waits recorded on a cold sharded index")
+	}
+}
+
+// TestColdFirstQueriesConcurrent fires the first eight queries at a cold
+// four-shard engine at once, beside an InsertEntity: one of them builds all
+// four roots (their sort orders concurrently, under the engine write lock)
+// while the others and the insert wait, and whichever path reaches a tree
+// first must leave exactly one root in it. Run under -race in CI.
+//
+// Answers do not depend on the index shape, so each must equal what a
+// serially driven twin engine returns — the twin that never saw the insert
+// or the one that saw it first, depending on which side of the insert the
+// query landed — and must agree with the no-index scan as well as the
+// serial precision tests demand.
+func TestColdFirstQueriesConcurrent(t *testing.T) {
+	p := defaultTestParams()
+	p.Shards = 4
+	p.Index.LeafCap = 8 // small leaves: the tiny graph still cracks in every shard
+	cold, g := testEngine(t, Crack, p)
+	before, _ := testEngine(t, Crack, p)
+	after, _ := testEngine(t, Crack, p)
+	likes, _ := g.RelationByName("likes")
+	users := g.EntitiesOfType("user")
+	insert := func(e *Engine) {
+		facts := []Fact{{Rel: likes, Other: users[0]}, {Rel: likes, Other: users[1]}, {Rel: likes, Other: users[2]}}
+		if _, err := e.InsertEntity("new-movie", "movie", facts, map[string]float64{"year": 2024}); err != nil {
+			t.Errorf("InsertEntity: %v", err)
+		}
+	}
+	insert(after)
+
+	const n = 8
+	answers := make([]*TopKResult, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			res, err := cold.TopKTails(users[i], likes, 10)
+			if err != nil {
+				t.Errorf("TopKTails(%d): %v", users[i], err)
+				return
+			}
+			answers[i] = res
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		insert(cold)
+	}()
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	var precision float64
+	for i, got := range answers {
+		b, err := before.TopKTails(users[i], likes, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := after.TopKTails(users[i], likes, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Predictions, b.Predictions) && !reflect.DeepEqual(got.Predictions, a.Predictions) {
+			t.Fatalf("user %d: concurrent cold answer matches neither serial twin:\ngot    %v\nbefore %v\nafter  %v",
+				users[i], got.Predictions, b.Predictions, a.Predictions)
+		}
+		// Now that the insert is in, the cold engine and the twin that
+		// started with it agree, and both agree with the scan.
+		again, err := cold.TopKTails(users[i], likes, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again.Predictions, a.Predictions) {
+			t.Fatalf("user %d: settled answer diverges from the serial twin", users[i])
+		}
+		want, err := cold.TopKTailsNoIndex(users[i], likes, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		precision += precisionAtK(again.Predictions, want.Predictions)
+	}
+	if avg := precision / n; avg < 0.9 {
+		t.Fatalf("precision@10 against the scan = %.3f, want >= 0.9", avg)
+	}
+
+	if err := cold.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+	// One root per shard and nothing else beyond what the cracks created:
+	// a root built twice would leave an orphan record in its arena.
+	st, ms := cold.IndexStats(), cold.Metrics()
+	if want := 4 + int(ms.CrackNodesCreated); st.TotalNodes != want || st.ArenaNodesInUse != want {
+		t.Fatalf("%d tree nodes, %d arena records, want 4 roots + %d cracked = %d",
+			st.TotalNodes, st.ArenaNodesInUse, ms.CrackNodesCreated, want)
+	}
+	if ms.CrackSplits == 0 {
+		t.Fatal("the cold queries cracked nothing; the test exercises no crack path")
 	}
 }
 

@@ -62,7 +62,11 @@ func (e *Engine) TopKHeads(t kg.EntityID, r kg.RelationID, k int) (*TopKResult, 
 // non-nil, collects the per-stage breakdown.
 func (e *Engine) topKQuery(dir Dir, ent kg.EntityID, rel kg.RelationID, k int, eps float64, tr *obs.QueryTrace) (*TopKResult, error) {
 	start := time.Now()
-	e.prepareIndex()
+	if e.prepareIndex() {
+		// Building the roots is index construction the first query pays
+		// for, not validation: its time goes to the crack span.
+		tr.Carry(obs.StageCrack)
+	}
 	w0 := time.Now()
 	e.mu.RLock()
 	e.met.lockReadWait.Observe(time.Since(w0).Seconds())

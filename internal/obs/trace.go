@@ -9,7 +9,8 @@ import (
 
 // Stage names used by the engine's query trace. The stages of one query are
 // contiguous — each Step closes the segment since the previous mark — so
-// their durations sum to the traced wall time. "search" is the whole index
+// their durations sum to the traced wall time (Carry moves a segment's time
+// into a later span without changing the sum). "search" is the whole index
 // walk: the S2-ordered descent together with the exact S1 distance of every
 // candidate it yields (Algorithm 3 lines 2-8 run as one merged pass); for
 // aggregates it is the ball collection plus the sampled S1 accesses.
@@ -80,6 +81,10 @@ type ShardSpan struct {
 type QueryTrace struct {
 	start time.Time
 	mark  time.Time
+
+	// carry is time set aside by Carry for the next span of carryStage.
+	carry      time.Duration
+	carryStage string
 
 	id     TraceID
 	span   SpanID
@@ -214,7 +219,28 @@ func (t *QueryTrace) Step(stage string) {
 		return
 	}
 	now := time.Now()
-	t.Spans = append(t.Spans, Span{Stage: stage, Start: t.mark.Sub(t.start), Dur: now.Sub(t.mark)})
+	dur := now.Sub(t.mark)
+	if stage == t.carryStage {
+		dur += t.carry
+		t.carry, t.carryStage = 0, ""
+	}
+	t.Spans = append(t.Spans, Span{Stage: stage, Start: t.mark.Sub(t.start), Dur: dur})
+	t.mark = now
+}
+
+// Carry closes the current segment like Step, but instead of recording a
+// span of its own it adds the time to the next span recorded under stage:
+// for work that has to run early and belongs to a later stage. The engine
+// bills the first query's root build this way — index construction done
+// ahead of validation, reported under "crack". The stage list keeps its
+// shape and the durations still sum to the wall time; that one span is
+// longer than the interval it starts. No-op on a nil trace.
+func (t *QueryTrace) Carry(stage string) {
+	if t == nil {
+		return
+	}
+	now := time.Now()
+	t.carry, t.carryStage = t.carry+now.Sub(t.mark), stage
 	t.mark = now
 }
 

@@ -11,6 +11,7 @@ import (
 func TestTraceNilSafe(t *testing.T) {
 	var tr *QueryTrace
 	tr.Step(StageSearch)
+	tr.Carry(StageCrack)
 	tr.Finish()
 	if got := tr.String(); got != "<no trace>" {
 		t.Fatalf("String = %q", got)
@@ -52,6 +53,40 @@ func TestTraceSpansSumToWall(t *testing.T) {
 	}
 	if got, want := tr.Spans[1].Start, tr.Spans[0].Start+tr.Spans[0].Dur; got != want {
 		t.Fatalf("second span starts at %v, want %v", got, want)
+	}
+}
+
+// TestTraceCarry: time set aside with Carry lands in the next span of the
+// named stage, adds no span of its own, and leaves the sum equal to the wall.
+func TestTraceCarry(t *testing.T) {
+	tr := StartTrace()
+	tr.Step(StageCache)
+	time.Sleep(5 * time.Millisecond)
+	tr.Carry(StageCrack)
+	tr.Step(StageValidate)
+	tr.Step(StageSearch)
+	tr.Step(StageCrack)
+	tr.Step(StageCrack) // the carried time is spent once
+	tr.Finish()
+
+	var stages []string
+	var sum time.Duration
+	for _, s := range tr.Spans {
+		stages = append(stages, s.Stage)
+		sum += s.Dur
+	}
+	if got, want := strings.Join(stages, ","), "cache,validate,search,crack,crack"; got != want {
+		t.Fatalf("stages = %s, want %s", got, want)
+	}
+	validate, crack, again := tr.Spans[1], tr.Spans[3], tr.Spans[4]
+	if crack.Dur < 5*time.Millisecond {
+		t.Fatalf("crack span %v does not include the 5ms carried into it", crack.Dur)
+	}
+	if validate.Dur >= 5*time.Millisecond || again.Dur >= 5*time.Millisecond {
+		t.Fatalf("carried time leaked: validate %v, second crack %v", validate.Dur, again.Dur)
+	}
+	if sum > tr.Wall {
+		t.Fatalf("span sum %v exceeds wall %v", sum, tr.Wall)
 	}
 }
 

@@ -3,10 +3,10 @@ package rtree
 import "sync/atomic"
 
 // AccessCounters accumulate index node accesses across traversals — the
-// cost the paper's Lemma 3 bounds. WalkWithin and NearestSeeds count the
-// nodes they pop locally and flush once per traversal, so the per-node cost
-// is a plain integer increment and the per-traversal cost is at most three
-// atomic adds. Safe to read concurrently with traversals.
+// cost the paper's Lemma 3 bounds. The walks (WalkWithin, WalkTreesWithin)
+// count the nodes they pop locally and flush once per traversal, so the
+// per-node cost is a plain integer increment and the per-traversal cost is
+// at most three atomic adds. Safe to read concurrently with traversals.
 type AccessCounters struct {
 	Internal atomic.Uint64
 	Leaf     atomic.Uint64

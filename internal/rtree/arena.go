@@ -1,9 +1,6 @@
 package rtree
 
-import (
-	"math"
-	"unsafe"
-)
+import "unsafe"
 
 // Node arena. Cracking used to allocate every tree node individually, so a
 // converged index was tens of thousands of pointer-chased heap objects the
@@ -48,7 +45,7 @@ func (a *nodeArena) alloc() *node {
 		idx := a.free[n-1]
 		a.free = a.free[:n-1]
 		nd := a.at(idx)
-		nd.reset(a.dim)
+		nd.reset()
 		return nd
 	}
 	if a.next == arenaSlabSize {
@@ -68,7 +65,7 @@ func (a *nodeArena) alloc() *node {
 	}
 	nd := &a.slabs[len(a.slabs)-1][a.next]
 	a.next++
-	nd.reset(a.dim)
+	nd.reset()
 	return nd
 }
 
@@ -102,20 +99,14 @@ func (a *nodeArena) slabBytes() int {
 // reset clears a record for reuse: no children, no leaf ids, no partition,
 // and an inverted MBR that the first Expand snaps to its point. The MBR
 // slices themselves are slab-backed and preserved.
-func (n *node) reset(dim int) {
+func (n *node) reset() {
 	n.children = nil
 	n.leafIDs = nil
 	n.part = nil
-	for i := 0; i < dim; i++ {
-		n.mbr.Lo[i] = math.Inf(1)
-		n.mbr.Hi[i] = math.Inf(-1)
-	}
+	n.mbr.reset()
 }
 
 // setMBR copies r into the node's slab-backed MBR. Node MBRs must never be
 // assigned by slice header (nd.mbr = r) — that would detach the record from
 // its slab backing; in-place mutation (Expand) is fine.
-func (n *node) setMBR(r Rect) {
-	copy(n.mbr.Lo, r.Lo)
-	copy(n.mbr.Hi, r.Hi)
-}
+func (n *node) setMBR(r Rect) { n.mbr.set(r) }

@@ -105,3 +105,47 @@ func BenchmarkTopKSplitsCrack(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPrepareRoot is the first query's root build at the repository
+// benchmark's size: the whole set as one tree, one shard of two, and both
+// shards in one batch.
+func BenchmarkPrepareRoot(b *testing.B) {
+	ps := clusteredPointSet(300000, 3, 16, 1)
+	halves := NewShardRouter(ps, ps.N(), 1).Assign(ps, ps.N())
+	b.Run("all", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			NewCracking(ps, DefaultOptions()).Prepare()
+		}
+	})
+	b.Run("one-shard", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			NewCrackingSubset(ps, DefaultOptions(), halves[0]).Prepare()
+		}
+	})
+	b.Run("two-shards", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			PrepareAll([]*Tree{
+				NewCrackingSubset(ps, DefaultOptions(), halves[0]),
+				NewCrackingSubset(ps, DefaultOptions(), halves[1]),
+			})
+		}
+	})
+}
+
+// BenchmarkBestSplits evaluates the splits of one large pending element the
+// way a crack's first level does: seven boundaries in each of three orders.
+func BenchmarkBestSplits(b *testing.B) {
+	ps := benchPointSet(20000)
+	p := newPartition(ps, firstIDs(ps.N()))
+	opt := DefaultOptions()
+	m := ceilDiv(p.count(), opt.Fanout)
+	q := BallRect([]float64{5, 5, 5}, 0.3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchChoices = bestSplits(ps, p, m, &q, opt.Beta, opt.LeafCap, 3, 1)
+	}
+}
+
+// benchChoices keeps the benchmarked call's result alive.
+var benchChoices []splitChoice

@@ -15,14 +15,13 @@ func NewBulkLoaded(ps *PointSet, opt Options) *Tree {
 		t.root.leafIDs = []int32{}
 		return t
 	}
-	t.root = t.buildFull(newRootPartition(ps, ps.N()))
+	t.root = t.buildFull(newPartition(ps, firstIDs(ps.N())))
 	return t
 }
 
 // buildFull implements BulkLoadChunk: partition into at most M chunks of
 // ~equal size, recurse into each.
 func (t *Tree) buildFull(p *partition) *node {
-	p.computeMBR(t.ps)
 	t.created++
 	if p.count() <= t.opt.LeafCap {
 		nd := t.arena.alloc()
@@ -31,10 +30,10 @@ func (t *Tree) buildFull(p *partition) *node {
 		return nd
 	}
 	m := t.levelM(p.count())
-	parts := t.partitionGreedy(p, m, nil)
+	parts := t.partitionGreedy(nil, countedPart{part: p}, m, nil)
 	children := make([]*node, 0, len(parts))
 	for _, cp := range parts {
-		children = append(children, t.buildFull(cp))
+		children = append(children, t.buildFull(cp.part))
 	}
 	nd := t.arena.alloc()
 	for _, c := range children {

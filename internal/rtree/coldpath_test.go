@@ -1,0 +1,294 @@
+package rtree
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// The two kernels of the cold path — the root sort and the split
+// evaluation — are checked against the code they replaced, kept here as
+// oracles: the closure-driven comparison sort and the three-sweep
+// bestSplits with its halves rescanned for their boxes and counts.
+
+// oracleOrders is the old root sort: every order a sort.Slice through
+// ps.Coord with ties broken by id.
+func oracleOrders(ps *PointSet, ids []int32) [][]int32 {
+	orders := make([][]int32, ps.Dim)
+	for d := range orders {
+		o := append([]int32{}, ids...)
+		sort.Slice(o, func(i, j int) bool {
+			a, b := ps.Coord(o[i], d), ps.Coord(o[j], d)
+			if a != b {
+				return a < b
+			}
+			return o[i] < o[j]
+		})
+		orders[d] = o
+	}
+	return orders
+}
+
+// oracleBestSplits is the old split evaluation: per order a forward sweep
+// for the prefix boxes, a backward sweep for the suffix boxes and a third
+// for the query counts, then a full sort of the choices. The halves' boxes
+// and counts, which the old callers obtained by splitting and rescanning
+// (computeMBR, countInRect), are filled in the same way.
+func oracleBestSplits(ps *PointSet, p *partition, m int, q *Rect, beta float64, leafCap, h, topK int) []splitChoice {
+	n := p.count()
+	nb := ceilDiv(n, m) - 1
+	if nb <= 0 {
+		return nil
+	}
+	s := len(p.orders)
+	betaH := math.Pow(beta, float64(h))
+	choices := make([]splitChoice, 0, s*nb)
+	fronts := make([]Rect, nb)
+	backs := make([]Rect, nb)
+	for so := 0; so < s; so++ {
+		order := p.orders[so]
+		run := EmptyRect(ps.Dim)
+		bi := 0
+		for i, id := range order {
+			run.Expand(ps.At(id))
+			if bi < nb && i+1 == (bi+1)*m {
+				fronts[bi] = run.Clone()
+				bi++
+			}
+		}
+		run = EmptyRect(ps.Dim)
+		bi = nb - 1
+		for i := n - 1; i >= 0; i-- {
+			run.Expand(ps.At(order[i]))
+			if bi >= 0 && i == (bi+1)*m {
+				backs[bi] = run.Clone()
+				bi--
+			}
+		}
+		var totalQ int
+		var prefQ []int
+		if q != nil {
+			prefQ = make([]int, nb)
+			bi = 0
+			cnt := 0
+			for i, id := range order {
+				if q.Contains(ps.At(id)) {
+					cnt++
+				}
+				if bi < nb && i+1 == (bi+1)*m {
+					prefQ[bi] = cnt
+					bi++
+				}
+			}
+			totalQ = cnt
+		}
+		for b := 0; b < nb; b++ {
+			ch := splitChoice{s: so, pos: (b + 1) * m}
+			if q != nil {
+				qL := prefQ[b]
+				qH := totalQ - qL
+				ch.cq = ceilDiv(qL, leafCap) + ceilDiv(qH, leafCap)
+			}
+			overlap := fronts[b].OverlapVolume(backs[b])
+			minVol := math.Min(fronts[b].Volume(), backs[b].Volume())
+			if overlap > 0 && minVol > 0 {
+				ch.co = betaH * overlap / minVol
+			}
+			choices = append(choices, ch)
+		}
+	}
+	sort.Slice(choices, func(i, j int) bool { return choices[i].less(choices[j]) })
+	if topK < len(choices) {
+		choices = choices[:topK]
+	}
+	scratch := make([]bool, ps.N())
+	for i := range choices {
+		ch := &choices[i]
+		l, r := p.split(*ch, scratch)
+		ch.mbrL, ch.mbrH = ps.MBRof(l.ids()), ps.MBRof(r.ids())
+		if q != nil {
+			ch.qL, ch.qH = countIn(ps, l.ids(), *q), countIn(ps, r.ids(), *q)
+		}
+	}
+	return choices
+}
+
+// awkwardCoord draws coordinates that stress a key transform: duplicates,
+// both zeros, subnormals, infinities and negatives among ordinary values.
+func awkwardCoord(rng *rand.Rand) float64 {
+	switch rng.Intn(12) {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return math.SmallestNonzeroFloat64 * float64(rng.Intn(5)-2)
+	case 3:
+		return math.Inf(rng.Intn(2)*2 - 1)
+	case 4, 5:
+		return float64(rng.Intn(7) - 3) // heavy duplicates
+	case 6:
+		return -math.MaxFloat64 * rng.Float64()
+	default:
+		return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+	}
+}
+
+func sameOrders(a, b [][]int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for d := range a {
+		if !equalIDs(a[d], b[d]) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestSortedOrdersMatchOracle(t *testing.T) {
+	sizes := []int{0, 1, 2, DefaultOptions().LeafCap, 10000}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n, dim := sizes[seed%5], 1+rng.Intn(4)
+		coords := make([]float64, n*dim)
+		for i := range coords {
+			coords[i] = awkwardCoord(rng)
+		}
+		ps := NewPointSet(dim, coords)
+
+		all := firstIDs(n)
+		if !sameOrders(sortedOrders(ps, all), oracleOrders(ps, all)) {
+			t.Fatalf("seed %d: orders of all %d ids differ from the oracle", seed, n)
+		}
+		// An ascending subset (a shard) and the same ids shuffled (a leaf).
+		var sub []int32
+		for _, id := range all {
+			if rng.Intn(3) > 0 {
+				sub = append(sub, id)
+			}
+		}
+		want := oracleOrders(ps, sub)
+		if !sameOrders(sortedOrders(ps, sub), want) {
+			t.Fatalf("seed %d: orders of a %d-id subset differ from the oracle", seed, len(sub))
+		}
+		shuffled := append([]int32{}, sub...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		kept := append([]int32{}, shuffled...)
+		if !sameOrders(sortedOrders(ps, shuffled), want) {
+			t.Fatalf("seed %d: orders of a shuffled subset differ from the oracle", seed)
+		}
+		if !equalIDs(shuffled, kept) {
+			t.Fatalf("seed %d: sortedOrders modified its input", seed)
+		}
+	}
+}
+
+func sameBox(a, b Rect) bool {
+	for d := range a.Lo {
+		if a.Lo[d] != b.Lo[d] || a.Hi[d] != b.Hi[d] {
+			return false
+		}
+	}
+	return len(a.Lo) == len(b.Lo)
+}
+
+func TestBestSplitsMatchOracle(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dim := 2 + rng.Intn(3)
+		n := 40 + rng.Intn(3000)
+		ps := clusteredPointSet(n, dim, 1+rng.Intn(6), seed)
+		if seed%5 == 4 { // a coarse grid: duplicates, both zeros, flat boxes
+			coords := make([]float64, n*dim)
+			for i := range coords {
+				coords[i] = math.Copysign(float64(rng.Intn(9)-4), float64(rng.Intn(2))-0.5)
+			}
+			ps = NewPointSet(dim, coords)
+		}
+		ids := firstIDs(n)
+		if seed%2 == 1 { // a subset, as a shard's root is
+			ids = ids[:0]
+			for id := int32(0); int(id) < n; id++ {
+				if rng.Intn(4) > 0 {
+					ids = append(ids, id)
+				}
+			}
+		}
+		p := newPartition(ps, ids)
+		opt := DefaultOptions()
+		m := max(ceilDiv(p.count(), 2+rng.Intn(opt.Fanout-1)), 1+rng.Intn(opt.LeafCap))
+		var q *Rect
+		if seed%4 < 2 {
+			r := BallRect(ps.At(ids[rng.Intn(len(ids))]), 0.05+rng.Float64()*2)
+			q = &r
+		}
+		for _, topK := range []int{1, 3} {
+			h := rng.Intn(4)
+			got := bestSplits(ps, p, m, q, opt.Beta, opt.LeafCap, h, topK)
+			want := oracleBestSplits(ps, p, m, q, opt.Beta, opt.LeafCap, h, topK)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d topK %d: %d choices, oracle has %d", seed, topK, len(got), len(want))
+			}
+			for i := range got {
+				g, w := got[i], want[i]
+				if g.s != w.s || g.pos != w.pos || g.cq != w.cq ||
+					math.Float64bits(g.co) != math.Float64bits(w.co) ||
+					g.qL != w.qL || g.qH != w.qH ||
+					!sameBox(g.mbrL, w.mbrL) || !sameBox(g.mbrH, w.mbrH) {
+					t.Fatalf("seed %d topK %d choice %d:\n got %+v\nwant %+v", seed, topK, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestBestSplitsAllocs pins the split evaluation's allocation shape next to
+// the walk's guard (walk_test.go): a constant handful of slices per call —
+// the choice list, the box slab, the counts and the winner's two boxes —
+// where the three-sweep version cloned two rectangles per boundary per
+// order (84 slices for this element).
+func TestBestSplitsAllocs(t *testing.T) {
+	ps := clusteredPointSet(2000, 3, 4, 5)
+	p := newPartition(ps, firstIDs(ps.N()))
+	q := BallRect(ps.At(0), 1)
+	opt := DefaultOptions()
+	m := ceilDiv(p.count(), opt.Fanout)
+	allocs := testing.AllocsPerRun(20, func() {
+		bestSplits(ps, p, m, &q, opt.Beta, opt.LeafCap, 2, 1)
+	})
+	if allocs > 8 {
+		t.Fatalf("bestSplits allocates %v objects per call, want at most 8", allocs)
+	}
+}
+
+// TestPrepareAllMatchesPrepare builds the roots of a sharded index in one
+// concurrent batch and one tree at a time; the shapes must be identical.
+func TestPrepareAllMatchesPrepare(t *testing.T) {
+	ps := clusteredPointSet(30000, 3, 8, 3)
+	router := NewShardRouter(ps, ps.N(), 2)
+	var batch, single []*Tree
+	for _, ids := range router.Assign(ps, ps.N()) {
+		batch = append(batch, NewCrackingSubset(ps, DefaultOptions(), ids))
+		single = append(single, NewCrackingSubset(ps, DefaultOptions(), ids))
+	}
+	batch = append(batch, NewCracking(NewPointSet(3, nil), DefaultOptions())) // an empty tree rides along
+	PrepareAll(batch)
+	PrepareAll(batch) // idempotent
+	for i, tr := range single {
+		tr.Prepare()
+		if !batch[i].Ready() || batch[i].StructureHash() != tr.StructureHash() {
+			t.Fatalf("shard %d: batch-prepared root differs from the singly prepared one", i)
+		}
+		if err := batch[i].CheckInvariants(); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		if got := batch[i].Stats().TotalNodes; got != 1 || batch[i].created != 1 {
+			t.Fatalf("shard %d: %d nodes, %d created, want one root", i, got, batch[i].created)
+		}
+	}
+	if !batch[len(batch)-1].Ready() {
+		t.Fatal("empty tree not prepared")
+	}
+}

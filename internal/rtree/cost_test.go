@@ -20,15 +20,13 @@ func twoClusterPointSet(n int) *PointSet {
 
 func TestBestSplitsSeparatesClusters(t *testing.T) {
 	ps := twoClusterPointSet(128)
-	p := newRootPartition(ps, ps.N())
+	p := newPartition(ps, firstIDs(ps.N()))
 	choices := bestSplits(ps, p, 64, nil, 2, 32, 1, 1)
 	if len(choices) == 0 {
 		t.Fatal("no split choices")
 	}
 	scratch := make([]bool, ps.N())
-	l, r := p.split(choices[0].s, choices[0].pos, scratch)
-	l.computeMBR(ps)
-	r.computeMBR(ps)
+	l, r := p.split(choices[0], scratch)
 	// The chosen split must not overlap (the clusters are separable).
 	if l.mbr.Overlaps(r.mbr) {
 		t.Fatalf("best split overlaps: %v vs %v", l.mbr, r.mbr)
@@ -42,7 +40,7 @@ func TestBestSplitsQueryCostMajorOrder(t *testing.T) {
 	// With a query region covering one cluster, the best split should put
 	// that cluster alone on one side (minimal ceil(|Q∩L|/N)+ceil(|Q∩H|/N)).
 	ps := twoClusterPointSet(128)
-	p := newRootPartition(ps, ps.N())
+	p := newPartition(ps, firstIDs(ps.N()))
 	q := Rect{Lo: []float64{-1, -1}, Hi: []float64{1, 1}} // first cluster
 	choices := bestSplits(ps, p, 64, &q, 2, 32, 1, 3)
 	if len(choices) == 0 {
@@ -65,7 +63,7 @@ func TestBestSplitsQueryCostMajorOrder(t *testing.T) {
 
 func TestBestSplitsTopKDistinct(t *testing.T) {
 	ps := clusteredPointSet(400, 3, 4, 71)
-	p := newRootPartition(ps, ps.N())
+	p := newPartition(ps, firstIDs(ps.N()))
 	choices := bestSplits(ps, p, 100, nil, 2, 32, 1, 4)
 	if len(choices) < 2 {
 		t.Fatalf("expected multiple choices, got %d", len(choices))

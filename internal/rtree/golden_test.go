@@ -1,0 +1,113 @@
+package rtree
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// goldenShape is what a seeded point set and crack sequence must produce:
+// the values below were computed on the commit before the radix root sort
+// and the one-pass split evaluation went in, so any drift in a sort order,
+// a split choice or an installed MBR shows up here as a changed hash.
+type goldenShape struct {
+	hash    uint64
+	splits  int
+	nodes   int
+	created int
+}
+
+func shapeOf(trees ...*Tree) goldenShape {
+	var g goldenShape
+	for _, tr := range trees {
+		st := tr.Stats()
+		g.hash = g.hash*1099511628211 ^ tr.StructureHash()
+		g.splits += st.BinarySplits
+		g.nodes += st.TotalNodes
+		g.created += tr.created
+	}
+	return g
+}
+
+func goldenQueries() []Rect {
+	rng := rand.New(rand.NewSource(99))
+	qs := make([]Rect, 200)
+	for i := range qs {
+		qs[i] = randomQuery(rng, 3, 0, 10)
+	}
+	return qs
+}
+
+func TestGoldenStructure(t *testing.T) {
+	ps := clusteredPointSet(20000, 3, 16, 7)
+	queries := goldenQueries()
+	crackAll := func(trees ...*Tree) goldenShape {
+		for _, q := range queries {
+			for _, tr := range trees {
+				tr.Crack(q)
+			}
+		}
+		for _, tr := range trees {
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return shapeOf(trees...)
+	}
+	sharded := func(opt Options) []*Tree {
+		router := NewShardRouter(ps, ps.N(), 2)
+		var trees []*Tree
+		for _, ids := range router.Assign(ps, ps.N()) {
+			trees = append(trees, NewCrackingSubset(ps, opt, ids))
+		}
+		return trees
+	}
+	top2 := DefaultOptions()
+	top2.SplitChoices = 2
+
+	// Inserts overflow leaves back into pending elements, whose sort orders
+	// are rebuilt from ids in leaf (not ascending) order.
+	grown := func() goldenShape {
+		ps := clusteredPointSet(5000, 3, 4, 8)
+		tr := NewCracking(ps, DefaultOptions())
+		rng := rand.New(rand.NewSource(100))
+		for _, q := range queries[:50] {
+			tr.Crack(q)
+		}
+		for i := 0; i < 3000; i++ {
+			src := ps.At(int32(rng.Intn(5000)))
+			pt := []float64{src[0] + rng.NormFloat64()*0.1, src[1] + rng.NormFloat64()*0.1, src[2] + rng.NormFloat64()*0.1}
+			tr.Insert(ps.AppendPoint(pt))
+		}
+		for _, q := range queries[50:] {
+			tr.Crack(q)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return shapeOf(tr)
+	}
+
+	cases := []struct {
+		name string
+		got  goldenShape
+		want goldenShape
+	}{
+		{"greedy", crackAll(NewCracking(ps, DefaultOptions())),
+			goldenShape{0x3eb6a56ee8bce78a, 507, 703, 703}},
+		{"greedy-4-shards", crackAll(sharded(DefaultOptions())...),
+			goldenShape{0x9a3fb8e79831fca8, 419, 591, 591}},
+		{"top2", crackAll(NewCracking(ps, top2)),
+			goldenShape{0xc210cdb6efb7a275, 390, 559, 559}},
+		{"top2-4-shards", crackAll(sharded(top2)...),
+			goldenShape{0xb95fda922f6edcc8, 351, 499, 499}},
+		{"greedy-inserts", grown(),
+			goldenShape{0x46e8ba0bb7b0b1b8, 125, 167, 167}},
+		{"bulk", shapeOf(NewBulkLoaded(ps, DefaultOptions())),
+			goldenShape{0xb7bfe474dfcaef34, 1023, 1609, 1609}},
+	}
+	for _, c := range cases {
+		if c.got != c.want {
+			t.Errorf("%s: shape %#v, want %#v", c.name, c.got, c.want)
+		}
+	}
+}

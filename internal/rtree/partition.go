@@ -1,14 +1,12 @@
 package rtree
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // partition is a contour element that has data but no child structure yet:
 // the S sort orders of its point ids (S = dim, one per coordinate as the
-// points are degenerate rectangles), its MBR, and lazily computed attribute
-// statistics. Partitions are immutable once created, which lets the
+// points are degenerate rectangles), its MBR (set when the partition is
+// created, grown by inserts), and lazily computed attribute statistics.
+// Partitions are immutable once created, which lets the
 // Top-kSplitsIndexBuild candidates share split results through a cache.
 // The one exception is the stats cache, which is filled lazily on the
 // read path (ContourOverlap under a shared lock) and therefore guarded by
@@ -21,56 +19,12 @@ type partition struct {
 	stats   []AttrStats // lazily built, parallel to PointSet registration
 }
 
-// newRootPartition sorts the first n points of ps into the S sort orders.
-// This is the only global sort the cracking index ever performs; it is part
-// of the first query's cost, not an offline build.
-func newRootPartition(ps *PointSet, n int) *partition {
-	s := ps.Dim
-	orders := make([][]int32, s)
-	base := make([]int32, n)
-	for i := range base {
-		base[i] = int32(i)
-	}
-	for d := 0; d < s; d++ {
-		o := make([]int32, n)
-		copy(o, base)
-		dd := d
-		sort.Slice(o, func(i, j int) bool {
-			a, b := ps.Coord(o[i], dd), ps.Coord(o[j], dd)
-			if a != b {
-				return a < b
-			}
-			return o[i] < o[j] // total order for determinism
-		})
-		orders[d] = o
-	}
-	mbr := EmptyRect(s)
-	for i := int32(0); i < int32(n); i++ {
-		mbr.Expand(ps.At(i))
-	}
-
-	return &partition{orders: orders, mbr: mbr}
-}
-
-// newPartitionFromIDs builds a partition over an explicit id set (used by
-// tests and by leaf promotion paths).
-func newPartitionFromIDs(ps *PointSet, ids []int32) *partition {
-	s := ps.Dim
-	orders := make([][]int32, s)
-	for d := 0; d < s; d++ {
-		o := make([]int32, len(ids))
-		copy(o, ids)
-		dd := d
-		sort.Slice(o, func(i, j int) bool {
-			a, b := ps.Coord(o[i], dd), ps.Coord(o[j], dd)
-			if a != b {
-				return a < b
-			}
-			return o[i] < o[j]
-		})
-		orders[d] = o
-	}
-	return &partition{orders: orders, mbr: ps.MBRof(ids)}
+// newPartition builds the pending element over an explicit id set: its S
+// sort orders (see rootsort.go) and its MBR. For a tree's root this is the
+// only global sort the cracking index ever performs; it is part of the first
+// query's cost, not an offline build.
+func newPartition(ps *PointSet, ids []int32) *partition {
+	return &partition{orders: sortedOrders(ps, ids), mbr: ps.MBRof(ids)}
 }
 
 // count returns the number of points in the partition.
@@ -99,16 +53,18 @@ func (p *partition) countInRect(ps *PointSet, q Rect) int {
 	return c
 }
 
-// split divides the partition at boundary position pos of sort order s:
-// the first pos ids of orders[s] form the left half. All S sorted lists are
+// split applies a choice bestSplits returned for this partition: the first
+// ch.pos ids of orders[ch.s] form the left half. All S sorted lists are
 // split stably (SplitOnKey of Algorithm 1), using the tree's scratch flag
-// array to test membership in O(1).
-func (p *partition) split(s, pos int, scratch []bool) (left, right *partition) {
+// array to test membership in O(1); the halves take their MBRs from the
+// choice.
+func (p *partition) split(ch splitChoice, scratch []bool) (left, right *partition) {
 	n := p.count()
+	pos := ch.pos
 	if pos <= 0 || pos >= n {
 		panic("rtree: split position out of range")
 	}
-	leftIDs := p.orders[s][:pos]
+	leftIDs := p.orders[ch.s][:pos]
 	for _, id := range leftIDs {
 		scratch[id] = true
 	}
@@ -130,16 +86,7 @@ func (p *partition) split(s, pos int, scratch []bool) (left, right *partition) {
 	for _, id := range leftIDs {
 		scratch[id] = false
 	}
-	return &partition{orders: lo}, &partition{orders: hi}
-}
-
-// computeMBR fills in the partition's MBR from its points (split leaves the
-// MBR empty so the hot path can skip it until needed).
-func (p *partition) computeMBR(ps *PointSet) {
-	if p.mbr.Lo != nil {
-		return
-	}
-	p.mbr = ps.MBRof(p.orders[0])
+	return &partition{orders: lo, mbr: ch.mbrL}, &partition{orders: hi, mbr: ch.mbrH}
 }
 
 // attrStats returns (building lazily) the statistics of registered

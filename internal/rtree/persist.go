@@ -202,7 +202,7 @@ func (t *Tree) decodeFlat(c *flatCursor) (*node, error) {
 			if cnt == 0 {
 				return nil, fmt.Errorf("rtree: empty pending element: %w", snapfmt.ErrCorrupt)
 			}
-			nd.part = newPartitionFromIDs(t.ps, ids)
+			nd.part = newPartition(t.ps, ids)
 			nd.part.mbr = nd.mbr.Clone()
 		}
 	default:

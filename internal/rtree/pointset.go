@@ -10,9 +10,9 @@ import (
 // stride Dim in a row-major block, optionally mirrored by packed float32
 // columns (see packed.go) that the distance kernels use as a conservative
 // prefilter. All access goes through the accessor API — At, Coord,
-// SqDistTo, GatherSqDists, AttrValue, and the walk's leaf scan appendWithin
-// — so the layout can change without touching callers; the point index
-// doubles as the entity id.
+// GatherCoord, SqDistTo, GatherSqDists, AttrValue, and the walk's leaf scan
+// appendWithin — so the layout can change without touching callers; the
+// point index doubles as the entity id.
 //
 // Attribute columns (for aggregate queries) may be registered so that
 // contour elements can expose min/max/sum statistics, as the paper suggests
@@ -85,6 +85,19 @@ func (ps *PointSet) GatherSqDists(ids []int32, q []float64, out []float64) {
 			s += dv * dv
 		}
 		out[j] = s
+	}
+}
+
+// GatherCoord is the bulk form of Coord: it fills out[j] with coordinate d
+// of point ids[j]. out must have len(ids) elements. The root sort reads its
+// keys through this, one dimension at a time.
+func (ps *PointSet) GatherCoord(ids []int32, d int, out []float64) {
+	if len(out) != len(ids) {
+		panic("rtree: GatherCoord output length mismatch")
+	}
+	dim := ps.Dim
+	for j, id := range ids {
+		out[j] = ps.coords[int(id)*dim+d]
 	}
 }
 

@@ -10,8 +10,8 @@
 //     contours,
 //
 // together with the search primitives the query algorithms of Section V
-// need: range collection, nearest-seed probing, and contour summaries with
-// per-node aggregate statistics.
+// need: range collection, the best-first distance walk, and contour summaries
+// with per-node aggregate statistics.
 package rtree
 
 import (
@@ -36,13 +36,9 @@ func NewRect(p []float64) Rect {
 // EmptyRect returns an inverted rectangle that any Expand call will snap to
 // the expanded point.
 func EmptyRect(dim int) Rect {
-	lo := make([]float64, dim)
-	hi := make([]float64, dim)
-	for i := 0; i < dim; i++ {
-		lo[i] = math.Inf(1)
-		hi[i] = math.Inf(-1)
-	}
-	return Rect{Lo: lo, Hi: hi}
+	r := Rect{Lo: make([]float64, dim), Hi: make([]float64, dim)}
+	r.reset()
+	return r
 }
 
 // BallRect returns the minimum bounding box of the ball B(center, radius),
@@ -73,6 +69,20 @@ func (r Rect) IsEmpty() bool {
 // Clone returns a deep copy of r.
 func (r Rect) Clone() Rect {
 	return Rect{Lo: append([]float64(nil), r.Lo...), Hi: append([]float64(nil), r.Hi...)}
+}
+
+// reset empties r in place, as EmptyRect creates it.
+func (r Rect) reset() {
+	for i := range r.Lo {
+		r.Lo[i] = math.Inf(1)
+		r.Hi[i] = math.Inf(-1)
+	}
+}
+
+// set overwrites r in place with o (same dimension).
+func (r Rect) set(o Rect) {
+	copy(r.Lo, o.Lo)
+	copy(r.Hi, o.Hi)
 }
 
 // Expand grows r in place to cover point p.

@@ -183,11 +183,10 @@ func (t *Tree) crackTopK(q Rect) {
 			key := splitKey{p: p, s: ch.s, pos: ch.pos}
 			halves, ok := cache[key]
 			if !ok {
-				l, r := p.split(ch.s, ch.pos, t.scratch)
-				l.computeMBR(t.ps)
-				r.computeMBR(t.ps)
+				l, r := p.split(ch, t.scratch)
 				halves = [2]*partition{l, r}
 				cache[key] = halves
+				cqCache[l], cqCache[r] = ch.qL, ch.qH
 				t.explored++
 			}
 			l, r := halves[0], halves[1]
@@ -267,7 +266,6 @@ func (t *Tree) collectLevel(p *partition, m int, splitsOf map[*partition]*splitR
 // materialize converts a (possibly further split) partition into tree
 // nodes.
 func (t *Tree) materialize(p *partition, splitsOf map[*partition]*splitRec) *node {
-	p.computeMBR(t.ps)
 	t.created++
 	nd := t.arena.alloc()
 	nd.setMBR(p.mbr)

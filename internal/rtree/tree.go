@@ -3,7 +3,6 @@ package rtree
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
@@ -56,13 +55,13 @@ func (o Options) normalize() Options {
 //
 // Tree is not itself synchronized, but it is built to slot under a
 // reader/writer lock: once Prepare has materialized the root, every
-// traversal (Search, WalkWithin, NearestSeeds, ContourOverlap, Stats, Save,
-// NeedsCrack) is read-only and safe to run concurrently with other readers,
-// while Crack, Insert, and Delete mutate the structure and must be
-// exclusive. NeedsCrack is the read-side probe that tells callers whether a
-// Crack for a query region would actually change anything, so warm query
-// regions never need the exclusive lock. NoteQuery is the lock-free way to
-// count a query whose Crack was skipped.
+// traversal (Search, WalkWithin, ContourOverlap, Stats, Save, NeedsCrack) is
+// read-only and safe to run concurrently with other readers, while Crack,
+// Insert, and Delete mutate the structure and must be exclusive. NeedsCrack
+// is the read-side probe that tells callers whether a Crack for a query
+// region would actually change anything, so warm query regions never need
+// the exclusive lock. NoteQuery is the lock-free way to count a query whose
+// Crack was skipped.
 type Tree struct {
 	ps      *PointSet
 	opt     Options
@@ -75,8 +74,8 @@ type Tree struct {
 	created  int          // tree nodes created (cracking, bulk build, root)
 	queries  atomic.Int64 // query count (Crack invocations + NoteQuery calls)
 
-	// access, when set, receives node-access counts from WalkWithin and
-	// NearestSeeds (see AccessCounters).
+	// access, when set, receives node-access counts from WalkWithin (see
+	// AccessCounters).
 	access *AccessCounters
 
 	// deleted tracks tombstoned point ids (see Delete): their coordinates
@@ -116,33 +115,9 @@ func NewCracking(ps *PointSet, opt Options) *Tree {
 }
 
 // ensureRoot materializes the root on first use.
-//
-// walappend:allow — lazy root materialization is deterministic from the
-// point set and happens identically on load, so it is never WAL-logged;
-// marking it here keeps Prepare and the read paths (Search, walks, Save)
-// out of the structural-mutator set.
 func (t *Tree) ensureRoot() {
-	if t.root != nil {
-		return
-	}
-	t.created++
-	if t.initialN == 0 {
-		t.root = t.arena.alloc()
-		t.root.leafIDs = []int32{}
-		return
-	}
-	var p *partition
-	if t.initialIDs != nil {
-		p = newPartitionFromIDs(t.ps, t.initialIDs)
-		t.initialIDs = nil
-	} else {
-		p = newRootPartition(t.ps, t.initialN)
-	}
-	t.root = t.arena.alloc()
-	t.root.setMBR(p.mbr)
-	t.root.part = p
-	if p.count() <= t.opt.LeafCap {
-		t.toLeaf(t.root)
+	if t.root == nil {
+		PrepareAll([]*Tree{t})
 	}
 }
 
@@ -156,6 +131,48 @@ func (t *Tree) Ready() bool { return t.root != nil }
 // attributes to the first query.
 func (t *Tree) Prepare() { t.ensureRoot() }
 
+// PrepareAll materializes the lazy roots of all the trees that still lack
+// one, as Prepare does for a single tree, but sorts every (tree, dimension)
+// order of the batch concurrently (see rootsort.go): a sharded engine's
+// first query builds all its roots in one go. The caller must hold whatever
+// excludes other users of the trees, exactly as for Prepare.
+//
+// walappend:allow — lazy root materialization is deterministic from the
+// point set and happens identically on load, so it is never WAL-logged;
+// marking it here keeps Prepare and the read paths (Search, walks, Save)
+// out of the structural-mutator set.
+func PrepareAll(trees []*Tree) {
+	var cold []*Tree
+	var jobs []orderJob
+	for _, t := range trees {
+		if t.root != nil {
+			continue
+		}
+		t.created++
+		t.root = t.arena.alloc()
+		if t.initialN == 0 {
+			t.root.leafIDs = []int32{}
+			continue
+		}
+		ids := t.initialIDs
+		if ids == nil {
+			ids = firstIDs(t.initialN)
+		}
+		t.initialIDs = nil
+		p := &partition{orders: make([][]int32, t.ps.Dim), mbr: t.ps.MBRof(ids)}
+		jobs = appendOrderJobs(jobs, t.ps, ids, p.orders)
+		t.root.setMBR(p.mbr)
+		t.root.part = p
+		cold = append(cold, t)
+	}
+	runOrderJobs(jobs)
+	for _, t := range cold {
+		if t.root.part.count() <= t.opt.LeafCap {
+			t.toLeaf(t.root)
+		}
+	}
+}
+
 // PS returns the underlying point set.
 func (t *Tree) PS() *PointSet { return t.ps }
 
@@ -165,7 +182,6 @@ func (t *Tree) Opt() Options { return t.opt }
 // toLeaf converts a pending node that fits in a leaf.
 func (t *Tree) toLeaf(nd *node) {
 	ids := append([]int32(nil), nd.part.ids()...)
-	nd.part.computeMBR(t.ps)
 	nd.setMBR(nd.part.mbr)
 	nd.leafIDs = ids
 	nd.part = nil
@@ -246,13 +262,20 @@ func (t *Tree) crackGreedy(nd *node, q Rect) {
 	if nd.isLeaf() {
 		return
 	}
-	p := nd.part
-	n := p.count()
-	if n <= t.opt.LeafCap {
+	if nd.part.count() <= t.opt.LeafCap {
 		t.toLeaf(nd)
 		return
 	}
-	cq := p.countInRect(t.ps, q)
+	t.crackPending(nd, q, nd.part.countInRect(t.ps, q))
+}
+
+// crackPending cracks a pending element too big for a leaf, cq of whose
+// points lie inside q. The elements it creates carry the MBRs and counts
+// the split evaluation computed, so only the element the crack arrived at
+// is ever scanned for its count.
+func (t *Tree) crackPending(nd *node, q Rect, cq int) {
+	p := nd.part
+	n := p.count()
 	// Stopping condition (Section IV-C step 3): element irrelevant to q, or
 	// q already covers (almost) all of it, in which case splitting cannot
 	// reduce the leaf-page lower bound of Lemma 3.
@@ -260,24 +283,22 @@ func (t *Tree) crackGreedy(nd *node, q Rect) {
 		return
 	}
 
-	m := t.levelM(n)
-	parts := t.partitionGreedy(p, m, &q)
+	parts := t.partitionGreedy(nil, countedPart{p, cq}, t.levelM(n), &q)
 	nd.part = nil
 	nd.children = make([]*node, 0, len(parts))
 	for _, cp := range parts {
-		cp.computeMBR(t.ps)
 		t.created++
 		child := t.arena.alloc()
-		child.setMBR(cp.mbr)
-		child.part = cp
-		if cp.count() <= t.opt.LeafCap {
+		child.setMBR(cp.part.mbr)
+		child.part = cp.part
+		if cp.part.count() <= t.opt.LeafCap {
 			t.toLeaf(child)
 		}
 		nd.children = append(nd.children, child)
 	}
-	for _, c := range nd.children {
+	for i, c := range nd.children {
 		if c.isPending() {
-			t.crackGreedy(c, q)
+			t.crackPending(c, q, parts[i].cq)
 		}
 	}
 }
@@ -292,30 +313,35 @@ func (t *Tree) levelM(n int) int {
 	return m
 }
 
+// countedPart is a partition with |Q ∩ e| for the query region it is being
+// cracked for (unused when bulk loading).
+type countedPart struct {
+	part *partition
+	cq   int
+}
+
 // partitionGreedy is the Partition function of Algorithm 1 with the paper's
 // cracking stopping condition: recursively binary-split p until chunks reach
 // size m, leaving chunks that are irrelevant to q (or fully covered by it)
-// unsplit regardless of size.
-func (t *Tree) partitionGreedy(p *partition, m int, q *Rect) []*partition {
-	n := p.count()
+// unsplit regardless of size. The chunks are appended to out, left to right.
+func (t *Tree) partitionGreedy(out []countedPart, p countedPart, m int, q *Rect) []countedPart {
+	n := p.part.count()
 	if n <= m {
-		return []*partition{p}
+		return append(out, p)
 	}
-	if q != nil {
-		p.computeMBR(t.ps)
-		cq := p.countInRect(t.ps, *q)
-		if cq == 0 || ceilDiv(cq, t.opt.LeafCap) == ceilDiv(n, t.opt.LeafCap) {
-			return []*partition{p}
-		}
+	if q != nil && (p.cq == 0 || ceilDiv(p.cq, t.opt.LeafCap) == ceilDiv(n, t.opt.LeafCap)) {
+		return append(out, p)
 	}
 	h := estHeight(n, t.opt.LeafCap, t.opt.Fanout)
-	choices := bestSplits(t.ps, p, m, q, t.opt.Beta, t.opt.LeafCap, h, 1)
+	choices := bestSplits(t.ps, p.part, m, q, t.opt.Beta, t.opt.LeafCap, h, 1)
 	if len(choices) == 0 {
-		return []*partition{p}
+		return append(out, p)
 	}
-	l, r := p.split(choices[0].s, choices[0].pos, t.scratch)
+	ch := choices[0]
+	l, r := p.part.split(ch, t.scratch)
 	t.splits++
-	return append(t.partitionGreedy(l, m, q), t.partitionGreedy(r, m, q)...)
+	out = t.partitionGreedy(out, countedPart{l, ch.qL}, m, q)
+	return t.partitionGreedy(out, countedPart{r, ch.qH}, m, q)
 }
 
 // Search returns the ids of all points inside q, using whatever structure
@@ -356,132 +382,6 @@ func (t *Tree) searchNode(nd *node, q Rect, fn func(id int32)) {
 			}
 		}
 	}
-}
-
-// NearestSeeds implements line 2 of Algorithm 3: probe the index for the
-// smallest element containing q and return k data points near q from it —
-// walking the element's points outward from q's position in one sort order,
-// exactly as the paper describes. If the element holds fewer than k points,
-// neighboring elements are consulted in MBR-distance order.
-func (t *Tree) NearestSeeds(q []float64, k int) []int32 {
-	if k <= 0 {
-		return nil
-	}
-	t.ensureRoot()
-	var accIn, accLf, accPd uint64
-	out := make([]int32, 0, k)
-	pq := nodeHeap{{n: t.root, d: t.root.mbr.MinSqDist(q)}}
-	for len(pq) > 0 && len(out) < k {
-		nd := pq.pop().n
-		switch {
-		case nd.isInternal():
-			accIn++
-			for _, c := range nd.children {
-				pq.push(nodeDist{n: c, d: c.mbr.MinSqDist(q)})
-			}
-		case nd.isLeaf():
-			accLf++
-			out = appendNearLeaf(t.ps, out, nd.leafIDs, q, k)
-		default:
-			accPd++
-			out = appendNearPending(t.ps, out, nd.part, q, k)
-		}
-	}
-	t.access.flush(accIn, accLf, accPd)
-	return out
-}
-
-// appendNearLeaf adds up to k-len(out) points of a leaf, nearest to q first.
-func appendNearLeaf(ps *PointSet, out []int32, ids []int32, q []float64, k int) []int32 {
-	sorted := append([]int32(nil), ids...)
-	sort.Slice(sorted, func(i, j int) bool {
-		return ps.SqDistTo(sorted[i], q) < ps.SqDistTo(sorted[j], q)
-	})
-	for _, id := range sorted {
-		if len(out) >= k {
-			break
-		}
-		out = append(out, id)
-	}
-	return out
-}
-
-// appendNearPending adds up to k-len(out) points of a pending element by
-// expanding outward from q's rank in sort order 0 — O(log n + k), avoiding a
-// scan of a potentially huge element.
-func appendNearPending(ps *PointSet, out []int32, p *partition, q []float64, k int) []int32 {
-	order := p.orders[0]
-	n := len(order)
-	pos := sort.Search(n, func(i int) bool { return ps.Coord(order[i], 0) >= q[0] })
-	lo, hi := pos-1, pos
-	for len(out) < k && (lo >= 0 || hi < n) {
-		switch {
-		case lo < 0:
-			out = append(out, order[hi])
-			hi++
-		case hi >= n:
-			out = append(out, order[lo])
-			lo--
-		default:
-			dl := q[0] - ps.Coord(order[lo], 0)
-			dh := ps.Coord(order[hi], 0) - q[0]
-			if dl <= dh {
-				out = append(out, order[lo])
-				lo--
-			} else {
-				out = append(out, order[hi])
-				hi++
-			}
-		}
-	}
-	return out
-}
-
-type nodeDist struct {
-	n *node
-	d float64
-}
-
-// nodeHeap is a min-heap on distance with concrete push/pop methods —
-// container/heap would box every nodeDist into an interface value, one heap
-// allocation per pushed node.
-type nodeHeap []nodeDist
-
-func (h *nodeHeap) push(x nodeDist) {
-	*h = append(*h, x)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		p := (i - 1) / 2
-		if s[p].d <= s[i].d {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-func (h *nodeHeap) pop() nodeDist {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	for i := 0; ; {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		if r := l + 1; r < n && s[r].d < s[l].d {
-			l = r
-		}
-		if s[i].d <= s[l].d {
-			break
-		}
-		s[i], s[l] = s[l], s[i]
-		i = l
-	}
-	return top
 }
 
 // ElementSummary describes one contour element overlapping a query ball,

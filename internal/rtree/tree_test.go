@@ -246,38 +246,6 @@ func TestStoppingConditionKeepsCoveredElementsCoarse(t *testing.T) {
 	}
 }
 
-func TestNearestSeeds(t *testing.T) {
-	ps := clusteredPointSet(1000, 3, 4, 13)
-	tr := NewCracking(ps, DefaultOptions())
-	q := []float64{5, 5, 5}
-	seeds := tr.NearestSeeds(q, 10)
-	if len(seeds) != 10 {
-		t.Fatalf("got %d seeds, want 10", len(seeds))
-	}
-	seen := map[int32]bool{}
-	for _, s := range seeds {
-		if seen[s] {
-			t.Fatalf("duplicate seed %d", s)
-		}
-		seen[s] = true
-	}
-	// After cracking, seeds should still be returned and unique.
-	tr.Crack(BallRect(q, 1))
-	seeds = tr.NearestSeeds(q, 25)
-	if len(seeds) != 25 {
-		t.Fatalf("got %d seeds post-crack, want 25", len(seeds))
-	}
-}
-
-func TestNearestSeedsMoreThanN(t *testing.T) {
-	ps := randomPointSet(5, 2, 17)
-	tr := NewCracking(ps, DefaultOptions())
-	seeds := tr.NearestSeeds([]float64{0.5, 0.5}, 10)
-	if len(seeds) != 5 {
-		t.Fatalf("got %d seeds, want all 5 points", len(seeds))
-	}
-}
-
 func TestEmptyTree(t *testing.T) {
 	ps := NewPointSet(3, nil)
 	tr := NewCracking(ps, DefaultOptions())
@@ -286,9 +254,6 @@ func TestEmptyTree(t *testing.T) {
 		t.Fatalf("empty tree returned %d ids", len(got))
 	}
 	tr.Crack(q)
-	if got := tr.NearestSeeds([]float64{0, 0, 0}, 3); len(got) != 0 {
-		t.Fatalf("empty tree returned %d seeds", len(got))
-	}
 	bulk := NewBulkLoaded(ps, DefaultOptions())
 	if got := bulk.Search(q); len(got) != 0 {
 		t.Fatalf("empty bulk tree returned %d ids", len(got))
@@ -388,9 +353,9 @@ func TestStatsAndSize(t *testing.T) {
 
 func TestPartitionSplitPreservesOrders(t *testing.T) {
 	ps := randomPointSet(200, 3, 29)
-	p := newRootPartition(ps, ps.N())
+	p := newPartition(ps, firstIDs(ps.N()))
 	scratch := make([]bool, ps.N())
-	l, r := p.split(1, 80, scratch)
+	l, r := p.split(splitChoice{s: 1, pos: 80}, scratch)
 	if l.count() != 80 || r.count() != 120 {
 		t.Fatalf("split sizes %d/%d, want 80/120", l.count(), r.count())
 	}

@@ -40,7 +40,7 @@ func (t *Tree) insertAt(nd *node, id int32) {
 		if len(nd.leafIDs) > t.opt.LeafCap {
 			// Overflow: revert to a pending element; the next query that
 			// touches it will crack it with full cost-model context.
-			nd.part = newPartitionFromIDs(t.ps, nd.leafIDs)
+			nd.part = newPartition(t.ps, nd.leafIDs)
 			nd.leafIDs = nil
 		}
 	default:
@@ -86,9 +86,7 @@ func insertSorted(ps *PointSet, p *partition, id int32) {
 		order[pos] = id
 		p.orders[s] = order
 	}
-	if p.mbr.Lo != nil {
-		p.mbr.Expand(ps.At(id))
-	}
+	p.mbr.Expand(ps.At(id))
 }
 
 // Delete removes point id from the index, returning whether it was found.
