@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -48,7 +49,8 @@ type AggQuery struct {
 	Attr string
 	// MaxAccess is a, the maximum number of closest data points whose S1
 	// distance and attribute are materialized; 0 means access every point
-	// in the ball. The paper's Figures 12-16 sweep this knob.
+	// in the ball. A query's cost is proportional to a, not to the ball
+	// size b. The paper's Figures 12-16 sweep this knob.
 	MaxAccess int
 	// PTau overrides the engine's probability threshold when > 0.
 	PTau float64
@@ -104,19 +106,20 @@ func (r AggResult) ConfidenceRadius(conf float64) float64 {
 // (h, r, ?): Q2 of the paper ("average age of people who would like
 // Restaurant 2" is the symmetric AggregateHeads). Safe for concurrent use.
 func (e *Engine) AggregateTails(h kg.EntityID, r kg.RelationID, q AggQuery) (*AggResult, error) {
-	return e.aggregateQuery(DirTail, h, r, q, e.params.Eps, nil)
+	return e.aggregateQuery(context.Background(), DirTail, h, r, q, e.params.Eps, nil)
 }
 
 // AggregateHeads answers an aggregate query over the predicted heads of
 // (?, r, t). Safe for concurrent use.
 func (e *Engine) AggregateHeads(t kg.EntityID, r kg.RelationID, q AggQuery) (*AggResult, error) {
-	return e.aggregateQuery(DirHead, t, r, q, e.params.Eps, nil)
+	return e.aggregateQuery(context.Background(), DirHead, t, r, q, e.params.Eps, nil)
 }
 
 // aggregateQuery is the shared body of the aggregate entry points; the eps
 // parameter lets Do/DoBatch apply a per-request ball-expansion override and
-// tr, when non-nil, collects the per-stage breakdown.
-func (e *Engine) aggregateQuery(dir Dir, ent kg.EntityID, rel kg.RelationID, q AggQuery, eps float64, tr *obs.QueryTrace) (*AggResult, error) {
+// tr, when non-nil, collects the per-stage breakdown. A query whose ctx
+// expires (a nil one, as for Do, never does) returns ctx.Err().
+func (e *Engine) aggregateQuery(ctx context.Context, dir Dir, ent kg.EntityID, rel kg.RelationID, q AggQuery, eps float64, tr *obs.QueryTrace) (*AggResult, error) {
 	start := time.Now()
 	if e.prepareIndex() {
 		// Building the roots is index construction the first query pays
@@ -137,12 +140,13 @@ func (e *Engine) aggregateQuery(dir Dir, ent kg.EntityID, rel kg.RelationID, q A
 		return nil, err
 	}
 	tr.Step(obs.StageValidate)
+	// As for top-k, the entity and its known edges (sorted) are skipped.
 	var res *AggResult
 	var err error
 	if dir == DirHead {
-		res, err = e.aggregate(e.m.HeadQueryPoint(ent, rel), q, e.skipHeads(ent, rel), eps, tr)
+		res, err = e.aggregate(ctx, e.m.HeadQueryPoint(ent, rel), q, ent, e.g.Heads(ent, rel), eps, tr)
 	} else {
-		res, err = e.aggregate(e.m.TailQueryPoint(ent, rel), q, e.skipTails(ent, rel), eps, tr)
+		res, err = e.aggregate(ctx, e.m.TailQueryPoint(ent, rel), q, ent, e.g.Tails(ent, rel), eps, tr)
 	}
 	if err != nil {
 		e.met.queryErrors.Inc()
@@ -153,27 +157,38 @@ func (e *Engine) aggregateQuery(dir Dir, ent kg.EntityID, rel kg.RelationID, q A
 	return res, nil
 }
 
-// ballPoint is one entity of the probability ball, ordered by S2 distance
-// (the access order: S1 conversion is the cost being sampled).
+// ballPoint is one accessed entity of the probability ball.
 type ballPoint struct {
 	id kg.EntityID
-	d2 float64 // S2 distance
-	// Filled for accessed points only:
-	d1   float64
-	prob float64
-	val  float64
-	has  bool
+	// d orders the points: squared S2 distance on the indexed path (the access
+	// order: S1 conversion is the cost being sampled), S1 distance on the exact.
+	d    float64
+	prob float64 // d1 over its S1 distance, clamped to [0, 1]
+	val  float64 // attribute value; 1 for COUNT
 }
 
 // aggregate implements Section V-B: find the probability ball around the
 // query point, access the a closest points, estimate the aggregate by
 // Equation 3 (COUNT/SUM/AVG) or Equation 4 (MAX/MIN), and report the
-// Theorem 4 bound parameters.
+// Theorem 4 bound parameters. Its cost follows a, not the ball size b
+// (DESIGN.md, "Aggregates at top-k cost"):
+//
+//   - Phase A is one ordered walk. Unbounded, it probes the first
+//     nearestProbe points that are neither self nor a known edge for d1;
+//     that fixes the ball, and the walk goes on inside it until a eligible
+//     points are stored. For attribute aggregates only entities bearing the
+//     attribute are eligible: ball members of other types (users in a
+//     movie-year query) can never contribute a value, so they count neither
+//     in the sample nor in the probability mass, matching the exact path.
+//   - Phase B is one unordered descent (rtree.SummarizeBall) accounting for
+//     the b - a points nobody accesses: b itself, v_m, the MAX/MIN bound
+//     and, for COUNT/SUM, their probability mass. Skipped entities are taken
+//     back out of its totals one by one.
 //
 // The caller holds the engine read lock; aggregate releases it on every
 // path, upgrading to the write lock for the cracking step only when the
 // query region actually needs it (see Engine.finishQuery).
-func (e *Engine) aggregate(q1 []float64, q AggQuery, skip func(kg.EntityID) bool, eps float64, tr *obs.QueryTrace) (*AggResult, error) {
+func (e *Engine) aggregate(ctx context.Context, q1 []float64, q AggQuery, self kg.EntityID, known []kg.EntityID, eps float64, tr *obs.QueryTrace) (*AggResult, error) {
 	attrIdx := -1
 	if q.Kind != Count {
 		if q.Attr == "" {
@@ -186,61 +201,155 @@ func (e *Engine) aggregate(q1 []float64, q AggQuery, skip func(kg.EntityID) bool
 			return nil, errAttr(q.Attr)
 		}
 	}
+	if q.Kind < Count || q.Kind > Min {
+		e.mu.RUnlock()
+		return nil, fmt.Errorf("core: unknown aggregate kind %v", q.Kind)
+	}
 	pTau := q.PTau
 	if pTau <= 0 {
 		pTau = e.params.PTau
 	}
+	// The closest non-skipped S2 points tried for d1, the nearest S1 distance.
+	const nearestProbe = 8
 
 	q2 := e.tf.Apply(q1)
 	tr.Step(obs.StageTransform)
 
-	// The walks below (nearest probe, ball collection, contour statistics)
-	// read every shard tree, so all shard read locks are held from here
-	// until the ball is collected; they must be released before finishQuery,
+	// Both phases read every shard tree, so all shard read locks are held
+	// until the ball is accounted for, and released before finishQuery,
 	// which takes shard write locks.
 	e.rlockShards()
-
-	// The ball radius: the closest entity has probability 1 at distance d1
-	// and probabilities decay as d1/d, so probability >= pTau within
-	// radius d1/pTau (in S1; expanded by (1+eps) to survive the JL
-	// distortion when measured in S2).
-	d1 := e.nearestDist(q1, q2, skip)
-	if math.IsInf(d1, 1) {
+	unlock := func() {
 		e.runlockShards()
 		e.mu.RUnlock()
-		return &AggResult{}, nil // no candidate entities at all
 	}
-	if d1 <= 0 {
-		d1 = 1e-12
-	}
-	rTau := d1 / pTau
-	r2 := rTau * (1 + eps)
 
-	// Collect the ball in ascending S2 distance (the access order), merged
-	// across every shard the ball overlaps. For attribute aggregates only
-	// entities bearing the attribute are relevant — ball members of other
-	// types (e.g. users in a movie-year query) can never contribute a
-	// value, so they are excluded from both the sample and the probability
-	// mass, matching the exact path.
-	var ball []ballPoint
-	rtree.WalkTreesWithin(e.trees, q2, func() float64 { return r2 * r2 }, func(id int32, sqd float64) bool {
-		eid := kg.EntityID(id)
-		if skip(eid) {
-			return true
+	// setBall ends the probe. Probabilities decay as d1/d from 1 at the
+	// closest entity, so they are >= pTau within d1/pTau; measured in S2 the
+	// radius is expanded by (1+eps) to survive the JL distortion. Of the
+	// points probed (in ascending order) those inside the ball stay, up to a.
+	d1, rTau, r2, bound := math.Inf(1), 0.0, 0.0, math.Inf(1)
+	acc := make([]ballPoint, 0, min(max(q.MaxAccess, nearestProbe), e.ps.N()))
+	setBall := func() {
+		d1 = max(d1, 1e-12)
+		rTau = d1 / pTau
+		r2 = rTau * (1 + eps)
+		bound = r2 * r2
+		n := 0
+		for n < len(acc) && acc[n].d <= bound && (q.MaxAccess <= 0 || n < q.MaxAccess) {
+			n++
 		}
-		if attrIdx >= 0 {
-			if _, ok := e.ps.AttrValue(attrIdx, id); !ok {
-				return true
+		acc = acc[:n]
+	}
+	probed, visits := 0, 0
+	var cancelled error
+	rtree.WalkTreesWithin(e.trees, q2, func() float64 { return bound }, func(id int32, sqd float64) bool {
+		if visits++; visits&255 == 0 && ctx != nil {
+			if cancelled = ctx.Err(); cancelled != nil {
+				return false
 			}
 		}
-		ball = append(ball, ballPoint{id: eid, d2: math.Sqrt(sqd)})
-		return true
+		eid := kg.EntityID(id)
+		if eid == self || containsSorted(known, eid) {
+			return true
+		}
+		if probed < nearestProbe {
+			d1 = min(d1, e.s1Dist(q1, eid))
+			probed++
+		}
+		if e.ps.HasAttr(attrIdx, id) {
+			acc = append(acc, ballPoint{id: eid, d: sqd})
+		}
+		if probed < nearestProbe {
+			return true
+		}
+		if math.IsInf(bound, 1) {
+			setBall()
+		}
+		return q.MaxAccess <= 0 || len(acc) < q.MaxAccess
 	})
+	if cancelled == nil && ctx != nil {
+		cancelled = ctx.Err() // once more before the unordered phase
+	}
+	if cancelled != nil {
+		unlock()
+		return nil, cancelled
+	}
+	if probed == 0 {
+		unlock()
+		return &AggResult{}, nil // no candidate entities at all
+	}
+	if probed < nearestProbe {
+		setBall() // the walk ran out of points before the probe was complete
+	}
 
-	b := len(ball)
-	a := b
-	if q.MaxAccess > 0 && q.MaxAccess < b {
-		a = q.MaxAccess
+	// Access the a closest points: S1 distance, probability, attribute.
+	for i := range acc {
+		p := &acc[i]
+		p.prob = clampProb(d1 / math.Max(e.s1DistFast(q1, p.id), 1e-12))
+		p.val = 1
+		if attrIdx >= 0 {
+			p.val, _ = e.ps.AttrValue(attrIdx, int32(p.id))
+		}
+	}
+
+	// The b-a unaccessed probabilities are estimated from S2 distances (the
+	// index knows them without touching S1), as the paper estimates tail
+	// probabilities from element distances. The raw ratio d1/d2 is biased
+	// upward — for the Gaussian projection, E[l1/l2] =
+	// sqrt(alpha/2) Gamma((alpha-1)/2) / Gamma(alpha/2) > 1 — so it is
+	// divided by that harmonic-mean factor, and the tail keeps the hard
+	// membership cut at d2 <= rTau. The cut slightly undercounts the
+	// boundary shell (S2 false negatives) while the heavy chi tail of the
+	// low-alpha projection would make any prior-free soft-membership
+	// weight badly overcount it; with points vastly outnumbering the ball
+	// beyond its boundary, the hard cut is the smaller error. See
+	// EXPERIMENTS.md for the measured effect. Only COUNT and SUM use the
+	// mass: AVG's scale-up p_b/p_a cancels.
+	//
+	// A point is unaccessed when it follows the last accessed one in the
+	// walk's (distance, id) order.
+	last := ballPoint{id: -1, d: -1}
+	if len(acc) > 0 {
+		last = acc[len(acc)-1]
+	}
+	cAlpha := jlInverseBias(e.params.Alpha)
+	tailProb := func(id int32, sqd float64) float64 {
+		if sqd < last.d || (sqd == last.d && kg.EntityID(id) <= last.id) {
+			return 0
+		}
+		d2 := math.Sqrt(sqd)
+		if d2 > rTau {
+			return 0 // outside the S1 ball in expectation
+		}
+		return clampProb(d1 / math.Max(d2, 1e-12) / cAlpha)
+	}
+	var tail float64
+	var each func(id int32, sqd float64)
+	if q.Kind == Count || q.Kind == Sum {
+		each = func(id int32, sqd float64) { tail += tailProb(id, sqd) }
+	}
+	st := rtree.SummarizeBall(e.trees, q2, r2, attrIdx, each)
+	// The summary counted the skipped entities like any other point.
+	unskip := func(id kg.EntityID) {
+		if sqd := e.ps.SqDistTo(int32(id), q2); sqd <= bound && e.ps.HasAttr(attrIdx, int32(id)) {
+			st.Count--
+			if each != nil {
+				tail -= tailProb(int32(id), sqd)
+			}
+		}
+	}
+	for _, id := range known {
+		unskip(id)
+	}
+	if !containsSorted(known, self) {
+		unskip(self)
+	}
+	e.runlockShards()
+	tr.Step(obs.StageSearch)
+
+	a, b := len(acc), st.Count
+	if a < b {
 		e.met.aggCapped.Inc()
 	}
 	e.met.aggAccessed.Add(uint64(a))
@@ -249,138 +358,53 @@ func (e *Engine) aggregate(q1 []float64, q AggQuery, skip func(kg.EntityID) bool
 		tr.Accessed, tr.BallSize = a, b
 	}
 
-	// Access the a closest points: S1 distance, probability, attribute.
-	for i := 0; i < a; i++ {
-		p := &ball[i]
-		p.d1 = e.s1DistFast(q1, p.id)
-		p.prob = clampProb(d1 / math.Max(p.d1, 1e-12))
-		if q.Kind == Count {
-			p.val, p.has = 1, true
-		} else {
-			p.val, p.has = e.ps.AttrValue(attrIdx, int32(p.id))
-		}
-	}
-	// Estimate the b-a unaccessed probabilities from their S2 distances
-	// (the index knows them without touching S1), as the paper estimates
-	// tail probabilities from element distances. The raw ratio d1/d2 is
-	// biased upward — for the Gaussian projection, E[l1/l2] =
-	// sqrt(alpha/2) Gamma((alpha-1)/2) / Gamma(alpha/2) > 1 — so it is
-	// divided by that harmonic-mean factor, and the tail keeps the hard
-	// membership cut at d2 <= rTau. The cut slightly undercounts the
-	// boundary shell (S2 false negatives) while the heavy chi tail of the
-	// low-alpha projection would make any prior-free soft-membership
-	// weight badly overcount it; with points vastly outnumbering the ball
-	// beyond its boundary, the hard cut is the smaller error. See
-	// EXPERIMENTS.md for the measured effect.
-	cAlpha := jlInverseBias(e.params.Alpha)
-	for i := a; i < b; i++ {
-		p := &ball[i]
-		if p.d2 > rTau {
-			continue // outside the S1 ball in expectation; prob stays 0
-		}
-		p.prob = clampProb(d1 / math.Max(p.d2, 1e-12) / cAlpha)
-	}
-
-	// v_m: prefer contour-element statistics (max |v| among elements
-	// overlapping the ball), fall back to the sample maximum.
-	vm := e.tailMaxAbs(q2, r2, attrIdx, ball[:a], q.Kind)
-	e.runlockShards()
-	tr.Step(obs.StageSearch)
-
 	// Crack the index for this query region: aggregate queries shape the
 	// index exactly as top-k queries do. finishQuery releases the read lock
 	// and only write-locks the shards the region still needs to split.
 	e.finishQuery(rtree.BallRect(q2, r2), true, tr)
 
-	res := &AggResult{Accessed: a, BallSize: b, VM: vm}
-	for i := 0; i < a; i++ {
-		if ball[i].has {
-			res.SumVi2 += ball[i].val * ball[i].val
+	// v_m: the element statistic, or the sample maximum when there is none.
+	res := &AggResult{Accessed: a, BallSize: b, VM: st.MaxAbs}
+	if q.Kind == Count {
+		res.VM = 1
+	}
+	for _, p := range acc {
+		res.SumVi2 += p.val * p.val
+		if st.MaxAbs == 0 {
+			res.VM = max(res.VM, math.Abs(p.val))
 		}
 	}
 
 	switch q.Kind {
-	case Count, Sum:
-		res.Value = estimateSum(ball, a, b)
-	case Avg:
-		sum := estimateSum(ball, a, b)
-		cnt := estimateCount(ball, a, b)
-		if cnt > 0 {
-			res.Value = sum / cnt
-		}
-	case Max:
-		// Combine the sample estimate with the certain element bound only
-		// when each actually exists: an empty sample must not inject a
-		// spurious 0 (which would dominate an all-negative MAX), and an
-		// absent element bound (-Inf) must not drag a real estimate down.
-		est, ok := estimateMax(ball[:a], false)
-		e.mu.RLock()
-		e.rlockShards()
-		eb := e.elementBound(q2, r2, attrIdx, false)
-		e.runlockShards()
-		e.mu.RUnlock()
-		switch {
-		case ok && !math.IsInf(eb, -1):
-			res.Value = math.Max(est, eb)
-		case ok:
-			res.Value = est
-		case !math.IsInf(eb, -1):
-			res.Value = eb
-		}
-		// Neither: no sample and no covered element — res stays empty.
-	case Min:
-		est, ok := estimateMax(ball[:a], true)
-		e.mu.RLock()
-		e.rlockShards()
-		eb := e.elementBound(q2, r2, attrIdx, true)
-		e.runlockShards()
-		e.mu.RUnlock()
-		switch {
-		case ok && !math.IsInf(eb, 1):
-			res.Value = math.Min(est, eb)
-		case ok:
-			res.Value = est
-		case !math.IsInf(eb, 1):
-			res.Value = eb
-		}
+	case Count, Sum, Avg:
+		res.Value = estimateSum(acc, q.Kind, tail)
 	default:
-		return nil, fmt.Errorf("core: unknown aggregate kind %v", q.Kind)
+		// Equation 4's sample estimate is sharpened with index metadata, as
+		// the paper suggests ("we can maintain minimum statistics at R-tree
+		// nodes"): a contour element wholly inside the ball certainly
+		// contributes all its points, so its extremum bounds the answer
+		// without accessing one. It is read after the crack, which leaves
+		// more elements inside. An empty sample must not inject a spurious 0
+		// (it would dominate an all-negative MAX), nor an absent element
+		// bound drag a real estimate down, so each counts only if it exists.
+		e.mu.RLock()
+		e.rlockShards()
+		st = rtree.SummarizeBall(e.trees, q2, r2, attrIdx, nil)
+		unlock()
+		// MIN is MAX over negated values; v stays -Inf with neither.
+		sign, v := 1.0, st.Max
+		if q.Kind == Min {
+			sign, v = -1, -st.Min
+		}
+		if est, ok := estimateMax(acc, q.Kind == Min); ok {
+			v = math.Max(v, sign*est)
+		}
+		if !math.IsInf(v, -1) {
+			res.Value = sign * v
+		}
 	}
 	tr.Step(obs.StageEstimate)
 	return res, nil
-}
-
-// elementBound sharpens MAX/MIN estimates with index metadata, as the paper
-// suggests ("we can maintain minimum statistics at R-tree nodes"): every
-// contour element that lies entirely inside the ball certainly contributes
-// all of its points, so its stored attribute extremum is a certain bound on
-// the answer without accessing a single point. Returns -Inf (or +Inf for
-// min) when no element qualifies.
-func (e *Engine) elementBound(q2 []float64, radius float64, attrIdx int, isMin bool) float64 {
-	best := math.Inf(-1)
-	if isMin {
-		best = math.Inf(1)
-	}
-	if attrIdx < 0 {
-		return best
-	}
-	for _, s := range e.contourOverlap(q2, radius) {
-		if s.MaxDist > radius {
-			continue // only partially inside; membership uncertain
-		}
-		st := s.Attrs[attrIdx]
-		if st.Count == 0 {
-			continue
-		}
-		if isMin {
-			if st.Min < best {
-				best = st.Min
-			}
-		} else if st.Max > best {
-			best = st.Max
-		}
-	}
-	return best
 }
 
 // jlInverseBias returns E[l1/l2] for the alpha-dimensional Gaussian
@@ -395,111 +419,36 @@ func jlInverseBias(alpha int) float64 {
 	return math.Sqrt(a/2) * math.Gamma((a-1)/2) / math.Gamma(a/2)
 }
 
-// nearestDist returns the S1 distance of the closest non-skipped entity to
-// q1, probing the first few non-skipped points of the merged S2 walk. The
-// walk order is structure-independent, so sharded and unsharded engines
-// probe the same points and derive the same ball radius. The caller must
-// hold the engine read lock and every shard read lock.
-func (e *Engine) nearestDist(q1, q2 []float64, skip func(kg.EntityID) bool) float64 {
-	const probe = 8
-	best := math.Inf(1)
-	seen := 0
-	rtree.WalkTreesWithin(e.trees, q2, func() float64 { return math.Inf(1) },
-		func(id int32, _ float64) bool {
-			eid := kg.EntityID(id)
-			if skip(eid) {
-				return true
-			}
-			if d := e.s1Dist(q1, eid); d < best {
-				best = d
-			}
-			seen++
-			return seen < probe
-		})
-	return best
-}
-
-// tailMaxAbs estimates v_m, the largest |value| among unaccessed ball
-// points: the max of contour-element MaxAbs statistics over elements
-// overlapping the ball, or the sample max when no element statistics apply
-// (e.g. COUNT, where v == 1).
-func (e *Engine) tailMaxAbs(q2 []float64, r2 float64, attrIdx int, accessed []ballPoint, kind AggKind) float64 {
-	if kind == Count {
-		return 1
-	}
-	vm := 0.0
-	for _, s := range e.contourOverlap(q2, r2) {
-		if attrIdx < len(s.Attrs) && s.Attrs[attrIdx].Count > 0 {
-			if s.Attrs[attrIdx].MaxAbs > vm {
-				vm = s.Attrs[attrIdx].MaxAbs
-			}
-		}
-	}
-	if vm == 0 {
-		for _, p := range accessed {
-			if p.has && math.Abs(p.val) > vm {
-				vm = math.Abs(p.val)
-			}
-		}
-	}
-	return vm
-}
-
-// estimateSum implements Equation 3: the sampled probability-weighted sum,
-// scaled up by the ratio of total to sampled probability mass.
-func estimateSum(ball []ballPoint, a, b int) float64 {
-	var num, pa, pb float64
-	for i := 0; i < a; i++ {
-		if ball[i].has {
-			num += ball[i].val * ball[i].prob
-		}
-		pa += ball[i].prob
-	}
-	pb = pa
-	for i := a; i < b; i++ {
-		pb += ball[i].prob
+// estimateSum implements Equation 3 over the accessed points: the sampled
+// probability-weighted sum, scaled up by the ratio of total to sampled
+// probability mass, tail being the mass of the unaccessed points. COUNT is
+// the sum of v = 1; AVG is SUM over COUNT, whose scale-ups cancel.
+func estimateSum(acc []ballPoint, kind AggKind, tail float64) float64 {
+	var num, pa float64
+	for _, p := range acc {
+		num += p.val * p.prob
+		pa += p.prob
 	}
 	if pa <= 0 {
 		return 0
 	}
-	return num / (pa / pb)
-}
-
-// estimateCount is Equation 3 with v_i = 1 (COUNT = SUM(1)).
-func estimateCount(ball []ballPoint, a, b int) float64 {
-	var pa, pb float64
-	cnt := 0.0
-	for i := 0; i < a; i++ {
-		if ball[i].has {
-			cnt += ball[i].prob
-		}
-		pa += ball[i].prob
+	if kind == Avg {
+		return num / pa
 	}
-	pb = pa
-	for i := a; i < b; i++ {
-		pb += ball[i].prob
-	}
-	if pa <= 0 {
-		return 0
-	}
-	return cnt / (pa / pb)
+	return num / (pa / (pa + tail))
 }
 
 // estimateMax implements Equation 4. With neg it estimates MIN by negating
-// values. Points without the attribute are ignored. The second return is
-// false when no accessed point carried a value — there is no sample, and 0
-// would be a fabricated estimate (wrong for any all-negative MAX or
-// all-positive MIN); callers must fall back to another bound or report an
-// empty result.
+// values. The second return is false when nothing was accessed — there is
+// no sample, and 0 would be a fabricated estimate (wrong for any
+// all-negative MAX or all-positive MIN); callers must fall back to another
+// bound or report an empty result.
 func estimateMax(accessed []ballPoint, neg bool) (float64, bool) {
 	type vp struct{ v, p float64 }
 	items := make([]vp, 0, len(accessed))
 	var sumP float64
 	minV := math.Inf(1)
 	for _, bp := range accessed {
-		if !bp.has {
-			continue
-		}
 		v := bp.val
 		if neg {
 			v = -v

@@ -1,7 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"math"
+	"sync"
 	"testing"
+
+	"vkgraph/internal/kg"
+	"vkgraph/internal/obs"
 )
 
 // TestEstimateMaxSampleHandling pins the Equation 4 estimator's empty-sample
@@ -12,16 +19,10 @@ func TestEstimateMaxSampleHandling(t *testing.T) {
 	if v, ok := estimateMax(nil, false); ok || v != 0 {
 		t.Fatalf("empty sample: got (%v, %v), want (0, false)", v, ok)
 	}
-	// Points that were accessed but carry no attribute value are not a sample
-	// either.
-	if _, ok := estimateMax([]ballPoint{{val: 5, prob: 1}}, false); ok {
-		t.Fatal("valueless sample reported ok")
-	}
-
 	// An all-negative sample must produce a negative MAX estimate.
 	neg := []ballPoint{
-		{val: -3, prob: 1, has: true},
-		{val: -7, prob: 0.5, has: true},
+		{val: -3, prob: 1},
+		{val: -7, prob: 0.5},
 	}
 	est, ok := estimateMax(neg, false)
 	if !ok {
@@ -33,8 +34,8 @@ func TestEstimateMaxSampleHandling(t *testing.T) {
 
 	// Symmetrically, an all-positive sample must produce a positive MIN.
 	pos := []ballPoint{
-		{val: 3, prob: 1, has: true},
-		{val: 7, prob: 0.5, has: true},
+		{val: 3, prob: 1},
+		{val: 7, prob: 0.5},
 	}
 	est, ok = estimateMax(pos, true)
 	if !ok || est <= 0 {
@@ -84,5 +85,169 @@ func TestAggregateMaxMinNegativeValues(t *testing.T) {
 		if maxRes.Value < -8200 || maxRes.Value > -7800 {
 			t.Fatalf("user %d: MAX year %v implausible for the shifted range", u, maxRes.Value)
 		}
+	}
+}
+
+// Regression: SetAttr never reached the index, so contour-element
+// statistics cached by earlier aggregates went stale. A raised value left
+// v_m at the old maximum — a Theorem 4 radius hundreds of times too small
+// — and a lowered one left the MAX element bound at a value no point has.
+func TestSetAttrRefreshesElementStatistics(t *testing.T) {
+	eng, g := testEngine(t, Crack, defaultTestParams())
+	likes, _ := g.RelationByName("likes")
+	users, movies := g.EntitiesOfType("user")[:20], g.EntitiesOfType("movie")
+	maxYear := func(u kg.EntityID) *AggResult {
+		t.Helper()
+		res, err := eng.AggregateTails(u, likes, AggQuery{Kind: Max, Attr: "year", MaxAccess: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BallSize <= res.Accessed {
+			t.Fatalf("user %d: ball of %d with %d accessed leaves nothing to the element statistics", u, res.BallSize, res.Accessed)
+		}
+		return res
+	}
+	for _, u := range users {
+		if res := maxYear(u); res.VM > 2100 {
+			t.Fatalf("user %d: v_m %v before any update", u, res.VM)
+		}
+	}
+	for _, year := range []float64{1e6, 1000} {
+		for _, m := range movies {
+			if err := eng.SetAttr("year", m, year); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, u := range users {
+			if res := maxYear(u); res.VM != year || math.Abs(res.Value-year) > 1e-9*year {
+				t.Fatalf("user %d, every year set to %v: MAX %v, v_m %v", u, year, res.Value, res.VM)
+			}
+		}
+	}
+}
+
+// flakyCtx reports cancellation from its nth Err call on.
+type flakyCtx struct {
+	context.Context
+	calls, n int
+}
+
+func (c *flakyCtx) Err() error {
+	if c.calls++; c.calls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAggregateCancellation: a MaxAccess 0 aggregate orders its whole ball,
+// so it looks at its context while it walks; a cancelled one gives up with
+// every lock released, a trace finished as canceled, and no crack.
+func TestAggregateCancellation(t *testing.T) {
+	p := defaultTestParams()
+	p.Shards = 2
+	eng, g := testEngine(t, Crack, p)
+	likes, _ := g.RelationByName("likes")
+	u := g.EntitiesOfType("user")[0]
+	eng.traces.SetHeadRate(0) // keep only what the status retains
+	req := Request{Kind: KindAggregate, Dir: DirTail, Entity: u, Rel: likes, Agg: AggQuery{Kind: Avg, Attr: "year"}, Trace: true}
+
+	// n = 2: Do's own check passes and the walk's first look (visit 256)
+	// fails; n = 3: the walk of a small ball finishes and the check before
+	// the unordered phase fails.
+	for n, agg := range map[int]AggQuery{2: req.Agg, 3: {Kind: Avg, Attr: "year", PTau: 1}} {
+		req.Agg = agg
+		ctx := &flakyCtx{Context: context.Background(), n: n}
+		resp := eng.Do(ctx, req)
+		if !errors.Is(resp.Err, context.Canceled) || resp.Agg != nil {
+			t.Fatalf("n=%d: cancelled aggregate returned (%v, %v)", n, resp.Agg, resp.Err)
+		}
+		if ctx.calls != n {
+			t.Fatalf("n=%d: context consulted %d times", n, ctx.calls)
+		}
+		if resp.Trace == nil || resp.Trace.Wall <= 0 {
+			t.Fatalf("n=%d: trace not finished", n)
+		}
+		recs := eng.traces.Find(resp.Trace.TraceID())
+		if len(recs) != 1 || recs[0].Status != obs.TraceCanceled {
+			t.Fatalf("n=%d: trace store holds %+v, want one canceled record", n, recs)
+		}
+	}
+	if st := eng.IndexStats(); st.BinarySplits != 0 {
+		t.Fatalf("cancelled aggregates cracked the index: %d splits", st.BinarySplits)
+	}
+
+	// Every lock is free again: a writer gets in, and the same query answers.
+	if err := eng.AddFact(u, likes, g.EntitiesOfType("movie")[0]); err != nil {
+		t.Fatal(err)
+	}
+	// The nil context Do accepts is consulted nowhere.
+	req.Agg = AggQuery{Kind: Avg, Attr: "year"}
+	var none context.Context
+	if resp := eng.Do(none, req); resp.Err != nil || resp.Agg.BallSize == 0 {
+		t.Fatalf("engine unusable after a cancelled aggregate: %+v, %v", resp.Agg, resp.Err)
+	}
+	if err := eng.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentAggregatesAndSetAttr: aggregates on several goroutines race
+// to fill the same elements' statistics under the shard read locks while a
+// writer's SetAttr clears them. Run under -race; afterwards no stale
+// statistic survives: every answer equals the oracle's, which caches nothing.
+func TestConcurrentAggregatesAndSetAttr(t *testing.T) {
+	p := defaultTestParams()
+	p.Shards, p.Index.LeafCap, p.Index.Fanout = 2, 8, 3
+	eng, g := testEngine(t, Crack, p)
+	likes, _ := g.RelationByName("likes")
+	users, movies := g.EntitiesOfType("user"), g.EntitiesOfType("movie")
+	query := func(i int) (kg.EntityID, AggQuery) {
+		kind := aggKinds[i%len(aggKinds)]
+		return users[i%len(users)], AggQuery{Kind: kind, Attr: aggAttr(kind, "year"), MaxAccess: 5}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				u, q := query(7*w + i)
+				if _, err := eng.AggregateTails(u, likes, q); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i, m := range movies { // every year ends up below anything cached
+			if err := eng.SetAttr("year", m, float64(1000+i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	for i := 0; i < 30; i++ {
+		u, q := query(i)
+		if _, err := eng.AggregateTails(u, likes, q); err != nil { // converges the region
+			t.Fatal(err)
+		}
+		got, err := eng.AggregateTails(u, likes, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := eng.oracleAggregateQuery(DirTail, u, likes, q, eng.params.Eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.BallSize != want.BallSize || got.VM != want.VM || math.Abs(got.Value-want.Value) > 1e-9*math.Abs(want.Value) {
+			t.Fatalf("%v of user %d after the storm: got %+v, oracle %+v", q.Kind, u, *got, *want)
+		}
+	}
+	if err := eng.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

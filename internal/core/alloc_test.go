@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
+	"vkgraph/internal/embedding"
+	"vkgraph/internal/kg/kggen"
 	"vkgraph/internal/raceflag"
 )
 
@@ -53,4 +56,70 @@ func TestWarmTopKAllocations(t *testing.T) {
 		t.Fatalf("warm uncached top-k allocates %v objects per query, want <= 20", allocs)
 	}
 	t.Logf("warm uncached top-k: %v allocs/query", allocs)
+}
+
+// TestWarmAggregateAllocations guards what an aggregate on a converged index
+// allocates: the accessed sample, the answer and a few boxes — a constant,
+// and under 16 KB, however many points the ball holds. It measures two
+// graphs whose balls differ at least fourfold.
+func TestWarmAggregateAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	measure := func(cfg kggen.MovieConfig) (allocs, bytes float64, ball int) {
+		g := kggen.Movie(cfg)
+		tc := embedding.DefaultConfig()
+		tc.Epochs = 4
+		tr, err := embedding.Train(g, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := defaultTestParams()
+		p.Shards = 2
+		eng, err := NewEngine(g, tr.Model, Crack, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		likes, _ := g.RelationByName("likes")
+		users := g.EntitiesOfType("user")[:50]
+		ctx := context.Background()
+		next := 0
+		query := func() {
+			req := Request{Kind: KindAggregate, Dir: DirTail, Entity: users[next%len(users)], Rel: likes,
+				Agg: AggQuery{Kind: Avg, Attr: "year", MaxAccess: 50}}
+			resp := eng.Do(ctx, req)
+			if resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+			ball += resp.Agg.BallSize
+			next++
+		}
+		// Two passes converge the index and fill the element statistics.
+		for i := 0; i < 2*len(users); i++ {
+			query()
+		}
+		ball, next = 0, 0
+		allocs = testing.AllocsPerRun(len(users)-1, query)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < len(users); i++ {
+			query()
+		}
+		runtime.ReadMemStats(&m1)
+		return allocs, float64(m1.TotalAlloc-m0.TotalAlloc) / float64(len(users)), ball / next
+	}
+	small := kggen.TinyMovieConfig()
+	large := small
+	large.Users, large.Movies, large.Ratings = 4*small.Users, 5*small.Movies, 4*small.Ratings
+	a1, b1, ball1 := measure(small)
+	a2, b2, ball2 := measure(large)
+	t.Logf("balls of %d and %d points: %v and %v allocs, %.0f and %.0f bytes per query", ball1, ball2, a1, a2, b1, b2)
+	if ball1 < 50 || ball2 < 4*ball1 {
+		t.Fatalf("balls of %d and %d points: the second should be at least four times the first", ball1, ball2)
+	}
+	const maxAllocs, maxBytes = 20, 16 << 10
+	if a1 > maxAllocs || a2 > maxAllocs || b1 > maxBytes || b2 > maxBytes {
+		t.Fatalf("warm AVG/MaxAccess 50 allocates %v and %v objects, %.0f and %.0f bytes per query; want <= %d and <= %d whatever the ball",
+			a1, a2, b1, b2, maxAllocs, maxBytes)
+	}
 }

@@ -112,21 +112,19 @@ func (e *Engine) aggregateExact(q1 []float64, q AggQuery, skip func(kg.EntityID)
 
 	ball := make([]ballPoint, 0, len(within))
 	for _, nb := range within {
-		bp := ballPoint{id: kg.EntityID(nb.ID), d1: math.Sqrt(nb.SqDist)}
-		bp.prob = clampProb(d1 / math.Max(bp.d1, 1e-12))
-		if q.Kind == Count {
-			bp.val, bp.has = 1, true
-		} else {
-			bp.val, bp.has = e.ps.AttrValue(attrIdx, int32(bp.id))
-			if !bp.has {
+		bp := ballPoint{id: kg.EntityID(nb.ID), d: math.Sqrt(nb.SqDist), val: 1}
+		bp.prob = clampProb(d1 / math.Max(bp.d, 1e-12))
+		if q.Kind != Count {
+			var has bool
+			if bp.val, has = e.ps.AttrValue(attrIdx, int32(bp.id)); !has {
 				continue // same relevance filter as the indexed path
 			}
 		}
 		ball = append(ball, bp)
 	}
 	sort.Slice(ball, func(i, j int) bool {
-		if ball[i].d1 != ball[j].d1 {
-			return ball[i].d1 < ball[j].d1
+		if ball[i].d != ball[j].d {
+			return ball[i].d < ball[j].d
 		}
 		return ball[i].id < ball[j].id
 	})
@@ -134,19 +132,11 @@ func (e *Engine) aggregateExact(q1 []float64, q AggQuery, skip func(kg.EntityID)
 	b := len(ball)
 	res := &AggResult{Accessed: b, BallSize: b}
 	for _, bp := range ball {
-		if bp.has {
-			res.SumVi2 += bp.val * bp.val
-		}
+		res.SumVi2 += bp.val * bp.val
 	}
 	switch q.Kind {
-	case Count, Sum:
-		res.Value = estimateSum(ball, b, b)
-	case Avg:
-		sum := estimateSum(ball, b, b)
-		cnt := estimateCount(ball, b, b)
-		if cnt > 0 {
-			res.Value = sum / cnt
-		}
+	case Count, Sum, Avg:
+		res.Value = estimateSum(ball, q.Kind, 0)
 	case Max:
 		res.Value, _ = estimateMax(ball, false)
 	case Min:

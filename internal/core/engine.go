@@ -569,19 +569,6 @@ func (e *Engine) finishQuery(q rtree.Rect, doCrack bool, tr *obs.QueryTrace) {
 	}
 }
 
-// contourOverlap merges ContourOverlap across shards; the caller must hold
-// the engine read lock and every shard read lock.
-func (e *Engine) contourOverlap(center []float64, radius float64) []rtree.ElementSummary {
-	if len(e.shards) == 1 {
-		return e.shards[0].tree.ContourOverlap(center, radius)
-	}
-	var out []rtree.ElementSummary
-	for _, sh := range e.shards {
-		out = append(out, sh.tree.ContourOverlap(center, radius)...)
-	}
-	return out
-}
-
 // s1Dist returns the S1 distance between query point q1 and entity id,
 // under the embedding's norm.
 func (e *Engine) s1Dist(q1 []float64, id kg.EntityID) float64 {

@@ -112,7 +112,7 @@ func (e *Engine) Do(ctx context.Context, req Request) Response {
 		res, tr, err := e.doTopK(ctx, req)
 		return Response{TopK: res, Trace: tr, Err: err}
 	case KindAggregate:
-		res, tr, err := e.doAggregate(req)
+		res, tr, err := e.doAggregate(ctx, req)
 		return Response{Agg: res, Trace: tr, Err: err}
 	default:
 		return Response{Err: fmt.Errorf("core: unknown query kind %d", req.Kind)}
@@ -316,7 +316,7 @@ func (e *Engine) doTopK(ctx context.Context, req Request) (*TopKResult, *obs.Que
 	return c.res, tr, c.err
 }
 
-func (e *Engine) doAggregate(req Request) (*AggResult, *obs.QueryTrace, error) {
+func (e *Engine) doAggregate(ctx context.Context, req Request) (*AggResult, *obs.QueryTrace, error) {
 	if req.NoIndex {
 		if req.Dir == DirHead {
 			res, err := e.AggregateHeadsExact(req.Entity, req.Rel, req.Agg)
@@ -330,7 +330,7 @@ func (e *Engine) doAggregate(req Request) (*AggResult, *obs.QueryTrace, error) {
 		eps = e.params.Eps
 	}
 	tr := e.startTrace(req)
-	res, err := e.aggregateQuery(req.Dir, req.Entity, req.Rel, req.Agg, eps, tr)
+	res, err := e.aggregateQuery(ctx, req.Dir, req.Entity, req.Rel, req.Agg, eps, tr)
 	tr.Finish()
 	e.noteSlow(tr, "aggregate", err, func() string {
 		return fmt.Sprintf("agg %s dir=%d ent=%d rel=%d eps=%g", req.Agg.Kind, req.Dir, req.Entity, req.Rel, eps)

@@ -91,13 +91,18 @@ func (e *Engine) SetAttr(name string, id kg.EntityID, v float64) error {
 // setAttrLocked writes the attribute value and keeps the point set's
 // column binding current: growing a column can reallocate it, and a name
 // the point set has never registered is registered on the spot — the
-// register-on-miss that makes dynamically added attributes queryable.
+// register-on-miss that makes dynamically added attributes queryable. The
+// index element holding the entity drops its cached attribute statistics
+// (an entity still being inserted has none: Insert sees to its element).
 func (e *Engine) setAttrLocked(name string, id kg.EntityID, v float64) {
 	e.g.SetAttr(name, id, v)
 	if col, ok := e.g.AttrColumn(name); ok {
 		if !e.ps.RefreshAttr(name, col) {
 			e.ps.RegisterAttr(name, col)
 		}
+	}
+	if int(id) < e.ps.N() {
+		e.shards[e.router.ShardOf(e.ps.At(int32(id)))].tree.NoteAttr(int32(id))
 	}
 }
 

@@ -1,6 +1,9 @@
 package rtree
 
-import "unsafe"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // Node arena. Cracking used to allocate every tree node individually, so a
 // converged index was tens of thousands of pointer-chased heap objects the
@@ -18,6 +21,12 @@ import "unsafe"
 type nodeArena struct {
 	dim   int
 	slabs [][]node
+	// stats holds, beside each slab and out of the walks' cache lines, each
+	// record's cached element statistics (attrStats in ball.go). Aggregates
+	// fill a slot under a shard read lock — hence atomic: readers may race
+	// to store equal values — and Insert, Delete, NoteAttr and a crack of
+	// the element clear it, so a record is released with its slot empty.
+	stats [][]atomic.Pointer[[]AttrStats]
 	free  []int32 // arena indices of released records
 	next  int     // records handed out from the newest slab
 	inUse int
@@ -35,6 +44,11 @@ func newNodeArena(dim int) *nodeArena {
 // at resolves an arena index to its record.
 func (a *nodeArena) at(idx int32) *node {
 	return &a.slabs[idx/arenaSlabSize][idx%arenaSlabSize]
+}
+
+// statsOf resolves a record to its statistics slot.
+func (a *nodeArena) statsOf(nd *node) *atomic.Pointer[[]AttrStats] {
+	return &a.stats[nd.idx/arenaSlabSize][nd.idx%arenaSlabSize]
 }
 
 // alloc hands out a cleared node record with an empty MBR, reusing the
@@ -61,6 +75,7 @@ func (a *nodeArena) alloc() *node {
 			}
 		}
 		a.slabs = append(a.slabs, slab)
+		a.stats = append(a.stats, make([]atomic.Pointer[[]AttrStats], arenaSlabSize))
 		a.next = 0
 	}
 	nd := &a.slabs[len(a.slabs)-1][a.next]
@@ -92,7 +107,7 @@ func (a *nodeArena) nodesFree() int {
 }
 
 func (a *nodeArena) slabBytes() int {
-	per := arenaSlabSize * (int(unsafe.Sizeof(node{})) + 2*a.dim*8)
+	per := arenaSlabSize * (int(unsafe.Sizeof(node{})) + 2*a.dim*8 + int(unsafe.Sizeof(a.stats[0][0])))
 	return len(a.slabs) * per
 }
 

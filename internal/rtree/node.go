@@ -24,6 +24,14 @@ func (n *node) isInternal() bool { return n.children != nil }
 func (n *node) isLeaf() bool     { return n.leafIDs != nil }
 func (n *node) isPending() bool  { return n.part != nil }
 
+// ids returns the point ids of a contour element, in no particular order.
+func (n *node) ids() []int32 {
+	if n.isLeaf() {
+		return n.leafIDs
+	}
+	return n.part.ids()
+}
+
 // numPoints returns the number of points under the node (O(subtree) for
 // internal nodes; used by invariants and stats, not by the hot path).
 func (n *node) numPoints() int {

@@ -1,22 +1,14 @@
 package rtree
 
-import "sync"
-
 // partition is a contour element that has data but no child structure yet:
 // the S sort orders of its point ids (S = dim, one per coordinate as the
-// points are degenerate rectangles), its MBR (set when the partition is
-// created, grown by inserts), and lazily computed attribute statistics.
-// Partitions are immutable once created, which lets the
-// Top-kSplitsIndexBuild candidates share split results through a cache.
-// The one exception is the stats cache, which is filled lazily on the
-// read path (ContourOverlap under a shared lock) and therefore guarded by
-// its own mutex.
+// points are degenerate rectangles) and its MBR (set when the partition is
+// created, grown by inserts). Cracking never mutates a partition it has
+// created, which lets the Top-kSplitsIndexBuild candidates share split
+// results through a cache; only Insert and Delete edit one in place.
 type partition struct {
 	orders [][]int32 // S sorted id lists; orders[s] sorted by coordinate s
 	mbr    Rect
-
-	statsMu sync.Mutex
-	stats   []AttrStats // lazily built, parallel to PointSet registration
 }
 
 // newPartition builds the pending element over an explicit id set: its S
@@ -87,31 +79,6 @@ func (p *partition) split(ch splitChoice, scratch []bool) (left, right *partitio
 		scratch[id] = false
 	}
 	return &partition{orders: lo, mbr: ch.mbrL}, &partition{orders: hi, mbr: ch.mbrH}
-}
-
-// attrStats returns (building lazily) the statistics of registered
-// attribute ai over the partition's points. Concurrent readers may race to
-// build the cache; the mutex makes the build-or-reuse atomic.
-func (p *partition) attrStats(ps *PointSet, ai int) AttrStats {
-	p.statsMu.Lock()
-	defer p.statsMu.Unlock()
-	// Rebuild rather than reuse when columns registered after the cache was
-	// filled (attributes can be added to a live engine at any time).
-	if p.stats == nil || len(p.stats) < ps.NumAttrs() {
-		p.stats = make([]AttrStats, ps.NumAttrs())
-		for i := range p.stats {
-			p.stats[i] = ps.attrStats(i, p.orders[0])
-		}
-	}
-	return p.stats[ai]
-}
-
-// invalidateStats drops the cached attribute statistics (after a point was
-// added to or removed from the partition).
-func (p *partition) invalidateStats() {
-	p.statsMu.Lock()
-	p.stats = nil
-	p.statsMu.Unlock()
 }
 
 // sizeBytes estimates the in-memory footprint of the partition: S id lists

@@ -10,13 +10,13 @@ import (
 // stride Dim in a row-major block, optionally mirrored by packed float32
 // columns (see packed.go) that the distance kernels use as a conservative
 // prefilter. All access goes through the accessor API — At, Coord,
-// GatherCoord, SqDistTo, GatherSqDists, AttrValue, and the walk's leaf scan
-// appendWithin — so the layout can change without touching callers; the
-// point index doubles as the entity id.
+// GatherCoord, SqDistTo, GatherSqDists, AttrValue, HasAttr, and the leaf
+// scan appendWithin of the walk and of SummarizeBall — so the layout can
+// change without touching callers; the point index doubles as the entity id.
 //
 // Attribute columns (for aggregate queries) may be registered so that
-// contour elements can expose min/max/sum statistics, as the paper suggests
-// for estimating v_m in Theorem 4.
+// contour elements can expose count/min/max statistics, as the paper
+// suggests for estimating v_m in Theorem 4.
 type PointSet struct {
 	Dim int
 
@@ -167,6 +167,16 @@ func (ps *PointSet) AttrValue(ai int, id int32) (float64, bool) {
 	return v, true
 }
 
+// HasAttr reports whether point id bears attribute ai. A negative ai stands
+// for no attribute in particular, which every point bears.
+func (ps *PointSet) HasAttr(ai int, id int32) bool {
+	if ai < 0 {
+		return true
+	}
+	_, ok := ps.AttrValue(ai, id)
+	return ok
+}
+
 // NumAttrs returns the number of registered attribute columns.
 func (ps *PointSet) NumAttrs() int { return len(ps.attrNames) }
 
@@ -184,7 +194,6 @@ type AttrStats struct {
 	Count  int // points with the attribute present
 	Min    float64
 	Max    float64
-	Sum    float64
 	MaxAbs float64 // max |v|, the v_m statistic of Theorem 4
 }
 
@@ -196,7 +205,6 @@ func (ps *PointSet) attrStats(ai int, ids []int32) AttrStats {
 			continue
 		}
 		st.Count++
-		st.Sum += v
 		if v < st.Min {
 			st.Min = v
 		}

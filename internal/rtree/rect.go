@@ -184,8 +184,8 @@ func (r Rect) MinSqDist(p []float64) float64 {
 
 // MaxSqDist returns the squared Euclidean distance from p to the farthest
 // point of r. Together with MinSqDist it brackets every point of the
-// rectangle; the aggregate estimators use it to detect contour elements that
-// lie entirely inside a query ball.
+// rectangle; SummarizeBall uses it to detect contour elements that lie
+// entirely inside a query ball.
 func (r Rect) MaxSqDist(p []float64) float64 {
 	var s float64
 	for i, v := range p {
@@ -195,15 +195,6 @@ func (r Rect) MaxSqDist(p []float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// Centroid returns the center point of r.
-func (r Rect) Centroid() []float64 {
-	c := make([]float64, len(r.Lo))
-	for i := range c {
-		c[i] = (r.Lo[i] + r.Hi[i]) / 2
-	}
-	return c
 }
 
 func (r Rect) String() string {

@@ -225,6 +225,7 @@ func (t *Tree) crackTopK(q Rect) {
 		}
 		parts := t.collectLevel(p, t.levelM(p.count()), splitsOf)
 		te.nd.part = nil
+		t.arena.statsOf(te.nd).Store(nil)
 		te.nd.children = make([]*node, 0, len(parts))
 		for _, cp := range parts {
 			te.nd.children = append(te.nd.children, t.materialize(cp, splitsOf))

@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 )
 
@@ -55,7 +54,7 @@ func (o Options) normalize() Options {
 //
 // Tree is not itself synchronized, but it is built to slot under a
 // reader/writer lock: once Prepare has materialized the root, every
-// traversal (Search, WalkWithin, ContourOverlap, Stats, Save, NeedsCrack) is
+// traversal (Search, WalkWithin, SummarizeBall, Stats, Save, NeedsCrack) is
 // read-only and safe to run concurrently with other readers, while Crack,
 // Insert, and Delete mutate the structure and must be exclusive. NeedsCrack
 // is the read-side probe that tells callers whether a Crack for a query
@@ -285,6 +284,7 @@ func (t *Tree) crackPending(nd *node, q Rect, cq int) {
 
 	parts := t.partitionGreedy(nil, countedPart{p, cq}, t.levelM(n), &q)
 	nd.part = nil
+	t.arena.statsOf(nd).Store(nil)
 	nd.children = make([]*node, 0, len(parts))
 	for _, cp := range parts {
 		t.created++
@@ -356,92 +356,36 @@ func (t *Tree) Search(q Rect) []int32 {
 // SearchFunc streams the ids of all points inside q to fn.
 func (t *Tree) SearchFunc(q Rect, fn func(id int32)) {
 	t.ensureRoot()
-	t.searchNode(t.root, q, fn)
-}
-
-func (t *Tree) searchNode(nd *node, q Rect, fn func(id int32)) {
-	if !nd.mbr.Overlaps(q) {
-		return
-	}
-	switch {
-	case nd.isInternal():
-		for _, c := range nd.children {
-			t.searchNode(c, q, fn)
-		}
-	case nd.isLeaf():
-		for _, id := range nd.leafIDs {
-			if q.Contains(t.ps.At(id)) {
-				fn(id)
-			}
-		}
-	default:
+	t.root.eachElement(&q, func(nd *node) {
 		covered := q.ContainsRect(nd.mbr)
-		for _, id := range nd.part.ids() {
+		for _, id := range nd.ids() {
 			if covered || q.Contains(t.ps.At(id)) {
 				fn(id)
 			}
 		}
-	}
+	})
 }
 
-// ElementSummary describes one contour element overlapping a query ball,
-// for the aggregate estimators: how many points it holds, how far it is,
-// and its per-attribute statistics (the v_m source of Theorem 4).
-type ElementSummary struct {
-	Count        int
-	MBR          Rect
-	MinDist      float64 // distance from the ball center to the MBR
-	MaxDist      float64 // distance from the ball center to the farthest MBR corner
-	CentroidDist float64 // distance from the ball center to the MBR centroid
-	Attrs        []AttrStats
-}
-
-// ContourOverlap returns summaries of every contour element whose MBR
-// intersects the ball B(center, radius), without mutating the tree.
-func (t *Tree) ContourOverlap(center []float64, radius float64) []ElementSummary {
+// EachElement calls fn with the MBR and point ids of every contour element
+// (leaf or pending), in tree order. Read-only; fn must not keep or modify
+// either argument.
+func (t *Tree) EachElement(fn func(mbr Rect, ids []int32)) {
 	t.ensureRoot()
-	q := BallRect(center, radius)
-	var out []ElementSummary
-	var walk func(nd *node)
-	walk = func(nd *node) {
-		if !nd.mbr.Overlaps(q) {
-			return
+	t.root.eachElement(nil, func(nd *node) { fn(nd.mbr, nd.ids()) })
+}
+
+// eachElement visits the contour elements under n, skipping subtrees whose
+// MBR does not overlap q when q is non-nil.
+func (n *node) eachElement(q *Rect, fn func(nd *node)) {
+	switch {
+	case q != nil && !n.mbr.Overlaps(*q):
+	case n.isInternal():
+		for _, c := range n.children {
+			c.eachElement(q, fn)
 		}
-		if nd.isInternal() {
-			for _, c := range nd.children {
-				walk(c)
-			}
-			return
-		}
-		sum := ElementSummary{MBR: nd.mbr}
-		var ids []int32
-		if nd.isLeaf() {
-			ids = nd.leafIDs
-			sum.Count = len(ids)
-			sum.Attrs = make([]AttrStats, t.ps.NumAttrs())
-			for ai := range sum.Attrs {
-				sum.Attrs[ai] = t.ps.attrStats(ai, ids)
-			}
-		} else {
-			sum.Count = nd.part.count()
-			sum.Attrs = make([]AttrStats, t.ps.NumAttrs())
-			for ai := range sum.Attrs {
-				sum.Attrs[ai] = nd.part.attrStats(t.ps, ai)
-			}
-		}
-		sum.MinDist = sqrt(nd.mbr.MinSqDist(center))
-		sum.MaxDist = sqrt(nd.mbr.MaxSqDist(center))
-		c := nd.mbr.Centroid()
-		var d2 float64
-		for i := range c {
-			dd := c[i] - center[i]
-			d2 += dd * dd
-		}
-		sum.CentroidDist = sqrt(d2)
-		out = append(out, sum)
+	case n.isLeaf(), n.isPending():
+		fn(n)
 	}
-	walk(t.root)
-	return out
 }
 
 // Stats summarizes the index structure: node counts, binary splits
@@ -586,11 +530,4 @@ func (t *Tree) CheckInvariants() error {
 		}
 	}
 	return nil
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Sqrt(x)
 }

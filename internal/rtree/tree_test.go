@@ -292,39 +292,6 @@ func TestIdenticalPoints(t *testing.T) {
 	}
 }
 
-func TestContourOverlap(t *testing.T) {
-	ps := clusteredPointSet(2000, 3, 4, 19)
-	col := make([]float64, ps.N())
-	for i := range col {
-		col[i] = float64(i % 100)
-	}
-	ps.RegisterAttr("val", col)
-	tr := NewCracking(ps, DefaultOptions())
-	center := []float64{5, 5, 5}
-	sums := tr.ContourOverlap(center, 3)
-	total := 0
-	for _, s := range sums {
-		total += s.Count
-		if len(s.Attrs) != 1 {
-			t.Fatalf("element has %d attr stats, want 1", len(s.Attrs))
-		}
-		if s.Attrs[0].Count > 0 && s.Attrs[0].Max > 99 {
-			t.Fatalf("attr max %v out of range", s.Attrs[0].Max)
-		}
-		if s.MinDist > s.CentroidDist+1e-9 {
-			t.Fatalf("MinDist %v > CentroidDist %v", s.MinDist, s.CentroidDist)
-		}
-	}
-	if total != ps.N() { // fresh tree: one root element holds everything
-		t.Fatalf("contour overlap covers %d points, want %d", total, ps.N())
-	}
-	tr.Crack(BallRect(center, 3))
-	sums = tr.ContourOverlap(center, 3)
-	if len(sums) < 2 {
-		t.Fatalf("expected multiple contour elements after crack, got %d", len(sums))
-	}
-}
-
 func TestStatsAndSize(t *testing.T) {
 	ps := randomPointSet(2000, 3, 23)
 	crack := NewCracking(ps, DefaultOptions())

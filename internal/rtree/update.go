@@ -36,6 +36,7 @@ func (t *Tree) insertAt(nd *node, id int32) {
 	case nd.isInternal():
 		t.insertAt(chooseChild(nd.children, pt), id)
 	case nd.isLeaf():
+		t.arena.statsOf(nd).Store(nil)
 		nd.leafIDs = append(nd.leafIDs, id)
 		if len(nd.leafIDs) > t.opt.LeafCap {
 			// Overflow: revert to a pending element; the next query that
@@ -44,8 +45,8 @@ func (t *Tree) insertAt(nd *node, id int32) {
 			nd.leafIDs = nil
 		}
 	default:
+		t.arena.statsOf(nd).Store(nil)
 		insertSorted(t.ps, nd.part, id)
-		nd.part.invalidateStats()
 	}
 }
 
@@ -89,6 +90,19 @@ func insertSorted(ps *PointSet, p *partition, id int32) {
 	p.mbr.Expand(ps.At(id))
 }
 
+// NoteAttr tells the index that an attribute value of point id changed: the
+// cached statistics of every contour element whose MBR contains the point —
+// the one holding it among them — are dropped and recomputed by the next
+// aggregate that reads them. Like Insert and Delete it needs the tree
+// exclusively. A point not in the PointSet yet has no element to refresh.
+func (t *Tree) NoteAttr(id int32) {
+	if t.root != nil && int(id) < t.ps.N() {
+		pt := t.ps.At(id)
+		at := Rect{Lo: pt, Hi: pt} // read-only, so it may alias the point
+		t.root.eachElement(&at, func(nd *node) { t.arena.statsOf(nd).Store(nil) })
+	}
+}
+
 // Delete removes point id from the index, returning whether it was found.
 // MBRs are not shrunk (they stay conservative supersets, which preserves
 // correctness); a later Crack rebuilds exact boxes for the touched region.
@@ -126,6 +140,7 @@ func (t *Tree) Delete(id int32) bool {
 		case nd.isLeaf():
 			for i, v := range nd.leafIDs {
 				if v == id {
+					t.arena.statsOf(nd).Store(nil)
 					nd.leafIDs = append(nd.leafIDs[:i], nd.leafIDs[i+1:]...)
 					return true, len(nd.leafIDs) == 0
 				}
@@ -143,7 +158,7 @@ func (t *Tree) Delete(id int32) bool {
 				}
 			}
 			if found {
-				nd.part.invalidateStats()
+				t.arena.statsOf(nd).Store(nil)
 			}
 			return found, found && nd.part.count() == 0
 		}
