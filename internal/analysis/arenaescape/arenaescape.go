@@ -8,7 +8,9 @@
 // dangles silently the next time the tree cracks or reloads.
 //
 // The analyzer identifies arena record types structurally (the element
-// type of a slab-arena's [][]T field, the same detection walappend uses)
+// type of a slab-arena's [][]T field, the same detection walappend uses —
+// in rtree the node records and, in their own slab beside them, the leaf
+// page headers node.leaf points at, emptied when their record is released)
 // and flags four escape sinks for values whose type contains *record:
 //
 //  1. assignment into a package-level variable (or a field of one);

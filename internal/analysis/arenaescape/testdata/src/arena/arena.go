@@ -6,10 +6,18 @@ package arena
 type Node struct {
 	Next *Node
 	N    int
+	Page *Page // the record's own slot in slab.pages
+}
+
+// Page is a leaf record's page header. It lives in a slab of its own
+// beside the records', so it is a record type too.
+type Page struct {
+	IDs []int32
 }
 
 type slab struct {
 	slabs [][]Node
+	pages [][]Page
 	free  []*Node
 }
 
@@ -80,3 +88,18 @@ var debugNode *Node
 func (t *Tree) debugRemember() {
 	debugNode = t.root // arenaescape:allow test hook, cleared before queries run
 }
+
+var lastPage *Page
+
+// bad: a record's page outlives the lock scope no better than the record.
+func (t *Tree) rememberPage() {
+	lastPage = t.root.Page // want `arena record pointer stored in package-level lastPage`
+}
+
+// bad: the page escapes across the package boundary.
+func (t *Tree) RootPage() *Page { // want `exported RootPage returns an arena record pointer`
+	return t.root.Page
+}
+
+// ok: the payload is what may cross.
+func (t *Tree) RootIDs() []int32 { return t.root.Page.IDs }

@@ -23,9 +23,23 @@ func (t *Tree) attrDirect(ai int, id int32) float64 {
 	return t.ps.attrCols[ai][id] // want `direct access to PointSet\.attrCols`
 }
 
-// bad: the mirror is an implementation detail of the distance kernels.
-func (t *Tree) packedPeek() bool {
-	return t.ps.packed != nil // want `direct access to PointSet\.packed`
+// bad: a second leaf kernel outside the seal can drift from SqDistTo's
+// summation order and break bit-identical distances.
+func scanPage(pg *leafPage, q []float64) float64 {
+	var s float64
+	for j, v := range q {
+		d := pg.xy[j] - v // want `direct access to leafPage\.xy`
+		s += d * d
+	}
+	return s
+}
+
+// ok: a page's ids are the leaf's entries, read all over the package.
+func pageLen(pg *leafPage) int { return len(pg.ids) }
+
+// ok: the page kernel is the supported leaf scan.
+func scanPageKernel(pg *leafPage, q []float64) []float64 {
+	return pg.appendWithin(nil, q, 1)
 }
 
 // ok: the accessor API is the supported surface.

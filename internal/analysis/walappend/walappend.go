@@ -335,7 +335,7 @@ func arenaPrimitive(pass *analysis.Pass, call *ast.CallExpr, records map[*types.
 }
 
 // recordFieldWrite recognizes an assignment whose LHS is a field selector
-// through a *record pointer (nd.part = ..., nd.leafIDs = append(...)):
+// through a *record pointer (nd.part = ..., pg.ids = append(...)):
 // structural mutation that allocates nothing.
 func recordFieldWrite(pass *analysis.Pass, as *ast.AssignStmt, records map[*types.Named]bool) (string, bool) {
 	for _, lhs := range as.Lhs {

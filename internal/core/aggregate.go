@@ -286,7 +286,7 @@ func (e *Engine) aggregate(ctx context.Context, q1 []float64, q AggQuery, self k
 	// Access the a closest points: S1 distance, probability, attribute.
 	for i := range acc {
 		p := &acc[i]
-		p.prob = clampProb(d1 / math.Max(e.s1DistFast(q1, p.id), 1e-12))
+		p.prob = clampProb(d1 / math.Max(e.s1Dist(q1, p.id), 1e-12))
 		p.val = 1
 		if attrIdx >= 0 {
 			p.val, _ = e.ps.AttrValue(attrIdx, int32(p.id))

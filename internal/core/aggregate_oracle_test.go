@@ -134,7 +134,7 @@ func (e *Engine) oracleAggregate(q1 []float64, q AggQuery, skip func(kg.EntityID
 	}
 	for i := 0; i < a; i++ {
 		p := &ball[i]
-		p.d1 = e.s1DistFast(q1, p.id)
+		p.d1 = e.s1Dist(q1, p.id)
 		p.prob = clampProb(d1 / math.Max(p.d1, 1e-12))
 		if q.Kind == Count {
 			p.val, p.has = 1, true

@@ -126,17 +126,21 @@ func TestSetAttrRefreshesElementStatistics(t *testing.T) {
 	}
 }
 
-// flakyCtx reports cancellation from its nth Err call on.
+// flakyCtx reports err (context.Canceled when nil) from its nth Err call on.
 type flakyCtx struct {
 	context.Context
 	calls, n int
+	err      error
 }
 
 func (c *flakyCtx) Err() error {
-	if c.calls++; c.calls >= c.n {
-		return context.Canceled
+	if c.calls++; c.calls < c.n {
+		return nil
 	}
-	return nil
+	if c.err != nil {
+		return c.err
+	}
+	return context.Canceled
 }
 
 // TestAggregateCancellation: a MaxAccess 0 aggregate orders its whole ball,

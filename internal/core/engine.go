@@ -61,12 +61,6 @@ type Params struct {
 	// fully built tree never cracks, so there is no write-lock traffic to
 	// spread. NewEngine records the resolved value back into Params.
 	Shards int
-	// PackedCoords mirrors the S2 point coordinates as packed float32
-	// columns used as a conservative distance prefilter; every answer is
-	// re-ranked in exact float64 arithmetic, so results are byte-identical
-	// with the mirror on or off (DefaultParams enables it; this is the
-	// opt-out).
-	PackedCoords bool
 }
 
 // maxShards caps the shard count: beyond this, per-query overhead (one MBR
@@ -110,7 +104,7 @@ func shardBits(n int) int {
 // paper, eps = 0.75 (calibrated so precision@10 lands in the paper's
 // reported >= 0.95 band at alpha = 3), p_tau = 0.05.
 func DefaultParams() Params {
-	return Params{Alpha: 3, Eps: 0.75, PTau: 0.05, Seed: 1, Index: rtree.DefaultOptions(), PackedCoords: true}
+	return Params{Alpha: 3, Eps: 0.75, PTau: 0.05, Seed: 1, Index: rtree.DefaultOptions()}
 }
 
 // engineShard is one spatial shard of the index: a cracked tree over a
@@ -134,8 +128,8 @@ type engineShard struct {
 // two-level:
 //
 //   - e.mu, the engine lock, guards everything that grows or is replaced
-//     wholesale: the graph, the model, the layout, the point set, and the
-//     lazy materialization of shard roots. Queries hold it in read mode for
+//     wholesale: the graph, the model, the point set, and the lazy
+//     materialization of shard roots. Queries hold it in read mode for
 //     their entire lifetime; AddFact and InsertEntity hold it in write mode
 //     and therefore exclude all queries (and all shard-lock holders, since
 //     shard locks are only ever taken under e.mu.RLock).
@@ -162,11 +156,10 @@ type Engine struct {
 	// guards the graph and model, which grow through InsertEntity.
 	mu sync.RWMutex
 
-	g      *kg.Graph
-	m      *embedding.Model
-	tf     *jl.Transform
-	ps     *rtree.PointSet
-	layout *s1Layout // S2-Morton-ordered copy of the S1 vectors
+	g  *kg.Graph
+	m  *embedding.Model // its Entities rows are the only copy of S1
+	tf *jl.Transform
+	ps *rtree.PointSet
 
 	// router maps S2 points to shards by Morton prefix; shards holds one
 	// locked cracked tree per cell, and trees caches the bare tree slice in
@@ -318,11 +311,7 @@ func NewEngine(g *kg.Graph, m *embedding.Model, mode IndexMode, p Params) (*Engi
 	g.Freeze() // idempotent; sorts adjacency for the binary-search filters
 
 	tf := jl.New(m.Dim, p.Alpha, p.Seed)
-	coords := tf.ApplyAll(m.Entities)
-	ps := rtree.NewPointSet(p.Alpha, coords)
-	if p.PackedCoords {
-		ps.EnablePacked()
-	}
+	ps := rtree.NewPointSet(p.Alpha, tf.ApplyAll(m.Entities))
 	for _, name := range p.Attrs {
 		col, ok := g.AttrColumn(name)
 		if !ok {
@@ -331,8 +320,7 @@ func NewEngine(g *kg.Graph, m *embedding.Model, mode IndexMode, p Params) (*Engi
 		ps.RegisterAttr(name, col)
 	}
 
-	e := &Engine{g: g, m: m, tf: tf, ps: ps, params: p, mode: mode,
-		layout: newS1Layout(m, coords, p.Alpha)}
+	e := &Engine{g: g, m: m, tf: tf, ps: ps, params: p, mode: mode}
 	e.buildIndex()
 	e.initExec()
 	return e, nil
@@ -441,15 +429,6 @@ func (e *Engine) IndexStats() rtree.Stats {
 	}
 	st.Queries = int(e.idxQueries.Load())
 	return st
-}
-
-// PackedBytes reports the memory held by the packed float32 coordinate
-// mirror (0 when PackedCoords is off). The mirror belongs to the shared
-// PointSet, so it is reported once, not per shard.
-func (e *Engine) PackedBytes() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.ps.PackedBytes()
 }
 
 // CheckInvariants verifies every shard's structural invariants plus the
@@ -573,31 +552,46 @@ func (e *Engine) finishQuery(q rtree.Rect, doCrack bool, tr *obs.QueryTrace) {
 // under the embedding's norm.
 func (e *Engine) s1Dist(q1 []float64, id kg.EntityID) float64 {
 	ev := e.m.EntityVec(id)
-	var s float64
-	if e.m.NormUsed == embedding.L1 {
-		for i, v := range q1 {
-			d := v - ev[i]
-			if d < 0 {
-				d = -d
-			}
-			s += d
-		}
-		return s
+	if e.m.NormUsed != embedding.L1 {
+		return math.Sqrt(sqDistBounded(q1, ev, math.Inf(1)))
 	}
+	var s float64
 	for i, v := range q1 {
 		d := v - ev[i]
-		s += d * d
+		if d < 0 {
+			d = -d
+		}
+		s += d
 	}
-	return math.Sqrt(s)
+	return s
 }
 
-// s1DistFast is s1Dist through the Morton-ordered layout (L2 models only;
-// L1 models fall back to the model rows).
-func (e *Engine) s1DistFast(q1 []float64, id kg.EntityID) float64 {
-	if e.m.NormUsed == embedding.L1 {
-		return e.s1Dist(q1, id)
+// sqDistBounded returns the squared L2 distance between q1 and an entity's
+// S1 row, aborting with +Inf once the partial sum exceeds cutoffSq:
+// candidates that cannot enter the top-k need no exact distance. Callers
+// pass e.m.EntityVec(id) afresh each time — InsertEntity reallocates
+// e.m.Entities under the write lock, so a row outlives no read lock.
+func sqDistBounded(q1, row []float64, cutoffSq float64) float64 {
+	row = row[:len(q1)]
+	var s float64
+	i := 0
+	for ; i+8 <= len(row); i += 8 {
+		for j := i; j < i+8; j++ {
+			d := q1[j] - row[j]
+			s += d * d
+		}
+		if s > cutoffSq {
+			return math.Inf(1)
+		}
 	}
-	return math.Sqrt(e.layout.sqDistBounded(q1, id, math.Inf(1)))
+	for ; i < len(row); i++ {
+		d := q1[i] - row[i]
+		s += d * d
+	}
+	if s > cutoffSq {
+		return math.Inf(1)
+	}
+	return s
 }
 
 // skipTails returns the default E'-only filter for (h, r, ?) queries: the

@@ -165,11 +165,8 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	})
 
 	// Memory-layout gauges: the observable form of the "flat GC profile"
-	// claim — packed mirror size, arena occupancy, resident points, and the
-	// runtime's GC pause tail. The arena and point gauges are O(shards).
-	r.GaugeFunc("vkg_mem_packed_bytes", "Bytes held by the packed float32 coordinate mirror (0 when PackedCoords is off).", func() float64 {
-		return float64(e.PackedBytes())
-	})
+	// claim — arena occupancy, resident points, and the runtime's GC pause
+	// tail. The arena and point gauges are O(shards).
 	r.GaugeFunc("vkg_mem_resident_points", "Points resident in the shared S2 point set (including tombstones).", func() float64 {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
@@ -184,10 +181,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		return float64(free)
 	}, obs.Label{Key: "state", Value: "free"})
 	r.GaugeFunc("vkg_gc_pause_p99_seconds", "99th-percentile stop-the-world GC pause since process start (runtime/metrics).", gcPauseP99)
-	for i := range e.shards {
-		r.GaugeFunc("vkg_shard_packed_bytes", "Packed coordinate bytes attributed to a shard's live points, by shard.",
-			e.shardPackedBytesFunc(i), obs.Label{Key: "shard", Value: strconv.Itoa(i)})
-	}
 	return m
 }
 
@@ -203,24 +196,6 @@ func (e *Engine) arenaNodes() (inUse, free int) {
 		free += f
 	}
 	return inUse, free
-}
-
-// shardPackedBytesFunc attributes the shared packed mirror to shard i in
-// proportion to the points it owns (the mirror itself is one block over the
-// whole PointSet; see Engine.PackedBytes for the unsplit total).
-func (e *Engine) shardPackedBytesFunc(i int) func() float64 {
-	return func() float64 {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		if !e.ps.Packed() {
-			return 0
-		}
-		sh := e.shards[i]
-		sh.mu.RLock()
-		owned := sh.tree.OwnedPoints()
-		sh.mu.RUnlock()
-		return float64(owned * e.ps.Dim * 4)
-	}
 }
 
 // gcPauseP99 reads the runtime's GC pause histogram and returns its 99th
@@ -335,9 +310,9 @@ type Metrics struct {
 	ShardWriteLockWait []obs.LatencyStats
 	ShardCrackLock     []obs.LatencyStats
 
-	// Memory is the memory-layout view of the index: how many bytes the
-	// packed coordinate mirror occupies, the node-arena occupancy, the
-	// resident point count, and the runtime's recent GC pause tail.
+	// Memory is the memory-layout view of the index: the node-arena
+	// occupancy, the resident point count, and the runtime's recent GC pause
+	// tail. The bytes are in Index (SizeBytes, ArenaBytes).
 	Memory MemoryStats
 
 	// Index is the current index structure (also available via IndexStats).
@@ -356,12 +331,9 @@ type Metrics struct {
 	Generation uint64
 }
 
-// MemoryStats is the memory-layout block of Metrics (see Params.PackedCoords
-// and the DESIGN.md "Memory layout" section).
+// MemoryStats is the memory-layout block of Metrics (see the DESIGN.md
+// "Memory layout" section).
 type MemoryStats struct {
-	// PackedBytes is the size of the packed float32 coordinate mirror
-	// (0 when PackedCoords is off). The mirror is shared by all shards.
-	PackedBytes int
 	// ArenaNodesInUse and ArenaNodesFree count tree-node arena records,
 	// summed over shards; free records are reusable capacity already paid
 	// for (freelist plus the unallocated tail of the newest slab).
@@ -425,7 +397,6 @@ func (e *Engine) Metrics() Metrics {
 		ShardWriteLockWait: sww,
 		ShardCrackLock:     scl,
 		Memory: MemoryStats{
-			PackedBytes:     index.PackedBytes,
 			ArenaNodesInUse: index.ArenaNodesInUse,
 			ArenaNodesFree:  index.ArenaNodesFree,
 			ResidentPoints:  resident,

@@ -1,0 +1,317 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"encoding/gob"
+	"errors"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"strconv"
+	"testing"
+	"unsafe"
+
+	"vkgraph/internal/embedding"
+	"vkgraph/internal/kg"
+	"vkgraph/internal/obs"
+	"vkgraph/internal/rtree"
+	"vkgraph/internal/snapfmt"
+)
+
+// TestEngineReRanksOnModelRows: the model's Entities block is the only copy
+// of S1, and InsertEntity reallocates it. Afterwards a top-k that reaches
+// the new entity reports it — and everything else — at the exact S1
+// distances of the linear scan, and aggregates equal those of an engine
+// built afresh over the grown graph and model. Building an engine adds less
+// than half the model's bytes to the live heap: no second copy of the rows.
+func TestEngineReRanksOnModelRows(t *testing.T) {
+	p := defaultTestParams()
+	p.Shards = 2
+	p.Eps = 50 // the S2 ball holds every candidate: the index answer is the scan's
+	eng, g := testEngine(t, Crack, p)
+	likes, _ := g.RelationByName("likes")
+	users := g.EntitiesOfType("user")
+	u1, u2 := users[0], users[1]
+	if _, err := eng.TopKTails(u2, likes, 10); err != nil { // crack first: the insert lands in a shaped index
+		t.Fatal(err)
+	}
+	rows := unsafe.SliceData(eng.m.Entities)
+	nm, err := eng.InsertEntity("new-movie", "movie", []Fact{{Rel: likes, Other: u1}}, map[string]float64{"year": 2024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.SliceData(eng.m.Entities) == rows {
+		t.Fatal("InsertEntity grew the model in place: the test needs a reallocation")
+	}
+
+	all, err := eng.TopKTailsNoIndex(u2, likes, g.NumEntities())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rank := -1
+	for i, pr := range all.Predictions {
+		if pr.Entity == nm {
+			rank = i
+			if want := eng.m.Dissimilarity(u2, likes, nm); pr.Dist != want {
+				t.Fatalf("the scan puts the new entity at %v, the model at %v", pr.Dist, want)
+			}
+		}
+	}
+	if rank < 0 {
+		t.Fatal("the scan does not see the new entity")
+	}
+	k := max(10, rank+1)
+	got, err := eng.TopKTails(u2, likes, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Predictions) != k || got.Predictions[rank].Entity != nm {
+		t.Fatalf("top-%d holds %d predictions and %v at the new entity's rank %d", k, len(got.Predictions), got.Predictions[min(rank, len(got.Predictions)-1)], rank)
+	}
+	for i, pr := range got.Predictions {
+		if want := all.Predictions[i]; pr.Entity != want.Entity || pr.Dist != want.Dist {
+			t.Fatalf("prediction %d is (%d, %v), the scan's (%d, %v)", i, pr.Entity, pr.Dist, want.Entity, want.Dist)
+		}
+	}
+
+	fresh, err := NewEngine(g, eng.m, Crack, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []AggQuery{{Kind: Avg, Attr: "year"}, {Kind: Count}, {Kind: Sum, Attr: "year", MaxAccess: 20}} {
+		a, err := eng.AggregateTails(u2, likes, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := fresh.AggregateTails(u2, likes, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.BallSize == 0 || a.Value != b.Value || a.Accessed != b.Accessed || a.BallSize != b.BallSize || a.SumVi2 != b.SumVi2 {
+			t.Fatalf("%v after the insert: %+v, a fresh engine %+v", q.Kind, a, b)
+		}
+	}
+	if err := eng.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// 50k x 50 rows are 20 MB; an engine over them holds S2 (1.2 MB), the
+	// roots' sort orders and the pages of what a few queries cracked.
+	const n, dim = 50_000, 50
+	rng := rand.New(rand.NewSource(1))
+	big := kg.NewGraph()
+	for i := 0; i < n; i++ {
+		big.AddEntity("e"+strconv.Itoa(i), "thing")
+	}
+	rel := big.AddRelation("near")
+	m := &embedding.Model{Dim: dim, Entities: make([]float64, n*dim), Rels: make([]float64, dim), NormUsed: embedding.L2}
+	for i := range m.Entities {
+		m.Entities[i] = rng.NormFloat64()
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	bigEng, err := NewEngine(big, m, Crack, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := bigEng.TopKTails(kg.EntityID(rng.Intn(n)), rel, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bigEng.ResetCache()
+	grown := int64(heap() - before)
+	runtime.KeepAlive(bigEng)
+	if model := int64(len(m.Entities) * 8); grown >= model/2 {
+		t.Fatalf("an engine over a %d-byte model grew the heap by %d bytes: a second copy of S1?", model, grown)
+	}
+	t.Logf("engine over a %d MB model: +%.1f MB", len(m.Entities)*8>>20, float64(grown)/(1<<20))
+}
+
+// TestLoadIgnoresRetiredParams: snapshots written before the float32 mirror
+// went carry its switch in their Params. Such a snapshot loads to the same
+// index and the same answers.
+func TestLoadIgnoresRetiredParams(t *testing.T) {
+	eng, g := testEngine(t, Crack, defaultTestParams())
+	likes, _ := g.RelationByName("likes")
+	users := g.EntitiesOfType("user")
+	for _, u := range users[:8] {
+		if _, err := eng.TopKTails(u, likes, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := eng.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the meta section as the previous release encoded it.
+	type retiredParams struct {
+		Alpha        int
+		Eps, PTau    float64
+		Seed         int64
+		Index        rtree.Options
+		Attrs        []string
+		Shards       int
+		PackedCoords bool
+	}
+	type retiredMeta struct {
+		Params   retiredParams
+		Mode     IndexMode
+		WalGen   uint64
+		EffAttrs []string
+	}
+	r := bytes.NewReader(buf.Bytes())
+	if _, _, err := snapfmt.ReadHeader(r, engineMagic, engineVersion, engineVersion); err != nil {
+		t.Fatal(err)
+	}
+	var old bytes.Buffer
+	if err := snapfmt.WriteHeader(&old, engineMagic, engineVersion, engineSections); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < engineSections; i++ {
+		kind, payload, err := snapfmt.ReadSection(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind == secMeta {
+			var meta wireMeta
+			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&meta); err != nil {
+				t.Fatal(err)
+			}
+			ep := meta.Params
+			var enc bytes.Buffer
+			err := gob.NewEncoder(&enc).Encode(retiredMeta{
+				Params: retiredParams{Alpha: ep.Alpha, Eps: ep.Eps, PTau: ep.PTau, Seed: ep.Seed, Index: ep.Index,
+					Attrs: ep.Attrs, Shards: ep.Shards, PackedCoords: true},
+				Mode: meta.Mode, WalGen: meta.WalGen, EffAttrs: meta.EffAttrs,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload = enc.Bytes()
+		}
+		if err := snapfmt.WriteSection(&old, kind, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bytes.Equal(old.Bytes(), buf.Bytes()) {
+		t.Fatal("the rewritten snapshot carries no retired field")
+	}
+
+	loaded, err := LoadEngine(&old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.IndexRebuilt() || loaded.StructureHash() != eng.StructureHash() {
+		t.Fatal("a snapshot with retired Params fields loaded to a different index")
+	}
+	if !reflect.DeepEqual(loaded.Params(), eng.Params()) {
+		t.Fatalf("loaded params %+v, saved %+v", loaded.Params(), eng.Params())
+	}
+	a, _ := eng.TopKTails(users[0], likes, 5)
+	b, err := loaded.TopKTails(users[0], likes, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Predictions, b.Predictions) {
+		t.Fatal("a snapshot with retired Params fields answers differently")
+	}
+}
+
+// TestTopKCancellation: a top-k looks at its context every 256 visits of
+// its walk; a cancelled or expired one gives up with every lock released, a
+// trace finished under that status, and no crack. A follower coalesced onto
+// a leader that gave up answers for itself.
+func TestTopKCancellation(t *testing.T) {
+	p := defaultTestParams()
+	p.Shards = 2
+	eng, g := testEngine(t, Crack, p)
+	likes, _ := g.RelationByName("likes")
+	u := g.EntitiesOfType("user")[0]
+	eng.traces.SetHeadRate(0) // keep only what the status retains
+	// k = every entity keeps the walk unbounded: it visits them all.
+	req := Request{Kind: KindTopK, Dir: DirTail, Entity: u, Rel: likes, K: g.NumEntities(), Trace: true}
+	if g.NumEntities() < 300 {
+		t.Fatalf("%d entities: the walk never reaches its first look at the context", g.NumEntities())
+	}
+
+	for name, c := range map[string]struct {
+		err    error
+		status string
+	}{
+		"cancelled": {context.Canceled, obs.TraceCanceled},
+		"expired":   {context.DeadlineExceeded, obs.TraceDeadline},
+	} {
+		// n = 2: Do's own check passes and the walk's first look fails.
+		ctx := &flakyCtx{Context: context.Background(), n: 2, err: c.err}
+		resp := eng.Do(ctx, req)
+		if !errors.Is(resp.Err, c.err) || resp.TopK != nil {
+			t.Fatalf("%s top-k returned (%v, %v)", name, resp.TopK, resp.Err)
+		}
+		if ctx.calls != 2 {
+			t.Fatalf("%s: context consulted %d times", name, ctx.calls)
+		}
+		if resp.Trace == nil || resp.Trace.Wall <= 0 {
+			t.Fatalf("%s: trace not finished", name)
+		}
+		recs := eng.traces.Find(resp.Trace.TraceID())
+		if len(recs) != 1 || recs[0].Status != c.status {
+			t.Fatalf("%s: trace store holds %+v, want one %v record", name, recs, c.status)
+		}
+	}
+	if st := eng.IndexStats(); st.BinarySplits != 0 {
+		t.Fatalf("cancelled top-k queries cracked the index: %d splits", st.BinarySplits)
+	}
+	if _, ok := eng.cache.get(topkKey{dir: DirTail, ent: u, rel: likes, k: req.K, eps: eng.params.Eps}, eng.gen.Load()); ok {
+		t.Fatal("a cancelled top-k was cached")
+	}
+
+	// Every lock is free again: a writer gets in.
+	if err := eng.AddFact(u, likes, g.EntitiesOfType("movie")[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	// A follower whose leader gave up: park a finished, cancelled leader in
+	// the in-flight map; the follower's own context is fine.
+	key := topkKey{dir: DirTail, ent: u, rel: likes, k: req.K, eps: eng.params.Eps}
+	c := &inflightCall{done: make(chan struct{}), err: context.Canceled}
+	close(c.done)
+	eng.sfMu.Lock()
+	eng.inflight[key] = c
+	eng.sfMu.Unlock()
+	resp := eng.Do(context.Background(), req)
+	eng.sfMu.Lock()
+	delete(eng.inflight, key)
+	eng.sfMu.Unlock()
+	if resp.Err != nil || len(resp.TopK.Predictions) == 0 || !resp.Trace.Coalesced {
+		t.Fatalf("follower of a cancelled leader returned (%+v, %v)", resp.TopK, resp.Err)
+	}
+
+	// The nil context Do accepts is consulted nowhere, and the answer is the
+	// scan's: k covers everything, so nothing can be missing.
+	var none context.Context
+	resp = eng.Do(none, req)
+	want, err := eng.TopKTailsNoIndex(u, likes, req.K)
+	if err != nil || resp.Err != nil {
+		t.Fatal(err, resp.Err)
+	}
+	if len(resp.TopK.Predictions) != len(want.Predictions) {
+		t.Fatalf("after the cancelled queries a top-k returns %d predictions, the scan %d", len(resp.TopK.Predictions), len(want.Predictions))
+	}
+	for i, pr := range resp.TopK.Predictions {
+		if pr.Entity != want.Predictions[i].Entity || math.Float64bits(pr.Dist) != math.Float64bits(want.Predictions[i].Dist) {
+			t.Fatalf("prediction %d is (%d, %v), the scan's (%d, %v)", i, pr.Entity, pr.Dist, want.Predictions[i].Entity, want.Predictions[i].Dist)
+		}
+	}
+	if err := eng.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -17,9 +17,8 @@ import (
 
 // Engine persistence: one file holds the graph, the trained embedding, the
 // engine parameters, and the *shape* of the cracked index — the part whose
-// value the query workload paid for. On load, the S2 points, the JL
-// transform, and the Morton layout are rebuilt deterministically from the
-// model and the saved seed.
+// value the query workload paid for. On load, the S2 points and the JL
+// transform are rebuilt deterministically from the model and the saved seed.
 //
 // The snapshot is a snapfmt container (magic, version, per-section CRC32):
 // meta, graph, and model sections first, the index section last. Damage to
@@ -29,10 +28,11 @@ import (
 // workload-paid-for shape is lost (Engine.IndexRebuilt reports this).
 //
 // The index section is a wireSharded envelope — the shard router's Morton
-// frame plus one embedded rtree blob per shard. The packed float32 mirror is
-// derived data and is rebuilt on load from Params.PackedCoords, never
-// persisted. This is format version 3, the only one read or written; any
-// other version fails the load with snapfmt.ErrVersion.
+// frame plus one embedded rtree blob per shard; leaf pages are derived data,
+// rebuilt from the points as each tree loads. This is format version 3, the
+// only one read or written; any other version fails the load with
+// snapfmt.ErrVersion. A Params field retired since a snapshot was written
+// may still be in its meta section: gob drops what the struct no longer has.
 
 const (
 	engineMagic   = "VKGSNAP\x00"
@@ -189,11 +189,7 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 	p := meta.Params
 
 	tf := jl.New(m.Dim, p.Alpha, p.Seed)
-	coords := tf.ApplyAll(m.Entities)
-	ps := rtree.NewPointSet(p.Alpha, coords)
-	if p.PackedCoords {
-		ps.EnablePacked()
-	}
+	ps := rtree.NewPointSet(p.Alpha, tf.ApplyAll(m.Entities))
 	// Register the effective attribute list — the columns the point set had
 	// at save time, a superset of the build-time Params.Attrs once
 	// attributes were added dynamically. Old snapshots have no EffAttrs and
@@ -230,7 +226,6 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 		m:            m,
 		tf:           tf,
 		ps:           ps,
-		layout:       newS1Layout(m, coords, p.Alpha),
 		mode:         meta.Mode,
 		droppedAttrs: droppedAttrs,
 		snapGen:      meta.WalGen,

@@ -149,3 +149,21 @@ func TestLoadEngineCorruptIndexDegrades(t *testing.T) {
 		}
 	}
 }
+
+// TestOldSnapshotVersionsRejected forges version-1 and version-2 headers on
+// an otherwise valid snapshot: the retired formats must be refused with the
+// typed version error, never misread as version 3.
+func TestOldSnapshotVersionsRejected(t *testing.T) {
+	eng, _ := testEngine(t, Crack, defaultTestParams())
+	var buf bytes.Buffer
+	if err := eng.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, version := range []uint16{1, 2} {
+		snap := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint16(snap[snapfmt.MagicLen:], version)
+		if _, err := LoadEngine(bytes.NewReader(snap)); !errors.Is(err, snapfmt.ErrVersion) {
+			t.Fatalf("LoadEngine of a version-%d header = %v, want ErrVersion", version, err)
+		}
+	}
+}

@@ -276,9 +276,15 @@ func (e *Engine) doTopK(ctx context.Context, req Request) (*TopKResult, *obs.Que
 		}
 		wait := func() (*TopKResult, *obs.QueryTrace, error) {
 			tr.Step(obs.StageWait)
+			res, err := c.res, c.err
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				// The leader gave up on its own context, which says nothing
+				// about this caller's: the follower answers for itself.
+				res, err = e.topKQuery(ctx, req.Dir, req.Entity, req.Rel, req.K, eps, tr)
+			}
 			tr.Finish()
-			e.noteSlow(tr, "topk", c.err, desc)
-			return c.res, tr, c.err
+			e.noteSlow(tr, "topk", err, desc)
+			return res, tr, err
 		}
 		if ctx == nil {
 			<-c.done
@@ -303,7 +309,7 @@ func (e *Engine) doTopK(ctx context.Context, req Request) (*TopKResult, *obs.Que
 	e.inflight[key] = c
 	e.sfMu.Unlock()
 
-	c.res, c.err = e.topKQuery(req.Dir, req.Entity, req.Rel, req.K, eps, tr)
+	c.res, c.err = e.topKQuery(ctx, req.Dir, req.Entity, req.Rel, req.K, eps, tr)
 	if c.err == nil {
 		e.cache.put(key, gen, c.res)
 	}

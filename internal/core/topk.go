@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sort"
 	"time"
@@ -45,22 +46,23 @@ type TopKResult struct {
 // head h, excluding edges already in E" — query Q1 of the paper. Safe for
 // concurrent use; see the Engine concurrency notes.
 func (e *Engine) TopKTails(h kg.EntityID, r kg.RelationID, k int) (*TopKResult, error) {
-	return e.topKQuery(DirTail, h, r, k, e.params.Eps, nil)
+	return e.topKQuery(context.Background(), DirTail, h, r, k, e.params.Eps, nil)
 }
 
 // TopKHeads answers "top-k entities h most likely to be in relation r with
 // tail t" — the symmetric query, searching around t - r. Safe for
 // concurrent use.
 func (e *Engine) TopKHeads(t kg.EntityID, r kg.RelationID, k int) (*TopKResult, error) {
-	return e.topKQuery(DirHead, t, r, k, e.params.Eps, nil)
+	return e.topKQuery(context.Background(), DirHead, t, r, k, e.params.Eps, nil)
 }
 
 // topKQuery is the shared body of the top-k entry points: validate under
 // the read lock, run Algorithm 3 with the given query-expansion eps, and
 // complete the cracking step. The eps parameter lets Do/DoBatch apply a
 // per-request override without touching the engine parameters; tr, when
-// non-nil, collects the per-stage breakdown.
-func (e *Engine) topKQuery(dir Dir, ent kg.EntityID, rel kg.RelationID, k int, eps float64, tr *obs.QueryTrace) (*TopKResult, error) {
+// non-nil, collects the per-stage breakdown. A query whose ctx expires (a
+// nil one, as for Do, never does) returns ctx.Err().
+func (e *Engine) topKQuery(ctx context.Context, dir Dir, ent kg.EntityID, rel kg.RelationID, k int, eps float64, tr *obs.QueryTrace) (*TopKResult, error) {
 	start := time.Now()
 	if e.prepareIndex() {
 		// Building the roots is index construction the first query pays
@@ -90,7 +92,12 @@ func (e *Engine) topKQuery(dir Dir, ent kg.EntityID, rel kg.RelationID, k int, e
 		q1 = e.m.TailQueryPoint(ent, rel)
 		skip = e.skipTails(ent, rel)
 	}
-	res, q, doCrack := e.findTopK(q1, k, eps, skip, tr)
+	res, q, doCrack, err := e.findTopK(ctx, q1, k, eps, skip, tr)
+	if err != nil {
+		e.mu.RUnlock() // given up: no crack
+		e.met.queryErrors.Inc()
+		return nil, err
+	}
 	e.finishQuery(q, doCrack, tr) // releases the read lock
 	e.met.topkQueries.Inc()
 	e.met.latTopK.ObserveExemplar(time.Since(start).Seconds(), tr.TraceID())
@@ -118,12 +125,13 @@ func (e *Engine) topKQuery(dir Dir, ent kg.EntityID, rel kg.RelationID, k int, e
 // findTopK runs entirely under the engine read lock (held by the caller),
 // takes all shard read locks for the walk, and never mutates the engine; it
 // returns the final query region and whether the caller should complete the
-// cracking step.
-func (e *Engine) findTopK(q1 []float64, k int, eps float64, skip func(kg.EntityID) bool, tr *obs.QueryTrace) (*TopKResult, rtree.Rect, bool) {
+// cracking step. The walk looks at ctx every 256 visits and gives up with
+// ctx.Err() once it has expired.
+func (e *Engine) findTopK(ctx context.Context, q1 []float64, k int, eps float64, skip func(kg.EntityID) bool, tr *obs.QueryTrace) (*TopKResult, rtree.Rect, bool, error) {
 	res := &TopKResult{Predictions: []Prediction{}}
 	if k <= 0 || e.ps.N() == 0 {
 		res.RecallBound = 1
-		return res, rtree.Rect{}, false
+		return res, rtree.Rect{}, false, nil
 	}
 	q2 := e.tf.Apply(q1)
 	tr.Step(obs.StageTransform)
@@ -140,9 +148,15 @@ func (e *Engine) findTopK(q1 []float64, k int, eps float64, skip func(kg.EntityI
 		return r * r
 	}
 	l1 := e.m.NormUsed == embedding.L1
-	pruned := 0
+	pruned, visits := 0, 0
+	var cancelled error
 	e.rlockShards()
 	rtree.WalkTreesWithin(e.trees, q2, bound, func(id32 int32, _ float64) bool {
+		if visits++; visits&255 == 0 && ctx != nil {
+			if cancelled = ctx.Err(); cancelled != nil {
+				return false
+			}
+		}
 		id := kg.EntityID(id32)
 		if skip(id) {
 			return true
@@ -160,7 +174,7 @@ func (e *Engine) findTopK(q1 []float64, k int, eps float64, skip func(kg.EntityI
 			kd := top.kth()
 			cutoffSq = kd * kd
 		}
-		sq := e.layout.sqDistBounded(q1, id, cutoffSq)
+		sq := sqDistBounded(q1, e.m.EntityVec(id), cutoffSq)
 		if !math.IsInf(sq, 1) {
 			top.offer(Prediction{Entity: id, Dist: math.Sqrt(sq)})
 		} else {
@@ -170,10 +184,13 @@ func (e *Engine) findTopK(q1 []float64, k int, eps float64, skip func(kg.EntityI
 	})
 	e.runlockShards()
 	tr.Step(obs.StageSearch)
+	if cancelled != nil {
+		return nil, rtree.Rect{}, false, cancelled
+	}
 	if top.len() == 0 {
 		res.RecallBound = 1
 		e.met.examined.Add(uint64(res.Examined))
-		return res, rtree.Rect{}, false
+		return res, rtree.Rect{}, false, nil
 	}
 
 	// Line 9's index update happens in the caller with this final region.
@@ -193,7 +210,7 @@ func (e *Engine) findTopK(q1 []float64, k int, eps float64, skip func(kg.EntityI
 		tr.Examined = res.Examined
 		tr.PrunedByBound = pruned
 	}
-	return res, finalQ, true
+	return res, finalQ, true, nil
 }
 
 // finishPredictions completes a distance-sorted prediction list: the display

@@ -133,9 +133,9 @@ func (e *Engine) InsertEntity(name, typ string, facts []Fact, attrs map[string]f
 }
 
 // insertEntityLocked is the shared body of InsertEntity and WAL replay:
-// full validation before the first mutation, then graph, model, layout,
-// point set, and index grow in lockstep. Caller holds the engine write
-// lock (or is the single-threaded replay).
+// full validation before the first mutation, then graph, model, point set,
+// and index grow in lockstep. Caller holds the engine write lock (or is the
+// single-threaded replay).
 func (e *Engine) insertEntityLocked(name, typ string, facts []Fact, attrNames []string, attrVals []float64) (kg.EntityID, error) {
 	if len(facts) == 0 {
 		return 0, errors.New("core: InsertEntity needs at least one fact to place the entity")
@@ -149,12 +149,12 @@ func (e *Engine) insertEntityLocked(name, typ string, facts []Fact, attrNames []
 		}
 	}
 	// All validation happens before the first mutation, so a rejected call
-	// leaves the engine exactly as it was: graph, model, point set, layout,
-	// and index stay in lockstep (their sizes all equal NumEntities), and
-	// the generation counter is untouched. InsertTripleDynamic's only
-	// failure mode is an out-of-range id, which the checks above (and the
-	// new id being freshly allocated) rule out; duplicate facts are no-ops
-	// for it, so they need no pre-screening.
+	// leaves the engine exactly as it was: graph, model, point set, and
+	// index stay in lockstep (their sizes all equal NumEntities), and the
+	// generation counter is untouched. InsertTripleDynamic's only failure
+	// mode is an out-of-range id, which the checks above (and the new id
+	// being freshly allocated) rule out; duplicate facts are no-ops for it,
+	// so they need no pre-screening.
 	if e.g.NumEntities()*e.m.Dim != len(e.m.Entities) {
 		return 0, fmt.Errorf("core: model/graph desynchronized at %d entities", e.g.NumEntities())
 	}
@@ -183,9 +183,9 @@ func (e *Engine) insertEntityLocked(name, typ string, facts []Fact, attrNames []
 		vec[i] /= float64(len(facts))
 	}
 
-	// Grow graph, model, layout, S2 point set, and index in lockstep. No
-	// step below can fail: the desynchronization and range checks above
-	// already proved every id in range and every structure the same size.
+	// Grow graph, model, S2 point set, and index in lockstep. No step below
+	// can fail: the desynchronization and range checks above already proved
+	// every id in range and every structure the same size.
 	id := e.g.AddEntity(name, typ)
 	e.m.Entities = append(e.m.Entities, vec...)
 	for _, f := range facts {
@@ -206,15 +206,6 @@ func (e *Engine) insertEntityLocked(name, typ string, facts []Fact, attrNames []
 	p2 := e.tf.Apply(vec)
 	pid := e.ps.AppendPoint(p2)
 	e.shards[e.router.ShardOf(p2)].tree.Insert(pid)
-	e.layout.appendRow(vec)
 	e.gen.Add(1) // the new entity may belong in any cached answer
 	return id, nil
-}
-
-// appendRow extends the Morton layout with a new entity's vector. Appended
-// rows live at the end rather than in Morton position — still correct, just
-// not cache-ideal; a rebuild would restore perfect locality.
-func (l *s1Layout) appendRow(vec []float64) {
-	l.pos = append(l.pos, int32(len(l.rows)/l.dim))
-	l.rows = append(l.rows, vec...)
 }

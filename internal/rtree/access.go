@@ -47,8 +47,3 @@ func (t *Tree) NodesCreated() int { return t.created }
 func (t *Tree) ArenaStats() (inUse, free, slabBytes int) {
 	return t.arena.nodesInUse(), t.arena.nodesFree(), t.arena.slabBytes()
 }
-
-// OwnedPoints returns the number of live points the tree is responsible
-// for (initial subset plus inserts, minus tombstones). O(1); same locking
-// contract as Splits.
-func (t *Tree) OwnedPoints() int { return t.owned - len(t.deleted) }

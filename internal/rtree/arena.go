@@ -27,6 +27,10 @@ type nodeArena struct {
 	// to store equal values — and Insert, Delete, NoteAttr and a crack of
 	// the element clear it, so a record is released with its slot empty.
 	stats [][]atomic.Pointer[[]AttrStats]
+	// pages holds, beside each slab, each record's leaf page header; a
+	// leaf's node.leaf points at its own slot, so becoming a leaf allocates
+	// the page's coordinates and nothing else.
+	pages [][]leafPage
 	free  []int32 // arena indices of released records
 	next  int     // records handed out from the newest slab
 	inUse int
@@ -46,20 +50,28 @@ func (a *nodeArena) at(idx int32) *node {
 	return &a.slabs[idx/arenaSlabSize][idx%arenaSlabSize]
 }
 
+// setLeaf makes nd a leaf over ids, which the page takes over, with their
+// exact rows copied out of ps.
+func (a *nodeArena) setLeaf(nd *node, ps *PointSet, ids []int32) {
+	nd.leaf = &a.pages[nd.idx/arenaSlabSize][nd.idx%arenaSlabSize]
+	nd.leaf.fill(ps, ids)
+}
+
 // statsOf resolves a record to its statistics slot.
 func (a *nodeArena) statsOf(nd *node) *atomic.Pointer[[]AttrStats] {
 	return &a.stats[nd.idx/arenaSlabSize][nd.idx%arenaSlabSize]
 }
 
-// alloc hands out a cleared node record with an empty MBR, reusing the
-// freelist before carving new slab space.
+// alloc hands out an empty node record — a new one is zero, release
+// emptied a reused one — with an inverted MBR that the first Expand snaps
+// to its point, reusing the freelist before carving new slab space.
 func (a *nodeArena) alloc() *node {
 	a.inUse++
 	if n := len(a.free); n > 0 {
 		idx := a.free[n-1]
 		a.free = a.free[:n-1]
 		nd := a.at(idx)
-		nd.reset()
+		nd.mbr.reset()
 		return nd
 	}
 	if a.next == arenaSlabSize {
@@ -76,11 +88,12 @@ func (a *nodeArena) alloc() *node {
 		}
 		a.slabs = append(a.slabs, slab)
 		a.stats = append(a.stats, make([]atomic.Pointer[[]AttrStats], arenaSlabSize))
+		a.pages = append(a.pages, make([]leafPage, arenaSlabSize))
 		a.next = 0
 	}
 	nd := &a.slabs[len(a.slabs)-1][a.next]
 	a.next++
-	nd.reset()
+	nd.mbr.reset()
 	return nd
 }
 
@@ -88,15 +101,16 @@ func (a *nodeArena) alloc() *node {
 // contents it pointed at can be collected.
 func (a *nodeArena) release(nd *node) {
 	nd.children = nil
-	nd.leafIDs = nil
+	nd.dropPage()
 	nd.part = nil
 	a.free = append(a.free, nd.idx)
 	a.inUse--
 }
 
 // nodesInUse and nodesFree report the arena occupancy; slabBytes the memory
-// retained by the slabs themselves (records plus MBR backing), which is the
-// true per-node footprint — node records have no individual heap identity.
+// retained by the slabs themselves (records, MBR backing, statistics slots
+// and page headers), which is the true per-node footprint — node records
+// have no individual heap identity.
 func (a *nodeArena) nodesInUse() int { return a.inUse }
 
 func (a *nodeArena) nodesFree() int {
@@ -107,18 +121,18 @@ func (a *nodeArena) nodesFree() int {
 }
 
 func (a *nodeArena) slabBytes() int {
-	per := arenaSlabSize * (int(unsafe.Sizeof(node{})) + 2*a.dim*8 + int(unsafe.Sizeof(a.stats[0][0])))
+	per := arenaSlabSize * (int(unsafe.Sizeof(node{})) + 2*a.dim*8 +
+		int(unsafe.Sizeof(a.stats[0][0])) + int(unsafe.Sizeof(leafPage{})))
 	return len(a.slabs) * per
 }
 
-// reset clears a record for reuse: no children, no leaf ids, no partition,
-// and an inverted MBR that the first Expand snaps to its point. The MBR
-// slices themselves are slab-backed and preserved.
-func (n *node) reset() {
-	n.children = nil
-	n.leafIDs = nil
-	n.part = nil
-	n.mbr.reset()
+// dropPage ends a record's time as a leaf, emptying its page slot so the
+// ids and coordinates can be collected.
+func (n *node) dropPage() {
+	if n.leaf != nil {
+		*n.leaf = leafPage{}
+		n.leaf = nil
+	}
 }
 
 // setMBR copies r into the node's slab-backed MBR. Node MBRs must never be

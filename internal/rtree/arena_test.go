@@ -3,6 +3,7 @@ package rtree
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // TestArenaFreelistReuse drives crack–insert–delete cycles and checks the
@@ -117,5 +118,14 @@ func TestArenaPointerStability(t *testing.T) {
 	}
 	if len(first.mbr.Lo) != 3 || len(first.mbr.Hi) != 3 {
 		t.Fatalf("record MBR lost its slab backing: lo %d hi %d", len(first.mbr.Lo), len(first.mbr.Hi))
+	}
+}
+
+// TestNodeRecordSize: every walk reads one record per node it touches, and
+// a 120-byte record measured 3–6 % slower on the converged top-k than the
+// 112-byte one this replaced. A field added to node shows up here first.
+func TestNodeRecordSize(t *testing.T) {
+	if sz := unsafe.Sizeof(node{}); sz > 96 {
+		t.Fatalf("node record is %d bytes, want at most 96", sz)
 	}
 }

@@ -28,8 +28,9 @@ type BallStats struct {
 //
 // An element wholly inside the ball is read from its cached statistics; the
 // points of an element the sphere cuts are scanned, unordered, with the
-// walks' own leaf-scan kernel. A non-nil each receives every counted point
-// with its squared distance, so the elements inside are scanned as well.
+// walks' own scans (a leaf's page, a pending element's ids). A non-nil each
+// receives every counted point with its squared distance, so the elements
+// inside are scanned as well.
 func SummarizeBall(trees []*Tree, center []float64, radius float64, attr int, each func(id int32, sqDist float64)) BallStats {
 	s := ballScan{
 		ps: trees[0].ps, f: frontierPool.Get().(*frontier),
@@ -93,19 +94,29 @@ func (s *ballScan) visit(nd *node) {
 	if !inside && nd.mbr.MinSqDist(s.center) > s.rsq {
 		return // meets the bounding box at a corner the ball does not reach
 	}
+	if nd.isLeaf() {
+		s.f.pts = nd.leaf.appendWithin(slices.Grow(s.f.pts[:0], len(nd.leaf.ids)), s.center, s.rsq)
+		s.count()
+		return
+	}
 	// Scan in chunks the scratch can hold and still go back to the pool: a
 	// cold index's pending root is every point of the shard.
-	for ids := nd.ids(); len(ids) > 0; ids = ids[min(len(ids), maxPooledPoints):] {
+	for ids := nd.part.ids(); len(ids) > 0; ids = ids[min(len(ids), maxPooledPoints):] {
 		chunk := ids[:min(len(ids), maxPooledPoints)]
 		s.f.pts = s.ps.appendWithin(slices.Grow(s.f.pts[:0], len(chunk)), chunk, s.center, s.rsq)
-		for _, p := range s.f.pts {
-			if !s.ps.HasAttr(s.attr, p.id) {
-				continue
-			}
-			s.out.Count++
-			if s.each != nil {
-				s.each(p.id, p.d)
-			}
+		s.count()
+	}
+}
+
+// count adds the scanned points in the scratch that bear the attribute.
+func (s *ballScan) count() {
+	for _, p := range s.f.pts {
+		if !s.ps.HasAttr(s.attr, p.id) {
+			continue
+		}
+		s.out.Count++
+		if s.each != nil {
+			s.each(p.id, p.d)
 		}
 	}
 }

@@ -48,9 +48,6 @@ func TestSummarizeBall(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ps := clusteredPointSet(1500, 3, 4, 19+seed)
-		if seed%2 == 0 {
-			ps.EnablePacked()
-		}
 		col := make([]float64, ps.N(), ps.N()+64)
 		for i := range col {
 			col[i] = float64(rng.Intn(200) - 100)

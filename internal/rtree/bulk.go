@@ -12,7 +12,7 @@ func NewBulkLoaded(ps *PointSet, opt Options) *Tree {
 	if ps.N() == 0 {
 		t.created++
 		t.root = t.arena.alloc()
-		t.root.leafIDs = []int32{}
+		t.arena.setLeaf(t.root, ps, []int32{})
 		return t
 	}
 	t.root = t.buildFull(newPartition(ps, firstIDs(ps.N())))

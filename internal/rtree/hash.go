@@ -67,7 +67,7 @@ func (t *Tree) StructureHash() uint64 {
 			}
 		case nd.isLeaf():
 			putU64(1)
-			putIDs(nd.leafIDs)
+			putIDs(nd.leaf.ids)
 		default:
 			putU64(2)
 			putIDs(nd.part.ids())

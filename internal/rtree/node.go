@@ -3,31 +3,35 @@ package rtree
 // node is a tree node in one of three states:
 //
 //   - internal: children != nil — a fully materialized R-tree node;
-//   - leaf: leafIDs != nil — at most LeafCap point entries;
+//   - leaf: leaf != nil — at most LeafCap point entries, ids and exact
+//     coordinates together in the leaf's page (leafPage in pointset.go);
 //   - pending: part != nil — a contour element that still holds raw sorted
 //     data and will be cracked on demand.
 //
 // The contour of Definition 2 is exactly the set of pending and leaf nodes.
 //
 // Records live in fixed-size arena slabs (see arena.go): idx is the
-// record's arena index, and mbr.Lo/Hi alias the slab's packed float64
-// backing — mutate the MBR in place (Expand/setMBR), never reassign it.
+// record's arena index, mbr.Lo/Hi alias the slab's float64 backing — mutate
+// the MBR in place (Expand/setMBR), never reassign it — and leaf points at
+// the record's own slot in the arena's page slab. The record is 96 bytes;
+// the walks read one per node they touch, so it must not grow (a test next
+// to the arena's holds it to that).
 type node struct {
 	mbr      Rect
 	children []*node
-	leafIDs  []int32
+	leaf     *leafPage
 	part     *partition
 	idx      int32 // arena index: slab*arenaSlabSize + offset
 }
 
 func (n *node) isInternal() bool { return n.children != nil }
-func (n *node) isLeaf() bool     { return n.leafIDs != nil }
+func (n *node) isLeaf() bool     { return n.leaf != nil }
 func (n *node) isPending() bool  { return n.part != nil }
 
 // ids returns the point ids of a contour element, in no particular order.
 func (n *node) ids() []int32 {
 	if n.isLeaf() {
-		return n.leafIDs
+		return n.leaf.ids
 	}
 	return n.part.ids()
 }
@@ -37,7 +41,7 @@ func (n *node) ids() []int32 {
 func (n *node) numPoints() int {
 	switch {
 	case n.isLeaf():
-		return len(n.leafIDs)
+		return len(n.leaf.ids)
 	case n.isPending():
 		return n.part.count()
 	default:
@@ -69,14 +73,14 @@ func (n *node) countNodes() (internal, leaf, pending int) {
 }
 
 // sizeBytes sums the heap memory the subtree references beyond its arena
-// records: child-pointer lists, leaf id arrays, and pending partitions. The
-// records themselves (struct plus MBR backing) live in arena slabs and are
-// accounted once by nodeArena.slabBytes, so the two together are the true
-// footprint rather than the old per-pointer estimate.
+// records: child-pointer lists, leaf pages (ids and coordinates), and pending
+// partitions. The records themselves (struct, MBR backing, page header)
+// live in arena slabs and are accounted once by nodeArena.slabBytes, so the
+// two together are the true footprint.
 func (n *node) sizeBytes(dim int) int {
 	switch {
 	case n.isLeaf():
-		return cap(n.leafIDs) * 4
+		return n.leaf.sizeBytes()
 	case n.isPending():
 		return n.part.sizeBytes(dim)
 	default:

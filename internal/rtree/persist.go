@@ -78,8 +78,8 @@ func (t *Tree) Save(w io.Writer) error {
 			}
 		case nd.isLeaf():
 			wf.Kinds = append(wf.Kinds, 1)
-			wf.Counts = append(wf.Counts, int32(len(nd.leafIDs)))
-			wf.IDs = append(wf.IDs, nd.leafIDs...)
+			wf.Counts = append(wf.Counts, int32(len(nd.leaf.ids)))
+			wf.IDs = append(wf.IDs, nd.leaf.ids...)
 		default:
 			ids := nd.part.ids()
 			wf.Kinds = append(wf.Kinds, 2)
@@ -197,7 +197,7 @@ func (t *Tree) decodeFlat(c *flatCursor) (*node, error) {
 			return nil, err
 		}
 		if kind == 1 {
-			nd.leafIDs = append([]int32{}, ids...)
+			t.arena.setLeaf(nd, t.ps, append([]int32{}, ids...))
 		} else {
 			if cnt == 0 {
 				return nil, fmt.Errorf("rtree: empty pending element: %w", snapfmt.ErrCorrupt)

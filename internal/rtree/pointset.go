@@ -6,13 +6,14 @@ import (
 )
 
 // PointSet is the sealed flat store of all indexed points in S2. The
-// backing layout is private: point i's exact float64 coordinates live at
-// stride Dim in a row-major block, optionally mirrored by packed float32
-// columns (see packed.go) that the distance kernels use as a conservative
-// prefilter. All access goes through the accessor API — At, Coord,
-// GatherCoord, SqDistTo, GatherSqDists, AttrValue, HasAttr, and the leaf
-// scan appendWithin of the walk and of SummarizeBall — so the layout can
+// backing layout is private to this file: point i's exact float64
+// coordinates live at stride Dim in a row-major block. All access goes
+// through the accessor API — At, Coord, GatherCoord, SqDistTo,
+// GatherSqDists, AttrValue, HasAttr, and the scan appendWithin of the walk
+// and of SummarizeBall over a pending element's ids — so the layout can
 // change without touching callers; the point index doubles as the entity id.
+// A leaf's points are also copied into its page (leafPage, below), which is
+// what a leaf scan reads; the block stays the source of truth.
 //
 // Attribute columns (for aggregate queries) may be registered so that
 // contour elements can expose count/min/max statistics, as the paper
@@ -21,12 +22,6 @@ type PointSet struct {
 	Dim int
 
 	coords []float64 // row-major exact coordinates, the source of truth
-
-	// packed, when non-nil, mirrors coords as contiguous per-dimension
-	// float32 columns used only to skip points provably outside a distance
-	// bound; every reported distance is re-ranked in exact float64
-	// arithmetic, so enabling it never changes an answer.
-	packed *packedCols
 
 	attrNames []string
 	attrCols  [][]float64 // parallel to attrNames; indexed by point id
@@ -88,6 +83,10 @@ func (ps *PointSet) GatherSqDists(ids []int32, q []float64, out []float64) {
 	}
 }
 
+// gatherChunk is the batch size of the chunked gathers: big enough to
+// amortize the per-chunk bookkeeping, small enough to live on the stack.
+const gatherChunk = 128
+
 // GatherCoord is the bulk form of Coord: it fills out[j] with coordinate d
 // of point ids[j]. out must have len(ids) elements. The root sort reads its
 // keys through this, one dimension at a time.
@@ -101,6 +100,97 @@ func (ps *PointSet) GatherCoord(ids []int32, d int, out []float64) {
 	}
 }
 
+// EnablePacked does nothing. It used to build a float32 mirror of the
+// coordinates, which leaf pages made useless.
+//
+// Deprecated: the method survives only because bench/ladder.go calls it and
+// bench/ was frozen when the mirror went; the next benchmark change drops
+// the call and this with it.
+func (ps *PointSet) EnablePacked() {}
+
+// appendWithin appends (sqDist, id) to dst for every given id whose exact
+// squared distance to q is at most bound, preserving the order of ids: the
+// scan of a pending element, whose points have no page.
+func (ps *PointSet) appendWithin(dst []walkPoint, ids []int32, q []float64, bound float64) []walkPoint {
+	for _, id := range ids {
+		if d := ps.SqDistTo(id, q); d <= bound {
+			dst = append(dst, walkPoint{d: d, id: id})
+		}
+	}
+	return dst
+}
+
+// leafPage is a leaf's entries kept together where a scan reads them, as an
+// R-tree keeps a leaf's entries in the leaf's page: the point ids and, row i
+// for ids[i], a copy of their exact coordinates. A page is derived data: it
+// is rebuilt from the PointSet when a leaf is made or loaded, follows
+// Insert and Delete, and is in no snapshot, WAL record or StructureHash.
+// Only this file reads or writes xy.
+type leafPage struct {
+	ids []int32
+	xy  []float64 // len(ids) rows of Dim coordinates
+}
+
+// fill makes the page hold ids, which it takes over, and their rows.
+func (pg *leafPage) fill(ps *PointSet, ids []int32) {
+	pg.ids = ids
+	pg.xy = make([]float64, 0, len(ids)*ps.Dim)
+	for _, id := range ids {
+		pg.xy = append(pg.xy, ps.At(id)...)
+	}
+}
+
+// add appends point id of ps to the page.
+func (pg *leafPage) add(ps *PointSet, id int32) {
+	pg.ids = append(pg.ids, id)
+	pg.xy = append(pg.xy, ps.At(id)...)
+}
+
+// remove deletes entry i, keeping the order of the rest.
+func (pg *leafPage) remove(i int) {
+	dim := len(pg.xy) / len(pg.ids)
+	pg.ids = append(pg.ids[:i], pg.ids[i+1:]...)
+	pg.xy = append(pg.xy[:i*dim], pg.xy[(i+1)*dim:]...)
+}
+
+// sizeBytes is the heap memory the page holds beyond its header.
+func (pg *leafPage) sizeBytes() int { return cap(pg.ids)*4 + cap(pg.xy)*8 }
+
+// check reports a page whose rows are not exactly the points of its ids.
+func (pg *leafPage) check(ps *PointSet) error {
+	if len(pg.xy) != len(pg.ids)*ps.Dim {
+		return fmt.Errorf("leaf page holds %d coordinates for %d ids of dimension %d", len(pg.xy), len(pg.ids), ps.Dim)
+	}
+	for i, id := range pg.ids {
+		for d, v := range ps.At(id) {
+			if got := pg.xy[i*ps.Dim+d]; math.Float64bits(got) != math.Float64bits(v) {
+				return fmt.Errorf("leaf page row %d holds %v for coordinate %d of point %d, which is %v", i, got, d, id, v)
+			}
+		}
+	}
+	return nil
+}
+
+// appendWithin is PointSet.appendWithin over the page's entries: one
+// sequential pass over the rows, each distance summed in SqDistTo's order
+// and therefore bit-identical to it. This is the leaf scan of every walk.
+func (pg *leafPage) appendWithin(dst []walkPoint, q []float64, bound float64) []walkPoint {
+	xy := pg.xy
+	for _, id := range pg.ids {
+		row := xy[:len(q)]
+		xy = xy[len(q):]
+		var s float64
+		for j, v := range q {
+			d := row[j] - v
+			s += d * d
+		}
+		if s <= bound {
+			dst = append(dst, walkPoint{d: s, id: id})
+		}
+	}
+	return dst
+}
+
 // AppendPoint adds a point to the PointSet and returns its id. The caller
 // must Insert the id into any tree built over the set.
 func (ps *PointSet) AppendPoint(coords []float64) int32 {
@@ -109,9 +199,6 @@ func (ps *PointSet) AppendPoint(coords []float64) int32 {
 	}
 	id := int32(ps.N())
 	ps.coords = append(ps.coords, coords...)
-	if ps.packed != nil {
-		ps.packed.appendPoint(coords)
-	}
 	return id
 }
 

@@ -99,12 +99,12 @@ func (t *Tree) crackTopK(q Rect) {
 				walk(c)
 			}
 		case nd.isLeaf():
-			cq0 += ceilDiv(countIn(t.ps, nd.leafIDs, q), t.opt.LeafCap)
+			cq0 += ceilDiv(countIn(t.ps, nd.leaf.ids, q), t.opt.LeafCap)
 		default:
 			p := nd.part
 			if p.count() <= t.opt.LeafCap {
 				t.toLeaf(nd)
-				cq0 += ceilDiv(countIn(t.ps, nd.leafIDs, q), t.opt.LeafCap)
+				cq0 += ceilDiv(countIn(t.ps, nd.leaf.ids, q), t.opt.LeafCap)
 				return
 			}
 			cqe := p.countInRect(t.ps, q)

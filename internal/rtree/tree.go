@@ -150,7 +150,7 @@ func PrepareAll(trees []*Tree) {
 		t.created++
 		t.root = t.arena.alloc()
 		if t.initialN == 0 {
-			t.root.leafIDs = []int32{}
+			t.arena.setLeaf(t.root, t.ps, []int32{})
 			continue
 		}
 		ids := t.initialIDs
@@ -178,11 +178,12 @@ func (t *Tree) PS() *PointSet { return t.ps }
 // Opt returns the tree's normalized options.
 func (t *Tree) Opt() Options { return t.opt }
 
-// toLeaf converts a pending node that fits in a leaf.
+// toLeaf converts a pending node that fits in a leaf. The page takes over
+// the partition's first id list: cracking never reads a partition again
+// once it has become a node, so the leaf costs one allocation, its rows.
 func (t *Tree) toLeaf(nd *node) {
-	ids := append([]int32(nil), nd.part.ids()...)
 	nd.setMBR(nd.part.mbr)
-	nd.leafIDs = ids
+	t.arena.setLeaf(nd, t.ps, nd.part.ids())
 	nd.part = nil
 }
 
@@ -403,9 +404,8 @@ type Stats struct {
 	ExploredSplits int
 	Queries        int
 	// SizeBytes is the true index footprint: arena slab bytes plus the heap
-	// memory nodes reference (child lists, leaf id arrays, pending
-	// partitions). It excludes the PointSet and its packed mirror, which are
-	// shared across trees — see PackedBytes.
+	// memory nodes reference (child lists, leaf pages, pending partitions).
+	// It excludes the PointSet, which is shared across trees.
 	SizeBytes int
 	Height    int
 	Points    int
@@ -414,10 +414,6 @@ type Stats struct {
 	ArenaNodesInUse int
 	ArenaNodesFree  int
 	ArenaBytes      int
-	// PackedBytes is the size of the PointSet's packed float32 coordinate
-	// mirror (0 when packing is off). The mirror is shared by every tree
-	// over the PointSet, so it is not summed across shards.
-	PackedBytes int
 }
 
 // Stats computes current structural statistics.
@@ -438,7 +434,6 @@ func (t *Tree) Stats() Stats {
 		ArenaNodesInUse: t.arena.nodesInUse(),
 		ArenaNodesFree:  t.arena.nodesFree(),
 		ArenaBytes:      t.arena.slabBytes(),
-		PackedBytes:     t.ps.PackedBytes(),
 	}
 }
 
@@ -446,8 +441,9 @@ func (t *Tree) Stats() Stats {
 // on: every node's MBR contains its contents; internal nodes have children;
 // the contour elements partition the tree's owned point set (Lemma 1 —
 // which is the full PointSet for an unsharded tree and the shard's subset
-// otherwise); leaves respect the capacity; pending partitions keep
-// consistent sort orders. Intended for tests; O(n log n).
+// otherwise); leaves respect the capacity and their pages hold exactly
+// their points' rows; pending partitions keep consistent sort orders.
+// Intended for tests; O(n log n).
 func (t *Tree) CheckInvariants() error {
 	t.ensureRoot()
 	seen := make(map[int32]int)
@@ -475,10 +471,13 @@ func (t *Tree) CheckInvariants() error {
 				}
 			}
 		case nd.isLeaf():
-			if len(nd.leafIDs) > t.opt.LeafCap {
-				return fmt.Errorf("leaf with %d > N=%d entries", len(nd.leafIDs), t.opt.LeafCap)
+			if len(nd.leaf.ids) > t.opt.LeafCap {
+				return fmt.Errorf("leaf with %d > N=%d entries", len(nd.leaf.ids), t.opt.LeafCap)
 			}
-			for _, id := range nd.leafIDs {
+			if err := nd.leaf.check(t.ps); err != nil {
+				return err
+			}
+			for _, id := range nd.leaf.ids {
 				if !nd.mbr.Contains(t.ps.At(id)) {
 					return fmt.Errorf("leaf point %d outside MBR", id)
 				}
@@ -517,6 +516,11 @@ func (t *Tree) CheckInvariants() error {
 	}
 	if live != t.arena.nodesInUse() {
 		return fmt.Errorf("tree has %d nodes but arena reports %d in use", live, t.arena.nodesInUse())
+	}
+	for _, idx := range t.arena.free {
+		if nd := t.arena.at(idx); nd.children != nil || nd.leaf != nil || nd.part != nil {
+			return fmt.Errorf("released record %d still holds its contents", idx)
+		}
 	}
 	if want := t.owned - len(t.deleted); len(seen) != want {
 		return fmt.Errorf("contour covers %d of %d live points", len(seen), want)

@@ -37,12 +37,12 @@ func (t *Tree) insertAt(nd *node, id int32) {
 		t.insertAt(chooseChild(nd.children, pt), id)
 	case nd.isLeaf():
 		t.arena.statsOf(nd).Store(nil)
-		nd.leafIDs = append(nd.leafIDs, id)
-		if len(nd.leafIDs) > t.opt.LeafCap {
+		nd.leaf.add(t.ps, id)
+		if len(nd.leaf.ids) > t.opt.LeafCap {
 			// Overflow: revert to a pending element; the next query that
 			// touches it will crack it with full cost-model context.
-			nd.part = newPartition(t.ps, nd.leafIDs)
-			nd.leafIDs = nil
+			nd.part = newPartition(t.ps, nd.leaf.ids)
+			nd.dropPage()
 		}
 	default:
 		t.arena.statsOf(nd).Store(nil)
@@ -138,11 +138,11 @@ func (t *Tree) Delete(id int32) bool {
 			}
 			return false, false
 		case nd.isLeaf():
-			for i, v := range nd.leafIDs {
+			for i, v := range nd.leaf.ids {
 				if v == id {
 					t.arena.statsOf(nd).Store(nil)
-					nd.leafIDs = append(nd.leafIDs[:i], nd.leafIDs[i+1:]...)
-					return true, len(nd.leafIDs) == 0
+					nd.leaf.remove(i)
+					return true, len(nd.leaf.ids) == 0
 				}
 			}
 			return false, false
@@ -172,7 +172,7 @@ func (t *Tree) Delete(id int32) bool {
 		// leaf state NewCracking would produce over zero points.
 		t.root.children = nil
 		t.root.part = nil
-		t.root.leafIDs = []int32{}
+		t.arena.setLeaf(t.root, t.ps, []int32{})
 	}
 	if t.deleted == nil {
 		t.deleted = make(map[int32]bool)

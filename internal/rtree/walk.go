@@ -98,9 +98,9 @@ func (f *frontier) release(access *AccessCounters) {
 
 // drain visits the frontier's points in deterministic best-first order.
 // Trees sharing the frontier must share ps; LeafCap and friends are not
-// consulted, so mixed-option trees are fine. Points enter through
-// PointSet.appendWithin, which reports exact float64 distances — the packed
-// prefilter never changes which points arrive or in what order.
+// consulted, so mixed-option trees are fine. Points enter through the two
+// appendWithin scans — a leaf's page, a pending element's ids — whose
+// distances are bit-identical.
 //
 // A run's item stays at the top of the heap while its head is visited and
 // is then re-keyed to the run's next point with one sift-down, instead of a
@@ -135,10 +135,21 @@ func (f *frontier) drain(ps *PointSet, q []float64, bound func() float64, visit 
 			}
 		case it.n.isLeaf():
 			f.accLf++
-			f.pushRun(ps, it.n.leafIDs, q, b)
+			lo := f.room(len(it.n.leaf.ids))
+			f.pts = it.n.leaf.appendWithin(f.pts, q, b)
+			f.putRun(lo)
 		default:
 			f.accPd++
-			f.pushRun(ps, it.n.part.ids(), q, b)
+			// The whole element when the bound is still infinite, else a
+			// long scan's first chunk.
+			ids := it.n.part.ids()
+			room := len(ids)
+			if room > gatherChunk && !math.IsInf(b, 1) {
+				room = gatherChunk
+			}
+			lo := f.room(room)
+			f.pts = ps.appendWithin(f.pts, ids, q, b)
+			f.putRun(lo)
 		}
 		if f.hole {
 			f.hole = false
@@ -159,25 +170,22 @@ func (f *frontier) put(it walkItem) {
 	f.items.down(0)
 }
 
-// pushRun scans ids into a new run of the points within b and puts its
-// item on the frontier. Building the heap is O(m) and the tail of a run the
-// walk never reaches is never ordered, so a cold index's pending root of
-// every point costs one linear pass.
-func (f *frontier) pushRun(ps *PointSet, ids []int32, q []float64, b float64) {
-	lo := len(f.pts)
-	// Make room for the whole run when its size is bounded (a leaf; any scan
-	// while the bound is infinite), else for a long scan's first chunk.
-	// Growing by at least the current length doubles the scratch: append's
-	// ratio of 1.25 would copy an aggregate's ball of thousands of points,
-	// too large to come back from the pool, five times over.
-	room := len(ids)
-	if room > gatherChunk && !math.IsInf(b, 1) {
-		room = gatherChunk
+// room makes space for n more points in the scratch and returns where they
+// will start. Growing by at least the current length doubles the scratch:
+// append's ratio of 1.25 would copy an aggregate's ball of thousands of
+// points, too large to come back from the pool, five times over.
+func (f *frontier) room(n int) int {
+	if cap(f.pts)-len(f.pts) < n {
+		f.pts = slices.Grow(f.pts, max(n, len(f.pts)))
 	}
-	if cap(f.pts)-len(f.pts) < room {
-		f.pts = slices.Grow(f.pts, max(room, len(f.pts)))
-	}
-	f.pts = ps.appendWithin(f.pts, ids, q, b)
+	return len(f.pts)
+}
+
+// putRun makes the points scanned into pts[lo:] a run and puts its item on
+// the frontier. Building the heap is O(m) and the tail of a run the walk
+// never reaches is never ordered, so a cold index's pending root of every
+// point costs one linear pass.
+func (f *frontier) putRun(lo int) {
 	if len(f.pts) == lo {
 		return
 	}

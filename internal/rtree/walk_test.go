@@ -46,13 +46,13 @@ func walkTrees(trees []*Tree, q []float64, bound func(visited int) float64, stop
 }
 
 // TestWalkMatchesSortedScan is the randomized differential test of the run
-// frontier: over {1, 2, 4} trees, packed on and off, and a random crack
-// sequence, the visit sequence must equal the (sqDist, id)-sorted scan
-// under a fixed bound, no bound, and a bound that shrinks with the points
-// visited; an early stop must leave the next walk on the goroutine intact,
-// and so must a walk started from inside a visit callback. Coordinates sit
-// on a coarse lattice, with exact duplicates, so equal distances — the id
-// tie-break — occur in every run.
+// frontier: over {1, 2, 4} trees and a random crack sequence, the visit
+// sequence must equal the (sqDist, id)-sorted scan under a fixed bound, no
+// bound, and a bound that shrinks with the points visited; an early stop
+// must leave the next walk on the goroutine intact, and so must a walk
+// started from inside a visit callback. Coordinates sit on a coarse
+// lattice, with exact duplicates, so equal distances — the id tie-break —
+// occur in every run.
 func TestWalkMatchesSortedScan(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
@@ -68,7 +68,7 @@ func TestWalkMatchesSortedScan(t *testing.T) {
 			case i > 0 && rng.Intn(8) == 0: // exact duplicate of an earlier point
 				j := rng.Intn(i)
 				coords = append(coords, coords[j*dim:(j+1)*dim]...)
-			case rng.Intn(4) == 0: // off-lattice, so the float32 mirror rounds
+			case rng.Intn(4) == 0: // off-lattice
 				for d := 0; d < dim; d++ {
 					coords = append(coords, rng.Float64()*6)
 				}
@@ -87,32 +87,27 @@ func TestWalkMatchesSortedScan(t *testing.T) {
 			owner[i] = rng.Intn(4)
 		}
 		for _, nTrees := range []int{1, 2, 4} {
-			for _, packed := range []bool{false, true} {
-				ps := NewPointSet(dim, slices.Clone(coords))
-				if packed {
-					ps.EnablePacked()
+			ps := NewPointSet(dim, slices.Clone(coords))
+			subsets := make([][]int32, nTrees)
+			for i, o := range owner {
+				subsets[o%nTrees] = append(subsets[o%nTrees], int32(i))
+			}
+			trees := make([]*Tree, nTrees)
+			for i := range trees {
+				trees[i] = NewCrackingSubset(ps, opt, subsets[i])
+			}
+			// One rng per configuration, so every configuration sees the
+			// same cracks and queries.
+			crng := rand.New(rand.NewSource(int64(seed) + 1000))
+			for round := 0; round < 3; round++ {
+				checkWalks(t, crng, ps, trees, seed)
+				for c := crng.Intn(6); c > 0; c-- {
+					trees[crng.Intn(nTrees)].Crack(randomQuery(crng, dim, 0, 6))
 				}
-				subsets := make([][]int32, nTrees)
-				for i, o := range owner {
-					subsets[o%nTrees] = append(subsets[o%nTrees], int32(i))
-				}
-				trees := make([]*Tree, nTrees)
-				for i := range trees {
-					trees[i] = NewCrackingSubset(ps, opt, subsets[i])
-				}
-				// One rng per configuration, so every configuration sees the
-				// same cracks and queries.
-				crng := rand.New(rand.NewSource(int64(seed) + 1000))
-				for round := 0; round < 3; round++ {
-					checkWalks(t, crng, ps, trees, seed)
-					for c := crng.Intn(6); c > 0; c-- {
-						trees[crng.Intn(nTrees)].Crack(randomQuery(crng, dim, 0, 6))
-					}
-				}
-				for _, tr := range trees {
-					if err := tr.CheckInvariants(); err != nil {
-						t.Fatalf("seed %d: %v", seed, err)
-					}
+			}
+			for _, tr := range trees {
+				if err := tr.CheckInvariants(); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
 				}
 			}
 		}
@@ -141,8 +136,8 @@ func checkWalks(t *testing.T, rng *rand.Rand, ps *PointSet, trees []*Tree, seed 
 				for i < len(got) && i < len(want) && got[i] == want[i] {
 					i++
 				}
-				t.Fatalf("seed %d, %d trees, packed %v, %s bound, %s: %d visits, want %d; first difference at %d",
-					seed, len(trees), ps.Packed(), name, what, len(got), len(want), i)
+				t.Fatalf("seed %d, %d trees, %s bound, %s: %d visits, want %d; first difference at %d",
+					seed, len(trees), name, what, len(got), len(want), i)
 			}
 		}
 		check("full walk", walkTrees(trees, q, bound, -1, nil), want)
@@ -175,7 +170,6 @@ func checkWalks(t *testing.T, rng *rand.Rand, ps *PointSet, trees []*Tree, seed 
 func convergedShards(t *testing.T, q []float64, radius float64) []*Tree {
 	t.Helper()
 	ps := clusteredPointSet(20000, 3, 16, 91)
-	ps.EnablePacked()
 	router := NewShardRouter(ps, ps.N(), 1)
 	var trees []*Tree
 	for _, ids := range router.Assign(ps, ps.N()) {

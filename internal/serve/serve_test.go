@@ -441,13 +441,11 @@ func TestMetricsPage(t *testing.T) {
 		t.Error("engine families are not stamped with the tenant label")
 	}
 	// The memory-layout gauges ride the same labeled path: their own
-	// labels (state, shard) must compose with the tenant label.
+	// label (state) must compose with the tenant label.
 	for _, want := range []string{
-		`vkg_mem_packed_bytes{tenant="movie"}`,
 		`vkg_mem_resident_points{tenant="movie"}`,
 		`vkg_mem_arena_nodes{state="inuse",tenant="movie"}`,
 		`vkg_mem_arena_nodes{state="free",tenant="movie"}`,
-		`vkg_shard_packed_bytes{shard="0",tenant="movie"}`,
 		`vkg_gc_pause_p99_seconds{tenant="movie"}`,
 	} {
 		if !strings.Contains(out, want) {

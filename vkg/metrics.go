@@ -20,8 +20,8 @@ type LatencyStats = obs.LatencyStats
 // so far.
 type Metrics = core.Metrics
 
-// MemoryStats is the memory-layout block of Metrics (see WithPackedCoords
-// and the DESIGN.md "Memory layout" section).
+// MemoryStats is the memory-layout block of Metrics (see the DESIGN.md
+// "Memory layout" section).
 type MemoryStats = core.MemoryStats
 
 // Metrics captures the current engine counters. It is race-clean under

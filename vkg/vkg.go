@@ -197,7 +197,6 @@ type options struct {
 	model        *embedding.Model
 	attrs        []string
 	shards       int
-	packedCoords bool
 }
 
 // Option customizes Build.
@@ -264,16 +263,6 @@ func WithAttributes(names ...string) Option {
 // predictions.
 func WithShards(n int) Option { return func(o *options) { o.shards = n } }
 
-// WithPackedCoords controls the packed columnar coordinate mirror (default
-// true). When on, the index keeps a float32 copy of the S2 coordinates in
-// per-dimension columns and uses it as a conservative distance prefilter;
-// every surviving candidate is re-checked in exact float64, so answers are
-// byte-identical to the unpacked path — packing changes memory layout and
-// speed only, never results. Pass false to fall back to row-major float64
-// scans (e.g. to rule the mirror out while debugging, or to save the
-// extra 4*alpha bytes per entity).
-func WithPackedCoords(on bool) Option { return func(o *options) { o.packedCoords = on } }
-
 // VKG is a queryable virtual knowledge graph. All methods are safe for
 // concurrent use (see the package documentation for the locking model).
 type VKG struct {
@@ -291,13 +280,12 @@ func Build(gr *Graph, opts ...Option) (*VKG, error) {
 		return nil, errors.New("vkg: nil graph")
 	}
 	o := options{
-		mode:         ModeCrack,
-		alpha:        3,
-		eps:          0.75,
-		pTau:         0.05,
-		seed:         1,
-		emb:          EmbeddingParams{},
-		packedCoords: true,
+		mode:  ModeCrack,
+		alpha: 3,
+		eps:   0.75,
+		pTau:  0.05,
+		seed:  1,
+		emb:   EmbeddingParams{},
 	}
 	for _, opt := range opts {
 		opt(&o)
@@ -339,13 +327,12 @@ func Build(gr *Graph, opts ...Option) (*VKG, error) {
 	}
 
 	params := core.Params{
-		Alpha:        o.alpha,
-		Eps:          o.eps,
-		PTau:         o.pTau,
-		Seed:         o.seed,
-		Attrs:        o.attrs,
-		Shards:       o.shards,
-		PackedCoords: o.packedCoords,
+		Alpha:  o.alpha,
+		Eps:    o.eps,
+		PTau:   o.pTau,
+		Seed:   o.seed,
+		Attrs:  o.attrs,
+		Shards: o.shards,
 		Index: rtree.Options{
 			LeafCap:      o.leafCap,
 			Fanout:       o.fanout,
