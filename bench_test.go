@@ -282,13 +282,11 @@ func benchAggSweep(b *testing.B, dataset string, kind core.AggKind, attr string)
 
 // benchBatchSetup builds a VKG over the Movie dataset through the public
 // API and a top-k workload in Query form, with the cracking index converged
-// so the serial/batch comparison measures serving, not splitting. shards
-// selects the spatial shard count (1 = unsharded).
-func benchBatchSetup(b *testing.B, n, shards int) (*vkg.VKG, []vkg.Query) {
+// so the serial/batch comparison measures serving, not splitting.
+func benchBatchSetup(b *testing.B, n int) (*vkg.VKG, []vkg.Query) {
 	b.Helper()
 	ds := mustDataset(b, "movie")
-	v, err := vkg.Build(vkg.WrapGraph(ds.G), vkg.WithPretrainedModel(ds.M), vkg.WithSeed(1),
-		vkg.WithShards(shards))
+	v, err := vkg.Build(vkg.WrapGraph(ds.G), vkg.WithPretrainedModel(ds.M), vkg.WithSeed(1))
 	if err != nil {
 		b.Fatalf("Build: %v", err)
 	}
@@ -315,8 +313,8 @@ func benchBatchSetup(b *testing.B, n, shards int) (*vkg.VKG, []vkg.Query) {
 // with the result cache hot. Queries/s is reported as a metric.
 func BenchmarkBatchServing(b *testing.B) {
 	const n = 512
-	pass := func(b *testing.B, shards int, run func(v *vkg.VKG, queries []vkg.Query)) {
-		v, queries := benchBatchSetup(b, n, shards)
+	pass := func(b *testing.B, run func(v *vkg.VKG, queries []vkg.Query)) {
+		v, queries := benchBatchSetup(b, n)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			run(v, queries)
@@ -325,7 +323,7 @@ func BenchmarkBatchServing(b *testing.B) {
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 	}
 	b.Run("serial", func(b *testing.B) {
-		pass(b, 1, func(v *vkg.VKG, queries []vkg.Query) {
+		pass(b, func(v *vkg.VKG, queries []vkg.Query) {
 			v.ResetCache()
 			for _, q := range queries {
 				var err error
@@ -348,10 +346,9 @@ func BenchmarkBatchServing(b *testing.B) {
 			}
 		}
 	}
-	b.Run("batch", func(b *testing.B) { pass(b, 1, batch) })
-	b.Run("batch-sharded4", func(b *testing.B) { pass(b, 4, batch) })
+	b.Run("batch", func(b *testing.B) { pass(b, batch) })
 	b.Run("cached", func(b *testing.B) {
-		pass(b, 1, func(v *vkg.VKG, queries []vkg.Query) {
+		pass(b, func(v *vkg.VKG, queries []vkg.Query) {
 			for i, res := range v.DoBatch(context.Background(), queries) {
 				if res.Err != nil {
 					b.Fatalf("cached query %d: %v", i, res.Err)
@@ -359,11 +356,10 @@ func BenchmarkBatchServing(b *testing.B) {
 			}
 		})
 	})
-	// The cold variants rebuild the engine every iteration, so each pass pays
-	// the full cracking cost; the reported crack-lock metrics are the
-	// serialization the sharding is meant to kill (per-shard wait/hold sums;
-	// for shards=1 the single shard IS the global crack lock).
-	cold := func(b *testing.B, shards int) {
+	// The cold variant rebuilds the engine every iteration, so each pass pays
+	// the full cracking cost; the reported metrics are the time its queries
+	// spent waiting for a write lock and holding the index write lock.
+	b.Run("cold", func(b *testing.B) {
 		ds := mustDataset(b, "movie")
 		workload := experiments.Workload(ds.G, n, 99)
 		queries := make([]vkg.Query, len(workload))
@@ -378,8 +374,7 @@ func BenchmarkBatchServing(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			v, err := vkg.Build(vkg.WrapGraph(ds.G), vkg.WithPretrainedModel(ds.M), vkg.WithSeed(1),
-				vkg.WithShards(shards))
+			v, err := vkg.Build(vkg.WrapGraph(ds.G), vkg.WithPretrainedModel(ds.M), vkg.WithSeed(1))
 			if err != nil {
 				b.Fatalf("Build: %v", err)
 			}
@@ -391,18 +386,14 @@ func BenchmarkBatchServing(b *testing.B) {
 			}
 			b.StopTimer()
 			m := v.Metrics()
-			for s := 0; s < m.Shards; s++ {
-				wait += time.Duration(m.ShardWriteLockWait[s].Count) * m.ShardWriteLockWait[s].Mean
-				hold += time.Duration(m.ShardCrackLock[s].Count) * m.ShardCrackLock[s].Mean
-			}
+			wait += time.Duration(m.WriteLockWait.Count) * m.WriteLockWait.Mean
+			hold += time.Duration(m.CrackWriteLock.Count) * m.CrackWriteLock.Mean
 			b.StartTimer()
 		}
 		b.StopTimer()
 		b.ReportMetric(wait.Seconds()/float64(b.N), "lock-wait-s/op")
 		b.ReportMetric(hold.Seconds()/float64(b.N), "lock-hold-s/op")
-	}
-	b.Run("cold-shards1", func(b *testing.B) { cold(b, 1) })
-	b.Run("cold-shards4", func(b *testing.B) { cold(b, 4) })
+	})
 }
 
 func BenchmarkFig12Count(b *testing.B)         { benchAggSweep(b, "freebase", core.Count, "popularity") }

@@ -23,7 +23,7 @@ import (
 // The result cache is reset between the first two phases, so serial and
 // batch both pay every index descent and the comparison is parallelism, not
 // caching.
-func runBatch(w io.Writer, dataset, scaleName string, sc experiments.Scale, n, k, parallel, shards int, metricsAddr string) error {
+func runBatch(w io.Writer, dataset, scaleName string, sc experiments.Scale, n, k, parallel int, metricsAddr string) error {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
@@ -31,8 +31,7 @@ func runBatch(w io.Writer, dataset, scaleName string, sc experiments.Scale, n, k
 	if err != nil {
 		return err
 	}
-	v, err := vkg.Build(vkg.WrapGraph(ds.G), vkg.WithPretrainedModel(ds.M), vkg.WithSeed(1),
-		vkg.WithShards(shards))
+	v, err := vkg.Build(vkg.WrapGraph(ds.G), vkg.WithPretrainedModel(ds.M), vkg.WithSeed(1))
 	if err != nil {
 		return err
 	}
@@ -107,12 +106,5 @@ func runBatch(w io.Writer, dataset, scaleName string, sc experiments.Scale, n, k
 	m := v.Metrics()
 	fmt.Fprintf(w, "metrics: cache hit rate %.1f%%, %d splits, topk p95 %v, %d coalesced\n",
 		100*m.CacheHitRate(), m.CrackSplits, m.TopKLatency.P95.Round(time.Microsecond), m.Coalesced)
-	var lockWait, lockHold time.Duration
-	for i := 0; i < m.Shards; i++ {
-		lockWait += time.Duration(m.ShardWriteLockWait[i].Count) * m.ShardWriteLockWait[i].Mean
-		lockHold += time.Duration(m.ShardCrackLock[i].Count) * m.ShardCrackLock[i].Mean
-	}
-	fmt.Fprintf(w, "shards=%d crack-lock wait total %v, hold total %v\n",
-		m.Shards, lockWait.Round(time.Microsecond), lockHold.Round(time.Microsecond))
 	return nil
 }

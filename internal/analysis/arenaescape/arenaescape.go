@@ -3,7 +3,7 @@
 // tree (slabs are never reallocated), but not beyond: Delete releases
 // records onto a freelist that alloc hands out again, and the whole arena
 // dies with the tree on rebuild. A *node stored anywhere that outlives
-// the shard-lock scope — a package-level variable, a channel, a structure
+// the index-lock scope — a package-level variable, a channel, a structure
 // shared with a goroutine, a return value crossing the package API —
 // dangles silently the next time the tree cracks or reloads.
 //
@@ -47,7 +47,7 @@ const allowMarker = "arenaescape:allow"
 // Analyzer flags arena record pointers escaping their lock/reset scope.
 var Analyzer = &analysis.Analyzer{
 	Name:      "arenaescape",
-	Doc:       "slab-arena node pointers must not be stored anywhere that outlives the shard lock scope or an arena reset",
+	Doc:       "slab-arena node pointers must not be stored anywhere that outlives the index lock scope or an arena reset",
 	Run:       run,
 	FactTypes: []analysis.Fact{new(ArenaRecordFact)},
 }
@@ -108,7 +108,7 @@ func run(pass *analysis.Pass) error {
 					}
 				case *ast.SendStmt:
 					if tv, ok := pass.TypesInfo.Types[n.Value]; ok && escapes(tv.Type) {
-						report(n.Pos(), "arena record pointer sent on a channel: the receiver may outlive the shard lock scope that made the pointer valid")
+						report(n.Pos(), "arena record pointer sent on a channel: the receiver may outlive the index lock scope that made the pointer valid")
 					}
 				case *ast.GoStmt:
 					checkGoCapture(pass, n, escapes, report)

@@ -2,7 +2,7 @@
 // the cycles that make it a deadlock risk.
 //
 // Every mutex field of a package-level struct type is a lock class, named
-// pkg.Type.field (core.Engine.mu, core.engineShard.mu, core.walState.mu,
+// pkg.Type.field (core.Engine.mu, core.lockedIndex.mu, core.walState.mu,
 // ...). Within each function the analyzer replays lock events in source
 // order, and whenever class B is acquired while class A is held it records
 // the edge A → B. Acquisition is visible two ways: a direct x.mu.Lock /
@@ -18,23 +18,22 @@
 //   - any cycle, with the full witness path (file:line of every edge) —
 //     a potential deadlock;
 //   - any edge that inverts the documented rank order engine(0) →
-//     shard(1) → leaf(2), where the ranks come from the same structural
-//     shape detection lockorder uses (an engine is a mutex-bearing struct
-//     with a slice of mutex-bearing shard structs; a leaf is any other
-//     mutex-bearing struct hung off an engine field, e.g. the WAL state,
-//     the result cache, the trace store).
+//     leaf(1), where the ranks come from a structural shape: an engine is
+//     a mutex-bearing struct with a field of another mutex-bearing struct
+//     type, and each such struct hung off an engine field is a leaf (the
+//     index, the WAL state, the result cache, the trace store). The order
+//     among leaves (index before WAL) is not ranked: an inversion there
+//     closes a cycle with the edge it inverts.
 //
-// Self-edges (shard[i] then shard[j], same class) are excluded from cycle
-// detection — the ascending-index discipline for same-class acquisition is
-// lockorder rule 3's and the vkgdebug runtime assertion's job — but they
-// are shown in the dump. `-lockgraph-dump` prints the whole graph.
+// Self-edges (two locks of one class) are excluded from cycle detection
+// but shown in the dump. `-lockgraph-dump` prints the whole graph.
 //
 // Approximations, deliberate (the framework is lexical, not SSA): events
 // are ordered by source position within one body; function literals are
 // scanned as separate roots with an empty held set (what a deferred or
 // spawned closure holds at run time is unknowable lexically); a callee
-// that returns still holding locks (rlockShards) contributes edges at the
-// call site but does not extend the caller's held set.
+// that returns still holding locks contributes edges at the call site but
+// does not extend the caller's held set.
 package lockgraph
 
 import (
@@ -70,7 +69,7 @@ type Edge struct {
 }
 
 // ClassInfo carries a lock class's rank in the documented order:
-// 0 engine, 1 shard, 2 leaf; -1 unknown (no shape evidence).
+// 0 engine, 1 leaf; -1 unknown (no shape evidence).
 type ClassInfo struct {
 	Name string
 	Rank int
@@ -92,7 +91,7 @@ var dumpGraph bool
 // acyclic and rank-ordered.
 var Analyzer = &analysis.Analyzer{
 	Name:      "lockgraph",
-	Doc:       "build the program-wide lock-order graph; report cycles (potential deadlocks) and engine→shard→leaf rank inversions",
+	Doc:       "build the program-wide lock-order graph; report cycles (potential deadlocks) and engine→leaf rank inversions",
 	Run:       run,
 	FactTypes: []analysis.Fact{new(AcquiresFact), new(EdgesFact)},
 	Finish:    finish,
@@ -231,10 +230,9 @@ type classKinds struct {
 }
 
 // classTable enumerates the package's lock classes and ranks them by the
-// engine/shard/leaf shape.
+// engine/leaf shape.
 func classTable(pkg *types.Package) *classKinds {
 	ck := &classKinds{pkg: pkg, fields: make(map[*types.Var]string), info: make(map[string]int)}
-	engines, shards := lockorder.Shapes(pkg)
 	scope := pkg.Scope()
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
@@ -249,62 +247,55 @@ func classTable(pkg *types.Package) *classKinds {
 		if !ok {
 			continue
 		}
-		rank := -1
-		switch {
-		case engines[named]:
-			rank = 0
-		case shards[named]:
-			rank = 1
-		}
+		var own []*types.Var
 		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			if !lockorder.IsMutexType(f.Type()) {
+			if f := st.Field(i); lockorder.IsMutexType(f.Type()) {
+				own = append(own, f)
+			}
+		}
+		// Leaves: a mutex-bearing struct hung off a field ((possibly
+		// pointer) named struct) of a struct that has a mutex of its own is
+		// one level below it in the documented order. This is how
+		// core.lockedIndex.mu, core.walState.mu, core.resultCache.mu, and
+		// obs.TraceStore.mu get rank 1 from core's own shape, even across
+		// packages — and what makes core.Engine an engine.
+		leaves := 0
+		for i := 0; len(own) > 0 && i < st.NumFields(); i++ {
+			ft := st.Field(i).Type()
+			if p, ok := ft.(*types.Pointer); ok {
+				ft = p.Elem()
+			}
+			fn, ok := ft.(*types.Named)
+			// Mutexes themselves, and sync's internals (Once, Cond), are
+			// synchronization primitives, not lock-bearing state.
+			if !ok || fn == named || fn.Obj().Pkg() == nil || fn.Obj().Pkg().Path() == "sync" {
 				continue
 			}
+			fst, ok := fn.Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for j := 0; j < fst.NumFields(); j++ {
+				lf := fst.Field(j)
+				if !lockorder.IsMutexType(lf.Type()) {
+					continue
+				}
+				leaves++
+				class := className(fn.Obj().Pkg(), fn.Obj().Name(), lf.Name())
+				ck.setRank(class, 1)
+				if fn.Obj().Pkg() == pkg {
+					ck.fields[lf] = class
+				}
+			}
+		}
+		rank := -1
+		if leaves > 0 {
+			rank = 0
+		}
+		for _, f := range own {
 			class := className(pkg, name, f.Name())
 			ck.fields[f] = class
 			ck.setRank(class, rank)
-		}
-		// Leaves: any other mutex-bearing struct hung off an engine field
-		// ((possibly pointer) named struct that is not the shard slice) is
-		// one level below the shards in the documented order. This is how
-		// core.walState.mu, core.resultCache.mu, and obs.TraceStore.mu get
-		// rank 2 from core's own shape, even across packages.
-		if engines[named] {
-			for i := 0; i < st.NumFields(); i++ {
-				ft := st.Field(i).Type()
-				if p, ok := ft.(*types.Pointer); ok {
-					ft = p.Elem()
-				}
-				fn, ok := ft.(*types.Named)
-				if !ok || engines[fn] || shards[fn] {
-					continue
-				}
-				// Mutexes themselves, and sync's internals (Once, Cond),
-				// are synchronization primitives, not lock-bearing state.
-				if fn.Obj().Pkg() != nil && fn.Obj().Pkg().Path() == "sync" {
-					continue
-				}
-				fst, ok := fn.Underlying().(*types.Struct)
-				if !ok {
-					continue
-				}
-				fpkg := pkg
-				if fn.Obj().Pkg() != nil {
-					fpkg = fn.Obj().Pkg()
-				}
-				for j := 0; j < fst.NumFields(); j++ {
-					lf := fst.Field(j)
-					if !lockorder.IsMutexType(lf.Type()) {
-						continue
-					}
-					class := className(fpkg, fn.Obj().Name(), lf.Name())
-					ck.setRank(class, 2)
-					if fpkg == pkg {
-						ck.fields[lf] = class
-					}
-				}
-			}
 		}
 	}
 	return ck
@@ -593,21 +584,19 @@ func finish(fp *analysis.FinalPass) error {
 	}
 
 	// Rank inversions: an edge from a ranked class to a strictly
-	// lower-ranked class contradicts the documented engine→shard→leaf
-	// order even before it closes a cycle.
+	// lower-ranked class contradicts the documented engine→leaf order even
+	// before it closes a cycle.
 	for _, e := range edges {
 		rf, okF := ranks[e.From]
 		rt, okT := ranks[e.To]
 		if okF && okT && rf >= 0 && rt >= 0 && e.From != e.To && rf > rt {
 			fp.Reportf(posnOf(e.Pos),
-				"lock order inverted: %s (%s) acquired while %s (%s) is held in %s; the documented order is engine → shard → leaf",
+				"lock order inverted: %s (%s) acquired while %s (%s) is held in %s; the documented order is engine → leaf",
 				e.To, rankName(rt), e.From, rankName(rf), e.Fn)
 		}
 	}
 
-	// Cycle detection over the class graph, self-edges excluded (the
-	// ascending-index discipline for same-class acquisition belongs to
-	// lockorder rule 3 and the vkgdebug runtime assertion).
+	// Cycle detection over the class graph, self-edges excluded.
 	adj := make(map[string][]Edge)
 	for _, e := range edges {
 		if e.From != e.To {
@@ -717,12 +706,8 @@ func dump(edges []Edge, ranks map[string]int) {
 	})
 	fmt.Println("lock graph (A -> B: B acquired while A held):")
 	for _, e := range sorted {
-		note := ""
-		if e.From == e.To {
-			note = "  (same class: ascending-index discipline, checked at runtime under -tags vkgdebug)"
-		}
-		fmt.Printf("  %-28s -> %-28s [%s -> %s] %-5s %s (%s)%s\n",
-			e.From, e.To, rankName(rankOf(ranks, e.From)), rankName(rankOf(ranks, e.To)), e.Op, e.Pos, e.Fn, note)
+		fmt.Printf("  %-28s -> %-28s [%s -> %s] %-5s %s (%s)\n",
+			e.From, e.To, rankName(rankOf(ranks, e.From)), rankName(rankOf(ranks, e.To)), e.Op, e.Pos, e.Fn)
 	}
 	if len(sorted) == 0 {
 		fmt.Println("  (no edges: no nested lock acquisitions observed)")
@@ -750,8 +735,6 @@ func rankName(rank int) string {
 	case 0:
 		return "engine"
 	case 1:
-		return "shard"
-	case 2:
 		return "leaf"
 	}
 	return "?"

@@ -20,19 +20,13 @@ func (s *Store) Grab() int {
 	return n
 }
 
-type libShard struct {
-	mu   sync.Mutex
-	data []int
-}
-
-// LibEngine is an engine shape — a mutex plus a slice of mutex-bearing
-// shards — which ranks LibEngine.mu engine(0), libShard.mu shard(1), and
-// Store.Mu leaf(2) through the engine-field walk.
+// LibEngine is an engine shape — a mutex plus a field of a mutex-bearing
+// struct — which ranks LibEngine.mu engine(0) and Store.Mu leaf(1) through
+// the engine-field walk.
 type LibEngine struct {
-	mu     sync.RWMutex
-	gen    int
-	shards []*libShard
-	store  *Store
+	mu    sync.RWMutex
+	gen   int
+	store *Store
 }
 
 // Tick takes the engine write lock briefly.

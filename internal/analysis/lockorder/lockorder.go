@@ -1,30 +1,11 @@
-// Package lockorder enforces the engine's two-level lock discipline
-// (DESIGN.md "Concurrency": lock order is engine → shards, shards in
-// ascending index order, and write-critical sections stay short).
-//
-// The shape it looks for is structural, not name-based: an "engine" is any
-// struct with both a sync.Mutex/RWMutex field and a slice field of "shard"
-// structs, where a shard is a struct with its own mutex field. Wherever
-// that shape exists, four rules apply:
-//
-//  1. Never acquire an engine write lock while a shard lock may be held —
-//     the documented order is engine before shards, and the reverse edge
-//     makes the lock graph cyclic.
-//  2. Shard locks are only taken under the engine read lock. A function
-//     that acquires a shard lock must either take the engine lock itself
-//     first or carry a "caller must hold"-style doc comment stating the
-//     precondition, so the contract is at least written where the call
-//     sites can see it.
-//  3. Shard locks inside a loop must be acquired in ascending shard order:
-//     a descending for loop or a range over a map (nondeterministic order)
-//     that acquires shard locks is flagged.
-//  4. No potentially blocking operation inside a write-critical section
-//     (between mu.Lock and mu.Unlock, on any mutex): channel operations,
-//     select, time.Sleep, sync.WaitGroup.Wait, filesystem and network
-//     calls, writes to stdio, and obs registry flushes
-//     (Registry.Snapshot/WritePrometheus, which take the registry lock).
-//     Lock-free obs increments (Counter.Inc, Histogram.Observe, ...) are
-//     allowed — the hot paths depend on that.
+// Package lockorder keeps write-critical sections on the query path short
+// (DESIGN.md "Concurrency"): between mu.Lock and mu.Unlock, on any mutex,
+// there may be no potentially blocking operation — channel operations,
+// select, time.Sleep, sync.WaitGroup.Wait, filesystem and network calls,
+// writes to stdio, and obs registry flushes (Registry.Snapshot /
+// WritePrometheus, which take the registry lock). Lock-free obs increments
+// (Counter.Inc, Histogram.Observe, ...) are allowed — the hot paths depend
+// on that. The order in which locks are taken is lockgraph's business.
 //
 // The analysis is lexical within one function body: events are ordered by
 // source position, which matches how every critical section in this
@@ -35,51 +16,21 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
-	"sort"
 	"strings"
 
 	"vkgraph/internal/analysis"
 )
 
-// Analyzer enforces the two-level engine/shard lock discipline.
+// Analyzer flags blocking operations inside write-critical sections.
 var Analyzer = &analysis.Analyzer{
-	Name:      "lockorder",
-	Doc:       "enforce the engine→shards(ascending) lock order and non-blocking write-critical sections",
-	Run:       run,
-	FactTypes: []analysis.Fact{new(ShapesFact)},
+	Name: "lockorder",
+	Doc:  "no blocking operation inside a write-critical section on the query path",
+	Run:  run,
 }
-
-// ShapesFact is a package fact naming the engine/shard struct types the
-// package defines, so dependent packages (and the lockgraph analyzer) can
-// classify locks on types they import rather than re-deriving the shape
-// from source they cannot see.
-type ShapesFact struct {
-	Engines []string
-	Shards  []string
-}
-
-// AFact marks ShapesFact as a fact type.
-func (*ShapesFact) AFact() {}
-
-// callerHoldsRe matches doc comments that state the engine-lock
-// precondition, e.g. "the caller must hold e.mu.RLock" or "(which the
-// caller still holds)".
-var callerHoldsRe = regexp.MustCompile(`(?i)caller[s]?\s+(must\s+hold|still\s+hold|hold)`)
-
-// lockKind classifies the owner of a mutex.
-type lockKind int
-
-const (
-	kindOther lockKind = iota
-	kindEngine
-	kindShard
-)
 
 // event is one ordered occurrence inside a function body.
 type event struct {
-	pos  token.Pos
-	kind lockKind
+	pos token.Pos
 	// op is Lock, RLock, Unlock, or RUnlock for mutex events, "" for
 	// blocking-operation events.
 	op string
@@ -93,126 +44,22 @@ type event struct {
 }
 
 func run(pass *analysis.Pass) error {
-	engines, shards := Shapes(pass.Pkg)
-	// Rule 4's hot-path gate keys on the package's OWN shapes (plus the
-	// named query-path packages below): importing core must not make a
-	// consumer's unrelated mutexes hot-path. The imported shapes extend
-	// only the engine/shard classification for rules 1–3.
-	localShards := len(shards) > 0
-	// Extend the classification with shapes imported packages declared:
-	// a dependent package holding a *core.Engine participates in the same
-	// discipline even though the shape detection cannot see core's source.
-	if pass.ImportPackageFact != nil {
-		for _, imp := range pass.Pkg.Imports() {
-			var sf ShapesFact
-			if !pass.ImportPackageFact(imp, &sf) {
-				continue
-			}
-			for _, name := range sf.Engines {
-				if n := lookupNamed(imp, name); n != nil {
-					engines[n] = true
-				}
-			}
-			for _, name := range sf.Shards {
-				if n := lookupNamed(imp, name); n != nil {
-					shards[n] = true
-				}
-			}
-		}
-	}
-	if pass.ExportPackageFact != nil && (len(engines) > 0 || len(shards) > 0) {
-		sf := &ShapesFact{}
-		for n := range engines {
-			sf.Engines = append(sf.Engines, n.Obj().Name())
-		}
-		for n := range shards {
-			sf.Shards = append(sf.Shards, n.Obj().Name())
-		}
-		sort.Strings(sf.Engines)
-		sort.Strings(sf.Shards)
-		pass.ExportPackageFact(sf)
-	}
-	// Rule 4 is a hot-path rule: it applies in the packages DESIGN.md calls
-	// the query path (internal/core, internal/rtree) and anywhere the
-	// engine/shard shape itself lives. Elsewhere, holding a lock across I/O
+	// The rule applies in the packages DESIGN.md calls the query path
+	// (internal/core, internal/rtree). Elsewhere, holding a lock across I/O
 	// can be a deliberate serialization choice (e.g. the experiments
 	// dataset cache memoizes expensive builds under its mutex).
-	hotPath := localShards ||
-		strings.Contains(pass.Pkg.Path(), "internal/core") ||
-		strings.Contains(pass.Pkg.Path(), "internal/rtree")
+	if !strings.Contains(pass.Pkg.Path(), "internal/core") &&
+		!strings.Contains(pass.Pkg.Path(), "internal/rtree") {
+		return nil
+	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkFunc(pass, fd)
 			}
-			checkFunc(pass, fd, engines, shards, hotPath)
 		}
 	}
 	return nil
-}
-
-// lookupNamed resolves a package-level type name to its *types.Named.
-func lookupNamed(pkg *types.Package, name string) *types.Named {
-	tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
-	if !ok {
-		return nil
-	}
-	named, _ := tn.Type().(*types.Named)
-	return named
-}
-
-// Shapes finds the engine/shard struct pairs of the package: a shard
-// is a struct with a mutex field referenced as []S or []*S from a struct
-// that also has its own mutex field (the engine). Exported for lockgraph,
-// which ranks lock classes by the same shape.
-func Shapes(pkg *types.Package) (engines, shards map[*types.Named]bool) {
-	engines = make(map[*types.Named]bool)
-	shards = make(map[*types.Named]bool)
-	scope := pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok || !hasMutexField(st) {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			sl, ok := st.Field(i).Type().(*types.Slice)
-			if !ok {
-				continue
-			}
-			elem := sl.Elem()
-			if p, ok := elem.(*types.Pointer); ok {
-				elem = p.Elem()
-			}
-			en, ok := elem.(*types.Named)
-			if !ok {
-				continue
-			}
-			est, ok := en.Underlying().(*types.Struct)
-			if ok && hasMutexField(est) {
-				engines[named] = true
-				shards[en] = true
-			}
-		}
-	}
-	return engines, shards
-}
-
-func hasMutexField(st *types.Struct) bool {
-	for i := 0; i < st.NumFields(); i++ {
-		if isMutexType(st.Field(i).Type()) {
-			return true
-		}
-	}
-	return false
 }
 
 // IsMutexType reports whether t (or its pointee) is sync.Mutex or
@@ -234,81 +81,44 @@ func isMutexType(t types.Type) bool {
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
-// checkFunc runs the four rules over one function body.
-func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, engines, shards map[*types.Named]bool, hotPath bool) {
-	events := collectEvents(pass, fd, engines, shards)
-	hasCallerHoldsDoc := fd.Doc != nil && callerHoldsRe.MatchString(fd.Doc.Text())
-
-	// Linear scan in source order.
-	type heldLock struct {
-		kind  lockKind
-		op    string
-		write bool
-	}
-	held := make(map[string]heldLock)
-	shardHeld := 0
-	writeHeld := func() (string, bool) {
-		for key, h := range held {
-			if h.write {
-				return key, true
-			}
-		}
-		return "", false
-	}
-	sawEngineLock := false
-	for _, ev := range events {
+// checkFunc scans one function body in source order.
+func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
+	held := make(map[string]bool) // write-locked keys
+	for _, ev := range collectEvents(pass, fd) {
 		switch ev.op {
-		case "Lock", "RLock":
-			if ev.kind == kindEngine {
-				if ev.op == "Lock" && shardHeld > 0 {
-					pass.Reportf(ev.pos, "engine write lock %s.Lock acquired while a shard lock is held; the documented order is engine before shards", ev.key)
-				}
-				sawEngineLock = true
-			}
-			if ev.kind == kindShard {
-				if !sawEngineLock && !hasCallerHoldsDoc {
-					pass.Reportf(ev.pos, "shard lock %s.%s acquired without the engine read lock: take it first, or document the precondition with a 'caller must hold' doc comment", ev.key, ev.op)
-				}
-				shardHeld++
-			}
-			held[ev.key] = heldLock{kind: ev.kind, op: ev.op, write: ev.op == "Lock"}
-		case "Unlock", "RUnlock":
-			if !ev.deferred {
-				if h, ok := held[ev.key]; ok {
-					if h.kind == kindShard {
-						shardHeld--
-					}
-					delete(held, ev.key)
-				}
-			}
+		case "Lock":
+			held[ev.key] = true
+		case "Unlock":
 			// A deferred unlock keeps the section open to function end, which
 			// is exactly how the linear scan already treats an unreleased lock.
+			if !ev.deferred {
+				delete(held, ev.key)
+			}
 		case "":
-			if key, ok := writeHeld(); ok && hotPath {
+			for key := range held {
 				pass.Reportf(ev.pos, "%s inside the %s write-critical section; move it outside the lock", ev.blockDesc, key)
+				break
 			}
 		}
 	}
-
-	checkLoopOrder(pass, fd, shards)
 }
 
 // collectEvents gathers lock, unlock, and blocking-operation events of fd
 // in source order.
-func collectEvents(pass *analysis.Pass, fd *ast.FuncDecl, engines, shards map[*types.Named]bool) []event {
+func collectEvents(pass *analysis.Pass, fd *ast.FuncDecl) []event {
 	var events []event
 	add := func(ev event) { events = append(events, ev) }
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.DeferStmt:
-			if ev, ok := lockEvent(pass, n.Call, engines, shards); ok {
+			if ev, ok := lockEvent(pass, n.Call); ok {
 				ev.deferred = true
 				add(ev)
 				return false
 			}
 		case *ast.CallExpr:
-			if ev, ok := lockEvent(pass, n, engines, shards); ok {
+			if ev, ok := lockEvent(pass, n); ok {
 				add(ev)
 				return true
 			}
@@ -339,9 +149,8 @@ func collectEvents(pass *analysis.Pass, fd *ast.FuncDecl, engines, shards map[*t
 	return events
 }
 
-// lockEvent recognizes x.mu.Lock / RLock / Unlock / RUnlock calls and
-// classifies the owner x.
-func lockEvent(pass *analysis.Pass, call *ast.CallExpr, engines, shards map[*types.Named]bool) (event, bool) {
+// lockEvent recognizes x.mu.Lock / RLock / Unlock / RUnlock calls.
+func lockEvent(pass *analysis.Pass, call *ast.CallExpr) (event, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return event{}, false
@@ -355,24 +164,7 @@ func lockEvent(pass *analysis.Pass, call *ast.CallExpr, engines, shards map[*typ
 	if t, ok := pass.TypesInfo.Types[sel.X]; !ok || !isMutexType(t.Type) {
 		return event{}, false
 	}
-	kind := kindOther
-	if owner, ok := sel.X.(*ast.SelectorExpr); ok {
-		if t, ok := pass.TypesInfo.Types[owner.X]; ok {
-			ot := t.Type
-			if p, ok := ot.(*types.Pointer); ok {
-				ot = p.Elem()
-			}
-			if named, ok := ot.(*types.Named); ok {
-				switch {
-				case engines[named]:
-					kind = kindEngine
-				case shards[named]:
-					kind = kindShard
-				}
-			}
-		}
-	}
-	return event{pos: call.Pos(), kind: kind, op: op, key: exprString(sel.X)}, true
+	return event{pos: call.Pos(), op: op, key: exprString(sel.X)}, true
 }
 
 // blockingCall recognizes calls that may block or perform I/O.
@@ -437,56 +229,8 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-// checkLoopOrder flags shard-lock acquisition in loops that do not iterate
-// in ascending order: descending for loops and ranges over maps.
-func checkLoopOrder(pass *analysis.Pass, fd *ast.FuncDecl, shards map[*types.Named]bool) {
-	if len(shards) == 0 {
-		return
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch loop := n.(type) {
-		case *ast.ForStmt:
-			if isDescending(loop) && acquiresShardLock(pass, loop.Body, shards) {
-				pass.Reportf(loop.Pos(), "shard locks acquired in a descending loop; shards must be locked in ascending index order")
-			}
-		case *ast.RangeStmt:
-			if t, ok := pass.TypesInfo.Types[loop.X]; ok {
-				if _, isMap := t.Type.Underlying().(*types.Map); isMap && acquiresShardLock(pass, loop.Body, shards) {
-					pass.Reportf(loop.Pos(), "shard locks acquired while ranging over a map (nondeterministic order); shards must be locked in ascending index order")
-				}
-			}
-		}
-		return true
-	})
-}
-
-func isDescending(loop *ast.ForStmt) bool {
-	switch post := loop.Post.(type) {
-	case *ast.IncDecStmt:
-		return post.Tok == token.DEC
-	case *ast.AssignStmt:
-		return post.Tok == token.SUB_ASSIGN
-	}
-	return false
-}
-
-func acquiresShardLock(pass *analysis.Pass, body *ast.BlockStmt, shards map[*types.Named]bool) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if ev, ok := lockEvent(pass, call, nil, shards); ok && ev.kind == kindShard && (ev.op == "Lock" || ev.op == "RLock") {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-// exprString renders a lock receiver expression compactly (sh.mu,
-// e.shards[i].mu) so Lock and Unlock events pair up by key.
+// exprString renders a lock receiver expression compactly (ix.mu,
+// e.wal.mu) so Lock and Unlock events pair up by key.
 func exprString(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.Ident:

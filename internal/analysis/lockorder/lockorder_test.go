@@ -8,5 +8,5 @@ import (
 )
 
 func TestGolden(t *testing.T) {
-	analysistest.Run(t, "testdata", lockorder.Analyzer, "enginepkg")
+	analysistest.Run(t, "testdata", lockorder.Analyzer, "internal/core")
 }

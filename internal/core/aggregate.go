@@ -122,7 +122,7 @@ func (e *Engine) AggregateHeads(t kg.EntityID, r kg.RelationID, q AggQuery) (*Ag
 func (e *Engine) aggregateQuery(ctx context.Context, dir Dir, ent kg.EntityID, rel kg.RelationID, q AggQuery, eps float64, tr *obs.QueryTrace) (*AggResult, error) {
 	start := time.Now()
 	if e.prepareIndex() {
-		// Building the roots is index construction the first query pays
+		// Building the root is index construction the first query pays
 		// for, not validation: its time goes to the crack span.
 		tr.Carry(obs.StageCrack)
 	}
@@ -215,12 +215,12 @@ func (e *Engine) aggregate(ctx context.Context, q1 []float64, q AggQuery, self k
 	q2 := e.tf.Apply(q1)
 	tr.Step(obs.StageTransform)
 
-	// Both phases read every shard tree, so all shard read locks are held
-	// until the ball is accounted for, and released before finishQuery,
-	// which takes shard write locks.
-	e.rlockShards()
+	// Both phases read the tree, so the index read lock is held until the
+	// ball is accounted for, and released before finishQuery, which may
+	// take it in write mode.
+	e.idx.mu.RLock()
 	unlock := func() {
-		e.runlockShards()
+		e.idx.mu.RUnlock()
 		e.mu.RUnlock()
 	}
 
@@ -243,7 +243,7 @@ func (e *Engine) aggregate(ctx context.Context, q1 []float64, q AggQuery, self k
 	}
 	probed, visits := 0, 0
 	var cancelled error
-	rtree.WalkTreesWithin(e.trees, q2, func() float64 { return bound }, func(id int32, sqd float64) bool {
+	e.idx.tree.WalkWithin(q2, func() float64 { return bound }, func(id int32, sqd float64) bool {
 		if visits++; visits&255 == 0 && ctx != nil {
 			if cancelled = ctx.Err(); cancelled != nil {
 				return false
@@ -329,7 +329,7 @@ func (e *Engine) aggregate(ctx context.Context, q1 []float64, q AggQuery, self k
 	if q.Kind == Count || q.Kind == Sum {
 		each = func(id int32, sqd float64) { tail += tailProb(id, sqd) }
 	}
-	st := rtree.SummarizeBall(e.trees, q2, r2, attrIdx, each)
+	st := e.idx.tree.SummarizeBall(q2, r2, attrIdx, each)
 	// The summary counted the skipped entities like any other point.
 	unskip := func(id kg.EntityID) {
 		if sqd := e.ps.SqDistTo(int32(id), q2); sqd <= bound && e.ps.HasAttr(attrIdx, int32(id)) {
@@ -345,7 +345,7 @@ func (e *Engine) aggregate(ctx context.Context, q1 []float64, q AggQuery, self k
 	if !containsSorted(known, self) {
 		unskip(self)
 	}
-	e.runlockShards()
+	e.idx.mu.RUnlock()
 	tr.Step(obs.StageSearch)
 
 	a, b := len(acc), st.Count
@@ -360,7 +360,7 @@ func (e *Engine) aggregate(ctx context.Context, q1 []float64, q AggQuery, self k
 
 	// Crack the index for this query region: aggregate queries shape the
 	// index exactly as top-k queries do. finishQuery releases the read lock
-	// and only write-locks the shards the region still needs to split.
+	// and write-locks the index only if the region still needs to split.
 	e.finishQuery(rtree.BallRect(q2, r2), true, tr)
 
 	// v_m: the element statistic, or the sample maximum when there is none.
@@ -388,8 +388,8 @@ func (e *Engine) aggregate(ctx context.Context, q1 []float64, q AggQuery, self k
 		// (it would dominate an all-negative MAX), nor an absent element
 		// bound drag a real estimate down, so each counts only if it exists.
 		e.mu.RLock()
-		e.rlockShards()
-		st = rtree.SummarizeBall(e.trees, q2, r2, attrIdx, nil)
+		e.idx.mu.RLock()
+		st = e.idx.tree.SummarizeBall(q2, r2, attrIdx, nil)
 		unlock()
 		// MIN is MAX over negated values; v stays -Inf with neither.
 		sign, v := 1.0, st.Max

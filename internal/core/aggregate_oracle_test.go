@@ -51,23 +51,21 @@ func oracleAttrStats(ps *rtree.PointSet, ai int, ids []int32) rtree.AttrStats {
 }
 
 // oracleContourOverlap summarizes every contour element whose MBR
-// intersects the bounding box of B(center, radius), across shards; the
-// caller holds the engine read lock and every shard read lock.
+// intersects the bounding box of B(center, radius); the caller holds the
+// engine read lock and the index read lock.
 func (e *Engine) oracleContourOverlap(center []float64, radius float64) []oracleElement {
 	q := rtree.BallRect(center, radius)
 	var out []oracleElement
-	for _, tr := range e.trees {
-		tr.EachElement(func(mbr rtree.Rect, ids []int32) {
-			if !mbr.Overlaps(q) {
-				return
-			}
-			sum := oracleElement{MaxDist: math.Sqrt(mbr.MaxSqDist(center)), Attrs: make([]rtree.AttrStats, e.ps.NumAttrs())}
-			for ai := range sum.Attrs {
-				sum.Attrs[ai] = oracleAttrStats(e.ps, ai, ids)
-			}
-			out = append(out, sum)
-		})
-	}
+	e.idx.tree.EachElement(func(mbr rtree.Rect, ids []int32) {
+		if !mbr.Overlaps(q) {
+			return
+		}
+		sum := oracleElement{MaxDist: math.Sqrt(mbr.MaxSqDist(center)), Attrs: make([]rtree.AttrStats, e.ps.NumAttrs())}
+		for ai := range sum.Attrs {
+			sum.Attrs[ai] = oracleAttrStats(e.ps, ai, ids)
+		}
+		out = append(out, sum)
+	})
 	return out
 }
 
@@ -98,11 +96,11 @@ func (e *Engine) oracleAggregate(q1 []float64, q AggQuery, skip func(kg.EntityID
 		pTau = e.params.PTau
 	}
 	q2 := e.tf.Apply(q1)
-	e.rlockShards()
+	e.idx.mu.RLock()
 
 	d1 := e.oracleNearestDist(q1, q2, skip)
 	if math.IsInf(d1, 1) {
-		e.runlockShards()
+		e.idx.mu.RUnlock()
 		e.mu.RUnlock()
 		return &AggResult{}, nil
 	}
@@ -113,7 +111,7 @@ func (e *Engine) oracleAggregate(q1 []float64, q AggQuery, skip func(kg.EntityID
 	r2 := rTau * (1 + eps)
 
 	var ball []oracleBallPoint
-	rtree.WalkTreesWithin(e.trees, q2, func() float64 { return r2 * r2 }, func(id int32, sqd float64) bool {
+	e.idx.tree.WalkWithin(q2, func() float64 { return r2 * r2 }, func(id int32, sqd float64) bool {
 		eid := kg.EntityID(id)
 		if skip(eid) {
 			return true
@@ -152,7 +150,7 @@ func (e *Engine) oracleAggregate(q1 []float64, q AggQuery, skip func(kg.EntityID
 	}
 
 	vm := e.oracleTailMaxAbs(q2, r2, attrIdx, ball[:a], q.Kind)
-	e.runlockShards()
+	e.idx.mu.RUnlock()
 	e.finishQuery(rtree.BallRect(q2, r2), true, nil)
 
 	res := &AggResult{Accessed: a, BallSize: b, VM: vm}
@@ -176,9 +174,9 @@ func (e *Engine) oracleAggregate(q1 []float64, q AggQuery, skip func(kg.EntityID
 	case Max:
 		est, ok := estimateMax(accessed, false)
 		e.mu.RLock()
-		e.rlockShards()
+		e.idx.mu.RLock()
 		eb := e.oracleElementBound(q2, r2, attrIdx, false)
-		e.runlockShards()
+		e.idx.mu.RUnlock()
 		e.mu.RUnlock()
 		switch {
 		case ok && !math.IsInf(eb, -1):
@@ -191,9 +189,9 @@ func (e *Engine) oracleAggregate(q1 []float64, q AggQuery, skip func(kg.EntityID
 	case Min:
 		est, ok := estimateMax(accessed, true)
 		e.mu.RLock()
-		e.rlockShards()
+		e.idx.mu.RLock()
 		eb := e.oracleElementBound(q2, r2, attrIdx, true)
-		e.runlockShards()
+		e.idx.mu.RUnlock()
 		e.mu.RUnlock()
 		switch {
 		case ok && !math.IsInf(eb, 1):
@@ -240,7 +238,7 @@ func (e *Engine) oracleNearestDist(q1, q2 []float64, skip func(kg.EntityID) bool
 	const probe = 8
 	best := math.Inf(1)
 	seen := 0
-	rtree.WalkTreesWithin(e.trees, q2, func() float64 { return math.Inf(1) },
+	e.idx.tree.WalkWithin(q2, func() float64 { return math.Inf(1) },
 		func(id int32, _ float64) bool {
 			eid := kg.EntityID(id)
 			if skip(eid) {
@@ -326,18 +324,6 @@ type aggTwins struct {
 
 var aggKinds = []AggKind{Count, Sum, Avg, Max, Min}
 
-func trainTinyMovie(t *testing.T) (*kg.Graph, *embedding.Model) {
-	t.Helper()
-	g := kggen.Movie(kggen.TinyMovieConfig())
-	cfg := embedding.DefaultConfig()
-	cfg.Epochs = 12
-	tr, err := embedding.Train(g, cfg)
-	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	return g, tr.Model
-}
-
 // compare asks both engines one aggregate and holds the answers together:
 // the counts and bound parameters equal, MAX/MIN bit-equal, the sums —
 // whose tail the engine adds up in scan order, not distance order — to
@@ -396,25 +382,26 @@ func aggAttr(k AggKind, attr string) string {
 
 // TestAggregateMatchesOracle is the differential test of the two-phase
 // aggregate against the implementation it replaced, over kind x MaxAccess x
-// direction x shard count x index state (the cold first query, a workload
+// direction x graph size x index state (the cold first query, a workload
 // of mixed queries interleaved with InsertEntity, SetAttr and AddFact, and
 // a bulk-loaded tree), with small leaves so that balls hold whole elements.
 func TestAggregateMatchesOracle(t *testing.T) {
 	type config struct {
-		name   string
-		mode   IndexMode
-		shards int
-		leaf   int
+		name  string
+		mode  IndexMode
+		graph kggen.MovieConfig
+		leaf  int
 	}
+	small := kggen.TinyMovieConfig()
 	configs := []config{
-		{"crack/1 shard", Crack, 1, 0},
-		{"crack/default shards", Crack, 0, 8},
-		{"crack/4 shards", Crack, 4, 4},
-		{"bulk", Bulk, 1, 8},
+		{"crack", Crack, small, 0},
+		{"crack/small leaves", Crack, small, 8},
+		{"crack/pre-split root", Crack, bigMovieConfig(), 4},
+		{"bulk", Bulk, small, 8},
 	}
 	params := func(c config) Params {
 		p := defaultTestParams()
-		p.Shards = c.shards
+
 		if c.leaf > 0 {
 			p.Index.LeafCap, p.Index.Fanout = c.leaf, 3
 		}
@@ -424,11 +411,15 @@ func TestAggregateMatchesOracle(t *testing.T) {
 
 	// Cold: every case is the first query of a fresh pair of engines. They
 	// are never updated, so they can all share one graph and model.
-	g, m := trainTinyMovie(t)
-	likes, _ := g.RelationByName("likes")
-	users, movies := g.EntitiesOfType("user"), g.EntitiesOfType("movie")
 	rng := rand.New(rand.NewSource(1))
-	for _, c := range configs[:3] {
+	var g *kg.Graph
+	var m *embedding.Model
+	for ci, c := range configs[:3] {
+		if ci != 1 { // the first two share a graph
+			g, m = trainMovie(t, c.graph)
+		}
+		likes, _ := g.RelationByName("likes")
+		users, movies := g.EntitiesOfType("user"), g.EntitiesOfType("movie")
 		for _, kind := range aggKinds {
 			for _, a := range []int{0, 5, 50} {
 				for _, dir := range []Dir{DirTail, DirHead} {
@@ -454,8 +445,9 @@ func TestAggregateMatchesOracle(t *testing.T) {
 	// Warm: one pair per configuration lives through a workload.
 	for ci, c := range configs {
 		tw := &aggTwins{t: t}
-		tw.got, g = testEngine(t, c.mode, params(c))
-		tw.want, _ = testEngine(t, c.mode, params(c))
+		tw.got, g = movieEngine(t, c.graph, c.mode, params(c))
+		tw.want, _ = movieEngine(t, c.graph, c.mode, params(c))
+		likes, _ := g.RelationByName("likes")
 		rng := rand.New(rand.NewSource(int64(ci) + 2))
 		users, movies := g.EntitiesOfType("user"), g.EntitiesOfType("movie")
 		pick := func(dir Dir) (kg.EntityID, string) {
@@ -466,7 +458,14 @@ func TestAggregateMatchesOracle(t *testing.T) {
 		}
 		// Up to 1, where the ball is so small that probed points lie outside.
 		ptaus := []float64{0, 0, 0.3, 0.8, 1}
-		for step := 0; step < 200; step++ {
+		// The oracle sorts every point for each answer: on the large graph
+		// a shorter workload, a capped sweep and no all-movies fan below.
+		big := c.graph != small
+		steps := 200
+		if big {
+			steps = 60
+		}
+		for step := 0; step < steps; step++ {
 			dir := Dir(rng.Intn(2))
 			ent, attr := pick(dir)
 			switch {
@@ -522,7 +521,7 @@ func TestAggregateMatchesOracle(t *testing.T) {
 				return err
 			})
 		}
-		for a, b := 1, 2; a < b; a++ {
+		for a, b := 1, 2; a < b && (!big || a <= 40); a++ {
 			b = tw.compare(c.name+", sweep", DirTail, users[5], likes, AggQuery{Kind: Sum, Attr: "year", MaxAccess: a}).BallSize
 		}
 
@@ -532,6 +531,12 @@ func TestAggregateMatchesOracle(t *testing.T) {
 		tw.mutate(func(e *Engine) error { return e.SetAttr("late", users[0], 7) })
 		grid("late attribute, empty ball", DirTail, users[1], "late")
 		grid("late attribute", DirHead, movies[0], "late")
+
+		if big {
+			tw.finish(c.name)
+			total += tw.cases
+			continue
+		}
 
 		// A long known-edge list: a user who likes every other movie, then
 		// every movie — the ball still has points (users, tags), but every

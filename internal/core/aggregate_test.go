@@ -148,7 +148,6 @@ func (c *flakyCtx) Err() error {
 // every lock released, a trace finished as canceled, and no crack.
 func TestAggregateCancellation(t *testing.T) {
 	p := defaultTestParams()
-	p.Shards = 2
 	eng, g := testEngine(t, Crack, p)
 	likes, _ := g.RelationByName("likes")
 	u := g.EntitiesOfType("user")[0]
@@ -196,12 +195,12 @@ func TestAggregateCancellation(t *testing.T) {
 }
 
 // TestConcurrentAggregatesAndSetAttr: aggregates on several goroutines race
-// to fill the same elements' statistics under the shard read locks while a
+// to fill the same elements' statistics under the index read lock while a
 // writer's SetAttr clears them. Run under -race; afterwards no stale
 // statistic survives: every answer equals the oracle's, which caches nothing.
 func TestConcurrentAggregatesAndSetAttr(t *testing.T) {
 	p := defaultTestParams()
-	p.Shards, p.Index.LeafCap, p.Index.Fanout = 2, 8, 3
+	p.Index.LeafCap, p.Index.Fanout = 8, 3
 	eng, g := testEngine(t, Crack, p)
 	likes, _ := g.RelationByName("likes")
 	users, movies := g.EntitiesOfType("user"), g.EntitiesOfType("movie")

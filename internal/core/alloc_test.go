@@ -19,7 +19,6 @@ func TestWarmTopKAllocations(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	p := defaultTestParams()
-	p.Shards = 2
 	eng, g := testEngine(t, Crack, p)
 	likes, _ := g.RelationByName("likes")
 	users := g.EntitiesOfType("user")
@@ -75,7 +74,6 @@ func TestWarmAggregateAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := defaultTestParams()
-		p.Shards = 2
 		eng, err := NewEngine(g, tr.Model, Crack, p)
 		if err != nil {
 			t.Fatal(err)

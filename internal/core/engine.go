@@ -13,7 +13,6 @@ import (
 	"hash/crc64"
 	"io"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,49 +54,6 @@ type Params struct {
 	// Attrs are graph attribute columns registered with the index so
 	// contour elements expose min/max statistics (the v_m of Theorem 4).
 	Attrs []string
-	// Shards is the number of spatial shards the cracking index is split
-	// into (rounded down to a power of two, capped at 64). Zero derives a
-	// default from GOMAXPROCS. Bulk mode always uses a single shard: a
-	// fully built tree never cracks, so there is no write-lock traffic to
-	// spread. NewEngine records the resolved value back into Params.
-	Shards int
-}
-
-// maxShards caps the shard count: beyond this, per-query overhead (one MBR
-// probe and one RLock per shard) outweighs any added write concurrency.
-const maxShards = 64
-
-// resolveShards normalizes Params.Shards: Bulk mode forces one shard, an
-// explicit request rounds down to a power of two in [1, maxShards], and zero
-// derives the largest power of two <= GOMAXPROCS, capped at 16.
-func resolveShards(n int, mode IndexMode) int {
-	if mode == Bulk {
-		return 1
-	}
-	if n <= 0 {
-		limit := runtime.GOMAXPROCS(0)
-		if limit > 16 {
-			limit = 16
-		}
-		n = limit
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	p := 1
-	for p*2 <= n {
-		p *= 2
-	}
-	return p
-}
-
-// shardBits returns log2(n) for the power-of-two shard count n.
-func shardBits(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
 }
 
 // DefaultParams returns the default configuration: alpha = 3 as in the
@@ -107,10 +63,8 @@ func DefaultParams() Params {
 	return Params{Alpha: 3, Eps: 0.75, PTau: 0.05, Seed: 1, Index: rtree.DefaultOptions()}
 }
 
-// engineShard is one spatial shard of the index: a cracked tree over a
-// Morton-prefix cell of S2, with its own reader/writer lock so cracking one
-// region of space does not serialize queries against the others.
-type engineShard struct {
+// lockedIndex is the S2 index under the lock that guards its structure.
+type lockedIndex struct {
 	mu   sync.RWMutex
 	tree *rtree.Tree
 }
@@ -129,24 +83,19 @@ type engineShard struct {
 //
 //   - e.mu, the engine lock, guards everything that grows or is replaced
 //     wholesale: the graph, the model, the point set, and the lazy
-//     materialization of shard roots. Queries hold it in read mode for
+//     materialization of the index root. Queries hold it in read mode for
 //     their entire lifetime; AddFact and InsertEntity hold it in write mode
-//     and therefore exclude all queries (and all shard-lock holders, since
-//     shard locks are only ever taken under e.mu.RLock).
-//   - each shard has its own RWMutex guarding its tree's structure. Walks
-//     (top-k, aggregate balls, contour scans) take every shard's read lock;
-//     cracking probes each shard with rtree.NeedsCrack under its read lock
-//     and write-locks only the shards whose pending elements the query
-//     region actually overlaps — one at a time, in ascending shard order,
-//     with a double-check after acquiring the write lock. Warm regions (the
-//     common case once the index converges, Figs. 9-11) never serialize,
-//     and a cold region cracks without blocking queries in other shards.
-//   - Save runs under the engine read lock plus all shard read locks:
-//     snapshots don't block queries.
+//     and therefore exclude all queries (and every index-lock holder, since
+//     the index lock is only ever taken under e.mu.RLock).
+//   - e.idx.mu, the index lock, guards the tree's structure. Walks (top-k,
+//     aggregate balls) and the rtree.NeedsCrack probe hold it in read mode;
+//     a query whose region still overlaps a pending element takes it in
+//     write mode, re-checks, and cracks. Warm regions (the common case once
+//     the index converges, Figs. 9-11) never serialize.
+//   - Save runs under both read locks: snapshots don't block queries.
 //
-// Lock order is always e.mu before shard locks, and shard locks in
-// ascending index order with at most one held in write mode, so the
-// hierarchy is acyclic and deadlock-free.
+// Lock order is always e.mu before e.idx.mu before the WAL, cache and trace
+// store mutexes, so the hierarchy is acyclic and deadlock-free.
 //
 // The raw accessors (Graph, Model, Tree, Transform) expose unsynchronized
 // internals for the module's own single-threaded tools; do not mix them
@@ -161,15 +110,8 @@ type Engine struct {
 	tf *jl.Transform
 	ps *rtree.PointSet
 
-	// router maps S2 points to shards by Morton prefix; shards holds one
-	// locked cracked tree per cell, and trees caches the bare tree slice in
-	// shard order for the merged walks. idxQueries counts indexed queries
-	// engine-wide (a query that overlaps several shards is still one query,
-	// so per-tree counters cannot be summed).
-	router     *rtree.ShardRouter
-	shards     []*engineShard
-	trees      []*rtree.Tree
-	idxQueries atomic.Int64
+	// idx is the cracking (or bulk-loaded) R-tree over ps and its lock.
+	idx lockedIndex
 
 	params Params
 	mode   IndexMode
@@ -218,67 +160,25 @@ type Engine struct {
 }
 
 // initExec sets up the batch-executor state (metrics, result cache,
-// singleflight map) and wires every shard tree to the node-access counters;
-// called by both NewEngine and LoadEngine after the shards exist (the
-// per-shard metric histograms are sized from len(e.shards)).
+// singleflight map) and wires the tree to the node-access counters; called
+// by both NewEngine and LoadEngine after the tree exists.
 func (e *Engine) initExec() {
 	e.traces = obs.NewTraceStore(0)
 	e.met = newEngineMetrics(e)
 	e.cache = newResultCache(defaultCacheSize, e.met.cacheHits, e.met.cacheMisses)
 	e.inflight = make(map[topkKey]*inflightCall)
-	for _, sh := range e.shards {
-		sh.tree.SetAccessCounters(&e.met.nodeAccess)
-	}
+	e.idx.tree.SetAccessCounters(&e.met.nodeAccess)
 }
 
-// buildIndex constructs the router and the per-shard trees from the current
-// point set, honoring the (already resolved) Params.Shards. The single-shard
-// case keeps the classical whole-set constructors so an unsharded engine is
-// bit-for-bit the pre-sharding engine; with more shards the initial points
-// are bucketed by Morton prefix and each bucket becomes an independent
-// cracking tree over the shared PointSet.
+// buildIndex constructs the tree over the current point set.
 //
 // walappend:allow — index construction precedes WAL arming: the freshly
 // built state is exactly what the next snapshot captures wholesale.
 func (e *Engine) buildIndex() {
-	n := e.params.Shards
-	e.router = rtree.NewShardRouter(e.ps, e.ps.N(), shardBits(n))
-	e.shards = make([]*engineShard, n)
-	if n == 1 {
-		var t *rtree.Tree
-		if e.mode == Bulk {
-			t = rtree.NewBulkLoaded(e.ps, e.params.Index)
-		} else {
-			t = rtree.NewCracking(e.ps, e.params.Index)
-		}
-		e.shards[0] = &engineShard{tree: t}
+	if e.mode == Bulk {
+		e.idx.tree = rtree.NewBulkLoaded(e.ps, e.params.Index)
 	} else {
-		buckets := e.router.Assign(e.ps, e.ps.N())
-		for i := range e.shards {
-			e.shards[i] = &engineShard{tree: rtree.NewCrackingSubset(e.ps, e.params.Index, buckets[i])}
-		}
-	}
-	e.trees = make([]*rtree.Tree, n)
-	for i, sh := range e.shards {
-		e.trees[i] = sh.tree
-	}
-}
-
-// rlockShards acquires every shard's read lock in ascending order; the
-// caller must hold e.mu.RLock. Merged walks hold all of them because a
-// best-first search cannot know in advance which shards its shrinking bound
-// will touch.
-func (e *Engine) rlockShards() {
-	var lc rtree.LockOrderCheck
-	for i, sh := range e.shards {
-		lc.Note(i)
-		sh.mu.RLock()
-	}
-}
-
-func (e *Engine) runlockShards() {
-	for _, sh := range e.shards {
-		sh.mu.RUnlock()
+		e.idx.tree = rtree.NewCracking(e.ps, e.params.Index)
 	}
 }
 
@@ -306,8 +206,6 @@ func NewEngine(g *kg.Graph, m *embedding.Model, mode IndexMode, p Params) (*Engi
 	if mode != Crack && mode != Bulk {
 		return nil, fmt.Errorf("core: unknown index mode %d", mode)
 	}
-	p.Shards = resolveShards(p.Shards, mode)
-
 	g.Freeze() // idempotent; sorts adjacency for the binary-search filters
 
 	tf := jl.New(m.Dim, p.Alpha, p.Seed)
@@ -335,15 +233,8 @@ func (e *Engine) Model() *embedding.Model { return e.m }
 // Transform returns the S1 -> S2 JL transform.
 func (e *Engine) Transform() *jl.Transform { return e.tf }
 
-// Tree returns the S2 index of the first shard (for stats and tests); with
-// an unsharded engine (Params.Shards == 1) this is the whole index.
-func (e *Engine) Tree() *rtree.Tree { return e.shards[0].tree }
-
-// NumShards returns the number of spatial shards the index is split into.
-func (e *Engine) NumShards() int { return len(e.shards) }
-
-// Router returns the Morton-prefix shard router (for tests).
-func (e *Engine) Router() *rtree.ShardRouter { return e.router }
+// Tree returns the S2 index (for stats and tests).
+func (e *Engine) Tree() *rtree.Tree { return e.idx.tree }
 
 // Params returns the engine parameters.
 func (e *Engine) Params() Params { return e.params }
@@ -363,17 +254,16 @@ func (e *Engine) DroppedAttrs() []string {
 	return append([]string(nil), e.droppedAttrs...)
 }
 
-// StructureHash digests the structural state of the whole index — the
-// shard router frame, each shard tree's StructureHash, and the registered
-// attribute columns — into one 64-bit value. A snapshot plus WAL replay
-// must land on exactly the hash the live engine had at its last append;
-// the WAL tests assert this equivalence.
+// StructureHash digests the structural state of the index — the tree's
+// StructureHash and the registered attribute columns — into one 64-bit
+// value. A snapshot plus WAL replay must land on exactly the hash the live
+// engine had at its last append; the WAL tests assert this equivalence.
 func (e *Engine) StructureHash() uint64 {
 	e.prepareIndex()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	e.rlockShards()
-	defer e.runlockShards()
+	e.idx.mu.RLock()
+	defer e.idx.mu.RUnlock()
 	h := crc64.New(crc64.MakeTable(crc64.ECMA))
 	var buf [8]byte
 	putU64 := func(v uint64) {
@@ -382,17 +272,7 @@ func (e *Engine) StructureHash() uint64 {
 	}
 	putU64(uint64(e.ps.Dim))
 	putU64(uint64(e.ps.N()))
-	lo, hi := e.router.Frame()
-	for _, v := range lo {
-		putU64(math.Float64bits(v))
-	}
-	for _, v := range hi {
-		putU64(math.Float64bits(v))
-	}
-	putU64(uint64(len(e.shards)))
-	for _, sh := range e.shards {
-		putU64(sh.tree.StructureHash())
-	}
+	putU64(e.idx.tree.StructureHash())
 	for _, name := range e.ps.AttrNames() {
 		putU64(uint64(len(name)))
 		io.WriteString(h, name)
@@ -400,150 +280,105 @@ func (e *Engine) StructureHash() uint64 {
 	return h.Sum64()
 }
 
-// IndexStats reports the index structure counters (Figs. 9-11), summed over
-// all shards (Height is the maximum; Queries is the engine-wide count, since
-// a query that overlapped several shards is still one query).
+// IndexStats reports the index structure counters (Figs. 9-11).
 func (e *Engine) IndexStats() rtree.Stats {
 	e.prepareIndex()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	e.rlockShards()
-	defer e.runlockShards()
-	st := e.shards[0].tree.Stats()
-	for _, sh := range e.shards[1:] {
-		s := sh.tree.Stats()
-		st.InternalNodes += s.InternalNodes
-		st.LeafNodes += s.LeafNodes
-		st.PendingNodes += s.PendingNodes
-		st.TotalNodes += s.TotalNodes
-		st.BinarySplits += s.BinarySplits
-		st.ExploredSplits += s.ExploredSplits
-		st.SizeBytes += s.SizeBytes
-		st.Points += s.Points
-		st.ArenaNodesInUse += s.ArenaNodesInUse
-		st.ArenaNodesFree += s.ArenaNodesFree
-		st.ArenaBytes += s.ArenaBytes
-		if s.Height > st.Height {
-			st.Height = s.Height
-		}
-	}
-	st.Queries = int(e.idxQueries.Load())
-	return st
+	e.idx.mu.RLock()
+	defer e.idx.mu.RUnlock()
+	return e.idx.tree.Stats()
 }
 
-// CheckInvariants verifies every shard's structural invariants plus the
-// cross-shard one: the shards together own exactly the point set, each point
-// in exactly one shard. Intended for tests; O(n log n).
+// CheckInvariants verifies the tree's structural invariants and that it
+// owns exactly the point set. Intended for tests; O(n log n).
 func (e *Engine) CheckInvariants() error {
 	e.prepareIndex()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	e.rlockShards()
-	defer e.runlockShards()
-	total := 0
-	for i, sh := range e.shards {
-		if err := sh.tree.CheckInvariants(); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		total += sh.tree.Stats().Points
+	e.idx.mu.RLock()
+	defer e.idx.mu.RUnlock()
+	if err := e.idx.tree.CheckInvariants(); err != nil {
+		return err
 	}
-	if total != e.ps.N() {
-		return fmt.Errorf("shards cover %d of %d points", total, e.ps.N())
+	if got := e.idx.tree.Stats().Points; got != e.ps.N() {
+		return fmt.Errorf("index covers %d of %d points", got, e.ps.N())
 	}
 	return nil
 }
 
-// prepareIndex materializes the lazy shard roots under the engine write
-// lock, so that everything that follows under the read lock is genuinely
-// read-only (Crack's own ensureRoot is then a no-op, and never writes a root
-// pointer under a mere shard lock). All the roots are built in one batch,
-// their sort orders concurrently. A no-op once every root exists; it reports
+// prepareIndex materializes the lazy root under the engine write lock, so
+// that everything that follows under the read lock is genuinely read-only
+// (Crack's own ensureRoot is then a no-op, and never writes a root pointer
+// under a mere index lock). A no-op once the root exists; it reports
 // whether it built anything, which is the first query's share of the index
 // build.
 func (e *Engine) prepareIndex() bool {
 	e.mu.RLock()
-	ready := true
-	for _, sh := range e.shards {
-		if !sh.tree.Ready() {
-			ready = false
-			break
-		}
-	}
+	ready := e.idx.tree.Ready()
 	e.mu.RUnlock()
 	if ready {
 		return false
 	}
 	e.mu.Lock()
-	rtree.PrepareAll(e.trees)
+	e.idx.tree.Prepare()
 	e.mu.Unlock()
 	return true
 }
 
 // finishQuery completes a query that was computed under the engine read lock
-// (which the caller still holds, shard locks released): each shard is probed
-// with NeedsCrack under its read lock, and only shards whose pending
-// elements the query region overlaps are write-locked and cracked — one at a
-// time, re-checking under the write lock since a concurrent query may have
-// cracked the same region meanwhile. The engine read lock is released at the
-// end either way. Split and node-creation deltas are captured under the
-// shard write lock (both accessors are O(1)), so the crack counters
-// attribute exactly this query's structural work.
+// (which the caller still holds, the index lock released): the region is
+// probed with NeedsCrack under the index read lock, and only if a pending
+// element it overlaps still needs work is the index write-locked and
+// cracked — re-checking under the write lock, since a concurrent query may
+// have cracked the same region meanwhile. The engine read lock is released
+// at the end either way. Split and node-creation deltas are captured under
+// the write lock (both accessors are O(1)), so the crack counters attribute
+// exactly this query's structural work.
 func (e *Engine) finishQuery(q rtree.Rect, doCrack bool, tr *obs.QueryTrace) {
 	if !doCrack {
 		e.mu.RUnlock()
 		tr.Step(obs.StageCrack)
 		return
 	}
-	e.idxQueries.Add(1)
+	ix := &e.idx
+	ix.mu.RLock()
+	needs := ix.tree.NeedsCrack(q)
+	ix.mu.RUnlock()
+	var wait, held time.Duration
 	var splits, nodes int
-	cracked := false
-	var lc rtree.LockOrderCheck
-	for i, sh := range e.shards {
-		lc.Note(i)
-		sh.mu.RLock()
-		needs := sh.tree.NeedsCrack(q)
-		sh.mu.RUnlock()
-		if !needs {
-			continue
-		}
+	if needs {
 		t0 := time.Now()
-		sh.mu.Lock()
-		wait := time.Since(t0)
+		ix.mu.Lock()
+		wait = time.Since(t0)
 		e.met.lockWriteWait.Observe(wait.Seconds())
-		e.met.shardWriteWait[i].Observe(wait.Seconds())
-		if sh.tree.NeedsCrack(q) {
-			splits0, nodes0 := sh.tree.Splits(), sh.tree.NodesCreated()
+		if needs = ix.tree.NeedsCrack(q); needs {
+			splits0, nodes0 := ix.tree.Splits(), ix.tree.NodesCreated()
 			c0 := time.Now()
-			sh.tree.Crack(q)
-			// Log the crack while still holding this shard's write lock:
-			// per-shard record order then matches apply order, which replay
-			// depends on (cracks commute across shards, not within one).
-			e.walAppendCrack(i, q)
-			held := time.Since(c0)
-			ds := sh.tree.Splits() - splits0
-			dn := sh.tree.NodesCreated() - nodes0
-			splits += ds
-			nodes += dn
+			ix.tree.Crack(q)
+			// Log the crack while still holding the write lock: record
+			// order then matches apply order, which replay depends on
+			// (cracks do not commute).
+			e.walAppendCrack(q)
+			held = time.Since(c0)
+			splits = ix.tree.Splits() - splits0
+			nodes = ix.tree.NodesCreated() - nodes0
 			e.met.crackLock.Observe(held.Seconds())
-			e.met.shardCrackLock[i].Observe(held.Seconds())
-			// Per-shard child span: which shard this query write-locked, how
-			// long it waited for the lock, how long it held it, and the
-			// structural deltas — the shard-level anatomy of the crack stage.
-			tr.AddShardSpan(i, t0, wait, held, ds, dn)
-			cracked = true
 		}
-		sh.mu.Unlock()
+		ix.mu.Unlock()
 	}
-	e.mu.RUnlock()
-	if cracked {
+	if needs {
 		e.met.crackQueries.Inc()
 		e.met.crackSplits.Add(uint64(splits))
 		e.met.crackNodes.Add(uint64(nodes))
 	} else {
+		ix.tree.NoteQuery() // Crack counted the others
 		e.met.warmQueries.Inc()
 	}
+	e.mu.RUnlock()
 	if tr != nil {
 		tr.Splits, tr.NodesCreated = splits, nodes
+		tr.LockWait, tr.LockHeld = wait, held
 		tr.Step(obs.StageCrack)
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"sync"
 	"testing"
 
 	"vkgraph/internal/embedding"
@@ -13,14 +15,63 @@ import (
 // testEngine builds a small end-to-end engine over the tiny Movie graph.
 func testEngine(t *testing.T, mode IndexMode, p Params) (*Engine, *kg.Graph) {
 	t.Helper()
-	g := kggen.Movie(kggen.TinyMovieConfig())
-	cfg := embedding.DefaultConfig()
-	cfg.Epochs = 12
-	tr, err := embedding.Train(g, cfg)
-	if err != nil {
-		t.Fatalf("Train: %v", err)
+	return movieEngine(t, kggen.TinyMovieConfig(), mode, p)
+}
+
+// bigMovieConfig is a Movie graph of 8,510 entities: past the 8,192 points
+// from which the index root is pre-split and its sort orders built in
+// parallel.
+func bigMovieConfig() kggen.MovieConfig {
+	return kggen.MovieConfig{
+		Users: 3000, Movies: 5400, Genres: 10, Tags: 100,
+		Ratings: 40000, MicroSize: 12, Prefs: 2, Affinity: 0.85, Seed: 7,
 	}
-	eng, err := NewEngine(g, tr.Model, mode, p)
+}
+
+// trainedMovies holds, per configuration, the saved bytes of a generated
+// Movie graph and its trained embedding: generation and training are
+// deterministic, so every caller can have a copy of its own — engines grow
+// both — for the price of a decode.
+var trainedMovies sync.Map // kggen.MovieConfig -> [2][]byte
+
+// trainMovie returns a fresh copy of the Movie graph of cfg and of the
+// embedding trained on it.
+func trainMovie(t *testing.T, cfg kggen.MovieConfig) (*kg.Graph, *embedding.Model) {
+	t.Helper()
+	saved, ok := trainedMovies.Load(cfg)
+	if !ok {
+		g := kggen.Movie(cfg)
+		tc := embedding.DefaultConfig()
+		tc.Epochs = 12
+		tr, err := embedding.Train(g, tc)
+		if err != nil {
+			t.Fatalf("Train: %v", err)
+		}
+		var gb, mb bytes.Buffer
+		if err := g.Save(&gb); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Model.Save(&mb); err != nil {
+			t.Fatal(err)
+		}
+		saved, _ = trainedMovies.LoadOrStore(cfg, [2][]byte{gb.Bytes(), mb.Bytes()})
+	}
+	b := saved.([2][]byte)
+	g, err := kg.Load(bytes.NewReader(b[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := embedding.Load(bytes.NewReader(b[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, m
+}
+
+func movieEngine(t *testing.T, cfg kggen.MovieConfig, mode IndexMode, p Params) (*Engine, *kg.Graph) {
+	t.Helper()
+	g, m := trainMovie(t, cfg)
+	eng, err := NewEngine(g, m, mode, p)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}

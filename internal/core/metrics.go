@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"runtime/metrics"
-	"strconv"
 	"time"
 
 	"vkgraph/internal/obs"
@@ -51,13 +50,6 @@ type engineMetrics struct {
 	lockReadWait  *obs.Histogram // seconds waiting to acquire the read lock
 	lockWriteWait *obs.Histogram // seconds waiting to acquire a write lock
 
-	// Per-shard crack-lock contention, indexed by shard. shardWriteWait[i]
-	// observes the wait to acquire shard i's write lock; shardCrackLock[i]
-	// the time holding it to crack. Their totals sum to the unlabeled
-	// crackLock/lockWriteWait crack-path observations.
-	shardWriteWait []*obs.Histogram
-	shardCrackLock []*obs.Histogram
-
 	// walFsync observes every durability barrier the WAL writer issues
 	// (per-append under WALSyncAlways, per-tick under WALSyncInterval).
 	walFsync *obs.Histogram
@@ -92,7 +84,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	m.warmQueries = r.Counter("vkg_crack_queries_total", "Queries by whether their region still needed cracking.", obs.Label{Key: "region", Value: "warm"})
 	m.crackSplits = r.Counter("vkg_crack_splits_total", "Binary splits performed by query-driven cracking.")
 	m.crackNodes = r.Counter("vkg_crack_nodes_created_total", "Index nodes created by query-driven cracking.")
-	m.crackLock = r.Histogram("vkg_crack_write_lock_seconds", "Time holding the engine write lock to crack the index.", nil)
+	m.crackLock = r.Histogram("vkg_crack_write_lock_seconds", "Time holding the index write lock to crack.", nil)
 
 	m.cacheHits = r.Counter("vkg_cache_hits_total", "Top-k result cache hits.")
 	m.cacheMisses = r.Counter("vkg_cache_misses_total", "Top-k result cache misses.")
@@ -103,14 +95,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 
 	m.lockReadWait = r.Histogram("vkg_lock_wait_seconds", "Time waiting to acquire the engine lock, by mode.", nil, obs.Label{Key: "mode", Value: "read"})
 	m.lockWriteWait = r.Histogram("vkg_lock_wait_seconds", "Time waiting to acquire the engine lock, by mode.", nil, obs.Label{Key: "mode", Value: "write"})
-
-	m.shardWriteWait = make([]*obs.Histogram, len(e.shards))
-	m.shardCrackLock = make([]*obs.Histogram, len(e.shards))
-	for i := range e.shards {
-		lbl := obs.Label{Key: "shard", Value: strconv.Itoa(i)}
-		m.shardWriteWait[i] = r.Histogram("vkg_shard_lock_wait_seconds", "Time waiting to acquire a shard's write lock to crack, by shard.", nil, lbl)
-		m.shardCrackLock[i] = r.Histogram("vkg_shard_crack_lock_seconds", "Time holding a shard's write lock to crack, by shard.", nil, lbl)
-	}
 
 	stats := func(f func(obs.TraceStoreStats) uint64) func() uint64 {
 		return func() uint64 { return f(e.traces.Stats()) }
@@ -166,7 +150,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 
 	// Memory-layout gauges: the observable form of the "flat GC profile"
 	// claim — arena occupancy, resident points, and the runtime's GC pause
-	// tail. The arena and point gauges are O(shards).
+	// tail. The arena and point gauges are O(1).
 	r.GaugeFunc("vkg_mem_resident_points", "Points resident in the shared S2 point set (including tombstones).", func() float64 {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
@@ -184,17 +168,13 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	return m
 }
 
-// arenaNodes sums arena occupancy across shards under the read locks.
+// arenaNodes reads the arena occupancy under the read locks.
 func (e *Engine) arenaNodes() (inUse, free int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	e.rlockShards()
-	defer e.runlockShards()
-	for _, sh := range e.shards {
-		u, f, _ := sh.tree.ArenaStats()
-		inUse += u
-		free += f
-	}
+	e.idx.mu.RLock()
+	defer e.idx.mu.RUnlock()
+	inUse, free, _ = e.idx.tree.ArenaStats()
 	return inUse, free
 }
 
@@ -289,8 +269,8 @@ type Metrics struct {
 	WarmQueries       uint64
 	CrackSplits       uint64
 	CrackNodesCreated uint64
-	// CrackWriteLock is the time spent holding a shard write lock to crack,
-	// per shard a cracking query had to split.
+	// CrackWriteLock is the time spent holding the index write lock to
+	// crack, per query that had to split.
 	CrackWriteLock obs.LatencyStats
 
 	// Cache and Coalesced cover the serving layer: the top-k result cache
@@ -299,16 +279,13 @@ type Metrics struct {
 	Coalesced uint64
 
 	// ReadLockWait and WriteLockWait measure contention on the engine lock
-	// (WriteLockWait also folds in the per-shard crack-lock waits).
+	// (WriteLockWait also folds in the waits for the index write lock).
 	ReadLockWait  obs.LatencyStats
 	WriteLockWait obs.LatencyStats
 
-	// Shards is the spatial shard count of the index (Params.Shards);
-	// ShardWriteLockWait and ShardCrackLock break the cracking-path lock
-	// wait and hold times down by shard, indexed 0..Shards-1.
-	Shards             int
-	ShardWriteLockWait []obs.LatencyStats
-	ShardCrackLock     []obs.LatencyStats
+	// Shards is always 1: the index is one tree. Only bench/ reads it; it
+	// goes when ROADMAP item 0 unfreezes bench/.
+	Shards int
 
 	// Memory is the memory-layout view of the index: the node-arena
 	// occupancy, the resident point count, and the runtime's recent GC pause
@@ -334,9 +311,9 @@ type Metrics struct {
 // MemoryStats is the memory-layout block of Metrics (see the DESIGN.md
 // "Memory layout" section).
 type MemoryStats struct {
-	// ArenaNodesInUse and ArenaNodesFree count tree-node arena records,
-	// summed over shards; free records are reusable capacity already paid
-	// for (freelist plus the unallocated tail of the newest slab).
+	// ArenaNodesInUse and ArenaNodesFree count tree-node arena records;
+	// free records are reusable capacity already paid for (freelist plus
+	// the unallocated tail of the newest slab).
 	ArenaNodesInUse int
 	ArenaNodesFree  int
 	// ResidentPoints is the number of S2 points held by the point set.
@@ -360,12 +337,6 @@ func (m Metrics) CacheHitRate() float64 {
 // atomic load at a time.
 func (e *Engine) Metrics() Metrics {
 	m := e.met
-	sww := make([]obs.LatencyStats, len(m.shardWriteWait))
-	scl := make([]obs.LatencyStats, len(m.shardCrackLock))
-	for i := range sww {
-		sww[i] = m.shardWriteWait[i].Snapshot().Latency()
-		scl[i] = m.shardCrackLock[i].Snapshot().Latency()
-	}
 	index := e.IndexStats()
 	e.mu.RLock()
 	resident := e.ps.N()
@@ -393,9 +364,7 @@ func (e *Engine) Metrics() Metrics {
 		Coalesced:          m.sfCoalesced.Value(),
 		ReadLockWait:       m.lockReadWait.Snapshot().Latency(),
 		WriteLockWait:      m.lockWriteWait.Snapshot().Latency(),
-		Shards:             len(e.shards),
-		ShardWriteLockWait: sww,
-		ShardCrackLock:     scl,
+		Shards:             1,
 		Memory: MemoryStats{
 			ArenaNodesInUse: index.ArenaNodesInUse,
 			ArenaNodesFree:  index.ArenaNodesFree,

@@ -28,7 +28,6 @@ import (
 // than half the model's bytes to the live heap: no second copy of the rows.
 func TestEngineReRanksOnModelRows(t *testing.T) {
 	p := defaultTestParams()
-	p.Shards = 2
 	p.Eps = 50 // the S2 ball holds every candidate: the index answer is the scan's
 	eng, g := testEngine(t, Crack, p)
 	likes, _ := g.RelationByName("likes")
@@ -136,8 +135,8 @@ func TestEngineReRanksOnModelRows(t *testing.T) {
 }
 
 // TestLoadIgnoresRetiredParams: snapshots written before the float32 mirror
-// went carry its switch in their Params. Such a snapshot loads to the same
-// index and the same answers.
+// and the shard count went carry both in their Params. Such a snapshot loads
+// to the same index and the same answers.
 func TestLoadIgnoresRetiredParams(t *testing.T) {
 	eng, g := testEngine(t, Crack, defaultTestParams())
 	likes, _ := g.RelationByName("likes")
@@ -190,7 +189,7 @@ func TestLoadIgnoresRetiredParams(t *testing.T) {
 			var enc bytes.Buffer
 			err := gob.NewEncoder(&enc).Encode(retiredMeta{
 				Params: retiredParams{Alpha: ep.Alpha, Eps: ep.Eps, PTau: ep.PTau, Seed: ep.Seed, Index: ep.Index,
-					Attrs: ep.Attrs, Shards: ep.Shards, PackedCoords: true},
+					Attrs: ep.Attrs, Shards: 2, PackedCoords: true},
 				Mode: meta.Mode, WalGen: meta.WalGen, EffAttrs: meta.EffAttrs,
 			})
 			if err != nil {
@@ -232,7 +231,6 @@ func TestLoadIgnoresRetiredParams(t *testing.T) {
 // a leader that gave up answers for itself.
 func TestTopKCancellation(t *testing.T) {
 	p := defaultTestParams()
-	p.Shards = 2
 	eng, g := testEngine(t, Crack, p)
 	likes, _ := g.RelationByName("likes")
 	u := g.EntitiesOfType("user")[0]

@@ -27,16 +27,16 @@ import (
 // model are intact, so a cold cracking index is rebuilt and only the
 // workload-paid-for shape is lost (Engine.IndexRebuilt reports this).
 //
-// The index section is a wireSharded envelope — the shard router's Morton
-// frame plus one embedded rtree blob per shard; leaf pages are derived data,
-// rebuilt from the points as each tree loads. This is format version 3, the
-// only one read or written; any other version fails the load with
-// snapfmt.ErrVersion. A Params field retired since a snapshot was written
-// may still be in its meta section: gob drops what the struct no longer has.
+// The index section is the tree as rtree.Save writes it, its query counter
+// included; leaf pages are derived data, rebuilt from the points as the tree
+// loads. This is format version 4, the only one read or written; any other
+// version fails the load with snapfmt.ErrVersion. A Params field retired
+// since a snapshot was written may still be in its meta section: gob drops
+// what the struct no longer has.
 
 const (
 	engineMagic   = "VKGSNAP\x00"
-	engineVersion = 3
+	engineVersion = 4
 
 	secMeta  = 1
 	secGraph = 2
@@ -48,7 +48,7 @@ const (
 
 // wireMeta carries the engine parameters and index mode, plus two fields
 // added with the WAL (older readers ignore unknown gob fields; older
-// snapshots decode them as zero, keeping version 3):
+// snapshots decode them as zero):
 //
 //   - WalGen keys the snapshot to its sidecar write-ahead log. It is
 //     nonzero only in snapshots written by the WAL rotation path; a plain
@@ -66,26 +66,16 @@ type wireMeta struct {
 	EffAttrs []string
 }
 
-// wireSharded is the index section: the routing frame (which must
-// be persisted — re-deriving it from grown data would re-route points), the
-// engine-wide query count, and one rtree blob per shard.
-type wireSharded struct {
-	Bits             int
-	FrameLo, FrameHi []float64
-	Queries          int64
-	Trees            [][]byte
-}
-
 // Save writes the engine (graph, model, parameters, index shape) to w. It
-// runs under the engine read lock plus every shard read lock, so snapshots
+// runs under the engine read lock plus the index read lock, so snapshots
 // are consistent and may run concurrently with queries; updates and cracks
 // wait until the snapshot is encoded.
 func (e *Engine) Save(w io.Writer) error {
-	e.prepareIndex() // materialize the lazy roots before going read-only
+	e.prepareIndex() // materialize the lazy root before going read-only
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	e.rlockShards()
-	defer e.runlockShards()
+	e.idx.mu.RLock()
+	defer e.idx.mu.RUnlock()
 	// Standalone saves carry WalGen 0: no log is ever keyed to them, so a
 	// stray .wal file beside a copied snapshot can never be replayed onto
 	// it. Only SaveFile's rotation path writes a nonzero generation.
@@ -93,7 +83,7 @@ func (e *Engine) Save(w io.Writer) error {
 }
 
 // saveLocked encodes the snapshot; the caller holds the engine read lock
-// and every shard read lock (so no mutation or crack can interleave), and
+// and the index read lock (so no mutation or crack can interleave), and
 // passes the WAL generation to stamp into the meta section.
 func (e *Engine) saveLocked(w io.Writer, walGen uint64) error {
 	var metaBuf, graphBuf, modelBuf, treeBuf bytes.Buffer
@@ -107,16 +97,7 @@ func (e *Engine) saveLocked(w io.Writer, walGen uint64) error {
 	if err := e.m.Save(&modelBuf); err != nil {
 		return fmt.Errorf("core: saving model: %w", err)
 	}
-	ws := wireSharded{Bits: e.router.Bits(), Queries: e.idxQueries.Load()}
-	ws.FrameLo, ws.FrameHi = e.router.Frame()
-	for i, sh := range e.shards {
-		var b bytes.Buffer
-		if err := sh.tree.Save(&b); err != nil {
-			return fmt.Errorf("core: saving index shard %d: %w", i, err)
-		}
-		ws.Trees = append(ws.Trees, b.Bytes())
-	}
-	if err := gob.NewEncoder(&treeBuf).Encode(ws); err != nil {
+	if err := e.idx.tree.Save(&treeBuf); err != nil {
 		return fmt.Errorf("core: saving index: %w", err)
 	}
 	if err := snapfmt.WriteHeader(w, engineMagic, engineVersion, engineSections); err != nil {
@@ -212,13 +193,9 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 		ps.RegisterAttr(name, col)
 	}
 
-	var (
-		router  *rtree.ShardRouter
-		trees   []*rtree.Tree
-		queries int64
-	)
+	var tree *rtree.Tree
 	if treeErr == nil {
-		router, trees, queries, treeErr = decodeShardedIndex(sections[secTree], ps)
+		tree, treeErr = rtree.Load(bytes.NewReader(sections[secTree]), ps)
 	}
 
 	e := &Engine{
@@ -226,6 +203,7 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 		m:            m,
 		tf:           tf,
 		ps:           ps,
+		params:       p,
 		mode:         meta.Mode,
 		droppedAttrs: droppedAttrs,
 		snapGen:      meta.WalGen,
@@ -233,50 +211,12 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 	if treeErr != nil {
 		// Graph and model survived; rebuild a cold index rather than fail.
 		e.degraded = true
-		p.Shards = resolveShards(p.Shards, meta.Mode)
-		e.params = p
 		e.buildIndex()
 	} else {
-		p.Shards = len(trees)
-		e.params = p
-		e.router = router
-		e.shards = make([]*engineShard, len(trees))
-		for i, t := range trees {
-			e.shards[i] = &engineShard{tree: t}
-		}
-		e.trees = trees
-		e.idxQueries.Store(queries)
+		e.idx.tree = tree
 	}
 	e.initExec()
 	return e, nil
-}
-
-// decodeShardedIndex unpacks the index section: the router frame
-// and one tree per shard. Any inconsistency (bad envelope, shard count not
-// matching the prefix length, per-shard blob damage) is reported as corrupt
-// so LoadEngine degrades to a cold rebuild.
-//
-// walappend:allow — decodes a snapshot's already-durable trees; runs
-// before the WAL arms.
-func decodeShardedIndex(payload []byte, ps *rtree.PointSet) (*rtree.ShardRouter, []*rtree.Tree, int64, error) {
-	var ws wireSharded
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ws); err != nil {
-		return nil, nil, 0, fmt.Errorf("core: decode index: %v: %w", err, snapfmt.ErrCorrupt)
-	}
-	if ws.Bits < 0 || ws.Bits > 31 || len(ws.Trees) != 1<<ws.Bits ||
-		len(ws.FrameLo) != ps.Dim || len(ws.FrameHi) != ps.Dim {
-		return nil, nil, 0, fmt.Errorf("core: malformed index section: %w", snapfmt.ErrCorrupt)
-	}
-	router := rtree.RouterFromFrame(ws.FrameLo, ws.FrameHi, ws.Bits)
-	trees := make([]*rtree.Tree, 0, len(ws.Trees))
-	for i, blob := range ws.Trees {
-		t, err := rtree.Load(bytes.NewReader(blob), ps)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("core: index shard %d: %w", i, err)
-		}
-		trees = append(trees, t)
-	}
-	return router, trees, ws.Queries, nil
 }
 
 func haveCoreSections(sections map[uint8][]byte) bool {
@@ -296,7 +236,7 @@ func haveCoreSections(sections map[uint8][]byte) bool {
 // rotates the log: the snapshot is stamped with the next generation,
 // renamed into place, and the log is atomically replaced with an empty one
 // keyed to that generation — all inside one critical section (engine read
-// lock + shard read locks + WAL mutex) so no append can land in the old
+// lock + index read lock + WAL mutex) so no append can land in the old
 // log after the snapshot that supersedes it, and no mutation can fall in
 // the gap between snapshot and rotation. A crash between the two renames
 // leaves the new snapshot with the old generation's log beside it; the
@@ -306,8 +246,8 @@ func (e *Engine) SaveFile(path string) error {
 	e.prepareIndex()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	e.rlockShards()
-	defer e.runlockShards()
+	e.idx.mu.RLock()
+	defer e.idx.mu.RUnlock()
 	e.wal.mu.Lock()
 	defer e.wal.mu.Unlock()
 	if e.wal.configured && path == e.wal.snapPath {

@@ -150,16 +150,16 @@ func TestLoadEngineCorruptIndexDegrades(t *testing.T) {
 	}
 }
 
-// TestOldSnapshotVersionsRejected forges version-1 and version-2 headers on
+// TestOldSnapshotVersionsRejected forges version-1 to version-3 headers on
 // an otherwise valid snapshot: the retired formats must be refused with the
-// typed version error, never misread as version 3.
+// typed version error, never misread as version 4.
 func TestOldSnapshotVersionsRejected(t *testing.T) {
 	eng, _ := testEngine(t, Crack, defaultTestParams())
 	var buf bytes.Buffer
 	if err := eng.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []uint16{1, 2} {
+	for _, version := range []uint16{1, 2, 3} {
 		snap := append([]byte(nil), buf.Bytes()...)
 		binary.LittleEndian.PutUint16(snap[snapfmt.MagicLen:], version)
 		if _, err := LoadEngine(bytes.NewReader(snap)); !errors.Is(err, snapfmt.ErrVersion) {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -118,16 +119,13 @@ func TestCoalescedFollowerLinksLeader(t *testing.T) {
 	}
 }
 
-// TestTraceShardSpansAndPropagation pins the shard-level span tree and
+// TestTraceCrackSpanAndPropagation pins the crack span's anatomy and
 // inbound context adoption: the first query on a fresh engine cracks, so
-// its trace carries per-shard child spans hanging off the query span, and a
-// request carrying inbound trace context adopts the id and parent span.
-func TestTraceShardSpansAndPropagation(t *testing.T) {
-	// One shard, so the first query is certain to crack it; with several, the
-	// tiny test set may leave the query's shards unsplittable.
-	p := defaultTestParams()
-	p.Shards = 1
-	eng, g := testEngine(t, Crack, p)
+// its trace reports the index write lock's hold time and the structural
+// deltas, and a request carrying inbound trace context adopts the id and
+// parent span.
+func TestTraceCrackSpanAndPropagation(t *testing.T) {
+	eng, g := testEngine(t, Crack, defaultTestParams())
 	likes, _ := g.RelationByName("likes")
 	u := g.EntitiesOfType("user")[0]
 
@@ -150,42 +148,29 @@ func TestTraceShardSpansAndPropagation(t *testing.T) {
 	if tr.ParentSpan() != inboundSpan {
 		t.Fatalf("parent span %x, want inbound span %x", tr.ParentSpan(), inboundSpan)
 	}
-	if len(tr.Shards) == 0 {
-		t.Fatal("first query on a fresh engine cracked no shards; no shard spans recorded")
+	if tr.Splits == 0 || tr.NodesCreated == 0 || tr.LockHeld <= 0 {
+		t.Fatalf("first query on a fresh engine reports %d splits, %d nodes, lock held %v; want a crack",
+			tr.Splits, tr.NodesCreated, tr.LockHeld)
 	}
-	totalSplits := 0
-	for _, sp := range tr.Shards {
-		if sp.Parent != tr.SpanID() {
-			t.Fatalf("shard span parent %x, want query span %x", sp.Parent, tr.SpanID())
-		}
-		if sp.Span.IsZero() || sp.Span == tr.SpanID() {
-			t.Fatalf("shard span id %x must be fresh and non-zero", sp.Span)
-		}
-		if sp.Stage != obs.StageCrack {
-			t.Fatalf("shard span stage %q, want %q", sp.Stage, obs.StageCrack)
-		}
-		if sp.Shard < 0 || sp.Shard >= len(eng.shards) {
-			t.Fatalf("shard span names shard %d of %d", sp.Shard, len(eng.shards))
-		}
-		totalSplits += sp.Splits
+	if m := eng.Metrics(); m.CrackSplits != uint64(tr.Splits) || m.CrackWriteLock.Count != 1 {
+		t.Fatalf("metrics count %d splits over %d lock holds, the trace %d over one",
+			m.CrackSplits, m.CrackWriteLock.Count, tr.Splits)
 	}
-	if totalSplits == 0 {
-		t.Error("crack spans report zero splits on a fresh engine")
-	}
-	// The forced trace is retained and renders with its shard anatomy.
+	// The forced trace is retained and renders with its crack anatomy.
 	recs := eng.Traces().Find(inboundID)
 	if len(recs) != 1 {
 		t.Fatalf("trace store retained %d records, want 1", len(recs))
 	}
 	var sb strings.Builder
 	obs.RenderTraceText(&sb, inboundID, recs)
-	if out := sb.String(); !strings.Contains(out, "shard") {
-		t.Errorf("rendered trace missing shard spans:\n%s", out)
+	if out, want := sb.String(), fmt.Sprintf("lock-wait=%v held=%v splits=%d nodes=%d",
+		tr.LockWait.Round(time.Microsecond), tr.LockHeld.Round(time.Microsecond), tr.Splits, tr.NodesCreated); !strings.Contains(out, want) {
+		t.Errorf("rendered trace missing %q on its crack span:\n%s", want, out)
 	}
 }
 
 // TestFirstQueryRootBuildBilledToCrack: the first query of a fresh engine
-// builds the shard roots before it validates anything. That time is index
+// builds the index root before it validates anything. That time is index
 // construction and belongs to the crack span — it must neither inflate
 // "validate" nor add a span to the stage list, for a top-k and for an
 // aggregate first query alike.
@@ -202,7 +187,7 @@ func TestFirstQueryRootBuildBilledToCrack(t *testing.T) {
 			t.Fatal(resp.Err)
 		}
 		if eng.prepareIndex() {
-			t.Fatal("roots still missing after the first query")
+			t.Fatal("root still missing after the first query")
 		}
 		spans := map[string]time.Duration{}
 		var stages []string

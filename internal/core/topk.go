@@ -65,7 +65,7 @@ func (e *Engine) TopKHeads(t kg.EntityID, r kg.RelationID, k int) (*TopKResult, 
 func (e *Engine) topKQuery(ctx context.Context, dir Dir, ent kg.EntityID, rel kg.RelationID, k int, eps float64, tr *obs.QueryTrace) (*TopKResult, error) {
 	start := time.Now()
 	if e.prepareIndex() {
-		// Building the roots is index construction the first query pays
+		// Building the root is index construction the first query pays
 		// for, not validation: its time goes to the crack span.
 		tr.Carry(obs.StageCrack)
 	}
@@ -107,23 +107,22 @@ func (e *Engine) topKQuery(ctx context.Context, dir Dir, ent kg.EntityID, rel kg
 // findTopK implements FindTopKEntities (Algorithm 3):
 //
 //  1. q <- the query point in S2;
-//  2. seed the top-k with the first k eligible points of the merged
-//     best-first walk — the exact k nearest in S2, regardless of which
-//     shard holds them — and set the radius r_q = r_k* (1+eps), with r_k*
-//     measured in S1;
+//  2. seed the top-k with the first k eligible points of the best-first
+//     walk — the exact k nearest in S2 — and set the radius
+//     r_q = r_k* (1+eps), with r_k* measured in S1;
 //  3. keep examining the walk's points (they arrive in increasing S2
 //     distance), refining the top-k and shrinking r_q as better S1
 //     distances arrive; the radius is non-increasing, so the walk's bound
 //     check stops exactly at the current radius;
-//  4. hand the final query region back to the caller, which cracks every
-//     shard it overlaps (under the shard write locks) if still needed.
+//  4. hand the final query region back to the caller, which cracks the
+//     index around it (under the index write lock) if still needed.
 //
 // The walk visits points in ascending (S2 distance, id) order — a total
-// order independent of the tree structure — so a sharded engine returns
-// bit-identical predictions to an unsharded one.
+// order independent of the tree structure — so the predictions do not
+// depend on how far the index has been cracked.
 //
 // findTopK runs entirely under the engine read lock (held by the caller),
-// takes all shard read locks for the walk, and never mutates the engine; it
+// takes the index read lock for the walk, and never mutates the engine; it
 // returns the final query region and whether the caller should complete the
 // cracking step. The walk looks at ctx every 256 visits and gives up with
 // ctx.Err() once it has expired.
@@ -150,8 +149,8 @@ func (e *Engine) findTopK(ctx context.Context, q1 []float64, k int, eps float64,
 	l1 := e.m.NormUsed == embedding.L1
 	pruned, visits := 0, 0
 	var cancelled error
-	e.rlockShards()
-	rtree.WalkTreesWithin(e.trees, q2, bound, func(id32 int32, _ float64) bool {
+	e.idx.mu.RLock()
+	e.idx.tree.WalkWithin(q2, bound, func(id32 int32, _ float64) bool {
 		if visits++; visits&255 == 0 && ctx != nil {
 			if cancelled = ctx.Err(); cancelled != nil {
 				return false
@@ -182,7 +181,7 @@ func (e *Engine) findTopK(ctx context.Context, q1 []float64, k int, eps float64,
 		}
 		return true
 	})
-	e.runlockShards()
+	e.idx.mu.RUnlock()
 	tr.Step(obs.StageSearch)
 	if cancelled != nil {
 		return nil, rtree.Rect{}, false, cancelled
@@ -237,8 +236,8 @@ func (e *Engine) finishPredictions(preds []Prediction) {
 }
 
 // topKSet maintains the k closest predictions seen so far. Callers offer
-// each entity at most once (the merged walk yields every id exactly once:
-// a point lives in one leaf of one shard), so no membership index is kept.
+// each entity at most once (the walk yields every id exactly once:
+// a point lives in one leaf), so no membership index is kept.
 type topKSet struct {
 	k     int
 	items []Prediction // sorted ascending by (Dist, Entity)

@@ -102,7 +102,7 @@ func (e *Engine) setAttrLocked(name string, id kg.EntityID, v float64) {
 		}
 	}
 	if int(id) < e.ps.N() {
-		e.shards[e.router.ShardOf(e.ps.At(int32(id)))].tree.NoteAttr(int32(id))
+		e.idx.tree.NoteAttr(int32(id))
 	}
 }
 
@@ -205,7 +205,7 @@ func (e *Engine) insertEntityLocked(name, typ string, facts []Fact, attrNames []
 
 	p2 := e.tf.Apply(vec)
 	pid := e.ps.AppendPoint(p2)
-	e.shards[e.router.ShardOf(p2)].tree.Insert(pid)
+	e.idx.tree.Insert(pid)
 	e.gen.Add(1) // the new entity may belong in any cached answer
 	return id, nil
 }

@@ -32,13 +32,12 @@ import (
 // the tested contract).
 //
 // Lock discipline: the WAL mutex is a leaf, always acquired last. Crack
-// records are appended under the cracked shard's write lock (which the
-// engine read lock protects), so per-shard file order matches per-shard
-// apply order; graph mutations append under the engine write lock, which
-// excludes all cracks. SaveFile holds the engine read lock, every shard
-// read lock, and then the WAL mutex across snapshot-write plus log
-// rotation, so no record can land in the old log after the snapshot that
-// supersedes it.
+// records are appended under the index write lock (which the engine read
+// lock protects), so file order matches apply order; graph mutations append
+// under the engine write lock, which excludes all cracks. SaveFile holds the
+// engine read lock, the index read lock, and then the WAL mutex across
+// snapshot-write plus log rotation, so no record can land in the old log
+// after the snapshot that supersedes it.
 //
 // Append errors are sticky: one failed append disarms logging (a gap would
 // make the suffix unreplayable), counts every subsequent lost record in
@@ -83,7 +82,7 @@ func (o WALOptions) normalized(snapPath string) WALOptions {
 // WAL record kinds. The payloads are versioned by walfmt's header version;
 // kinds are never reused.
 const (
-	walRecCrack   uint8 = 1 // shard uint32 LE + rect Lo,Hi float64 LE bits
+	walRecCrack   uint8 = 1 // rect Lo,Hi float64 LE bits
 	walRecAddFact uint8 = 2 // h, r, t uint32 LE
 	walRecInsert  uint8 = 3 // gob(walInsertRec)
 	walRecSetAttr uint8 = 4 // gob(walSetAttrRec)
@@ -246,8 +245,10 @@ func (e *Engine) CloseWAL() error {
 // records newer than the snapshot are replayed (warming the index to its
 // pre-crash state), a torn or corrupt suffix is truncated rather than
 // failing the load, and the engine comes up with logging armed on the same
-// file. A snapshot written without a WAL is first re-anchored: rewritten in
-// place at generation 1 with a fresh empty log beside it.
+// file. A log written in another format version fails the load with
+// walfmt.ErrVersion and is left untouched. A snapshot written without a WAL
+// is first re-anchored: rewritten in place at generation 1 with a fresh
+// empty log beside it.
 func LoadEngineFileWAL(path string, opts WALOptions) (*Engine, error) {
 	e, err := LoadEngineFile(path)
 	if err != nil {
@@ -291,6 +292,12 @@ func (e *Engine) attachWAL(snapPath string, opts WALOptions) error {
 
 	start := time.Now()
 	sc, serr := walfmt.NewScanner(bufio.NewReaderSize(f, 1<<16))
+	if errors.Is(serr, walfmt.ErrVersion) {
+		// An intact log in another format version holds mutations this
+		// build cannot replay; refuse it, and leave it where it is.
+		f.Close()
+		return fmt.Errorf("core: WAL %s: %w", e.wal.path, serr)
+	}
 	if serr != nil || sc.Gen() != gen {
 		// Unreadable header or a log keyed to a different snapshot — e.g. a
 		// crash between snapshot rename and log rotation left the previous
@@ -443,9 +450,8 @@ func (e *Engine) walSyncOnce() {
 // walAppend frames one record onto the log. Unarmed engines return on the
 // atomic fast path without locking. The caller must hold the lock that
 // serializes the mutation being logged (the engine write lock for graph
-// mutations, the cracked shard's write lock for cracks); wal.mu is a leaf
-// below both, so the file order of records matches their apply order
-// per shard and globally for graph mutations.
+// mutations, the index write lock for cracks); wal.mu is a leaf below both,
+// so the file order of records matches their apply order.
 func (e *Engine) walAppend(kind uint8, payload []byte) {
 	w := &e.wal
 	w.mu.Lock()
@@ -475,19 +481,18 @@ func (e *Engine) walAppend(kind uint8, payload []byte) {
 	}
 }
 
-func (e *Engine) walAppendCrack(shard int, q rtree.Rect) {
+func (e *Engine) walAppendCrack(q rtree.Rect) {
 	if !e.wal.armed.Load() {
 		return
 	}
-	e.walcheckShardLocked(shard)
+	e.walcheckIndexLocked()
 	dim := len(q.Lo)
-	p := make([]byte, 4+16*dim)
-	binary.LittleEndian.PutUint32(p[0:4], uint32(shard))
+	p := make([]byte, 16*dim)
 	for i, v := range q.Lo {
-		binary.LittleEndian.PutUint64(p[4+8*i:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(v))
 	}
 	for i, v := range q.Hi {
-		binary.LittleEndian.PutUint64(p[4+8*(dim+i):], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(p[8*(dim+i):], math.Float64bits(v))
 	}
 	e.walAppend(walRecCrack, p)
 }
@@ -553,19 +558,15 @@ func (e *Engine) applyWALRecord(rec walfmt.Record) error {
 	switch rec.Kind {
 	case walRecCrack:
 		dim := e.ps.Dim
-		if len(rec.Payload) != 4+16*dim {
-			return fmt.Errorf("core: crack record of %d bytes, want %d", len(rec.Payload), 4+16*dim)
-		}
-		shard := binary.LittleEndian.Uint32(rec.Payload[0:4])
-		if int(shard) >= len(e.shards) {
-			return fmt.Errorf("core: crack record for shard %d of %d", shard, len(e.shards))
+		if len(rec.Payload) != 16*dim {
+			return fmt.Errorf("core: crack record of %d bytes, want %d", len(rec.Payload), 16*dim)
 		}
 		q := rtree.Rect{Lo: make([]float64, dim), Hi: make([]float64, dim)}
 		for i := 0; i < dim; i++ {
-			q.Lo[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec.Payload[4+8*i:]))
-			q.Hi[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec.Payload[4+8*(dim+i):]))
+			q.Lo[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec.Payload[8*i:]))
+			q.Hi[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec.Payload[8*(dim+i):]))
 		}
-		e.shards[shard].tree.Crack(q)
+		e.idx.tree.Crack(q)
 		return nil
 
 	case walRecAddFact:

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vkgraph/internal/faultio"
 	"vkgraph/internal/kg"
+	"vkgraph/internal/snapfmt"
 	"vkgraph/internal/walfmt"
 )
 
@@ -183,7 +187,9 @@ func TestWALRotationNoDoubleApply(t *testing.T) {
 
 // The recovery matrix: every way the crash can leave the snapshot+log pair,
 // the load must come up serving — replaying the trustworthy prefix and
-// reporting what it dropped, never failing.
+// reporting what it dropped, never failing. A pair left by another format
+// version is not crash damage: the load refuses it with the typed version
+// error and touches neither file.
 func TestWALRecoveryMatrix(t *testing.T) {
 	eng, g, snap := walTestEngine(t)
 	mutateEngine(t, eng, g)
@@ -207,6 +213,7 @@ func TestWALRecoveryMatrix(t *testing.T) {
 		replayed int64 // exact replayed records
 		torn     uint64
 		stale    uint64
+		refused  error // the load must fail with this and leave the pair as it was
 	}{
 		{
 			name:     "crash after snapshot, no log",
@@ -250,6 +257,18 @@ func TestWALRecoveryMatrix(t *testing.T) {
 			replayed: 0,
 			stale:    1,
 		},
+		{
+			name: "snapshot of format version 3",
+			damage: func(t *testing.T, wal string) {
+				forgeVersion(t, strings.TrimSuffix(wal, ".wal"), 3)
+			},
+			refused: snapfmt.ErrVersion,
+		},
+		{
+			name:    "log of format version 1",
+			damage:  func(t *testing.T, wal string) { forgeVersion(t, wal, 1) },
+			refused: walfmt.ErrVersion,
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -268,6 +287,19 @@ func TestWALRecoveryMatrix(t *testing.T) {
 			c.damage(t, s+".wal")
 
 			got, err := LoadEngineFileWAL(s, WALOptions{Sync: WALSyncOff})
+			if c.refused != nil {
+				if !errors.Is(err, c.refused) {
+					t.Fatalf("load = %v, want %v", err, c.refused)
+				}
+				for path, want := range map[string][]byte{s: sb, s + ".wal": walBytes} {
+					// The forged version is the only difference from the copy.
+					forgeVersion(t, path, binary.LittleEndian.Uint16(want[snapfmt.MagicLen:]))
+					if now, _ := os.ReadFile(path); !bytes.Equal(now, want) {
+						t.Fatalf("the refused load modified %s", filepath.Base(path))
+					}
+				}
+				return
+			}
 			if err != nil {
 				t.Fatalf("load failed instead of degrading: %v", err)
 			}
@@ -298,6 +330,22 @@ func TestWALRecoveryMatrix(t *testing.T) {
 				t.Fatal("recovered engine is not logging")
 			}
 		})
+	}
+}
+
+// forgeVersion overwrites the format version in a snapshot's or a log's
+// header: both put it, little-endian, right after their 8-byte magic.
+func forgeVersion(t *testing.T, path string, version uint16) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var v [2]byte
+	binary.LittleEndian.PutUint16(v[:], version)
+	if _, err := f.WriteAt(v[:], snapfmt.MagicLen); err != nil {
+		t.Fatal(err)
 	}
 }
 

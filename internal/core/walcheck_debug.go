@@ -24,16 +24,12 @@ func (e *Engine) walcheckEngineLocked(kind string) {
 	}
 }
 
-// walcheckShardLocked asserts the owning shard's write lock covers a
-// crack record append (finishQuery logs each crack while still holding
-// the shard it cracked — see the walappend analyzer and DESIGN.md).
-func (e *Engine) walcheckShardLocked(shard int) {
-	if shard < 0 || shard >= len(e.shards) {
-		panic(fmt.Sprintf("core: crack WAL append for out-of-range shard %d", shard))
-	}
-	sh := e.shards[shard]
-	if sh.mu.TryLock() {
-		sh.mu.Unlock()
-		panic(fmt.Sprintf("core: crack WAL append without shard %d's write lock held", shard))
+// walcheckIndexLocked asserts the index write lock covers a crack record
+// append (finishQuery logs each crack while still holding the lock it
+// cracked under — see the walappend analyzer and DESIGN.md).
+func (e *Engine) walcheckIndexLocked() {
+	if e.idx.mu.TryLock() {
+		e.idx.mu.Unlock()
+		panic("core: crack WAL append without the index write lock held")
 	}
 }

@@ -6,5 +6,5 @@ package core
 // assertion; build with -tags vkgdebug for the checking version.
 func (e *Engine) walcheckEngineLocked(kind string) {}
 
-// walcheckShardLocked is the release no-op of the shard-lock assertion.
-func (e *Engine) walcheckShardLocked(shard int) {}
+// walcheckIndexLocked is the release no-op of the index-lock assertion.
+func (e *Engine) walcheckIndexLocked() {}

@@ -19,20 +19,19 @@ func mustPanic(t *testing.T, want string, f func()) {
 	f()
 }
 
-// An armed append without the owning shard's write lock must panic in
-// debug builds; the same append under the lock must not.
+// An armed append without the index write lock must panic in debug
+// builds; the same append under the lock must not.
 func TestWALCheckCrackAppendLockDiscipline(t *testing.T) {
 	eng, _, _ := walTestEngine(t)
 	q := rtree.Rect{Lo: []float64{0, 0}, Hi: []float64{1, 1}}
 
-	mustPanic(t, "crack WAL append without shard 0's write lock", func() {
-		eng.walAppendCrack(0, q)
+	mustPanic(t, "crack WAL append without the index write lock", func() {
+		eng.walAppendCrack(q)
 	})
 
-	sh := eng.shards[0]
-	sh.mu.Lock()
-	eng.walAppendCrack(0, q)
-	sh.mu.Unlock()
+	eng.idx.mu.Lock()
+	eng.walAppendCrack(q)
+	eng.idx.mu.Unlock()
 }
 
 // Graph-mutation appends demand the engine write lock.

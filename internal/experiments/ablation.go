@@ -48,7 +48,7 @@ func AblationScale(scale Scale, w io.Writer) error {
 			return err
 		}
 
-		eng, err := core.NewEngine(g, tr.Model, core.Crack, figureParams())
+		eng, err := core.NewEngine(g, tr.Model, core.Crack, core.DefaultParams())
 		if err != nil {
 			return err
 		}
@@ -111,7 +111,7 @@ func AblationAlpha(scale Scale, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "%6s %12s %12s %12s %12s\n", "alpha", "build", "crackAvg", "examined", "precision")
 	for _, alpha := range []int{2, 3, 4, 6, 8} {
-		p := figureParams()
+		p := core.DefaultParams()
 		p.Alpha = alpha
 		buildStart := time.Now()
 		eng, err := core.NewEngine(ds.G, ds.M, core.Crack, p)
@@ -172,7 +172,7 @@ func AblationEps(scale Scale, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "%6s %12s %12s %12s %14s\n", "eps", "crackAvg", "examined", "precision", "recallBound")
 	for _, eps := range []float64{0.1, 0.25, 0.5, 0.75, 1.0, 1.5} {
-		p := figureParams()
+		p := core.DefaultParams()
 		p.Eps = eps
 		eng, err := core.NewEngine(ds.G, ds.M, core.Crack, p)
 		if err != nil {

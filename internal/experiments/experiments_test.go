@@ -83,11 +83,11 @@ func TestTimeFigureShapes(t *testing.T) {
 	// The figure's two orderings are asserted on the engine's work counters,
 	// not on its ~1 ms wall-clock samples, which flip with GOMAXPROCS and
 	// machine load. Cracking has no offline build; bulk has a real one.
-	crackEng, err := core.NewEngine(ds.G, ds.M, core.Crack, figureParams())
+	crackEng, err := core.NewEngine(ds.G, ds.M, core.Crack, core.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bulkEng, err := core.NewEngine(ds.G, ds.M, core.Bulk, figureParams())
+	bulkEng, err := core.NewEngine(ds.G, ds.M, core.Bulk, core.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}

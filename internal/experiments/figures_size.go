@@ -49,7 +49,7 @@ func (c SizeFigureConfig) normalize() SizeFigureConfig {
 // index converges within ~10 queries to a small fraction of the bulk size.
 func SizeFigure(ds *Dataset, cfg SizeFigureConfig) ([]SizeRow, error) {
 	cfg = cfg.normalize()
-	p := figureParams()
+	p := core.DefaultParams()
 	p.Attrs = []string{ds.AggAttr}
 	p.Index.SplitChoices = cfg.SplitChoices
 
@@ -148,7 +148,7 @@ func (c AggFigureConfig) normalize(ds *Dataset) AggFigureConfig {
 // paper's accuracy metric.
 func AggFigure(ds *Dataset, cfg AggFigureConfig) ([]AggRow, error) {
 	cfg = cfg.normalize(ds)
-	p := figureParams()
+	p := core.DefaultParams()
 	p.Attrs = []string{cfg.Attr}
 	eng, err := core.NewEngine(ds.G, ds.M, core.Crack, p)
 	if err != nil {

@@ -64,19 +64,10 @@ func splitChoicesOf(method string) int {
 	return n
 }
 
-// figureParams are the engine parameters every figure starts from: the
-// defaults with one shard. Figs. 3-16 describe the paper's single index, so
-// their shapes must not follow the host's GOMAXPROCS-derived shard count.
-func figureParams() core.Params {
-	p := core.DefaultParams()
-	p.Shards = 1
-	return p
-}
-
 // NewRunner builds the runner for a method over a dataset. rel is only used
 // by h2alsh (the single relation it can handle).
 func NewRunner(ds *Dataset, spec MethodSpec, rel kg.RelationID) (*Runner, error) {
-	p := figureParams()
+	p := core.DefaultParams()
 	if spec.Alpha > 0 {
 		p.Alpha = spec.Alpha
 	}

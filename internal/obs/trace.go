@@ -19,7 +19,7 @@ const (
 	StageValidate  = "validate"  // read-lock acquisition + id validation
 	StageTransform = "transform" // query-point construction + JL projection
 	StageSearch    = "search"    // index walk + S1 re-rank (see above)
-	StageCrack     = "crack"     // index cracking (shard write locks) or warm no-op
+	StageCrack     = "crack"     // index cracking (index write lock) or warm no-op
 	StageEstimate  = "estimate"  // aggregate estimation after the crack step
 	StageWait      = "wait"      // blocked on a coalesced in-flight execution
 )
@@ -41,31 +41,6 @@ func (s Span) MarshalJSON() ([]byte, error) {
 	}{s.Stage, float64(s.Dur.Microseconds()) / 1000})
 }
 
-// ShardSpan is one per-shard child span of a query trace: the crack step's
-// work on a single shard, parented under the query's span. It records the
-// wait for the shard's write lock, the time holding it, and the structural
-// deltas (splits performed, nodes created) attributable to this query on
-// this shard.
-type ShardSpan struct {
-	// Span identifies this child span; Parent is the owning query's span.
-	Span   SpanID
-	Parent SpanID
-	// Stage is the stage this child ran under (currently always "crack").
-	Stage string
-	// Shard is the spatial shard index.
-	Shard int
-	// Start is the offset from the beginning of the query.
-	Start time.Duration
-	// LockWait is the wait to acquire the shard's write lock; Dur the time
-	// holding it to crack.
-	LockWait time.Duration
-	Dur      time.Duration
-	// Splits and Nodes are the binary splits performed and index nodes
-	// created on this shard by this query.
-	Splits int
-	Nodes  int
-}
-
 // QueryTrace is an opt-in per-query breakdown: where the time went, stage
 // by stage, plus the cost counters the paper's analysis is stated in (node
 // accesses under Lemma 3 terms, candidates examined, bound-pruned
@@ -75,9 +50,9 @@ type ShardSpan struct {
 // A trace is one node of a request tree: it carries a 128-bit trace id
 // shared by every span of the request (minted fresh, or adopted from an
 // inbound traceparent header), its own span id, and the parent span it hangs
-// under (the HTTP request span, or a batch request's span). Per-shard crack
-// work appears as ShardSpan children; a coalesced follower links the leader
-// trace that actually executed the descent via LeaderTrace.
+// under (the HTTP request span, or a batch request's span). A coalesced
+// follower links the leader trace that actually executed the descent via
+// LeaderTrace.
 type QueryTrace struct {
 	start time.Time
 	mark  time.Time
@@ -93,9 +68,6 @@ type QueryTrace struct {
 
 	// Spans are the timed stages in execution order.
 	Spans []Span
-	// Shards are the per-shard crack child spans, in shard order (only the
-	// shards this query actually write-locked).
-	Shards []ShardSpan
 	// LeaderTrace links a coalesced follower to the trace of the in-flight
 	// execution it shared; zero otherwise. The leader may belong to a
 	// different request entirely — that cross-request edge is the point.
@@ -118,6 +90,9 @@ type QueryTrace struct {
 	Splits int
 	// NodesCreated is the number of index nodes the cracking step created.
 	NodesCreated int
+	// LockWait is the cracking step's wait for the index write lock and
+	// LockHeld the time it held it to crack (both 0 for a warm region).
+	LockWait, LockHeld time.Duration
 	// Accessed/BallSize report the sampled and total ball sizes of an
 	// aggregate query (a and b of Theorem 4).
 	Accessed, BallSize int
@@ -183,26 +158,6 @@ func (t *QueryTrace) StartTime() time.Time {
 	return t.start
 }
 
-// AddShardSpan appends a per-shard crack child span: the crack step's work
-// on shard i, started at the given wall-clock time, with its lock wait,
-// write-lock hold, and structural deltas. No-op on a nil trace.
-func (t *QueryTrace) AddShardSpan(shard int, start time.Time, lockWait, held time.Duration, splits, nodes int) {
-	if t == nil {
-		return
-	}
-	t.Shards = append(t.Shards, ShardSpan{
-		Span:     NewSpanID(),
-		Parent:   t.span,
-		Stage:    StageCrack,
-		Shard:    shard,
-		Start:    start.Sub(t.start),
-		LockWait: lockWait,
-		Dur:      held,
-		Splits:   splits,
-		Nodes:    nodes,
-	})
-}
-
 // LinkLeader records the trace id of the in-flight execution a coalesced
 // follower shared. No-op on a nil trace or a zero leader.
 func (t *QueryTrace) LinkLeader(leader TraceID) {
@@ -262,9 +217,5 @@ func (t *QueryTrace) String() string {
 	for _, s := range t.Spans {
 		parts = append(parts, fmt.Sprintf("%s %v", s.Stage, s.Dur.Round(time.Microsecond)))
 	}
-	suffix := ""
-	if len(t.Shards) > 0 {
-		suffix = fmt.Sprintf(" [%d shard cracks]", len(t.Shards))
-	}
-	return fmt.Sprintf("%v (%s)%s", t.Wall.Round(time.Microsecond), strings.Join(parts, ", "), suffix)
+	return fmt.Sprintf("%v (%s)", t.Wall.Round(time.Microsecond), strings.Join(parts, ", "))
 }

@@ -26,7 +26,7 @@ type traceListEntry struct {
 func toListEntry(r TraceRecord) traceListEntry {
 	spans := 0
 	if r.Trace != nil {
-		spans = len(r.Trace.Spans) + len(r.Trace.Shards)
+		spans = len(r.Trace.Spans)
 	}
 	return traceListEntry{
 		TraceID:   r.ID.String(),
@@ -67,28 +67,25 @@ func WriteTraceRecords(w http.ResponseWriter, id TraceID, recs []TraceRecord, fo
 	}
 	if format == "json" {
 		w.Header().Set("Content-Type", "application/json")
-		type jsonSpan struct {
-			Stage   string  `json:"stage"`
-			StartMS float64 `json:"start_ms"`
-			MS      float64 `json:"ms"`
-		}
-		type jsonShard struct {
-			Span       string  `json:"span"`
-			Parent     string  `json:"parent"`
-			Shard      int     `json:"shard"`
-			StartMS    float64 `json:"start_ms"`
+		// jsonCrack is what the crack span alone carries.
+		type jsonCrack struct {
 			LockWaitMS float64 `json:"lock_wait_ms"`
 			HeldMS     float64 `json:"held_ms"`
 			Splits     int     `json:"splits"`
 			Nodes      int     `json:"nodes"`
 		}
+		type jsonSpan struct {
+			Stage   string  `json:"stage"`
+			StartMS float64 `json:"start_ms"`
+			MS      float64 `json:"ms"`
+			*jsonCrack
+		}
 		type jsonRec struct {
 			traceListEntry
-			Span        string      `json:"span,omitempty"`
-			Parent      string      `json:"parent,omitempty"`
-			LeaderTrace string      `json:"leader_trace,omitempty"`
-			Stages      []jsonSpan  `json:"stages,omitempty"`
-			Shards      []jsonShard `json:"shards,omitempty"`
+			Span        string     `json:"span,omitempty"`
+			Parent      string     `json:"parent,omitempty"`
+			LeaderTrace string     `json:"leader_trace,omitempty"`
+			Stages      []jsonSpan `json:"stages,omitempty"`
 		}
 		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 		out := struct {
@@ -106,14 +103,11 @@ func WriteTraceRecords(w http.ResponseWriter, id TraceID, recs []TraceRecord, fo
 					jr.LeaderTrace = tr.LeaderTrace.String()
 				}
 				for _, s := range tr.Spans {
-					jr.Stages = append(jr.Stages, jsonSpan{Stage: s.Stage, StartMS: ms(s.Start), MS: ms(s.Dur)})
-				}
-				for _, sh := range tr.Shards {
-					jr.Shards = append(jr.Shards, jsonShard{
-						Span: sh.Span.String(), Parent: sh.Parent.String(), Shard: sh.Shard,
-						StartMS: ms(sh.Start), LockWaitMS: ms(sh.LockWait), HeldMS: ms(sh.Dur),
-						Splits: sh.Splits, Nodes: sh.Nodes,
-					})
+					js := jsonSpan{Stage: s.Stage, StartMS: ms(s.Start), MS: ms(s.Dur)}
+					if s.Stage == StageCrack {
+						js.jsonCrack = &jsonCrack{ms(tr.LockWait), ms(tr.LockHeld), tr.Splits, tr.NodesCreated}
+					}
+					jr.Stages = append(jr.Stages, js)
 				}
 			}
 			out.Records = append(out.Records, jr)
@@ -129,7 +123,7 @@ func WriteTraceRecords(w http.ResponseWriter, id TraceID, recs []TraceRecord, fo
 
 // RenderTraceText renders one trace's reassembled records as an indented
 // plain-text tree: request envelopes first, each engine query trace with its
-// stage spans and per-shard crack children beneath it.
+// stage spans beneath it.
 func RenderTraceText(w io.Writer, id TraceID, recs []TraceRecord) {
 	fmt.Fprintf(w, "trace %s  (%d record", id.String(), len(recs))
 	if len(recs) != 1 {
@@ -169,13 +163,12 @@ func RenderTraceText(w io.Writer, id TraceID, recs []TraceRecord) {
 			fmt.Fprintf(w, "  parent=%s\n", tr.ParentSpan())
 		}
 		for _, s := range tr.Spans {
-			fmt.Fprintf(w, "  %-10s %10v\n", s.Stage, rnd(s.Dur))
+			fmt.Fprintf(w, "  %-10s %10v", s.Stage, rnd(s.Dur))
 			if s.Stage == StageCrack {
-				for _, sh := range tr.Shards {
-					fmt.Fprintf(w, "    shard %-3d span=%s lock-wait=%v held=%v splits=%d nodes=%d\n",
-						sh.Shard, sh.Span, rnd(sh.LockWait), rnd(sh.Dur), sh.Splits, sh.Nodes)
-				}
+				fmt.Fprintf(w, "  lock-wait=%v held=%v splits=%d nodes=%d",
+					rnd(tr.LockWait), rnd(tr.LockHeld), tr.Splits, tr.NodesCreated)
 			}
+			fmt.Fprintln(w)
 		}
 		if tr.CacheHit {
 			fmt.Fprintln(w, "  cache hit")

@@ -23,7 +23,7 @@ type nodeArena struct {
 	slabs [][]node
 	// stats holds, beside each slab and out of the walks' cache lines, each
 	// record's cached element statistics (attrStats in ball.go). Aggregates
-	// fill a slot under a shard read lock — hence atomic: readers may race
+	// fill a slot under the index read lock — hence atomic: readers may race
 	// to store equal values — and Insert, Delete, NoteAttr and a crack of
 	// the element clear it, so a record is released with its slot empty.
 	stats [][]atomic.Pointer[[]AttrStats]
@@ -37,7 +37,7 @@ type nodeArena struct {
 }
 
 // arenaSlabSize is the number of node records per slab: large enough that
-// slab overhead is noise, small enough that a tiny shard doesn't hold
+// slab overhead is noise, small enough that a tiny index doesn't hold
 // megabytes.
 const arenaSlabSize = 256
 

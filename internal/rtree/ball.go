@@ -21,9 +21,9 @@ type BallStats struct {
 	Min, Max float64
 }
 
-// SummarizeBall computes the BallStats of B(center, radius) over trees that
-// share one PointSet, all Ready and held at least shared. attr is a
-// registered attribute index, or negative to count every point (MaxAbs, Min
+// SummarizeBall computes the BallStats of B(center, radius) over a tree
+// that is Ready and held at least shared. attr is a registered attribute
+// index, or negative to count every point (MaxAbs, Min
 // and Max then stay empty).
 //
 // An element wholly inside the ball is read from its cached statistics; the
@@ -31,18 +31,15 @@ type BallStats struct {
 // walks' own scans (a leaf's page, a pending element's ids). A non-nil each
 // receives every counted point with its squared distance, so the elements
 // inside are scanned as well.
-func SummarizeBall(trees []*Tree, center []float64, radius float64, attr int, each func(id int32, sqDist float64)) BallStats {
+func (t *Tree) SummarizeBall(center []float64, radius float64, attr int, each func(id int32, sqDist float64)) BallStats {
+	t.ensureRoot()
 	s := ballScan{
-		ps: trees[0].ps, f: frontierPool.Get().(*frontier),
+		ps: t.ps, arena: t.arena, f: frontierPool.Get().(*frontier),
 		center: center, box: BallRect(center, radius), rsq: radius * radius,
 		attr: attr, each: each, out: BallStats{Min: math.Inf(1), Max: math.Inf(-1)},
 	}
-	for _, t := range trees {
-		t.ensureRoot()
-		s.arena = t.arena
-		s.visit(t.root)
-	}
-	s.f.release(trees[0].access)
+	s.visit(t.root)
+	s.f.release(t.access)
 	return s.out
 }
 
@@ -50,7 +47,7 @@ func SummarizeBall(trees []*Tree, center []float64, radius float64, attr int, ea
 // lends its point scratch and its node-access counts.
 type ballScan struct {
 	ps     *PointSet
-	arena  *nodeArena // of the tree being visited
+	arena  *nodeArena
 	f      *frontier
 	center []float64
 	box    Rect
@@ -100,7 +97,7 @@ func (s *ballScan) visit(nd *node) {
 		return
 	}
 	// Scan in chunks the scratch can hold and still go back to the pool: a
-	// cold index's pending root is every point of the shard.
+	// cold index's pending root can be every point.
 	for ids := nd.part.ids(); len(ids) > 0; ids = ids[min(len(ids), maxPooledPoints):] {
 		chunk := ids[:min(len(ids), maxPooledPoints)]
 		s.f.pts = s.ps.appendWithin(slices.Grow(s.f.pts[:0], len(chunk)), chunk, s.center, s.rsq)

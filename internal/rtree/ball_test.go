@@ -9,45 +9,48 @@ import (
 
 // ballOracle computes a BallStats the slow way: the count by a scan of
 // every point, the element statistics from EachElement with nothing cached.
-func ballOracle(trees []*Tree, center []float64, radius float64, attr int) (BallStats, []int32) {
-	ps := trees[0].ps
+func ballOracle(tr *Tree, center []float64, radius float64, attr int) (BallStats, []int32) {
+	ps := tr.ps
 	want := BallStats{Min: math.Inf(1), Max: math.Inf(-1)}
 	var ids []int32
 	box := BallRect(center, radius)
-	for _, tr := range trees {
-		tr.EachElement(func(mbr Rect, elem []int32) {
-			for _, id := range elem {
-				if _, ok := ps.AttrValue(max(attr, 0), id); (ok || attr < 0) && ps.SqDistTo(id, center) <= radius*radius {
-					want.Count++
-					ids = append(ids, id)
-				}
+	tr.EachElement(func(mbr Rect, elem []int32) {
+		for _, id := range elem {
+			if _, ok := ps.AttrValue(max(attr, 0), id); (ok || attr < 0) && ps.SqDistTo(id, center) <= radius*radius {
+				want.Count++
+				ids = append(ids, id)
 			}
-			if attr < 0 || !mbr.Overlaps(box) {
-				return
-			}
-			st := ps.attrStats(attr, elem)
-			if st.Count == 0 {
-				return
-			}
-			want.MaxAbs = max(want.MaxAbs, st.MaxAbs)
-			if mbr.MaxSqDist(center) <= radius*radius {
-				want.Min, want.Max = min(want.Min, st.Min), max(want.Max, st.Max)
-			}
-		})
-	}
+		}
+		if attr < 0 || !mbr.Overlaps(box) {
+			return
+		}
+		st := ps.attrStats(attr, elem)
+		if st.Count == 0 {
+			return
+		}
+		want.MaxAbs = max(want.MaxAbs, st.MaxAbs)
+		if mbr.MaxSqDist(center) <= radius*radius {
+			want.Min, want.Max = min(want.Min, st.Min), max(want.Max, st.Max)
+		}
+	})
 	return want, sortIDs(ids)
 }
 
 // TestSummarizeBall is the differential test of the unordered descent: on
-// fresh, cracked and updated trees, alone and sharded, with and without the
-// per-point callback, its counts equal a scan of every point and its
-// element statistics equal ones computed afresh — so a cache that an
+// fresh, cracked and updated trees, below and above the size at which the
+// root is pre-split, with and without the per-point callback, its counts
+// equal a scan of every point and its element statistics equal ones
+// computed afresh — so a cache that an
 // Insert, a Delete, a changed attribute value or a newly registered
 // attribute should have dropped shows up as a difference.
 func TestSummarizeBall(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		ps := clusteredPointSet(1500, 3, 4, 19+seed)
+		n := 1500
+		if seed%5 == 4 {
+			n = parallelSortMin + 500
+		}
+		ps := clusteredPointSet(n, 3, 4, 19+seed)
 		col := make([]float64, ps.N(), ps.N()+64)
 		for i := range col {
 			col[i] = float64(rng.Intn(200) - 100)
@@ -60,24 +63,14 @@ func TestSummarizeBall(t *testing.T) {
 		if seed%3 == 0 {
 			opt.LeafCap, opt.Fanout = 8, 3
 		}
-		nTrees := 1 + int(seed%3)
-		owner := make([]int, ps.N()) // each point belongs to exactly one tree
-		subsets := make([][]int32, nTrees)
-		for i := range owner {
-			owner[i] = rng.Intn(nTrees)
-			subsets[owner[i]] = append(subsets[owner[i]], int32(i))
-		}
-		trees := make([]*Tree, nTrees)
-		for i := range trees {
-			trees[i] = NewCrackingSubset(ps, opt, subsets[i])
-		}
+		tr := NewCracking(ps, opt)
 		attrs := 1
 		checkBall := func(what string, center []float64, radius float64) {
 			t.Helper()
 			for attr := -1; attr < attrs; attr++ {
-				want, wantIDs := ballOracle(trees, center, radius, attr)
+				want, wantIDs := ballOracle(tr, center, radius, attr)
 				var ids []int32
-				got := SummarizeBall(trees, center, radius, attr, func(id int32, d float64) {
+				got := tr.SummarizeBall(center, radius, attr, func(id int32, d float64) {
 					if d != ps.SqDistTo(id, center) {
 						t.Fatalf("seed %d, %s: point %d reported at %v", seed, what, id, d)
 					}
@@ -88,7 +81,7 @@ func TestSummarizeBall(t *testing.T) {
 						seed, what, attr, got, len(ids), want, len(wantIDs))
 				}
 				if attr >= 0 {
-					if got := SummarizeBall(trees, center, radius, attr, nil); got != want {
+					if got := tr.SummarizeBall(center, radius, attr, nil); got != want {
 						t.Fatalf("seed %d, %s, attr %d: got %+v, want %+v", seed, what, attr, got, want)
 					}
 				}
@@ -106,15 +99,15 @@ func TestSummarizeBall(t *testing.T) {
 		check("fresh")
 		for round := 0; round < 6; round++ {
 			for c := 1 + rng.Intn(4); c > 0; c-- {
-				trees[rng.Intn(nTrees)].Crack(randomQuery(rng, 3, 0, 10))
+				tr.Crack(randomQuery(rng, 3, 0, 10))
 			}
 			check("cracked")
 			switch round {
 			case 1: // new values, larger than any cached extremum or below it
 				for c := 0; c < 40; c++ {
-					id := int32(rng.Intn(len(owner)))
+					id := int32(rng.Intn(ps.N()))
 					col[id] = float64(rng.Intn(2000) - 1000)
-					trees[owner[id]].NoteAttr(id)
+					tr.NoteAttr(id)
 				}
 				check("after NoteAttr")
 			case 2:
@@ -123,15 +116,12 @@ func TestSummarizeBall(t *testing.T) {
 					pt[1] += rng.Float64()
 					col = append(col, float64(5000+c))
 					ps.RefreshAttr("val", col)
-					id := ps.AppendPoint(pt)
-					owner = append(owner, rng.Intn(nTrees))
-					trees[owner[id]].Insert(id)
+					tr.Insert(ps.AppendPoint(pt))
 				}
 				check("after Insert")
 			case 3:
 				for c := 0; c < 40; c++ {
-					id := int32(rng.Intn(len(owner)))
-					trees[owner[id]].Delete(id)
+					tr.Delete(int32(rng.Intn(ps.N())))
 				}
 				check("after Delete")
 			case 4:
@@ -144,10 +134,8 @@ func TestSummarizeBall(t *testing.T) {
 				check("after RegisterAttr")
 			}
 		}
-		for _, tr := range trees {
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }

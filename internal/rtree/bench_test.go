@@ -107,29 +107,12 @@ func BenchmarkTopKSplitsCrack(b *testing.B) {
 }
 
 // BenchmarkPrepareRoot is the first query's root build at the repository
-// benchmark's size: the whole set as one tree, one shard of two, and both
-// shards in one batch.
+// benchmark's size.
 func BenchmarkPrepareRoot(b *testing.B) {
 	ps := clusteredPointSet(300000, 3, 16, 1)
-	halves := NewShardRouter(ps, ps.N(), 1).Assign(ps, ps.N())
-	b.Run("all", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			NewCracking(ps, DefaultOptions()).Prepare()
-		}
-	})
-	b.Run("one-shard", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			NewCrackingSubset(ps, DefaultOptions(), halves[0]).Prepare()
-		}
-	})
-	b.Run("two-shards", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			PrepareAll([]*Tree{
-				NewCrackingSubset(ps, DefaultOptions(), halves[0]),
-				NewCrackingSubset(ps, DefaultOptions(), halves[1]),
-			})
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		NewCracking(ps, DefaultOptions()).Prepare()
+	}
 }
 
 // BenchmarkBestSplits evaluates the splits of one large pending element the

@@ -3,6 +3,7 @@ package rtree
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -162,7 +163,7 @@ func TestSortedOrdersMatchOracle(t *testing.T) {
 		if !sameOrders(sortedOrders(ps, all), oracleOrders(ps, all)) {
 			t.Fatalf("seed %d: orders of all %d ids differ from the oracle", seed, n)
 		}
-		// An ascending subset (a shard) and the same ids shuffled (a leaf).
+		// An ascending subset (a root cell) and the same ids shuffled (a leaf).
 		var sub []int32
 		for _, id := range all {
 			if rng.Intn(3) > 0 {
@@ -208,7 +209,7 @@ func TestBestSplitsMatchOracle(t *testing.T) {
 			ps = NewPointSet(dim, coords)
 		}
 		ids := firstIDs(n)
-		if seed%2 == 1 { // a subset, as a shard's root is
+		if seed%2 == 1 { // a subset, as a cell of a pre-split root is
 			ids = ids[:0]
 			for id := int32(0); int(id) < n; id++ {
 				if rng.Intn(4) > 0 {
@@ -263,32 +264,136 @@ func TestBestSplitsAllocs(t *testing.T) {
 	}
 }
 
-// TestPrepareAllMatchesPrepare builds the roots of a sharded index in one
-// concurrent batch and one tree at a time; the shapes must be identical.
-func TestPrepareAllMatchesPrepare(t *testing.T) {
+// TestPrepareParallelMatchesSerial builds a pre-split root with its sort
+// orders in one concurrent batch and on one goroutine; the shapes must be
+// identical.
+func TestPrepareParallelMatchesSerial(t *testing.T) {
 	ps := clusteredPointSet(30000, 3, 8, 3)
-	router := NewShardRouter(ps, ps.N(), 2)
-	var batch, single []*Tree
-	for _, ids := range router.Assign(ps, ps.N()) {
-		batch = append(batch, NewCrackingSubset(ps, DefaultOptions(), ids))
-		single = append(single, NewCrackingSubset(ps, DefaultOptions(), ids))
-	}
-	batch = append(batch, NewCracking(NewPointSet(3, nil), DefaultOptions())) // an empty tree rides along
-	PrepareAll(batch)
-	PrepareAll(batch) // idempotent
-	for i, tr := range single {
+	build := func(procs int) *Tree {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		tr := NewCracking(ps, DefaultOptions())
 		tr.Prepare()
-		if !batch[i].Ready() || batch[i].StructureHash() != tr.StructureHash() {
-			t.Fatalf("shard %d: batch-prepared root differs from the singly prepared one", i)
-		}
-		if err := batch[i].CheckInvariants(); err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		if got := batch[i].Stats().TotalNodes; got != 1 || batch[i].created != 1 {
-			t.Fatalf("shard %d: %d nodes, %d created, want one root", i, got, batch[i].created)
-		}
+		tr.Prepare() // idempotent
+		return tr
 	}
-	if !batch[len(batch)-1].Ready() {
-		t.Fatal("empty tree not prepared")
+	batch, serial := build(4), build(1)
+	if !batch.Ready() || batch.StructureHash() != serial.StructureHash() {
+		t.Fatal("batch-prepared root differs from the serially prepared one")
+	}
+	if err := batch.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	st := batch.Stats()
+	if st.InternalNodes != 1 || st.TotalNodes != 1+len(batch.root.children) || batch.created != st.TotalNodes {
+		t.Fatalf("%d nodes (%d internal), %d created, want a root and its %d cells",
+			st.TotalNodes, st.InternalNodes, batch.created, len(batch.root.children))
+	}
+	empty := NewCracking(NewPointSet(3, nil), DefaultOptions())
+	empty.Prepare()
+	if !empty.Ready() || empty.Stats().TotalNodes != 1 {
+		t.Fatal("empty tree not prepared as one empty leaf")
+	}
+}
+
+// TestPresplitRoot pins the shape of a freshly materialized root around
+// parallelSortMin. Below it the root is one pending element. At or above it
+// the root is an internal node whose children are the non-empty Morton cells
+// of its MBR: every point of a child bisects to that child's cell (computed
+// here from the definition, not by mortonCells), the cells ascend, and the
+// children's boxes lie in the root's. Lemma 1 and the other invariants hold
+// before and after cracking, and a second build hashes the same.
+func TestPresplitRoot(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dim := 2 + int(seed%5)
+		n := parallelSortMin + []int{-300, -1, 0, 1, 300}[rng.Intn(5)]
+		var ps *PointSet
+		switch seed % 3 {
+		case 0:
+			ps = clusteredPointSet(n, dim, 1+rng.Intn(6), seed)
+		case 1: // a coarse lattice: every coordinate duplicated many times
+			coords := make([]float64, n*dim)
+			for i := range coords {
+				coords[i] = float64(rng.Intn(5) - 2)
+			}
+			ps = NewPointSet(dim, coords)
+		default: // one to three distinct points
+			distinct := clusteredPointSet(1+rng.Intn(3), dim, 1, seed)
+			coords := make([]float64, 0, n*dim)
+			for i := 0; i < n; i++ {
+				coords = append(coords, distinct.At(int32(rng.Intn(distinct.N())))...)
+			}
+			ps = NewPointSet(dim, coords)
+		}
+		opt := DefaultOptions()
+		opt.Fanout = []int{2, 3, 8, 16}[rng.Intn(4)]
+		tr := NewCracking(ps, opt)
+		tr.Prepare()
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		again := NewCracking(ps, opt)
+		if again.StructureHash() != tr.StructureHash() {
+			t.Fatalf("seed %d: two builds of one root hash differently", seed)
+		}
+
+		if n < parallelSortMin {
+			if !tr.root.isPending() || tr.created != 1 {
+				t.Fatalf("seed %d: a root of %d points is not a single pending element", seed, n)
+			}
+			continue
+		}
+		kids := tr.root.children
+		if len(kids) < 1 || len(kids) > opt.Fanout || tr.created != 1+len(kids) {
+			t.Fatalf("seed %d: a root of %d points has %d children (%d nodes created), want 1..%d",
+				seed, n, len(kids), tr.created, opt.Fanout)
+		}
+		nbits := 0
+		for 2<<nbits <= opt.Fanout {
+			nbits++
+		}
+		cellOf := func(pt []float64) int {
+			frame := tr.root.mbr.Clone()
+			cell := 0
+			for b := 0; b < nbits; b++ {
+				d := b % dim
+				mid := 0.5 * (frame.Lo[d] + frame.Hi[d])
+				cell *= 2
+				if pt[d] >= mid {
+					cell++
+					frame.Lo[d] = mid
+				} else {
+					frame.Hi[d] = mid
+				}
+			}
+			return cell
+		}
+		last := -1
+		for i, c := range kids {
+			if c.isInternal() || !tr.root.mbr.ContainsRect(c.mbr) {
+				t.Fatalf("seed %d: child %d is not a contour element inside the root's box", seed, i)
+			}
+			cell := cellOf(ps.At(c.ids()[0]))
+			for _, id := range c.ids() {
+				if cellOf(ps.At(id)) != cell {
+					t.Fatalf("seed %d: child %d mixes Morton cells %d and %d", seed, i, cell, cellOf(ps.At(id)))
+				}
+			}
+			if cell <= last {
+				t.Fatalf("seed %d: child %d holds cell %d after cell %d", seed, i, cell, last)
+			}
+			last = cell
+		}
+
+		for c := 0; c < 5; c++ {
+			q := BallRect(ps.At(int32(rng.Intn(n))), 0.1+rng.Float64())
+			tr.Crack(q)
+			if !equalIDs(sortIDs(tr.Search(q)), bruteSearch(ps, q)) {
+				t.Fatalf("seed %d: search after a crack differs from the scan", seed)
+			}
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d after cracks: %v", seed, err)
+		}
 	}
 }

@@ -6,9 +6,11 @@ import (
 )
 
 // goldenShape is what a seeded point set and crack sequence must produce:
-// the values below were computed on the commit before the radix root sort
-// and the one-pass split evaluation went in, so any drift in a sort order,
-// a split choice or an installed MBR shows up here as a changed hash.
+// any drift in a sort order, a split choice or an installed MBR shows up
+// here as a changed hash. The values for roots below parallelSortMin points
+// and for the bulk load predate the radix root sort and the one-pass split
+// evaluation; those above it were regenerated when the root became
+// pre-split.
 type goldenShape struct {
 	hash    uint64
 	splits  int
@@ -53,28 +55,22 @@ func TestGoldenStructure(t *testing.T) {
 		}
 		return shapeOf(trees...)
 	}
-	sharded := func(opt Options) []*Tree {
-		router := NewShardRouter(ps, ps.N(), 2)
-		var trees []*Tree
-		for _, ids := range router.Assign(ps, ps.N()) {
-			trees = append(trees, NewCrackingSubset(ps, opt, ids))
-		}
-		return trees
-	}
 	top2 := DefaultOptions()
 	top2.SplitChoices = 2
 
 	// Inserts overflow leaves back into pending elements, whose sort orders
-	// are rebuilt from ids in leaf (not ascending) order.
-	grown := func() goldenShape {
-		ps := clusteredPointSet(5000, 3, 4, 8)
+	// are rebuilt from ids in leaf (not ascending) order. n points start the
+	// tree: below parallelSortMin under a single pending root, above it
+	// under a pre-split one that the inserts descend through.
+	grown := func(n int) goldenShape {
+		ps := clusteredPointSet(n, 3, 4, 8)
 		tr := NewCracking(ps, DefaultOptions())
 		rng := rand.New(rand.NewSource(100))
 		for _, q := range queries[:50] {
 			tr.Crack(q)
 		}
 		for i := 0; i < 3000; i++ {
-			src := ps.At(int32(rng.Intn(5000)))
+			src := ps.At(int32(rng.Intn(n)))
 			pt := []float64{src[0] + rng.NormFloat64()*0.1, src[1] + rng.NormFloat64()*0.1, src[2] + rng.NormFloat64()*0.1}
 			tr.Insert(ps.AppendPoint(pt))
 		}
@@ -93,15 +89,13 @@ func TestGoldenStructure(t *testing.T) {
 		want goldenShape
 	}{
 		{"greedy", crackAll(NewCracking(ps, DefaultOptions())),
-			goldenShape{0x3eb6a56ee8bce78a, 507, 703, 703}},
-		{"greedy-4-shards", crackAll(sharded(DefaultOptions())...),
-			goldenShape{0x9a3fb8e79831fca8, 419, 591, 591}},
+			goldenShape{0x9824862e28868d09, 366, 532, 532}},
 		{"top2", crackAll(NewCracking(ps, top2)),
-			goldenShape{0xc210cdb6efb7a275, 390, 559, 559}},
-		{"top2-4-shards", crackAll(sharded(top2)...),
-			goldenShape{0xb95fda922f6edcc8, 351, 499, 499}},
-		{"greedy-inserts", grown(),
+			goldenShape{0xc2846a677053aa77, 331, 467, 467}},
+		{"greedy-inserts", grown(5000),
 			goldenShape{0x46e8ba0bb7b0b1b8, 125, 167, 167}},
+		{"greedy-inserts-presplit", grown(12000),
+			goldenShape{0xbdb3677d64eb1533, 194, 269, 269}},
 		{"bulk", shapeOf(NewBulkLoaded(ps, DefaultOptions())),
 			goldenShape{0xb7bfe474dfcaef34, 1023, 1609, 1609}},
 	}

@@ -79,7 +79,7 @@ func TestEnablePackedIdempotent(t *testing.T) {
 	tr.Crack(BallRect([]float64{0.5, 0.5, 0.5}, 0.2))
 	q := []float64{0.4, 0.5, 0.6}
 	walk := func() []walkPoint {
-		return walkTrees([]*Tree{tr}, q, func(int) float64 { return 0.3 }, -1, nil)
+		return walkTree(tr, q, func(int) float64 { return 0.3 }, -1, nil)
 	}
 	before, hash := walk(), tr.StructureHash()
 	ps.EnablePacked()
@@ -93,9 +93,10 @@ func TestEnablePackedIdempotent(t *testing.T) {
 }
 
 // TestLeafPagesFollowMutations is the differential test of page
-// maintenance. Over 1–3 trees sharing a point set it interleaves cracks,
-// inserts (single ones, and bursts of duplicates that push a leaf past
-// LeafCap back to pending, re-cracked afterwards), deletes (single ones, a
+// maintenance. On a tree — now and then one large enough for a pre-split
+// root — it interleaves cracks, inserts (single ones, and bursts of
+// duplicates that push a leaf past LeafCap back to pending, re-cracked
+// afterwards), deletes (single ones, a
 // whole contour element so its record is released, a whole tree down to the
 // empty leaf), re-inserts of tombstones and a save/load of a tree; a bulk
 // loaded tree takes the place of the cracking one now and then. After every
@@ -111,6 +112,9 @@ func TestLeafPagesFollowMutations(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		dim := 2 + rng.Intn(2)
 		n := 60 + rng.Intn(200)
+		if seed%50 == 0 {
+			n = parallelSortMin + rng.Intn(200)
+		}
 		coords := make([]float64, 0, n*dim)
 		for i := 0; i < n; i++ {
 			for d := 0; d < dim; d++ {
@@ -126,29 +130,19 @@ func TestLeafPagesFollowMutations(t *testing.T) {
 		opt.LeafCap = []int{4, 8, 32}[rng.Intn(3)]
 		opt.Fanout = 3 + rng.Intn(6)
 
-		nTrees := 1 + rng.Intn(3)
-		owner := make([]int, n) // tree holding each point, -1 once deleted
-		home := make([]int, n)  // tree a point was first given to, its only legal owner
-		subsets := make([][]int32, nTrees)
-		for i := range owner {
-			owner[i] = rng.Intn(nTrees)
-			home[i] = owner[i]
-			subsets[owner[i]] = append(subsets[owner[i]], int32(i))
+		live := make([]bool, n) // false once deleted
+		for i := range live {
+			live[i] = true
 		}
-		trees := make([]*Tree, nTrees)
-		for i := range trees {
-			trees[i] = NewCrackingSubset(ps, opt, subsets[i])
-		}
-		if nTrees == 1 && rng.Intn(3) == 0 {
-			trees[0] = NewBulkLoaded(ps, opt)
+		tr := NewCracking(ps, opt)
+		if rng.Intn(9) == 0 {
+			tr = NewBulkLoaded(ps, opt)
 		}
 
 		check := func(step string) {
 			t.Helper()
-			for i, tr := range trees {
-				if err := tr.CheckInvariants(); err != nil {
-					t.Fatalf("seed %d after %s: tree %d: %v", seed, step, i, err)
-				}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d after %s: %v", seed, step, err)
 			}
 			q := make([]float64, dim)
 			for d := range q {
@@ -157,15 +151,15 @@ func TestLeafPagesFollowMutations(t *testing.T) {
 			radius := float64(1+rng.Intn(7)) / 2
 			for _, bound := range []float64{radius * radius, math.Inf(1)} {
 				var want []walkPoint
-				for id, o := range owner {
-					if d := ps.SqDistTo(int32(id), q); o >= 0 && d <= bound {
+				for id, ok := range live {
+					if d := ps.SqDistTo(int32(id), q); ok && d <= bound {
 						want = append(want, walkPoint{d: d, id: int32(id)})
 					}
 				}
 				slices.SortFunc(want, func(a, b walkPoint) int {
 					return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.id, b.id))
 				})
-				got := walkTrees(trees, q, func(int) float64 { return bound }, -1, nil)
+				got := walkTree(tr, q, func(int) float64 { return bound }, -1, nil)
 				if !slices.Equal(got, want) {
 					t.Fatalf("seed %d after %s: walk within %v visits %d points, the scan %d", seed, step, bound, len(got), len(want))
 				}
@@ -173,7 +167,7 @@ func TestLeafPagesFollowMutations(t *testing.T) {
 					continue
 				}
 				var ball []walkPoint
-				st := SummarizeBall(trees, q, radius, -1, func(id int32, d float64) {
+				st := tr.SummarizeBall(q, radius, -1, func(id int32, d float64) {
 					ball = append(ball, walkPoint{d: d, id: id})
 				})
 				slices.SortFunc(ball, func(a, b walkPoint) int { return int(a.id - b.id) })
@@ -183,39 +177,37 @@ func TestLeafPagesFollowMutations(t *testing.T) {
 				}
 			}
 		}
-		insert := func(tr int, pt []float64) {
-			id := ps.AppendPoint(pt)
-			owner, home = append(owner, tr), append(home, tr)
-			trees[tr].Insert(id)
+		insert := func(pt []float64) {
+			live = append(live, true)
+			tr.Insert(ps.AppendPoint(pt))
 		}
 		livePoint := func() int32 {
 			for try := 0; try < 64; try++ {
-				if id := rng.Intn(len(owner)); owner[id] >= 0 {
+				if id := rng.Intn(len(live)); live[id] {
 					return int32(id)
 				}
 			}
 			return -1
 		}
 		remove := func(id int32) {
-			if !trees[owner[id]].Delete(id) {
-				t.Fatalf("seed %d: Delete(%d) found nothing in tree %d", seed, id, owner[id])
+			if !tr.Delete(id) {
+				t.Fatalf("seed %d: Delete(%d) found nothing", seed, id)
 			}
-			owner[id] = -1
+			live[id] = false
 		}
 
 		check("build")
 		for step := 0; step < 30; step++ {
-			tr := rng.Intn(nTrees)
 			switch op := rng.Intn(9); op {
 			case 0, 1:
-				trees[tr].Crack(randomQuery(rng, dim, 0, 6))
+				tr.Crack(randomQuery(rng, dim, 0, 6))
 				check("crack")
 			case 2:
 				pt := make([]float64, dim)
 				for d := range pt {
 					pt[d] = rng.Float64() * 6
 				}
-				insert(tr, pt)
+				insert(pt)
 				check("insert")
 			case 3:
 				// Duplicates descend to one leaf: LeafCap+1 of them overflow
@@ -226,10 +218,10 @@ func TestLeafPagesFollowMutations(t *testing.T) {
 				}
 				pt := slices.Clone(ps.At(src))
 				for i := 0; i <= opt.LeafCap; i++ {
-					insert(tr, pt)
+					insert(pt)
 					check("burst insert")
 				}
-				trees[tr].Crack(BallRect(pt, 0.5))
+				tr.Crack(BallRect(pt, 0.5))
 				check("crack after overflow")
 			case 4:
 				if id := livePoint(); id >= 0 {
@@ -239,40 +231,45 @@ func TestLeafPagesFollowMutations(t *testing.T) {
 			case 5:
 				// Empty one contour element: its record is released.
 				var victims []int32
-				trees[tr].EachElement(func(_ Rect, ids []int32) {
+				tr.EachElement(func(_ Rect, ids []int32) {
 					if victims == nil && len(ids) > 0 && rng.Intn(3) == 0 {
 						victims = slices.Clone(ids)
 					}
 				})
-				for _, id := range victims {
+				// A cell of a pre-split root holds a thousand points: check
+				// some twenty states on the way down, the empty one last.
+				stride := 1 + len(victims)/16
+				for i, id := range victims {
 					remove(id)
-					check("delete of an element")
+					if i%stride == 0 || i == len(victims)-1 {
+						check("delete of an element")
+					}
 				}
 			case 6:
 				if rng.Intn(4) != 0 {
 					continue
 				}
-				for id, o := range owner {
-					if o == tr {
+				for id, ok := range live {
+					if ok {
 						remove(int32(id))
 					}
 				}
 				check("delete of a tree")
 			case 7:
 				for try := 0; try < 8; try++ {
-					if id := rng.Intn(len(owner)); owner[id] < 0 {
-						trees[home[id]].Insert(int32(id))
-						owner[id] = home[id]
+					if id := rng.Intn(len(live)); !live[id] {
+						tr.Insert(int32(id))
+						live[id] = true
 						break
 					}
 				}
 				check("re-insert")
 			case 8:
 				var buf bytes.Buffer
-				if err := trees[tr].Save(&buf); err != nil {
+				if err := tr.Save(&buf); err != nil {
 					t.Fatal(err)
 				}
-				hash := trees[tr].StructureHash()
+				hash := tr.StructureHash()
 				loaded, err := Load(&buf, ps)
 				if err != nil {
 					t.Fatalf("seed %d: load: %v", seed, err)
@@ -280,7 +277,7 @@ func TestLeafPagesFollowMutations(t *testing.T) {
 				if loaded.StructureHash() != hash {
 					t.Fatalf("seed %d: a loaded tree hashes differently", seed)
 				}
-				trees[tr] = loaded
+				tr = loaded
 				check("save and load")
 			}
 		}

@@ -10,7 +10,7 @@ import (
 
 // Root sort orders. A pending element keeps its ids sorted by every
 // coordinate, ties broken by id; building those S lists for a whole point
-// set (or a whole shard) is the one global sort a cracking index ever does,
+// set is the one global sort a cracking index ever does,
 // and the first query pays for it. Each list is an LSD radix sort of
 // (key, id) pairs, where key is the order-preserving uint64 image of the
 // coordinate: the ids enter in ascending order and every pass is stable, so
@@ -182,7 +182,7 @@ func sortedOrders(ps *PointSet, ids []int32) [][]int32 {
 	return orders
 }
 
-// firstIDs returns the ids 0..n-1, the id set of an unsharded root.
+// firstIDs returns the ids 0..n-1, the id set of a root.
 func firstIDs(n int) []int32 {
 	ids := make([]int32, n)
 	for i := range ids {

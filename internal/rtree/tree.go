@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -49,8 +50,8 @@ func (o Options) normalize() Options {
 }
 
 // Tree is the spatial index over a PointSet in S2. A Tree is either created
-// cracking (NewCracking: a single pending root, shaped online by Crack
-// calls) or bulk-loaded (NewBulkLoaded: the full Algorithm 1 build).
+// cracking (NewCracking: a lazy root, shaped online by Crack calls) or
+// bulk-loaded (NewBulkLoaded: the full Algorithm 1 build).
 //
 // Tree is not itself synchronized, but it is built to slot under a
 // reader/writer lock: once Prepare has materialized the root, every
@@ -87,26 +88,18 @@ type Tree struct {
 	// only through Insert.
 	initialN int
 
-	// initialIDs, when non-nil, restricts the lazy root to an explicit
-	// subset of the point set (a shard of a sharded engine); ensureRoot
-	// consumes it. A tree with nil initialIDs covers the first initialN
-	// points, as NewCracking always did.
-	initialIDs []int32
-
 	// owned counts the points this tree is responsible for: the initial
-	// points (all of the set, or the subset for a shard) plus everything
-	// Inserted, including current tombstones. The live count is
-	// owned - len(deleted); CheckInvariants verifies the contour covers
-	// exactly that, which stays meaningful when several trees share one
-	// PointSet.
+	// points plus everything Inserted, including current tombstones. The
+	// live count is owned - len(deleted); CheckInvariants verifies the
+	// contour covers exactly that, which stays meaningful when several
+	// trees share one PointSet.
 	owned int
 }
 
-// NewCracking returns a cracking index whose only node is a pending root
-// holding all points. Construction is O(1): even the root's S sort orders
-// are built lazily by the first operation, so there is no offline index
-// building time at all — the first query pays the setup, as in the paper's
-// Figure 3.
+// NewCracking returns a cracking index over all points whose root is still
+// lazy. Construction is O(1): even the root's S sort orders are built by
+// the first operation, so there is no offline index building time at all —
+// the first query pays the setup, as in the paper's Figure 3.
 func NewCracking(ps *PointSet, opt Options) *Tree {
 	opt = opt.normalize()
 	return &Tree{ps: ps, opt: opt, arena: newNodeArena(ps.Dim),
@@ -116,7 +109,7 @@ func NewCracking(ps *PointSet, opt Options) *Tree {
 // ensureRoot materializes the root on first use.
 func (t *Tree) ensureRoot() {
 	if t.root == nil {
-		PrepareAll([]*Tree{t})
+		t.buildRoot()
 	}
 }
 
@@ -130,46 +123,87 @@ func (t *Tree) Ready() bool { return t.root != nil }
 // attributes to the first query.
 func (t *Tree) Prepare() { t.ensureRoot() }
 
-// PrepareAll materializes the lazy roots of all the trees that still lack
-// one, as Prepare does for a single tree, but sorts every (tree, dimension)
-// order of the batch concurrently (see rootsort.go): a sharded engine's
-// first query builds all its roots in one go. The caller must hold whatever
-// excludes other users of the trees, exactly as for Prepare.
+// buildRoot materializes the root. One of fewer than parallelSortMin points
+// is a single pending element. A larger one starts as an internal node over
+// the non-empty Morton cells of its MBR (see mortonCells), each a pending
+// element: the first crack then meets elements a Fanout-th the size of the
+// whole set, and their S sort orders, all independent, are built in one
+// concurrent batch. The shape depends on the points and the Options only,
+// never on the machine.
 //
 // walappend:allow — lazy root materialization is deterministic from the
 // point set and happens identically on load, so it is never WAL-logged;
 // marking it here keeps Prepare and the read paths (Search, walks, Save)
 // out of the structural-mutator set.
-func PrepareAll(trees []*Tree) {
-	var cold []*Tree
+func (t *Tree) buildRoot() {
+	t.created++
+	t.root = t.arena.alloc()
+	if t.initialN == 0 {
+		t.arena.setLeaf(t.root, t.ps, []int32{})
+		return
+	}
+	ids := firstIDs(t.initialN)
+	var elems []*node
 	var jobs []orderJob
-	for _, t := range trees {
-		if t.root != nil {
-			continue
+	if len(ids) < parallelSortMin {
+		elems = []*node{t.root}
+		jobs = t.setPending(t.root, ids, nil)
+	} else {
+		mbr := t.ps.MBRof(ids)
+		t.root.setMBR(mbr)
+		for _, cell := range mortonCells(t.ps, ids, mbr, bits.Len(uint(t.opt.Fanout))-1) {
+			if len(cell) > 0 {
+				t.created++
+				child := t.arena.alloc()
+				jobs = t.setPending(child, cell, jobs)
+				elems = append(elems, child)
+			}
 		}
-		t.created++
-		t.root = t.arena.alloc()
-		if t.initialN == 0 {
-			t.arena.setLeaf(t.root, t.ps, []int32{})
-			continue
-		}
-		ids := t.initialIDs
-		if ids == nil {
-			ids = firstIDs(t.initialN)
-		}
-		t.initialIDs = nil
-		p := &partition{orders: make([][]int32, t.ps.Dim), mbr: t.ps.MBRof(ids)}
-		jobs = appendOrderJobs(jobs, t.ps, ids, p.orders)
-		t.root.setMBR(p.mbr)
-		t.root.part = p
-		cold = append(cold, t)
+		t.root.children = elems
 	}
 	runOrderJobs(jobs)
-	for _, t := range cold {
-		if t.root.part.count() <= t.opt.LeafCap {
-			t.toLeaf(t.root)
+	for _, nd := range elems {
+		if nd.part.count() <= t.opt.LeafCap {
+			t.toLeaf(nd)
 		}
 	}
+}
+
+// setPending makes nd the pending element over ids (ascending) and appends
+// the jobs that will fill its sort orders.
+func (t *Tree) setPending(nd *node, ids []int32, jobs []orderJob) []orderJob {
+	p := &partition{orders: make([][]int32, t.ps.Dim), mbr: t.ps.MBRof(ids)}
+	nd.setMBR(p.mbr)
+	nd.part = p
+	return appendOrderJobs(jobs, t.ps, ids, p.orders)
+}
+
+// mortonCells buckets ids by the nbits-long Morton prefix of their points in
+// frame: MSB first, bit b bisects dimension b mod dim at the midpoint of the
+// interval the earlier bits left (1 = upper half). Buckets come back in
+// prefix order and keep their ids in the order given.
+func mortonCells(ps *PointSet, ids []int32, frame Rect, nbits int) [][]int32 {
+	cells := make([][]int32, 1<<nbits)
+	lo, hi := make([]float64, ps.Dim), make([]float64, ps.Dim)
+	for _, id := range ids {
+		pt := ps.At(id)
+		copy(lo, frame.Lo)
+		copy(hi, frame.Hi)
+		cell := 0
+		for b := 0; b < nbits; b++ {
+			d := b % ps.Dim
+			mid := 0.5 * (lo[d] + hi[d])
+			cell <<= 1
+			if pt[d] >= mid {
+				cell |= 1
+				lo[d] = mid
+			} else {
+				hi[d] = mid
+			}
+		}
+		cells[cell] = append(cells[cell], id)
+	}
+	return cells
 }
 
 // PS returns the underlying point set.
@@ -439,9 +473,8 @@ func (t *Tree) Stats() Stats {
 
 // CheckInvariants verifies the structural invariants the paper's lemmas rely
 // on: every node's MBR contains its contents; internal nodes have children;
-// the contour elements partition the tree's owned point set (Lemma 1 —
-// which is the full PointSet for an unsharded tree and the shard's subset
-// otherwise); leaves respect the capacity and their pages hold exactly
+// the contour elements partition the tree's owned point set (Lemma 1);
+// leaves respect the capacity and their pages hold exactly
 // their points' rows; pending partitions keep consistent sort orders.
 // Intended for tests; O(n log n).
 func (t *Tree) CheckInvariants() error {

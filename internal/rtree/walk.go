@@ -27,14 +27,12 @@ func (t *Tree) WalkWithin(q []float64, bound func() float64, visit func(id int32
 }
 
 // WalkTreesWithin merges the best-first walks of several trees into one
-// ascending stream — the sharded index's ball walk. All trees must be built
-// over the same PointSet, already Ready (the engine prepares shards under
-// its write lock before serving), and share one AccessCounters sink. The
-// frontier is seeded with every root, so shards whose region is far from q
-// cost exactly one MBR distance check; the heap's deterministic ordering
-// makes the visit sequence ascending (distance, id) regardless of how the
-// points are partitioned into trees, which is what makes sharded and
-// unsharded engines return identical answers.
+// ascending stream. All trees must be built over the same PointSet, already
+// Ready (the engine prepares its tree under its write lock before serving),
+// and share one AccessCounters sink. The heap's deterministic ordering makes
+// the visit sequence ascending (distance, id) regardless of how the points
+// are arranged into nodes. Nothing in this module passes more than one tree:
+// the slice survives because bench/ calls it (ROADMAP item 0).
 func WalkTreesWithin(trees []*Tree, q []float64, bound func() float64, visit func(id int32, sqDist float64) bool) {
 	f := frontierPool.Get().(*frontier)
 	b := bound()
@@ -84,7 +82,7 @@ func (f *frontier) seed(t *Tree, q []float64, b float64) {
 
 // release flushes the access counts and returns the frontier to the pool
 // with no node pointer left in it: arena records must not be reachable
-// once the caller drops the shard read locks. pop clears the slots it
+// once the caller drops the index read lock. pop clears the slots it
 // vacates, so only the live prefix needs clearing here.
 func (f *frontier) release(access *AccessCounters) {
 	access.flush(f.accIn, f.accLf, f.accPd)
@@ -277,7 +275,7 @@ type walkHeap []walkItem
 // head is the minimum (distance, id) over all scanned points: the visit
 // order is exactly ascending (distance, id) — a total order over the data,
 // independent of the tree structure — which keeps walks over differently
-// cracked (or differently sharded) trees bit-identical.
+// cracked trees bit-identical.
 func (h walkHeap) less(i, j int) bool {
 	if h[i].d != h[j].d {
 		return h[i].d < h[j].d

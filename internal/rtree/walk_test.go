@@ -30,12 +30,12 @@ func walkOracle(ps *PointSet, q []float64, bound func(visited int) float64, stop
 	return all
 }
 
-// walkTrees records the visit sequence of a merged walk under the same
-// rule as walkOracle. inner, when non-nil, runs from inside the callback of
+// walkTree records the visit sequence of a walk under the same rule as
+// walkOracle. inner, when non-nil, runs from inside the callback of
 // the third visited point.
-func walkTrees(trees []*Tree, q []float64, bound func(visited int) float64, stop int, inner func()) []walkPoint {
+func walkTree(tr *Tree, q []float64, bound func(visited int) float64, stop int, inner func()) []walkPoint {
 	var got []walkPoint
-	WalkTreesWithin(trees, q, func() float64 { return bound(len(got)) }, func(id int32, d float64) bool {
+	tr.WalkWithin(q, func() float64 { return bound(len(got)) }, func(id int32, d float64) bool {
 		got = append(got, walkPoint{d: d, id: id})
 		if inner != nil && len(got) == 3 {
 			inner()
@@ -46,9 +46,10 @@ func walkTrees(trees []*Tree, q []float64, bound func(visited int) float64, stop
 }
 
 // TestWalkMatchesSortedScan is the randomized differential test of the run
-// frontier: over {1, 2, 4} trees and a random crack sequence, the visit
-// sequence must equal the (sqDist, id)-sorted scan under a fixed bound, no
-// bound, and a bound that shrinks with the points visited; an early stop
+// frontier: over a random crack sequence, on trees below and above the size
+// at which the root is pre-split, the visit sequence must equal the
+// (sqDist, id)-sorted scan under a fixed bound, no bound, and a bound that
+// shrinks with the points visited; an early stop
 // must leave the next walk on the goroutine intact, and so must a walk
 // started from inside a visit callback. Coordinates sit on a coarse
 // lattice, with exact duplicates, so equal distances — the id tie-break —
@@ -62,6 +63,9 @@ func TestWalkMatchesSortedScan(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		dim := 2 + rng.Intn(2)
 		n := 100 + rng.Intn(300)
+		if seed%40 == 0 {
+			n = parallelSortMin + rng.Intn(300)
+		}
 		coords := make([]float64, 0, n*dim)
 		for i := 0; i < n; i++ {
 			switch {
@@ -82,39 +86,21 @@ func TestWalkMatchesSortedScan(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			opt.LeafCap, opt.Fanout = 4, 3
 		}
-		owner := make([]int, n)
-		for i := range owner {
-			owner[i] = rng.Intn(4)
+		ps := NewPointSet(dim, coords)
+		tr := NewCracking(ps, opt)
+		for round := 0; round < 3; round++ {
+			checkWalks(t, rng, ps, tr, seed)
+			for c := rng.Intn(6); c > 0; c-- {
+				tr.Crack(randomQuery(rng, dim, 0, 6))
+			}
 		}
-		for _, nTrees := range []int{1, 2, 4} {
-			ps := NewPointSet(dim, slices.Clone(coords))
-			subsets := make([][]int32, nTrees)
-			for i, o := range owner {
-				subsets[o%nTrees] = append(subsets[o%nTrees], int32(i))
-			}
-			trees := make([]*Tree, nTrees)
-			for i := range trees {
-				trees[i] = NewCrackingSubset(ps, opt, subsets[i])
-			}
-			// One rng per configuration, so every configuration sees the
-			// same cracks and queries.
-			crng := rand.New(rand.NewSource(int64(seed) + 1000))
-			for round := 0; round < 3; round++ {
-				checkWalks(t, crng, ps, trees, seed)
-				for c := crng.Intn(6); c > 0; c-- {
-					trees[crng.Intn(nTrees)].Crack(randomQuery(crng, dim, 0, 6))
-				}
-			}
-			for _, tr := range trees {
-				if err := tr.CheckInvariants(); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-			}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
 
-func checkWalks(t *testing.T, rng *rand.Rand, ps *PointSet, trees []*Tree, seed int) {
+func checkWalks(t *testing.T, rng *rand.Rand, ps *PointSet, tr *Tree, seed int) {
 	t.Helper()
 	q := make([]float64, ps.Dim)
 	for d := range q {
@@ -136,53 +122,44 @@ func checkWalks(t *testing.T, rng *rand.Rand, ps *PointSet, trees []*Tree, seed 
 				for i < len(got) && i < len(want) && got[i] == want[i] {
 					i++
 				}
-				t.Fatalf("seed %d, %d trees, %s bound, %s: %d visits, want %d; first difference at %d",
-					seed, len(trees), name, what, len(got), len(want), i)
+				t.Fatalf("seed %d, %s bound, %s: %d visits, want %d; first difference at %d",
+					seed, name, what, len(got), len(want), i)
 			}
 		}
-		check("full walk", walkTrees(trees, q, bound, -1, nil), want)
+		check("full walk", walkTree(tr, q, bound, -1, nil), want)
 
 		stop := 1 + rng.Intn(20)
-		check("early stop", walkTrees(trees, q, bound, stop, nil), walkOracle(ps, q, bound, stop))
-		check("walk after early stop", walkTrees(trees, q, bound, -1, nil), want)
+		check("early stop", walkTree(tr, q, bound, stop, nil), walkOracle(ps, q, bound, stop))
+		check("walk after early stop", walkTree(tr, q, bound, -1, nil), want)
 
 		var inner []walkPoint
-		outer := walkTrees(trees, q, bound, -1, func() { inner = walkTrees(trees, q, bound, -1, nil) })
+		outer := walkTree(tr, q, bound, -1, func() { inner = walkTree(tr, q, bound, -1, nil) })
 		check("walk around a nested walk", outer, want)
 		if len(want) >= 3 {
 			check("nested walk", inner, want)
 		}
 	}
-	if len(trees) == 1 {
-		var got []walkPoint
-		trees[0].WalkAscending(q, func(id int32, d float64) bool {
-			got = append(got, walkPoint{d: d, id: id})
-			return true
-		})
-		if !slices.Equal(got, walkOracle(ps, q, bounds["unbounded"], -1)) {
-			t.Fatalf("seed %d: WalkAscending differs from the sorted scan", seed)
-		}
+	var got []walkPoint
+	tr.WalkAscending(q, func(id int32, d float64) bool {
+		got = append(got, walkPoint{d: d, id: id})
+		return true
+	})
+	if !slices.Equal(got, walkOracle(ps, q, bounds["unbounded"], -1)) {
+		t.Fatalf("seed %d: WalkAscending differs from the sorted scan", seed)
 	}
 }
 
-// convergedShards builds a 2-shard index over one clustered point set and
-// cracks it around q until a further crack splits nothing.
-func convergedShards(t *testing.T, q []float64, radius float64) []*Tree {
+// convergedTree builds an index over one clustered point set and cracks it
+// around q until a further crack splits nothing.
+func convergedTree(t *testing.T, q []float64, radius float64) *Tree {
 	t.Helper()
-	ps := clusteredPointSet(20000, 3, 16, 91)
-	router := NewShardRouter(ps, ps.N(), 1)
-	var trees []*Tree
-	for _, ids := range router.Assign(ps, ps.N()) {
-		trees = append(trees, NewCrackingSubset(ps, DefaultOptions(), ids))
-	}
+	tr := NewCracking(clusteredPointSet(20000, 3, 16, 91), DefaultOptions())
 	ball := BallRect(q, radius)
-	for _, tr := range trees {
-		for before := -1; before != tr.Splits(); {
-			before = tr.Splits()
-			tr.Crack(ball)
-		}
+	for before := -1; before != tr.Splits(); {
+		before = tr.Splits()
+		tr.Crack(ball)
 	}
-	return trees
+	return tr
 }
 
 // TestWarmWalkAllocatesNothing guards the pooled frontier: once a walk has
@@ -192,33 +169,30 @@ func TestWarmWalkAllocatesNothing(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	q := []float64{5, 5, 5}
-	trees := convergedShards(t, q, 1)
+	tr := convergedTree(t, q, 1)
 	visited := 0
 	bound := func() float64 { return 1 }
 	visit := func(int32, float64) bool { visited++; return true }
-	allocs := testing.AllocsPerRun(100, func() { WalkTreesWithin(trees, q, bound, visit) })
+	allocs := testing.AllocsPerRun(100, func() { tr.WalkWithin(q, bound, visit) })
 	if visited == 0 {
 		t.Fatal("the walk visited nothing; the guard measures an empty loop")
 	}
 	if allocs != 0 {
-		t.Fatalf("warm WalkTreesWithin allocates %v objects per walk, want 0", allocs)
+		t.Fatalf("warm WalkWithin allocates %v objects per walk, want 0", allocs)
 	}
 }
 
 // TestReleasedFrontierHoldsNoNodes: arena records must not stay reachable
-// from the pool after the caller drops the shard read locks — neither from
+// from the pool after the caller drops the index read lock — neither from
 // the live prefix of an early-stopped walk nor from slots popped earlier.
 func TestReleasedFrontierHoldsNoNodes(t *testing.T) {
 	q := []float64{5, 5, 5}
-	trees := convergedShards(t, q, 1)
+	tr := convergedTree(t, q, 1)
 	for _, stop := range []int{1, 50, -1} {
 		f := new(frontier)
-		for _, tr := range trees {
-			f.seed(tr, q, math.Inf(1))
-		}
-		f.items.init()
+		f.seed(tr, q, math.Inf(1))
 		n := 0
-		f.drain(trees[0].ps, q, func() float64 { return 4 }, func(int32, float64) bool { n++; return n != stop })
+		f.drain(tr.ps, q, func() float64 { return 4 }, func(int32, float64) bool { n++; return n != stop })
 		if stop > 0 && len(f.items) == 0 {
 			t.Fatalf("stop %d: nothing was left on the frontier to clear", stop)
 		}
@@ -234,10 +208,11 @@ func TestReleasedFrontierHoldsNoNodes(t *testing.T) {
 	}
 }
 
-// TestOversizedFrontierIsNotPooled: the scratch of a cold walk over a
-// pending root is dropped, not parked in the pool.
+// TestOversizedFrontierIsNotPooled: the scratch of a cold walk over the
+// largest pending root there is — one point short of a pre-split — is
+// dropped, not parked in the pool.
 func TestOversizedFrontierIsNotPooled(t *testing.T) {
-	ps := clusteredPointSet(2*maxPooledPoints, 3, 4, 92)
+	ps := clusteredPointSet(parallelSortMin-1, 3, 4, 92)
 	tr := NewCracking(ps, DefaultOptions())
 	f := new(frontier)
 	f.seed(tr, []float64{5, 5, 5}, math.Inf(1))

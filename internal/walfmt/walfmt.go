@@ -47,7 +47,7 @@ const (
 	// Magic identifies a vkgraph write-ahead log.
 	Magic = "VKGWAL\x00\x00"
 	// Version is the current format version.
-	Version = 1
+	Version = 2
 	// HeaderLen is the fixed size of the file header.
 	HeaderLen = snapfmt.MagicLen + 2 + 8
 	// recHeaderLen frames every record: kind, length, checksum.
@@ -69,7 +69,8 @@ func WriteHeader(w io.Writer, gen uint64) error {
 }
 
 // ReadHeader validates the magic and version and returns the generation. A
-// short or mismatched header is ErrCorrupt; a newer version is ErrVersion.
+// short or mismatched header is ErrCorrupt; any version but Version is
+// ErrVersion.
 func ReadHeader(r io.Reader) (gen uint64, err error) {
 	var hdr [HeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -79,8 +80,8 @@ func ReadHeader(r io.Reader) (gen uint64, err error) {
 		return 0, fmt.Errorf("walfmt: bad magic %q: %w", hdr[:snapfmt.MagicLen], ErrCorrupt)
 	}
 	version := binary.LittleEndian.Uint16(hdr[snapfmt.MagicLen : snapfmt.MagicLen+2])
-	if version == 0 || version > Version {
-		return 0, fmt.Errorf("walfmt: version %d (supported <= %d): %w", version, Version, ErrVersion)
+	if version != Version {
+		return 0, fmt.Errorf("walfmt: version %d (supported: %d): %w", version, Version, ErrVersion)
 	}
 	return binary.LittleEndian.Uint64(hdr[snapfmt.MagicLen+2:]), nil
 }

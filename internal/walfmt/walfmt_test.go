@@ -2,6 +2,7 @@ package walfmt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -113,16 +114,18 @@ func TestBadHeader(t *testing.T) {
 		}
 	}
 
-	// Future version: structurally fine, semantically unreadable.
+	// Any other version, older or newer: structurally fine, semantically
+	// unreadable.
 	var buf bytes.Buffer
 	if err := WriteHeader(&buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
-	b[MagicLen()] = 0xFF
-	b[MagicLen()+1] = 0xFF
-	if _, err := NewScanner(bytes.NewReader(b)); !errors.Is(err, ErrVersion) {
-		t.Errorf("future version: err = %v, want ErrVersion", err)
+	for _, version := range []uint16{0, Version - 1, Version + 1, 0xFFFF} {
+		binary.LittleEndian.PutUint16(b[MagicLen():], version)
+		if _, err := NewScanner(bytes.NewReader(b)); !errors.Is(err, ErrVersion) {
+			t.Errorf("version %d: err = %v, want ErrVersion", version, err)
+		}
 	}
 }
 

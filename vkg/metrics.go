@@ -39,12 +39,6 @@ func (v *VKG) ResetCache() { v.eng.ResetCache() }
 // the offset from the beginning of the query.
 type TraceSpan = obs.Span
 
-// ShardSpan is one per-shard child span of a traced query: the crack step's
-// work on a single shard — the wait for the shard's write lock (LockWait),
-// the time holding it (Dur), and the structural deltas attributed to this
-// query.
-type ShardSpan = obs.ShardSpan
-
 // QueryTrace is the per-query breakdown returned when Query.Trace is set:
 // where the time went, stage by stage, plus the cost counters the paper's
 // analysis is stated in. Stages are contiguous, so span durations sum to

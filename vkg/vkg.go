@@ -61,12 +61,10 @@
 // # Concurrency and durability
 //
 // A built VKG is safe for concurrent use: queries, aggregates, AddFact,
-// InsertEntity, Save, and IndexStats may run from multiple goroutines. The
-// cracking index is partitioned into spatial shards (WithShards), each with
-// its own lock: queries run under a shared engine lock and write-lock only
-// the shards whose pending regions they actually need to split, so a
-// converged index serves reads without serializing and a cold one cracks
-// different regions of space in parallel. The exception is embedding
+// InsertEntity, Save, and IndexStats may run from multiple goroutines.
+// Queries run under a shared engine lock and write-lock the index only when
+// their region still holds a pending element to split, so a converged index
+// serves reads without serializing. The exception is embedding
 // training with EmbeddingParams.Workers > 1 (Hogwild SGD, deliberately
 // lock-free and racy); it happens inside Build, before the VKG exists.
 //
@@ -196,7 +194,6 @@ type options struct {
 	emb          EmbeddingParams
 	model        *embedding.Model
 	attrs        []string
-	shards       int
 }
 
 // Option customizes Build.
@@ -253,15 +250,6 @@ func WithModelFrom(src *VKG) Option { return func(o *options) { o.model = src.en
 func WithAttributes(names ...string) Option {
 	return func(o *options) { o.attrs = append(o.attrs, names...) }
 }
-
-// WithShards partitions the cracking index into n spatial shards (rounded
-// down to a power of two, capped at 64), each with its own lock, so queries
-// cracking different regions of space do not serialize. The default (0)
-// derives the count from GOMAXPROCS; 1 disables sharding. ModeBulk always
-// uses a single shard — a fully built tree never cracks. Sharding changes
-// locking only, not answers: sharded and unsharded engines return identical
-// predictions.
-func WithShards(n int) Option { return func(o *options) { o.shards = n } }
 
 // VKG is a queryable virtual knowledge graph. All methods are safe for
 // concurrent use (see the package documentation for the locking model).
@@ -327,12 +315,11 @@ func Build(gr *Graph, opts ...Option) (*VKG, error) {
 	}
 
 	params := core.Params{
-		Alpha:  o.alpha,
-		Eps:    o.eps,
-		PTau:   o.pTau,
-		Seed:   o.seed,
-		Attrs:  o.attrs,
-		Shards: o.shards,
+		Alpha: o.alpha,
+		Eps:   o.eps,
+		PTau:  o.pTau,
+		Seed:  o.seed,
+		Attrs: o.attrs,
 		Index: rtree.Options{
 			LeafCap:      o.leafCap,
 			Fanout:       o.fanout,

@@ -200,9 +200,7 @@ func TestIndexStatsEvolve(t *testing.T) {
 	// for query balls not to swallow the whole space.
 	g := WrapGraph(kggen.Movie(kggen.TinyMovieConfig()))
 	ratesHigh, _ := g.RelationByName("likes")
-	// WithShards(1): the fresh-index shape asserted below is one root node
-	// per shard, and the default shard count follows the host's GOMAXPROCS.
-	v, err := Build(g, WithSeed(42), WithEmbedding(EmbeddingParams{Dim: 16, Epochs: 10}), WithShards(1))
+	v, err := Build(g, WithSeed(42), WithEmbedding(EmbeddingParams{Dim: 16, Epochs: 10}))
 	if err != nil {
 		t.Fatal(err)
 	}
