@@ -5,10 +5,14 @@
 //
 // Usage:
 //
-//	go run ./cmd/vkg-lint ./...           # direct, what CI runs
-//	go vet -vettool=$(pwd)/vkg-lint ./... # as a vet tool, with vet's caching
+//	go run ./cmd/vkg-lint ./...                 # what CI runs
+//	go run ./cmd/vkg-lint -lockgraph-dump ./... # also print the lock graph
+//	go run ./cmd/vkg-lint ./internal/serve/...  # a subtree; its dependencies
+//	                                            # are analyzed quietly for facts
 //
-// Exit status: 0 clean, 1 findings, 2 operational error.
+// Each finding is one `file:line:col: [analyzer] message` line on stdout.
+// Test files are not linted. Exit status: 0 clean, 1 findings, 2
+// operational error.
 //
 // The upstream nilness and lostcancel analyzers would normally ride along
 // here via multichecker, but this module builds offline with no

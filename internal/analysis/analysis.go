@@ -11,12 +11,12 @@
 // stance the rest of the engine takes (see internal/obs).
 //
 // What is intentionally missing relative to x/tools: the Requires/ResultOf
-// analyzer graph and suggested fixes. Cross-package facts — typed values
-// attached to objects or packages, propagated in dependency order and
-// serialized with gob — ARE implemented (see Fact, FactStore): the
-// whole-program invariants (the program-wide lock graph, the WAL append
-// discipline, atomic/plain access mixing) span core, rtree, and serve, so
-// a one-package-at-a-time view cannot see them.
+// analyzer graph, suggested fixes, and fact serialization. Cross-package
+// facts — typed values attached to objects or packages, propagated in
+// dependency order — ARE implemented (see Fact, FactStore), in memory for
+// the length of one run: the whole-program invariants (the program-wide
+// lock graph, the WAL append discipline, atomic/plain access mixing) span
+// core, rtree, and serve, so a one-package-at-a-time view cannot see them.
 package analysis
 
 import (
@@ -39,9 +39,8 @@ type Analyzer struct {
 	Run func(*Pass) error
 	// FactTypes lists prototypes of every Fact type this analyzer exports
 	// or imports (pointers to zero values). An analyzer with FactTypes is
-	// fact-aware: the checker runs it over dependencies before dependents
-	// and serializes its facts with gob, so each prototype's concrete type
-	// must be gob-encodable.
+	// fact-aware: the checker also runs it, quietly, over the packages the
+	// targets depend on, so their facts exist before a dependent asks.
 	FactTypes []Fact
 	// Finish, if set, runs once after every package has been analyzed,
 	// with the union of all exported facts — the whole-program step for
@@ -78,8 +77,8 @@ type Pass struct {
 }
 
 // Fact is a typed value an analyzer attaches to an object or package,
-// visible to the analysis of every dependent package. Concrete fact types
-// must be pointers to gob-encodable structs; AFact is a marker.
+// visible to the analysis of every dependent package in the same run.
+// Concrete fact types must be pointers to structs; AFact is a marker.
 type Fact interface{ AFact() }
 
 // ObjectFact pairs an object with one fact attached to it.
@@ -108,12 +107,10 @@ type FinalPass struct {
 	Reportf func(posn token.Position, format string, args ...interface{})
 }
 
-// Diagnostic is one finding at a position. Pos is the usual in-package
-// form; whole-program diagnostics (from Finish) carry a pre-resolved Posn
-// instead, with Pos == token.NoPos.
+// Diagnostic is one finding at a position in the package under analysis.
+// Whole-program findings go through FinalPass.Reportf instead.
 type Diagnostic struct {
 	Pos     token.Pos
-	Posn    token.Position
 	Message string
 }
 

@@ -12,14 +12,12 @@
 // `// want "a" "b"`); the analyzer must report a diagnostic on that line
 // matching each regexp, and must report nothing anywhere else.
 //
-// Fact-aware analyzers are supported: the analyzer runs over every
-// sibling package a target (transitively) imports before the target
-// itself, with a shared in-memory fact store, so Export/ImportObjectFact
-// and package facts work exactly as under the real checker. Diagnostics
-// on non-target siblings are discarded — only the named packages carry
-// `// want` expectations. If the analyzer has a Finish hook it runs once
-// after all packages, and its position-carrying diagnostics participate
-// in want-matching too.
+// The packages go through vkg-lint's own pass loop: every sibling package
+// a target (transitively) imports is handed to checker.RunPackages before
+// the target, in dependency order and quietly, with one shared fact
+// store, so facts flow exactly as under vkg-lint. Only the named packages
+// carry `// want` expectations. checker.Finish then runs once, and its
+// whole-program diagnostics participate in want-matching too.
 package analysistest
 
 import (
@@ -36,22 +34,13 @@ import (
 	"testing"
 
 	"vkgraph/internal/analysis"
+	"vkgraph/internal/analysis/checker"
 	"vkgraph/internal/analysis/loader"
 )
 
-// checkedPkg retains everything a Pass needs, for siblings as well as
-// targets — fact propagation requires running the analyzer over the
-// siblings too, not just type-checking them.
-type checkedPkg struct {
-	files []*ast.File
-	pkg   *types.Package
-	info  *types.Info
-}
-
 // Run analyzes each named package under dir/src (dir is usually
-// "testdata") and reports mismatches through t. It returns the raw
-// diagnostics for optional extra assertions.
-func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgnames ...string) []analysis.Diagnostic {
+// "testdata") and reports mismatches through t.
+func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgnames ...string) {
 	t.Helper()
 	src := filepath.Join(dir, "src")
 	fset := token.NewFileSet()
@@ -59,75 +48,57 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgnames ...string) []a
 	if err != nil {
 		t.Fatalf("analysistest: resolving stdlib export data: %v", err)
 	}
-	checked := make(map[string]*checkedPkg)
-	imp := &siblingImporter{fset: fset, src: src, checked: checked, std: exp}
-	facts := analysis.NewFactStore()
+	imp := &siblingImporter{fset: fset, src: src, checked: make(map[string]*loader.Package), std: exp}
+
+	// Depth-first over sibling imports: dependencies before dependents.
+	var order []string
+	visited := make(map[string]bool)
+	var visit func(path string)
+	visit = func(path string) {
+		if visited[path] {
+			return
+		}
+		visited[path] = true
+		pkg, err := imp.check(path)
+		if err != nil {
+			t.Fatalf("analysistest: %v", err)
+		}
+		for _, dep := range pkg.Types.Imports() {
+			if _, ok := imp.checked[dep.Path()]; ok {
+				visit(dep.Path())
+			}
+		}
+		order = append(order, path)
+	}
+	for _, name := range pkgnames {
+		visit(name)
+	}
 
 	target := make(map[string]bool, len(pkgnames))
 	for _, name := range pkgnames {
 		target[name] = true
 	}
-
-	var diags []analysis.Diagnostic
-	analyzed := make(map[string]bool)
-	var analyze func(path string) // depth-first over sibling imports
-	analyze = func(path string) {
-		if analyzed[path] {
-			return
-		}
-		analyzed[path] = true
-		cp, err := imp.check(path)
+	analyzers := []*analysis.Analyzer{a}
+	facts := analysis.NewFactStore()
+	var diags []checker.Diag
+	for _, path := range order {
+		ds, err := checker.RunPackages(facts, analyzers, []*loader.Package{imp.checked[path]}, !target[path])
 		if err != nil {
 			t.Fatalf("analysistest: %v", err)
 		}
-		for _, dep := range cp.pkg.Imports() {
-			if _, ok := checked[dep.Path()]; ok {
-				analyze(dep.Path())
-			}
-		}
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     cp.files,
-			Pkg:       cp.pkg,
-			TypesInfo: cp.info,
-		}
-		facts.BindPass(pass)
-		keep := target[path]
-		pass.Report = func(d analysis.Diagnostic) {
-			if keep {
-				diags = append(diags, d)
-			}
-		}
-		if err := a.Run(pass); err != nil {
-			t.Fatalf("analysistest: analyzer %s on %s: %v", a.Name, path, err)
-		}
+		diags = append(diags, ds...)
 	}
-	for _, name := range pkgnames {
-		analyze(name)
+	fin, err := checker.Finish(facts, analyzers)
+	if err != nil {
+		t.Fatalf("analysistest: %v", err)
 	}
-
-	if a.Finish != nil {
-		objs, pkgFacts := facts.FactsFor(a)
-		fp := &analysis.FinalPass{
-			Analyzer:     a,
-			ObjectFacts:  objs,
-			PackageFacts: pkgFacts,
-			Reportf: func(posn token.Position, format string, args ...interface{}) {
-				diags = append(diags, analysis.Diagnostic{Posn: posn, Message: fmt.Sprintf(format, args...)})
-			},
-		}
-		if err := a.Finish(fp); err != nil {
-			t.Fatalf("analysistest: analyzer %s Finish: %v", a.Name, err)
-		}
-	}
+	diags = append(diags, fin...)
 
 	var targetFiles []*ast.File
 	for _, name := range pkgnames {
-		targetFiles = append(targetFiles, checked[name].files...)
+		targetFiles = append(targetFiles, imp.checked[name].Files...)
 	}
 	checkWants(t, fset, targetFiles, diags)
-	return diags
 }
 
 // siblingImporter loads fake packages under the testdata src root by
@@ -135,30 +106,30 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgnames ...string) []a
 type siblingImporter struct {
 	fset    *token.FileSet
 	src     string
-	checked map[string]*checkedPkg
+	checked map[string]*loader.Package
 	std     types.Importer
 }
 
 func (si *siblingImporter) Import(path string) (*types.Package, error) {
-	if cp, ok := si.checked[path]; ok {
-		return cp.pkg, nil
+	if pkg, ok := si.checked[path]; ok {
+		return pkg.Types, nil
 	}
 	pkgDir := filepath.Join(si.src, filepath.FromSlash(path))
 	if st, err := os.Stat(pkgDir); err == nil && st.IsDir() {
-		cp, err := si.check(path)
+		pkg, err := si.check(path)
 		if err != nil {
 			return nil, err
 		}
-		return cp.pkg, nil
+		return pkg.Types, nil
 	}
 	return si.std.Import(path)
 }
 
 // check type-checks the fake package at path (recursing into its sibling
 // imports through Import) and caches the result.
-func (si *siblingImporter) check(path string) (*checkedPkg, error) {
-	if cp, ok := si.checked[path]; ok {
-		return cp, nil
+func (si *siblingImporter) check(path string) (*loader.Package, error) {
+	if pkg, ok := si.checked[path]; ok {
+		return pkg, nil
 	}
 	files, err := goFiles(filepath.Join(si.src, filepath.FromSlash(path)))
 	if err != nil {
@@ -168,9 +139,9 @@ func (si *siblingImporter) check(path string) (*checkedPkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp := &checkedPkg{files: tfiles, pkg: tpkg, info: info}
-	si.checked[path] = cp
-	return cp, nil
+	pkg := &loader.Package{PkgPath: path, Fset: si.fset, Files: tfiles, Types: tpkg, Info: info}
+	si.checked[path] = pkg
+	return pkg, nil
 }
 
 func goFiles(dir string) ([]string, error) {
@@ -261,7 +232,7 @@ func importPaths(src string) []string {
 var wantRe = regexp.MustCompile("`([^`]*)`" + `|"((?:[^"\\]|\\.)*)"`)
 
 // checkWants diffs diagnostics against the `// want` comments.
-func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
+func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []checker.Diag) {
 	t.Helper()
 	type key struct {
 		file string
@@ -299,13 +270,9 @@ func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []an
 			}
 		}
 	}
-	// Match each diagnostic against an expectation on its line. Finish
-	// diagnostics carry a pre-resolved Posn instead of a Pos.
+	// Match each diagnostic against an expectation on its line.
 	for _, d := range diags {
-		pos := d.Posn
-		if d.Pos.IsValid() {
-			pos = fset.Position(d.Pos)
-		}
+		pos := d.Position
 		k := key{pos.Filename, pos.Line}
 		matched := -1
 		for i, re := range wants[k] {

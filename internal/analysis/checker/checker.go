@@ -1,38 +1,21 @@
-// Package checker drives the analysis suite. It supports two modes,
-// mirroring the split between x/tools' multichecker and unitchecker:
-//
-//   - Pattern mode: `vkg-lint ./...` loads and type-checks the matching
-//     packages itself (via the loader package), runs every analyzer over
-//     each in dependency order with cross-package facts flowing through
-//     one shared store, and finishes with each analyzer's whole-program
-//     step. Dependency-only packages are analyzed quietly for their facts
-//     (diagnostics discarded), with the serialized facts cached under
-//     GOCACHE so warm runs skip re-checking them. This is the mode CI and
-//     humans use, and the only mode whole-program (Finish) diagnostics
-//     appear in.
-//
-//   - Unitchecker mode: `go vet -vettool=$(which vkg-lint) ./...` invokes
-//     the binary once per package with a JSON config file argument
-//     (*.cfg) describing the already-planned compilation unit. Facts
-//     travel between units through the .vetx files go vet schedules
-//     (PackageVetx in, VetxOutput out). The protocol also probes the tool
-//     with -V=full for cache keying. Finish steps are skipped here —
-//     go vet has no whole-program rendezvous — so deep-cycle lock-graph
-//     verdicts need pattern mode.
+// Package checker runs vkg-lint's analyzers. `vkg-lint ./...` lists the
+// patterns and their dependencies once (loader.ListProgram), type-checks
+// every non-standard package from source in dependency order, and runs
+// every analyzer over each with one in-memory fact store shared by all
+// passes, so a dependent sees its dependencies' facts. A package the
+// patterns only depend on is analyzed quietly: its fact-bearing analyzers
+// run for their facts and its diagnostics are dropped (lint it by name to
+// see them). The whole-program Finish steps run last, over every fact of
+// the run.
 package checker
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/token"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
-	"sync"
 
 	"vkgraph/internal/analysis"
 	"vkgraph/internal/analysis/loader"
@@ -44,37 +27,6 @@ type Diag struct {
 	Analyzer string
 	Position token.Position
 	Message  string
-}
-
-// MarshalJSON flattens the position so the -json output is a stable,
-// documented shape ({file,line,col,analyzer,message}) rather than an echo
-// of go/token internals; the CI problem matcher and any scripting consume
-// this form.
-func (d Diag) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Col      int    `json:"col"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
-	}{d.Position.Filename, d.Position.Line, d.Position.Column, d.Analyzer, d.Message})
-}
-
-// Run executes every analyzer over every package with a fresh fact store,
-// runs the whole-program Finish steps, and returns the diagnostics sorted
-// by position. The packages must be in dependency order for cross-package
-// facts to resolve (loader.Load guarantees this).
-func Run(analyzers []*analysis.Analyzer, pkgs []*loader.Package) ([]Diag, error) {
-	facts := analysis.NewFactStore()
-	diags, err := RunPackages(facts, analyzers, pkgs, false)
-	if err != nil {
-		return nil, err
-	}
-	fin, err := Finish(facts, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	return sortDiags(append(diags, fin...)), nil
 }
 
 // RunPackages executes the analyzers over the packages, binding every pass
@@ -100,11 +52,7 @@ func RunPackages(facts *analysis.FactStore, analyzers []*analysis.Analyzer, pkgs
 				pass.Report = func(analysis.Diagnostic) {}
 			} else {
 				pass.Report = func(d analysis.Diagnostic) {
-					posn := d.Posn
-					if d.Pos.IsValid() {
-						posn = pkg.Fset.Position(d.Pos)
-					}
-					diags = append(diags, Diag{Analyzer: name, Position: posn, Message: d.Message})
+					diags = append(diags, Diag{Analyzer: name, Position: pkg.Fset.Position(d.Pos), Message: d.Message})
 				}
 			}
 			if err := a.Run(pass); err != nil {
@@ -160,357 +108,75 @@ func sortDiags(diags []Diag) []Diag {
 	return diags
 }
 
-// Main is the entry point shared by cmd/vkg-lint. It dispatches between
-// the two modes, prints diagnostics, and returns the process exit code:
-// 0 clean, 1 diagnostics reported, 2 operational failure.
+// Main is the entry point of cmd/vkg-lint: it parses the analyzers' own
+// flags (vkg-lint has none of its own) and runs Check over the remaining
+// arguments in the current directory.
 func Main(analyzers []*analysis.Analyzer) int {
-	analysis.RegisterFactTypes(analyzers)
-	// The vet driver probes the tool twice before real work: `-flags` asks
-	// which vet flags the tool accepts (none beyond the protocol's own —
-	// analyzer flags like -lockgraph-dump are pattern-mode only), and
-	// `-V=full` fetches a fingerprint for result caching.
-	for _, arg := range os.Args[1:] {
-		if arg == "-flags" || arg == "--flags" {
-			fmt.Println("[]")
-			return 0
-		}
-	}
 	fs := flag.NewFlagSet("vkg-lint", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	versionFlag := fs.String("V", "", "print version and exit (go vet protocol)")
-	jsonFlag := fs.Bool("json", false, "emit diagnostics as JSON")
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: vkg-lint [flags] <packages>")
+		fs.PrintDefaults()
+	}
 	for _, a := range analyzers {
 		if a.Flags != nil {
 			a.Flags(fs)
 		}
 	}
 	if err := fs.Parse(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "usage: vkg-lint [-json] <packages>  (or via go vet -vettool)")
 		return 2
 	}
-	if *versionFlag != "" {
-		return printVersion(*versionFlag)
-	}
-	args := fs.Args()
-	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: vkg-lint [-json] <packages>  (or via go vet -vettool)")
+	if fs.NArg() == 0 {
+		fs.Usage()
 		return 2
 	}
-	// go vet passes exactly one argument ending in .cfg.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return unitcheck(analyzers, args[0])
-	}
-	return patternCheck(analyzers, args, *jsonFlag)
+	return Check(analyzers, "", fs.Args(), os.Stdout, os.Stderr)
 }
 
-func patternCheck(analyzers []*analysis.Analyzer, patterns []string, asJSON bool) int {
-	pr, err := loader.ListProgram("", patterns...)
+// Check lints the packages matching patterns, listed from dir ("" meaning
+// the current directory). It prints each diagnostic to stdout as one
+// `file:line:col: [analyzer] message` line, sorted by position, and returns
+// the exit code: 0 clean, 1 diagnostics reported, 2 operational failure (a
+// package that does not list or type-check, or an analyzer error, reported
+// on stderr).
+func Check(analyzers []*analysis.Analyzer, dir string, patterns []string, stdout, stderr io.Writer) int {
+	diags, err := lint(analyzers, dir, patterns)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "vkg-lint: %v\n", err)
+		fmt.Fprintf(stderr, "vkg-lint: %v\n", err)
 		return 2
 	}
-	facts := analysis.NewFactStore()
-	var factful []*analysis.Analyzer
-	for _, a := range analyzers {
-		if len(a.FactTypes) > 0 {
-			factful = append(factful, a)
-		}
+	for _, d := range diags {
+		fmt.Fprintf(stdout, "%s: [%s] %s\n", d.Position, d.Analyzer, d.Message)
 	}
+	if len(diags) > 0 {
+		return 1
+	}
+	return 0
+}
+
+func lint(analyzers []*analysis.Analyzer, dir string, patterns []string) ([]Diag, error) {
+	pr, err := loader.ListProgram(dir, patterns...)
+	if err != nil {
+		return nil, err
+	}
+	facts := analysis.NewFactStore()
 	var diags []Diag
 	for _, lp := range pr.Listed {
 		if lp.Standard {
 			continue
 		}
-		if lp.DepOnly {
-			// A dependency of the patterns but not itself a target: its
-			// facts feed the targets' analysis, its diagnostics don't
-			// print (lint the package itself to see those). Cached facts
-			// decode against the export-data view and skip the parse.
-			if len(factful) == 0 {
-				continue
-			}
-			if data, ok := factCacheGet(lp); ok {
-				if tpkg, err := pr.ImportExport(lp.ImportPath); err == nil {
-					if facts.DecodePackage(data, tpkg) == nil {
-						continue
-					}
-				}
-			}
-			pkg, err := pr.CheckListed(lp)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "vkg-lint: %v\n", err)
-				return 2
-			}
-			if _, err := RunPackages(facts, factful, []*loader.Package{pkg}, true); err != nil {
-				fmt.Fprintf(os.Stderr, "vkg-lint: %v\n", err)
-				return 2
-			}
-			factCachePut(lp, facts, pkg)
-			continue
-		}
 		pkg, err := pr.CheckListed(lp)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "vkg-lint: %v\n", err)
-			return 2
+			return nil, err
 		}
-		ds, err := RunPackages(facts, analyzers, []*loader.Package{pkg}, false)
+		ds, err := RunPackages(facts, analyzers, []*loader.Package{pkg}, lp.DepOnly)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "vkg-lint: %v\n", err)
-			return 2
+			return nil, err
 		}
 		diags = append(diags, ds...)
-		factCachePut(lp, facts, pkg)
 	}
 	fin, err := Finish(facts, analyzers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "vkg-lint: %v\n", err)
-		return 2
+		return nil, err
 	}
-	diags = sortDiags(append(diags, fin...))
-	if asJSON {
-		if diags == nil {
-			diags = []Diag{} // a clean run is "[]", never "null"
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintf(os.Stderr, "vkg-lint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Printf("%s: [%s] %s\n", d.Position, d.Analyzer, d.Message)
-		}
-	}
-	if len(diags) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// --- fact cache ---------------------------------------------------------
-//
-// Serialized facts are cached per package under loader.FactCacheDir(),
-// keyed by (import path, suite fingerprint, export data bytes): a new
-// tool binary, or any recompile of the package, invalidates the entry.
-// The cache is best-effort — every failure path just recomputes.
-
-var (
-	fingerprintOnce sync.Once
-	fingerprintHex  string
-)
-
-// suiteFingerprint hashes the running executable, the same identity the
-// -V=full vet handshake reports.
-func suiteFingerprint() string {
-	fingerprintOnce.Do(func() {
-		exe, err := os.Executable()
-		if err != nil {
-			return
-		}
-		f, err := os.Open(exe)
-		if err != nil {
-			return
-		}
-		defer f.Close()
-		h := sha256.New()
-		if _, err := io.Copy(h, f); err != nil {
-			return
-		}
-		fingerprintHex = fmt.Sprintf("%x", h.Sum(nil))
-	})
-	return fingerprintHex
-}
-
-func factCacheKey(lp *loader.ListedPackage) (string, bool) {
-	fp := suiteFingerprint()
-	if fp == "" || lp.Export == "" {
-		return "", false
-	}
-	exp, err := os.ReadFile(lp.Export)
-	if err != nil {
-		return "", false
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00", lp.ImportPath, fp)
-	h.Write(exp)
-	return fmt.Sprintf("%x.facts", h.Sum(nil)[:16]), true
-}
-
-func factCacheGet(lp *loader.ListedPackage) ([]byte, bool) {
-	dir, ok := loader.FactCacheDir()
-	if !ok {
-		return nil, false
-	}
-	key, ok := factCacheKey(lp)
-	if !ok {
-		return nil, false
-	}
-	data, err := os.ReadFile(filepath.Join(dir, key))
-	if err != nil {
-		return nil, false
-	}
-	return data, true
-}
-
-func factCachePut(lp *loader.ListedPackage, facts *analysis.FactStore, pkg *loader.Package) {
-	dir, ok := loader.FactCacheDir()
-	if !ok {
-		return
-	}
-	key, ok := factCacheKey(lp)
-	if !ok {
-		return
-	}
-	data, err := facts.EncodePackage(pkg.Types)
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(dir, key+".tmp*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return
-	}
-	os.Rename(name, filepath.Join(dir, key))
-}
-
-// printVersion implements the `-V=full` handshake: go vet keys its result
-// cache on this line, so it must change whenever the tool binary does.
-// Hashing our own executable gives exactly that.
-func printVersion(mode string) int {
-	if mode != "full" {
-		fmt.Println("vkg-lint version devel")
-		return 0
-	}
-	fp := suiteFingerprint()
-	if fp == "" {
-		fmt.Fprintln(os.Stderr, "vkg-lint: cannot fingerprint executable")
-		return 2
-	}
-	fmt.Printf("vkg-lint version devel buildID=%s\n", fp)
-	return 0
-}
-
-// vetConfig is the subset of go vet's per-package JSON config the suite
-// consumes (the full struct is internal to cmd/go; unknown fields are
-// ignored by encoding/json).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// unitcheck analyzes the single compilation unit described by cfgFile,
-// per the go vet driver protocol: diagnostics go to stderr, this unit's
-// serialized facts are written to VetxOutput, dependency facts are read
-// from the PackageVetx files, and exit status 1 marks findings. A
-// VetxOnly invocation (the package is only a dependency of the vet
-// targets) runs just the fact-bearing analyzers and reports nothing.
-func unitcheck(analyzers []*analysis.Analyzer, cfgFile string) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vkg-lint: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "vkg-lint: parsing %s: %v\n", cfgFile, err)
-		return 2
-	}
-	fset := token.NewFileSet()
-	lookup := make(loader.ExportLookup, len(cfg.PackageFile))
-	for path, file := range cfg.PackageFile {
-		lookup[path] = file
-	}
-	imp := &loader.Importer{
-		ImportMap: cfg.ImportMap,
-		Source:    nil, // vet hands us export data for every dependency
-		Export:    loader.NewExportImporter(fset, lookup),
-	}
-	facts := analysis.NewFactStore()
-	writeVetx := func(encodeFor *loader.Package) int {
-		if cfg.VetxOutput == "" {
-			return 0
-		}
-		var out []byte
-		if encodeFor != nil {
-			var err error
-			out, err = facts.EncodePackage(encodeFor.Types)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "vkg-lint: %v\n", err)
-				return 2
-			}
-		}
-		if err := os.WriteFile(cfg.VetxOutput, out, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "vkg-lint: %v\n", err)
-			return 2
-		}
-		return 0
-	}
-	files, tpkg, info, err := loader.CheckSource(fset, cfg.ImportPath, cfg.GoFiles, imp)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return writeVetx(nil)
-		}
-		fmt.Fprintf(os.Stderr, "vkg-lint: %v\n", err)
-		return 2
-	}
-	// Pull in the facts of every dependency vet has already processed.
-	// Entries that fail to read or decode are skipped: a missing fact is
-	// at worst a missed diagnostic, not a broken run.
-	for path, vetxFile := range cfg.PackageVetx {
-		fdata, err := os.ReadFile(vetxFile)
-		if err != nil || len(fdata) == 0 {
-			continue
-		}
-		dpkg, err := imp.Import(path)
-		if err != nil {
-			continue
-		}
-		_ = facts.DecodePackage(fdata, dpkg)
-	}
-	pkg := &loader.Package{
-		PkgPath: cfg.ImportPath,
-		Name:    tpkg.Name(),
-		Dir:     cfg.Dir,
-		GoFiles: cfg.GoFiles,
-		Fset:    fset,
-		Files:   files,
-		Types:   tpkg,
-		Info:    info,
-	}
-	diags, err := RunPackages(facts, analyzers, []*loader.Package{pkg}, cfg.VetxOnly)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vkg-lint: %v\n", err)
-		return 2
-	}
-	if code := writeVetx(pkg); code != 0 {
-		return code
-	}
-	for _, d := range sortDiags(diags) {
-		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", d.Position, d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
-		return 1
-	}
-	return 0
+	return sortDiags(append(diags, fin...)), nil
 }

@@ -1,26 +1,19 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // FactStore holds every fact exported during one checker run, keyed by the
 // object or package the fact is attached to. One store spans the whole run:
 // because the checker analyzes packages in dependency order, by the time a
 // pass asks ImportObjectFact for an object of an imported package, that
-// package's analysis has already exported into the same store.
-//
-// Facts also serialize: EncodePackage/DecodePackage gob-encode the facts of
-// one package under stable object keys ("O:Name", "M:Type.Method",
-// "F:Type.Field"), the form cached beside the export data in the build
-// cache and exchanged through go vet's .vetx files. The in-memory store
-// keys by object identity, which works because the loader shares
-// source-checked *types.Package values across the run.
+// package's analysis has already exported into the same store. Facts never
+// leave the process. Keying by object identity works because the loader
+// type-checks every package of the run from source, once, and dependents
+// import that same *types.Package.
 type FactStore struct {
 	obj map[types.Object]map[reflect.Type]Fact
 	pkg map[*types.Package]map[reflect.Type]Fact
@@ -115,219 +108,4 @@ func (s *FactStore) FactsFor(a *Analyzer) (objs []ObjectFact, pkgs []PackageFact
 		}
 	}
 	return objs, pkgs
-}
-
-// RegisterFactTypes registers every analyzer's fact prototypes with gob.
-// Must run before EncodePackage/DecodePackage; idempotent.
-func RegisterFactTypes(analyzers []*Analyzer) {
-	for _, a := range analyzers {
-		for _, ft := range a.FactTypes {
-			gob.Register(ft)
-		}
-	}
-}
-
-// wireFact is the serialized form of one fact: Key is "" for a package
-// fact, otherwise a stable object key within the package.
-type wireFact struct {
-	Key  string
-	Fact Fact
-}
-
-// EncodePackage serializes every fact attached to tpkg or its objects.
-// Facts on objects with no stable key (locals, fields of unnamed structs)
-// are silently dropped — they cannot be named from another compilation
-// unit anyway.
-func (s *FactStore) EncodePackage(tpkg *types.Package) ([]byte, error) {
-	var wires []wireFact
-	for _, pf := range s.pkgLog {
-		if pf.Package == tpkg {
-			wires = append(wires, wireFact{Key: "", Fact: pf.Fact})
-		}
-	}
-	for _, of := range s.objLog {
-		if of.Object.Pkg() != tpkg {
-			continue
-		}
-		key, ok := ObjectKey(of.Object)
-		if !ok {
-			continue
-		}
-		wires = append(wires, wireFact{Key: key, Fact: of.Fact})
-	}
-	sort.SliceStable(wires, func(i, j int) bool { return wires[i].Key < wires[j].Key })
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wires); err != nil {
-		return nil, fmt.Errorf("analysis: encoding facts for %s: %v", tpkg.Path(), err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodePackage loads serialized facts back into the store, resolving each
-// key against tpkg (which may be an export-data-loaded package — the keys
-// are chosen so both source and export views resolve them). Unresolvable
-// keys are skipped: an object may have been compiled away.
-func (s *FactStore) DecodePackage(data []byte, tpkg *types.Package) error {
-	var wires []wireFact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wires); err != nil {
-		return fmt.Errorf("analysis: decoding facts for %s: %v", tpkg.Path(), err)
-	}
-	for _, w := range wires {
-		if w.Key == "" {
-			m := s.pkg[tpkg]
-			if m == nil {
-				m = make(map[reflect.Type]Fact)
-				s.pkg[tpkg] = m
-			}
-			t := reflect.TypeOf(w.Fact)
-			if _, dup := m[t]; !dup {
-				s.pkgLog = append(s.pkgLog, PackageFact{Package: tpkg, Fact: w.Fact})
-			}
-			m[t] = w.Fact
-			continue
-		}
-		obj := ResolveObjectKey(tpkg, w.Key)
-		if obj == nil {
-			continue
-		}
-		m := s.obj[obj]
-		if m == nil {
-			m = make(map[reflect.Type]Fact)
-			s.obj[obj] = m
-		}
-		t := reflect.TypeOf(w.Fact)
-		if _, dup := m[t]; !dup {
-			s.objLog = append(s.objLog, ObjectFact{Object: obj, Fact: w.Fact})
-		}
-		m[t] = w.Fact
-	}
-	return nil
-}
-
-// ObjectKey names an object stably within its package: "O:Name" for a
-// package-level object, "M:Type.Method" for a method, "F:Type.Field" for a
-// struct field of a package-level named type. The false return marks
-// objects with no cross-unit name (locals, closures, fields of anonymous
-// structs) — a simplified objectpath, sufficient for the fact carriers the
-// suite uses (functions, methods, fields, type names, vars).
-func ObjectKey(obj types.Object) (string, bool) {
-	pkg := obj.Pkg()
-	if pkg == nil {
-		return "", false
-	}
-	switch o := obj.(type) {
-	case *types.Func:
-		if recv := o.Type().(*types.Signature).Recv(); recv != nil {
-			name, ok := recvTypeName(recv.Type())
-			if !ok {
-				return "", false
-			}
-			return "M:" + name + "." + o.Name(), true
-		}
-		if o.Parent() == pkg.Scope() {
-			return "O:" + o.Name(), true
-		}
-	case *types.Var:
-		if o.Parent() == pkg.Scope() {
-			return "O:" + o.Name(), true
-		}
-		if o.IsField() {
-			if owner, ok := fieldOwner(pkg, o); ok {
-				return "F:" + owner + "." + o.Name(), true
-			}
-		}
-	case *types.TypeName, *types.Const:
-		if obj.Parent() == pkg.Scope() {
-			return "O:" + obj.Name(), true
-		}
-	}
-	return "", false
-}
-
-// ResolveObjectKey is the inverse of ObjectKey against a (possibly
-// export-data-loaded) package.
-func ResolveObjectKey(tpkg *types.Package, key string) types.Object {
-	if len(key) < 3 || key[1] != ':' {
-		return nil
-	}
-	kind, rest := key[0], key[2:]
-	switch kind {
-	case 'O':
-		return tpkg.Scope().Lookup(rest)
-	case 'M', 'F':
-		dot := -1
-		for i := len(rest) - 1; i >= 0; i-- {
-			if rest[i] == '.' {
-				dot = i
-				break
-			}
-		}
-		if dot < 0 {
-			return nil
-		}
-		tn, ok := tpkg.Scope().Lookup(rest[:dot]).(*types.TypeName)
-		if !ok {
-			return nil
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			return nil
-		}
-		name := rest[dot+1:]
-		if kind == 'M' {
-			for i := 0; i < named.NumMethods(); i++ {
-				if m := named.Method(i); m.Name() == name {
-					return m
-				}
-			}
-			return nil
-		}
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok {
-			return nil
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if f := st.Field(i); f.Name() == name {
-				return f
-			}
-		}
-	}
-	return nil
-}
-
-// recvTypeName extracts the named receiver type's name.
-func recvTypeName(t types.Type) (string, bool) {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name(), true
-	}
-	return "", false
-}
-
-// fieldOwner scans pkg's package-level named types for the struct that
-// declares field f.
-func fieldOwner(pkg *types.Package, f *types.Var) (string, bool) {
-	scope := pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i) == f {
-				return name, true
-			}
-		}
-	}
-	return "", false
 }

@@ -1,11 +1,11 @@
 // Package loader type-checks module packages for the analysis suite
 // without golang.org/x/tools: package metadata comes from `go list -deps
-// -export -json`, dependencies are imported from the compiler's export
-// data in the build cache (via go/importer's lookup hook), and only the
-// packages being analyzed are parsed and type-checked from source. This
-// is the same split go/packages performs in LoadSyntax mode, implemented
-// on the standard library so the linter builds with zero dependencies and
-// no network.
+// -export -json`, the standard library is imported from the compiler's
+// export data in the build cache (via go/importer's lookup hook), and
+// every other package is parsed and type-checked from source, once, in
+// dependency order. Dependents import that source-checked view, so an
+// object has one identity for the whole run. It is built on the standard
+// library so the linter builds with zero dependencies and no network.
 package loader
 
 import (
@@ -22,15 +22,11 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // Package is one parsed, type-checked package ready for analysis.
 type Package struct {
 	PkgPath string
-	Name    string
-	Dir     string
-	GoFiles []string
 	Fset    *token.FileSet
 	Files   []*ast.File
 	Types   *types.Package
@@ -40,7 +36,6 @@ type Package struct {
 // ListedPackage mirrors the subset of `go list -json` fields we consume.
 type ListedPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	Export     string
 	GoFiles    []string
@@ -56,7 +51,7 @@ type ListedPackage struct {
 func GoList(dir string, patterns ...string) ([]*ListedPackage, error) {
 	args := append([]string{
 		"list", "-deps", "-export",
-		"-json=ImportPath,Name,Dir,Export,GoFiles,CgoFiles,ImportMap,Standard,DepOnly",
+		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,ImportMap,Standard,DepOnly",
 		"--",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -94,32 +89,9 @@ func (m ExportLookup) Open(path string) (io.ReadCloser, error) {
 	return os.Open(file)
 }
 
-// Importer resolves imports for a package being type-checked from source:
-// source-checked packages win, everything else comes from export data,
-// with the package's ImportMap applied first (stdlib vendoring).
-type Importer struct {
-	ImportMap map[string]string
-	Source    map[string]*types.Package
-	Export    types.Importer
-}
-
 // NewExportImporter returns an importer over the given export-data map.
 func NewExportImporter(fset *token.FileSet, lookup ExportLookup) types.Importer {
 	return importer.ForCompiler(fset, "gc", lookup.Open)
-}
-
-// Import implements types.Importer.
-func (im *Importer) Import(path string) (*types.Package, error) {
-	if mapped, ok := im.ImportMap[path]; ok {
-		path = mapped
-	}
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if p, ok := im.Source[path]; ok {
-		return p, nil
-	}
-	return im.Export.Import(path)
 }
 
 // CheckSource parses and type-checks the named files as the package at
@@ -134,13 +106,12 @@ func CheckSource(fset *token.FileSet, pkgPath string, filenames []string, imp ty
 		}
 		files = append(files, f)
 	}
+	// The analyzers read only these three maps; recording the others
+	// (Selections, Implicits, Scopes) costs the type checker time.
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(pkgPath, fset, files, info)
@@ -151,11 +122,10 @@ func CheckSource(fset *token.FileSet, pkgPath string, filenames []string, imp ty
 }
 
 // Program is a listed-but-not-yet-checked set of packages sharing one
-// FileSet, one export-data importer, and one source-package map. The
-// checker walks Listed in dependency order, deciding per package whether
-// to type-check it from source (CheckListed) or settle for its export
-// data view (ImportExport) — the latter is how a fact-cache hit skips the
-// parse entirely.
+// FileSet, one export-data importer for the standard library, and one map
+// of the packages checked from source so far. The checker walks Listed in
+// dependency order and type-checks each non-standard package with
+// CheckListed.
 type Program struct {
 	Fset   *token.FileSet
 	Listed []*ListedPackage
@@ -164,7 +134,8 @@ type Program struct {
 }
 
 // ListProgram lists the patterns (and all their dependencies, export data
-// compiled as a side effect) without type-checking anything yet.
+// compiled as a side effect) in dir, "" meaning the current directory,
+// without type-checking anything yet.
 func ListProgram(dir string, patterns ...string) (*Program, error) {
 	listed, err := GoList(dir, patterns...)
 	if err != nil {
@@ -198,76 +169,26 @@ func (pr *Program) CheckListed(lp *ListedPackage) (*Package, error) {
 		filenames[i] = filepath.Join(lp.Dir, f)
 	}
 	sort.Strings(filenames)
-	imp := &Importer{ImportMap: lp.ImportMap, Source: pr.source, Export: pr.exp}
+	// Imports resolve after the package's ImportMap (stdlib vendoring): a
+	// package this run checked from source wins, the rest is export data.
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if mapped, ok := lp.ImportMap[path]; ok {
+			path = mapped
+		}
+		if p, ok := pr.source[path]; ok {
+			return p, nil
+		}
+		return pr.exp.Import(path)
+	})
 	files, tpkg, info, err := CheckSource(pr.Fset, lp.ImportPath, filenames, imp)
 	if err != nil {
 		return nil, err
 	}
 	pr.source[lp.ImportPath] = tpkg
-	return &Package{
-		PkgPath: lp.ImportPath,
-		Name:    lp.Name,
-		Dir:     lp.Dir,
-		GoFiles: filenames,
-		Fset:    pr.Fset,
-		Files:   files,
-		Types:   tpkg,
-		Info:    info,
-	}, nil
+	return &Package{PkgPath: lp.ImportPath, Fset: pr.Fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
-// ImportExport returns the types.Package for path — the source-checked one
-// if this run checked it, otherwise the export-data view. Cached facts are
-// decoded against this package.
-func (pr *Program) ImportExport(path string) (*types.Package, error) {
-	if p, ok := pr.source[path]; ok {
-		return p, nil
-	}
-	return pr.exp.Import(path)
-}
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
 
-// Load lists, parses, and type-checks the packages matching the patterns
-// (relative to dir, "" meaning the current directory). Test files are not
-// included — GoFiles is the non-test compilation unit, which is also what
-// `go vet`'s per-package config delivers for the main variant.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	pr, err := ListProgram(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	var out []*Package
-	// The -deps order lists dependencies before dependents, so by the time
-	// a target imports a sibling target, the sibling is source-checked.
-	for _, lp := range pr.Listed {
-		if lp.DepOnly || lp.Standard {
-			continue
-		}
-		pkg, err := pr.CheckListed(lp)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pkg)
-	}
-	return out, nil
-}
-
-// FactCacheDir returns the directory where the checker caches serialized
-// fact files, created on demand. It lives inside GOCACHE so any CI cache
-// configuration that already captures the Go build cache captures the
-// fact files with it, and `go clean -cache` clears both together. The
-// second return is false when no usable cache directory exists.
-func FactCacheDir() (string, bool) {
-	out, err := exec.Command("go", "env", "GOCACHE").Output()
-	if err != nil {
-		return "", false
-	}
-	gocache := strings.TrimSpace(string(out))
-	if gocache == "" || gocache == "off" {
-		return "", false
-	}
-	dir := filepath.Join(gocache, "vkg-lint-facts")
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		return "", false
-	}
-	return dir, true
-}
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -96,7 +96,7 @@ var Analyzer = &analysis.Analyzer{
 	FactTypes: []analysis.Fact{new(AcquiresFact), new(EdgesFact)},
 	Finish:    finish,
 	Flags: func(fs *flag.FlagSet) {
-		fs.BoolVar(&dumpGraph, "lockgraph-dump", false, "print the program-wide lock-order graph (pattern mode)")
+		fs.BoolVar(&dumpGraph, "lockgraph-dump", false, "print the program-wide lock-order graph")
 	},
 }
 
