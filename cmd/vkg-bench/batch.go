@@ -23,7 +23,7 @@ import (
 // The result cache is reset between the first two phases, so serial and
 // batch both pay every index descent and the comparison is parallelism, not
 // caching.
-func runBatch(w io.Writer, dataset, scaleName string, sc experiments.Scale, n, k, parallel int, metricsAddr string) error {
+func runBatch(w io.Writer, dataset, scaleName string, sc experiments.Scale, n, k, parallel int) error {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
@@ -34,14 +34,6 @@ func runBatch(w io.Writer, dataset, scaleName string, sc experiments.Scale, n, k
 	v, err := vkg.Build(vkg.WrapGraph(ds.G), vkg.WithPretrainedModel(ds.M), vkg.WithSeed(1))
 	if err != nil {
 		return err
-	}
-	if metricsAddr != "" {
-		ops, err := v.ServeOps(metricsAddr)
-		if err != nil {
-			return err
-		}
-		defer ops.Close()
-		fmt.Fprintf(w, "ops listening on http://%s\n", ops.Addr())
 	}
 
 	workload := experiments.Workload(ds.G, n, 99)

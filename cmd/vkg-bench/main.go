@@ -39,7 +39,6 @@ func main() {
 		queries  = flag.Int("n", 2048, "number of queries for -batch")
 		topk     = flag.Int("k", 10, "result size for -batch queries")
 		parallel = flag.Int("parallel", 0, "worker-pool size for -batch, client count for -serve-addr (0 = GOMAXPROCS-derived)")
-		metrics  = flag.String("metrics-addr", "", "serve ops HTTP (Prometheus /metrics, pprof) on this address during -batch")
 
 		walBench = flag.Bool("wal", false, "warm-restart mode: serve a workload with a WAL armed, then compare restart-via-replay against a cold rebuild")
 
@@ -88,7 +87,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "vkg-bench:", err)
 			os.Exit(2)
 		}
-		if err := runBatch(os.Stdout, *dataset, *scale, sc, *queries, *topk, *parallel, *metrics); err != nil {
+		if err := runBatch(os.Stdout, *dataset, *scale, sc, *queries, *topk, *parallel); err != nil {
 			fmt.Fprintf(os.Stderr, "vkg-bench: batch: %v\n", err)
 			os.Exit(1)
 		}

@@ -9,8 +9,9 @@
 //
 // Add -trace to print the per-stage timing breakdown of the answer, -bench n
 // to repeat the query n times and print a one-line metrics summary, and
-// -metrics-addr to serve the ops endpoints (Prometheus /metrics, pprof,
-// /slowlog) while the process runs.
+// -metrics-addr to serve vkg-serve's ops page (/metrics, /traces,
+// /debug/pprof/, /readyz, and /v1/query) while the process runs, with this
+// engine as its one tenant, "default".
 //
 // REPL (reads "tails|heads|agg <entity> <relation> [k|kind attr]" lines):
 //
@@ -28,8 +29,11 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -37,6 +41,7 @@ import (
 
 	"vkgraph/internal/embedding"
 	"vkgraph/internal/kg"
+	"vkgraph/internal/serve"
 	"vkgraph/vkg"
 )
 
@@ -55,7 +60,7 @@ func main() {
 		alpha       = flag.Int("alpha", 3, "index dimensionality")
 		trace       = flag.Bool("trace", false, "print the per-stage timing breakdown of each answer")
 		bench       = flag.Int("bench", 0, "repeat the one-shot query this many times and print a metrics summary")
-		metricsAddr = flag.String("metrics-addr", "", "serve ops HTTP (Prometheus /metrics, pprof, /slowlog) on this address")
+		metricsAddr = flag.String("metrics-addr", "", "serve the ops page (Prometheus /metrics, /traces, pprof) on this address")
 		wal         = flag.Bool("wal", false, "with -snapshot: replay and keep appending the snapshot's write-ahead log, so crack work survives restarts")
 	)
 	flag.Parse()
@@ -111,12 +116,21 @@ func main() {
 	}
 
 	if *metricsAddr != "" {
-		ops, err := v.ServeOps(*metricsAddr)
+		ln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
 			fatal("serving ops: %v", err)
 		}
-		defer ops.Close()
-		fmt.Fprintf(os.Stderr, "vkg-query: ops listening on http://%s\n", ops.Addr())
+		ops := serve.NewServer(serve.Config{})
+		if err := ops.AddTenant("default", serve.NewTenant(v, "")); err != nil {
+			fatal("serving ops: %v", err)
+		}
+		go func() {
+			if err := ops.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				fmt.Fprintf(os.Stderr, "vkg-query: ops: %v\n", err)
+			}
+		}()
+		defer ops.Drain(context.Background())
+		fmt.Fprintf(os.Stderr, "vkg-query: ops listening on http://%s\n", ln.Addr())
 	}
 
 	if *repl {

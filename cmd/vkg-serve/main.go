@@ -25,10 +25,12 @@
 //
 // Operational surface: /healthz (liveness), /readyz (readiness — fails once
 // drain starts), /metrics (serving + per-tenant engine metrics; OpenMetrics
-// with trace-id exemplars via Accept), /slowlog, /traces (retained request
-// traces; tail-kept errors and slow requests plus a -trace-head-rate sample
-// of the rest), /tenants, /debug/pprof. Every query response carries a
-// W3C Traceparent header; -access-log emits one JSON line per request. SIGTERM or SIGINT starts a graceful drain: the
+// with trace-id exemplars via Accept), /traces (retained request traces;
+// tail-kept errors and requests slower than -trace-slow — the record of slow
+// queries — plus a -trace-head-rate sample of the rest), /tenants,
+// /debug/pprof. vkg-query -metrics-addr serves the same page for one engine.
+// Every query response carries a W3C Traceparent header; -access-log emits
+// one JSON line per request. SIGTERM or SIGINT starts a graceful drain: the
 // listener stops accepting, in-flight queries get -drain-timeout to finish,
 // snapshots are written, and the process exits 0 on a clean drain.
 package main

@@ -2,10 +2,11 @@
 // (DESIGN.md "Concurrency"): between mu.Lock and mu.Unlock, on any mutex,
 // there may be no potentially blocking operation — channel operations,
 // select, time.Sleep, sync.WaitGroup.Wait, filesystem and network calls,
-// writes to stdio, and obs registry flushes (Registry.Snapshot /
-// WritePrometheus, which take the registry lock). Lock-free obs increments
-// (Counter.Inc, Histogram.Observe, ...) are allowed — the hot paths depend
-// on that. The order in which locks are taken is lockgraph's business.
+// writes to stdio, and obs registry renders (every Registry.Write* method:
+// each takes the registry lock and writes to a client). Lock-free obs
+// increments (Counter.Inc, Histogram.Observe, ...) are allowed — the hot
+// paths depend on that. The order in which locks are taken is lockgraph's
+// business.
 //
 // The analysis is lexical within one function body: events are ordered by
 // source position, which matches how every critical section in this
@@ -203,7 +204,7 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 			}
 		}
 	}
-	// Method calls: WaitGroup.Wait, Cond.Wait, and obs registry flushes.
+	// Method calls: WaitGroup.Wait, Cond.Wait, and obs registry renders.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if t, ok := pass.TypesInfo.Types[sel.X]; ok {
 			rt := t.Type
@@ -219,8 +220,7 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 				if tpkg == "sync" && name == "Wait" {
 					return "sync." + tobj.Name() + ".Wait", true
 				}
-				if tpkg == "obs" && tobj.Name() == "Registry" &&
-					(name == "Snapshot" || name == "WritePrometheus") {
+				if tpkg == "obs" && tobj.Name() == "Registry" && strings.HasPrefix(name, "Write") {
 					return "obs.Registry." + name + " (takes the registry lock)", true
 				}
 			}

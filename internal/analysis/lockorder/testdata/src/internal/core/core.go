@@ -5,8 +5,11 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"time"
+
+	"internal/obs"
 )
 
 type counter struct {
@@ -41,6 +44,22 @@ func (c *counter) selectUnder(ch chan int) {
 	default:
 	}
 	c.mu.Unlock()
+}
+
+type engine struct {
+	mu   sync.Mutex
+	reg  *obs.Registry
+	hits *obs.Counter
+}
+
+// bad: a registry render takes the registry lock and writes to the client,
+// so it must not run inside a write-critical section; the lock-free
+// increment beside it is fine.
+func (e *engine) scrapeUnderLock(w io.Writer) {
+	e.mu.Lock()
+	e.hits.Inc()
+	_ = e.reg.WritePrometheusLabeled(w, nil) // want `obs.Registry.WritePrometheusLabeled \(takes the registry lock\) inside the e.mu write-critical section`
+	e.mu.Unlock()
 }
 
 // ok: blocking work after the unlock is the fix the rule asks for.

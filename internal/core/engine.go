@@ -128,9 +128,9 @@ type Engine struct {
 	sfMu     sync.Mutex
 	inflight map[topkKey]*inflightCall
 
-	// met is the engine's metric surface (counters, histograms, slow-query
-	// log); always non-nil after initExec, so hot paths increment without
-	// nil checks.
+	// met is the engine's metric surface (counters, gauges, latency
+	// histograms); always non-nil after initExec, so hot paths increment
+	// without nil checks.
 	met *engineMetrics
 
 	// traces is the bounded store of retained query traces (tail-sampled:

@@ -16,8 +16,7 @@ import (
 // atomic and lock-free; the registry only locks at registration and scrape
 // time, so instrumentation adds no serialization to the query paths.
 type engineMetrics struct {
-	reg  *obs.Registry
-	slow *obs.SlowLog
+	reg *obs.Registry
 
 	topkQueries *obs.Counter
 	aggQueries  *obs.Counter
@@ -57,7 +56,7 @@ type engineMetrics struct {
 
 func newEngineMetrics(e *Engine) *engineMetrics {
 	r := obs.NewRegistry()
-	m := &engineMetrics{reg: r, slow: obs.NewSlowLog(128)}
+	m := &engineMetrics{reg: r}
 
 	m.topkQueries = r.Counter("vkg_queries_total", "Queries answered, by kind.", obs.Label{Key: "kind", Value: "topk"})
 	m.aggQueries = r.Counter("vkg_queries_total", "Queries answered, by kind.", obs.Label{Key: "kind", Value: "aggregate"})
@@ -212,17 +211,13 @@ func gcPauseP99() float64 {
 	return 0
 }
 
-// Registry returns the engine's metric registry (for the ops HTTP handler
-// and tests).
+// Registry returns the engine's metric registry (for the serving layer's
+// /metrics page and tests).
 func (e *Engine) Registry() *obs.Registry { return e.met.reg }
 
-// SlowLog returns the engine's slow-query log. Setting a positive threshold
-// enables it and turns on per-query tracing so logged entries carry their
-// stage breakdown.
-func (e *Engine) SlowLog() *obs.SlowLog { return e.met.slow }
-
 // Traces returns the engine's trace store: the bounded ring of retained
-// query traces behind the /traces ops endpoint. Head sampling starts
+// query traces behind the /traces ops endpoint, and the one record of slow
+// queries (those at or above its slow threshold). Head sampling starts
 // disabled; servers arm it via Traces().SetHeadRate.
 func (e *Engine) Traces() *obs.TraceStore { return e.traces }
 

@@ -79,8 +79,8 @@ type Response struct {
 	TopK *TopKResult
 	Agg  *AggResult
 	Err  error
-	// Trace is the stage breakdown when the request asked for one, carried
-	// trace context, or the slow-query log forced tracing on; nil otherwise.
+	// Trace is the stage breakdown when the request asked for one or carried
+	// trace context; nil otherwise.
 	// Trace.TraceID() is the handle for /traces/<id> on the ops endpoint.
 	Trace *obs.QueryTrace
 }
@@ -168,27 +168,23 @@ func (e *Engine) DoBatchWorkers(ctx context.Context, reqs []Request, workers int
 	return out
 }
 
-// startTrace returns a live trace when the request opted in, carries
-// inbound trace context, or the slow-query log is armed (slow entries need
-// the stage breakdown), and nil otherwise — the nil trace keeps the hot
+// startTrace returns a live trace when the request opted in or carries
+// inbound trace context, and nil otherwise — the nil trace keeps the hot
 // path at a single branch.
 func (e *Engine) startTrace(req Request) *obs.QueryTrace {
-	if req.Trace || !req.TraceID.IsZero() || e.met.slow.Enabled() {
+	if req.Trace || !req.TraceID.IsZero() {
 		return obs.StartTraceLinked(req.TraceID, req.ParentSpan, req.TraceForced)
 	}
 	return nil
 }
 
-// noteSlow files the finished trace in the slow-query log when its wall
-// time crosses the threshold, and offers it to the trace store either way.
-// desc is built lazily — the common case is a fast query dropped by both
-// sinks, and then no formatting happens at all.
-func (e *Engine) noteSlow(tr *obs.QueryTrace, kind string, err error, desc func() string) {
+// offerTrace offers the finished trace to the trace store, which keeps it
+// when it is forced, failed, slower than the store's slow threshold, or
+// head-sampled. desc is built lazily — the common case is a fast query the
+// store drops, and then no formatting happens at all.
+func (e *Engine) offerTrace(tr *obs.QueryTrace, kind string, err error, desc func() string) {
 	if tr == nil {
 		return
-	}
-	if e.met.slow.Slow(tr.Wall) {
-		e.met.slow.Record(desc(), tr.Wall, tr)
 	}
 	status := obs.TraceOK
 	switch {
@@ -250,7 +246,7 @@ func (e *Engine) doTopK(ctx context.Context, req Request) (*TopKResult, *obs.Que
 			tr.CacheHit = true
 			tr.Step(obs.StageCache)
 			tr.Finish()
-			e.noteSlow(tr, "topk", nil, func() string {
+			e.offerTrace(tr, "topk", nil, func() string {
 				return fmt.Sprintf("topk dir=%d ent=%d rel=%d k=%d eps=%g (cache hit)", req.Dir, req.Entity, req.Rel, req.K, eps)
 			})
 		}
@@ -283,7 +279,7 @@ func (e *Engine) doTopK(ctx context.Context, req Request) (*TopKResult, *obs.Que
 				res, err = e.topKQuery(ctx, req.Dir, req.Entity, req.Rel, req.K, eps, tr)
 			}
 			tr.Finish()
-			e.noteSlow(tr, "topk", err, desc)
+			e.offerTrace(tr, "topk", err, desc)
 			return res, tr, err
 		}
 		if ctx == nil {
@@ -295,11 +291,11 @@ func (e *Engine) doTopK(ctx context.Context, req Request) (*TopKResult, *obs.Que
 			return wait()
 		case <-ctx.Done():
 			// The follower gives up, but its trace must still be finished
-			// and offered to the slow-query log and trace store: a cancelled
-			// wait is exactly the kind of latency outlier they exist to catch.
+			// and offered to the trace store: a cancelled wait is exactly the
+			// kind of latency outlier it exists to catch.
 			tr.Step(obs.StageWait)
 			tr.Finish()
-			e.noteSlow(tr, "topk", ctx.Err(), desc)
+			e.offerTrace(tr, "topk", ctx.Err(), desc)
 			return nil, tr, ctx.Err()
 		}
 	}
@@ -318,7 +314,7 @@ func (e *Engine) doTopK(ctx context.Context, req Request) (*TopKResult, *obs.Que
 	e.sfMu.Unlock()
 	close(c.done)
 	tr.Finish()
-	e.noteSlow(tr, "topk", c.err, desc)
+	e.offerTrace(tr, "topk", c.err, desc)
 	return c.res, tr, c.err
 }
 
@@ -338,7 +334,7 @@ func (e *Engine) doAggregate(ctx context.Context, req Request) (*AggResult, *obs
 	tr := e.startTrace(req)
 	res, err := e.aggregateQuery(ctx, req.Dir, req.Entity, req.Rel, req.Agg, eps, tr)
 	tr.Finish()
-	e.noteSlow(tr, "aggregate", err, func() string {
+	e.offerTrace(tr, "aggregate", err, func() string {
 		return fmt.Sprintf("agg %s dir=%d ent=%d rel=%d eps=%g", req.Agg.Kind, req.Dir, req.Entity, req.Rel, eps)
 	})
 	return res, tr, err

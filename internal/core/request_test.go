@@ -13,14 +13,12 @@ import (
 
 // TestCancelledFollowerTraced pins the coalescing edge case: a follower that
 // gives up on a still-running leader must still finish its trace (so span
-// durations sum to Wall) and offer it to the slow-query log — a cancelled
-// wait is exactly the latency outlier the log exists to catch.
+// durations sum to Wall) and offer it to the trace store — a cancelled wait
+// is exactly the latency outlier the store's tail rule exists to keep.
 func TestCancelledFollowerTraced(t *testing.T) {
 	eng, g := testEngine(t, Crack, defaultTestParams())
 	likes, _ := g.RelationByName("likes")
 	u := g.EntitiesOfType("user")[0]
-	eng.SlowLog().SetThreshold(time.Nanosecond)
-	defer eng.SlowLog().SetThreshold(0)
 
 	// Park a fake never-finishing leader in the in-flight map so the request
 	// coalesces onto it, then hand it an already-cancelled context.
@@ -59,13 +57,13 @@ func TestCancelledFollowerTraced(t *testing.T) {
 	}
 
 	found := false
-	for _, e := range eng.SlowLog().Entries() {
-		if strings.HasPrefix(e.Query, "topk ") && e.Trace != nil {
+	for _, r := range eng.Traces().Entries() {
+		if r.Kind == "topk" && r.Status == obs.TraceCanceled && r.Trace != nil {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatal("cancelled follower missing from the slow-query log")
+		t.Fatalf("cancelled follower missing from the trace store: %+v", eng.Traces().Entries())
 	}
 	if got := eng.Metrics().Coalesced; got != 1 {
 		t.Fatalf("coalesced counter = %d, want 1", got)

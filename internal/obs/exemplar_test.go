@@ -13,6 +13,29 @@ import (
 var omBucketExemplar = regexp.MustCompile(
 	`^[a-zA-Z_:][a-zA-Z0-9_:]*_bucket\{[^}]*le="[^"]+"[^}]*\} [0-9]+ # \{trace_id="[0-9a-f]{32}"\} [0-9.eE+-]+ [0-9]+(\.[0-9]+)?$`)
 
+// writeOpenMetrics renders r as a standalone OpenMetrics page.
+func writeOpenMetrics(t *testing.T, r *Registry) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := r.WriteOpenMetricsLabeled(&sb, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteOpenMetricsEOF(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// writePrometheus renders r as a standalone 0.0.4 page.
+func writePrometheus(t *testing.T, r *Registry) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := r.WritePrometheusLabeled(&sb, nil); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
 func TestOpenMetricsExemplar(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.1, 1})
@@ -20,11 +43,7 @@ func TestOpenMetricsExemplar(t *testing.T) {
 	h.ObserveExemplar(0.05, id) // lands in the le="0.1" bucket
 	h.Observe(0.5)              // untraced: le="1" gets no exemplar
 
-	var sb strings.Builder
-	if err := r.WriteOpenMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := writeOpenMetrics(t, r)
 
 	if !strings.HasSuffix(out, "# EOF\n") {
 		t.Fatalf("OpenMetrics page missing # EOF terminator:\n%s", out)
@@ -52,11 +71,7 @@ func TestOpenMetricsExemplar(t *testing.T) {
 
 	// The classic Prometheus 0.0.4 rendering must be byte-identical to what
 	// it always was: no exemplars, no EOF.
-	sb.Reset()
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if s := sb.String(); strings.Contains(s, "#{") || strings.Contains(s, " # {") || strings.Contains(s, "# EOF") {
+	if s := writePrometheus(t, r); strings.Contains(s, "#{") || strings.Contains(s, " # {") || strings.Contains(s, "# EOF") {
 		t.Fatalf("Prometheus 0.0.4 output leaked OpenMetrics syntax:\n%s", s)
 	}
 }
@@ -66,11 +81,7 @@ func TestObserveExemplarZeroID(t *testing.T) {
 	h := r.Histogram("test_latency_seconds", "Latency.", []float64{1})
 	h.ObserveExemplar(0.5, TraceID{}) // untraced: observe only
 
-	var sb strings.Builder
-	if err := r.WriteOpenMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := writeOpenMetrics(t, r)
 	if strings.Contains(out, " # {") {
 		t.Fatalf("zero trace id produced an exemplar:\n%s", out)
 	}
@@ -85,11 +96,7 @@ func TestOpenMetricsCounterFamily(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("test_requests_total", "Requests.").Add(2)
 
-	var sb strings.Builder
-	if err := r.WriteOpenMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := writeOpenMetrics(t, r)
 	for _, want := range []string{
 		"# TYPE test_requests counter",
 		"# HELP test_requests Requests.",
@@ -103,11 +110,7 @@ func TestOpenMetricsCounterFamily(t *testing.T) {
 		t.Errorf("OM family name kept _total:\n%s", out)
 	}
 
-	sb.Reset()
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "# TYPE test_requests_total counter") {
-		t.Errorf("0.0.4 family name changed:\n%s", sb.String())
+	if s := writePrometheus(t, r); !strings.Contains(s, "# TYPE test_requests_total counter") {
+		t.Errorf("0.0.4 family name changed:\n%s", s)
 	}
 }

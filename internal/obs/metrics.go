@@ -1,8 +1,10 @@
 // Package obs is the engine's dependency-free observability kit: atomic
 // counters, gauges, and fixed-bucket latency histograms collected in a
 // Registry with a Prometheus text-format exposition, plus per-query stage
-// traces (trace.go) and a slow-query log (slowlog.go) served over HTTP
-// (http.go).
+// traces (trace.go) and the bounded store that retains them (tracestore.go)
+// — the one record of slow and failed queries. The package mounts no HTTP
+// handler itself: the serving layer's mux renders registries and trace
+// stores (tracehttp.go) on the one ops page.
 //
 // The package is built for hot paths that run under an engine read lock:
 // every increment and histogram observation is lock-free (atomic adds plus
@@ -15,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -311,14 +314,18 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	return h
 }
 
-// WritePrometheus renders every registered metric in the Prometheus text
-// exposition format (version 0.0.4). HELP/TYPE headers are emitted at the
-// first metric of each family.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.WritePrometheusLabeled(w, nil)
+// OpenMetricsContentType is the content type of the OpenMetrics text
+// exposition format; /metrics switches to it when the Accept header asks.
+const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
+
+// WantsOpenMetrics reports whether the request negotiates the OpenMetrics
+// exposition format (the only format that can carry exemplars).
+func WantsOpenMetrics(r *http.Request) bool {
+	return strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text")
 }
 
-// WritePrometheusLabeled renders the registry with extra constant labels
+// WritePrometheusLabeled renders every registered metric in the Prometheus
+// text exposition format (version 0.0.4), with extra constant labels
 // appended to every series — how a multi-tenant server exposes several
 // engine registries on one /metrics page, each stamped tenant="name". seen
 // carries family names whose HELP/TYPE headers were already emitted by an
@@ -328,23 +335,14 @@ func (r *Registry) WritePrometheusLabeled(w io.Writer, seen map[string]bool, ext
 	return r.writeText(w, seen, false, extra...)
 }
 
-// WriteOpenMetrics renders the registry in the OpenMetrics 1.0 text format,
-// terminated by the mandatory "# EOF". It differs from WritePrometheus in
-// two ways: counter families drop their "_total" suffix in HELP/TYPE headers
-// (samples keep it, per the grammar), and histogram bucket lines carry
-// exemplars — `# {trace_id="..."} value ts` — linking the bucket to the most
-// recent traced observation that landed in it. Serve it under content type
-// "application/openmetrics-text; version=1.0.0; charset=utf-8".
-func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	if err := r.WriteOpenMetricsLabeled(w, nil); err != nil {
-		return err
-	}
-	return WriteOpenMetricsEOF(w)
-}
-
-// WriteOpenMetricsLabeled is WriteOpenMetrics without the trailing "# EOF",
-// for pages composed from several registries: render each with a shared
-// seen map, then call WriteOpenMetricsEOF once.
+// WriteOpenMetricsLabeled renders the registry in the OpenMetrics 1.0 text
+// format, without the trailing "# EOF": render each registry of a page with
+// a shared seen map, then call WriteOpenMetricsEOF once. It differs from the
+// 0.0.4 rendering in two ways: counter families drop their "_total" suffix
+// in HELP/TYPE headers (samples keep it, per the grammar), and histogram
+// bucket lines carry exemplars — `# {trace_id="..."} value ts` — linking the
+// bucket to the most recent traced observation that landed in it. Serve it
+// under OpenMetricsContentType.
 func (r *Registry) WriteOpenMetricsLabeled(w io.Writer, seen map[string]bool, extra ...Label) error {
 	return r.writeText(w, seen, true, extra...)
 }
@@ -468,39 +466,4 @@ func (m *metric) write(w io.Writer, extraLabels string, om bool) error {
 
 func formatFloat(v float64) string {
 	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.9f", v), "0"), ".")
-}
-
-// Snapshot returns every metric as a flat name -> value map (histograms
-// contribute _count, _sum, _p50, _p95, _p99 entries). This is what the
-// expvar integration publishes under /debug/vars.
-func (r *Registry) Snapshot() map[string]interface{} {
-	r.mu.Lock()
-	metrics := append([]*metric(nil), r.metrics...)
-	r.mu.Unlock()
-
-	out := make(map[string]interface{}, len(metrics))
-	for _, m := range metrics {
-		name := m.family
-		if m.labels != "" {
-			name += "{" + m.labels + "}"
-		}
-		switch m.kind {
-		case kindCounter:
-			out[name] = m.c.Value()
-		case kindCounterFunc:
-			out[name] = m.cf()
-		case kindGauge:
-			out[name] = m.g.Value()
-		case kindGaugeFunc:
-			out[name] = m.gf()
-		case kindHistogram:
-			s := m.h.Snapshot()
-			out[name+"_count"] = s.Count
-			out[name+"_sum"] = s.Sum
-			out[name+"_p50"] = s.P50
-			out[name+"_p95"] = s.P95
-			out[name+"_p99"] = s.P99
-		}
-	}
-	return out
 }

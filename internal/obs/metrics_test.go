@@ -157,7 +157,7 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(9)
 
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := r.WritePrometheusLabeled(&sb, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -196,34 +196,6 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-func TestRegistrySnapshot(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("snap_total", "c.")
-	c.Add(2)
-	r.CounterFunc("snap_func_total", "cf.", func() uint64 { return 9 })
-	g := r.Gauge("snap_gauge", "g.")
-	g.Set(-4)
-	h := r.Histogram("snap_hist", "h.", []float64{1})
-	h.Observe(0.5)
-
-	s := r.Snapshot()
-	if got := s["snap_total"]; got != uint64(2) {
-		t.Errorf("snap_total = %v", got)
-	}
-	if got := s["snap_func_total"]; got != uint64(9) {
-		t.Errorf("snap_func_total = %v", got)
-	}
-	if got := s["snap_gauge"]; got != int64(-4) {
-		t.Errorf("snap_gauge = %v", got)
-	}
-	if got := s["snap_hist_count"]; got != uint64(1) {
-		t.Errorf("snap_hist_count = %v", got)
-	}
-	if _, ok := s["snap_hist_p95"]; !ok {
-		t.Error("snapshot missing snap_hist_p95")
-	}
-}
-
 func TestFormatFloat(t *testing.T) {
 	for _, tc := range []struct {
 		in   float64
@@ -240,17 +212,17 @@ func TestFormatFloat(t *testing.T) {
 	}
 }
 
-func ExampleRegistry_WritePrometheus() {
+func ExampleRegistry_WritePrometheusLabeled() {
 	r := NewRegistry()
 	c := r.Counter("example_total", "Things that happened.")
 	c.Add(2)
 	var sb strings.Builder
-	_ = r.WritePrometheus(&sb)
+	_ = r.WritePrometheusLabeled(&sb, nil, Label{Key: "tenant", Value: "movie"})
 	fmt.Print(sb.String())
 	// Output:
 	// # HELP example_total Things that happened.
 	// # TYPE example_total counter
-	// example_total 2
+	// example_total{tenant="movie"} 2
 }
 
 // TestWritePrometheusLabeled: extra labels land on every series of the

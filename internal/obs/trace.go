@@ -150,7 +150,7 @@ func (t *QueryTrace) Forced() bool {
 }
 
 // StartTime returns when the trace began (zero on a nil trace) — the query
-// start time the slow log stamps entries with.
+// start time a trace record is stamped with.
 func (t *QueryTrace) StartTime() time.Time {
 	if t == nil {
 		return time.Time{}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -42,8 +41,7 @@ func toListEntry(r TraceRecord) traceListEntry {
 }
 
 // WriteTraceList renders records (newest first) plus the store's retention
-// stats as the /traces JSON document. Shared by the single-store ops handler
-// and the serving layer's multi-tenant one.
+// stats as the /traces JSON document.
 func WriteTraceList(w http.ResponseWriter, recs []TraceRecord, stats TraceStoreStats) {
 	w.Header().Set("Content-Type", "application/json")
 	out := struct {
@@ -181,27 +179,4 @@ func RenderTraceText(w io.Writer, id TraceID, recs []TraceRecord) {
 			}
 		}
 	}
-}
-
-// TraceHandler serves a TraceStore:
-//
-//	GET /traces        JSON list of retained traces, newest first
-//	GET /traces/<id>   one trace reassembled: text render, ?format=json for JSON
-//
-// A nil store serves an empty list and 404s every id. Mount it at both
-// "/traces" and "/traces/" so the id-less form works without a redirect.
-func TraceHandler(store *TraceStore) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rest := strings.Trim(strings.TrimPrefix(r.URL.Path, "/traces"), "/")
-		if rest == "" {
-			WriteTraceList(w, store.Entries(), store.Stats())
-			return
-		}
-		id, ok := ParseTraceID(rest)
-		if !ok {
-			http.Error(w, "malformed trace id "+rest+" (want 32 hex digits)", http.StatusBadRequest)
-			return
-		}
-		WriteTraceRecords(w, id, store.Find(id), r.URL.Query().Get("format"))
-	})
 }

@@ -184,12 +184,15 @@ func (s *TraceStore) Keep(id TraceID, forced bool, status string, lat time.Durat
 
 // decide applies the retention policy and names the rule that fired.
 func (s *TraceStore) decide(id TraceID, forced bool, status string, lat time.Duration) (bool, *atomic.Uint64) {
+	// One load: a concurrent SetSlowThreshold(0) between a "> 0" check and
+	// the comparison would keep a fast trace as slow.
+	slow := s.slowNS.Load()
 	switch {
 	case forced:
 		return true, &s.keptForced
 	case status != TraceOK && status != "":
 		return true, &s.keptTail
-	case s.slowNS.Load() > 0 && int64(lat) >= s.slowNS.Load():
+	case slow > 0 && int64(lat) >= slow:
 		return true, &s.keptSlow
 	case s.headKeep(id):
 		return true, &s.keptHead

@@ -178,3 +178,37 @@ func TestTraceStoreRace(t *testing.T) {
 		t.Fatalf("Len = %d, want full capacity 32", s.Len())
 	}
 }
+
+// TestTraceStoreSlowThresholdOneLoad pins the single read of the slow
+// threshold: with head sampling off, a 1ns OK record is rejected under both
+// 0 (disabled) and 1h, so a Keep that answers true while another goroutine
+// flips between them has mixed the two values.
+func TestTraceStoreSlowThresholdOneLoad(t *testing.T) {
+	s := NewTraceStore(8)
+	s.SetHeadRate(0)
+	stop := make(chan struct{})
+	var flipper sync.WaitGroup
+	flipper.Add(1)
+	go func() {
+		defer flipper.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.SetSlowThreshold(0)
+			s.SetSlowThreshold(time.Hour)
+		}
+	}()
+	id := NewTraceID()
+	for i := 0; i < 1_000_000; i++ {
+		if s.Keep(id, false, TraceOK, time.Nanosecond) {
+			close(stop)
+			flipper.Wait()
+			t.Fatalf("Keep kept a 1ns record at iteration %d: the threshold was read twice", i)
+		}
+	}
+	close(stop)
+	flipper.Wait()
+}

@@ -26,8 +26,8 @@ const StatusClientClosedRequest = 499
 //	GET  /readyz     readiness: 200 until drain starts, then 503
 //	GET  /metrics    serving counters + every tenant registry (tenant label);
 //	                 OpenMetrics with trace-id exemplars when Accept asks
-//	GET  /slowlog    a tenant's slow-query log (?tenant=, optional if single)
-//	GET  /traces     retained traces across tenants (/traces/<id> for one)
+//	GET  /traces     retained traces across tenants (/traces/<id> for one);
+//	                 slow queries are the ones kept under Config.TraceSlow
 //	GET  /tenants    tenant names, JSON
 //	GET  /debug/pprof/ the standard pprof handlers
 //
@@ -53,7 +53,6 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintln(w, "ready")
 	})
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/slowlog", s.handleSlowlog)
 	mux.HandleFunc("/traces", s.handleTraces)
 	mux.HandleFunc("/traces/", s.handleTraces)
 	mux.HandleFunc("/tenants", func(w http.ResponseWriter, _ *http.Request) {
@@ -421,29 +420,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	write(s.met.reg)
-	s.mu.Lock()
-	tenants := make(map[string]*Tenant, len(s.tenants))
-	for n, t := range s.tenants {
-		tenants[n] = t
-	}
-	s.mu.Unlock()
-	for _, name := range s.Tenants() {
-		t := tenants[name]
+	// Names and tenants come from one locked snapshot: a tenant added
+	// between two separate reads would have a name but no entry.
+	names, tenants := s.sortedTenants()
+	for i, t := range tenants {
 		if t.Registry == nil {
 			continue
 		}
-		write(t.Registry, obs.Label{Key: "tenant", Value: name})
+		write(t.Registry, obs.Label{Key: "tenant", Value: names[i]})
 	}
 	if om {
 		_ = obs.WriteOpenMetricsEOF(w)
 	}
-}
-
-func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
-	t, name, err := s.tenant(r.URL.Query().Get("tenant"))
-	if err != nil {
-		s.writeError(w, http.StatusNotFound, "unknown_tenant", err)
-		return
-	}
-	obs.SlowLogHandlerTenant(t.SlowLog, name).ServeHTTP(w, r)
 }

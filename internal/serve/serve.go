@@ -80,24 +80,22 @@ type Tenant struct {
 	// Registry is the tenant engine's metric registry; when set, /metrics
 	// renders it stamped with the tenant label.
 	Registry *obs.Registry
-	// SlowLog, when set, is served on /slowlog?tenant=<name>.
-	SlowLog *obs.SlowLog
 	// Traces, when set, receives the request-envelope trace records and is
-	// merged into the /traces endpoints. AddTenant arms its head sampling
-	// and slow-retention thresholds from the server Config.
+	// merged into the /traces endpoints — the one record of slow and failed
+	// requests. AddTenant arms its head sampling and slow-retention
+	// thresholds from the server Config.
 	Traces *obs.TraceStore
 }
 
 // NewTenant wires a Tenant from a built VKG: the VKG is the backend and
-// saver, its graph resolves names, and its engine registry and slow-query
-// log feed the ops endpoints. snapshotPath may be empty (no save on drain).
+// saver, its graph resolves names, and its engine registry and trace store
+// feed the ops endpoints. snapshotPath may be empty (no save on drain).
 func NewTenant(v *vkg.VKG, snapshotPath string) *Tenant {
 	return &Tenant{
 		Backend:      v,
 		Resolver:     v.Graph(),
 		SnapshotPath: snapshotPath,
 		Registry:     v.Engine().Registry(),
-		SlowLog:      v.Engine().SlowLog(),
 		Traces:       v.Engine().Traces(),
 	}
 }
@@ -141,7 +139,9 @@ type Config struct {
 	// always retained regardless — that tail is why the store exists.
 	TraceHeadRate float64
 	// TraceSlow is the latency above which a trace is always retained
-	// (default obs.DefaultTraceSlow, 100ms).
+	// (default obs.DefaultTraceSlow, 100ms). It is the one slow-query
+	// threshold: slow requests are the /traces entries it kept, listed with
+	// their status and latency_ms.
 	TraceSlow time.Duration
 	// AccessLog, when set, receives one structured JSON line per request
 	// (trace id, tenant, status, admission outcome, latency). Writes are
@@ -301,14 +301,25 @@ func (s *Server) AddTenant(name string, t *Tenant) error {
 
 // Tenants returns the registered tenant names, sorted.
 func (s *Server) Tenants() []string {
+	names, _ := s.sortedTenants()
+	return names
+}
+
+// sortedTenants snapshots the registered tenants under one lock, in name
+// order: tenants[i] is names[i], even when AddTenant races the caller.
+func (s *Server) sortedTenants() (names []string, tenants []*Tenant) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.tenants))
+	names = make([]string, 0, len(s.tenants))
 	for name := range s.tenants {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	return names
+	tenants = make([]*Tenant, len(names))
+	for i, name := range names {
+		tenants[i] = s.tenants[name]
+	}
+	return names, tenants
 }
 
 // tenant resolves a request's tenant: an explicit name, or the sole tenant
@@ -420,19 +431,9 @@ wait:
 
 	// Snapshot tenants while the process is still healthy: the index shape
 	// the drained workload paid for survives the restart.
-	s.mu.Lock()
-	tenants := make(map[string]*Tenant, len(s.tenants))
-	for n, t := range s.tenants {
-		tenants[n] = t
-	}
-	s.mu.Unlock()
-	names := make([]string, 0, len(tenants))
-	for n := range tenants {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		t := tenants[n]
+	names, tenants := s.sortedTenants()
+	for i, n := range names {
+		t := tenants[i]
 		if t.SnapshotPath == "" {
 			continue
 		}

@@ -423,8 +423,34 @@ func TestMetricsPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Errorf("/metrics Content-Type = %q, want the 0.0.4 text format", ct)
+	}
 	page, _ := io.ReadAll(resp.Body)
 	out := string(page)
+	// The engine's cost and serving families, each stamped for the tenant.
+	hasSeries := func(family string) bool {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, family+"{") && strings.Contains(line, `tenant="movie"`) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, family := range []string{
+		"vkg_queries_total",
+		"vkg_query_latency_seconds_bucket",
+		"vkg_cache_hits_total",
+		"vkg_cache_misses_total",
+		"vkg_singleflight_coalesced_total",
+		"vkg_crack_splits_total",
+		"vkg_index_node_accesses_total",
+		"vkg_index_nodes",
+	} {
+		if !hasSeries(family) {
+			t.Errorf("/metrics missing family %s", family)
+		}
+	}
 	for _, want := range []string{
 		"vkg_serve_admitted_total 1",
 		`vkg_serve_requests_total{tenant="movie"} 1`,
@@ -456,17 +482,117 @@ func TestMetricsPage(t *testing.T) {
 		t.Errorf("HELP header for vkg_queries_total appears %d times, want 1", n)
 	}
 
-	// /slowlog routes per tenant and rejects unknown ones.
-	if resp, err := ts.Client().Get(ts.URL + "/slowlog?tenant=movie"); err != nil || resp.StatusCode != 200 {
-		t.Errorf("slowlog: %v status %d", err, resp.StatusCode)
-	} else {
-		resp.Body.Close()
+	// The same page serves the standard profilers.
+	presp, err := ts.Client().Get(ts.URL + "/debug/pprof/cmdline")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if resp, err := ts.Client().Get(ts.URL + "/slowlog?tenant=ghost"); err != nil || resp.StatusCode != 404 {
-		t.Errorf("slowlog unknown tenant: %v status %d", err, resp.StatusCode)
-	} else {
-		resp.Body.Close()
+	if body := readAll(t, presp); presp.StatusCode != http.StatusOK || body == "" {
+		t.Errorf("/debug/pprof/cmdline: status %d, body %q", presp.StatusCode, body)
 	}
+}
+
+// TestBareTenantOpsPage: a tenant with neither a Registry nor a trace store
+// still gets a working ops page — /metrics renders the serving registry
+// alone, /traces an empty list, and /traces/<id> a 404.
+func TestBareTenantOpsPage(t *testing.T) {
+	s := NewServer(Config{})
+	if err := s.AddTenant("bare", &Tenant{Backend: newBlockingBackend()}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `vkg_serve_requests_total{tenant="bare"} 0`) {
+		t.Fatalf("/metrics: status %d\n%s", resp.StatusCode, body)
+	}
+	if strings.Contains(body, "vkg_queries_total") {
+		t.Errorf("/metrics rendered engine families for a tenant without a registry:\n%s", body)
+	}
+
+	resp, err = ts.Client().Get(ts.URL + "/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = readAll(t, resp)
+	var list struct {
+		Traces []struct{} `json:"traces"`
+	}
+	if err := json.Unmarshal([]byte(body), &list); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/traces: status %d, %v\n%s", resp.StatusCode, err, body)
+	}
+	if list.Traces == nil || len(list.Traces) != 0 {
+		t.Errorf("/traces = %s, want an empty list", body)
+	}
+
+	resp, err = ts.Client().Get(ts.URL + "/traces/" + strings.Repeat("ab", 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if readAll(t, resp); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/traces/<id> answered %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestMetricsScrapeDuringAddTenant: tenants registered while /metrics is
+// being scraped never break the page. Every scrape must answer 200; the
+// page once read the tenant names and the tenant map under two separate
+// locks, so a tenant added in between was rendered from a nil entry. The
+// handler runs in process, so scrapes are many and a panic is reported
+// instead of being swallowed by the HTTP server.
+func TestMetricsScrapeDuringAddTenant(t *testing.T) {
+	s := NewServer(Config{})
+	h := s.Handler()
+	scrape := func() (status int) {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Errorf("scrape panicked: %v", p)
+				status = http.StatusInternalServerError
+			}
+		}()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		return rec.Code
+	}
+
+	stop := make(chan struct{})
+	var scrapers sync.WaitGroup
+	var scrapes atomic.Int64
+	for i := 0; i < 4; i++ {
+		scrapers.Add(1)
+		go func() {
+			defer scrapers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if status := scrape(); status != http.StatusOK {
+					t.Errorf("scrape answered %d", status)
+					return
+				}
+				scrapes.Add(1)
+			}
+		}()
+	}
+	// Start adding once scrapes are flowing, then add back to back so the
+	// adder contends for the server lock while pages render.
+	for deadline := time.Now().Add(5 * time.Second); scrapes.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
+	for i := 0; i < 2000; i++ {
+		if err := s.AddTenant(fmt.Sprintf("t%04d", i), &Tenant{Backend: newBlockingBackend()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	scrapers.Wait()
 }
 
 // TestDrain: readiness flips, in-flight requests finish, post-drain

@@ -168,28 +168,14 @@ func (s *Server) accessLog(rc *reqCtx, lat time.Duration) {
 
 // tenantTraces snapshots every tenant's trace store, in sorted name order.
 func (s *Server) tenantTraces() (names []string, stores []*obs.TraceStore) {
-	s.mu.Lock()
-	for n, t := range s.tenants {
+	all, tenants := s.sortedTenants()
+	for i, t := range tenants {
 		if t.Traces != nil {
-			names = append(names, n)
+			names = append(names, all[i])
 			stores = append(stores, t.Traces)
 		}
 	}
-	s.mu.Unlock()
-	sort.Sort(&byName{names, stores})
 	return names, stores
-}
-
-type byName struct {
-	names  []string
-	stores []*obs.TraceStore
-}
-
-func (b *byName) Len() int           { return len(b.names) }
-func (b *byName) Less(i, j int) bool { return b.names[i] < b.names[j] }
-func (b *byName) Swap(i, j int) {
-	b.names[i], b.names[j] = b.names[j], b.names[i]
-	b.stores[i], b.stores[j] = b.stores[j], b.stores[i]
 }
 
 // handleTraces merges every tenant's trace store:

@@ -43,22 +43,9 @@ type TraceSpan = obs.Span
 // where the time went, stage by stage, plus the cost counters the paper's
 // analysis is stated in. Stages are contiguous, so span durations sum to
 // Wall. TraceID() is the query's 128-bit trace id — the handle for
-// /traces/<id> on the ops endpoint and the id to propagate in a traceparent
-// header; String() renders a one-line stage breakdown.
+// /traces/<id> on the serving layer's ops page and the id to propagate in a
+// traceparent header; String() renders a one-line stage breakdown.
 type QueryTrace = obs.QueryTrace
-
-// SetSlowQueryThreshold enables the slow-query log: queries slower than d
-// are recorded with their stage breakdown and served on the ops endpoint's
-// /slowlog page. While enabled, every query is traced (the per-query cost is
-// two timestamps per stage). A non-positive d disables the log.
-func (v *VKG) SetSlowQueryThreshold(d time.Duration) { v.eng.SlowLog().SetThreshold(d) }
-
-// SlowQuery is one entry of the slow-query log; its TraceID links the entry
-// to its retained trace at /traces/<id> (zero when the query ran untraced).
-type SlowQuery = obs.SlowEntry
-
-// SlowQueries returns the recorded slow queries, newest first.
-func (v *VKG) SlowQueries() []SlowQuery { return v.eng.SlowLog().Entries() }
 
 // TraceStats are the trace store's retention counters: how many query
 // traces were offered, how many were kept and why (forced, tail status,
@@ -73,6 +60,9 @@ func (v *VKG) SetTraceHeadRate(rate float64) { v.eng.Traces().SetHeadRate(rate) 
 
 // SetTraceSlowThreshold sets the latency above which a query's trace is
 // always retained (default 100ms); a non-positive d disables slow retention.
+// The trace store is the one record of slow queries: only traced queries
+// (Query.Trace or TraceParent) are offered, and /traces lists the kept ones
+// with their status and latency.
 func (v *VKG) SetTraceSlowThreshold(d time.Duration) { v.eng.Traces().SetSlowThreshold(d) }
 
 // TraceStats returns the trace store's retention counters.

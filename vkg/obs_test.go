@@ -2,8 +2,6 @@ package vkg
 
 import (
 	"context"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -170,7 +168,7 @@ func TestQueryTrace(t *testing.T) {
 		t.Fatalf("repeat trace = %+v, want CacheHit", res.Trace)
 	}
 
-	// Without Trace (and no slow log), no trace is allocated.
+	// Without Trace, no trace is allocated.
 	res, err = v.Do(context.Background(), Query{Entity: u0, Relation: ratesHigh, K: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -180,77 +178,29 @@ func TestQueryTrace(t *testing.T) {
 	}
 }
 
-// TestServeOps scrapes a live ops listener: /metrics must serve parseable
-// Prometheus text carrying the engine's counter families.
-func TestServeOps(t *testing.T) {
+// TestTraceSlowThreshold pins the one slow-query record: under a 1ns slow
+// threshold, a traced query is kept by the trace store's slow rule, and the
+// kept record carries the query's stage spans.
+func TestTraceSlowThreshold(t *testing.T) {
 	g, ratesHigh, _ := buildTestGraph(t)
 	v, err := Build(g, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	v.SetTraceSlowThreshold(time.Nanosecond)
 	u0, _ := g.EntityByName("user0")
-	if _, err := v.TopKTails(u0, ratesHigh, 5); err != nil {
-		t.Fatal(err)
-	}
-
-	ops, err := v.ServeOps("127.0.0.1:0")
+	res, err := v.Do(context.Background(), Query{Entity: u0, Relation: ratesHigh, K: 5, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ops.Close()
-
-	resp, err := http.Get("http://" + ops.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	if st := v.TraceStats(); st.KeptSlow != 1 || st.Kept != 1 {
+		t.Fatalf("TraceStats = %+v, want exactly one record kept as slow", st)
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	recs := v.eng.Traces().Find(res.Trace.TraceID())
+	if len(recs) != 1 || recs[0].Kind != "topk" || !strings.HasPrefix(recs[0].Detail, "topk ") {
+		t.Fatalf("retained records = %+v, want one topk record", recs)
 	}
-	body := string(raw)
-	for _, family := range []string{
-		"vkg_queries_total",
-		"vkg_query_latency_seconds_bucket",
-		"vkg_cache_hits_total",
-		"vkg_cache_misses_total",
-		"vkg_singleflight_coalesced_total",
-		"vkg_crack_splits_total",
-		"vkg_index_node_accesses_total",
-		"vkg_index_nodes",
-	} {
-		if !strings.Contains(body, family) {
-			t.Errorf("/metrics missing family %s", family)
-		}
+	if recs[0].Trace == nil || len(recs[0].Trace.Spans) == 0 {
+		t.Errorf("slow record missing its stage spans: %+v", recs[0].Trace)
 	}
-	if !strings.Contains(body, `vkg_queries_total{kind="topk"} 1`) {
-		t.Errorf("/metrics missing topk count:\n%s", body[:min(len(body), 2000)])
-	}
-}
-
-// TestSlowQueryLog arms the slow log with a zero-distance threshold so every
-// query qualifies, then checks entries carry stage breakdowns.
-func TestSlowQueryLog(t *testing.T) {
-	g, ratesHigh, _ := buildTestGraph(t)
-	v, err := Build(g, fastOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v.SetSlowQueryThreshold(time.Nanosecond)
-	u0, _ := g.EntityByName("user0")
-	if _, err := v.TopKTails(u0, ratesHigh, 5); err != nil {
-		t.Fatal(err)
-	}
-	slow := v.SlowQueries()
-	if len(slow) == 0 {
-		t.Fatal("no slow queries recorded under a 1ns threshold")
-	}
-	e := slow[0]
-	if !strings.Contains(e.Query, "topk") {
-		t.Errorf("slow entry query = %q", e.Query)
-	}
-	if e.Trace == nil || len(e.Trace.Spans) == 0 {
-		t.Errorf("slow entry missing stage breakdown: %+v", e.Trace)
-	}
-	v.SetSlowQueryThreshold(0)
 }

@@ -54,8 +54,10 @@ type Query struct {
 	// ProbThreshold overrides p_tau for this Aggregate query when > 0. It
 	// takes precedence over Agg.ProbThreshold.
 	ProbThreshold float64
-	// Trace requests a per-stage timing breakdown in Result.Trace. The cost
-	// is two timestamps per stage; leave it off for throughput runs.
+	// Trace requests a per-stage timing breakdown in Result.Trace and
+	// offers the trace to the engine's trace store, which keeps it when it
+	// failed or ran slower than SetTraceSlowThreshold. The cost is two
+	// timestamps per stage; leave it off for throughput runs.
 	Trace bool
 	// TraceParent joins the query to an existing distributed trace: a W3C
 	// `traceparent` header value ("00-<traceid>-<spanid>-<flags>") whose
@@ -70,9 +72,8 @@ type Query struct {
 // Result is the answer to one Query: TopK is set for top-k queries, Agg for
 // aggregates. Err is only used by DoBatch, which reports per-query failures
 // in place instead of failing the batch. Trace is the stage breakdown when
-// the query asked for one, carried a TraceParent, or the slow-query log
-// forced tracing on (nil otherwise); Trace.TraceID() is the handle for
-// /traces/<id> on the ops endpoint.
+// the query asked for one or carried a TraceParent (nil otherwise);
+// Trace.TraceID() is the handle for /traces/<id> on the ops page.
 type Result = core.Response
 
 // Do answers one query, honoring ctx cancellation. Repeat top-k queries on

@@ -55,8 +55,10 @@
 // Engine counters are always on and lock-free. Metrics returns a structured
 // snapshot (latency percentiles, cache effectiveness, index node accesses,
 // cracking activity); Query.Trace asks for a per-query stage breakdown in
-// Result.Trace; ServeOps starts an HTTP listener with Prometheus /metrics,
-// expvar, pprof, and a slow-query log (see SetSlowQueryThreshold).
+// Result.Trace, and the engine's trace store keeps traced queries that
+// failed or ran slower than SetTraceSlowThreshold (see TraceStats). Over
+// HTTP, the serving layer (cmd/vkg-serve, or vkg-query -metrics-addr)
+// renders both on one ops page: Prometheus /metrics, /traces, and pprof.
 //
 // # Concurrency and durability
 //
