@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -423,34 +424,8 @@ func TestMetricsPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Errorf("/metrics Content-Type = %q, want the 0.0.4 text format", ct)
-	}
 	page, _ := io.ReadAll(resp.Body)
 	out := string(page)
-	// The engine's cost and serving families, each stamped for the tenant.
-	hasSeries := func(family string) bool {
-		for _, line := range strings.Split(out, "\n") {
-			if strings.HasPrefix(line, family+"{") && strings.Contains(line, `tenant="movie"`) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, family := range []string{
-		"vkg_queries_total",
-		"vkg_query_latency_seconds_bucket",
-		"vkg_cache_hits_total",
-		"vkg_cache_misses_total",
-		"vkg_singleflight_coalesced_total",
-		"vkg_crack_splits_total",
-		"vkg_index_node_accesses_total",
-		"vkg_index_nodes",
-	} {
-		if !hasSeries(family) {
-			t.Errorf("/metrics missing family %s", family)
-		}
-	}
 	for _, want := range []string{
 		"vkg_serve_admitted_total 1",
 		`vkg_serve_requests_total{tenant="movie"} 1`,
@@ -481,14 +456,114 @@ func TestMetricsPage(t *testing.T) {
 	if n := strings.Count(out, "# HELP vkg_queries_total"); n != 1 {
 		t.Errorf("HELP header for vkg_queries_total appears %d times, want 1", n)
 	}
+}
 
-	// The same page serves the standard profilers.
-	presp, err := ts.Client().Get(ts.URL + "/debug/pprof/cmdline")
-	if err != nil {
+// TestMetricsPageEngineFamilies: one engine served as the only tenant, as
+// vkg-query -metrics-addr serves it, exposes every cost family of the
+// engine on /metrics, stamped with the tenant label, and counts an
+// embedded query that never went through the HTTP path.
+func TestMetricsPageEngineFamilies(t *testing.T) {
+	v, rel := testVKG(t)
+	s := NewServer(Config{})
+	if err := s.AddTenant("default", NewTenant(v, "")); err != nil {
 		t.Fatal(err)
 	}
-	if body := readAll(t, presp); presp.StatusCode != http.StatusOK || body == "" {
-		t.Errorf("/debug/pprof/cmdline: status %d, body %q", presp.StatusCode, body)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	scrape := func() string {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return readAll(t, resp)
+	}
+	// The test engine is shared across tests, so the topk count is read
+	// before and after one embedded query, on an entity no other test asks
+	// about so that the result cache cannot answer it.
+	const topk = `vkg_queries_total{kind="topk",tenant="default"} `
+	topkCount := func(out string) int {
+		for _, line := range strings.Split(out, "\n") {
+			if rest, ok := strings.CutPrefix(line, topk); ok {
+				n, err := strconv.Atoi(rest)
+				if err != nil {
+					t.Fatalf("topk count %q: %v", line, err)
+				}
+				return n
+			}
+		}
+		return 0
+	}
+	before := topkCount(scrape())
+	u, _ := v.Graph().EntityByName("user37")
+	if _, err := v.Do(context.Background(), vkg.Query{Entity: u, Relation: rel, K: 3}); err != nil {
+		t.Fatal(err)
+	}
+	out := scrape()
+	hasSeries := func(family string) bool {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, family+"{") && strings.Contains(line, `tenant="default"`) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, family := range []string{
+		"vkg_queries_total",
+		"vkg_query_latency_seconds_bucket",
+		"vkg_cache_hits_total",
+		"vkg_cache_misses_total",
+		"vkg_singleflight_coalesced_total",
+		"vkg_crack_splits_total",
+		"vkg_index_node_accesses_total",
+		"vkg_index_nodes",
+	} {
+		if !hasSeries(family) {
+			t.Errorf("/metrics missing family %s", family)
+		}
+	}
+	if after := topkCount(out); after != before+1 {
+		t.Errorf("topk count went %d -> %d over one query, want +1", before, after)
+	}
+}
+
+// TestOpsPageRoutes: the serving mux is the one ops page. /metrics answers
+// in the 0.0.4 text format by default, the standard profilers are mounted,
+// and the endpoints of the deleted single-engine page (/slowlog,
+// /debug/vars) and unknown paths answer 404.
+func TestOpsPageRoutes(t *testing.T) {
+	v, _ := testVKG(t)
+	s := NewServer(Config{})
+	if err := s.AddTenant("default", NewTenant(v, "")); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	get := func(path string) (*http.Response, string) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		return resp, readAll(t, resp)
+	}
+
+	resp, _ := get("/metrics")
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Errorf("/metrics: status %d, Content-Type %q, want 200 and the 0.0.4 text format", resp.StatusCode, ct)
+	}
+	if resp, body := get("/debug/pprof/cmdline"); resp.StatusCode != http.StatusOK || body == "" {
+		t.Errorf("/debug/pprof/cmdline: status %d, body %q", resp.StatusCode, body)
+	}
+	if resp, body := get("/debug/pprof/"); resp.StatusCode != http.StatusOK || !strings.Contains(body, "goroutine") {
+		t.Errorf("/debug/pprof/: status %d, no profile index", resp.StatusCode)
+	}
+	for _, path := range []string{"/slowlog", "/debug/vars", "/nope"} {
+		if resp, _ := get(path); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
