@@ -7,8 +7,7 @@
 //	vkg-query -graph movie.graph -model movie.model -entity movie3 -rel likes -heads -k 5
 //	vkg-query -graph movie.graph -model movie.model -entity user17 -rel likes -agg avg -attr year
 //
-// Add -trace to print the per-stage timing breakdown of the answer, -bench n
-// to repeat the query n times and print a one-line metrics summary, and
+// Add -trace to print the per-stage timing breakdown of the answer, and
 // -metrics-addr to serve vkg-serve's ops page (/metrics, /traces,
 // /debug/pprof/, /readyz, and /v1/query) while the process runs, with this
 // engine as its one tenant, "default".
@@ -59,7 +58,6 @@ func main() {
 		repl        = flag.Bool("repl", false, "interactive mode")
 		alpha       = flag.Int("alpha", 3, "index dimensionality")
 		trace       = flag.Bool("trace", false, "print the per-stage timing breakdown of each answer")
-		bench       = flag.Int("bench", 0, "repeat the one-shot query this many times and print a metrics summary")
 		metricsAddr = flag.String("metrics-addr", "", "serve the ops page (Prometheus /metrics, /traces, pprof) on this address")
 		wal         = flag.Bool("wal", false, "with -snapshot: replay and keep appending the snapshot's write-ahead log, so crack work survives restarts")
 	)
@@ -150,11 +148,6 @@ func main() {
 		}
 	} else if err := runTopK(v, side, *entity, *rel, *k, *trace); err != nil {
 		fatal("%v", err)
-	}
-	if *bench > 0 {
-		if err := runBench(v, side, *entity, *rel, *agg, *attr, *k, *bench); err != nil {
-			fatal("%v", err)
-		}
 	}
 }
 
@@ -251,50 +244,6 @@ func runAgg(v *vkg.VKG, side, entity, rel, kind, attr string, trace bool) error 
 	if trace {
 		printTrace(res)
 	}
-	return nil
-}
-
-// runBench repeats the one-shot query n times through the request API (so
-// repeats hit the result cache like a serving workload would) and prints a
-// one-line summary of the engine metrics.
-func runBench(v *vkg.VKG, side, entity, rel, agg, attr string, k, n int) error {
-	e, r, err := resolve(v.Graph(), entity, rel)
-	if err != nil {
-		return err
-	}
-	q := vkg.Query{Entity: e, Relation: r, K: k}
-	if side == "heads" {
-		q.Dir = vkg.Heads
-	}
-	if agg != "" {
-		ak, err := parseAggKind(agg)
-		if err != nil {
-			return err
-		}
-		q.Kind = vkg.Aggregate
-		q.Agg = vkg.AggSpec{Kind: ak, Attr: attr}
-	}
-	qs := make([]vkg.Query, n)
-	for i := range qs {
-		qs[i] = q
-	}
-	start := time.Now()
-	for i, res := range v.DoBatch(context.Background(), qs) {
-		if res.Err != nil {
-			return fmt.Errorf("bench query %d: %w", i, res.Err)
-		}
-	}
-	elapsed := time.Since(start)
-	m := v.Metrics()
-	lat := m.TopKLatency
-	if q.Kind == vkg.Aggregate {
-		lat = m.AggregateLatency
-	}
-	fmt.Printf("bench: %d queries in %v (%.0f queries/s)\n", n, elapsed.Round(time.Microsecond),
-		float64(n)/elapsed.Seconds())
-	fmt.Printf("metrics: cache hit rate %.1f%%, %d splits, p95 %v, node accesses %d\n",
-		100*m.CacheHitRate(), m.CrackSplits, lat.P95.Round(time.Microsecond),
-		m.NodeAccessInternal+m.NodeAccessLeaf+m.NodeAccessPending)
 	return nil
 }
 

@@ -182,13 +182,9 @@ func main() {
 		if i := strings.Index(spec, ":"); i >= 0 {
 			ds, scale = spec[:i], spec[i+1:]
 		}
-		sc := experiments.Tiny
-		switch scale {
-		case "tiny":
-		case "full":
-			sc = experiments.Full
-		default:
-			fatal("tenant %q: unknown scale %q (want tiny or full)", name, scale)
+		sc, err := experiments.ParseScale(scale)
+		if err != nil {
+			fatal("tenant %q: %v", name, err)
 		}
 		fmt.Fprintf(os.Stderr, "vkg-serve: generating tenant %q from dataset %s:%s\n", name, ds, scale)
 		data, err := experiments.LoadDataset(ds, sc)

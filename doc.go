@@ -8,8 +8,8 @@
 // TopK*/Aggregate*, serving workloads through the batched Do/DoBatch
 // request API with its worker pool and result cache; the substrates (TransE
 // embedding, JL transform, cracking R-tree, baselines) live under internal/;
-// cmd/ holds the dataset, training, query, and benchmark tools; and
-// bench_test.go in this package regenerates every table and figure of the
-// paper's evaluation as Go benchmarks, plus the serving-throughput
-// comparison (BenchmarkBatchServing, also available as vkg-bench -batch).
+// cmd/ holds the dataset, training, query, and serving tools. Two tools
+// measure: cmd/vkg-bench (-exp) regenerates every table and figure of the
+// paper's evaluation, and the bench module (bash bench/run.sh) measures the
+// system's own performance.
 package vkgraph

@@ -10,10 +10,12 @@ import (
 	"vkgraph/internal/raceflag"
 )
 
-// TestWarmTopKAllocations guards the per-query allocation count of an
-// uncached top-k on a converged index: the walk takes its frontier from the
-// pool and the top-k set never regrows, so what is left is the answer
-// itself, the JL transform, the in-flight slot and the cache entry.
+// TestWarmTopKAllocations guards what an uncached top-k on a converged index
+// allocates: the walk takes its frontier from the pool and the top-k set is
+// sized by k and never regrows, so what is left is the answer itself, the JL
+// transform, the in-flight slot and the cache entry — at most 20 objects and
+// 4 KB per query. A repeat of the same query is a cache hit and allocates
+// nothing.
 func TestWarmTopKAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -37,24 +39,48 @@ func TestWarmTopKAllocations(t *testing.T) {
 		}
 		eng.ResetCache()
 	}
+	// AllocsPerRun makes runs+1 calls, the bytes loop runs more: every one
+	// must be a distinct query to stay uncached.
 	const runs = 50
-	if len(reqs) <= runs {
-		t.Fatalf("need more than %d distinct queries to stay uncached, have %d", runs, len(reqs))
+	if len(reqs) < 2*runs+1 {
+		t.Fatalf("need %d distinct queries to stay uncached, have %d", 2*runs+1, len(reqs))
 	}
 	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
+	query := func() {
 		if resp := eng.Do(ctx, reqs[next]); resp.Err != nil {
 			t.Fatal(resp.Err)
 		}
 		next++
-	})
+	}
+	allocs := testing.AllocsPerRun(runs, query)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		query()
+	}
+	runtime.ReadMemStats(&m1)
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
 	if hits := eng.CacheStats().Hits; hits != 0 {
 		t.Fatalf("%d cache hits: the guard must measure uncached queries", hits)
 	}
-	if allocs > 20 {
-		t.Fatalf("warm uncached top-k allocates %v objects per query, want <= 20", allocs)
+	t.Logf("warm uncached top-k: %v allocs, %.0f bytes per query", allocs, bytes)
+	const maxAllocs, maxBytes = 20, 4 << 10
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Fatalf("warm uncached top-k allocates %v objects, %.0f bytes per query; want <= %d and <= %d",
+			allocs, bytes, maxAllocs, maxBytes)
 	}
-	t.Logf("warm uncached top-k: %v allocs/query", allocs)
+
+	hit := testing.AllocsPerRun(runs, func() {
+		if resp := eng.Do(ctx, reqs[0]); resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	})
+	if hits := eng.CacheStats().Hits; hits < runs {
+		t.Fatalf("%d cache hits after %d repeats: the repeats must be served from the cache", hits, runs)
+	}
+	if hit != 0 {
+		t.Fatalf("a cached top-k allocates %v objects per query, want 0", hit)
+	}
 }
 
 // TestWarmAggregateAllocations guards what an aggregate on a converged index

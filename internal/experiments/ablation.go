@@ -41,9 +41,7 @@ func AblationScale(scale Scale, w io.Writer) error {
 		cfg.Edges = int(float64(cfg.Edges) * ratio)
 		g := kggen.Freebase(cfg)
 
-		ecfg := embedding.DefaultConfig()
-		ecfg.Epochs, ecfg.LearningRate = trainConfig(scale)
-		tr, err := embedding.Train(g, ecfg)
+		tr, err := embedding.Train(g, trainConfig(scale))
 		if err != nil {
 			return err
 		}

@@ -1,12 +1,13 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Section VI) over the synthetic stand-ins for Freebase,
 // MovieLens and Amazon (see DESIGN.md §3 for the substitution rationale).
-// Each figure has one driver returning printable rows; cmd/vkg-bench and the
-// top-level benchmarks call these drivers.
+// Each figure has one driver returning printable rows, and cmd/vkg-bench
+// (-exp <id>) is the one command that runs them.
 package experiments
 
 import (
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sync"
@@ -25,6 +26,18 @@ const (
 	// Full is the experiment scale of DESIGN.md §3.
 	Full
 )
+
+// ParseScale turns "tiny" or "full" into a Scale.
+func ParseScale(s string) (Scale, error) {
+	switch s {
+	case "tiny":
+		return Tiny, nil
+	case "full":
+		return Full, nil
+	default:
+		return 0, fmt.Errorf("unknown scale %q (want tiny or full)", s)
+	}
+}
 
 // Dataset bundles a generated graph with its trained TransE embedding.
 type Dataset struct {
@@ -45,11 +58,50 @@ var (
 // entities, ~300k triples) needs ~50 epochs at lr 0.02 before its
 // micro-cluster neighborhoods fully collapse, and the query-ball occupancy
 // (hence every latency figure) depends on that convergence.
-func trainConfig(s Scale) (epochs int, lr float64) {
+func trainConfig(s Scale) embedding.Config {
+	cfg := embedding.DefaultConfig()
+	cfg.Epochs, cfg.LearningRate = 50, 0.02
 	if s == Tiny {
-		return 10, 0.01
+		cfg.Epochs, cfg.LearningRate = 10, 0.01
 	}
-	return 50, 0.02
+	return cfg
+}
+
+// generator returns a dataset's generator config at scale s, the function
+// that generates its graph, and the attribute its aggregate figures use.
+func generator(name string, s Scale) (cfg any, gen func() *kg.Graph, aggAttr string, err error) {
+	switch name {
+	case "freebase":
+		c := kggen.DefaultFreebaseConfig()
+		if s == Tiny {
+			c = kggen.TinyFreebaseConfig()
+		}
+		return c, func() *kg.Graph { return kggen.Freebase(c) }, "popularity", nil
+	case "movie":
+		c := kggen.DefaultMovieConfig()
+		if s == Tiny {
+			c = kggen.TinyMovieConfig()
+		}
+		return c, func() *kg.Graph { return kggen.Movie(c) }, "year", nil
+	case "amazon":
+		c := kggen.DefaultAmazonConfig()
+		if s == Tiny {
+			c = kggen.TinyAmazonConfig()
+		}
+		return c, func() *kg.Graph { return kggen.Amazon(c) }, "quality", nil
+	default:
+		return nil, nil, "", fmt.Errorf("experiments: unknown dataset %q", name)
+	}
+}
+
+// diskKey names a dataset's files in the disk cache. Besides the name and
+// scale it carries a short hash of the generator and training configs, so a
+// changed config misses the cache instead of loading the old graph and
+// embedding.
+func diskKey(name string, s Scale, gen any, train embedding.Config) string {
+	h := fnv.New32a()
+	fmt.Fprintf(h, "%#v|%#v", gen, train)
+	return fmt.Sprintf("%s-%d-%08x", name, s, h.Sum32())
 }
 
 // LoadDataset generates (or loads from cache) one of the three datasets:
@@ -58,66 +110,34 @@ func trainConfig(s Scale) (epochs int, lr float64) {
 // training is by far the most expensive setup step and is identical across
 // figures.
 func LoadDataset(name string, s Scale) (*Dataset, error) {
-	key := fmt.Sprintf("%s-%d", name, s)
+	memoKey := fmt.Sprintf("%s-%d", name, s)
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
-	if ds, ok := cache[key]; ok {
+	if ds, ok := cache[memoKey]; ok {
 		return ds, nil
 	}
-
-	ds := &Dataset{Name: name}
-	switch name {
-	case "freebase":
-		ds.AggAttr = "popularity"
-	case "movie":
-		ds.AggAttr = "year"
-	case "amazon":
-		ds.AggAttr = "quality"
-	default:
-		return nil, fmt.Errorf("experiments: unknown dataset %q", name)
-	}
-
-	if loaded, err := loadFromDisk(key); err == nil {
-		loaded.Name = name
-		loaded.AggAttr = ds.AggAttr
-		cache[key] = loaded
-		return loaded, nil
-	}
-
-	switch name {
-	case "freebase":
-		cfg := kggen.DefaultFreebaseConfig()
-		if s == Tiny {
-			cfg = kggen.TinyFreebaseConfig()
-		}
-		ds.G = kggen.Freebase(cfg)
-	case "movie":
-		cfg := kggen.DefaultMovieConfig()
-		if s == Tiny {
-			cfg = kggen.TinyMovieConfig()
-		}
-		ds.G = kggen.Movie(cfg)
-	case "amazon":
-		cfg := kggen.DefaultAmazonConfig()
-		if s == Tiny {
-			cfg = kggen.TinyAmazonConfig()
-		}
-		ds.G = kggen.Amazon(cfg)
-	}
-
-	ecfg := embedding.DefaultConfig()
-	ecfg.Epochs, ecfg.LearningRate = trainConfig(s)
-	tr, err := embedding.Train(ds.G, ecfg)
+	gcfg, gen, aggAttr, err := generator(name, s)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: training %s: %w", name, err)
+		return nil, err
 	}
-	ds.M = tr.Model
+	ecfg := trainConfig(s)
+	key := diskKey(name, s, gcfg, ecfg)
 
-	cache[key] = ds
-	if err := saveToDisk(key, ds); err != nil {
-		// Disk caching is best-effort; in-process cache still applies.
-		fmt.Fprintf(os.Stderr, "experiments: cache write failed: %v\n", err)
+	ds, err := loadFromDisk(key)
+	if err != nil {
+		ds = &Dataset{G: gen()}
+		tr, err := embedding.Train(ds.G, ecfg)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: training %s: %w", name, err)
+		}
+		ds.M = tr.Model
+		if err := saveToDisk(key, ds); err != nil {
+			// Disk caching is best-effort; in-process cache still applies.
+			fmt.Fprintf(os.Stderr, "experiments: cache write failed: %v\n", err)
+		}
 	}
+	ds.Name, ds.AggAttr = name, aggAttr
+	cache[memoKey] = ds
 	return ds, nil
 }
 

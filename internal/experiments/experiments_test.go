@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"vkgraph/internal/core"
+	"vkgraph/internal/kg/kggen"
 )
 
 // The experiment drivers are exercised at Tiny scale: the point is to prove
@@ -227,17 +231,67 @@ func TestRegistryRunsEveryExperiment(t *testing.T) {
 }
 
 func TestFindAndIDs(t *testing.T) {
-	ids := IDs()
-	if len(ids) != 18 {
-		t.Fatalf("got %d experiments, want 18 (Table I + Figs 3-16 + 3 ablations)", len(ids))
+	all := All()
+	if len(all) != 18 {
+		t.Fatalf("got %d experiments, want 18 (Table I + Figs 3-16 + 3 ablations)", len(all))
 	}
-	for _, id := range ids {
-		if _, ok := Find(id); !ok {
-			t.Fatalf("Find(%q) failed", id)
+	for _, e := range all {
+		if _, ok := Find(e.ID); !ok {
+			t.Fatalf("Find(%q) failed", e.ID)
 		}
 	}
 	if _, ok := Find("fig99"); ok {
 		t.Fatal("Find accepted unknown id")
+	}
+}
+
+func TestParseScale(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Scale
+		ok   bool
+	}{
+		{"tiny", Tiny, true},
+		{"full", Full, true},
+		{"huge", 0, false},
+	} {
+		got, err := ParseScale(c.in)
+		if (err == nil) != c.ok || got != c.want {
+			t.Fatalf("ParseScale(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
+		}
+	}
+}
+
+// TestDiskKeyFollowsConfigs: the disk cache is keyed by the configs that
+// made a dataset, so a changed generator or training config misses it.
+func TestDiskKeyFollowsConfigs(t *testing.T) {
+	gen, train := kggen.TinyMovieConfig(), trainConfig(Tiny)
+	key := diskKey("movie", Tiny, gen, train)
+	if again := diskKey("movie", Tiny, kggen.TinyMovieConfig(), trainConfig(Tiny)); again != key {
+		t.Fatalf("equal configs give keys %q and %q", key, again)
+	}
+	moreRatings, moreEpochs := gen, train
+	moreRatings.Ratings++
+	moreEpochs.Epochs++
+	for _, k := range []string{diskKey("movie", Tiny, moreRatings, train), diskKey("movie", Tiny, gen, moreEpochs)} {
+		if k == key {
+			t.Fatalf("a changed config keeps the key %q", key)
+		}
+	}
+
+	// A load that misses the in-process memo writes its files under the key.
+	dir := t.TempDir()
+	t.Setenv("VKG_CACHE", dir)
+	cacheMu.Lock()
+	delete(cache, fmt.Sprintf("%s-%d", "movie", Tiny))
+	cacheMu.Unlock()
+	if _, err := LoadDataset("movie", Tiny); err != nil {
+		t.Fatal(err)
+	}
+	for _, ext := range []string{".graph", ".model"} {
+		if _, err := os.Stat(filepath.Join(dir, key+ext)); err != nil {
+			t.Fatalf("no cache file under the config key: %v", err)
+		}
 	}
 }
 

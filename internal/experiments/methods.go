@@ -261,28 +261,3 @@ func newH2ALSHRunner(ds *Dataset, spec MethodSpec, rel kg.RelationID) (*Runner, 
 		return out
 	}}, nil
 }
-
-// NewH2ALSHRunnerWithConfig is newH2ALSHRunner with an explicit H2-ALSH
-// configuration, for calibration experiments.
-func NewH2ALSHRunnerWithConfig(ds *Dataset, rel kg.RelationID, cfg h2alsh.Config) (*Runner, error) {
-	model, err := mfModel(ds, rel)
-	if err != nil {
-		return nil, err
-	}
-	idx, err := h2alsh.New(model.Dim, model.V, cfg)
-	if err != nil {
-		return nil, err
-	}
-	g := ds.G
-	return &Runner{Label: "h2alsh", TopK: func(q Query, k int) []kg.EntityID {
-		u := model.UserVec(q.E)
-		res, _ := idx.TopK(u, k, func(id int32) bool {
-			return id == q.E || g.HasEdge(q.E, rel, id)
-		})
-		out := make([]kg.EntityID, len(res))
-		for i, r := range res {
-			out[i] = r.ID
-		}
-		return out
-	}}, nil
-}

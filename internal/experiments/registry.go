@@ -10,8 +10,7 @@ import (
 
 // This file is the per-experiment index of DESIGN.md §4 turned into code:
 // each paper table/figure id maps to a driver with the paper's parameters,
-// runnable from cmd/vkg-bench (-exp <id>) and from the top-level
-// benchmarks.
+// runnable from cmd/vkg-bench (-exp <id>).
 
 // standardMethods are the Freebase figure's method set (Fig. 3/4).
 func standardMethods() []MethodSpec {
@@ -98,16 +97,6 @@ func Find(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs returns all experiment ids, sorted in paper order.
-func IDs() []string {
-	all := All()
-	ids := make([]string, len(all))
-	for i, e := range all {
-		ids[i] = e.ID
-	}
-	return ids
 }
 
 func runTable1(scale Scale, w io.Writer) error {
