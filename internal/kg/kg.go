@@ -1,21 +1,35 @@
 // Package kg implements the knowledge-graph store that underlies a virtual
 // knowledge graph: typed entities, named relationship types, (h, r, t)
-// triples with O(1) edge-membership tests, and numeric entity attributes for
-// aggregate queries.
+// triples with O(log degree) edge-membership tests, and numeric entity
+// attributes for aggregate queries.
 //
 // The store is append-oriented: entities and relations are created once and
 // referred to by dense int32 ids, which the embedding trainer and the spatial
 // indices use as array indices.
+//
+// A graph has two phases. While it is built, it holds the triple list and a
+// triple set that dedupes it. Freeze lays it out as flat arrays: entities as
+// columns (names, type ids) with a name index sorted by (name, id), and, per
+// direction, the adjacency as three arrays (see adjacency): per entity a run
+// of (relation, end) pairs over one id array sorted by (relation, id). A
+// frozen graph keeps no per-edge or per-entity map. Facts added after Freeze
+// go to a small overlay that Freeze's arrays are read through; it is folded
+// back into them once it holds more than 1/foldDiv of the edges. Names of
+// entities added after Freeze go to a name map, which is sorted into the
+// name index once it holds more than 1/foldDiv of the entities.
 package kg
 
 import (
+	"cmp"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 
 	"vkgraph/internal/atomicfile"
 )
@@ -51,22 +65,47 @@ type edgeKey struct {
 	R RelationID
 }
 
+// foldDiv sets when the post-Freeze overlay is folded back into the flat
+// arrays: once it holds more than 1/foldDiv of the edges, or names for more
+// than 1/foldDiv of the entities.
+const foldDiv = 8
+
 // Graph is an in-memory knowledge graph.
 //
 // Graph is not safe for concurrent mutation; once fully built it is safe for
-// concurrent reads.
+// concurrent reads. After Freeze, InsertTripleDynamic and AddEntity write
+// the overlay and may fold it, so they need the same exclusion from readers
+// as any other mutation. InsertTripleDynamic never writes the entity
+// columns or the name index, so Entity and EntityByName may run beside it.
 type Graph struct {
-	entities  []Entity
-	relations []Relation
-	triples   []Triple
+	// Entity columns, indexed by EntityID. types holds an index into
+	// typeNames.
+	names      []string
+	types      []int32
+	typeNames  []string
+	typeByName map[string]int32
 
-	entityByName   map[string]EntityID
+	relations      []Relation
 	relationByName map[string]RelationID
 
-	// tails[h,r] / heads[t,r] hold the adjacent entity sets, sorted after
-	// Freeze for binary-search membership.
-	tails map[edgeKey][]EntityID
-	heads map[edgeKey][]EntityID
+	triples []Triple
+
+	// byName holds the entities present at the last Freeze or fold, sorted
+	// by (name, id). nameMap holds, for a name byName does not hold, the
+	// first entity that carries it: every name before Freeze, and names new
+	// since.
+	byName  []EntityID
+	nameMap map[string]EntityID
+
+	// out and in are the tails of each (head, relation) and the heads of
+	// each (tail, relation), laid out by Freeze.
+	out, in adjacency
+
+	// outOver and inOver are the overlay: the full sorted list of every key
+	// an edge was inserted under since the arrays were laid out. overlayIDs
+	// counts the ids they hold.
+	outOver, inOver map[edgeKey][]EntityID
+	overlayIDs      int
 
 	// attrs holds numeric attribute columns keyed by attribute name. A
 	// column is indexed by EntityID; missing values are NaN.
@@ -78,13 +117,25 @@ type Graph struct {
 	frozen bool
 }
 
+// adjacency is one direction of a frozen graph's edges. Entity e's
+// relations are runs[start[e]:start[e+1]], in relation order; run j's ids
+// are ids[runs[j-1].End:runs[j].End] (from 0 for j = 0), sorted.
+type adjacency struct {
+	start []int32
+	runs  []run
+	ids   []EntityID
+}
+
+type run struct {
+	R   RelationID
+	End int32
+}
+
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
 	return &Graph{
-		entityByName:   make(map[string]EntityID),
+		typeByName:     make(map[string]int32),
 		relationByName: make(map[string]RelationID),
-		tails:          make(map[edgeKey][]EntityID),
-		heads:          make(map[edgeKey][]EntityID),
 		attrs:          make(map[string][]float64),
 		seen:           make(map[Triple]struct{}),
 	}
@@ -93,14 +144,28 @@ func NewGraph() *Graph {
 // AddEntity creates an entity and returns its id. Names need not be unique;
 // the first entity with a given name wins the name lookup.
 func (g *Graph) AddEntity(name, typ string) EntityID {
-	id := EntityID(len(g.entities))
-	g.entities = append(g.entities, Entity{ID: id, Name: name, Type: typ})
-	if _, ok := g.entityByName[name]; !ok {
-		g.entityByName[name] = id
+	id := EntityID(len(g.names))
+	if _, ok := g.EntityByName(name); !ok {
+		if g.nameMap == nil {
+			g.nameMap = make(map[string]EntityID)
+		}
+		g.nameMap[name] = id
 	}
-	for _, col := range g.attrs {
-		_ = col // columns are grown lazily in SetAttr
+	g.names = append(g.names, name)
+	g.types = append(g.types, g.typeID(typ))
+	if g.frozen && len(g.nameMap) > len(g.names)/foldDiv {
+		g.foldNames()
 	}
+	return id
+}
+
+func (g *Graph) typeID(typ string) int32 {
+	if id, ok := g.typeByName[typ]; ok {
+		return id
+	}
+	id := int32(len(g.typeNames))
+	g.typeNames = append(g.typeNames, typ)
+	g.typeByName[typ] = id
 	return id
 }
 
@@ -116,20 +181,27 @@ func (g *Graph) AddRelation(name string) RelationID {
 	return id
 }
 
+func (g *Graph) checkTriple(h EntityID, r RelationID, t EntityID) error {
+	if h < 0 || int(h) >= len(g.names) {
+		return fmt.Errorf("kg: head entity %d out of range [0,%d)", h, len(g.names))
+	}
+	if t < 0 || int(t) >= len(g.names) {
+		return fmt.Errorf("kg: tail entity %d out of range [0,%d)", t, len(g.names))
+	}
+	if r < 0 || int(r) >= len(g.relations) {
+		return fmt.Errorf("kg: relation %d out of range [0,%d)", r, len(g.relations))
+	}
+	return nil
+}
+
 // AddTriple records the fact (h, r, t). It returns an error if any id is out
 // of range. Duplicate triples are ignored (the graph stores facts as a set).
 func (g *Graph) AddTriple(h EntityID, r RelationID, t EntityID) error {
 	if g.frozen {
 		return errors.New("kg: graph is frozen")
 	}
-	if h < 0 || int(h) >= len(g.entities) {
-		return fmt.Errorf("kg: head entity %d out of range [0,%d)", h, len(g.entities))
-	}
-	if t < 0 || int(t) >= len(g.entities) {
-		return fmt.Errorf("kg: tail entity %d out of range [0,%d)", t, len(g.entities))
-	}
-	if r < 0 || int(r) >= len(g.relations) {
-		return fmt.Errorf("kg: relation %d out of range [0,%d)", r, len(g.relations))
+	if err := g.checkTriple(h, r, t); err != nil {
+		return err
 	}
 	tr := Triple{H: h, R: r, T: t}
 	if _, dup := g.seen[tr]; dup {
@@ -137,8 +209,6 @@ func (g *Graph) AddTriple(h EntityID, r RelationID, t EntityID) error {
 	}
 	g.seen[tr] = struct{}{}
 	g.triples = append(g.triples, tr)
-	g.tails[edgeKey{h, r}] = append(g.tails[edgeKey{h, r}], t)
-	g.heads[edgeKey{t, r}] = append(g.heads[edgeKey{t, r}], h)
 	return nil
 }
 
@@ -150,55 +220,207 @@ func (g *Graph) MustAddTriple(h EntityID, r RelationID, t EntityID) {
 	}
 }
 
-// Freeze sorts adjacency lists so HasEdge runs in O(log degree), and marks
-// the graph immutable. Freeze is idempotent.
+// Freeze lays the graph out as flat arrays, so HasEdge runs in
+// O(log degree), trims the triple list and entity columns to their length,
+// and marks the graph immutable except through InsertTripleDynamic and
+// AddEntity. Freeze is idempotent.
 func (g *Graph) Freeze() {
 	if g.frozen {
 		return
 	}
 	g.seen = nil
-	for k, v := range g.tails {
-		sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-		g.tails[k] = v
-	}
-	for k, v := range g.heads {
-		sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-		g.heads[k] = v
-	}
+	g.triples = trim(g.triples)
+	g.names = trim(g.names)
+	g.types = trim(g.types)
+	g.foldEdges()
+	g.foldNames()
 	g.frozen = true
+}
+
+// trim returns s without spare capacity.
+func trim[S ~[]E, E any](s S) S {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(S(nil), s...)
+}
+
+// foldEdges lays out the adjacency arrays from the triple list and empties
+// the edge overlay. It leaves the name index alone, so an edge insert never
+// writes what EntityByName reads.
+func (g *Graph) foldEdges() {
+	g.out = newAdjacency(len(g.names), g.triples, false)
+	g.in = newAdjacency(len(g.names), g.triples, true)
+	g.outOver, g.inOver, g.overlayIDs = nil, nil, 0
+}
+
+// foldNames sorts every entity into the name index and empties the name
+// map.
+func (g *Graph) foldNames() {
+	g.byName = nameIndex(g.names)
+	g.nameMap = nil
+}
+
+// newAdjacency lays out one direction of the n-entity graph's triples:
+// keyed by head (the tails of each head) or, with byTail, by tail.
+// Duplicate triples are stored once.
+func newAdjacency(n int, triples []Triple, byTail bool) adjacency {
+	// Bucket (relation, other end) pairs by entity with a counting sort; a
+	// pair packed into a uint64 sorts in (relation, id) order.
+	off := make([]int32, n+1)
+	for _, t := range triples {
+		e, _ := ends(t, byTail)
+		off[e+1]++
+	}
+	for e := 0; e < n; e++ {
+		off[e+1] += off[e]
+	}
+	pairs := make([]uint64, len(triples))
+	next := slices.Clone(off[:n])
+	for _, t := range triples {
+		e, other := ends(t, byTail)
+		pairs[next[e]] = uint64(t.R)<<32 | uint64(uint32(other))
+		next[e]++
+	}
+	a := adjacency{start: make([]int32, n+1), ids: make([]EntityID, 0, len(triples))}
+	for e := 0; e < n; e++ {
+		a.start[e] = int32(len(a.runs))
+		b := pairs[off[e]:off[e+1]]
+		slices.Sort(b)
+		for i, p := range b {
+			if i > 0 && p == b[i-1] {
+				continue
+			}
+			if i == 0 || p>>32 != b[i-1]>>32 {
+				a.runs = append(a.runs, run{R: RelationID(p >> 32)})
+			}
+			a.ids = append(a.ids, EntityID(uint32(p)))
+			a.runs[len(a.runs)-1].End = int32(len(a.ids))
+		}
+	}
+	a.start[n] = int32(len(a.runs))
+	a.runs, a.ids = trim(a.runs), trim(a.ids)
+	return a
+}
+
+// ends returns the entity t is listed under in one direction, and the
+// entity it lists there.
+func ends(t Triple, byTail bool) (e, other EntityID) {
+	if byTail {
+		return t.T, t.H
+	}
+	return t.H, t.T
+}
+
+// span returns the bounds in a.ids of e's list under relation r, empty when
+// e has none or is not laid out.
+func (a *adjacency) span(e EntityID, r RelationID) (lo, hi int32) {
+	if e < 0 || int(e) >= len(a.start)-1 {
+		return 0, 0
+	}
+	i, j := a.start[e], a.start[e+1]
+	end := j
+	for i < j {
+		m := int32(uint32(i+j) >> 1)
+		if a.runs[m].R < r {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	if i == end || a.runs[i].R != r {
+		return 0, 0
+	}
+	if i > 0 {
+		lo = a.runs[i-1].End
+	}
+	return lo, a.runs[i].End
+}
+
+// list returns e's sorted list under relation r, nil when empty. The slice
+// has no spare capacity, so an append by the caller cannot reach the next
+// list.
+func (a *adjacency) list(e EntityID, r RelationID) []EntityID {
+	lo, hi := a.span(e, r)
+	if lo == hi {
+		return nil
+	}
+	return a.ids[lo:hi:hi]
+}
+
+// nameIndex returns the ids of names sorted by (name, id).
+func nameIndex(names []string) []EntityID {
+	idx := make([]EntityID, len(names))
+	for i := range idx {
+		idx[i] = EntityID(i)
+	}
+	slices.SortFunc(idx, func(a, b EntityID) int {
+		if c := strings.Compare(names[a], names[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return idx
 }
 
 // Frozen reports whether Freeze has been called.
 func (g *Graph) Frozen() bool { return g.frozen }
 
-func contains(sorted []EntityID, x EntityID, frozen bool) bool {
-	if frozen {
-		i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= x })
-		return i < len(sorted) && sorted[i] == x
-	}
-	for _, v := range sorted {
-		if v == x {
-			return true
-		}
-	}
-	return false
+func contains(sorted []EntityID, x EntityID) bool {
+	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= x })
+	return i < len(sorted) && sorted[i] == x
 }
 
 // HasEdge reports whether the fact (h, r, t) is in E.
 func (g *Graph) HasEdge(h EntityID, r RelationID, t EntityID) bool {
-	return contains(g.tails[edgeKey{h, r}], t, g.frozen)
+	if !g.frozen {
+		_, ok := g.seen[Triple{H: h, R: r, T: t}]
+		return ok
+	}
+	return contains(g.Tails(h, r), t)
 }
 
-// Tails returns the tail entities t with (h, r, t) in E. The returned slice
-// is owned by the graph and must not be mutated.
-func (g *Graph) Tails(h EntityID, r RelationID) []EntityID { return g.tails[edgeKey{h, r}] }
+// Tails returns the tail entities t with (h, r, t) in E, sorted once the
+// graph is frozen and in insertion order before. The returned slice is owned
+// by the graph and must not be mutated. Before Freeze it is built by a scan
+// of every triple.
+func (g *Graph) Tails(h EntityID, r RelationID) []EntityID {
+	if !g.frozen {
+		return g.scan(h, r, false)
+	}
+	if l, ok := g.outOver[edgeKey{h, r}]; ok {
+		return l
+	}
+	return g.out.list(h, r)
+}
 
-// Heads returns the head entities h with (h, r, t) in E. The returned slice
-// is owned by the graph and must not be mutated.
-func (g *Graph) Heads(t EntityID, r RelationID) []EntityID { return g.heads[edgeKey{t, r}] }
+// Heads returns the head entities h with (h, r, t) in E, sorted once the
+// graph is frozen and in insertion order before. The returned slice is owned
+// by the graph and must not be mutated. Before Freeze it is built by a scan
+// of every triple.
+func (g *Graph) Heads(t EntityID, r RelationID) []EntityID {
+	if !g.frozen {
+		return g.scan(t, r, true)
+	}
+	if l, ok := g.inOver[edgeKey{t, r}]; ok {
+		return l
+	}
+	return g.in.list(t, r)
+}
+
+// scan collects the other ends of e's triples under r, in insertion order.
+func (g *Graph) scan(e EntityID, r RelationID, byTail bool) []EntityID {
+	var out []EntityID
+	for _, t := range g.triples {
+		if k, other := ends(t, byTail); t.R == r && k == e {
+			out = append(out, other)
+		}
+	}
+	return out
+}
 
 // NumEntities returns the number of entities.
-func (g *Graph) NumEntities() int { return len(g.entities) }
+func (g *Graph) NumEntities() int { return len(g.names) }
 
 // NumRelations returns the number of relationship types.
 func (g *Graph) NumRelations() int { return len(g.relations) }
@@ -207,7 +429,9 @@ func (g *Graph) NumRelations() int { return len(g.relations) }
 func (g *Graph) NumTriples() int { return len(g.triples) }
 
 // Entity returns the entity with the given id.
-func (g *Graph) Entity(id EntityID) Entity { return g.entities[id] }
+func (g *Graph) Entity(id EntityID) Entity {
+	return Entity{ID: id, Name: g.names[id], Type: g.typeNames[g.types[id]]}
+}
 
 // Relation returns the relation with the given id.
 func (g *Graph) Relation(id RelationID) Relation { return g.relations[id] }
@@ -218,7 +442,19 @@ func (g *Graph) Triples() []Triple { return g.triples }
 
 // EntityByName returns the id of the first entity added with the given name.
 func (g *Graph) EntityByName(name string) (EntityID, bool) {
-	id, ok := g.entityByName[name]
+	lo, hi := 0, len(g.byName)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if g.names[g.byName[m]] < name {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(g.byName) && g.names[g.byName[lo]] == name {
+		return g.byName[lo], true
+	}
+	id, ok := g.nameMap[name]
 	return id, ok
 }
 
@@ -228,19 +464,20 @@ func (g *Graph) RelationByName(name string) (RelationID, bool) {
 	return id, ok
 }
 
-// Entities returns all entities. The returned slice is owned by the graph.
-func (g *Graph) Entities() []Entity { return g.entities }
-
 // Relations returns all relationship types. The slice is owned by the graph.
 func (g *Graph) Relations() []Relation { return g.relations }
 
 // EntitiesOfType returns the ids of all entities with the given type, in id
 // order.
 func (g *Graph) EntitiesOfType(typ string) []EntityID {
+	ti, ok := g.typeByName[typ]
+	if !ok {
+		return nil
+	}
 	var out []EntityID
-	for _, e := range g.entities {
-		if e.Type == typ {
-			out = append(out, e.ID)
+	for id, t := range g.types {
+		if t == ti {
+			out = append(out, EntityID(id))
 		}
 	}
 	return out
@@ -251,7 +488,7 @@ func (g *Graph) EntitiesOfType(typ string) []EntityID {
 func (g *Graph) SetAttr(name string, id EntityID, v float64) {
 	col := g.attrs[name]
 	if col == nil {
-		col = make([]float64, 0, len(g.entities))
+		col = make([]float64, 0, len(g.names))
 	}
 	for len(col) <= int(id) {
 		col = append(col, math.NaN())
@@ -305,7 +542,7 @@ func (g *Graph) Degree(id EntityID) int {
 
 // Degrees returns the degree (in + out) of every entity in one pass.
 func (g *Graph) Degrees() []int {
-	deg := make([]int, len(g.entities))
+	deg := make([]int, len(g.names))
 	for _, t := range g.triples {
 		deg[t.H]++
 		deg[t.T]++
@@ -325,11 +562,11 @@ type Stats struct {
 // Stats computes summary statistics.
 func (g *Graph) Stats() Stats {
 	s := Stats{
-		Entities:      len(g.entities),
+		Entities:      len(g.names),
 		RelationTypes: len(g.relations),
 		Edges:         len(g.triples),
 	}
-	if len(g.entities) == 0 {
+	if len(g.names) == 0 {
 		return s
 	}
 	deg := g.Degrees()
@@ -354,41 +591,80 @@ type gobGraph struct {
 
 // Save writes the graph to w in gob format.
 func (g *Graph) Save(w io.Writer) error {
+	ents := make([]Entity, len(g.names))
+	for i := range ents {
+		ents[i] = g.Entity(EntityID(i))
+	}
 	return gob.NewEncoder(w).Encode(gobGraph{
-		Entities:  g.entities,
+		Entities:  ents,
 		Relations: g.relations,
 		Triples:   g.triples,
 		Attrs:     g.attrs,
 	})
 }
 
-// Load reads a graph previously written by Save and freezes it.
+// Load reads a graph previously written by Save and lays it out frozen. It
+// builds the flat arrays straight from the decoded triples: a repeated
+// triple is kept at its first position only.
 func Load(r io.Reader) (*Graph, error) {
 	var wire gobGraph
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("kg: decode graph: %w", err)
 	}
-	g := NewGraph()
-	g.entities = wire.Entities
-	g.relations = wire.Relations
-	if wire.Attrs != nil {
-		g.attrs = wire.Attrs
+	g := &Graph{
+		names:          make([]string, len(wire.Entities)),
+		types:          make([]int32, len(wire.Entities)),
+		typeByName:     make(map[string]int32),
+		relations:      wire.Relations,
+		relationByName: make(map[string]RelationID, len(wire.Relations)),
+		attrs:          wire.Attrs,
+		frozen:         true,
 	}
-	for _, e := range g.entities {
-		if _, ok := g.entityByName[e.Name]; !ok {
-			g.entityByName[e.Name] = e.ID
+	if g.attrs == nil {
+		g.attrs = make(map[string][]float64)
+	}
+	for i, e := range wire.Entities {
+		if e.ID != EntityID(i) {
+			return nil, fmt.Errorf("kg: entity %d carries id %d", i, e.ID)
 		}
+		g.names[i] = e.Name
+		g.types[i] = g.typeID(e.Type)
 	}
-	for _, rel := range g.relations {
+	for i, rel := range g.relations {
+		if rel.ID != RelationID(i) {
+			return nil, fmt.Errorf("kg: relation %d carries id %d", i, rel.ID)
+		}
 		g.relationByName[rel.Name] = rel.ID
 	}
 	for _, t := range wire.Triples {
-		if err := g.AddTriple(t.H, t.R, t.T); err != nil {
+		if err := g.checkTriple(t.H, t.R, t.T); err != nil {
 			return nil, err
 		}
 	}
-	g.Freeze()
+	g.triples = trim(wire.Triples)
+	g.out = newAdjacency(len(g.names), g.triples, false)
+	if len(g.out.ids) < len(g.triples) {
+		g.triples = firstOccurrences(g.triples, &g.out)
+	}
+	g.in = newAdjacency(len(g.names), g.triples, true)
+	g.byName = nameIndex(g.names)
 	return g, nil
+}
+
+// firstOccurrences returns triples without the repeats of an earlier
+// triple, in order; out is their adjacency by head.
+func firstOccurrences(triples []Triple, out *adjacency) []Triple {
+	kept := make([]bool, len(out.ids))
+	var uniq []Triple
+	for _, t := range triples {
+		lo, hi := out.span(t.H, t.R)
+		p := lo + int32(sort.Search(int(hi-lo), func(i int) bool { return out.ids[lo+int32(i)] >= t.T }))
+		if !kept[p] {
+			kept[p] = true
+			uniq = append(uniq, t)
+		}
+	}
+	return trim(uniq)
 }
 
 // SaveFile writes the graph to path atomically (temp file + rename): a

@@ -1,12 +1,16 @@
 package kg
 
-import "math/rand"
+import (
+	"maps"
+	"math/rand"
+	"slices"
+)
 
 // Split partitions the graph's triples into a training graph and a held-out
 // test set by masking a random fraction of edges, as the paper does when
 // probing whether masked edges surface in predictive top-k results. The
-// returned graph shares entity/relation/attribute tables with g but owns its
-// own (reduced) triple set.
+// returned graph shares entity and attribute tables with g but owns its own
+// (reduced) triple set.
 //
 // Split never masks the last remaining edge of an entity when keepConnected
 // is true, so every entity still appears in at least one training triple and
@@ -34,24 +38,24 @@ func Split(g *Graph, fraction float64, keepConnected bool, rng *rand.Rand) (trai
 		deg[t.T]--
 	}
 
-	train = NewGraph()
-	train.entities = g.entities
-	train.relations = g.relations
-	train.attrs = g.attrs
-	for n, id := range g.entityByName {
-		train.entityByName[n] = id
-	}
-	for n, id := range g.relationByName {
-		train.relationByName[n] = id
+	// g's triples are a set, so train's need no dedup: they are laid out
+	// directly.
+	train = &Graph{
+		names:          g.names,
+		types:          g.types,
+		typeNames:      slices.Clone(g.typeNames),
+		typeByName:     maps.Clone(g.typeByName),
+		relations:      g.relations,
+		relationByName: maps.Clone(g.relationByName),
+		triples:        make([]Triple, 0, len(triples)-len(masked)),
+		attrs:          g.attrs,
 	}
 	for idx, t := range triples {
 		if masked[idx] {
 			test = append(test, t)
 			continue
 		}
-		if err := train.AddTriple(t.H, t.R, t.T); err != nil {
-			panic(err) // ids are valid by construction
-		}
+		train.triples = append(train.triples, t)
 	}
 	train.Freeze()
 	return train, test

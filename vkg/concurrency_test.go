@@ -113,3 +113,60 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 		t.Fatalf("got %d predictions after concurrent workload", len(res.Predictions))
 	}
 }
+
+// The serving layer resolves entity names through Graph.EntityByName without
+// the engine lock, while AddFact may run. AddFact's facts go to the graph's
+// overlay, which is folded back into the frozen arrays once it holds an
+// eighth of the edges; that fold must leave the name index alone. Run under
+// -race this test is the proof.
+func TestEntityByNameDuringAddFact(t *testing.T) {
+	g, ratesHigh, frequents := buildTestGraph(t)
+	v, err := Build(g, fastOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var users, restaurants []EntityID
+	for i := 0; i < 80; i++ {
+		u, _ := g.EntityByName(fmt.Sprintf("user%d", i))
+		users = append(users, u)
+	}
+	for i := 0; i < 60; i++ {
+		r, _ := g.EntityByName(fmt.Sprintf("restaurant%d", i))
+		restaurants = append(restaurants, r)
+	}
+
+	stop := make(chan struct{})
+	done := make(chan error)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			name := fmt.Sprintf("user%d", i%len(users))
+			if id, ok := g.EntityByName(name); !ok || id != users[i%len(users)] {
+				done <- fmt.Errorf("EntityByName(%q) = %d, %v during AddFact", name, id, ok)
+				return
+			}
+		}
+	}()
+
+	// Each new fact adds at least two ids to the overlay, so a quarter of
+	// the graph's triples in new facts crosses the fold threshold.
+	start := g.NumTriples()
+	for i := 0; g.NumTriples() < start+start/4; i++ {
+		u, r := users[i%len(users)], restaurants[(i/len(users))%len(restaurants)]
+		if err := v.AddFact(u, frequents, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.TopKTails(users[0], ratesHigh, 5); err != nil {
+		t.Fatal(err)
+	}
+}
