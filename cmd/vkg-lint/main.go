@@ -1,7 +1,7 @@
 // Command vkg-lint runs the project's custom static-analysis suite
-// (internal/analysis/...): the machine-checked versions of the
-// concurrency, error-handling, observability, and context-propagation
-// invariants DESIGN.md states in prose.
+// (internal/analysis/...): the machine-checked versions of the lock,
+// arena, error-handling and context-propagation invariants DESIGN.md
+// states in prose that neither `go vet` nor the tests would catch.
 //
 // Usage:
 //
@@ -31,21 +31,17 @@ import (
 	"vkgraph/internal/analysis/ctxpropagate"
 	"vkgraph/internal/analysis/lockgraph"
 	"vkgraph/internal/analysis/lockorder"
-	"vkgraph/internal/analysis/obssafety"
 	"vkgraph/internal/analysis/sealedps"
 	"vkgraph/internal/analysis/sentinelerr"
-	"vkgraph/internal/analysis/walappend"
 )
 
 func main() {
 	suite := []*analysis.Analyzer{
 		lockorder.Analyzer,
 		lockgraph.Analyzer,
-		walappend.Analyzer,
 		atomicmix.Analyzer,
 		arenaescape.Analyzer,
 		sentinelerr.Analyzer,
-		obssafety.Analyzer,
 		ctxpropagate.Analyzer,
 		sealedps.Analyzer,
 	}

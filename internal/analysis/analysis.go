@@ -14,9 +14,9 @@
 // analyzer graph, suggested fixes, and fact serialization. Cross-package
 // facts — typed values attached to objects or packages, propagated in
 // dependency order — ARE implemented (see Fact, FactStore), in memory for
-// the length of one run: the whole-program invariants (the program-wide
-// lock graph, the WAL append discipline, atomic/plain access mixing) span
-// core, rtree, and serve, so a one-package-at-a-time view cannot see them.
+// the length of one run: the program-wide lock graph and the sentinel
+// errors span core, rtree, and serve, so a one-package-at-a-time view
+// cannot see them.
 package analysis
 
 import (

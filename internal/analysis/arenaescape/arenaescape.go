@@ -8,9 +8,9 @@
 // dangles silently the next time the tree cracks or reloads.
 //
 // The analyzer identifies arena record types structurally (the element
-// type of a slab-arena's [][]T field, the same detection walappend uses —
-// in rtree the node records and, in their own slab beside them, the leaf
-// page headers node.leaf points at, emptied when their record is released)
+// type of a slab-arena's [][]T field — in rtree the node records and, in
+// their own slab beside them, the leaf page headers node.leaf points at,
+// emptied when their record is released)
 // and flags four escape sinks for values whose type contains *record:
 //
 //  1. assignment into a package-level variable (or a field of one);
@@ -18,38 +18,23 @@
 //  3. capture by a function literal launched with `go`;
 //  4. a return from an exported function or method.
 //
-// The record type carries ArenaRecordFact, so a dependent package that
-// somehow obtains a record pointer is held to the same rules. In-tree the
-// record type (rtree.node) is unexported, which is itself the first line
-// of defense — the analyzer is the second, for the code inside rtree.
-//
-// `// arenaescape:allow <reason>` on the line excuses a sink.
+// The record type (rtree.node) is unexported, so no other package can
+// name it, and sink 4 flags any exported return that would hand one out:
+// the rule only has to hold inside the package that owns the arena.
 package arenaescape
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 
 	"vkgraph/internal/analysis"
 )
 
-// ArenaRecordFact marks a type as a slab-arena record type.
-type ArenaRecordFact struct{}
-
-// AFact marks ArenaRecordFact as a fact type.
-func (*ArenaRecordFact) AFact() {}
-
-const allowMarker = "arenaescape:allow"
-
 // Analyzer flags arena record pointers escaping their lock/reset scope.
 var Analyzer = &analysis.Analyzer{
-	Name:      "arenaescape",
-	Doc:       "slab-arena node pointers must not be stored anywhere that outlives the index lock scope or an arena reset",
-	Run:       run,
-	FactTypes: []analysis.Fact{new(ArenaRecordFact)},
+	Name: "arenaescape",
+	Doc:  "slab-arena node pointers must not be stored anywhere that outlives the index lock scope or an arena reset",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
@@ -57,7 +42,6 @@ func run(pass *analysis.Pass) error {
 	if len(records) == 0 {
 		return nil
 	}
-	allowed := allowLines(pass)
 	escapes := func(t types.Type) bool { return containsRecord(t, records, 0) }
 
 	// Package-level vars of the package itself (assignment targets).
@@ -68,18 +52,12 @@ func run(pass *analysis.Pass) error {
 			globals[v] = true
 		}
 	}
-	report := func(pos token.Pos, format string, args ...interface{}) {
-		if allowed[line(pass, pos)] {
-			return
-		}
-		pass.Reportf(pos, format, args...)
-	}
 
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, isFunc := decl.(*ast.FuncDecl)
 			if isFunc && fd.Body != nil {
-				checkReturns(pass, fd, escapes, report)
+				checkReturns(pass, fd, escapes)
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
 				switch n := n.(type) {
@@ -103,34 +81,25 @@ func run(pass *analysis.Pass) error {
 							continue
 						}
 						if tv, ok := pass.TypesInfo.Types[rhs]; ok && escapes(tv.Type) {
-							report(n.Pos(), "arena record pointer stored in package-level %s: arena nodes do not outlive their tree's lock scope or arena reset", v.Name())
+							pass.Reportf(n.Pos(), "arena record pointer stored in package-level %s: arena nodes do not outlive their tree's lock scope or arena reset", v.Name())
 						}
 					}
 				case *ast.SendStmt:
 					if tv, ok := pass.TypesInfo.Types[n.Value]; ok && escapes(tv.Type) {
-						report(n.Pos(), "arena record pointer sent on a channel: the receiver may outlive the index lock scope that made the pointer valid")
+						pass.Reportf(n.Pos(), "arena record pointer sent on a channel: the receiver may outlive the index lock scope that made the pointer valid")
 					}
 				case *ast.GoStmt:
-					checkGoCapture(pass, n, escapes, report)
+					checkGoCapture(pass, n, escapes)
 				}
 				return true
 			})
 		}
 	}
-
-	if pass.ExportObjectFact != nil {
-		for rn := range records {
-			if rn.Obj().Pkg() == pass.Pkg {
-				pass.ExportObjectFact(rn.Obj(), &ArenaRecordFact{})
-			}
-		}
-	}
 	return nil
 }
 
-// recordTypes finds arena record types: locally by shape (the slab
-// element type of a struct with alloc/release methods), plus any type an
-// imported package marked with ArenaRecordFact.
+// recordTypes finds the package's arena record types by shape: the slab
+// element types of a struct with alloc/release methods.
 func recordTypes(pass *analysis.Pass) map[*types.Named]bool {
 	records := make(map[*types.Named]bool)
 	scope := pass.Pkg.Scope()
@@ -175,23 +144,6 @@ func recordTypes(pass *analysis.Pass) map[*types.Named]bool {
 			}
 		}
 	}
-	if pass.ImportObjectFact != nil {
-		for _, imp := range pass.Pkg.Imports() {
-			iscope := imp.Scope()
-			for _, name := range iscope.Names() {
-				tn, ok := iscope.Lookup(name).(*types.TypeName)
-				if !ok {
-					continue
-				}
-				var rf ArenaRecordFact
-				if pass.ImportObjectFact(tn, &rf) {
-					if named, ok := tn.Type().(*types.Named); ok {
-						records[named] = true
-					}
-				}
-			}
-		}
-	}
 	return records
 }
 
@@ -227,13 +179,13 @@ func containsRecord(t types.Type, records map[*types.Named]bool, depth int) bool
 // checkReturns flags exported functions/methods returning record
 // pointers: the caller is outside the package and cannot be expected to
 // respect arena lifetimes it cannot see.
-func checkReturns(pass *analysis.Pass, fd *ast.FuncDecl, escapes func(types.Type) bool, report func(token.Pos, string, ...interface{})) {
+func checkReturns(pass *analysis.Pass, fd *ast.FuncDecl, escapes func(types.Type) bool) {
 	if !fd.Name.IsExported() || fd.Type.Results == nil {
 		return
 	}
 	for _, res := range fd.Type.Results.List {
 		if tv, ok := pass.TypesInfo.Types[res.Type]; ok && escapes(tv.Type) {
-			report(res.Type.Pos(), "exported %s returns an arena record pointer across the package boundary; return the payload (ids, coordinates) instead", fd.Name.Name)
+			pass.Reportf(res.Type.Pos(), "exported %s returns an arena record pointer across the package boundary; return the payload (ids, coordinates) instead", fd.Name.Name)
 		}
 	}
 }
@@ -241,7 +193,7 @@ func checkReturns(pass *analysis.Pass, fd *ast.FuncDecl, escapes func(types.Type
 // checkGoCapture flags `go func(){ ... nd ... }()` where the literal
 // captures a record-pointer variable from the enclosing scope: the
 // goroutine runs after the spawning section released its locks.
-func checkGoCapture(pass *analysis.Pass, g *ast.GoStmt, escapes func(types.Type) bool, report func(token.Pos, string, ...interface{})) {
+func checkGoCapture(pass *analysis.Pass, g *ast.GoStmt, escapes func(types.Type) bool) {
 	lit, ok := g.Call.Fun.(*ast.FuncLit)
 	if !ok {
 		return
@@ -271,7 +223,7 @@ func checkGoCapture(pass *analysis.Pass, g *ast.GoStmt, escapes func(types.Type)
 			return true
 		}
 		if escapes(v.Type()) {
-			report(ident.Pos(), "goroutine captures arena record pointer %s: it runs after the spawning section's locks are released", v.Name())
+			pass.Reportf(ident.Pos(), "goroutine captures arena record pointer %s: it runs after the spawning section's locks are released", v.Name())
 			reported = true
 		}
 		return true
@@ -297,23 +249,4 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-func allowLines(pass *analysis.Pass) map[string]bool {
-	out := make(map[string]bool)
-	for _, file := range pass.Files {
-		for _, cg := range file.Comments {
-			for _, c := range cg.List {
-				if strings.Contains(c.Text, allowMarker) {
-					out[line(pass, c.Pos())] = true
-				}
-			}
-		}
-	}
-	return out
-}
-
-func line(pass *analysis.Pass, pos token.Pos) string {
-	p := pass.Fset.Position(pos)
-	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestGolden(t *testing.T) {
-	analysistest.Run(t, "testdata", arenaescape.Analyzer, "arena", "arenauser")
+	analysistest.Run(t, "testdata", arenaescape.Analyzer, "arena")
 }

@@ -1,6 +1,6 @@
 // Package arena exercises arenaescape's four sinks on its own record
-// type. Node is exported so the sibling package can test the fact path;
-// in-tree the real record type (rtree.node) is unexported.
+// type. Node is exported so sink 4 has something to return; in-tree the
+// real record type (rtree.node) is unexported.
 package arena
 
 type Node struct {
@@ -81,13 +81,6 @@ func (t *Tree) Root() *Node { // want `exported Root returns an arena record poi
 // ok: an unexported return stays inside the package, where the lifetime
 // rules are known.
 func (t *Tree) rootLocked() *Node { return t.root }
-
-var debugNode *Node
-
-// ok: the allow marker excuses a deliberate sink.
-func (t *Tree) debugRemember() {
-	debugNode = t.root // arenaescape:allow test hook, cleared before queries run
-}
 
 var lastPage *Page
 

@@ -1,106 +1,37 @@
-// Package atomicmix flags mixed atomic and plain access to the same
-// memory — the race class `go test -race` only catches when the losing
-// interleaving actually fires during the run. The WAL armed flag is the
-// canonical in-tree example: walAppend* methods check `armed.Load()` as a
-// lock-free fast path, so a plain `w.armed = ...` write anywhere would be
-// a silent data race with every mutation on the serving path.
+// Package atomicmix flags plain use of a sync/atomic wrapper value — the
+// race class `go test -race` only catches when the losing interleaving
+// actually fires during the run. The WAL armed flag is the canonical
+// in-tree example: walAppend* methods check `armed.Load()` as a lock-free
+// fast path, so a plain `w.armed = atomic.Bool{}` write anywhere would be
+// a silent data race with every mutation on the serving path. `go vet`'s
+// copylocks pass catches a wrapper copied out (`x := w.armed`), but not
+// one assigned over.
 //
-// Two disciplines are enforced:
-//
-//   - Old-style: a field ever passed as &x.f to a sync/atomic function
-//     (atomic.LoadUint64(&s.n), atomic.AddInt64(&s.n, 1), ...) must be
-//     accessed that way everywhere. The field carries AtomicFieldFact, so
-//     a plain read in a dependent package is flagged too — export data
-//     says nothing about how a field is accessed.
-//
-//   - Typed: a field or variable of an atomic wrapper type (atomic.Bool,
-//     atomic.Int64, atomic.Uint64, atomic.Pointer, ...) may only be used
-//     as a method-call receiver or have its address taken. Any other use
-//     copies the value out from under concurrent writers (and breaks the
-//     wrapper's no-copy contract): assignment, comparison, passing by
-//     value, struct literal fields.
-//
-// A `// atomicmix:allow <reason>` comment on the offending line excuses
-// it — the legitimate cases are single-threaded setup before the value is
-// shared, and tests poking at internals.
+// A field or variable of an atomic wrapper type (atomic.Bool,
+// atomic.Int64, atomic.Uint64, atomic.Pointer, ...) may only be used as a
+// method-call receiver or have its address taken. Any other use copies
+// the value out from under concurrent writers (and breaks the wrapper's
+// no-copy contract): assignment, comparison, passing by value, struct
+// literal fields.
 package atomicmix
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"vkgraph/internal/analysis"
 )
 
-// AtomicFieldFact marks a struct field as accessed via sync/atomic
-// somewhere in its defining package.
-type AtomicFieldFact struct {
-	// Pos is the file:line of one atomic access, for the diagnostic.
-	Pos string
-}
-
-// AFact marks AtomicFieldFact as a fact type.
-func (*AtomicFieldFact) AFact() {}
-
-const allowMarker = "atomicmix:allow"
-
-// Analyzer detects mixed atomic/plain access to fields.
+// Analyzer detects plain access to atomic wrapper values.
 var Analyzer = &analysis.Analyzer{
-	Name:      "atomicmix",
-	Doc:       "a field accessed via sync/atomic (or an atomic wrapper type) must never be read or written plainly",
-	Run:       run,
-	FactTypes: []analysis.Fact{new(AtomicFieldFact)},
+	Name: "atomicmix",
+	Doc:  "a sync/atomic wrapper value must only be used through its methods or by address",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
-	allowed := allowLines(pass)
 	pm := analysis.NewParentMap(pass.Files)
-
-	// Phase 1: find every &x.f handed to a sync/atomic function. The
-	// identifiers inside those arguments are the sanctioned uses.
-	atomicFields := make(map[*types.Var]string) // field -> file:line of an atomic use
-	sanctioned := make(map[*ast.Ident]bool)
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicFunc(pass, call.Fun) {
-				return true
-			}
-			for _, arg := range call.Args {
-				un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || un.Op != token.AND {
-					continue
-				}
-				sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				f, ok := pass.ObjectOf(sel.Sel).(*types.Var)
-				if !ok || !f.IsField() {
-					continue
-				}
-				if _, dup := atomicFields[f]; !dup {
-					atomicFields[f] = posn(pass, un.Pos())
-				}
-				sanctioned[sel.Sel] = true
-			}
-			return true
-		})
-	}
-	if pass.ExportObjectFact != nil {
-		for f, at := range atomicFields {
-			if f.Pkg() == pass.Pkg {
-				pass.ExportObjectFact(f, &AtomicFieldFact{Pos: at})
-			}
-		}
-	}
-
-	// Phase 2: every use of a field. Old-style atomic fields (local or
-	// via imported fact) must be sanctioned; typed-atomic values must be
-	// receivers or address operands.
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			ident, ok := n.(*ast.Ident)
@@ -111,45 +42,15 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			if allowed[posn(pass, ident.Pos())] {
-				return true
-			}
-			// Old-style discipline (fields only).
-			if obj.IsField() && !sanctioned[ident] {
-				at, isAtomic := atomicFields[obj]
-				if !isAtomic && pass.ImportObjectFact != nil && obj.Pkg() != pass.Pkg {
-					var ff AtomicFieldFact
-					if pass.ImportObjectFact(obj, &ff) {
-						at, isAtomic = ff.Pos, true
-					}
-				}
-				if isAtomic {
-					pass.Reportf(ident.Pos(),
-						"plain access to %s, which is accessed with sync/atomic at %s; every access must go through sync/atomic (or mark this line // %s <reason>)",
-						obj.Name(), at, allowMarker)
-					return true
-				}
-			}
-			// Typed-atomic discipline (fields and variables).
 			if isAtomicWrapper(obj.Type()) && !isReceiverOrAddr(pass, pm, ident) {
 				pass.Reportf(ident.Pos(),
-					"%s %s copied as a plain value; %s values must only be used through their Load/Store/... methods (or mark this line // %s <reason>)",
-					obj.Type().String(), obj.Name(), obj.Type().String(), allowMarker)
+					"%s %s copied as a plain value; %s values must only be used through their Load/Store/... methods",
+					obj.Type().String(), obj.Name(), obj.Type().String())
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// isAtomicFunc reports whether fun resolves to a sync/atomic package-level
-// function.
-func isAtomicFunc(pass *analysis.Pass, fun ast.Expr) bool {
-	fn, ok := pass.ObjectOf(fun).(*types.Func)
-	if !ok || fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	return fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil
 }
 
 // isAtomicWrapper reports whether t is one of sync/atomic's typed
@@ -203,24 +104,4 @@ func isReceiverOrAddr(pass *analysis.Pass, pm *analysis.ParentMap, ident *ast.Id
 		}
 	}
 	return false
-}
-
-// allowLines collects file:line keys of comments containing the marker.
-func allowLines(pass *analysis.Pass) map[string]bool {
-	out := make(map[string]bool)
-	for _, file := range pass.Files {
-		for _, cg := range file.Comments {
-			for _, c := range cg.List {
-				if strings.Contains(c.Text, allowMarker) {
-					out[posn(pass, c.Pos())] = true
-				}
-			}
-		}
-	}
-	return out
-}
-
-func posn(pass *analysis.Pass, pos token.Pos) string {
-	p := pass.Fset.Position(pos)
-	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestGolden(t *testing.T) {
-	analysistest.Run(t, "testdata", atomicmix.Analyzer, "atomlib", "atomuser")
+	analysistest.Run(t, "testdata", atomicmix.Analyzer, "atomlib")
 }

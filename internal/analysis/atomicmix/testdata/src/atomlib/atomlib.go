@@ -1,41 +1,12 @@
-// Package atomlib mixes atomic and plain access in the ways the
-// analyzer must and must not flag: an old-style counter driven through
-// sync/atomic functions, and a typed atomic.Bool.
+// Package atomlib uses a typed atomic.Bool in the ways the analyzer must
+// and must not flag.
 package atomlib
 
 import "sync/atomic"
 
 type Counter struct {
-	N     int64 // old-style: accessed via atomic.AddInt64 below
 	ready atomic.Bool
 	name  string
-}
-
-// Bump is the sanctioned access that makes N an atomic field.
-func (c *Counter) Bump() {
-	atomic.AddInt64(&c.N, 1)
-}
-
-// Read uses the sanctioned form too.
-func (c *Counter) Read() int64 {
-	return atomic.LoadInt64(&c.N)
-}
-
-// bad: plain read of a field that is elsewhere accessed atomically.
-func (c *Counter) peek() int64 {
-	return c.N // want `plain access to N, which is accessed with sync/atomic`
-}
-
-// bad: plain write — the race the WAL armed flag nearly had.
-func (c *Counter) reset() {
-	c.N = 0 // want `plain access to N`
-}
-
-// ok: single-threaded construction, excused with the marker.
-func newCounter() *Counter {
-	c := &Counter{}
-	c.N = 0 // atomicmix:allow single-threaded construction, not yet shared
-	return c
 }
 
 // ok: the typed wrapper used through methods and by address.
@@ -50,5 +21,10 @@ func (c *Counter) snapshot() atomic.Bool {
 	return c.ready // want `copied as a plain value`
 }
 
-// ok: fields with no atomic history are nobody's business.
+// bad: assigned over — the write go vet's copylocks does not see.
+func (c *Counter) reset() {
+	c.ready = atomic.Bool{} // want `copied as a plain value`
+}
+
+// ok: fields of other types are nobody's business.
 func (c *Counter) title() string { return c.name }

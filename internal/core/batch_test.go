@@ -68,26 +68,28 @@ func TestDoBatchCoalescesDuplicates(t *testing.T) {
 	likes, _ := g.RelationByName("likes")
 	users := g.EntitiesOfType("user")
 
-	req := Request{Kind: KindTopK, Dir: DirTail, Entity: users[0], Rel: likes, K: 5}
+	// Every (user, k) is its own batch of 32 duplicates, so a duplicate
+	// arriving as the leader finishes — after the leader's cache put, after
+	// its in-flight slot is gone — is met over and over.
 	reqs := make([]Request, 32)
-	for i := range reqs {
-		reqs[i] = req
-	}
-	resps := eng.DoBatch(context.Background(), reqs)
-	var first *TopKResult
-	for i, resp := range resps {
-		if resp.Err != nil {
-			t.Fatalf("response %d: %v", i, resp.Err)
+	for _, u := range users {
+		for k := 1; k <= 10; k++ {
+			for i := range reqs {
+				reqs[i] = Request{Kind: KindTopK, Dir: DirTail, Entity: u, Rel: likes, K: k}
+			}
+			resps := eng.DoBatch(context.Background(), reqs)
+			for i, resp := range resps {
+				if resp.Err != nil {
+					t.Fatalf("user %d k=%d response %d: %v", u, k, i, resp.Err)
+				}
+				if resp.TopK != resps[0].TopK {
+					t.Fatalf("user %d k=%d: response %d did not share the coalesced result", u, k, i)
+				}
+			}
 		}
-		if first == nil {
-			first = resp.TopK
-		} else if resp.TopK != first {
-			t.Fatalf("response %d did not share the coalesced result", i)
-		}
 	}
-	s := eng.CacheStats()
-	if s.Entries != 1 {
-		t.Fatalf("expected one cached entry after 32 duplicates, got %d", s.Entries)
+	if s, want := eng.CacheStats(), 10*len(users); s.Entries != want {
+		t.Fatalf("%d cached entries after %d batches of duplicates, want %d", s.Entries, want, want)
 	}
 }
 

@@ -55,25 +55,33 @@ func newResultCache(capacity int, hits, misses *obs.Counter) *resultCache {
 }
 
 // get returns the cached answer for key if it was computed at generation
-// gen. A generation mismatch means the graph changed since; the stale entry
-// is dropped on the spot.
+// gen, and counts the hit or miss.
 func (c *resultCache) get(key topkKey, gen uint64) (*TopKResult, bool) {
+	res, ok := c.lookup(key, gen)
+	if ok {
+		c.hits.Inc()
+	} else {
+		c.misses.Inc()
+	}
+	return res, ok
+}
+
+// lookup is get without the accounting. A generation mismatch means the
+// graph changed since; the stale entry is dropped on the spot.
+func (c *resultCache) lookup(key topkKey, gen uint64) (*TopKResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ele, ok := c.m[key]
 	if !ok {
-		c.misses.Inc()
 		return nil, false
 	}
 	ent := ele.Value.(*cacheEntry)
 	if ent.gen != gen {
 		c.ll.Remove(ele)
 		delete(c.m, key)
-		c.misses.Inc()
 		return nil, false
 	}
 	c.ll.MoveToFront(ele)
-	c.hits.Inc()
 	return ent.res, true
 }
 

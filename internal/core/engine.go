@@ -172,8 +172,9 @@ func (e *Engine) initExec() {
 
 // buildIndex constructs the tree over the current point set.
 //
-// walappend:allow — index construction precedes WAL arming: the freshly
-// built state is exactly what the next snapshot captures wholesale.
+// Construction is never WAL-logged: it precedes WAL arming, and the
+// freshly built state is exactly what the next snapshot captures
+// wholesale.
 func (e *Engine) buildIndex() {
 	if e.mode == Bulk {
 		e.idx.tree = rtree.NewBulkLoaded(e.ps, e.params.Index)

@@ -129,8 +129,8 @@ func (e *Engine) saveLocked(w io.Writer, walGen uint64) error {
 // and model are intact, so the engine comes up with a freshly built cold
 // index and IndexRebuilt() reporting true.
 //
-// walappend:allow — loading reconstructs state the snapshot already made
-// durable; the WAL arms only after the load (and replay) completes.
+// Loading logs nothing: it reconstructs state the snapshot already made
+// durable, and the WAL arms only after the load (and replay) completes.
 func LoadEngine(r io.Reader) (*Engine, error) {
 	if _, _, err := snapfmt.ReadHeader(r, engineMagic, engineVersion, engineVersion); err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -299,6 +299,19 @@ func (e *Engine) doTopK(ctx context.Context, req Request) (*TopKResult, *obs.Que
 			return nil, tr, ctx.Err()
 		}
 	}
+	// A duplicate can miss the cache just before the leader's put and get
+	// here just after the leader removed its call. The leader puts before it
+	// removes, so the answer is cached by now: look again (the miss is
+	// already counted) rather than become a second leader.
+	if res, ok := e.cache.lookup(key, gen); ok {
+		e.sfMu.Unlock()
+		if tr != nil {
+			tr.CacheHit = true
+			tr.Finish()
+			e.offerTrace(tr, "topk", nil, desc)
+		}
+		return res, tr, nil
+	}
 	// The leader's trace id is published in the call slot before it becomes
 	// visible, so every follower can link to it.
 	c := &inflightCall{done: make(chan struct{}), leader: tr.TraceID()}

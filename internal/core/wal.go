@@ -552,8 +552,8 @@ func (e *Engine) walAppendSetAttr(name string, id kg.EntityID, v float64) {
 // is what makes the replayed engine structurally identical to the one that
 // wrote the log.
 //
-// walappend:allow — replay applies records that are already in the log;
-// re-appending them would double every mutation on the next replay.
+// Replay appends nothing: it applies records that are already in the log,
+// and re-appending them would double every mutation on the next replay.
 func (e *Engine) applyWALRecord(rec walfmt.Record) error {
 	switch rec.Kind {
 	case walRecCrack:

@@ -4,12 +4,12 @@ package core
 
 import "fmt"
 
-// walcheckEngineLocked is the vkgdebug runtime counterpart of the
-// walappend static analyzer: a graph-mutation WAL record (AddFact,
-// InsertEntity, SetAttr) may only be appended while the engine write lock
-// serializes the mutation being logged — otherwise the file order of
-// records can diverge from their apply order and replay reconstructs a
-// different engine.
+// walcheckEngineLocked asserts, in vkgdebug builds, the WAL's lock rule:
+// a graph-mutation WAL record (AddFact, InsertEntity, SetAttr) may only be
+// appended while the engine write lock serializes the mutation being
+// logged — otherwise the file order of records can diverge from their
+// apply order and replay reconstructs a different engine. That every
+// mutation appends at all is held by the WAL tests (DESIGN.md §10).
 //
 // The check is a TryLock probe: if the write lock can be acquired here,
 // the caller did not hold it, and the append is a discipline violation —
@@ -26,7 +26,7 @@ func (e *Engine) walcheckEngineLocked(kind string) {
 
 // walcheckIndexLocked asserts the index write lock covers a crack record
 // append (finishQuery logs each crack while still holding the lock it
-// cracked under — see the walappend analyzer and DESIGN.md).
+// cracked under; see DESIGN.md § "Incremental persistence").
 func (e *Engine) walcheckIndexLocked() {
 	if e.idx.mu.TryLock() {
 		e.idx.mu.Unlock()

@@ -1,21 +1,83 @@
 package obs
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
 
-// TestTraceNilSafe: instrumented code calls trace methods unconditionally on
-// a possibly-nil trace; none of them may panic.
-func TestTraceNilSafe(t *testing.T) {
-	var tr *QueryTrace
-	tr.Step(StageSearch)
-	tr.Carry(StageCrack)
-	tr.Finish()
-	if got := tr.String(); got != "<no trace>" {
-		t.Fatalf("String = %q", got)
+// TestNilReceiversAreNoOps holds the contract the untraced hot paths rely
+// on: a nil *QueryTrace or *TraceStore is valid, and every exported method
+// on it is a no-op. Each method, including any added later, is called on a
+// nil receiver twice — with zero-valued arguments, then with non-zero ones,
+// so a guard short-circuited by an argument check still has to hold. It
+// must not panic and must return zero values; String renders "<no trace>".
+func TestNilReceiversAreNoOps(t *testing.T) {
+	methods := 0
+	for _, recv := range []any{(*QueryTrace)(nil), (*TraceStore)(nil)} {
+		rv := reflect.ValueOf(recv)
+		for i := 0; i < rv.NumMethod(); i++ {
+			m, name := rv.Method(i), fmt.Sprintf("(%T).%s", recv, rv.Type().Method(i).Name)
+			methods++
+			for _, fill := range []bool{false, true} {
+				args := make([]reflect.Value, m.Type().NumIn())
+				for j := range args {
+					args[j] = sampleArg(m.Type().In(j), fill)
+				}
+				out := callNoPanic(t, name, m, args)
+				for j, v := range out {
+					if name == "(*obs.QueryTrace).String" {
+						if got := v.String(); got != "<no trace>" {
+							t.Errorf("%s = %q, want %q", name, got, "<no trace>")
+						}
+					} else if !v.IsZero() {
+						t.Errorf("%s result %d = %v on a nil receiver, want zero", name, j, v)
+					}
+				}
+			}
+		}
 	}
+	if methods < 21 {
+		t.Fatalf("walked %d methods, want at least the 21 of QueryTrace and TraceStore", methods)
+	}
+}
+
+// sampleArg is a zero value of typ, or with fill a non-zero one where typ
+// is a number, bool, string or array of those.
+func sampleArg(typ reflect.Type, fill bool) reflect.Value {
+	v := reflect.New(typ).Elem()
+	if !fill {
+		return v
+	}
+	switch typ.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(1)
+	case reflect.String:
+		v.SetString(TraceError)
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			v.Index(i).Set(sampleArg(typ.Elem(), true))
+		}
+	}
+	return v
+}
+
+func callNoPanic(t *testing.T, name string, m reflect.Value, args []reflect.Value) (out []reflect.Value) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Errorf("%s panicked on a nil receiver: %v", name, r)
+		}
+	}()
+	return m.Call(args)
 }
 
 func TestTraceSpansSumToWall(t *testing.T) {

@@ -131,10 +131,8 @@ func (t *Tree) Prepare() { t.ensureRoot() }
 // concurrent batch. The shape depends on the points and the Options only,
 // never on the machine.
 //
-// walappend:allow — lazy root materialization is deterministic from the
-// point set and happens identically on load, so it is never WAL-logged;
-// marking it here keeps Prepare and the read paths (Search, walks, Save)
-// out of the structural-mutator set.
+// Lazy root materialization is deterministic from the point set and
+// happens identically on load, so it is never WAL-logged.
 func (t *Tree) buildRoot() {
 	t.created++
 	t.root = t.arena.alloc()

@@ -176,11 +176,12 @@ func run[T any](s *Server, ctx context.Context, fn func(context.Context) T) (T, 
 	done := make(chan T, 1) // buffered: a detached run must not leak its goroutine
 	s.busy.Add(1)
 	go func() {
-		defer func() {
-			s.adm.release()
-			s.busy.Add(-1)
-		}()
-		done <- fn(ctx)
+		defer s.busy.Add(-1)
+		v := fn(ctx)
+		// The slot goes back before the result is handed over, so a client
+		// holding its answer never scrapes its own request as in flight.
+		s.adm.release()
+		done <- v
 	}()
 	select {
 	case v := <-done:

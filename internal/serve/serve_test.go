@@ -458,6 +458,10 @@ func TestMetricsPage(t *testing.T) {
 	}
 }
 
+// engineFamiliesRuns counts TestMetricsPageEngineFamilies runs in this
+// process.
+var engineFamiliesRuns atomic.Int64
+
 // TestMetricsPageEngineFamilies: one engine served as the only tenant, as
 // vkg-query -metrics-addr serves it, exposes every cost family of the
 // engine on /metrics, stamped with the tenant label, and counts an
@@ -481,7 +485,8 @@ func TestMetricsPageEngineFamilies(t *testing.T) {
 	}
 	// The test engine is shared across tests, so the topk count is read
 	// before and after one embedded query, on an entity no other test asks
-	// about so that the result cache cannot answer it.
+	// about so that the result cache cannot answer it. k differs on every
+	// run, so a repeat under -count cannot be answered from the cache either.
 	const topk = `vkg_queries_total{kind="topk",tenant="default"} `
 	topkCount := func(out string) int {
 		for _, line := range strings.Split(out, "\n") {
@@ -497,7 +502,8 @@ func TestMetricsPageEngineFamilies(t *testing.T) {
 	}
 	before := topkCount(scrape())
 	u, _ := v.Graph().EntityByName("user37")
-	if _, err := v.Do(context.Background(), vkg.Query{Entity: u, Relation: rel, K: 3}); err != nil {
+	k := 3 + int(engineFamiliesRuns.Add(1))
+	if _, err := v.Do(context.Background(), vkg.Query{Entity: u, Relation: rel, K: k}); err != nil {
 		t.Fatal(err)
 	}
 	out := scrape()
