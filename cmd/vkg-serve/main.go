@@ -24,10 +24,10 @@
 //	curl -s localhost:8080/v1/query -d '{"tenant":"movie","entity":"user17","relation":"likes","k":5}'
 //
 // Operational surface: /healthz (liveness), /readyz (readiness — fails once
-// drain starts), /metrics (serving + per-tenant engine metrics; OpenMetrics
-// with trace-id exemplars via Accept), /traces (retained request traces;
-// tail-kept errors and requests slower than -trace-slow — the record of slow
-// queries — plus a -trace-head-rate sample of the rest), /tenants,
+// drain starts), /metrics (serving + per-tenant engine metrics, Prometheus
+// 0.0.4 text), /traces (retained request traces as JSON; tail-kept errors
+// and requests slower than -trace-slow — the record of slow queries — plus
+// a -trace-head-rate sample of the rest), /tenants,
 // /debug/pprof. vkg-query -metrics-addr serves the same page for one engine.
 // Every query response carries a W3C Traceparent header; -access-log emits
 // one JSON line per request. SIGTERM or SIGINT starts a graceful drain: the

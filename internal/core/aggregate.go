@@ -153,7 +153,7 @@ func (e *Engine) aggregateQuery(ctx context.Context, dir Dir, ent kg.EntityID, r
 		return nil, err
 	}
 	e.met.aggQueries.Inc()
-	e.met.latAgg.ObserveExemplar(time.Since(start).Seconds(), tr.TraceID())
+	e.met.latAgg.Observe(time.Since(start).Seconds())
 	return res, nil
 }
 

@@ -1,10 +1,6 @@
 package core
 
 import (
-	"math"
-	"runtime/metrics"
-	"time"
-
 	"vkgraph/internal/obs"
 	"vkgraph/internal/rtree"
 )
@@ -148,8 +144,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	})
 
 	// Memory-layout gauges: the observable form of the "flat GC profile"
-	// claim — arena occupancy, resident points, and the runtime's GC pause
-	// tail. The arena and point gauges are O(1).
+	// claim — arena occupancy and resident points, both O(1).
 	r.GaugeFunc("vkg_mem_resident_points", "Points resident in the shared S2 point set (including tombstones).", func() float64 {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
@@ -163,7 +158,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		_, free := e.arenaNodes()
 		return float64(free)
 	}, obs.Label{Key: "state", Value: "free"})
-	r.GaugeFunc("vkg_gc_pause_p99_seconds", "99th-percentile stop-the-world GC pause since process start (runtime/metrics).", gcPauseP99)
 	return m
 }
 
@@ -175,40 +169,6 @@ func (e *Engine) arenaNodes() (inUse, free int) {
 	defer e.idx.mu.RUnlock()
 	inUse, free, _ = e.idx.tree.ArenaStats()
 	return inUse, free
-}
-
-// gcPauseP99 reads the runtime's GC pause histogram and returns its 99th
-// percentile in seconds (0 before the first collection).
-func gcPauseP99() float64 {
-	sample := []metrics.Sample{{Name: "/gc/pauses:seconds"}}
-	metrics.Read(sample)
-	if sample[0].Value.Kind() != metrics.KindFloat64Histogram {
-		return 0
-	}
-	h := sample[0].Value.Float64Histogram()
-	var total uint64
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	target := uint64(float64(total) * 0.99)
-	var cum uint64
-	for i, c := range h.Counts {
-		cum += c
-		if cum >= target {
-			// Buckets has one more entry than Counts; the bucket's upper
-			// edge bounds the percentile. The boundary buckets' edges may
-			// be infinite — fall back to the finite edge.
-			hi := h.Buckets[i+1]
-			if math.IsInf(hi, 1) {
-				return h.Buckets[i]
-			}
-			return hi
-		}
-	}
-	return 0
 }
 
 // Registry returns the engine's metric registry (for the serving layer's
@@ -282,11 +242,6 @@ type Metrics struct {
 	// goes when ROADMAP item 0 unfreezes bench/.
 	Shards int
 
-	// Memory is the memory-layout view of the index: the node-arena
-	// occupancy, the resident point count, and the runtime's recent GC pause
-	// tail. The bytes are in Index (SizeBytes, ArenaBytes).
-	Memory MemoryStats
-
 	// Index is the current index structure (also available via IndexStats).
 	Index rtree.Stats
 
@@ -301,21 +256,6 @@ type Metrics struct {
 	// Generation is the graph mutation counter; cached answers are pinned
 	// to the generation they were computed at.
 	Generation uint64
-}
-
-// MemoryStats is the memory-layout block of Metrics (see the DESIGN.md
-// "Memory layout" section).
-type MemoryStats struct {
-	// ArenaNodesInUse and ArenaNodesFree count tree-node arena records;
-	// free records are reusable capacity already paid for (freelist plus
-	// the unallocated tail of the newest slab).
-	ArenaNodesInUse int
-	ArenaNodesFree  int
-	// ResidentPoints is the number of S2 points held by the point set.
-	ResidentPoints int
-	// GCPauseP99 is the 99th-percentile stop-the-world GC pause of this
-	// process since start, from runtime/metrics (0 before the first GC).
-	GCPauseP99 time.Duration
 }
 
 // CacheHitRate returns hits / (hits + misses), or 0 before any lookup.
@@ -333,9 +273,6 @@ func (m Metrics) CacheHitRate() float64 {
 func (e *Engine) Metrics() Metrics {
 	m := e.met
 	index := e.IndexStats()
-	e.mu.RLock()
-	resident := e.ps.N()
-	e.mu.RUnlock()
 	return Metrics{
 		TopKQueries:        m.topkQueries.Value(),
 		AggregateQueries:   m.aggQueries.Value(),
@@ -360,15 +297,9 @@ func (e *Engine) Metrics() Metrics {
 		ReadLockWait:       m.lockReadWait.Snapshot().Latency(),
 		WriteLockWait:      m.lockWriteWait.Snapshot().Latency(),
 		Shards:             1,
-		Memory: MemoryStats{
-			ArenaNodesInUse: index.ArenaNodesInUse,
-			ArenaNodesFree:  index.ArenaNodesFree,
-			ResidentPoints:  resident,
-			GCPauseP99:      time.Duration(gcPauseP99() * float64(time.Second)),
-		},
-		Index:             index,
-		WAL:               e.WALStats(),
-		DroppedAttributes: e.DroppedAttrs(),
-		Generation:        e.gen.Load(),
+		Index:              index,
+		WAL:                e.WALStats(),
+		DroppedAttributes:  e.DroppedAttrs(),
+		Generation:         e.gen.Load(),
 	}
 }

@@ -2,8 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
-	"fmt"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -154,16 +155,43 @@ func TestTraceCrackSpanAndPropagation(t *testing.T) {
 		t.Fatalf("metrics count %d splits over %d lock holds, the trace %d over one",
 			m.CrackSplits, m.CrackWriteLock.Count, tr.Splits)
 	}
-	// The forced trace is retained and renders with its crack anatomy.
+	// The forced trace is retained and its /traces/<id> JSON carries the
+	// crack anatomy and the inbound parent span.
 	recs := eng.Traces().Find(inboundID)
 	if len(recs) != 1 {
 		t.Fatalf("trace store retained %d records, want 1", len(recs))
 	}
-	var sb strings.Builder
-	obs.RenderTraceText(&sb, inboundID, recs)
-	if out, want := sb.String(), fmt.Sprintf("lock-wait=%v held=%v splits=%d nodes=%d",
-		tr.LockWait.Round(time.Microsecond), tr.LockHeld.Round(time.Microsecond), tr.Splits, tr.NodesCreated); !strings.Contains(out, want) {
-		t.Errorf("rendered trace missing %q on its crack span:\n%s", want, out)
+	w := httptest.NewRecorder()
+	obs.WriteTraceRecords(w, inboundID, recs)
+	var doc struct {
+		Records []struct {
+			Parent string `json:"parent"`
+			Stages []struct {
+				Stage  string  `json:"stage"`
+				HeldMS float64 `json:"held_ms"`
+				Splits int     `json:"splits"`
+				Nodes  int     `json:"nodes"`
+			} `json:"stages"`
+		} `json:"records"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil || len(doc.Records) != 1 {
+		t.Fatalf("trace JSON: %v\n%s", err, w.Body)
+	}
+	if got := doc.Records[0].Parent; got != inboundSpan.String() {
+		t.Errorf("rendered parent %q, want %s", got, inboundSpan)
+	}
+	var crack bool
+	for _, st := range doc.Records[0].Stages {
+		if st.Stage != obs.StageCrack {
+			continue
+		}
+		crack = true
+		if st.Splits != tr.Splits || st.Nodes != tr.NodesCreated || st.HeldMS != float64(tr.LockHeld)/float64(time.Millisecond) {
+			t.Errorf("rendered crack stage %+v, want splits=%d nodes=%d held=%v", st, tr.Splits, tr.NodesCreated, tr.LockHeld)
+		}
+	}
+	if !crack {
+		t.Errorf("rendered trace has no crack stage:\n%s", w.Body)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -60,31 +59,15 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// exemplar is one retained (trace id, value, timestamp) sample attached to
-// a histogram bucket — the OpenMetrics bridge from an aggregate latency
-// series to a concrete trace on /traces. unixSec is float seconds as the
-// OpenMetrics exemplar timestamp wants.
-type exemplar struct {
-	trace   TraceID
-	value   float64
-	unixSec float64
-}
-
 // Histogram is a fixed-bucket histogram with a lock-free observation path:
 // one atomic add into the bucket, one into the total count, and a CAS loop
 // folding the value into the float sum. Buckets are cumulative only at
 // exposition time; the stored counts are per-bucket.
-//
-// Each bucket additionally holds the most recent traced observation as an
-// exemplar (one atomic pointer swap, paid only by traced requests); the
-// OpenMetrics exposition renders them, the Prometheus 0.0.4 one ignores
-// them, so plain Observe calls and scrapes are byte-identical to before.
 type Histogram struct {
-	bounds    []float64 // ascending upper bounds; an implicit +Inf bucket follows
-	counts    []atomic.Uint64
-	count     atomic.Uint64
-	sum       atomic.Uint64 // math.Float64bits of the running sum
-	exemplars []atomic.Pointer[exemplar]
+	bounds []float64 // ascending upper bounds; an implicit +Inf bucket follows
+	counts []atomic.Uint64
+	count  atomic.Uint64
+	sum    atomic.Uint64 // math.Float64bits of the running sum
 }
 
 // LatencyBuckets are the default histogram bounds for durations in seconds:
@@ -108,9 +91,8 @@ func NewHistogram(bounds []float64) *Histogram {
 		bounds = LatencyBuckets()
 	}
 	h := &Histogram{
-		bounds:    bounds,
-		counts:    make([]atomic.Uint64, len(bounds)+1),
-		exemplars: make([]atomic.Pointer[exemplar], len(bounds)+1),
+		bounds: bounds,
+		counts: make([]atomic.Uint64, len(bounds)+1),
 	}
 	return h
 }
@@ -129,19 +111,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// ObserveExemplar is Observe plus an exemplar: when id is non-zero the
-// observation's bucket remembers (id, v, now) as its latest traced sample.
-// A zero id is exactly Observe — untraced hot paths pay nothing beyond the
-// branch.
-func (h *Histogram) ObserveExemplar(v float64, id TraceID) {
-	h.Observe(v)
-	if id.IsZero() {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.exemplars[i].Store(&exemplar{trace: id, value: v, unixSec: float64(time.Now().UnixMicro()) / 1e6})
 }
 
 // HistSnapshot is a point-in-time summary of a histogram.
@@ -314,16 +283,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	return h
 }
 
-// OpenMetricsContentType is the content type of the OpenMetrics text
-// exposition format; /metrics switches to it when the Accept header asks.
-const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
-
-// WantsOpenMetrics reports whether the request negotiates the OpenMetrics
-// exposition format (the only format that can carry exemplars).
-func WantsOpenMetrics(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text")
-}
-
 // WritePrometheusLabeled renders every registered metric in the Prometheus
 // text exposition format (version 0.0.4), with extra constant labels
 // appended to every series — how a multi-tenant server exposes several
@@ -332,38 +291,6 @@ func WantsOpenMetrics(r *http.Request) bool {
 // earlier registry on the same page, so shared families keep a single
 // header; pass nil for a standalone page.
 func (r *Registry) WritePrometheusLabeled(w io.Writer, seen map[string]bool, extra ...Label) error {
-	return r.writeText(w, seen, false, extra...)
-}
-
-// WriteOpenMetricsLabeled renders the registry in the OpenMetrics 1.0 text
-// format, without the trailing "# EOF": render each registry of a page with
-// a shared seen map, then call WriteOpenMetricsEOF once. It differs from the
-// 0.0.4 rendering in two ways: counter families drop their "_total" suffix
-// in HELP/TYPE headers (samples keep it, per the grammar), and histogram
-// bucket lines carry exemplars — `# {trace_id="..."} value ts` — linking the
-// bucket to the most recent traced observation that landed in it. Serve it
-// under OpenMetricsContentType.
-func (r *Registry) WriteOpenMetricsLabeled(w io.Writer, seen map[string]bool, extra ...Label) error {
-	return r.writeText(w, seen, true, extra...)
-}
-
-// WriteOpenMetricsEOF terminates an OpenMetrics page.
-func WriteOpenMetricsEOF(w io.Writer) error {
-	_, err := io.WriteString(w, "# EOF\n")
-	return err
-}
-
-// omFamily maps a metric family to its OpenMetrics MetricFamily name: the
-// grammar requires counter sample names to end in _total while the family
-// name in HELP/TYPE must not.
-func omFamily(m *metric) string {
-	if m.kind == kindCounter || m.kind == kindCounterFunc {
-		return strings.TrimSuffix(m.family, "_total")
-	}
-	return m.family
-}
-
-func (r *Registry) writeText(w io.Writer, seen map[string]bool, om bool, extra ...Label) error {
 	r.mu.Lock()
 	metrics := append([]*metric(nil), r.metrics...)
 	r.mu.Unlock()
@@ -382,22 +309,18 @@ func (r *Registry) writeText(w io.Writer, seen map[string]bool, om bool, extra .
 			case kindHistogram:
 				typ = "histogram"
 			}
-			header := m.family
-			if om {
-				header = omFamily(m)
-			}
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", header, m.help, header, typ); err != nil {
+			if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.family, m.help, m.family, typ); err != nil {
 				return err
 			}
 		}
-		if err := m.write(w, extraLabels, om); err != nil {
+		if err := m.write(w, extraLabels); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (m *metric) write(w io.Writer, extraLabels string, om bool) error {
+func (m *metric) write(w io.Writer, extraLabels string) error {
 	series := func(suffix, extraLabel string) string {
 		labels := m.labels
 		if extraLabels != "" {
@@ -431,28 +354,15 @@ func (m *metric) write(w io.Writer, extraLabels string, om bool) error {
 		_, err := fmt.Fprintf(w, "%s %s\n", series("", ""), formatFloat(m.gf()))
 		return err
 	case kindHistogram:
-		// In OpenMetrics mode each bucket line may carry its exemplar:
-		// `... # {trace_id="<hex>"} value ts`. Exemplars are only legal in
-		// OpenMetrics; the 0.0.4 exposition omits them.
-		exemplarSuffix := func(i int) string {
-			if !om {
-				return ""
-			}
-			ex := m.h.exemplars[i].Load()
-			if ex == nil {
-				return ""
-			}
-			return fmt.Sprintf(" # {trace_id=%q} %s %s", ex.trace.String(), formatFloat(ex.value), formatFloat(ex.unixSec))
-		}
 		var cum uint64
 		for i, b := range m.h.bounds {
 			cum += m.h.counts[i].Load()
-			if _, err := fmt.Fprintf(w, "%s %d%s\n", series("_bucket", fmt.Sprintf("le=%q", formatFloat(b))), cum, exemplarSuffix(i)); err != nil {
+			if _, err := fmt.Fprintf(w, "%s %d\n", series("_bucket", fmt.Sprintf("le=%q", formatFloat(b))), cum); err != nil {
 				return err
 			}
 		}
 		cum += m.h.counts[len(m.h.bounds)].Load()
-		if _, err := fmt.Fprintf(w, "%s %d%s\n", series("_bucket", `le="+Inf"`), cum, exemplarSuffix(len(m.h.bounds))); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %d\n", series("_bucket", `le="+Inf"`), cum); err != nil {
 			return err
 		}
 		if _, err := fmt.Fprintf(w, "%s %s\n", series("_sum", ""), formatFloat(math.Float64frombits(m.h.sum.Load()))); err != nil {

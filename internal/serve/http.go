@@ -24,10 +24,10 @@ const StatusClientClosedRequest = 499
 //	POST /v1/batch   a batch sharing one admission slot and deadline
 //	GET  /healthz    liveness: 200 while the process runs, drain included
 //	GET  /readyz     readiness: 200 until drain starts, then 503
-//	GET  /metrics    serving counters + every tenant registry (tenant label);
-//	                 OpenMetrics with trace-id exemplars when Accept asks
-//	GET  /traces     retained traces across tenants (/traces/<id> for one);
-//	                 slow queries are the ones kept under Config.TraceSlow
+//	GET  /metrics    serving counters + every tenant registry (tenant label),
+//	                 Prometheus 0.0.4 text only
+//	GET  /traces     retained traces across tenants, JSON (/traces/<id> for
+//	                 one); slow queries are the ones kept under Config.TraceSlow
 //	GET  /tenants    tenant names, JSON
 //	GET  /debug/pprof/ the standard pprof handlers
 //
@@ -400,27 +400,14 @@ func (s *Server) countRequest(name string) {
 	}
 }
 
-// handleMetrics renders one Prometheus page: the serving registry first,
-// then every tenant's engine registry stamped tenant="name", HELP/TYPE
-// headers deduplicated across registries. An Accept header asking for
-// application/openmetrics-text switches to the OpenMetrics exposition,
-// whose histogram buckets carry trace-id exemplars.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	om := obs.WantsOpenMetrics(r)
-	if om {
-		w.Header().Set("Content-Type", obs.OpenMetricsContentType)
-	} else {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	}
+// handleMetrics renders one Prometheus 0.0.4 page, whatever the Accept
+// header asks for: the serving registry first, then every tenant's engine
+// registry stamped tenant="name", HELP/TYPE headers deduplicated across
+// registries.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	seen := make(map[string]bool)
-	write := func(reg *obs.Registry, extra ...obs.Label) {
-		if om {
-			_ = reg.WriteOpenMetricsLabeled(w, seen, extra...)
-		} else {
-			_ = reg.WritePrometheusLabeled(w, seen, extra...)
-		}
-	}
-	write(s.met.reg)
+	_ = s.met.reg.WritePrometheusLabeled(w, seen)
 	// Names and tenants come from one locked snapshot: a tenant added
 	// between two separate reads would have a name but no entry.
 	names, tenants := s.sortedTenants()
@@ -428,9 +415,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if t.Registry == nil {
 			continue
 		}
-		write(t.Registry, obs.Label{Key: "tenant", Value: names[i]})
-	}
-	if om {
-		_ = obs.WriteOpenMetricsEOF(w)
+		_ = t.Registry.WritePrometheusLabeled(w, seen, obs.Label{Key: "tenant", Value: names[i]})
 	}
 }

@@ -447,7 +447,6 @@ func TestMetricsPage(t *testing.T) {
 		`vkg_mem_resident_points{tenant="movie"}`,
 		`vkg_mem_arena_nodes{state="inuse",tenant="movie"}`,
 		`vkg_mem_arena_nodes{state="free",tenant="movie"}`,
-		`vkg_gc_pause_p99_seconds{tenant="movie"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics page missing memory gauge %q", want)
@@ -455,6 +454,23 @@ func TestMetricsPage(t *testing.T) {
 	}
 	if n := strings.Count(out, "# HELP vkg_queries_total"); n != 1 {
 		t.Errorf("HELP header for vkg_queries_total appears %d times, want 1", n)
+	}
+
+	// There is one exposition: a client asking for OpenMetrics gets the
+	// same 0.0.4 page, with no # EOF terminator.
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
+	req.Header.Set("Accept", "application/openmetrics-text")
+	resp2, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	page2, _ := io.ReadAll(resp2.Body)
+	if ct := resp2.Header.Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+		t.Errorf("OpenMetrics Accept got Content-Type %q, want the 0.0.4 page", ct)
+	}
+	if strings.Contains(string(page2), "# EOF") || !strings.Contains(string(page2), "# TYPE vkg_queries_total counter") {
+		t.Errorf("OpenMetrics Accept got a different page:\n%s", page2)
 	}
 }
 

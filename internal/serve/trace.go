@@ -14,7 +14,7 @@ import (
 // and batch handlers: it adopts or mints the request's trace identity,
 // echoes the traceparent header on every response (success, 429, 504, 499 —
 // the header is set before any handler code can write), and on finish
-// observes the latency exemplar, offers the request-envelope record to the
+// observes the request latency, offers the request-envelope record to the
 // tenant's trace store, and emits the access-log line.
 type reqCtx struct {
 	s     *Server
@@ -103,13 +103,13 @@ func (rc *reqCtx) traceStatus() string {
 	}
 }
 
-// finish closes the envelope: end-to-end latency (with the trace id as the
-// histogram exemplar), the envelope trace record, and the access-log line.
+// finish closes the envelope: end-to-end latency, the envelope trace record,
+// and the access-log line.
 // Deferred from the top of each handler so every exit path — shed, 413,
 // detached 504, success — is accounted identically.
 func (rc *reqCtx) finish() {
 	lat := time.Since(rc.start)
-	rc.s.met.latency.ObserveExemplar(lat.Seconds(), rc.id)
+	rc.s.met.latency.Observe(lat.Seconds())
 	status := rc.traceStatus()
 	if rc.t != nil && rc.t.Traces != nil {
 		store := rc.t.Traces
@@ -188,17 +188,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	rest := strings.Trim(strings.TrimPrefix(r.URL.Path, "/traces"), "/")
 	if rest == "" {
 		var recs []obs.TraceRecord
-		var stats obs.TraceStoreStats
 		for i, store := range stores {
-			st := store.Stats()
-			stats.Offered += st.Offered
-			stats.Kept += st.Kept
-			stats.KeptForced += st.KeptForced
-			stats.KeptTail += st.KeptTail
-			stats.KeptSlow += st.KeptSlow
-			stats.KeptHead += st.KeptHead
-			stats.Evicted += st.Evicted
-			stats.Resident += st.Resident
 			for _, rec := range store.Entries() {
 				if rec.Tenant == "" {
 					rec.Tenant = names[i]
@@ -207,7 +197,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time.After(recs[j].Time) })
-		obs.WriteTraceList(w, recs, stats)
+		obs.WriteTraceList(w, recs)
 		return
 	}
 	id, ok := obs.ParseTraceID(rest)
@@ -224,5 +214,5 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 			recs = append(recs, rec)
 		}
 	}
-	obs.WriteTraceRecords(w, id, recs, r.URL.Query().Get("format"))
+	obs.WriteTraceRecords(w, id, recs)
 }

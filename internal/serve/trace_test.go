@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"vkgraph/internal/obs"
+	"vkgraph/vkg"
 )
 
 // readAll drains and closes a response body.
@@ -62,6 +64,93 @@ func (b *syncBuffer) waitLine(t *testing.T) string {
 
 const knownTraceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 
+// traceRec is one record of the /traces/<id> JSON document. Pointer
+// fields tell an omitted key from a zero value.
+type traceRec struct {
+	Kind        string  `json:"kind"`
+	Span        string  `json:"span"`
+	Parent      *string `json:"parent"`
+	LeaderTrace string  `json:"leader_trace"`
+	CacheHit    *bool   `json:"cache_hit"`
+	Coalesced   *bool   `json:"coalesced"`
+	Stages      []struct {
+		Stage      string   `json:"stage"`
+		LockWaitMS *float64 `json:"lock_wait_ms"`
+		HeldMS     *float64 `json:"held_ms"`
+		Splits     *int     `json:"splits"`
+		Nodes      *int     `json:"nodes"`
+	} `json:"stages"`
+}
+
+type traceDoc struct {
+	TraceID string     `json:"trace_id"`
+	Records []traceRec `json:"records"`
+}
+
+// getTrace fetches /traces/<id> and decodes it; the page must be JSON.
+func getTrace(t *testing.T, base, id string) traceDoc {
+	t.Helper()
+	resp, err := http.Get(base + "/traces/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/traces/%s answered %d: %s", id, resp.StatusCode, out)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("/traces/%s Content-Type %q, want application/json", id, ct)
+	}
+	var doc traceDoc
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+		t.Fatalf("/traces/%s is not JSON: %v\n%s", id, err, out)
+	}
+	if doc.TraceID != id {
+		t.Errorf("trace_id %q, want %s", doc.TraceID, id)
+	}
+	return doc
+}
+
+// requestRecords picks out of doc the envelope record of the request that
+// resp answered (its span is the one the Traceparent header echoes) and the
+// engine query record under it. Other requests may share the trace id.
+func requestRecords(t *testing.T, doc traceDoc, resp *http.Response) (env, q traceRec) {
+	t.Helper()
+	_, span, _, ok := obs.ParseTraceparent(resp.Header.Get("Traceparent"))
+	if !ok {
+		t.Fatal("response has no Traceparent header")
+	}
+	var foundEnv, foundQ bool
+	for _, r := range doc.Records {
+		if r.Span == span.String() {
+			env, foundEnv = r, true
+		}
+		if r.Parent != nil && *r.Parent == span.String() {
+			q, foundQ = r, true
+		}
+	}
+	if !foundEnv || !foundQ {
+		t.Fatalf("trace %s lacks the envelope of span %s or its query record: %+v", doc.TraceID, span, doc.Records)
+	}
+	return env, q
+}
+
+// checkCrackStage asserts a query record's crack stage carries its four
+// index-write facts.
+func checkCrackStage(t *testing.T, q traceRec) {
+	t.Helper()
+	for _, st := range q.Stages {
+		if st.Stage != obs.StageCrack {
+			continue
+		}
+		if st.LockWaitMS == nil || st.HeldMS == nil || st.Splits == nil || st.Nodes == nil {
+			t.Errorf("crack stage missing lock_wait_ms/held_ms/splits/nodes: %+v", st)
+		}
+		return
+	}
+	t.Errorf("%s record has no crack stage: %+v", q.Kind, q.Stages)
+}
+
 // postTraced posts a query body with an optional inbound traceparent and
 // returns the response, its parsed body, and the echoed traceparent fields.
 func postTraced(t *testing.T, url, inbound string, body interface{}) (*http.Response, wireResult, obs.TraceID, bool) {
@@ -109,6 +198,7 @@ func TestTraceparentEchoSuccess(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	v.ResetCache() // the topk record must run the engine, crack stage included
 	resp, res, id, sampled := postTraced(t, ts.URL+"/v1/query", knownTraceparent, idQuery(3))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200", resp.StatusCode)
@@ -124,20 +214,19 @@ func TestTraceparentEchoSuccess(t *testing.T) {
 		t.Errorf("body trace_id %q, want %q", res.TraceID, wantID)
 	}
 	// The sampled flag forces retention: the trace must be on /traces/<id>,
-	// reassembled from the request envelope and the engine's query record.
-	tr, err := http.Get(ts.URL + "/traces/" + wantID)
-	if err != nil {
-		t.Fatal(err)
+	// reassembled from the request envelope and the engine's query record,
+	// whose parent is the envelope's span.
+	env, q := requestRecords(t, getTrace(t, ts.URL, wantID), resp)
+	if env.Kind != "query" || q.Kind != "topk" {
+		t.Errorf("record kinds %q and %q, want query and topk", env.Kind, q.Kind)
 	}
-	out := readAll(t, tr)
-	if tr.StatusCode != http.StatusOK {
-		t.Fatalf("/traces/%s answered %d: %s", wantID, tr.StatusCode, out)
+	if env.Parent != nil || env.CacheHit != nil || env.Coalesced != nil || env.Stages != nil {
+		t.Errorf("envelope record carries query fields: %+v", env)
 	}
-	for _, want := range []string{"trace " + wantID, "[query]", "[topk]"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("/traces/%s missing %q:\n%s", wantID, want, out)
-		}
+	if q.CacheHit == nil || *q.CacheHit || q.Coalesced == nil || *q.Coalesced {
+		t.Errorf("uncached topk record: cache_hit %v coalesced %v, want both present and false", q.CacheHit, q.Coalesced)
 	}
+	checkCrackStage(t, q)
 	// The client did not set trace:true, so no span breakdown leaks into
 	// the response body.
 	if res.Trace != nil {
@@ -298,50 +387,11 @@ func TestAccessLog(t *testing.T) {
 	}
 }
 
-// TestMetricsOpenMetrics pins content negotiation on the serving /metrics
-// page: the OpenMetrics variant ends in # EOF and carries a trace-id
-// exemplar on the request-latency histogram; the default variant is
-// classic 0.0.4 with neither.
-func TestMetricsOpenMetrics(t *testing.T) {
-	v, _ := testVKG(t)
-	s := NewServer(Config{})
-	if err := s.AddTenant("main", NewTenant(v, "")); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	_, _, id, _ := postTraced(t, ts.URL+"/v1/query", knownTraceparent, idQuery(3))
-
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
-	req.Header.Set("Accept", "application/openmetrics-text")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := readAll(t, resp)
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "openmetrics-text") {
-		t.Errorf("Content-Type %q, want openmetrics-text", ct)
-	}
-	if !strings.HasSuffix(body, "# EOF\n") {
-		t.Errorf("OpenMetrics page does not end in # EOF")
-	}
-	if !strings.Contains(body, `trace_id="`+id.String()+`"`) {
-		t.Errorf("latency exemplar for trace %s missing from OpenMetrics page", id)
-	}
-
-	resp2, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if body2 := readAll(t, resp2); strings.Contains(body2, "# EOF") || strings.Contains(body2, " # {") {
-		t.Error("default /metrics leaked OpenMetrics syntax")
-	}
-}
-
-// TestServeTracesEndpoint pins the merged /traces view across tenants.
+// TestServeTracesEndpoint pins the merged /traces view across tenants and
+// the /traces/<id> JSON record: parent only when non-zero, the crack
+// stage's index-write facts, cache hit, coalesced and the leader link.
 func TestServeTracesEndpoint(t *testing.T) {
-	v, _ := testVKG(t)
+	v, rel := testVKG(t)
 	s := NewServer(Config{})
 	if err := s.AddTenant("main", NewTenant(v, "")); err != nil {
 		t.Fatal(err)
@@ -349,6 +399,7 @@ func TestServeTracesEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	v.ResetCache()
 	body := idQuery(3)
 	body["trace"] = true // explicit trace request forces retention
 	resp, res, id, sampled := postTraced(t, ts.URL+"/v1/query", "", body)
@@ -394,6 +445,46 @@ func TestServeTracesEndpoint(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("trace id absent from parsed list")
+	}
+
+	if _, q := requestRecords(t, getTrace(t, ts.URL, id.String()), resp); q.Kind != "topk" {
+		t.Errorf("query record kind %q, want topk", q.Kind)
+	} else {
+		checkCrackStage(t, q)
+	}
+
+	// A root query run in process has no parent span, so its record has no
+	// parent key; the same query again is a cache hit.
+	v.SetTraceSlowThreshold(time.Nanosecond) // Query.Trace is not forced: the slow rule keeps it
+	defer v.SetTraceSlowThreshold(obs.DefaultTraceSlow)
+	root, err := v.Do(context.Background(), vkg.Query{Entity: 0, Relation: rel, K: 3, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := getTrace(t, ts.URL, root.Trace.TraceID().String())
+	if len(doc.Records) != 1 || doc.Records[0].Kind != "topk" {
+		t.Fatalf("root trace records = %+v, want one topk record", doc.Records)
+	}
+	if r := doc.Records[0]; r.Parent != nil {
+		t.Errorf("root record parent = %q, want the key omitted", *r.Parent)
+	} else if r.CacheHit == nil || !*r.CacheHit || r.Coalesced == nil || *r.Coalesced {
+		t.Errorf("repeated query: cache_hit %v coalesced %v, want true and false", r.CacheHit, r.Coalesced)
+	}
+
+	// A coalesced follower names the trace of the execution it shared.
+	leader := obs.NewTraceID()
+	follower := obs.StartTraceLinked(obs.TraceID{}, obs.SpanID{}, true)
+	follower.Coalesced = true
+	follower.LinkLeader(leader)
+	follower.Step(obs.StageWait)
+	follower.Finish()
+	v.Engine().Traces().Record(obs.TraceRecord{
+		ID: follower.TraceID(), Span: follower.SpanID(), Time: follower.StartTime(),
+		Kind: "topk", Status: obs.TraceOK, Latency: follower.Wall, Trace: follower,
+	})
+	doc = getTrace(t, ts.URL, follower.TraceID().String())
+	if r := doc.Records[0]; r.Coalesced == nil || !*r.Coalesced || r.LeaderTrace != leader.String() {
+		t.Errorf("follower record coalesced %v leader_trace %q, want true and %s", r.Coalesced, r.LeaderTrace, leader)
 	}
 
 	if r404, err := http.Get(ts.URL + "/traces/" + strings.Repeat("ab", 16)); err != nil {

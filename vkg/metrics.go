@@ -20,10 +20,6 @@ type LatencyStats = obs.LatencyStats
 // so far.
 type Metrics = core.Metrics
 
-// MemoryStats is the memory-layout block of Metrics (see the DESIGN.md
-// "Memory layout" section).
-type MemoryStats = core.MemoryStats
-
 // Metrics captures the current engine counters. It is race-clean under
 // concurrent queries but not an instantaneous cut: counters are read one
 // atomic load at a time.
@@ -47,11 +43,6 @@ type TraceSpan = obs.Span
 // traceparent header; String() renders a one-line stage breakdown.
 type QueryTrace = obs.QueryTrace
 
-// TraceStats are the trace store's retention counters: how many query
-// traces were offered, how many were kept and why (forced, tail status,
-// slow, head sample), and the store's current occupancy.
-type TraceStats = obs.TraceStoreStats
-
 // SetTraceHeadRate sets the head-sampling fraction of the trace store: that
 // share of fast, successful queries is retained for /traces (clamped to
 // [0, 1]; errors and slow queries are always retained regardless). The
@@ -62,8 +53,6 @@ func (v *VKG) SetTraceHeadRate(rate float64) { v.eng.Traces().SetHeadRate(rate) 
 // always retained (default 100ms); a non-positive d disables slow retention.
 // The trace store is the one record of slow queries: only traced queries
 // (Query.Trace or TraceParent) are offered, and /traces lists the kept ones
-// with their status and latency.
+// with their status and latency. The retention counters are the
+// vkg_trace_records_* series on the ops page's /metrics.
 func (v *VKG) SetTraceSlowThreshold(d time.Duration) { v.eng.Traces().SetSlowThreshold(d) }
-
-// TraceStats returns the trace store's retention counters.
-func (v *VKG) TraceStats() TraceStats { return v.eng.Traces().Stats() }

@@ -193,8 +193,8 @@ func TestTraceSlowThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := v.TraceStats(); st.KeptSlow != 1 || st.Kept != 1 {
-		t.Fatalf("TraceStats = %+v, want exactly one record kept as slow", st)
+	if st := v.eng.Traces().Stats(); st.KeptSlow != 1 || st.Kept != 1 {
+		t.Fatalf("trace store stats = %+v, want exactly one record kept as slow", st)
 	}
 	recs := v.eng.Traces().Find(res.Trace.TraceID())
 	if len(recs) != 1 || recs[0].Kind != "topk" || !strings.HasPrefix(recs[0].Detail, "topk ") {

@@ -55,9 +55,12 @@ type Query struct {
 	// takes precedence over Agg.ProbThreshold.
 	ProbThreshold float64
 	// Trace requests a per-stage timing breakdown in Result.Trace and
-	// offers the trace to the engine's trace store, which keeps it when it
-	// failed or ran slower than SetTraceSlowThreshold. The cost is two
-	// timestamps per stage; leave it off for throughput runs.
+	// offers the trace to the engine's trace store. The store keeps it when
+	// the first of four rules fires: forced (a sampled TraceParent), a
+	// non-ok status (failed, timed out or cancelled), slow (at or above
+	// SetTraceSlowThreshold), or the head sample (the SetTraceHeadRate
+	// share, decided from the trace id). The cost is two timestamps per
+	// stage; leave it off for throughput runs.
 	Trace bool
 	// TraceParent joins the query to an existing distributed trace: a W3C
 	// `traceparent` header value ("00-<traceid>-<spanid>-<flags>") whose

@@ -56,7 +56,7 @@
 // snapshot (latency percentiles, cache effectiveness, index node accesses,
 // cracking activity); Query.Trace asks for a per-query stage breakdown in
 // Result.Trace, and the engine's trace store keeps traced queries that
-// failed or ran slower than SetTraceSlowThreshold (see TraceStats). Over
+// failed or ran slower than SetTraceSlowThreshold. Over
 // HTTP, the serving layer (cmd/vkg-serve, or vkg-query -metrics-addr)
 // renders both on one ops page: Prometheus /metrics, /traces, and pprof.
 //
