@@ -404,9 +404,13 @@ func (e *Engine) s1Dist(q1 []float64, id kg.EntityID) float64 {
 
 // sqDistBounded returns the squared L2 distance between q1 and an entity's
 // S1 row, aborting with +Inf once the partial sum exceeds cutoffSq:
-// candidates that cannot enter the top-k need no exact distance. Callers
-// pass e.m.EntityVec(id) afresh each time — InsertEntity reallocates
-// e.m.Entities under the write lock, so a row outlives no read lock.
+// candidates that cannot enter the top-k need no exact distance. The early
+// abort is only an optimisation: the result is the full sum, bit for bit,
+// or +Inf, and it depends on nothing but q1, the row and cutoffSq. That is
+// what lets the re-ranker load rows ahead of their turn without changing an
+// answer. Callers pass e.m.EntityVec(id) afresh each time — InsertEntity
+// reallocates e.m.Entities under the write lock, so a row outlives no read
+// lock.
 func sqDistBounded(q1, row []float64, cutoffSq float64) float64 {
 	row = row[:len(q1)]
 	var s float64

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"strconv"
 	"testing"
 	"unsafe"
 
@@ -98,17 +97,11 @@ func TestEngineReRanksOnModelRows(t *testing.T) {
 
 	// 50k x 50 rows are 20 MB; an engine over them holds S2 (1.2 MB), the
 	// roots' sort orders and the pages of what a few queries cracked.
-	const n, dim = 50_000, 50
-	rng := rand.New(rand.NewSource(1))
-	big := kg.NewGraph()
-	for i := 0; i < n; i++ {
-		big.AddEntity("e"+strconv.Itoa(i), "thing")
-	}
-	rel := big.AddRelation("near")
-	m := &embedding.Model{Dim: dim, Entities: make([]float64, n*dim), Rels: make([]float64, dim), NormUsed: embedding.L2}
-	for i := range m.Entities {
-		m.Entities[i] = rng.NormFloat64()
-	}
+	// One cloud: each query examines and cracks most of the index, so a
+	// per-point copy of S1 would show.
+	big, m := rerankModel(1)
+	n := big.NumEntities()
+	rng := rand.New(rand.NewSource(2))
 	heap := func() uint64 {
 		runtime.GC()
 		var ms runtime.MemStats
@@ -121,7 +114,7 @@ func TestEngineReRanksOnModelRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := bigEng.TopKTails(kg.EntityID(rng.Intn(n)), rel, 10); err != nil {
+		if _, err := bigEng.TopKTails(kg.EntityID(rng.Intn(n)), 0, 10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,6 +125,53 @@ func TestEngineReRanksOnModelRows(t *testing.T) {
 		t.Fatalf("an engine over a %d-byte model grew the heap by %d bytes: a second copy of S1?", model, grown)
 	}
 	t.Logf("engine over a %d MB model: +%.1f MB", len(m.Entities)*8>>20, float64(grown)/(1<<20))
+}
+
+// rerankModel is a graph of 50,000 entities with one relation and no facts,
+// and a model of 50-dimensional rows, unit noise around clusters centres,
+// with a zero relation vector: 20 MB of S1, large enough that a re-ranked
+// row is seldom in cache. One cluster is a single shifted standard-normal
+// cloud, over which a top-10 examines most of the points; a thousand keep
+// the examined set to a few hundred, as a converged re-rank on trained
+// embeddings has.
+func rerankModel(clusters int) (*kg.Graph, *embedding.Model) {
+	return syntheticGraph(rand.New(rand.NewSource(1)), 50_000, 50, clusters, 1, 0, embedding.L2)
+}
+
+// BenchmarkTopKConverged times uncached top-10 tail queries over
+// rerankModel on an index the same queries have already converged: the walk
+// and the S1 re-rank, with no cracking, cache or Do. examined/op is the
+// re-rank's work per query and ns/examined the query's time per examined
+// point.
+func BenchmarkTopKConverged(b *testing.B) {
+	g, m := rerankModel(1000)
+	eng, err := NewEngine(g, m, Crack, DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	ents := make([]kg.EntityID, 256)
+	for i := range ents {
+		ents[i] = kg.EntityID(rng.Intn(g.NumEntities()))
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, ent := range ents {
+			if _, err := eng.TopKTails(ent, 0, 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	examined := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := eng.TopKTails(ents[i%len(ents)], 0, 10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		examined += res.Examined
+	}
+	b.ReportMetric(float64(examined)/float64(b.N), "examined/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(examined), "ns/examined")
 }
 
 // TestLoadIgnoresRetiredParams: snapshots written before the float32 mirror
@@ -311,5 +351,56 @@ func TestTopKCancellation(t *testing.T) {
 	}
 	if err := eng.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+
+	// A look that fails with points still buffered. Over 2,000 entities,
+	// with k = 1 and an eps that bounds nothing, the walk visits every
+	// point, the top-k is full from the first eligible one on, and the
+	// re-ranker flushes every reRankBatch points after that: the second
+	// look, at visit 512, finds a part-filled batch.
+	const n = 2000
+	sg, sm := syntheticGraph(rand.New(rand.NewSource(1)), n, 16, 1, 1, 0.5, embedding.L2)
+	seng, err := NewEngine(sg, sm, Crack, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sreq := Request{Kind: KindTopK, Dir: DirTail, Entity: 0, Rel: 0, K: 1, Eps: 1e6}
+	q2 := seng.tf.Apply(seng.m.TailQueryPoint(sreq.Entity, sreq.Rel))
+	nearest := int32(0)
+	for i := int32(1); i < n; i++ {
+		if seng.ps.SqDistTo(i, q2) < seng.ps.SqDistTo(nearest, q2) {
+			nearest = i
+		}
+	}
+	filled := 1 // the visit that fills the top-k: the query entity itself is skipped
+	if kg.EntityID(nearest) == sreq.Entity {
+		filled = 2
+	}
+	if buffered := (511 - filled) % reRankBatch; buffered == 0 {
+		t.Fatalf("the top-k fills at visit %d: the batch is empty at visit 512", filled)
+	}
+	ctx := &flakyCtx{Context: context.Background(), n: 3, err: context.DeadlineExceeded}
+	resp = seng.Do(ctx, sreq)
+	if !errors.Is(resp.Err, context.DeadlineExceeded) || resp.TopK != nil {
+		t.Fatalf("top-k expiring at its second look returned (%v, %v)", resp.TopK, resp.Err)
+	}
+	if ctx.calls != 3 {
+		t.Fatalf("top-k expiring at its second look consulted its context %d times", ctx.calls)
+	}
+	if st := seng.IndexStats(); st.BinarySplits != 0 {
+		t.Fatalf("a top-k that expired with a part-filled batch cracked the index: %d splits", st.BinarySplits)
+	}
+	if _, ok := seng.cache.get(topkKey{dir: sreq.Dir, ent: sreq.Entity, rel: sreq.Rel, k: sreq.K, eps: sreq.Eps}, seng.gen.Load()); ok {
+		t.Fatal("a top-k that expired with a part-filled batch was cached")
+	}
+	// Run to the end, the same query looks once per 256 visits, not once
+	// per flush.
+	ctx = &flakyCtx{Context: context.Background(), n: math.MaxInt}
+	resp = seng.Do(ctx, sreq)
+	if resp.Err != nil || resp.TopK.Examined != n-1 {
+		t.Fatalf("the whole walk returned (%+v, %v)", resp.TopK, resp.Err)
+	}
+	if want := 1 + n/256; ctx.calls != want {
+		t.Fatalf("a %d-visit walk consulted its context %d times, want %d", n, ctx.calls, want)
 	}
 }

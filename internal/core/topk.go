@@ -112,8 +112,8 @@ func (e *Engine) topKQuery(ctx context.Context, dir Dir, ent kg.EntityID, rel kg
 //     r_q = r_k* (1+eps), with r_k* measured in S1;
 //  3. keep examining the walk's points (they arrive in increasing S2
 //     distance), refining the top-k and shrinking r_q as better S1
-//     distances arrive; the radius is non-increasing, so the walk's bound
-//     check stops exactly at the current radius;
+//     distances arrive, and stop at the first point beyond r_q. The points
+//     are examined in batches by reRanker, which stops on the same point;
 //  4. hand the final query region back to the caller, which cracks the
 //     index around it (under the index write lock) if still needed.
 //
@@ -137,55 +137,31 @@ func (e *Engine) findTopK(ctx context.Context, q1 []float64, k int, eps float64,
 
 	// Lines 2-8 as one merged pass: unbounded while the top-k is filling
 	// (the first k eligible points are the exact seeds), then bounded by the
-	// shrinking (1+eps)-expanded kth distance.
-	top := newTopKSet(k, e.ps.N())
-	bound := func() float64 {
-		if top.len() < k {
-			return math.Inf(1)
-		}
-		r := top.kth() * (1 + eps)
-		return r * r
-	}
-	l1 := e.m.NormUsed == embedding.L1
-	pruned, visits := 0, 0
+	// shrinking (1+eps)-expanded kth distance. The walk hands its points to
+	// the re-ranker, which examines them a batch at a time.
+	rr := reRanker{e: e, q1: q1, skip: skip, top: newTopKSet(k, e.ps.N()), k: k, eps: eps,
+		l1: e.m.NormUsed == embedding.L1, b: math.Inf(1)}
+	visits := 0
 	var cancelled error
 	e.idx.mu.RLock()
-	e.idx.tree.WalkWithin(q2, bound, func(id32 int32, _ float64) bool {
+	e.idx.tree.WalkWithin(q2, func() float64 { return rr.b }, func(id32 int32, sqDist float64) bool {
 		if visits++; visits&255 == 0 && ctx != nil {
 			if cancelled = ctx.Err(); cancelled != nil {
 				return false
 			}
 		}
-		id := kg.EntityID(id32)
-		if skip(id) {
-			return true
-		}
-		res.Examined++
-		if l1 {
-			top.offer(Prediction{Entity: id, Dist: e.s1Dist(q1, id)})
-			return true
-		}
-		// Exact distances are only needed for candidates that can enter
-		// the current top-k; the bounded computation aborts early for the
-		// rest.
-		cutoffSq := math.Inf(1)
-		if top.len() >= k {
-			kd := top.kth()
-			cutoffSq = kd * kd
-		}
-		sq := sqDistBounded(q1, e.m.EntityVec(id), cutoffSq)
-		if !math.IsInf(sq, 1) {
-			top.offer(Prediction{Entity: id, Dist: math.Sqrt(sq)})
-		} else {
-			pruned++
-		}
-		return true
+		return rr.add(id32, sqDist)
 	})
+	if cancelled == nil {
+		rr.flush()
+	}
 	e.idx.mu.RUnlock()
 	tr.Step(obs.StageSearch)
 	if cancelled != nil {
 		return nil, rtree.Rect{}, false, cancelled
 	}
+	top := rr.top
+	res.Examined = rr.examined
 	if top.len() == 0 {
 		res.RecallBound = 1
 		e.met.examined.Add(uint64(res.Examined))
@@ -204,12 +180,119 @@ func (e *Engine) findTopK(ctx context.Context, q1 []float64, k int, eps float64,
 	res.RecallBound = jl.TopKRecallLowerBound(rStar, eps, e.params.Alpha)
 	res.ExpectedMisses = jl.ExpectedTopKMisses(rStar, eps, e.params.Alpha)
 	e.met.examined.Add(uint64(res.Examined))
-	e.met.pruned.Add(uint64(pruned))
+	e.met.pruned.Add(uint64(rr.pruned))
 	if tr != nil {
 		tr.Examined = res.Examined
-		tr.PrunedByBound = pruned
+		tr.PrunedByBound = rr.pruned
 	}
 	return res, finalQ, true, nil
+}
+
+// reRankBatch is how many walk points the re-ranker holds before it
+// examines them: enough independent S1 row loads in flight to hide most of
+// their latency.
+const reRankBatch = 16
+
+// reRanker is Algorithm 3's line 5 loop: it examines the walk's points on
+// their S1 rows, in the walk's ascending (S2 distance, id) order, and keeps
+// the squared radius b the walk prunes with.
+//
+// Once the top-k holds k points, add only buffers a point, and flush
+// examines the batch: pass one loads a few floats of every buffered row so
+// their cache misses overlap, and pass two is the sequential loop, which
+// stops at the first point beyond the radius. The walk meanwhile prunes
+// with the radius as of the last flush. That bound is stale by at most one
+// batch, and since the radius only shrinks, it is never below the current
+// one: the walk yields the same points in the same order, plus at most a
+// batch more, and pass two stops on the point the exact radius stops on.
+// The answer, Examined and PrunedByBound are those of re-ranking every
+// point as it arrives. While the top-k is still filling, every point is
+// flushed at once, so the radius turns finite on the same visit as it
+// would unbatched.
+type reRanker struct {
+	e    *Engine
+	q1   []float64
+	skip func(kg.EntityID) bool
+	top  *topKSet
+	k    int
+	eps  float64
+	l1   bool
+	b    float64 // squared radius as of the last examined point
+
+	examined, pruned int
+
+	n   int
+	buf [reRankBatch]candidate
+}
+
+// candidate is one buffered walk point.
+type candidate struct {
+	id    int32
+	sqD   float64 // squared S2 distance, the walk's key
+	touch float64 // pass one's sum of the row floats it loaded
+}
+
+// add buffers the walk's next point and reports whether the walk goes on.
+func (r *reRanker) add(id int32, sqD float64) bool {
+	r.buf[r.n] = candidate{id: id, sqD: sqD}
+	r.n++
+	if r.n < reRankBatch && r.top.len() >= r.k {
+		return true
+	}
+	return r.flush()
+}
+
+// flush examines the buffered points in order and empties the buffer. It
+// reports false once a point lies beyond the radius: that point and every
+// later one are out, and so is the rest of the walk.
+func (r *reRanker) flush() bool {
+	batch := r.buf[:r.n]
+	r.n = 0
+	// Pass one: floats 0, 8 and 16 of each row — three of a 50-dimensional
+	// row's seven cache lines — with no branch on the data, so the misses
+	// are in flight together. Each sum goes to its candidate's slot in the
+	// query's own buffer, which keeps the loads live without writing
+	// anything another query reads.
+	rows, dim := r.e.m.Entities, r.e.m.Dim
+	o1, o2 := min(8, dim-1), min(16, dim-1)
+	for i := range batch {
+		base := int(batch[i].id) * dim
+		batch[i].touch = rows[base] + rows[base+o1] + rows[base+o2]
+	}
+	// Pass two: the sequential loop.
+	for i := range batch {
+		if batch[i].sqD > r.b {
+			return false
+		}
+		id := kg.EntityID(batch[i].id)
+		if r.skip(id) {
+			continue
+		}
+		r.examined++
+		if r.l1 {
+			r.top.offer(Prediction{Entity: id, Dist: r.e.s1Dist(r.q1, id)})
+		} else {
+			// Exact distances are only needed for candidates that can
+			// enter the current top-k; the bounded computation aborts
+			// early for the rest.
+			cutoffSq := math.Inf(1)
+			if r.top.len() >= r.k {
+				kd := r.top.kth()
+				cutoffSq = kd * kd
+			}
+			sq := sqDistBounded(r.q1, r.e.m.EntityVec(id), cutoffSq)
+			if math.IsInf(sq, 1) {
+				r.pruned++
+				continue
+			}
+			r.top.offer(Prediction{Entity: id, Dist: math.Sqrt(sq)})
+		}
+		if r.top.len() >= r.k {
+			rad := r.top.kth() * (1 + r.eps)
+			r.b = rad * rad
+		}
+	}
+	return true
 }
 
 // finishPredictions completes a distance-sorted prediction list: the display

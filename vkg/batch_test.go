@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -485,43 +486,32 @@ func TestDoBatchWorkersCancel(t *testing.T) {
 		}
 	}
 
-	// Mid-flight cancel. Timing decides how far the batch got, so retry
-	// until one run shows both sides of the contract: some queries
-	// completed with results, some were cut off with context.Canceled.
-	var completed, canceled int
-	for attempt := 0; attempt < 20; attempt++ {
-		// Results cached by earlier attempts would let the whole batch
-		// finish inside the sleep; drop them so every attempt does real
-		// index work and the cancel can land mid-flight.
-		v.ResetCache()
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan []Result, 1)
-		batch := mkBatch(512)
-		go func() { done <- v.DoBatchWorkers(ctx, batch, 4) }()
-		time.Sleep(time.Duration(attempt+1) * 500 * time.Microsecond)
-		cancel()
-		results := <-done
-		if len(results) != len(batch) {
-			t.Fatalf("got %d results for a %d-query batch", len(results), len(batch))
-		}
-		completed, canceled = 0, 0
-		for i, res := range results {
-			switch {
-			case res.Err == nil && res.TopK != nil:
-				completed++
-			case errors.Is(res.Err, context.Canceled):
-				canceled++
-			default:
-				t.Fatalf("query %d: err %v, topk %v — want a result or context.Canceled",
-					i, res.Err, res.TopK)
-			}
-		}
-		if completed > 0 && canceled > 0 {
-			break
+	// Mid-flight cancel, by construction: the context cancels itself at its
+	// 100th consultation, while most of the batch has not started. Every
+	// query consults it at least once before it runs, so fewer than 100
+	// complete and the rest fail with context.Canceled.
+	v.ResetCache()
+	const cancelAt = 100
+	mid := newCancelAtCtx(cancelAt)
+	batch := mkBatch(512)
+	results := v.DoBatchWorkers(mid, batch, 4)
+	if len(results) != len(batch) {
+		t.Fatalf("got %d results for a %d-query batch", len(results), len(batch))
+	}
+	completed, canceled := 0, 0
+	for i, res := range results {
+		switch {
+		case res.Err == nil && res.TopK != nil:
+			completed++
+		case errors.Is(res.Err, context.Canceled):
+			canceled++
+		default:
+			t.Fatalf("query %d: err %v, topk %v — want a result or context.Canceled",
+				i, res.Err, res.TopK)
 		}
 	}
-	if completed == 0 || canceled == 0 {
-		t.Fatalf("no run split the batch (completed %d, canceled %d); cannot observe mid-flight cancel", completed, canceled)
+	if completed == 0 || completed >= cancelAt || canceled == 0 {
+		t.Fatalf("a batch cancelled at its context's consultation %d: completed %d, canceled %d", cancelAt, completed, canceled)
 	}
 
 	// The workers must be gone: a cancelled batch cannot leak goroutines.
@@ -542,4 +532,25 @@ func TestDoBatchWorkersCancel(t *testing.T) {
 	if err != nil || len(res.Predictions) != 5 {
 		t.Fatalf("post-cancel query: %v, %d predictions", err, len(res.Predictions))
 	}
+}
+
+// cancelAtCtx is a context that cancels itself at its nth Err call: that
+// call and every later one report context.Canceled, and Done is closed.
+type cancelAtCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	calls  atomic.Int64
+	n      int64
+}
+
+func newCancelAtCtx(n int64) *cancelAtCtx {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &cancelAtCtx{Context: ctx, cancel: cancel, n: n}
+}
+
+func (c *cancelAtCtx) Err() error {
+	if c.calls.Add(1) >= c.n {
+		c.cancel()
+	}
+	return c.Context.Err()
 }
