@@ -150,10 +150,11 @@ func recordTypes(pass *analysis.Pass) map[*types.Named]bool {
 // containsRecord reports whether t is a record pointer or a direct
 // container of one: *record, []*record, map[...]*record, chan *record,
 // [N]*record, and shallow nestings thereof. Named struct types are NOT
-// traversed: a struct holding node pointers internally (Tree, nodeArena,
-// the walk frontier) is the arena's own machinery, and flagging every
-// value of such a type would indict the index itself. What escapes scope
-// is the bare pointer changing hands.
+// traversed: a struct holding node pointers internally (Tree, nodeArena)
+// is the arena's own machinery, and flagging every value of such a type
+// would indict the index itself. What escapes scope is the bare pointer
+// changing hands. (The walk frontier holds none: it names nodes by arena
+// index.)
 func containsRecord(t types.Type, records map[*types.Named]bool, depth int) bool {
 	if depth > 3 {
 		return false

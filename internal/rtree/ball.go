@@ -44,7 +44,7 @@ func (t *Tree) SummarizeBall(center []float64, radius float64, attr int, each fu
 }
 
 // ballScan is the state of one SummarizeBall descent. The pooled frontier
-// lends its point scratch and its node-access counts.
+// lends its slab, as point scratch, and its node-access counts.
 type ballScan struct {
 	ps     *PointSet
 	arena  *nodeArena
@@ -92,28 +92,28 @@ func (s *ballScan) visit(nd *node) {
 		return // meets the bounding box at a corner the ball does not reach
 	}
 	if nd.isLeaf() {
-		s.f.pts = nd.leaf.appendWithin(slices.Grow(s.f.pts[:0], len(nd.leaf.ids)), s.center, s.rsq)
+		s.f.items = nd.leaf.appendWithin(s.f.items[:0], s.center, s.rsq)
 		s.count()
 		return
 	}
 	// Scan in chunks the scratch can hold and still go back to the pool: a
 	// cold index's pending root can be every point.
-	for ids := nd.part.ids(); len(ids) > 0; ids = ids[min(len(ids), maxPooledPoints):] {
-		chunk := ids[:min(len(ids), maxPooledPoints)]
-		s.f.pts = s.ps.appendWithin(slices.Grow(s.f.pts[:0], len(chunk)), chunk, s.center, s.rsq)
+	for ids := nd.part.ids(); len(ids) > 0; ids = ids[min(len(ids), maxPooledItems):] {
+		chunk := ids[:min(len(ids), maxPooledItems)]
+		s.f.items = s.ps.appendWithin(slices.Grow(s.f.items[:0], len(chunk)), chunk, s.center, s.rsq)
 		s.count()
 	}
 }
 
 // count adds the scanned points in the scratch that bear the attribute.
 func (s *ballScan) count() {
-	for _, p := range s.f.pts {
-		if !s.ps.HasAttr(s.attr, p.id) {
+	for _, p := range s.f.items {
+		if !s.ps.HasAttr(s.attr, p.ref) {
 			continue
 		}
 		s.out.Count++
 		if s.each != nil {
-			s.each(p.id, p.d)
+			s.each(p.ref, p.d)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -57,19 +59,45 @@ func BenchmarkSearchCracked(b *testing.B) {
 	}
 }
 
+// BenchmarkWalkWithin times a converged walk: 64 queries centred on points
+// of a clustered 100k-point set, each bounded by the squared distance of
+// its 300th nearest point, over a tree cracked around those balls until a
+// further crack splits nothing.
 func BenchmarkWalkWithin(b *testing.B) {
-	ps := benchPointSet(20000)
-	tr := NewCracking(ps, DefaultOptions())
+	const n, queries, visits = 100000, 64, 300
+	ps := clusteredPointSet(n, 3, 16, 1)
 	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 64; i++ {
-		tr.Crack(randomQuery(rng, 3, 0, 10))
+	centers := make([][]float64, queries)
+	bounds := make([]float64, queries)
+	sq := make([]float64, n)
+	for i := range centers {
+		centers[i] = ps.At(int32(rng.Intn(n)))
+		for j := range sq {
+			sq[j] = ps.SqDistTo(int32(j), centers[i])
+		}
+		slices.Sort(sq)
+		bounds[i] = sq[visits-1]
 	}
-	center := []float64{5, 5, 5}
-	bound := func() float64 { return 0.25 }
+	tr := NewCracking(ps, DefaultOptions())
+	for before := -1; before != tr.Splits(); {
+		before = tr.Splits()
+		for i, c := range centers {
+			tr.Crack(BallRect(c, math.Sqrt(bounds[i])))
+		}
+	}
+	visited := 0
+	visit := func(int32, float64) bool { visited++; return true }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.WalkWithin(center, bound, func(int32, float64) bool { return true })
+		k := i % queries
+		tr.WalkWithin(centers[k], func() float64 { return bounds[k] }, visit)
 	}
+	b.StopTimer()
+	if visited == 0 {
+		b.Fatal("the walks visited nothing")
+	}
+	b.ReportMetric(float64(visited)/float64(b.N), "visits/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(visited), "ns/visit")
 }
 
 func BenchmarkInsert(b *testing.B) {

@@ -31,10 +31,10 @@ func TestLeafScanKernels(t *testing.T) {
 			q[d] = rng.Float64() * 10
 		}
 		for _, bound := range []float64{0, 0.5, 4, 1e9, math.Inf(1)} {
-			var want []walkPoint
+			var want []walkItem
 			for _, id := range ids {
 				if d := ps.SqDistTo(id, q); d <= bound {
-					want = append(want, walkPoint{d: d, id: id})
+					want = append(want, walkItem{d: d, ref: id})
 				}
 			}
 			if got := ps.appendWithin(nil, ids, q, bound); !slices.Equal(got, want) {
@@ -78,7 +78,7 @@ func TestEnablePackedIdempotent(t *testing.T) {
 	tr := NewCracking(ps, DefaultOptions())
 	tr.Crack(BallRect([]float64{0.5, 0.5, 0.5}, 0.2))
 	q := []float64{0.4, 0.5, 0.6}
-	walk := func() []walkPoint {
+	walk := func() []walkItem {
 		return walkTree(tr, q, func(int) float64 { return 0.3 }, -1, nil)
 	}
 	before, hash := walk(), tr.StructureHash()
@@ -150,14 +150,14 @@ func TestLeafPagesFollowMutations(t *testing.T) {
 			}
 			radius := float64(1+rng.Intn(7)) / 2
 			for _, bound := range []float64{radius * radius, math.Inf(1)} {
-				var want []walkPoint
+				var want []walkItem
 				for id, ok := range live {
 					if d := ps.SqDistTo(int32(id), q); ok && d <= bound {
-						want = append(want, walkPoint{d: d, id: int32(id)})
+						want = append(want, walkItem{d: d, ref: int32(id)})
 					}
 				}
-				slices.SortFunc(want, func(a, b walkPoint) int {
-					return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.id, b.id))
+				slices.SortFunc(want, func(a, b walkItem) int {
+					return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.ref, b.ref))
 				})
 				got := walkTree(tr, q, func(int) float64 { return bound }, -1, nil)
 				if !slices.Equal(got, want) {
@@ -166,12 +166,12 @@ func TestLeafPagesFollowMutations(t *testing.T) {
 				if math.IsInf(bound, 1) {
 					continue
 				}
-				var ball []walkPoint
+				var ball []walkItem
 				st := tr.SummarizeBall(q, radius, -1, func(id int32, d float64) {
-					ball = append(ball, walkPoint{d: d, id: id})
+					ball = append(ball, walkItem{d: d, ref: id})
 				})
-				slices.SortFunc(ball, func(a, b walkPoint) int { return int(a.id - b.id) })
-				slices.SortFunc(want, func(a, b walkPoint) int { return int(a.id - b.id) })
+				slices.SortFunc(ball, func(a, b walkItem) int { return int(a.ref - b.ref) })
+				slices.SortFunc(want, func(a, b walkItem) int { return int(a.ref - b.ref) })
 				if st.Count != len(ball) || !slices.Equal(ball, want) {
 					t.Fatalf("seed %d after %s: SummarizeBall counts %d, reports %d points, the scan %d", seed, step, st.Count, len(ball), len(want))
 				}

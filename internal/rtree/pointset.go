@@ -111,10 +111,10 @@ func (ps *PointSet) EnablePacked() {}
 // appendWithin appends (sqDist, id) to dst for every given id whose exact
 // squared distance to q is at most bound, preserving the order of ids: the
 // scan of a pending element, whose points have no page.
-func (ps *PointSet) appendWithin(dst []walkPoint, ids []int32, q []float64, bound float64) []walkPoint {
+func (ps *PointSet) appendWithin(dst []walkItem, ids []int32, q []float64, bound float64) []walkItem {
 	for _, id := range ids {
 		if d := ps.SqDistTo(id, q); d <= bound {
-			dst = append(dst, walkPoint{d: d, id: id})
+			dst = append(dst, walkItem{d: d, ref: id})
 		}
 	}
 	return dst
@@ -174,7 +174,7 @@ func (pg *leafPage) check(ps *PointSet) error {
 // appendWithin is PointSet.appendWithin over the page's entries: one
 // sequential pass over the rows, each distance summed in SqDistTo's order
 // and therefore bit-identical to it. This is the leaf scan of every walk.
-func (pg *leafPage) appendWithin(dst []walkPoint, q []float64, bound float64) []walkPoint {
+func (pg *leafPage) appendWithin(dst []walkItem, q []float64, bound float64) []walkItem {
 	xy := pg.xy
 	for _, id := range pg.ids {
 		row := xy[:len(q)]
@@ -185,7 +185,7 @@ func (pg *leafPage) appendWithin(dst []walkPoint, q []float64, bound float64) []
 			s += d * d
 		}
 		if s <= bound {
-			dst = append(dst, walkPoint{d: s, id: id})
+			dst = append(dst, walkItem{d: s, ref: id})
 		}
 	}
 	return dst

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -21,269 +22,196 @@ func (t *Tree) WalkAscending(q []float64, visit func(id int32, sqDist float64) b
 // WalkWithin is WalkAscending with a dynamic pruning bound: nodes and
 // points whose squared distance exceeds bound() are never pushed onto the
 // frontier. The bound may shrink over time (Algorithm 3's radius does);
-// growing it mid-walk is not supported.
+// growing it mid-walk is not supported. The tree must be Ready (the engine
+// prepares its tree under its write lock before serving).
 func (t *Tree) WalkWithin(q []float64, bound func() float64, visit func(id int32, sqDist float64) bool) {
-	WalkTreesWithin([]*Tree{t}, q, bound, visit)
-}
-
-// WalkTreesWithin merges the best-first walks of several trees into one
-// ascending stream. All trees must be built over the same PointSet, already
-// Ready (the engine prepares its tree under its write lock before serving),
-// and share one AccessCounters sink. The heap's deterministic ordering makes
-// the visit sequence ascending (distance, id) regardless of how the points
-// are arranged into nodes. Nothing in this module passes more than one tree:
-// the slice survives because bench/ calls it (ROADMAP item 0).
-func WalkTreesWithin(trees []*Tree, q []float64, bound func() float64, visit func(id int32, sqDist float64) bool) {
+	t.ensureRoot()
 	f := frontierPool.Get().(*frontier)
-	b := bound()
-	for _, t := range trees {
-		f.seed(t, q, b)
+	if d := t.root.mbr.MinSqDist(q); d <= bound() {
+		f.push(d, ^t.root.idx)
 	}
-	f.items.init()
-	f.drain(trees[0].ps, q, bound, visit)
-	f.release(trees[0].access)
+	f.drain(t, q, bound, visit)
+	f.release(t.access)
 }
 
-// frontier is one walk's state: the best-first heap over nodes and runs,
-// the flat point scratch the runs live in, and the node accesses counted so
-// far. A scanned leaf or pending element contributes one run — its in-bound
-// points, appended to pts and ordered in place as a min-heap on (d, id) —
-// and one heap item keyed by the run's minimum, so the frontier holds an
-// item per leaf, never one per point.
+// WalkTreesWithin is WalkWithin over trees[0]; trees must hold exactly one
+// tree, since the frontier names nodes by their index in that tree's arena.
+// The slice survives only because bench/ calls it (ROADMAP item 0a).
+func WalkTreesWithin(trees []*Tree, q []float64, bound func() float64, visit func(id int32, sqDist float64) bool) {
+	if len(trees) != 1 {
+		panic("rtree: WalkTreesWithin walks exactly one tree")
+	}
+	trees[0].WalkWithin(q, bound, visit)
+}
+
+// frontier is one walk's state: a radix heap (Ahuja, Mehlhorn, Orlin and
+// Tarjan, JACM 1990) over the nodes still to expand and the in-bound points
+// scanned so far, and the node accesses counted so far.
+//
+// An item's key is math.Float64bits(d), which orders like d for every
+// d >= 0, and no key pushed is below last, the key popped last: a child's
+// MBR lies inside its parent's, so each term of its MinSqDist is at least
+// the parent's; a point lies inside its leaf's or pending element's MBR, so
+// each term of its squared distance is at least that MBR's; and rounding
+// is monotone in every operation. An item goes to bucket
+// bits.Len64(key^last). Bucket 0, zero, holds the items keyed last; bucket
+// b >= 1, stored at index b-1, those whose key first differs from last at
+// bit b-1, so every key in it is below every key in a higher bucket. A pop
+// takes zero's least item. When zero is empty, refill sets last to the
+// least key of the lowest non-empty bucket and files that bucket's items
+// again, each into a lower bucket. Nothing is compared on insert but the
+// bucket's minimum.
+//
+// items is the walk's one slab: every item pushed, in push order, each
+// bucket b >= 1 a list linked through next. The leaf and pending scans
+// append their in-bound points straight into it. The frontier holds no
+// pointer: a node is ^its arena index, resolved with nodeArena.at.
 //
 // Node accesses are counted here and flushed once per walk, so the Lemma 3
 // cost counters add no atomics to the per-node fast path.
 type frontier struct {
-	items               walkHeap
-	pts                 []walkPoint
+	items               []walkItem
+	head                [64]int32  // 1 + the index of the bucket's first item, 0 if empty
+	notMin              [64]uint64 // ^the bucket's least key, 0 if empty
+	mask                uint64     // bit b-1 set when bucket b is non-empty
+	last                uint64
+	zero                zeroHeap
 	accIn, accLf, accPd uint64
-	hole                bool // the top item is a node under expansion, not yet replaced
+}
+
+// walkItem is a frontier entry: a point (ref is its id) or a node still to
+// expand (ref is ^its arena index, so negative), at squared distance d.
+// next links the items of one bucket (1 + an index into the slab, 0 ends
+// the list). The scans write items with next 0.
+type walkItem struct {
+	d    float64
+	ref  int32
+	next int32
 }
 
 // Frontiers are pooled so a warm walk allocates nothing. A walk that grew
-// its buffers past these capacities drops them instead: the first query on
-// a cold index scans a pending root of every point, and pooling that
-// scratch would pin megabytes per P for the life of the process.
-const (
-	maxPooledItems  = 1 << 10
-	maxPooledPoints = 1 << 12
-)
+// its slab past this capacity drops it instead: the first query on a cold
+// index scans a pending root of every point, and pooling that slab would
+// pin megabytes per P for the life of the process.
+const maxPooledItems = 1 << 13
 
 var frontierPool = sync.Pool{New: func() any { return new(frontier) }}
 
-// seed adds t's root to the (not yet heap-ordered) frontier unless it lies
-// beyond the bound b.
-func (f *frontier) seed(t *Tree, q []float64, b float64) {
-	t.ensureRoot()
-	if d := t.root.mbr.MinSqDist(q); d <= b {
-		f.items = append(f.items, walkItem{n: t.root, d: d, id: nodeID})
-	}
-}
-
-// release flushes the access counts and returns the frontier to the pool
-// with no node pointer left in it: arena records must not be reachable
-// once the caller drops the index read lock. pop clears the slots it
-// vacates, so only the live prefix needs clearing here.
+// release flushes the access counts and returns the frontier, emptied, to
+// the pool.
 func (f *frontier) release(access *AccessCounters) {
 	access.flush(f.accIn, f.accLf, f.accPd)
-	if cap(f.items) > maxPooledItems || cap(f.pts) > maxPooledPoints {
+	if cap(f.items) > maxPooledItems || cap(f.zero) > maxPooledItems {
 		return
 	}
-	clear(f.items)
-	*f = frontier{items: f.items[:0], pts: f.pts[:0]}
+	*f = frontier{items: f.items[:0], zero: f.zero[:0]}
 	frontierPool.Put(f)
 }
 
-// drain visits the frontier's points in deterministic best-first order.
-// Trees sharing the frontier must share ps; LeafCap and friends are not
-// consulted, so mixed-option trees are fine. Points enter through the two
-// appendWithin scans — a leaf's page, a pending element's ids — whose
-// distances are bit-identical.
-//
-// A run's item stays at the top of the heap while its head is visited and
-// is then re-keyed to the run's next point with one sift-down, instead of a
-// pop and a push per point. The bound is read once per step, before the
-// item it gates.
-func (f *frontier) drain(ps *PointSet, q []float64, bound func() float64, visit func(id int32, sqDist float64) bool) {
-	for len(f.items) > 0 {
-		it := f.items[0]
+// drain visits the frontier's points in ascending (distance, id) order, a
+// total order over the data, independent of the tree structure, which
+// keeps walks over differently cracked trees bit-identical. At equal
+// distance nodes come before points, so every point at distance d is on
+// the frontier before any is visited. The bound is read once per step,
+// before the item it gates.
+func (f *frontier) drain(t *Tree, q []float64, bound func() float64, visit func(id int32, sqDist float64) bool) {
+	for len(f.zero) > 0 || f.refill() {
+		it := f.zero[0]
 		b := bound()
 		if it.d > b {
 			return // everything left is farther than the bound
 		}
-		if it.n == nil {
-			if !visit(it.id, it.d) {
+		f.zero.pop()
+		if it.ref >= 0 {
+			if !visit(it.ref, it.d) {
 				return
 			}
-			f.advance()
 			continue
 		}
-		// The node's expansion takes its place: the first item it yields
-		// overwrites the top (a run's key is at least its leaf's, so it
-		// seldom sinks far), the rest are pushed, and only a node that
-		// yields nothing is popped.
-		f.hole = true
+		nd := t.arena.at(^it.ref)
+		lo := len(f.items)
 		switch {
-		case it.n.isInternal():
+		case nd.isInternal():
 			f.accIn++
-			for _, c := range it.n.children {
+			for _, c := range nd.children {
 				if d := c.mbr.MinSqDist(q); d <= b {
-					f.put(walkItem{n: c, d: d, id: nodeID})
+					f.items = append(f.items, walkItem{d: d, ref: ^c.idx})
 				}
 			}
-		case it.n.isLeaf():
+		case nd.isLeaf():
 			f.accLf++
-			lo := f.room(len(it.n.leaf.ids))
-			f.pts = it.n.leaf.appendWithin(f.pts, q, b)
-			f.putRun(lo)
+			f.items = nd.leaf.appendWithin(f.items, q, b)
 		default:
 			f.accPd++
-			// The whole element when the bound is still infinite, else a
-			// long scan's first chunk.
-			ids := it.n.part.ids()
-			room := len(ids)
-			if room > gatherChunk && !math.IsInf(b, 1) {
-				room = gatherChunk
+			ids := nd.part.ids()
+			if math.IsInf(b, 1) {
+				f.items = slices.Grow(f.items, len(ids)) // every point is in bound
 			}
-			lo := f.room(room)
-			f.pts = ps.appendWithin(f.pts, ids, q, b)
-			f.putRun(lo)
+			f.items = t.ps.appendWithin(f.items, ids, q, b)
 		}
-		if f.hole {
-			f.hole = false
-			f.items.pop()
+		for i := lo; i < len(f.items); i++ {
+			f.file(int32(i))
 		}
 	}
 }
 
-// put adds an item to the frontier, in the place of the node being
-// expanded if that is still open.
-func (f *frontier) put(it walkItem) {
-	if !f.hole {
-		f.items.push(it)
+// push adds an item at squared distance d to the frontier.
+func (f *frontier) push(d float64, ref int32) {
+	f.items = append(f.items, walkItem{d: d, ref: ref})
+	f.file(int32(len(f.items) - 1))
+}
+
+// file puts items[i] in its bucket. A key below last would break the order
+// and cannot occur (see frontier); vkgdebug builds panic on one, release
+// builds file it in bucket 0, where it still comes out first.
+func (f *frontier) file(i int32) {
+	it := &f.items[i]
+	key := math.Float64bits(it.d)
+	checkFrontierKey(key, f.last)
+	if key <= f.last {
+		f.zero.push(*it)
 		return
 	}
-	f.hole = false
-	f.items[0] = it
-	f.items.down(0)
+	b := bits.Len64(key^f.last) - 1
+	f.notMin[b] = max(f.notMin[b], ^key)
+	f.mask |= 1 << b
+	it.next = f.head[b]
+	f.head[b] = i + 1
 }
 
-// room makes space for n more points in the scratch and returns where they
-// will start. Growing by at least the current length doubles the scratch:
-// append's ratio of 1.25 would copy an aggregate's ball of thousands of
-// points, too large to come back from the pool, five times over.
-func (f *frontier) room(n int) int {
-	if cap(f.pts)-len(f.pts) < n {
-		f.pts = slices.Grow(f.pts, max(n, len(f.pts)))
+// refill empties the lowest non-empty bucket into the ones below it, its
+// least items into bucket 0, and reports false when the frontier is empty.
+func (f *frontier) refill() bool {
+	if f.mask == 0 {
+		return false
 	}
-	return len(f.pts)
-}
-
-// putRun makes the points scanned into pts[lo:] a run and puts its item on
-// the frontier. Building the heap is O(m) and the tail of a run the walk
-// never reaches is never ordered, so a cold index's pending root of every
-// point costs one linear pass.
-func (f *frontier) putRun(lo int) {
-	if len(f.pts) == lo {
-		return
+	b := bits.TrailingZeros64(f.mask)
+	f.mask &^= 1 << b
+	f.last = ^f.notMin[b]
+	f.notMin[b] = 0
+	i := f.head[b]
+	f.head[b] = 0
+	for i != 0 {
+		next := f.items[i-1].next
+		f.file(i - 1)
+		i = next
 	}
-	run := walkRun(f.pts[lo:])
-	run.init()
-	f.put(walkItem{d: run[0].d, id: run[0].id, lo: int32(lo), hi: int32(len(f.pts))})
+	return true
 }
 
-// advance drops the head of the run at the top of the heap and re-keys the
-// item to the run's next point, or pops it when the run is exhausted.
-func (f *frontier) advance() {
-	it := &f.items[0]
-	it.hi--
-	run := walkRun(f.pts[it.lo:it.hi])
-	if len(run) == 0 {
-		f.items.pop()
-		return
-	}
-	run[0] = f.pts[it.hi]
-	run.down(0)
-	it.d, it.id = run[0].d, run[0].id
-	f.items.down(0)
-}
+// zeroHeap is bucket 0, a min-heap on (d, ref): nodes (negative refs)
+// before points, points by ascending id. It seldom holds more than one
+// item, but exact duplicates can put any number of points in it.
+type zeroHeap []walkItem
 
-// walkPoint is one in-bound point of a run. It holds no pointer, so the
-// scratch is invisible to the garbage collector's mark phase.
-type walkPoint struct {
-	d  float64
-	id int32
-}
-
-// walkRun is a min-heap of points on (d, id), ordered in place over its
-// slice of the frontier's scratch.
-type walkRun []walkPoint
-
-func (r walkRun) less(i, j int) bool {
-	if r[i].d != r[j].d {
-		return r[i].d < r[j].d
-	}
-	return r[i].id < r[j].id
-}
-
-func (r walkRun) down(i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(r) {
-			return
-		}
-		if c := l + 1; c < len(r) && r.less(c, l) {
-			l = c
-		}
-		if !r.less(l, i) {
-			return
-		}
-		r[i], r[l] = r[l], r[i]
-		i = l
-	}
-}
-
-func (r walkRun) init() {
-	for i := len(r)/2 - 1; i >= 0; i-- {
-		r.down(i)
-	}
-}
-
-// walkItem is a frontier entry: a node still to expand (n != nil, keyed by
-// its MBR's distance and nodeID), or a run of scanned points pts[lo:hi]
-// keyed by its head (d, id).
-type walkItem struct {
-	n      *node
-	d      float64
-	id     int32
-	lo, hi int32
-}
-
-// nodeID is the id half of a node item's key: below every point id, so at
-// equal distance nodes sort before runs.
-const nodeID = -1
-
-// walkHeap is the best-first frontier with concrete push/pop methods;
-// container/heap would box every walkItem into an interface value, one
-// allocation per push.
-type walkHeap []walkItem
-
-// less orders the frontier by ascending (distance, id): at equal distance
-// nodes come before runs (so every point at distance d is in some run
-// before any is visited) and runs break ties by their head's id. Every id
-// lives in exactly one run and a run's key is its minimum, so the top run's
-// head is the minimum (distance, id) over all scanned points: the visit
-// order is exactly ascending (distance, id) — a total order over the data,
-// independent of the tree structure — which keeps walks over differently
-// cracked trees bit-identical.
-func (h walkHeap) less(i, j int) bool {
+func (h zeroHeap) less(i, j int) bool {
 	if h[i].d != h[j].d {
 		return h[i].d < h[j].d
 	}
-	return h[i].id < h[j].id
+	return h[i].ref < h[j].ref
 }
 
-func (h *walkHeap) push(it walkItem) {
+func (h *zeroHeap) push(it walkItem) {
 	*h = append(*h, it)
 	s := *h
 	for i := len(s) - 1; i > 0; {
@@ -296,37 +224,24 @@ func (h *walkHeap) push(it walkItem) {
 	}
 }
 
-// pop removes the top item, clearing the slot it vacates so no node pointer
-// survives past the live prefix.
-func (h *walkHeap) pop() {
+func (h *zeroHeap) pop() {
 	s := *h
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = walkItem{}
-	*h = s[:n]
-	s[:n].down(0)
-}
-
-func (h walkHeap) down(i int) {
-	for {
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
 		l := 2*i + 1
-		if l >= len(h) {
+		if l >= n {
 			return
 		}
-		if r := l + 1; r < len(h) && h.less(r, l) {
+		if r := l + 1; r < n && s.less(r, l) {
 			l = r
 		}
-		if !h.less(l, i) {
+		if !s.less(l, i) {
 			return
 		}
-		h[i], h[l] = h[l], h[i]
+		s[i], s[l] = s[l], s[i]
 		i = l
-	}
-}
-
-// init establishes the heap property over an unordered backing slice.
-func (h walkHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
 	}
 }

@@ -4,23 +4,27 @@ import (
 	"cmp"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"vkgraph/internal/raceflag"
 )
 
-// walkOracle is the brute-force reference for a walk: every point sorted by
-// (sqDist, id), cut where the walk's rule cuts it — before each point the
-// bound is read (as a function of the points visited so far) and the walk
-// ends at the first point beyond it, or after stop points.
-func walkOracle(ps *PointSet, q []float64, bound func(visited int) float64, stop int) []walkPoint {
-	all := make([]walkPoint, ps.N())
-	for i := range all {
-		all[i] = walkPoint{d: ps.SqDistTo(int32(i), q), id: int32(i)}
+// walkOracle is the brute-force reference for a walk: every live point
+// (deleted ids left out) sorted by (sqDist, id), cut where the walk's rule
+// cuts it — before each point the bound is read (as a function of the
+// points visited so far) and the walk ends at the first point beyond it,
+// or after stop points.
+func walkOracle(ps *PointSet, deleted map[int32]bool, q []float64, bound func(visited int) float64, stop int) []walkItem {
+	var all []walkItem
+	for i := int32(0); int(i) < ps.N(); i++ {
+		if !deleted[i] {
+			all = append(all, walkItem{d: ps.SqDistTo(i, q), ref: i})
+		}
 	}
-	slices.SortFunc(all, func(a, b walkPoint) int {
-		return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.id, b.id))
+	slices.SortFunc(all, func(a, b walkItem) int {
+		return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.ref, b.ref))
 	})
 	for i, p := range all {
 		if i == stop || p.d > bound(i) {
@@ -33,10 +37,10 @@ func walkOracle(ps *PointSet, q []float64, bound func(visited int) float64, stop
 // walkTree records the visit sequence of a walk under the same rule as
 // walkOracle. inner, when non-nil, runs from inside the callback of
 // the third visited point.
-func walkTree(tr *Tree, q []float64, bound func(visited int) float64, stop int, inner func()) []walkPoint {
-	var got []walkPoint
+func walkTree(tr *Tree, q []float64, bound func(visited int) float64, stop int, inner func()) []walkItem {
+	var got []walkItem
 	tr.WalkWithin(q, func() float64 { return bound(len(got)) }, func(id int32, d float64) bool {
-		got = append(got, walkPoint{d: d, id: id})
+		got = append(got, walkItem{d: d, ref: id})
 		if inner != nil && len(got) == 3 {
 			inner()
 		}
@@ -45,15 +49,21 @@ func walkTree(tr *Tree, q []float64, bound func(visited int) float64, stop int, 
 	return got
 }
 
-// TestWalkMatchesSortedScan is the randomized differential test of the run
-// frontier: over a random crack sequence, on trees below and above the size
-// at which the root is pre-split, the visit sequence must equal the
-// (sqDist, id)-sorted scan under a fixed bound, no bound, and a bound that
-// shrinks with the points visited; an early stop
-// must leave the next walk on the goroutine intact, and so must a walk
-// started from inside a visit callback. Coordinates sit on a coarse
-// lattice, with exact duplicates, so equal distances — the id tie-break —
-// occur in every run.
+// TestWalkMatchesSortedScan is the randomized differential test of the
+// radix frontier: over a random sequence of cracks, inserts and deletes, on
+// trees below and above the size at which the root is pre-split, the visit
+// sequence must equal the (sqDist, id)-sorted scan of the live points under
+// a fixed bound, no bound, and a bound that shrinks with the points
+// visited; an early stop must leave the next walk on the goroutine intact,
+// and so must a walk started from inside a visit callback.
+//
+// Coordinates sit on a coarse lattice, with exact duplicates, so equal
+// distances — the id tie-break — occur in every run, and with near
+// duplicates a few ulps apart, whose keys share all but their last bits.
+// Each seed scales its coordinates by 2^s, s in [-60, 60], which moves the
+// keys across binades without changing the order. Inserted points grow
+// MBRs and deleted ones leave them loose. Queries sit on the lattice, on a
+// data point (distance +0) or on a face of an MBR.
 func TestWalkMatchesSortedScan(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
@@ -66,21 +76,34 @@ func TestWalkMatchesSortedScan(t *testing.T) {
 		if seed%40 == 0 {
 			n = parallelSortMin + rng.Intn(300)
 		}
-		coords := make([]float64, 0, n*dim)
-		for i := 0; i < n; i++ {
+		scale := math.Ldexp(1, rng.Intn(121)-60)
+		// point makes point i, given the coordinates of the points before it.
+		point := func(i int, at func(j int) []float64) []float64 {
+			pt := make([]float64, dim)
 			switch {
 			case i > 0 && rng.Intn(8) == 0: // exact duplicate of an earlier point
-				j := rng.Intn(i)
-				coords = append(coords, coords[j*dim:(j+1)*dim]...)
+				copy(pt, at(rng.Intn(i)))
+			case i > 0 && rng.Intn(8) == 0: // an earlier point moved by a few ulps
+				copy(pt, at(rng.Intn(i)))
+				for d := range pt {
+					for u := rng.Intn(4); u > 0; u-- {
+						pt[d] = math.Nextafter(pt[d], math.Inf(1))
+					}
+				}
 			case rng.Intn(4) == 0: // off-lattice
-				for d := 0; d < dim; d++ {
-					coords = append(coords, rng.Float64()*6)
+				for d := range pt {
+					pt[d] = rng.Float64() * 6 * scale
 				}
 			default:
-				for d := 0; d < dim; d++ {
-					coords = append(coords, float64(rng.Intn(7)))
+				for d := range pt {
+					pt[d] = float64(rng.Intn(7)) * scale
 				}
 			}
+			return pt
+		}
+		coords := make([]float64, 0, n*dim)
+		for i := 0; i < n; i++ {
+			coords = append(coords, point(i, func(j int) []float64 { return coords[j*dim : (j+1)*dim] })...)
 		}
 		opt := DefaultOptions()
 		if rng.Intn(2) == 0 {
@@ -88,10 +111,27 @@ func TestWalkMatchesSortedScan(t *testing.T) {
 		}
 		ps := NewPointSet(dim, coords)
 		tr := NewCracking(ps, opt)
-		for round := 0; round < 3; round++ {
-			checkWalks(t, rng, ps, tr, seed)
+		deleted := map[int32]bool{}
+		for round := 0; round < 4; round++ {
+			checkWalks(t, rng, ps, tr, deleted, scale, seed)
 			for c := rng.Intn(6); c > 0; c-- {
-				tr.Crack(randomQuery(rng, dim, 0, 6))
+				q := randomQuery(rng, dim, 0, 6)
+				for d := range q.Lo {
+					q.Lo[d] *= scale
+					q.Hi[d] *= scale
+				}
+				tr.Crack(q)
+			}
+			if round == 0 {
+				continue // the first cracks run on the points as built
+			}
+			for c := rng.Intn(20); c > 0; c-- {
+				tr.Insert(ps.AppendPoint(point(ps.N(), func(j int) []float64 { return ps.At(int32(j)) })))
+			}
+			for c := rng.Intn(20); c > 0; c-- {
+				if id := int32(rng.Intn(ps.N())); !deleted[id] && tr.Delete(id) {
+					deleted[id] = true
+				}
 			}
 		}
 		if err := tr.CheckInvariants(); err != nil {
@@ -100,22 +140,41 @@ func TestWalkMatchesSortedScan(t *testing.T) {
 	}
 }
 
-func checkWalks(t *testing.T, rng *rand.Rand, ps *PointSet, tr *Tree, seed int) {
+func checkWalks(t *testing.T, rng *rand.Rand, ps *PointSet, tr *Tree, deleted map[int32]bool, scale float64, seed int) {
 	t.Helper()
 	q := make([]float64, ps.Dim)
 	for d := range q {
-		q[d] = float64(rng.Intn(13)) / 2 // on the lattice or midway between its points
+		q[d] = float64(rng.Intn(13)) / 2 * scale // on the lattice or midway between its points
 	}
-	fixed := float64(1 + rng.Intn(12))
-	step := 0.25 + rng.Float64()
+	switch rng.Intn(3) {
+	case 0: // on a live data point
+		id := int32(rng.Intn(ps.N()))
+		for deleted[id] {
+			id = int32(rng.Intn(ps.N()))
+		}
+		copy(q, ps.At(id))
+	case 1: // on a face of an MBR
+		tr.ensureRoot()
+		nd := tr.root
+		for nd.isInternal() && rng.Intn(3) != 0 {
+			nd = nd.children[rng.Intn(len(nd.children))]
+		}
+		if d := rng.Intn(ps.Dim); rng.Intn(2) == 0 {
+			q[d] = nd.mbr.Lo[d]
+		} else {
+			q[d] = nd.mbr.Hi[d]
+		}
+	}
+	fixed := float64(1+rng.Intn(12)) * scale * scale
+	step := (0.25 + rng.Float64()) * scale * scale
 	bounds := map[string]func(int) float64{
 		"fixed":     func(int) float64 { return fixed },
 		"unbounded": func(int) float64 { return math.Inf(1) },
-		"shrinking": func(v int) float64 { return 40 - step*float64(v) },
+		"shrinking": func(v int) float64 { return 40*scale*scale - step*float64(v) },
 	}
 	for name, bound := range bounds {
-		want := walkOracle(ps, q, bound, -1)
-		check := func(what string, got, want []walkPoint) {
+		want := walkOracle(ps, deleted, q, bound, -1)
+		check := func(what string, got, want []walkItem) {
 			t.Helper()
 			if !slices.Equal(got, want) {
 				i := 0
@@ -129,22 +188,22 @@ func checkWalks(t *testing.T, rng *rand.Rand, ps *PointSet, tr *Tree, seed int) 
 		check("full walk", walkTree(tr, q, bound, -1, nil), want)
 
 		stop := 1 + rng.Intn(20)
-		check("early stop", walkTree(tr, q, bound, stop, nil), walkOracle(ps, q, bound, stop))
+		check("early stop", walkTree(tr, q, bound, stop, nil), walkOracle(ps, deleted, q, bound, stop))
 		check("walk after early stop", walkTree(tr, q, bound, -1, nil), want)
 
-		var inner []walkPoint
+		var inner []walkItem
 		outer := walkTree(tr, q, bound, -1, func() { inner = walkTree(tr, q, bound, -1, nil) })
 		check("walk around a nested walk", outer, want)
 		if len(want) >= 3 {
 			check("nested walk", inner, want)
 		}
 	}
-	var got []walkPoint
+	var got []walkItem
 	tr.WalkAscending(q, func(id int32, d float64) bool {
-		got = append(got, walkPoint{d: d, id: id})
+		got = append(got, walkItem{d: d, ref: id})
 		return true
 	})
-	if !slices.Equal(got, walkOracle(ps, q, bounds["unbounded"], -1)) {
+	if !slices.Equal(got, walkOracle(ps, deleted, q, bounds["unbounded"], -1)) {
 		t.Fatalf("seed %d: WalkAscending differs from the sorted scan", seed)
 	}
 }
@@ -182,46 +241,80 @@ func TestWarmWalkAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestReleasedFrontierHoldsNoNodes: arena records must not stay reachable
-// from the pool after the caller drops the index read lock — neither from
-// the live prefix of an early-stopped walk nor from slots popped earlier.
-func TestReleasedFrontierHoldsNoNodes(t *testing.T) {
-	q := []float64{5, 5, 5}
-	tr := convergedTree(t, q, 1)
-	for _, stop := range []int{1, 50, -1} {
-		f := new(frontier)
-		f.seed(tr, q, math.Inf(1))
-		n := 0
-		f.drain(tr.ps, q, func() float64 { return 4 }, func(int32, float64) bool { n++; return n != stop })
-		if stop > 0 && len(f.items) == 0 {
-			t.Fatalf("stop %d: nothing was left on the frontier to clear", stop)
-		}
-		f.release(nil)
-		if len(f.items) != 0 || len(f.pts) != 0 || f.accIn+f.accLf+f.accPd != 0 {
-			t.Fatalf("stop %d: released frontier not reset: %d items, %d points", stop, len(f.items), len(f.pts))
-		}
-		for i, it := range f.items[:cap(f.items)] {
-			if it.n != nil {
-				t.Fatalf("stop %d: released frontier still references a node in slot %d of %d", stop, i, cap(f.items))
+// drainFrom runs one walk of tr on a frontier of the test's own, which it
+// returns unreleased.
+func drainFrom(tr *Tree, q []float64, bound float64, visit func(int32, float64) bool) *frontier {
+	tr.ensureRoot()
+	f := new(frontier)
+	f.push(tr.root.mbr.MinSqDist(q), ^tr.root.idx)
+	f.drain(tr, q, func() float64 { return bound }, visit)
+	return f
+}
+
+// TestFrontierHoldsNoPointer: a pooled frontier outlives the index read
+// lock, so nothing in it may reach an arena record. Its items name nodes by
+// arena index, and each of its fields is pointer-free or a slice of
+// pointer-free elements, which the garbage collector does not scan either.
+func TestFrontierHoldsNoPointer(t *testing.T) {
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(t reflect.Type) bool {
+		switch k := t.Kind(); {
+		case k >= reflect.Bool && k <= reflect.Complex128 && k != reflect.Uintptr:
+			return true
+		case k == reflect.Array:
+			return pointerFree(t.Elem())
+		case k == reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				if !pointerFree(t.Field(i).Type) {
+					return false
+				}
 			}
+			return true
+		}
+		return false
+	}
+	if it := reflect.TypeFor[walkItem](); !pointerFree(it) {
+		t.Fatalf("%v holds a pointer", it)
+	}
+	ft := reflect.TypeFor[frontier]()
+	for i := 0; i < ft.NumField(); i++ {
+		f := ft.Field(i)
+		if !pointerFree(f.Type) && !(f.Type.Kind() == reflect.Slice && pointerFree(f.Type.Elem())) {
+			t.Fatalf("frontier.%s (%v) can hold a pointer", f.Name, f.Type)
 		}
 	}
 }
 
-// TestOversizedFrontierIsNotPooled: the scratch of a cold walk over the
-// largest pending root there is — one point short of a pre-split — is
-// dropped, not parked in the pool.
-func TestOversizedFrontierIsNotPooled(t *testing.T) {
-	ps := clusteredPointSet(parallelSortMin-1, 3, 4, 92)
-	tr := NewCracking(ps, DefaultOptions())
-	f := new(frontier)
-	f.seed(tr, []float64{5, 5, 5}, math.Inf(1))
-	f.drain(ps, []float64{5, 5, 5}, func() float64 { return math.Inf(1) }, func(int32, float64) bool { return false })
-	f.release(nil)
-	if cap(f.pts) <= maxPooledPoints {
-		t.Fatalf("cold walk grew the scratch to only %d points", cap(f.pts))
+// TestReleasedFrontierIsEmpty: whether a walk ran out, hit its bound or
+// stopped early with items still on the frontier, the frontier goes back to
+// the pool empty, its access counts flushed.
+func TestReleasedFrontierIsEmpty(t *testing.T) {
+	q := []float64{5, 5, 5}
+	tr := convergedTree(t, q, 1)
+	for _, stop := range []int{1, 50, -1} {
+		n := 0
+		f := drainFrom(tr, q, 4, func(int32, float64) bool { n++; return n != stop })
+		if stop > 0 && len(f.zero) == 0 && f.mask == 0 {
+			t.Fatalf("stop %d: nothing was left on the frontier to clear", stop)
+		}
+		f.release(nil)
+		if !reflect.DeepEqual(*f, frontier{items: f.items[:0], zero: f.zero[:0]}) {
+			t.Fatalf("stop %d: released frontier not reset: %d items, %d in bucket 0, last %#x",
+				stop, len(f.items), len(f.zero), f.last)
+		}
 	}
-	if len(f.pts) == 0 {
+}
+
+// TestOversizedFrontierIsNotPooled: the slab of a cold, unbounded walk over
+// more points than the pool keeps is dropped, not parked in the pool.
+func TestOversizedFrontierIsNotPooled(t *testing.T) {
+	tr := NewCracking(clusteredPointSet(2*maxPooledItems, 3, 4, 92), DefaultOptions())
+	f := drainFrom(tr, []float64{5, 5, 5}, math.Inf(1), func(int32, float64) bool { return true })
+	f.release(nil)
+	if cap(f.items) <= maxPooledItems {
+		t.Fatalf("cold walk grew the slab to only %d items", cap(f.items))
+	}
+	if len(f.items) == 0 {
 		t.Fatal("release reset (and pooled) a frontier past the pool cap")
 	}
 }
