@@ -184,6 +184,74 @@ func TestSortedOrdersMatchOracle(t *testing.T) {
 			t.Fatalf("seed %d: sortedOrders modified its input", seed)
 		}
 	}
+
+	// Inputs aimed at the narrowed sort's paths: keys whose differing bits
+	// all fit the 32-bit prefix, none that differ at all, and more than 32
+	// differing bits with equal-prefix runs long and short for finishRuns.
+	mantissa := func(base float64, low uint64) float64 {
+		return math.Float64frombits(math.Float64bits(base) + low)
+	}
+	cases := []struct {
+		name  string
+		n     int
+		coord func(rng *rand.Rand, i int) float64
+	}{
+		{"a low-mantissa cluster and one far outlier", 20001, func(rng *rand.Rand, i int) float64 {
+			if i == 7777 {
+				return -1e300
+			}
+			return mantissa(1.5, uint64(rng.Intn(1<<12)))
+		}},
+		{"short runs of equal prefix", 20000, func(rng *rand.Rand, i int) float64 {
+			return mantissa(1, uint64(rng.Intn(2000))<<40|uint64(rng.Intn(16)))
+		}},
+		{"only the low bits differ", 5000, func(rng *rand.Rand, i int) float64 {
+			return mantissa(3, uint64(rng.Intn(1<<20)))
+		}},
+		{"all keys equal", 3000, func(*rand.Rand, int) float64 { return 2.5 }},
+		{"both zeros", 3000, func(rng *rand.Rand, i int) float64 {
+			return math.Copysign(0, float64(rng.Intn(2))-0.5)
+		}},
+		{"both zeros and their neighbours", 3000, func(rng *rand.Rand, i int) float64 {
+			return []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}[rng.Intn(4)]
+		}},
+		{"awkward coordinates above parallelSortMin", 4*parallelSortMin + 3, func(rng *rand.Rand, i int) float64 {
+			return awkwardCoord(rng)
+		}},
+	}
+	for ci, c := range cases {
+		rng := rand.New(rand.NewSource(int64(ci)))
+		const dim = 2
+		coords := make([]float64, c.n*dim)
+		for i := range coords {
+			coords[i] = c.coord(rng, i/dim)
+		}
+		ps := NewPointSet(dim, coords)
+		all := firstIDs(c.n)
+		if !sameOrders(sortedOrders(ps, all), oracleOrders(ps, all)) {
+			t.Fatalf("%s: orders of all %d ids differ from the oracle", c.name, c.n)
+		}
+		sub := all[:0:0]
+		for _, id := range all {
+			if rng.Intn(3) > 0 {
+				sub = append(sub, id)
+			}
+		}
+		if !sameOrders(sortedOrders(ps, sub), oracleOrders(ps, sub)) {
+			t.Fatalf("%s: orders of a %d-id subset differ from the oracle", c.name, len(sub))
+		}
+	}
+}
+
+// sameBits reports whether two boxes agree bit for bit, telling -0 from +0.
+func sameBits(a, b Rect) bool {
+	for d := range a.Lo {
+		if math.Float64bits(a.Lo[d]) != math.Float64bits(b.Lo[d]) ||
+			math.Float64bits(a.Hi[d]) != math.Float64bits(b.Hi[d]) {
+			return false
+		}
+	}
+	return len(a.Lo) == len(b.Lo)
 }
 
 func sameBox(a, b Rect) bool {
@@ -300,21 +368,31 @@ func TestPrepareParallelMatchesSerial(t *testing.T) {
 // the root is an internal node whose children are the non-empty Morton cells
 // of its MBR: every point of a child bisects to that child's cell (computed
 // here from the definition, not by mortonCells), the cells ascend, and the
-// children's boxes lie in the root's. Lemma 1 and the other invariants hold
-// before and after cracking, and a second build hashes the same.
+// children's boxes lie in the root's. Every box is bit for bit the MBRof of
+// its ids in ascending order, so the bucketing workers' boxes merge to the
+// first-seen ±0 a single scan keeps. Seeds from 60 on are big enough to
+// bucket on several workers. Builds under the ambient GOMAXPROCS, 1 and 4
+// hash the same. Lemma 1 and the other invariants hold before and after
+// cracking.
 func TestPresplitRoot(t *testing.T) {
-	for seed := int64(0); seed < 60; seed++ {
+	for seed := int64(0); seed < 75; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		dim := 2 + int(seed%5)
 		n := parallelSortMin + []int{-300, -1, 0, 1, 300}[rng.Intn(5)]
+		if seed >= 60 {
+			n = 3*parallelSortMin + rng.Intn(parallelSortMin)
+		}
 		var ps *PointSet
 		switch seed % 3 {
 		case 0:
 			ps = clusteredPointSet(n, dim, 1+rng.Intn(6), seed)
-		case 1: // a coarse lattice: every coordinate duplicated many times
+		case 1: // a coarse lattice of both zeros, on odd seeds its lowest value
 			coords := make([]float64, n*dim)
 			for i := range coords {
-				coords[i] = float64(rng.Intn(5) - 2)
+				coords[i] = float64(rng.Intn(5) - 2*int(seed%2^1))
+				if coords[i] == 0 && rng.Intn(2) == 0 {
+					coords[i] = math.Copysign(0, -1)
+				}
 			}
 			ps = NewPointSet(dim, coords)
 		default: // one to three distinct points
@@ -327,14 +405,26 @@ func TestPresplitRoot(t *testing.T) {
 		}
 		opt := DefaultOptions()
 		opt.Fanout = []int{2, 3, 8, 16}[rng.Intn(4)]
-		tr := NewCracking(ps, opt)
-		tr.Prepare()
+		build := func(procs int) *Tree {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			if procs > 1 && n >= 2*parallelSortMin && len(bucketRanges(n)) < 3 {
+				t.Fatalf("seed %d: %d points bucketed on one worker under GOMAXPROCS=%d", seed, n, procs)
+			}
+			tr := NewCracking(ps, opt)
+			tr.Prepare()
+			return tr
+		}
+		tr := build(runtime.GOMAXPROCS(0))
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		again := NewCracking(ps, opt)
-		if again.StructureHash() != tr.StructureHash() {
-			t.Fatalf("seed %d: two builds of one root hash differently", seed)
+		for _, procs := range []int{1, 4} {
+			if again := build(procs); again.StructureHash() != tr.StructureHash() {
+				t.Fatalf("seed %d: builds under GOMAXPROCS %d and %d hash differently", seed, runtime.GOMAXPROCS(0), procs)
+			}
+		}
+		if !sameBits(tr.root.mbr, ps.MBRof(firstIDs(n))) {
+			t.Fatalf("seed %d: root box %v is not the MBRof its points %v", seed, tr.root.mbr, ps.MBRof(firstIDs(n)))
 		}
 
 		if n < parallelSortMin {
@@ -372,6 +462,9 @@ func TestPresplitRoot(t *testing.T) {
 		for i, c := range kids {
 			if c.isInternal() || !tr.root.mbr.ContainsRect(c.mbr) {
 				t.Fatalf("seed %d: child %d is not a contour element inside the root's box", seed, i)
+			}
+			if want := ps.MBRof(sortIDs(append([]int32{}, c.ids()...))); !sameBits(c.mbr, want) {
+				t.Fatalf("seed %d: child %d has box %v, MBRof its ids is %v", seed, i, c.mbr, want)
 			}
 			cell := cellOf(ps.At(c.ids()[0]))
 			for _, id := range c.ids() {

@@ -140,20 +140,20 @@ func (t *Tree) buildRoot() {
 		t.arena.setLeaf(t.root, t.ps, []int32{})
 		return
 	}
-	ids := firstIDs(t.initialN)
 	var elems []*node
 	var jobs []orderJob
-	if len(ids) < parallelSortMin {
+	if t.initialN < parallelSortMin {
+		ids := firstIDs(t.initialN)
 		elems = []*node{t.root}
-		jobs = t.setPending(t.root, ids, nil)
+		jobs = t.setPending(t.root, ids, t.ps.MBRof(ids), nil)
 	} else {
-		mbr := t.ps.MBRof(ids)
-		t.root.setMBR(mbr)
-		for _, cell := range mortonCells(t.ps, ids, mbr, bits.Len(uint(t.opt.Fanout))-1) {
-			if len(cell) > 0 {
+		frame, cells, mbrs := mortonCells(t.ps, t.initialN, bits.Len(uint(t.opt.Fanout))-1)
+		t.root.setMBR(frame)
+		for c, ids := range cells {
+			if len(ids) > 0 {
 				t.created++
 				child := t.arena.alloc()
-				jobs = t.setPending(child, cell, jobs)
+				jobs = t.setPending(child, ids, mbrs[c], jobs)
 				elems = append(elems, child)
 			}
 		}
@@ -167,41 +167,125 @@ func (t *Tree) buildRoot() {
 	}
 }
 
-// setPending makes nd the pending element over ids (ascending) and appends
-// the jobs that will fill its sort orders.
-func (t *Tree) setPending(nd *node, ids []int32, jobs []orderJob) []orderJob {
-	p := &partition{orders: make([][]int32, t.ps.Dim), mbr: t.ps.MBRof(ids)}
-	nd.setMBR(p.mbr)
+// setPending makes nd the pending element over ids (ascending), whose MBR
+// is mbr, and appends the jobs that will fill its sort orders.
+func (t *Tree) setPending(nd *node, ids []int32, mbr Rect, jobs []orderJob) []orderJob {
+	p := &partition{orders: make([][]int32, t.ps.Dim), mbr: mbr}
+	nd.setMBR(mbr)
 	nd.part = p
 	return appendOrderJobs(jobs, t.ps, ids, p.orders)
 }
 
-// mortonCells buckets ids by the nbits-long Morton prefix of their points in
-// frame: MSB first, bit b bisects dimension b mod dim at the midpoint of the
-// interval the earlier bits left (1 = upper half). Buckets come back in
-// prefix order and keep their ids in the order given.
-func mortonCells(ps *PointSet, ids []int32, frame Rect, nbits int) [][]int32 {
-	cells := make([][]int32, 1<<nbits)
-	lo, hi := make([]float64, ps.Dim), make([]float64, ps.Dim)
-	for _, id := range ids {
-		pt := ps.At(id)
-		copy(lo, frame.Lo)
-		copy(hi, frame.Hi)
-		cell := 0
-		for b := 0; b < nbits; b++ {
-			d := b % ps.Dim
-			mid := 0.5 * (lo[d] + hi[d])
-			cell <<= 1
-			if pt[d] >= mid {
-				cell |= 1
-				lo[d] = mid
-			} else {
-				hi[d] = mid
-			}
+// mortonCells buckets the ids 0..n-1 by the nbits-long Morton prefix of
+// their points in frame, the MBR of all n: MSB first, bit b bisects
+// dimension b mod dim at the midpoint of the interval the earlier bits left
+// (1 = upper half). It returns frame and, in prefix order, every cell's ids
+// (ascending) and MBR.
+//
+// Workers take contiguous id ranges (bucketRanges). The first pass finds
+// each range's box, the second notes each id's cell and each (range, cell)
+// count and box, the third scatters the ids into exact-size cells at
+// per-(range, cell) offsets. Boxes merge in range order by strict
+// comparison (ExpandRect), so each keeps the first-seen ±0 MBRof keeps.
+func mortonCells(ps *PointSet, n, nbits int) (frame Rect, cells [][]int32, mbrs []Rect) {
+	ranges := bucketRanges(n)
+	frames := make([]Rect, len(ranges)-1)
+	inParallel(len(frames), func(w int) {
+		frames[w] = EmptyRect(ps.Dim)
+		for id := ranges[w]; id < ranges[w+1]; id++ {
+			frames[w].Expand(ps.At(id))
 		}
-		cells[cell] = append(cells[cell], id)
+	})
+	frame = EmptyRect(ps.Dim)
+	for _, r := range frames {
+		frame.ExpandRect(r)
 	}
-	return cells
+
+	ncells := 1 << nbits
+	mids := mortonMids(frame, nbits)
+	cellOf := make([]uint32, n)
+	counts := make([][]int32, len(frames))
+	boxes := make([][]Rect, len(frames))
+	inParallel(len(frames), func(w int) {
+		cnt := make([]int32, ncells)
+		box := make([]Rect, ncells)
+		for c := range box {
+			box[c] = EmptyRect(ps.Dim)
+		}
+		for id := ranges[w]; id < ranges[w+1]; id++ {
+			pt := ps.At(id)
+			cell, d := 0, 0
+			for b := 0; b < nbits; b++ {
+				upper := 0 // branch-free: the bits of scattered points are coin flips
+				if pt[d] >= mids[1<<b|cell] {
+					upper = 1
+				}
+				cell = cell<<1 | upper
+				if d++; d == len(pt) {
+					d = 0
+				}
+			}
+			cellOf[id] = uint32(cell)
+			cnt[cell]++
+			box[cell].Expand(pt)
+		}
+		counts[w], boxes[w] = cnt, box
+	})
+
+	// Cell c's ids start where the cells before it end; range w writes its
+	// share of them after the shares of the ranges before it. Each count
+	// becomes the offset its range writes its next id of the cell at.
+	ids := make([]int32, n)
+	cells = make([][]int32, ncells)
+	mbrs = make([]Rect, ncells)
+	at := int32(0)
+	for c := range cells {
+		start := at
+		mbrs[c] = EmptyRect(ps.Dim)
+		for w := range frames {
+			at, counts[w][c] = at+counts[w][c], at
+			mbrs[c].ExpandRect(boxes[w][c])
+		}
+		cells[c] = ids[start:at:at]
+	}
+	inParallel(len(frames), func(w int) {
+		off := counts[w]
+		for id := ranges[w]; id < ranges[w+1]; id++ {
+			c := cellOf[id]
+			ids[off[c]] = id
+			off[c]++
+		}
+	})
+	return frame, cells, mbrs
+}
+
+// mortonMids returns the bisection midpoint of every Morton prefix of frame
+// shorter than nbits bits: bit b of a point whose first b bits are prefix
+// compares its coordinate b mod dim with mids[1<<b|prefix]. Each midpoint
+// is computed as a walk down the prefix would compute it.
+func mortonMids(frame Rect, nbits int) []float64 {
+	mids := make([]float64, 1<<nbits)
+	box := frame.Clone()
+	lo, hi := box.Lo, box.Hi
+	var fill func(b, prefix int)
+	fill = func(b, prefix int) {
+		if b == nbits {
+			return
+		}
+		d := b % len(lo)
+		mid := 0.5 * (lo[d] + hi[d])
+		mids[1<<b|prefix] = mid
+		saved := hi[d]
+		hi[d] = mid
+		fill(b+1, prefix<<1)
+		hi[d] = saved
+		saved = lo[d]
+		lo[d] = mid
+		fill(b+1, prefix<<1|1)
+		lo[d] = saved
+	}
+	fill(0, 0)
+	return mids
 }
 
 // PS returns the underlying point set.
