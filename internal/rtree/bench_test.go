@@ -18,14 +18,32 @@ func BenchmarkBulkLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkFirstCrack is the first crack at the repository benchmark's
+// size: a ball holding 35 of 300k clustered points, cracked on a fresh tree
+// whose pre-split root is built outside the timer.
 func BenchmarkFirstCrack(b *testing.B) {
-	ps := benchPointSet(20000)
-	q := BallRect([]float64{5, 5, 5}, 0.3)
+	ps := clusteredPointSet(300000, 3, 16, 1)
+	q := ballHolding(ps, firstIDs(ps.N()), ps.At(0), 35)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		tr := NewCracking(ps, DefaultOptions())
+		tr.Prepare()
+		b.StartTimer()
 		tr.Crack(q)
 	}
+}
+
+// ballHolding returns the box of the ball around center that holds the k
+// of the given points nearest to it.
+func ballHolding(ps *PointSet, ids []int32, center []float64, k int) Rect {
+	sq := make([]float64, len(ids))
+	for i, id := range ids {
+		sq[i] = ps.SqDistTo(id, center)
+	}
+	slices.Sort(sq)
+	return BallRect(center, math.Sqrt(sq[k-1]))
 }
 
 func BenchmarkSteadyStateCrack(b *testing.B) {
@@ -152,12 +170,8 @@ func BenchmarkPrepareRoot(b *testing.B) {
 // cell size (38.6k ids of 300k in 8 cells), built one after another on one
 // goroutine with the scratch a sort worker keeps across its jobs.
 func BenchmarkRootSort(b *testing.B) {
-	const n = 300000
-	ps := clusteredPointSet(n, 3, 16, 1)
-	nbits := bits.Len(uint(DefaultOptions().Fanout)) - 1
-	_, cells, _ := mortonCells(ps, n, nbits)
-	offMean := func(c []int32) int { return max(len(c)-n>>nbits, n>>nbits-len(c)) }
-	cell := slices.MinFunc(cells, func(x, y []int32) int { return offMean(x) - offMean(y) })
+	ps := clusteredPointSet(300000, 3, 16, 1)
+	cell := meanCell(ps)
 	orders := make([][]int32, ps.Dim)
 	jobs := appendOrderJobs(nil, ps, cell, orders)
 	var s sortScratch
@@ -173,17 +187,40 @@ func BenchmarkRootSort(b *testing.B) {
 
 // BenchmarkBestSplits evaluates the splits of one large pending element the
 // way a crack's first level does: seven boundaries in each of three orders.
+// The elements are 20k clustered points under a ball of radius 0.3, and the
+// Morton cell of 300k points closest to the mean cell size (as
+// BenchmarkRootSort) under a ball holding 35 of its points.
 func BenchmarkBestSplits(b *testing.B) {
-	ps := benchPointSet(20000)
-	p := newPartition(ps, firstIDs(ps.N()))
 	opt := DefaultOptions()
-	m := ceilDiv(p.count(), opt.Fanout)
-	q := BallRect([]float64{5, 5, 5}, 0.3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchChoices = bestSplits(ps, p, m, &q, opt.Beta, opt.LeafCap, 3, 1)
+	run := func(b *testing.B, ps *PointSet, p *partition, q Rect) {
+		m := ceilDiv(p.count(), opt.Fanout)
+		total := p.countInRect(ps, q)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchChoices = bestSplits(ps, p, m, &q, total, opt.LeafCap, 1)
+		}
+		b.ReportMetric(float64(p.count()), "points")
 	}
+	b.Run("20k", func(b *testing.B) {
+		ps := benchPointSet(20000)
+		run(b, ps, newPartition(ps, firstIDs(ps.N())), BallRect([]float64{5, 5, 5}, 0.3))
+	})
+	b.Run("cell", func(b *testing.B) {
+		ps := clusteredPointSet(300000, 3, 16, 1)
+		cell := meanCell(ps)
+		run(b, ps, newPartition(ps, cell), ballHolding(ps, cell, ps.At(cell[0]), 35))
+	})
+}
+
+// meanCell returns the ids of the Morton cell of the pre-split root over ps
+// whose size is closest to the mean cell size.
+func meanCell(ps *PointSet) []int32 {
+	n := ps.N()
+	nbits := bits.Len(uint(DefaultOptions().Fanout)) - 1
+	_, cells, _ := mortonCells(ps, n, nbits)
+	offMean := func(c []int32) int { return max(len(c)-n>>nbits, n>>nbits-len(c)) }
+	return slices.MinFunc(cells, func(x, y []int32) int { return offMean(x) - offMean(y) })
 }
 
 // benchChoices keeps the benchmarked call's result alive.

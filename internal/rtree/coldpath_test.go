@@ -11,7 +11,8 @@ import (
 // The two kernels of the cold path — the root sort and the split
 // evaluation — are checked against the code they replaced, kept here as
 // oracles: the closure-driven comparison sort and the three-sweep
-// bestSplits with its halves rescanned for their boxes and counts.
+// evaluation of both cost terms with its halves rescanned for their boxes
+// and counts.
 
 // oracleOrders is the old root sort: every order a sort.Slice through
 // ps.Coord with ties broken by id.
@@ -31,24 +32,29 @@ func oracleOrders(ps *PointSet, ids []int32) [][]int32 {
 	return orders
 }
 
-// oracleBestSplits is the old split evaluation: per order a forward sweep
-// for the prefix boxes, a backward sweep for the suffix boxes and a third
-// for the query counts, then a full sort of the choices. The halves' boxes
-// and counts, which the old callers obtained by splitting and rescanning
-// (computeMBR, countInRect), are filled in the same way.
-func oracleBestSplits(ps *PointSet, p *partition, m int, q *Rect, beta float64, leafCap, h, topK int) []splitChoice {
+// oracleBestSplits is the paper's split evaluation as first written: per
+// order a forward sweep for the prefix boxes, a backward sweep for the
+// suffix boxes and a third for the query counts; every candidate is ranked
+// by (c_Q, c_O, s, pos), c_O = ||O|| / min(||L||, ||H||) (the paper's
+// beta^h weight is positive and cannot make a zero nonzero), and the list
+// is sorted in full. The winners' boxes are MBRof each half in the order
+// split, and their counts a rescan. The second result is the largest c_O
+// of any candidate, which on point data is zero (see bestSplits).
+func oracleBestSplits(ps *PointSet, p *partition, m int, q *Rect, leafCap, topK int) ([]splitChoice, float64) {
 	n := p.count()
 	nb := ceilDiv(n, m) - 1
 	if nb <= 0 {
-		return nil
+		return nil, 0
 	}
-	s := len(p.orders)
-	betaH := math.Pow(beta, float64(h))
-	choices := make([]splitChoice, 0, s*nb)
+	type ranked struct {
+		ch splitChoice
+		co float64
+	}
+	var all []ranked
+	maxCO := 0.0
 	fronts := make([]Rect, nb)
 	backs := make([]Rect, nb)
-	for so := 0; so < s; so++ {
-		order := p.orders[so]
+	for so, order := range p.orders {
 		run := EmptyRect(ps.Dim)
 		bi := 0
 		for i, id := range order {
@@ -85,34 +91,48 @@ func oracleBestSplits(ps *PointSet, p *partition, m int, q *Rect, beta float64, 
 			totalQ = cnt
 		}
 		for b := 0; b < nb; b++ {
-			ch := splitChoice{s: so, pos: (b + 1) * m}
+			r := ranked{ch: splitChoice{s: so, pos: (b + 1) * m}}
 			if q != nil {
-				qL := prefQ[b]
-				qH := totalQ - qL
-				ch.cq = ceilDiv(qL, leafCap) + ceilDiv(qH, leafCap)
+				r.ch.cq = ceilDiv(prefQ[b], leafCap) + ceilDiv(totalQ-prefQ[b], leafCap)
 			}
 			overlap := fronts[b].OverlapVolume(backs[b])
 			minVol := math.Min(fronts[b].Volume(), backs[b].Volume())
 			if overlap > 0 && minVol > 0 {
-				ch.co = betaH * overlap / minVol
+				r.co = overlap / minVol
+				maxCO = math.Max(maxCO, r.co)
 			}
-			choices = append(choices, ch)
+			all = append(all, r)
 		}
 	}
-	sort.Slice(choices, func(i, j int) bool { return choices[i].less(choices[j]) })
-	if topK < len(choices) {
-		choices = choices[:topK]
-	}
-	scratch := make([]bool, ps.N())
-	for i := range choices {
-		ch := &choices[i]
-		l, r := p.split(*ch, scratch)
-		ch.mbrL, ch.mbrH = ps.MBRof(l.ids()), ps.MBRof(r.ids())
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		if a.ch.cq != b.ch.cq {
+			return a.ch.cq < b.ch.cq
+		}
+		if a.co != b.co {
+			return a.co < b.co
+		}
+		return a.ch.less(b.ch)
+	})
+	choices := make([]splitChoice, 0, topK)
+	for _, r := range all[:min(topK, len(all))] {
+		ch := r.ch
+		order := p.orders[ch.s]
+		ch.mbrL, ch.mbrH = ps.MBRof(order[:ch.pos]), ps.MBRof(order[ch.pos:])
 		if q != nil {
-			ch.qL, ch.qH = countIn(ps, l.ids(), *q), countIn(ps, r.ids(), *q)
+			for i, id := range order {
+				if q.Contains(ps.At(id)) {
+					if i < ch.pos {
+						ch.qL++
+					} else {
+						ch.qH++
+					}
+				}
+			}
 		}
+		choices = append(choices, ch)
 	}
-	return choices
+	return choices, maxCO
 }
 
 // awkwardCoord draws coordinates that stress a key transform: duplicates,
@@ -254,58 +274,124 @@ func sameBits(a, b Rect) bool {
 	return len(a.Lo) == len(b.Lo)
 }
 
-func sameBox(a, b Rect) bool {
-	for d := range a.Lo {
-		if a.Lo[d] != b.Lo[d] || a.Hi[d] != b.Hi[d] {
-			return false
+// splitCase draws a pending element, a chunk size and a query region for
+// the split evaluation's differential tests. The seed picks the points
+// (clustered; a coarse lattice with duplicates and both zeros; a {-1, 0, 1}
+// lattice, where most bounds are a zero of either sign; or an element
+// edited by Insert and Delete, whose box is then only a superset) and the
+// region (a ball around a point; nil; the element's whole box; a box
+// disjoint from it; or a ball stretched to the low or the high end of one
+// order). On some seeds the element holds a subset of the ids, as a cell
+// of a pre-split root does.
+func splitCase(seed int64) (ps *PointSet, p *partition, m int, q *Rect) {
+	rng := rand.New(rand.NewSource(seed))
+	dim := 2 + rng.Intn(3)
+	n := 40 + rng.Intn(3000)
+	lattice := func(vals int) *PointSet {
+		coords := make([]float64, n*dim)
+		for i := range coords {
+			coords[i] = math.Copysign(float64(rng.Intn(vals)-vals/2), float64(rng.Intn(2))-0.5)
+		}
+		return NewPointSet(dim, coords)
+	}
+	ids := firstIDs(n)
+	if seed/24%2 == 1 {
+		ids = ids[:0]
+		for id := int32(0); int(id) < n; id++ {
+			if rng.Intn(4) > 0 {
+				ids = append(ids, id)
+			}
 		}
 	}
-	return len(a.Lo) == len(b.Lo)
-}
-
-func TestBestSplitsMatchOracle(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		dim := 2 + rng.Intn(3)
-		n := 40 + rng.Intn(3000)
-		ps := clusteredPointSet(n, dim, 1+rng.Intn(6), seed)
-		if seed%5 == 4 { // a coarse grid: duplicates, both zeros, flat boxes
-			coords := make([]float64, n*dim)
-			for i := range coords {
-				coords[i] = math.Copysign(float64(rng.Intn(9)-4), float64(rng.Intn(2))-0.5)
-			}
-			ps = NewPointSet(dim, coords)
-		}
-		ids := firstIDs(n)
-		if seed%2 == 1 { // a subset, as a cell of a pre-split root is
-			ids = ids[:0]
-			for id := int32(0); int(id) < n; id++ {
-				if rng.Intn(4) > 0 {
-					ids = append(ids, id)
+	opt := DefaultOptions()
+	switch seed % 4 {
+	case 0:
+		ps = clusteredPointSet(n, dim, 1+rng.Intn(6), seed)
+	case 1:
+		ps = lattice(9)
+	case 2:
+		ps = lattice(3)
+	default:
+		// Copies of earlier points, a zero's sign flipped at random, are
+		// inserted and random ids deleted.
+		ps = lattice(5)
+		tr := NewCracking(ps, opt)
+		tr.Prepare()
+		for i := 0; i < 50; i++ {
+			pt := append([]float64{}, ps.At(int32(rng.Intn(ps.N())))...)
+			for d := range pt {
+				if pt[d] == 0 && rng.Intn(2) == 0 {
+					pt[d] = -pt[d]
 				}
 			}
+			tr.Insert(ps.AppendPoint(pt))
+			tr.Delete(int32(rng.Intn(ps.N())))
 		}
-		p := newPartition(ps, ids)
+		p = tr.root.part
+	}
+	if p == nil {
+		p = newPartition(ps, ids)
+	}
+	m = max(ceilDiv(p.count(), 2+rng.Intn(opt.Fanout-1)), 1+rng.Intn(opt.LeafCap))
+	ball := func() Rect { return BallRect(ps.At(p.ids()[rng.Intn(p.count())]), 0.05+rng.Float64()*2) }
+	var r Rect
+	switch s := rng.Intn(dim); seed / 4 % 6 {
+	case 0:
+		r = ball()
+	case 1:
+		return ps, p, m, nil
+	case 2:
+		r = p.mbr.Clone()
+	case 3:
+		r = p.mbr.Clone()
+		r.Lo[s], r.Hi[s] = r.Hi[s]+1, r.Hi[s]+2
+	case 4:
+		r = ball()
+		r.Lo[s] = p.mbr.Lo[s]
+	default:
+		r = ball()
+		r.Hi[s] = p.mbr.Hi[s]
+	}
+	return ps, p, m, &r
+}
+
+// countInScan is |q ∩ ids| by a plain scan.
+func countInScan(ps *PointSet, ids []int32, q Rect) int {
+	c := 0
+	for _, id := range ids {
+		if q.Contains(ps.At(id)) {
+			c++
+		}
+	}
+	return c
+}
+
+// TestBestSplitsMatchOracle holds bestSplits to the paper's evaluation on
+// 360 seeds of splitCase, topK 1 to 3: the same choices in the same order
+// with the same counts, and boxes equal bit for bit to the halves' MBRof
+// in the order split, zeros' signs included. It also asserts the premise
+// the counting rests on: the oracle's c_O is zero for every candidate.
+func TestBestSplitsMatchOracle(t *testing.T) {
+	for seed := int64(0); seed < 360; seed++ {
+		ps, p, m, q := splitCase(seed)
+		total := 0
+		if q != nil {
+			total = countInScan(ps, p.ids(), *q)
+		}
 		opt := DefaultOptions()
-		m := max(ceilDiv(p.count(), 2+rng.Intn(opt.Fanout-1)), 1+rng.Intn(opt.LeafCap))
-		var q *Rect
-		if seed%4 < 2 {
-			r := BallRect(ps.At(ids[rng.Intn(len(ids))]), 0.05+rng.Float64()*2)
-			q = &r
-		}
-		for _, topK := range []int{1, 3} {
-			h := rng.Intn(4)
-			got := bestSplits(ps, p, m, q, opt.Beta, opt.LeafCap, h, topK)
-			want := oracleBestSplits(ps, p, m, q, opt.Beta, opt.LeafCap, h, topK)
+		for topK := 1; topK <= 3; topK++ {
+			got := bestSplits(ps, p, m, q, total, opt.LeafCap, topK)
+			want, maxCO := oracleBestSplits(ps, p, m, q, opt.LeafCap, topK)
+			if maxCO != 0 {
+				t.Fatalf("seed %d: a candidate split has overlap cost %v", seed, maxCO)
+			}
 			if len(got) != len(want) {
 				t.Fatalf("seed %d topK %d: %d choices, oracle has %d", seed, topK, len(got), len(want))
 			}
 			for i := range got {
 				g, w := got[i], want[i]
-				if g.s != w.s || g.pos != w.pos || g.cq != w.cq ||
-					math.Float64bits(g.co) != math.Float64bits(w.co) ||
-					g.qL != w.qL || g.qH != w.qH ||
-					!sameBox(g.mbrL, w.mbrL) || !sameBox(g.mbrH, w.mbrH) {
+				if g.s != w.s || g.pos != w.pos || g.cq != w.cq || g.qL != w.qL || g.qH != w.qH ||
+					!sameBits(g.mbrL, w.mbrL) || !sameBits(g.mbrH, w.mbrH) {
 					t.Fatalf("seed %d topK %d choice %d:\n got %+v\nwant %+v", seed, topK, i, g, w)
 				}
 			}
@@ -313,22 +399,38 @@ func TestBestSplitsMatchOracle(t *testing.T) {
 	}
 }
 
+// TestCountInRectMatchesScan holds a pending element's count of a region,
+// taken over the narrowest order's stretch, to a scan of all its points.
+func TestCountInRectMatchesScan(t *testing.T) {
+	for seed := int64(0); seed < 240; seed++ {
+		ps, p, _, q := splitCase(seed)
+		if q == nil {
+			r := BallRect(ps.At(p.ids()[0]), float64(seed%7))
+			q = &r
+		}
+		if got, want := p.countInRect(ps, *q), countInScan(ps, p.ids(), *q); got != want {
+			t.Fatalf("seed %d: countInRect = %d, a scan counts %d", seed, got, want)
+		}
+	}
+}
+
 // TestBestSplitsAllocs pins the split evaluation's allocation shape next to
-// the walk's guard (walk_test.go): a constant handful of slices per call —
-// the choice list, the box slab, the counts and the winner's two boxes —
-// where the three-sweep version cloned two rectangles per boundary per
-// order (84 slices for this element).
+// the walk's guard (walk_test.go): the choice list and one slab for the
+// winners' boxes, for the greedy choice and for Algorithm 2's top 3.
 func TestBestSplitsAllocs(t *testing.T) {
 	ps := clusteredPointSet(2000, 3, 4, 5)
 	p := newPartition(ps, firstIDs(ps.N()))
 	q := BallRect(ps.At(0), 1)
+	total := countInScan(ps, p.ids(), q)
 	opt := DefaultOptions()
 	m := ceilDiv(p.count(), opt.Fanout)
-	allocs := testing.AllocsPerRun(20, func() {
-		bestSplits(ps, p, m, &q, opt.Beta, opt.LeafCap, 2, 1)
-	})
-	if allocs > 8 {
-		t.Fatalf("bestSplits allocates %v objects per call, want at most 8", allocs)
+	for _, topK := range []int{1, 3} {
+		allocs := testing.AllocsPerRun(20, func() {
+			bestSplits(ps, p, m, &q, total, opt.LeafCap, topK)
+		})
+		if allocs > 2 {
+			t.Fatalf("bestSplits(topK %d) allocates %v objects per call, want at most 2", topK, allocs)
+		}
 	}
 }
 

@@ -1,23 +1,16 @@
 package rtree
 
-import (
-	"math"
-	"sort"
-)
-
 // splitChoice is one candidate binary split of a partition: boundary
-// position pos of sort order s, with its two-component cost. Costs are
-// compared lexicographically with cQ as the major order and cO as the
-// secondary order (Section IV-B1).
+// position pos of sort order s, with its query cost cq. Choices are
+// compared by cq, then s, then pos (Section IV-B1; the overlap term c_O is
+// zero for every candidate, see bestSplits).
 type splitChoice struct {
 	s, pos int
-	cq     int     // ceil(|Q∩L|/N) + ceil(|Q∩H|/N); 0 when no query region
-	co     float64 // beta^h * ||O|| / min(||L||, ||H||)
+	cq     int // ceil(|Q∩L|/N) + ceil(|Q∩H|/N); 0 when no query region
 
 	// Filled in for the choices bestSplits returns: the MBRs of the two
-	// halves and |Q∩L|, |Q∩H| (0 when no query region). The split
-	// evaluation has them anyway; whoever applies the split installs them
-	// on the halves instead of rescanning the points.
+	// halves and |Q∩L|, |Q∩H| (0 when no query region). Whoever applies the
+	// split installs them on the halves instead of rescanning the points.
 	mbrL, mbrH Rect
 	qL, qH     int
 }
@@ -25,9 +18,6 @@ type splitChoice struct {
 func (a splitChoice) less(b splitChoice) bool {
 	if a.cq != b.cq {
 		return a.cq < b.cq
-	}
-	if a.co != b.co {
-		return a.co < b.co
 	}
 	if a.s != b.s {
 		return a.s < b.s
@@ -42,152 +32,211 @@ func ceilDiv(a, b int) int {
 	return (a + b - 1) / b
 }
 
-// bestSplits implements BestBinarySplit of Algorithm 1 with the revised
-// two-component cost model: it evaluates the M-1 equally spaced boundary
-// positions in every sort order and returns the topK cheapest splits,
-// cheapest first, each with its halves' MBRs and query-region counts. q may
-// be nil (bulk loading), in which case cQ is 0 for every candidate and only
-// the overlap cost discriminates.
+// bestSplits implements BestBinarySplit of Algorithm 1: it evaluates the
+// M-1 equally spaced boundary positions in every sort order and returns the
+// topK cheapest splits, cheapest first, each with its halves' MBRs and
+// query-region counts. total is |Q ∩ p|, which every caller already holds.
+// q may be nil (bulk loading, total 0), in which case cQ is 0 for every
+// candidate.
 //
-// h is the estimated R-tree height at which the split happens, used for the
-// beta^h overlap weighting.
-//
-// The nb boundaries of an order cut it into nb+1 chunks. One pass over the
-// order computes every chunk's MBR and query-region count together; the
-// prefix box F and suffix box B at a boundary (ComputeBoundingBoxes) are
-// then unions of chunk boxes, and the prefix count a sum of chunk counts.
-// A union of min/max boxes is the min/max over all their points, so F, B
-// and the costs are the ones a point-by-point sweep would produce.
-func bestSplits(ps *PointSet, p *partition, m int, q *Rect, beta float64, leafCap, h, topK int) []splitChoice {
+// The paper's minor cost, the overlap c_O of the halves' boxes, is zero for
+// every candidate on point data: a boundary cuts an order sorted by
+// coordinate s, so the left half's Hi[s] is at most the right half's Lo[s],
+// and Rect.OverlapVolume is 0 as soon as hi <= lo in one dimension. The
+// ranking is therefore (cQ, s, pos), and cQ needs only counts: in the
+// order sorted by s, the points of Q lie in the stretch [qa, qb) whose
+// coordinate s is within Q's extent (two binary searches), so a boundary
+// at or before qa has |Q∩L| = 0, one at or after qb has |Q∩L| = total, and
+// only the boundaries inside the stretch are counted, incrementally. No
+// split costs less than ceil(total/N), so the greedy build (topK == 1)
+// stops at the first (s, pos) that costs that much. Boxes are computed for
+// the winners' halves only (halfBoxes).
+func bestSplits(ps *PointSet, p *partition, m int, q *Rect, total, leafCap, topK int) []splitChoice {
 	n := p.count()
 	nb := ceilDiv(n, m) - 1 // boundary count per order
 	if nb <= 0 {
 		return nil
 	}
-	s, dim, nc := len(p.orders), ps.Dim, nb+1
-	betaH := math.Pow(beta, float64(h))
-
-	// Boxes live in one slab, lo then hi: the s*nc chunk boxes (kept for
-	// every order, to rebuild the winners' halves at the end), the nb
-	// suffix boxes of the order being evaluated, and the running prefix.
-	slab := make([]float64, (s*nc+nb+1)*2*dim)
-	box := func(i int) Rect {
-		o := i * 2 * dim
-		return Rect{Lo: slab[o : o+dim : o+dim], Hi: slab[o+dim : o+2*dim : o+2*dim]}
+	floor := ceilDiv(total, leafCap)
+	var all []splitChoice
+	if topK > 1 {
+		all = make([]splitChoice, 0, len(p.orders)*nb)
 	}
-	backs, front := s*nc, s*nc+nb
-	counts := make([]int, s*nc)
-	choices := make([]splitChoice, 0, s*nb)
-
-	for so, order := range p.orders {
-		chunk0 := so * nc
-		// Only the stretch of the order whose coordinate so lies within q's
-		// extent can hold points of q; the rest just grows its chunk's box.
+	best := splitChoice{cq: -1}
+scan:
+	for s, order := range p.orders {
 		qa, qb := 0, 0
 		if q != nil {
-			qa = sort.Search(n, func(i int) bool { return ps.Coord(order[i], so) >= q.Lo[so] })
-			qb = qa + sort.Search(n-qa, func(i int) bool { return ps.Coord(order[qa+i], so) > q.Hi[so] })
+			qa, qb = qStretch(ps, order, s, *q)
 		}
-		totalQ := 0
-		for c := 0; c < nc; c++ {
-			from, to := c*m, min((c+1)*m, n)
-			a, b := min(max(qa, from), to), min(max(qb, from), to)
-			bx := box(chunk0 + c)
-			bx.reset()
-			growBox(ps, order[from:a], nil, bx)
-			cnt := growBox(ps, order[a:b], q, bx)
-			growBox(ps, order[b:to], nil, bx)
-			counts[chunk0+c] = cnt
-			totalQ += cnt
-		}
-		for b := nb - 1; b >= 0; b-- {
-			bk := box(backs + b)
-			bk.set(box(chunk0 + b + 1))
-			if b+1 < nb {
-				bk.ExpandRect(box(backs + b + 1))
-			}
-		}
-		f := box(front)
-		f.set(box(chunk0))
-		qL := 0
+		at, qL := qa, 0 // qL counts Q's points in order[qa:at]
 		for b := 0; b < nb; b++ {
-			if b > 0 {
-				f.ExpandRect(box(chunk0 + b))
-			}
-			qL += counts[chunk0+b]
-			ch := splitChoice{s: so, pos: (b + 1) * m}
+			pos := (b + 1) * m
+			ch := splitChoice{s: s, pos: pos}
 			if q != nil {
-				ch.cq = ceilDiv(qL, leafCap) + ceilDiv(totalQ-qL, leafCap)
+				switch {
+				case pos <= qa:
+				case pos >= qb:
+					qL = total
+				default:
+					qL += countIn(ps, order[at:pos], *q)
+					at = pos
+				}
+				ch.qL, ch.qH = qL, total-qL
+				ch.cq = ceilDiv(qL, leafCap) + ceilDiv(total-qL, leafCap)
 			}
-			bk := box(backs + b)
-			overlap := f.OverlapVolume(bk)
-			minVol := math.Min(f.Volume(), bk.Volume())
-			if overlap > 0 && minVol > 0 {
-				ch.co = betaH * overlap / minVol
+			if topK > 1 {
+				all = append(all, ch)
+			} else if best.cq < 0 || ch.cq < best.cq {
+				best = ch
+				if ch.cq == floor {
+					break scan
+				}
 			}
-			choices = append(choices, ch)
 		}
 	}
 
-	// The cheapest topK, in order: less is a total order, so selecting them
-	// one by one gives the prefix a full sort would.
-	topK = min(topK, len(choices))
-	for i := 0; i < topK; i++ {
-		best := i
-		for j := i + 1; j < len(choices); j++ {
-			if choices[j].less(choices[best]) {
-				best = j
+	choices := all
+	if topK > 1 {
+		// The cheapest topK, in order: less is a total order, so selecting
+		// them one by one gives the prefix a full sort would.
+		topK = min(topK, len(choices))
+		for i := 0; i < topK; i++ {
+			c := i
+			for j := i + 1; j < len(choices); j++ {
+				if choices[j].less(choices[c]) {
+					c = j
+				}
 			}
+			choices[i], choices[c] = choices[c], choices[i]
 		}
-		choices[i], choices[best] = choices[best], choices[i]
+		choices = choices[:topK]
+	} else {
+		choices = []splitChoice{best}
 	}
-	choices = choices[:topK]
+	dim := ps.Dim
+	slab := make([]float64, len(choices)*4*dim)
 	for i := range choices {
 		ch := &choices[i]
-		chunk0, cut := ch.s*nc, ch.pos/m
-		ch.mbrL, ch.mbrH = EmptyRect(dim), EmptyRect(dim)
-		for c := 0; c < nc; c++ {
-			if c < cut {
-				ch.mbrL.ExpandRect(box(chunk0 + c))
-				ch.qL += counts[chunk0+c]
-			} else {
-				ch.mbrH.ExpandRect(box(chunk0 + c))
-				ch.qH += counts[chunk0+c]
-			}
-		}
+		ch.mbrL, ch.mbrH = halfBoxes(ps, p, ch.s, ch.pos, slab[i*4*dim:(i+1)*4*dim])
 	}
 	return choices
 }
 
-// growBox expands box to cover the given points and returns how many of them
-// lie inside q (0 when q is nil).
-func growBox(ps *PointSet, ids []int32, q *Rect, box Rect) int {
+// qStretch returns the stretch [qa, qb) of an order sorted by coordinate s
+// whose coordinate s lies within q's extent: the only positions that can
+// hold points of q.
+func qStretch(ps *PointSet, order []int32, s int, q Rect) (qa, qb int) {
+	lo, hi := q.Lo[s], q.Hi[s]
+	qa, j := 0, len(order)
+	for qa < j { // first position with coordinate >= lo
+		h := int(uint(qa+j) >> 1)
+		if ps.Coord(order[h], s) < lo {
+			qa = h + 1
+		} else {
+			j = h
+		}
+	}
+	qb, j = qa, len(order)
+	for qb < j { // first position with coordinate > hi
+		h := int(uint(qb+j) >> 1)
+		if ps.Coord(order[h], s) <= hi {
+			qb = h + 1
+		} else {
+			j = h
+		}
+	}
+	return qa, qb
+}
+
+// halfBoxes returns the MBRs of the two halves a split at position pos of
+// order s0 makes, carved from slab (4*Dim values), each bit for bit the box
+// growBox builds over the half in order s0. In dimension s0 a half's
+// bounds are its ends in order s0. In any other dimension d they are the
+// coordinates of the first and the last id of order d that lie in the half
+// (cut.ends): a walk of O(n) steps at worst, no more than growBox's. A
+// nonzero float has one bit pattern per value, so those bounds are
+// growBox's; a bound that is zero may be -0 or +0 depending on which point
+// growBox meets first, so a half with a zero bound is grown by growBox
+// instead.
+func halfBoxes(ps *PointSet, p *partition, s0, pos int, slab []float64) (l, h Rect) {
+	dim := ps.Dim
+	l = Rect{Lo: slab[0:dim:dim], Hi: slab[dim : 2*dim : 2*dim]}
+	h = Rect{Lo: slab[2*dim : 3*dim : 3*dim], Hi: slab[3*dim : 4*dim : 4*dim]}
+	order := p.orders[s0]
+	c := cut{ps: ps, s0: s0, id: order[pos], key: sortKey(ps.Coord(order[pos], s0))}
+	for d, od := range p.orders {
+		if d == s0 {
+			l.Lo[d], l.Hi[d] = ps.Coord(order[0], d), ps.Coord(order[pos-1], d)
+			h.Lo[d], h.Hi[d] = ps.Coord(order[pos], d), ps.Coord(order[len(order)-1], d)
+			continue
+		}
+		l.Lo[d], h.Lo[d] = c.ends(od, d, 0, 1)
+		l.Hi[d], h.Hi[d] = c.ends(od, d, len(od)-1, -1)
+	}
+	if hasZero(l) {
+		l.reset()
+		growBox(ps, order[:pos], l)
+	}
+	if hasZero(h) {
+		h.reset()
+		growBox(ps, order[pos:], h)
+	}
+	return l, h
+}
+
+// cut is the boundary of a split of order s0: a point lies in the left half
+// when its (sortKey of coordinate s0, id) is below (key, id), the key order
+// s0 is sorted by.
+type cut struct {
+	ps  *PointSet
+	s0  int
+	key uint64
+	id  int32
+}
+
+func (c cut) left(id int32) bool {
+	k := sortKey(c.ps.Coord(id, c.s0))
+	return k < c.key || k == c.key && id < c.id
+}
+
+// ends walks order od from position i in steps of step and returns
+// coordinate d of the first id it meets in the left half and of the first
+// it meets in the right half. Both halves are non-empty.
+func (c cut) ends(od []int32, d, i, step int) (vl, vh float64) {
+	okL, okH := false, false
+	for ; !okL || !okH; i += step {
+		id := od[i]
+		if c.left(id) {
+			if !okL {
+				vl, okL = c.ps.Coord(id, d), true
+			}
+		} else if !okH {
+			vh, okH = c.ps.Coord(id, d), true
+		}
+	}
+	return vl, vh
+}
+
+// hasZero reports whether any bound of r is zero (of either sign).
+func hasZero(r Rect) bool {
+	for d := range r.Lo {
+		if r.Lo[d] == 0 || r.Hi[d] == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// growBox expands box to cover the given points, in order: where a bound
+// is reached by several points, the first one's value is kept.
+func growBox(ps *PointSet, ids []int32, box Rect) {
 	// Same-length local views let the compiler drop the bounds checks of
-	// the inner loops, which is most of what a point costs here.
+	// the inner loop, which is most of what a point costs here.
 	dim := len(box.Lo)
 	lo, hi := box.Lo, box.Hi[:dim]
-	if q == nil {
-		// box.Expand per point would do; hoisting its slice views out of
-		// the id loop is worth a quarter of a crack's split evaluation.
-		for _, id := range ids {
-			pt := ps.At(id)[:dim]
-			for d := 0; d < dim; d++ {
-				v := pt[d]
-				if v < lo[d] {
-					lo[d] = v
-				}
-				if v > hi[d] {
-					hi[d] = v
-				}
-			}
-		}
-		return 0
-	}
-	qlo, qhi := q.Lo[:dim], q.Hi[:dim]
-	cnt := 0
 	for _, id := range ids {
 		pt := ps.At(id)[:dim]
-		in := 1
 		for d := 0; d < dim; d++ {
 			v := pt[d]
 			if v < lo[d] {
@@ -196,30 +245,30 @@ func growBox(ps *PointSet, ids []int32, q *Rect, box Rect) int {
 			if v > hi[d] {
 				hi[d] = v
 			}
-			// Two plain assignments compile to conditional moves; an
-			// early exit here is a branch the predictor loses half the
-			// time in every order but the one sorted by this coordinate.
-			if v < qlo[d] {
+		}
+	}
+}
+
+// countIn counts the ids whose points fall inside q.
+func countIn(ps *PointSet, ids []int32, q Rect) int {
+	dim := len(q.Lo)
+	qlo, qhi := q.Lo, q.Hi[:dim]
+	cnt := 0
+	for _, id := range ids {
+		pt := ps.At(id)[:dim]
+		in := 1
+		for d := 0; d < dim; d++ {
+			// Two plain assignments compile to conditional moves; an early
+			// exit here is a branch the predictor loses half the time in
+			// every order but the one sorted by this coordinate.
+			if pt[d] < qlo[d] {
 				in = 0
 			}
-			if v > qhi[d] {
+			if pt[d] > qhi[d] {
 				in = 0
 			}
 		}
 		cnt += in
 	}
 	return cnt
-}
-
-// estHeight estimates the R-tree height at which an n-point chunk sits:
-// ceil(log_M(n/N)), the height BulkLoadChunk would assign it.
-func estHeight(n, leafCap, fanout int) int {
-	if n <= leafCap {
-		return 0
-	}
-	h := 0
-	for c := float64(n) / float64(leafCap); c > 1; c /= float64(fanout) {
-		h++
-	}
-	return h
 }

@@ -21,7 +21,7 @@ func twoClusterPointSet(n int) *PointSet {
 func TestBestSplitsSeparatesClusters(t *testing.T) {
 	ps := twoClusterPointSet(128)
 	p := newPartition(ps, firstIDs(ps.N()))
-	choices := bestSplits(ps, p, 64, nil, 2, 32, 1, 1)
+	choices := bestSplits(ps, p, 64, nil, 0, 32, 1)
 	if len(choices) == 0 {
 		t.Fatal("no split choices")
 	}
@@ -31,8 +31,15 @@ func TestBestSplitsSeparatesClusters(t *testing.T) {
 	if l.mbr.Overlaps(r.mbr) {
 		t.Fatalf("best split overlaps: %v vs %v", l.mbr, r.mbr)
 	}
-	if choices[0].co != 0 {
-		t.Fatalf("separable split has overlap cost %v", choices[0].co)
+	checkDisjointInSplitCoord(t, choices[0])
+}
+
+// checkDisjointInSplitCoord fails unless the halves of ch meet at most on
+// the boundary in the coordinate it splits: the reason c_O is zero.
+func checkDisjointInSplitCoord(t *testing.T, ch splitChoice) {
+	t.Helper()
+	if ch.mbrL.Hi[ch.s] > ch.mbrH.Lo[ch.s] || ch.mbrL.OverlapVolume(ch.mbrH) != 0 {
+		t.Fatalf("split %+v: halves overlap in coordinate %d", ch, ch.s)
 	}
 }
 
@@ -42,7 +49,7 @@ func TestBestSplitsQueryCostMajorOrder(t *testing.T) {
 	ps := twoClusterPointSet(128)
 	p := newPartition(ps, firstIDs(ps.N()))
 	q := Rect{Lo: []float64{-1, -1}, Hi: []float64{1, 1}} // first cluster
-	choices := bestSplits(ps, p, 64, &q, 2, 32, 1, 3)
+	choices := bestSplits(ps, p, 64, &q, countInScan(ps, p.ids(), q), 32, 3)
 	if len(choices) == 0 {
 		t.Fatal("no split choices")
 	}
@@ -52,11 +59,11 @@ func TestBestSplitsQueryCostMajorOrder(t *testing.T) {
 	if best.cq != 2 {
 		t.Fatalf("best split cq = %d, want 2", best.cq)
 	}
-	// Choices are sorted by (cq, co).
-	for i := 1; i < len(choices); i++ {
-		a, b := choices[i-1], choices[i]
-		if a.cq > b.cq || (a.cq == b.cq && a.co > b.co) {
-			t.Fatalf("choices not sorted: %+v before %+v", a, b)
+	// Choices are sorted by cq, and no two halves overlap.
+	for i, ch := range choices {
+		checkDisjointInSplitCoord(t, ch)
+		if i > 0 && !choices[i-1].less(ch) {
+			t.Fatalf("choices not sorted: %+v before %+v", choices[i-1], ch)
 		}
 	}
 }
@@ -64,7 +71,7 @@ func TestBestSplitsQueryCostMajorOrder(t *testing.T) {
 func TestBestSplitsTopKDistinct(t *testing.T) {
 	ps := clusteredPointSet(400, 3, 4, 71)
 	p := newPartition(ps, firstIDs(ps.N()))
-	choices := bestSplits(ps, p, 100, nil, 2, 32, 1, 4)
+	choices := bestSplits(ps, p, 100, nil, 0, 32, 4)
 	if len(choices) < 2 {
 		t.Fatalf("expected multiple choices, got %d", len(choices))
 	}
@@ -78,24 +85,6 @@ func TestBestSplitsTopKDistinct(t *testing.T) {
 		if c.pos <= 0 || c.pos >= p.count() {
 			t.Fatalf("boundary position %d out of range", c.pos)
 		}
-	}
-}
-
-func TestEstHeight(t *testing.T) {
-	if h := estHeight(10, 32, 8); h != 0 {
-		t.Fatalf("estHeight(10) = %d, want 0", h)
-	}
-	if h := estHeight(33, 32, 8); h < 1 {
-		t.Fatalf("estHeight(33) = %d, want >= 1", h)
-	}
-	// Monotone in n.
-	prev := 0
-	for n := 1; n < 100000; n *= 3 {
-		h := estHeight(n, 32, 8)
-		if h < prev {
-			t.Fatalf("estHeight not monotone at n=%d", n)
-		}
-		prev = h
 	}
 }
 

@@ -27,8 +27,8 @@ func (p *partition) count() int { return len(p.orders[0]) }
 func (p *partition) ids() []int32 { return p.orders[0] }
 
 // countInRect returns |Q ∩ e|: the number of the partition's points inside
-// q. O(n) scan, as the paper's cost model assumes (each element stores its
-// points).
+// q. Only the stretch of an order whose coordinate lies within q's extent
+// can hold them (qStretch); the narrowest of the S stretches is counted.
 func (p *partition) countInRect(ps *PointSet, q Rect) int {
 	if !p.mbr.Overlaps(q) {
 		return 0
@@ -36,13 +36,13 @@ func (p *partition) countInRect(ps *PointSet, q Rect) int {
 	if q.ContainsRect(p.mbr) {
 		return p.count()
 	}
-	c := 0
-	for _, id := range p.orders[0] {
-		if q.Contains(ps.At(id)) {
-			c++
+	s, from, to := 0, 0, p.count()
+	for d, order := range p.orders {
+		if a, b := qStretch(ps, order, d, q); b-a < to-from {
+			s, from, to = d, a, b
 		}
 	}
-	return c
+	return countIn(ps, p.orders[s][from:to], q)
 }
 
 // split applies a choice bestSplits returned for this partition: the first

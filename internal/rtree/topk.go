@@ -8,11 +8,11 @@ import (
 // committing to the locally best binary split, the builder keeps a priority
 // queue of candidate contours ("change candidates"), expands the cheapest
 // one with its top-k split choices, and adopts the first candidate whose
-// elements all satisfy the stopping condition. Because the two-component
-// cost (c_Q, c_O) is non-decreasing along any expansion (splitting can only
-// raise the leaf-page lower bound of Lemma 3 and adds non-negative overlap
-// cost), the first completed candidate popped is optimal — the A* argument
-// the paper relies on.
+// elements all satisfy the stopping condition. Because the cost c_Q is
+// non-decreasing along any expansion (splitting can only raise the
+// leaf-page lower bound of Lemma 3; the overlap term c_O is zero on point
+// data, see bestSplits), the first completed candidate popped is optimal —
+// the A* argument the paper relies on.
 //
 // Partitions are immutable, so hypothetical splits are cached per
 // (partition, order, boundary) and shared between candidates; only the
@@ -36,10 +36,9 @@ type splitRec struct {
 }
 
 // candidate is a change candidate: a contour reachable from the current
-// index by the recorded splits, with its two-component cost.
+// index by the recorded splits, with its cost.
 type candidate struct {
 	cq     int
-	co     float64
 	work   *workItem
 	splits *splitRec
 	seq    int // insertion order, for deterministic tie-breaking
@@ -52,10 +51,7 @@ func (h candHeap) Less(i, j int) bool {
 	if h[i].cq != h[j].cq {
 		return h[i].cq < h[j].cq
 	}
-	if h[i].co != h[j].co {
-		return h[i].co < h[j].co
-	}
-	// Ties are pervasive (most splits leave both cost components unchanged),
+	// Ties are pervasive (most splits leave the cost unchanged),
 	// so break them toward the NEWEST candidate: depth-first progress with
 	// backtracking only on genuine cost differences. FIFO tie-breaking
 	// would degenerate into breadth-first enumeration of equal-cost split
@@ -166,8 +162,7 @@ func (t *Tree) crackTopK(q Rect) {
 		cqe := countInQ(p)
 		choices, ok := choiceCache[choiceKey{p, m}]
 		if !ok {
-			h := estHeight(p.count(), t.opt.LeafCap, t.opt.Fanout)
-			choices = bestSplits(t.ps, p, m, &q, t.opt.Beta, t.opt.LeafCap, h, k)
+			choices = bestSplits(t.ps, p, m, &q, cqe, t.opt.LeafCap, k)
 			choiceCache[choiceKey{p, m}] = choices
 		}
 		if len(choices) > k {
@@ -176,7 +171,7 @@ func (t *Tree) crackTopK(q Rect) {
 		if len(choices) == 0 {
 			// Cannot split further at this level; drop the item.
 			seq++
-			heap.Push(pq, &candidate{cq: cand.cq, co: cand.co, work: item.next, splits: cand.splits, seq: seq})
+			heap.Push(pq, &candidate{cq: cand.cq, work: item.next, splits: cand.splits, seq: seq})
 			continue
 		}
 		for _, ch := range choices {
@@ -202,7 +197,6 @@ func (t *Tree) crackTopK(q Rect) {
 			seq++
 			heap.Push(pq, &candidate{
 				cq:     cand.cq - ceilDiv(cqe, t.opt.LeafCap) + ceilDiv(cqL, t.opt.LeafCap) + ceilDiv(cqR, t.opt.LeafCap),
-				co:     cand.co + ch.co,
 				work:   work,
 				splits: &splitRec{parent: p, left: l, right: r, next: cand.splits},
 				seq:    seq,
@@ -283,15 +277,4 @@ func (t *Tree) materialize(p *partition, splitsOf map[*partition]*splitRec) *nod
 		nd.children = append(nd.children, t.materialize(cp, splitsOf))
 	}
 	return nd
-}
-
-// countIn counts the ids whose points fall inside q.
-func countIn(ps *PointSet, ids []int32, q Rect) int {
-	c := 0
-	for _, id := range ids {
-		if q.Contains(ps.At(id)) {
-			c++
-		}
-	}
-	return c
 }

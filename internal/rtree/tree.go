@@ -13,9 +13,6 @@ type Options struct {
 	LeafCap int
 	// Fanout is M, the maximum number of children per internal node.
 	Fanout int
-	// Beta weights overlap cost by tree height: a split at height h
-	// contributes beta^h * ||O|| / min(||L||,||H||). Beta >= 1.
-	Beta float64
 	// SplitChoices is the k of Top-kSplitsIndexBuild: 1 selects the greedy
 	// IncrementalIndexBuild; 2-4 explore the top-k split choices with A*
 	// pruning.
@@ -27,7 +24,7 @@ type Options struct {
 
 // DefaultOptions returns the parameters used throughout the experiments.
 func DefaultOptions() Options {
-	return Options{LeafCap: 32, Fanout: 8, Beta: 2, SplitChoices: 1, MaxCandidatePops: 512}
+	return Options{LeafCap: 32, Fanout: 8, SplitChoices: 1, MaxCandidatePops: 512}
 }
 
 func (o Options) normalize() Options {
@@ -36,9 +33,6 @@ func (o Options) normalize() Options {
 	}
 	if o.Fanout < 2 {
 		o.Fanout = 8
-	}
-	if o.Beta < 1 {
-		o.Beta = 2
 	}
 	if o.SplitChoices < 1 {
 		o.SplitChoices = 1
@@ -364,7 +358,7 @@ func (t *Tree) needsCrackAt(nd *node, q Rect) bool {
 
 // crackGreedy implements IncrementalIndexBuild: descend to contour elements
 // overlapping q; split each one that fails the stopping condition, using the
-// locally best (cQ, cO) binary split; recurse into the new children.
+// locally best binary split (bestSplits); recurse into the new children.
 func (t *Tree) crackGreedy(nd *node, q Rect) {
 	if !nd.mbr.Overlaps(q) {
 		return
@@ -449,8 +443,7 @@ func (t *Tree) partitionGreedy(out []countedPart, p countedPart, m int, q *Rect)
 	if q != nil && (p.cq == 0 || ceilDiv(p.cq, t.opt.LeafCap) == ceilDiv(n, t.opt.LeafCap)) {
 		return append(out, p)
 	}
-	h := estHeight(n, t.opt.LeafCap, t.opt.Fanout)
-	choices := bestSplits(t.ps, p.part, m, q, t.opt.Beta, t.opt.LeafCap, h, 1)
+	choices := bestSplits(t.ps, p.part, m, q, p.cq, t.opt.LeafCap, 1)
 	if len(choices) == 0 {
 		return append(out, p)
 	}

@@ -192,7 +192,6 @@ type options struct {
 	splitChoices int
 	leafCap      int
 	fanout       int
-	beta         float64
 	emb          EmbeddingParams
 	model        *embedding.Model
 	attrs        []string
@@ -228,9 +227,6 @@ func WithLeafCapacity(n int) Option { return func(o *options) { o.leafCap = n } 
 
 // WithFanout sets M, the R-tree fanout (default 8).
 func WithFanout(m int) Option { return func(o *options) { o.fanout = m } }
-
-// WithBeta sets the height weighting of the overlap cost (default 2).
-func WithBeta(b float64) Option { return func(o *options) { o.beta = b } }
 
 // WithEmbedding overrides the TransE hyperparameters.
 func WithEmbedding(p EmbeddingParams) Option { return func(o *options) { o.emb = p } }
@@ -325,7 +321,6 @@ func Build(gr *Graph, opts ...Option) (*VKG, error) {
 		Index: rtree.Options{
 			LeafCap:      o.leafCap,
 			Fanout:       o.fanout,
-			Beta:         o.beta,
 			SplitChoices: max(1, o.splitChoices),
 		},
 	}
