@@ -213,6 +213,44 @@ func BenchmarkBestSplits(b *testing.B) {
 	})
 }
 
+// BenchmarkSplit times the split kernel alone on the first split of a
+// first crack: the Morton cell of 300k points closest to the mean cell size
+// (as BenchmarkRootSort, 38.6k ids), cut where bestSplits puts a ball
+// holding 35 of its points. inPlace is the greedy crack's split, with the
+// element's lists restored off the clock; out is Algorithm 2's, into fresh
+// lists.
+func BenchmarkSplit(b *testing.B) {
+	ps := clusteredPointSet(300000, 3, 16, 1)
+	cell := meanCell(ps)
+	p := newPartition(ps, cell)
+	q := ballHolding(ps, cell, ps.At(cell[0]), 35)
+	opt := DefaultOptions()
+	ch := bestSplits(ps, p, ceilDiv(p.count(), opt.Fanout), &q, p.countInRect(ps, q), opt.LeafCap, 1)[0]
+	scratch := make([]bool, ps.N())
+	b.Run("inPlace", func(b *testing.B) {
+		cut := clonePartition(p)
+		buf := make([]int32, p.count()-ch.pos+1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for d, o := range p.orders {
+				copy(cut.orders[d], o)
+			}
+			b.StartTimer()
+			benchHalf, _ = cut.split(ch, scratch, buf)
+		}
+		b.ReportMetric(float64(p.count()), "points")
+	})
+	b.Run("out", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchHalf, _ = p.splitOut(ch, scratch)
+		}
+		b.ReportMetric(float64(p.count()), "points")
+	})
+}
+
 // meanCell returns the ids of the Morton cell of the pre-split root over ps
 // whose size is closest to the mean cell size.
 func meanCell(ps *PointSet) []int32 {
@@ -223,5 +261,8 @@ func meanCell(ps *PointSet) []int32 {
 	return slices.MinFunc(cells, func(x, y []int32) int { return offMean(x) - offMean(y) })
 }
 
-// benchChoices keeps the benchmarked call's result alive.
-var benchChoices []splitChoice
+// benchChoices and benchHalf keep the benchmarked calls' results alive.
+var (
+	benchChoices []splitChoice
+	benchHalf    *partition
+)

@@ -1,18 +1,22 @@
 package rtree
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
-// The two kernels of the cold path — the root sort and the split
-// evaluation — are checked against the code they replaced, kept here as
-// oracles: the closure-driven comparison sort and the three-sweep
-// evaluation of both cost terms with its halves rescanned for their boxes
-// and counts.
+// The three kernels of the cold path — the root sort, the split evaluation
+// and the split — are checked against the code they replaced, kept here as
+// oracles: the closure-driven comparison sort, the three-sweep evaluation
+// of both cost terms with its halves rescanned for their boxes and counts,
+// and the split that copied every order into fresh lists.
 
 // oracleOrders is the old root sort: every order a sort.Slice through
 // ps.Coord with ties broken by id.
@@ -590,5 +594,240 @@ func TestPresplitRoot(t *testing.T) {
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("seed %d after cracks: %v", seed, err)
 		}
+	}
+}
+
+// oracleSplit is the split as first written: every order of p copied into
+// two fresh lists, one per half, branching on the membership flag. p is
+// left as it was.
+func oracleSplit(p *partition, ch splitChoice, scratch []bool) (left, right *partition) {
+	n := p.count()
+	pos := ch.pos
+	leftIDs := p.orders[ch.s][:pos]
+	for _, id := range leftIDs {
+		scratch[id] = true
+	}
+	lo := make([][]int32, len(p.orders))
+	hi := make([][]int32, len(p.orders))
+	for d := range p.orders {
+		l := make([]int32, 0, pos)
+		h := make([]int32, 0, n-pos)
+		for _, id := range p.orders[d] {
+			if scratch[id] {
+				l = append(l, id)
+			} else {
+				h = append(h, id)
+			}
+		}
+		lo[d] = l
+		hi[d] = h
+	}
+	for _, id := range leftIDs {
+		scratch[id] = false
+	}
+	return &partition{orders: lo, mbr: ch.mbrL}, &partition{orders: hi, mbr: ch.mbrH}
+}
+
+// clonePartition copies p's lists, keeping their capacities.
+func clonePartition(p *partition) *partition {
+	c := &partition{orders: make([][]int32, len(p.orders)), mbr: p.mbr}
+	for d, o := range p.orders {
+		c.orders[d] = append(make([]int32, 0, cap(o)), o...)
+	}
+	return c
+}
+
+// TestSplitInPlaceMatchesCopy holds the in-place split and Algorithm 2's
+// splitOut to oracleSplit, id for id in all S lists of both halves, on 360
+// seeds of splitCase: clustered points, ±0 lattices with duplicates, and
+// elements edited by Insert and Delete, whose lists keep Delete's spare
+// capacity. On every third seed the element is cut down to a size around
+// LeafCap. Every order s is cut at 1, m and n−1. The in-place halves are
+// capped views of the element's own lists, so an insert into the left half
+// leaves the right one as it was; splitOut leaves the element unchanged;
+// the halves carry the choice's boxes; the flags are cleared.
+func TestSplitInPlaceMatchesCopy(t *testing.T) {
+	opt := DefaultOptions()
+	spare := 0
+	for seed := int64(0); seed < 360; seed++ {
+		ps, p, m, _ := splitCase(seed)
+		if seed%3 == 2 {
+			rng := rand.New(rand.NewSource(seed))
+			ids := sortIDs(slices.Clone(p.ids()))
+			p = newPartition(ps, ids[:min(len(ids), opt.LeafCap-4+rng.Intn(2*opt.LeafCap))])
+			m = max(ceilDiv(p.count(), opt.Fanout), opt.LeafCap)
+		}
+		if cap(p.orders[0]) > p.count() {
+			spare++
+		}
+		n := p.count()
+		before := clonePartition(p)
+		added := ps.AppendPoint(ps.At(p.ids()[0]))
+		scratch := make([]bool, ps.N())
+		for s := range p.orders {
+			for _, pos := range []int{1, m, n - 1} {
+				if pos <= 0 || pos >= n {
+					continue
+				}
+				ch := splitChoice{s: s, pos: pos, mbrL: EmptyRect(ps.Dim), mbrH: p.mbr.Clone()}
+				wantL, wantR := oracleSplit(p, ch, scratch)
+				outL, outR := p.splitOut(ch, scratch)
+				cut := clonePartition(p)
+				inL, inR := cut.split(ch, scratch, make([]int32, n-pos+1))
+				for d := range p.orders {
+					if !equalIDs(inL.orders[d], wantL.orders[d]) || !equalIDs(inR.orders[d], wantR.orders[d]) ||
+						!equalIDs(outL.orders[d], wantL.orders[d]) || !equalIDs(outR.orders[d], wantR.orders[d]) {
+						t.Fatalf("seed %d s %d pos %d: order %d of a half differs from the copying split", seed, s, pos, d)
+					}
+					if cap(inL.orders[d]) != pos || cap(inR.orders[d]) != n-pos ||
+						unsafe.SliceData(inL.orders[d]) != unsafe.SliceData(cut.orders[d]) {
+						t.Fatalf("seed %d s %d pos %d: order %d's halves are not capped views of the element", seed, s, pos, d)
+					}
+				}
+				for _, h := range [][2]*partition{{inL, wantL}, {inR, wantR}, {outL, wantL}, {outR, wantR}} {
+					if !sameBits(h[0].mbr, h[1].mbr) {
+						t.Fatalf("seed %d s %d pos %d: a half's box is not the choice's", seed, s, pos)
+					}
+				}
+				if !sameOrders(p.orders, before.orders) {
+					t.Fatalf("seed %d s %d pos %d: splitOut changed the element", seed, s, pos)
+				}
+				insertSorted(ps, inL, added)
+				if !sameOrders(inR.orders, wantR.orders) {
+					t.Fatalf("seed %d s %d pos %d: an insert into the left half wrote into the right", seed, s, pos)
+				}
+			}
+		}
+		if slices.Contains(scratch, true) {
+			t.Fatalf("seed %d: a split left membership flags set", seed)
+		}
+	}
+	if spare == 0 {
+		t.Fatal("no element had spare capacity in its lists")
+	}
+}
+
+// contourLists returns every id list of tr's contour: each leaf's ids and
+// each pending element's S orders.
+func contourLists(tr *Tree) [][]int32 {
+	var lists [][]int32
+	tr.ensureRoot()
+	tr.root.eachElement(nil, func(nd *node) {
+		if nd.isLeaf() {
+			lists = append(lists, nd.leaf.ids)
+		} else {
+			lists = append(lists, nd.part.orders...)
+		}
+	})
+	return lists
+}
+
+// outlivesCrack reports a list of the contour after a crack that lies in
+// memory a list from before it held without being that list whole: a leaf
+// or a surviving element still viewing the lists of the element cracked.
+func outlivesCrack(before, after [][]int32) error {
+	type span struct{ from, to uintptr }
+	spanOf := func(l []int32) span {
+		from := uintptr(unsafe.Pointer(unsafe.SliceData(l)))
+		return span{from, from + uintptr(cap(l))*4}
+	}
+	old := make([]span, len(before))
+	for i, l := range before {
+		old[i] = spanOf(l)
+	}
+	// The lists from before are disjoint (CheckInvariants), so the first
+	// that ends past a list's start is the only one it can lie in whole.
+	slices.SortFunc(old, func(a, b span) int { return cmp.Compare(a.from, b.from) })
+	for _, l := range after {
+		s := spanOf(l)
+		i := sort.Search(len(old), func(i int) bool { return old[i].to > s.from })
+		if i < len(old) && old[i].from < s.to && old[i] != s {
+			return fmt.Errorf("a list of %d ids lies in the memory of a list from before the crack", len(l))
+		}
+	}
+	return nil
+}
+
+// TestContourListsOwnMemory runs random sequences of cracks, inserts and
+// deletes on greedy trees, on trees with SplitChoices 2 and 3 and on
+// bulk-loaded ones, some with a pre-split root. After every step
+// CheckInvariants holds, which includes that no two id lists of the contour
+// share memory; after a crack no list lies in the memory of the lists it
+// cut (outlivesCrack); and a search around a point, which inserts often land
+// beside, agrees with a scan of the live points.
+func TestContourListsOwnMemory(t *testing.T) {
+	shared := make([]int32, 8)
+	if sharedLists([][]int32{shared[:4:4], shared[4:]}) != nil || sharedLists([][]int32{shared[:5], shared[4:]}) == nil {
+		t.Fatal("sharedLists misjudges two views of one array")
+	}
+	for seed := int64(0); seed < 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ps := clusteredPointSet(1500+rng.Intn(9000), 3, 1+rng.Intn(6), seed)
+		opt := DefaultOptions()
+		var tr *Tree
+		if seed%4 == 3 {
+			tr = NewBulkLoaded(ps, opt)
+		} else {
+			opt.SplitChoices = 1 + int(seed%4)
+			tr = NewCracking(ps, opt)
+		}
+		deleted := make(map[int32]bool)
+		near := func() Rect { return BallRect(ps.At(int32(rng.Intn(ps.N()))), 0.05+rng.Float64()) }
+		for step := 0; step < 40; step++ {
+			switch rng.Intn(4) {
+			case 0, 1:
+				before := contourLists(tr)
+				tr.Crack(near())
+				if err := outlivesCrack(before, contourLists(tr)); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+			case 2:
+				for i := 0; i < 1+rng.Intn(40); i++ {
+					pt := append([]float64{}, ps.At(int32(rng.Intn(ps.N())))...)
+					pt[rng.Intn(len(pt))] += rng.Float64() * 0.01
+					tr.Insert(ps.AppendPoint(pt))
+				}
+			default:
+				for i := 0; i < 1+rng.Intn(40); i++ {
+					if id := int32(rng.Intn(ps.N())); tr.Delete(id) {
+						deleted[id] = true
+					}
+				}
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			q := near()
+			want := slices.DeleteFunc(bruteSearch(ps, q), func(id int32) bool { return deleted[id] })
+			if got := sortIDs(tr.Search(q)); !equalIDs(got, want) {
+				t.Fatalf("seed %d step %d: search finds %d points, a scan %d", seed, step, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestFirstCrackAllocs pins the objects a fixed first crack allocates on a
+// pre-split root of parallelSortMin points (built before counting): per
+// split the two halves' records and list headers and bestSplits' two
+// objects, per leaf its copied ids and rows, per element still pending at
+// the end its S lists, and the nodes' child lists and the cut buffer. A
+// half that allocated its S lists again would add S objects per split.
+func TestFirstCrackAllocs(t *testing.T) {
+	const runs = 10
+	ps := clusteredPointSet(parallelSortMin, 3, 16, 1)
+	q := ballHolding(ps, firstIDs(ps.N()), ps.At(0), 35)
+	trees := make([]*Tree, runs+1)
+	for i := range trees {
+		trees[i] = NewCracking(ps, DefaultOptions())
+		trees[i].Prepare()
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		trees[i].Crack(q)
+		i++
+	})
+	// The copying split allocated 267 objects here.
+	if splits := trees[0].Splits(); allocs > 194 || splits != 19 {
+		t.Fatalf("the first crack made %d splits with %v objects, want 19 splits and at most 194 objects", splits, allocs)
 	}
 }

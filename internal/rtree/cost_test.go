@@ -26,7 +26,7 @@ func TestBestSplitsSeparatesClusters(t *testing.T) {
 		t.Fatal("no split choices")
 	}
 	scratch := make([]bool, ps.N())
-	l, r := p.split(choices[0], scratch)
+	l, r := p.split(choices[0], scratch, make([]int32, p.count()))
 	// The chosen split must not overlap (the clusters are separable).
 	if l.mbr.Overlaps(r.mbr) {
 		t.Fatalf("best split overlaps: %v vs %v", l.mbr, r.mbr)

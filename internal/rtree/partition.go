@@ -1,11 +1,14 @@
 package rtree
 
+import "slices"
+
 // partition is a contour element that has data but no child structure yet:
 // the S sort orders of its point ids (S = dim, one per coordinate as the
 // points are degenerate rectangles) and its MBR (set when the partition is
-// created, grown by inserts). Cracking never mutates a partition it has
-// created, which lets the Top-kSplitsIndexBuild candidates share split
-// results through a cache; only Insert and Delete edit one in place.
+// created, grown by inserts). A greedy crack or the bulk load cuts an
+// element inside its own lists (split), which consumes it; Algorithm 2
+// cuts into fresh lists (splitOut), so its candidates can share split
+// results through a cache. Insert and Delete edit a partition in place.
 type partition struct {
 	orders [][]int32 // S sorted id lists; orders[s] sorted by coordinate s
 	mbr    Rect
@@ -45,40 +48,93 @@ func (p *partition) countInRect(ps *PointSet, q Rect) int {
 	return countIn(ps, p.orders[s][from:to], q)
 }
 
-// split applies a choice bestSplits returned for this partition: the first
-// ch.pos ids of orders[ch.s] form the left half. All S sorted lists are
-// split stably (SplitOnKey of Algorithm 1), using the tree's scratch flag
-// array to test membership in O(1); the halves take their MBRs from the
-// choice.
-func (p *partition) split(ch splitChoice, scratch []bool) (left, right *partition) {
-	n := p.count()
-	pos := ch.pos
-	if pos <= 0 || pos >= n {
+// split applies a choice bestSplits returned for this partition, in place:
+// the first ch.pos ids of orders[ch.s] form the left half. All S sorted
+// lists are split stably (SplitOnKey of Algorithm 1) inside their own
+// memory, using the tree's scratch flag array to test membership in O(1).
+// Order ch.s is already cut at pos; in every other, cutOrder compacts the
+// left half's ids forward and writes the right half's to buf, which must
+// hold n-pos+1 ids, and they are copied back behind the left half. The
+// halves are capped views, orders[d][:pos:pos] and orders[d][pos:n:n], so
+// an append to one (insertSorted) reallocates instead of writing into its
+// neighbour. p is consumed. The halves take their MBRs from the choice.
+func (p *partition) split(ch splitChoice, scratch []bool, buf []int32) (left, right *partition) {
+	n, pos := p.count(), ch.pos
+	left, right = p.halves(ch)
+	setFlags(scratch, p.orders[ch.s][:pos], true)
+	for d, order := range p.orders {
+		if d != ch.s {
+			cutOrder(order, scratch, order, buf)
+			copy(order[pos:], buf[:n-pos])
+		}
+		left.orders[d], right.orders[d] = order[:pos:pos], order[pos:n:n]
+	}
+	setFlags(scratch, p.orders[ch.s][:pos], false)
+	return left, right
+}
+
+// splitOut is split into fresh lists, leaving p as it was: Algorithm 2's
+// candidates share hypothetical partitions through its split cache, so
+// none may be cut in place.
+func (p *partition) splitOut(ch splitChoice, scratch []bool) (left, right *partition) {
+	n, pos := p.count(), ch.pos
+	left, right = p.halves(ch)
+	setFlags(scratch, p.orders[ch.s][:pos], true)
+	for d, order := range p.orders {
+		lo, hi := make([]int32, pos+1), make([]int32, n-pos+1)
+		cutOrder(order, scratch, lo, hi)
+		left.orders[d], right.orders[d] = lo[:pos:pos], hi[:n-pos:n-pos]
+	}
+	setFlags(scratch, p.orders[ch.s][:pos], false)
+	return left, right
+}
+
+// halves returns the two partitions ch makes of p, with their MBRs and room
+// for S lists each.
+func (p *partition) halves(ch splitChoice) (left, right *partition) {
+	if ch.pos <= 0 || ch.pos >= p.count() {
 		panic("rtree: split position out of range")
 	}
-	leftIDs := p.orders[ch.s][:pos]
-	for _, id := range leftIDs {
-		scratch[id] = true
+	s := len(p.orders)
+	return &partition{orders: make([][]int32, s), mbr: ch.mbrL},
+		&partition{orders: make([][]int32, s), mbr: ch.mbrH}
+}
+
+// setFlags sets the membership flag of every id to v.
+func setFlags(flags []bool, ids []int32, v bool) {
+	for _, id := range ids {
+		flags[id] = v
 	}
-	lo := make([][]int32, len(p.orders))
-	hi := make([][]int32, len(p.orders))
-	for d := range p.orders {
-		l := make([]int32, 0, pos)
-		h := make([]int32, 0, n-pos)
-		for _, id := range p.orders[d] {
-			if scratch[id] {
-				l = append(l, id)
-			} else {
-				h = append(h, id)
-			}
+}
+
+// cutOrder is the split kernel: it writes the ids of order flagged in in to
+// lo and the others to hi, each in order's sequence. Which half an id goes
+// to is a coin flip in every order but the one the boundary cuts, so the
+// loop does not branch on it: every id is written to both destinations and
+// only the cursor its flag selects advances. lo and hi each need one slot
+// beyond their share for the write that does not count. lo may be order
+// itself, as its cursor never passes the read position.
+func cutOrder(order []int32, in []bool, lo, hi []int32) {
+	i, j := 0, 0
+	for _, id := range order {
+		lo[i] = id
+		hi[j] = id
+		f := 0
+		if in[id] {
+			f = 1
 		}
-		lo[d] = l
-		hi[d] = h
+		i += f
+		j += 1 - f
 	}
-	for _, id := range leftIDs {
-		scratch[id] = false
+}
+
+// own copies the partition's lists into exact-size ones of its own, so
+// that the element it was cut from, whose memory they are views of, can be
+// collected.
+func (p *partition) own() {
+	for d, order := range p.orders {
+		p.orders[d] = slices.Clone(order)
 	}
-	return &partition{orders: lo, mbr: ch.mbrL}, &partition{orders: hi, mbr: ch.mbrH}
 }
 
 // sizeBytes estimates the in-memory footprint of the partition: S id lists

@@ -14,9 +14,10 @@ import (
 // data, see bestSplits), the first completed candidate popped is optimal —
 // the A* argument the paper relies on.
 //
-// Partitions are immutable, so hypothetical splits are cached per
-// (partition, order, boundary) and shared between candidates; only the
-// winning chain is materialized into tree nodes.
+// Hypothetical splits are cut into fresh lists (partition.splitOut), never
+// in place, so they are cached per (partition, order, boundary) and shared
+// between candidates; only the winning chain is materialized into tree
+// nodes.
 
 // workItem is one contour element a candidate still has to process, with
 // the chunk size m of the level it is being split at. Work lists are
@@ -178,7 +179,7 @@ func (t *Tree) crackTopK(q Rect) {
 			key := splitKey{p: p, s: ch.s, pos: ch.pos}
 			halves, ok := cache[key]
 			if !ok {
-				l, r := p.split(ch, t.scratch)
+				l, r := p.splitOut(ch, t.scratch)
 				halves = [2]*partition{l, r}
 				cache[key] = halves
 				cqCache[l], cqCache[r] = ch.qL, ch.qH

@@ -1,9 +1,12 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Options configure the index. The zero value is usable: defaults are
@@ -62,6 +65,7 @@ type Tree struct {
 	root    *node
 	arena   *nodeArena // slab storage for every node of this tree
 	scratch []bool     // point-id membership flags reused by splits
+	cutBuf  []int32    // a split's right half while it is cut in place
 
 	splits   int          // binary splits applied to the tree
 	explored int          // hypothetical splits evaluated by the top-k search
@@ -288,12 +292,12 @@ func (t *Tree) PS() *PointSet { return t.ps }
 // Opt returns the tree's normalized options.
 func (t *Tree) Opt() Options { return t.opt }
 
-// toLeaf converts a pending node that fits in a leaf. The page takes over
-// the partition's first id list: cracking never reads a partition again
-// once it has become a node, so the leaf costs one allocation, its rows.
+// toLeaf converts a pending node that fits in a leaf. The page gets a copy
+// of the partition's first id list, which may be a view of a larger
+// element cut in place.
 func (t *Tree) toLeaf(nd *node) {
 	nd.setMBR(nd.part.mbr)
-	t.arena.setLeaf(nd, t.ps, nd.part.ids())
+	t.arena.setLeaf(nd, t.ps, slices.Clone(nd.part.ids()))
 	nd.part = nil
 }
 
@@ -382,7 +386,9 @@ func (t *Tree) crackGreedy(nd *node, q Rect) {
 // crackPending cracks a pending element too big for a leaf, cq of whose
 // points lie inside q. The elements it creates carry the MBRs and counts
 // the split evaluation computed, so only the element the crack arrived at
-// is ever scanned for its count.
+// is ever scanned for its count. They are cut inside nd's lists, and each
+// that is still pending once its own crack returns copies its lists out,
+// so nd's become garbage.
 func (t *Tree) crackPending(nd *node, q Rect, cq int) {
 	p := nd.part
 	n := p.count()
@@ -410,6 +416,9 @@ func (t *Tree) crackPending(nd *node, q Rect, cq int) {
 	for i, c := range nd.children {
 		if c.isPending() {
 			t.crackPending(c, q, parts[i].cq)
+			if c.isPending() {
+				c.part.own()
+			}
 		}
 	}
 }
@@ -434,7 +443,8 @@ type countedPart struct {
 // partitionGreedy is the Partition function of Algorithm 1 with the paper's
 // cracking stopping condition: recursively binary-split p until chunks reach
 // size m, leaving chunks that are irrelevant to q (or fully covered by it)
-// unsplit regardless of size. The chunks are appended to out, left to right.
+// unsplit regardless of size. The chunks are appended to out, left to right;
+// each is cut in place inside p's lists (partition.split).
 func (t *Tree) partitionGreedy(out []countedPart, p countedPart, m int, q *Rect) []countedPart {
 	n := p.part.count()
 	if n <= m {
@@ -448,7 +458,10 @@ func (t *Tree) partitionGreedy(out []countedPart, p countedPart, m int, q *Rect)
 		return append(out, p)
 	}
 	ch := choices[0]
-	l, r := p.part.split(ch, t.scratch)
+	if need := n - ch.pos + 1; len(t.cutBuf) < need {
+		t.cutBuf = make([]int32, need)
+	}
+	l, r := p.part.split(ch, t.scratch, t.cutBuf)
 	t.splits++
 	out = t.partitionGreedy(out, countedPart{l, ch.qL}, m, q)
 	return t.partitionGreedy(out, countedPart{r, ch.qH}, m, q)
@@ -550,11 +563,13 @@ func (t *Tree) Stats() Stats {
 // on: every node's MBR contains its contents; internal nodes have children;
 // the contour elements partition the tree's owned point set (Lemma 1);
 // leaves respect the capacity and their pages hold exactly
-// their points' rows; pending partitions keep consistent sort orders.
+// their points' rows; pending partitions keep consistent sort orders; no
+// two id lists of the contour share memory (sharedLists).
 // Intended for tests; O(n log n).
 func (t *Tree) CheckInvariants() error {
 	t.ensureRoot()
 	seen := make(map[int32]int)
+	var lists [][]int32
 	live := 0
 	var walk func(nd *node, depth int) error
 	walk = func(nd *node, depth int) error {
@@ -585,6 +600,7 @@ func (t *Tree) CheckInvariants() error {
 			if err := nd.leaf.check(t.ps); err != nil {
 				return err
 			}
+			lists = append(lists, nd.leaf.ids)
 			for _, id := range nd.leaf.ids {
 				if !nd.mbr.Contains(t.ps.At(id)) {
 					return fmt.Errorf("leaf point %d outside MBR", id)
@@ -594,6 +610,7 @@ func (t *Tree) CheckInvariants() error {
 		case nd.isPending():
 			p := nd.part
 			n := p.count()
+			lists = append(lists, p.orders...)
 			for s := 1; s < len(p.orders); s++ {
 				if len(p.orders[s]) != n {
 					return fmt.Errorf("pending element has ragged sort orders")
@@ -622,6 +639,9 @@ func (t *Tree) CheckInvariants() error {
 	if err := walk(t.root, 0); err != nil {
 		return err
 	}
+	if err := sharedLists(lists); err != nil {
+		return err
+	}
 	if live != t.arena.nodesInUse() {
 		return fmt.Errorf("tree has %d nodes but arena reports %d in use", live, t.arena.nodesInUse())
 	}
@@ -639,6 +659,28 @@ func (t *Tree) CheckInvariants() error {
 		}
 		if t.deleted[id] {
 			return fmt.Errorf("deleted point %d still in contour", id)
+		}
+	}
+	return nil
+}
+
+// sharedLists reports two lists whose memory, [SliceData, +cap), overlaps:
+// a crack cuts an element inside its own lists and copies out whatever
+// outlives it, so an append to one contour element's list can never write
+// into another's.
+func sharedLists(lists [][]int32) error {
+	type span struct{ from, to uintptr }
+	spans := make([]span, 0, len(lists))
+	for _, l := range lists {
+		if cap(l) > 0 {
+			from := uintptr(unsafe.Pointer(unsafe.SliceData(l)))
+			spans = append(spans, span{from, from + uintptr(cap(l))*4})
+		}
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.from, b.from) })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].from < spans[i-1].to {
+			return fmt.Errorf("two contour id lists share memory at %#x", spans[i].from)
 		}
 	}
 	return nil

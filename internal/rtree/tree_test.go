@@ -322,7 +322,7 @@ func TestPartitionSplitPreservesOrders(t *testing.T) {
 	ps := randomPointSet(200, 3, 29)
 	p := newPartition(ps, firstIDs(ps.N()))
 	scratch := make([]bool, ps.N())
-	l, r := p.split(splitChoice{s: 1, pos: 80}, scratch)
+	l, r := p.split(splitChoice{s: 1, pos: 80}, scratch, make([]int32, 121))
 	if l.count() != 80 || r.count() != 120 {
 		t.Fatalf("split sizes %d/%d, want 80/120", l.count(), r.count())
 	}
