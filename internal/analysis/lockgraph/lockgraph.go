@@ -258,7 +258,8 @@ func classTable(pkg *types.Package) *classKinds {
 		// one level below it in the documented order. This is how
 		// core.lockedIndex.mu, core.walState.mu, core.resultCache.mu, and
 		// obs.TraceStore.mu get rank 1 from core's own shape, even across
-		// packages — and what makes core.Engine an engine.
+		// packages — and what makes core.Engine an engine, with its one
+		// own mutex, Engine.mu, at rank 0.
 		leaves := 0
 		for i := 0; len(own) > 0 && i < st.NumFields(); i++ {
 			ft := st.Field(i).Type()

@@ -13,9 +13,8 @@ import (
 // TestWarmTopKAllocations guards what an uncached top-k on a converged index
 // allocates: the walk takes its frontier from the pool and the top-k set is
 // sized by k and never regrows, so what is left is the answer itself, the JL
-// transform, the in-flight slot and the cache entry — at most 20 objects and
-// 4 KB per query. A repeat of the same query is a cache hit and allocates
-// nothing.
+// transform, and the key's cache slot — at most 20 objects and 4 KB per
+// query. A repeat of the same query is a cache hit and allocates nothing.
 func TestWarmTopKAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items at random under the race detector")

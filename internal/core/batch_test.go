@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"vkgraph/internal/kg"
+	"vkgraph/internal/obs"
 )
 
 // batchWorkload builds a small mixed top-k workload over the tiny Movie
@@ -61,16 +63,15 @@ func TestDoBatchMatchesSerial(t *testing.T) {
 }
 
 // Duplicate requests in one batch must collapse to a single computation:
-// the in-flight coalescing (or the cache, for stragglers) hands every
-// duplicate the same result value.
+// a duplicate waits on the leader's pending slot or hits it finished, and
+// either way gets the same result value.
 func TestDoBatchCoalescesDuplicates(t *testing.T) {
 	eng, g := testEngine(t, Crack, defaultTestParams())
 	likes, _ := g.RelationByName("likes")
 	users := g.EntitiesOfType("user")
 
 	// Every (user, k) is its own batch of 32 duplicates, so a duplicate
-	// arriving as the leader finishes — after the leader's cache put, after
-	// its in-flight slot is gone — is met over and over.
+	// arriving just as the leader finishes its slot is met over and over.
 	reqs := make([]Request, 32)
 	for _, u := range users {
 		for k := 1; k <= 10; k++ {
@@ -90,6 +91,109 @@ func TestDoBatchCoalescesDuplicates(t *testing.T) {
 	}
 	if s, want := eng.CacheStats(), 10*len(users); s.Entries != want {
 		t.Fatalf("%d cached entries after %d batches of duplicates, want %d", s.Entries, want, want)
+	}
+	// Every call is one of an execution, a hit or a follower, to the unit.
+	m, calls := eng.Metrics(), uint64(10*len(users)*len(reqs))
+	if got := m.TopKQueries + m.Cache.Hits + m.Coalesced; got != calls {
+		t.Fatalf("%d executions + %d hits + %d coalesced = %d, want the %d calls",
+			m.TopKQueries, m.Cache.Hits, m.Coalesced, got, calls)
+	}
+}
+
+// parkSlot installs a pending slot for key at the current generation, as a
+// leader does before it executes, and returns it for the test to finish.
+func parkSlot(t *testing.T, eng *Engine, key topkKey, leader obs.TraceID) *slot {
+	t.Helper()
+	_, s, lead := eng.cache.acquire(key, eng.gen.Load(), leader)
+	if !lead {
+		t.Fatal("the key already has a slot")
+	}
+	return s
+}
+
+// followParked runs call, which must coalesce onto the parked slot c, and
+// finishes c with (res, err) once call has.
+func followParked(t *testing.T, eng *Engine, c *slot, res *TopKResult, err error, call func()) {
+	t.Helper()
+	before := eng.met.sfCoalesced.Value()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		call()
+	}()
+	for eng.met.sfCoalesced.Value() == before {
+		select {
+		case <-done:
+			t.Fatal("the call returned without coalescing onto the parked slot")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	eng.cache.finish(c, res, err)
+	<-done
+}
+
+// slotOf returns the cache's slot for key, or nil.
+func slotOf(eng *Engine, key topkKey) *slot {
+	eng.cache.mu.Lock()
+	defer eng.cache.mu.Unlock()
+	return eng.cache.m[key]
+}
+
+// TestStaleFinishedSlotReplaced: an answer its leader finished before a
+// write is never returned to a request issued after the write returned.
+func TestStaleFinishedSlotReplaced(t *testing.T) {
+	eng, g := testEngine(t, Crack, defaultTestParams())
+	likes, _ := g.RelationByName("likes")
+	users, movies := g.EntitiesOfType("user"), g.EntitiesOfType("movie")
+	req := Request{Kind: KindTopK, Dir: DirTail, Entity: users[0], Rel: likes, K: 5}
+	key := topkKey{dir: req.Dir, ent: req.Entity, rel: req.Rel, k: req.K, eps: eng.params.Eps}
+
+	stale := &TopKResult{}
+	eng.cache.finish(parkSlot(t, eng, key, obs.TraceID{}), stale, nil)
+	if resp := eng.Do(context.Background(), req); resp.TopK != stale {
+		t.Fatalf("before the write the finished slot was not a hit: %+v", resp)
+	}
+	if err := eng.AddFact(users[1], likes, movies[0]); err != nil {
+		t.Fatal(err)
+	}
+	resp := eng.Do(context.Background(), req)
+	if resp.Err != nil || resp.TopK == stale || len(resp.TopK.Predictions) != req.K {
+		t.Fatalf("after the write: (%+v, %v), want a fresh answer", resp.TopK, resp.Err)
+	}
+	if s := slotOf(eng, key); s == nil || s.res != resp.TopK || s.gen != eng.Generation() {
+		t.Fatal("the fresh answer did not replace the stale slot")
+	}
+}
+
+// TestStalePendingSlotReplaced: a call still in flight when a write returns
+// is not shared with a request issued after the write, however its leader
+// finishes.
+func TestStalePendingSlotReplaced(t *testing.T) {
+	eng, g := testEngine(t, Crack, defaultTestParams())
+	likes, _ := g.RelationByName("likes")
+	users, movies := g.EntitiesOfType("user"), g.EntitiesOfType("movie")
+	req := Request{Kind: KindTopK, Dir: DirTail, Entity: users[0], Rel: likes, K: 5}
+	key := topkKey{dir: req.Dir, ent: req.Entity, rel: req.Rel, k: req.K, eps: eng.params.Eps}
+
+	c := parkSlot(t, eng, key, obs.TraceID{})
+	if err := eng.AddFact(users[1], likes, movies[0]); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan Response)
+	go func() { done <- eng.Do(context.Background(), req) }()
+	// Finish the parked leader once the request has either replaced its
+	// slot or coalesced onto it.
+	for slotOf(eng, key) == c && eng.Metrics().Coalesced == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	stale := &TopKResult{}
+	eng.cache.finish(c, stale, nil)
+	resp := <-done
+	if resp.Err != nil || resp.TopK == stale || len(resp.TopK.Predictions) != req.K {
+		t.Fatalf("after the write: (%+v, %v), want a fresh answer", resp.TopK, resp.Err)
+	}
+	if s := slotOf(eng, key); s == nil || s == c || s.res != resp.TopK {
+		t.Fatal("the stale leader's answer was left in the cache")
 	}
 }
 

@@ -94,8 +94,9 @@ type lockedIndex struct {
 //     the index converges, Figs. 9-11) never serialize.
 //   - Save runs under both read locks: snapshots don't block queries.
 //
-// Lock order is always e.mu before e.idx.mu before the WAL, cache and trace
-// store mutexes, so the hierarchy is acyclic and deadlock-free.
+// e.mu is the engine's one mutex of its own. Lock order is always e.mu
+// before e.idx.mu before the WAL, result-cache and trace-store mutexes, so
+// the hierarchy is acyclic and deadlock-free.
 //
 // The raw accessors (Graph, Model, Tree, Transform) expose unsynchronized
 // internals for the module's own single-threaded tools; do not mix them
@@ -116,17 +117,14 @@ type Engine struct {
 	params Params
 	mode   IndexMode
 
-	// gen counts graph mutations (AddFact, InsertEntity). The result cache
-	// pins every entry to the generation it was computed at, so a mutation
-	// invalidates all cached answers at once — any of them could have held
-	// the mutated entity in its ball.
-	gen   atomic.Uint64
+	// gen counts graph mutations (AddFact, SetAttr, InsertEntity). The
+	// result cache pins every slot to the generation it was computed at, so
+	// a mutation invalidates all cached answers at once — any of them could
+	// have held the mutated entity in its ball.
+	gen atomic.Uint64
+	// cache holds one slot per top-k key: the call in flight duplicates
+	// wait on, then the answer later callers hit.
 	cache *resultCache
-
-	// inflight coalesces duplicate top-k requests issued through Do/DoBatch:
-	// the first caller of a key computes, the rest wait and share.
-	sfMu     sync.Mutex
-	inflight map[topkKey]*inflightCall
 
 	// met is the engine's metric surface (counters, gauges, latency
 	// histograms); always non-nil after initExec, so hot paths increment
@@ -159,14 +157,13 @@ type Engine struct {
 	wal walState
 }
 
-// initExec sets up the batch-executor state (metrics, result cache,
-// singleflight map) and wires the tree to the node-access counters; called
-// by both NewEngine and LoadEngine after the tree exists.
+// initExec sets up the batch-executor state (metrics, trace store, result
+// cache) and wires the tree to the node-access counters; called by both
+// NewEngine and LoadEngine after the tree exists.
 func (e *Engine) initExec() {
 	e.traces = obs.NewTraceStore(0)
 	e.met = newEngineMetrics(e)
 	e.cache = newResultCache(defaultCacheSize, e.met.cacheHits, e.met.cacheMisses)
-	e.inflight = make(map[topkKey]*inflightCall)
 	e.idx.tree.SetAccessCounters(&e.met.nodeAccess)
 }
 

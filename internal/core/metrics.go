@@ -8,7 +8,7 @@ import (
 // engineMetrics is the engine's metric surface: every hot-path counter the
 // paper's cost analysis is stated in (node accesses, candidates examined,
 // splits performed, accesses under MaxAccess) plus the serving-layer ones
-// (cache, singleflight, lock waits, latency histograms). All increments are
+// (cache, coalescing, lock waits, latency histograms). All increments are
 // atomic and lock-free; the registry only locks at registration and scrape
 // time, so instrumentation adds no serialization to the query paths.
 type engineMetrics struct {
@@ -228,8 +228,8 @@ type Metrics struct {
 	// crack, per query that had to split.
 	CrackWriteLock obs.LatencyStats
 
-	// Cache and Coalesced cover the serving layer: the top-k result cache
-	// and the singleflight coalescing of duplicate in-flight requests.
+	// Cache and Coalesced cover the serving layer: the top-k result cache,
+	// and the requests that waited on another's pending slot in it.
 	Cache     CacheStats
 	Coalesced uint64
 

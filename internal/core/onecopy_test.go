@@ -308,7 +308,7 @@ func TestTopKCancellation(t *testing.T) {
 	if st := eng.IndexStats(); st.BinarySplits != 0 {
 		t.Fatalf("cancelled top-k queries cracked the index: %d splits", st.BinarySplits)
 	}
-	if _, ok := eng.cache.get(topkKey{dir: DirTail, ent: u, rel: likes, k: req.K, eps: eng.params.Eps}, eng.gen.Load()); ok {
+	if slotOf(eng, topkKey{dir: DirTail, ent: u, rel: likes, k: req.K, eps: eng.params.Eps}) != nil {
 		t.Fatal("a cancelled top-k was cached")
 	}
 
@@ -317,18 +317,13 @@ func TestTopKCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A follower whose leader gave up: park a finished, cancelled leader in
-	// the in-flight map; the follower's own context is fine.
+	// A follower whose leader gave up: park a pending slot and, once the
+	// follower has coalesced onto it, fail it with the leader's own
+	// cancellation; the follower's own context is fine.
 	key := topkKey{dir: DirTail, ent: u, rel: likes, k: req.K, eps: eng.params.Eps}
-	c := &inflightCall{done: make(chan struct{}), err: context.Canceled}
-	close(c.done)
-	eng.sfMu.Lock()
-	eng.inflight[key] = c
-	eng.sfMu.Unlock()
-	resp := eng.Do(context.Background(), req)
-	eng.sfMu.Lock()
-	delete(eng.inflight, key)
-	eng.sfMu.Unlock()
+	c := parkSlot(t, eng, key, obs.TraceID{})
+	var resp Response
+	followParked(t, eng, c, nil, context.Canceled, func() { resp = eng.Do(context.Background(), req) })
 	if resp.Err != nil || len(resp.TopK.Predictions) == 0 || !resp.Trace.Coalesced {
 		t.Fatalf("follower of a cancelled leader returned (%+v, %v)", resp.TopK, resp.Err)
 	}
@@ -390,7 +385,7 @@ func TestTopKCancellation(t *testing.T) {
 	if st := seng.IndexStats(); st.BinarySplits != 0 {
 		t.Fatalf("a top-k that expired with a part-filled batch cracked the index: %d splits", st.BinarySplits)
 	}
-	if _, ok := seng.cache.get(topkKey{dir: sreq.Dir, ent: sreq.Entity, rel: sreq.Rel, k: sreq.K, eps: sreq.Eps}, seng.gen.Load()); ok {
+	if slotOf(seng, topkKey{dir: sreq.Dir, ent: sreq.Entity, rel: sreq.Rel, k: sreq.K, eps: sreq.Eps}) != nil {
 		t.Fatal("a top-k that expired with a part-filled batch was cached")
 	}
 	// Run to the end, the same query looks once per 256 visits, not once

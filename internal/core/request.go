@@ -17,8 +17,10 @@ import (
 // their NoIndex/Exact variants) can express is one Request value, executed
 // by Do or fanned across a worker pool by DoBatch. Serving throughput is
 // the system here — the cracking index is built by the workload (Section IV)
-// — so the executor coalesces duplicate top-k requests in flight and serves
-// repeats of converged regions from the result cache without a tree descent.
+// — so every top-k key has one slot in the result cache: while its leader
+// computes, the slot is the call in flight that duplicates wait on, and once
+// finished it is the answer repeats of a converged region get without a
+// tree descent.
 
 // Dir selects which side of the relation a query predicts.
 type Dir int
@@ -83,19 +85,6 @@ type Response struct {
 	// trace context; nil otherwise.
 	// Trace.TraceID() is the handle for /traces/<id> on the ops endpoint.
 	Trace *obs.QueryTrace
-}
-
-// inflightCall is one singleflight execution slot: the first goroutine to
-// request a top-k key becomes the leader and computes it; duplicates block
-// on done (or their own context) and share the leader's answer.
-type inflightCall struct {
-	done chan struct{}
-	// leader is the leader's trace id (zero when the leader ran untraced),
-	// published under sfMu before the call is visible so followers can link
-	// their traces to the execution they shared.
-	leader obs.TraceID
-	res    *TopKResult
-	err    error
 }
 
 // Do answers one request. It checks ctx before executing; a nil ctx is
@@ -217,8 +206,10 @@ func (e *Engine) offerTrace(tr *obs.QueryTrace, kind string, err error, desc fun
 	})
 }
 
-// doTopK executes a top-k request through the cache and the in-flight
-// coalescing map.
+// doTopK executes a top-k request through its slot in the result cache,
+// with one of three outcomes: a finished slot is a hit, a pending one is
+// waited on (the request coalesces onto its leader), and otherwise the
+// request leads a new slot and executes.
 func (e *Engine) doTopK(ctx context.Context, req Request) (*TopKResult, *obs.QueryTrace, error) {
 	eps := req.Eps
 	if eps <= 0 {
@@ -238,97 +229,65 @@ func (e *Engine) doTopK(ctx context.Context, req Request) (*TopKResult, *obs.Que
 
 	key := topkKey{dir: req.Dir, ent: req.Entity, rel: req.Rel, k: req.K, eps: eps}
 	// The generation is read before executing: if a mutation lands while the
-	// query runs, the entry is stored under the old generation and the next
-	// lookup discards it.
-	gen := e.gen.Load()
-	if res, ok := e.cache.get(key, gen); ok {
+	// query runs, the slot keeps the old generation and the next lookup
+	// replaces it.
+	res, s, lead := e.cache.acquire(key, e.gen.Load(), tr.TraceID())
+	tr.Step(obs.StageCache)
+	var err error
+	switch {
+	case res != nil:
 		if tr != nil {
 			tr.CacheHit = true
-			tr.Step(obs.StageCache)
-			tr.Finish()
-			e.offerTrace(tr, "topk", nil, func() string {
-				return fmt.Sprintf("topk dir=%d ent=%d rel=%d k=%d eps=%g (cache hit)", req.Dir, req.Entity, req.Rel, req.K, eps)
-			})
 		}
-		return res, tr, nil
-	}
-	tr.Step(obs.StageCache)
-	// desc is declared after the cache-hit return so the closure is never
-	// allocated on the (microsecond-scale) hit path.
-	desc := func() string {
-		return fmt.Sprintf("topk dir=%d ent=%d rel=%d k=%d eps=%g", req.Dir, req.Entity, req.Rel, req.K, eps)
-	}
-
-	e.sfMu.Lock()
-	if c, ok := e.inflight[key]; ok {
-		e.sfMu.Unlock()
+	case lead:
+		res, err = e.topKQuery(ctx, req.Dir, req.Entity, req.Rel, req.K, eps, tr)
+		e.cache.finish(s, res, err)
+	default:
 		e.met.sfCoalesced.Inc()
 		if tr != nil {
 			tr.Coalesced = true
 			// Link this follower to the execution it shares — the cross-
 			// request edge a /traces reader follows to the descent that
 			// actually ran.
-			tr.LinkLeader(c.leader)
+			tr.LinkLeader(s.leader)
 		}
-		wait := func() (*TopKResult, *obs.QueryTrace, error) {
-			tr.Step(obs.StageWait)
-			res, err := c.res, c.err
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				// The leader gave up on its own context, which says nothing
-				// about this caller's: the follower answers for itself.
-				res, err = e.topKQuery(ctx, req.Dir, req.Entity, req.Rel, req.K, eps, tr)
+		res, err = e.follow(ctx, s, req, eps, tr)
+	}
+	if tr != nil {
+		tr.Finish()
+		e.offerTrace(tr, "topk", err, func() string {
+			d := fmt.Sprintf("topk dir=%d ent=%d rel=%d k=%d eps=%g", req.Dir, req.Entity, req.Rel, req.K, eps)
+			if tr.CacheHit {
+				d += " (cache hit)"
 			}
-			tr.Finish()
-			e.offerTrace(tr, "topk", err, desc)
-			return res, tr, err
-		}
-		if ctx == nil {
-			<-c.done
-			return wait()
-		}
-		select {
-		case <-c.done:
-			return wait()
-		case <-ctx.Done():
-			// The follower gives up, but its trace must still be finished
-			// and offered to the trace store: a cancelled wait is exactly the
-			// kind of latency outlier it exists to catch.
-			tr.Step(obs.StageWait)
-			tr.Finish()
-			e.offerTrace(tr, "topk", ctx.Err(), desc)
-			return nil, tr, ctx.Err()
-		}
+			return d
+		})
 	}
-	// A duplicate can miss the cache just before the leader's put and get
-	// here just after the leader removed its call. The leader puts before it
-	// removes, so the answer is cached by now: look again (the miss is
-	// already counted) rather than become a second leader.
-	if res, ok := e.cache.lookup(key, gen); ok {
-		e.sfMu.Unlock()
-		if tr != nil {
-			tr.CacheHit = true
-			tr.Finish()
-			e.offerTrace(tr, "topk", nil, desc)
-		}
-		return res, tr, nil
-	}
-	// The leader's trace id is published in the call slot before it becomes
-	// visible, so every follower can link to it.
-	c := &inflightCall{done: make(chan struct{}), leader: tr.TraceID()}
-	e.inflight[key] = c
-	e.sfMu.Unlock()
+	return res, tr, err
+}
 
-	c.res, c.err = e.topKQuery(ctx, req.Dir, req.Entity, req.Rel, req.K, eps, tr)
-	if c.err == nil {
-		e.cache.put(key, gen, c.res)
+// follow waits for the leader of s to finish, or for ctx to end, and takes
+// the leader's answer. A leader that gave up on its own context says
+// nothing about this caller's: the follower then answers for itself.
+func (e *Engine) follow(ctx context.Context, s *slot, req Request, eps float64, tr *obs.QueryTrace) (*TopKResult, error) {
+	var cancel <-chan struct{} // nil: a nil ctx waits for the leader alone
+	if ctx != nil {
+		cancel = ctx.Done()
 	}
-	e.sfMu.Lock()
-	delete(e.inflight, key)
-	e.sfMu.Unlock()
-	close(c.done)
-	tr.Finish()
-	e.offerTrace(tr, "topk", c.err, desc)
-	return c.res, tr, c.err
+	select {
+	case <-s.done:
+	case <-cancel:
+		// A cancelled wait is still a stage of the follower's trace, which
+		// is finished and offered like any other: it is exactly the kind
+		// of latency outlier the trace store exists to catch.
+		tr.Step(obs.StageWait)
+		return nil, ctx.Err()
+	}
+	tr.Step(obs.StageWait)
+	if errors.Is(s.err, context.Canceled) || errors.Is(s.err, context.DeadlineExceeded) {
+		return e.topKQuery(ctx, req.Dir, req.Entity, req.Rel, req.K, eps, tr)
+	}
+	return s.res, s.err
 }
 
 func (e *Engine) doAggregate(ctx context.Context, req Request) (*AggResult, *obs.QueryTrace, error) {

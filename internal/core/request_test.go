@@ -21,19 +21,11 @@ func TestCancelledFollowerTraced(t *testing.T) {
 	likes, _ := g.RelationByName("likes")
 	u := g.EntitiesOfType("user")[0]
 
-	// Park a fake never-finishing leader in the in-flight map so the request
+	// Park a pending slot whose leader never finishes so the request
 	// coalesces onto it, then hand it an already-cancelled context.
 	key := topkKey{dir: DirTail, ent: u, rel: likes, k: 5, eps: eng.params.Eps}
-	c := &inflightCall{done: make(chan struct{})}
-	eng.sfMu.Lock()
-	eng.inflight[key] = c
-	eng.sfMu.Unlock()
-	defer func() {
-		eng.sfMu.Lock()
-		delete(eng.inflight, key)
-		eng.sfMu.Unlock()
-		close(c.done)
-	}()
+	c := parkSlot(t, eng, key, obs.TraceID{})
+	defer eng.cache.finish(c, nil, context.Canceled)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -80,24 +72,20 @@ func TestCoalescedFollowerLinksLeader(t *testing.T) {
 	likes, _ := g.RelationByName("likes")
 	u := g.EntitiesOfType("user")[0]
 
-	// Park a finished fake leader in the in-flight map with a known trace
-	// id; the follower coalesces and returns its shared answer immediately.
+	// Park a pending slot with a known leader trace id; once the follower
+	// has coalesced onto it, the leader finishes and the follower returns
+	// the shared answer.
 	leaderID := obs.NewTraceID()
 	key := topkKey{dir: DirTail, ent: u, rel: likes, k: 5, eps: eng.params.Eps}
-	c := &inflightCall{done: make(chan struct{}), leader: leaderID, res: &TopKResult{}}
-	close(c.done)
-	eng.sfMu.Lock()
-	eng.inflight[key] = c
-	eng.sfMu.Unlock()
-	defer func() {
-		eng.sfMu.Lock()
-		delete(eng.inflight, key)
-		eng.sfMu.Unlock()
-	}()
-
-	res, tr, err := eng.doTopK(context.Background(), Request{
-		Kind: KindTopK, Dir: DirTail, Entity: u, Rel: likes, K: 5,
-		Trace: true, TraceForced: true,
+	c := parkSlot(t, eng, key, leaderID)
+	var res *TopKResult
+	var tr *obs.QueryTrace
+	var err error
+	followParked(t, eng, c, &TopKResult{}, nil, func() {
+		res, tr, err = eng.doTopK(context.Background(), Request{
+			Kind: KindTopK, Dir: DirTail, Entity: u, Rel: likes, K: 5,
+			Trace: true, TraceForced: true,
+		})
 	})
 	if err != nil || res != c.res {
 		t.Fatalf("follower: res=%v err=%v, want the leader's result", res, err)

@@ -83,7 +83,9 @@ func (e *Engine) SetAttr(name string, id kg.EntityID, v float64) error {
 		return err
 	}
 	e.setAttrLocked(name, id, v)
-	e.gen.Add(1) // cached aggregate answers may include this attribute
+	// No cached answer reads an attribute yet, so this only empties the
+	// result cache; cached aggregates (ROADMAP item 4(iv)) would need it.
+	e.gen.Add(1)
 	e.walAppendSetAttr(name, id, v)
 	return nil
 }
