@@ -33,15 +33,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	build := func(mode vkg.IndexMode) (*vkg.VKG, time.Duration) {
-		start := time.Now()
-		v, err := vkg.Build(g, vkg.WithSeed(3), vkg.WithIndexMode(mode), vkg.WithModelFrom(base))
-		if err != nil {
-			log.Fatal(err)
-		}
-		return v, time.Since(start)
-	}
-
 	// A fixed query workload over random known (entity, relation) pairs.
 	triples := graph.Triples()
 	const nq = 40
@@ -62,21 +53,13 @@ func main() {
 		{"no-index", vkg.ModeNoIndex},
 		{"bulk-loaded", vkg.ModeBulk},
 		{"cracking", vkg.ModeCrack},
-		{"cracking-2choice", vkg.ModeCrackTopK},
 	} {
-		var v *vkg.VKG
-		var buildTime time.Duration
-		if mc.mode == vkg.ModeCrackTopK {
-			start := time.Now()
-			var err error
-			v, err = vkg.Build(g, vkg.WithSeed(3), vkg.WithModelFrom(base), vkg.WithSplitChoices(2))
-			if err != nil {
-				log.Fatal(err)
-			}
-			buildTime = time.Since(start)
-		} else {
-			v, buildTime = build(mc.mode)
+		start := time.Now()
+		v, err := vkg.Build(g, vkg.WithSeed(3), vkg.WithIndexMode(mc.mode), vkg.WithModelFrom(base))
+		if err != nil {
+			log.Fatal(err)
 		}
+		buildTime := time.Since(start)
 
 		var q1, q6, rest time.Duration
 		for i, qq := range queries {

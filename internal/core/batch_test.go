@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -237,6 +238,46 @@ func TestResultCacheHitAndInvalidation(t *testing.T) {
 		if p.Entity == top {
 			t.Fatalf("entity %d still predicted after becoming a known fact", top)
 		}
+	}
+}
+
+// TestSetAttrKeepsCachedTopK: a top-k answer reads no attribute, so SetAttr
+// leaves the result cache as it is, while an aggregate, which is never
+// cached, sees the new value at once.
+func TestSetAttrKeepsCachedTopK(t *testing.T) {
+	eng, g := testEngine(t, Crack, defaultTestParams())
+	likes, _ := g.RelationByName("likes")
+	u := g.EntitiesOfType("user")[0]
+	topk := Request{Kind: KindTopK, Dir: DirTail, Entity: u, Rel: likes, K: 3}
+	agg := Request{Kind: KindAggregate, Dir: DirTail, Entity: u, Rel: likes,
+		Agg: AggQuery{Kind: Max, Attr: "year", MaxAccess: 5}}
+
+	r1 := eng.Do(context.Background(), topk)
+	if r1.Err != nil {
+		t.Fatal(r1.Err)
+	}
+	if a := eng.Do(context.Background(), agg); a.Err != nil || a.Agg.Value > 2100 {
+		t.Fatalf("MAX year before any update: %+v, %v", a.Agg, a.Err)
+	}
+	gen := eng.Generation()
+	const year = 1e6
+	for _, m := range g.EntitiesOfType("movie") {
+		if err := eng.SetAttr("year", m, year); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if eng.Generation() != gen {
+		t.Fatal("SetAttr bumped the generation")
+	}
+	if r2 := eng.Do(context.Background(), topk); r2.Err != nil || r2.TopK != r1.TopK {
+		t.Fatalf("the cached top-k answer did not survive SetAttr (err %v)", r2.Err)
+	}
+	a := eng.Do(context.Background(), agg)
+	if a.Err != nil {
+		t.Fatal(a.Err)
+	}
+	if math.Abs(a.Agg.Value-year) > 1e-9*year {
+		t.Fatalf("MAX year after every movie's was set to %v: %v", year, a.Agg.Value)
 	}
 }
 

@@ -29,8 +29,7 @@ type IndexMode int
 
 const (
 	// Crack builds the index online as queries arrive (the paper's
-	// contribution). With Params.Index.SplitChoices > 1 this is the
-	// Top-kSplitsIndexBuild variant.
+	// contribution): the greedy IncrementalIndexBuild of rtree.Tree.Crack.
 	Crack IndexMode = iota
 	// Bulk builds the complete R-tree offline (Algorithm 1).
 	Bulk
@@ -117,10 +116,11 @@ type Engine struct {
 	params Params
 	mode   IndexMode
 
-	// gen counts graph mutations (AddFact, SetAttr, InsertEntity). The
-	// result cache pins every slot to the generation it was computed at, so
-	// a mutation invalidates all cached answers at once — any of them could
-	// have held the mutated entity in its ball.
+	// gen counts the graph mutations a top-k answer can see (AddFact,
+	// InsertEntity; SetAttr changes no prediction). The result cache pins
+	// every slot to the generation it was computed at, so a mutation
+	// invalidates all cached answers at once — any of them could have held
+	// the mutated entity in its ball.
 	gen atomic.Uint64
 	// cache holds one slot per top-k key: the call in flight duplicates
 	// wait on, then the answer later callers hit.

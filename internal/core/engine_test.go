@@ -203,34 +203,6 @@ func TestTopKProbabilities(t *testing.T) {
 	}
 }
 
-func TestTopKSplitChoicesMatchGreedy(t *testing.T) {
-	// The split-choice variant must return the same answers (it only
-	// changes how the index is shaped).
-	p := defaultTestParams()
-	engGreedy, g := testEngine(t, Crack, p)
-	p2 := p
-	p2.Index.SplitChoices = 3
-	engTopK, _ := testEngine(t, Crack, p2)
-	likes, _ := g.RelationByName("likes")
-	for _, u := range g.EntitiesOfType("user")[:15] {
-		a, err := engGreedy.TopKTails(u, likes, 5)
-		if err != nil {
-			t.Fatalf("greedy: %v", err)
-		}
-		b, err := engTopK.TopKTails(u, likes, 5)
-		if err != nil {
-			t.Fatalf("topk: %v", err)
-		}
-		if precisionAtK(a.Predictions, b.Predictions) < 0.99 {
-			t.Fatalf("user %d: greedy and split-choice answers diverge: %v vs %v",
-				u, a.Predictions, b.Predictions)
-		}
-	}
-	if err := engTopK.CheckInvariants(); err != nil {
-		t.Fatalf("invariants: %v", err)
-	}
-}
-
 func TestAggregateCountAccuracy(t *testing.T) {
 	eng, g := testEngine(t, Crack, defaultTestParams())
 	likes, _ := g.RelationByName("likes")

@@ -253,8 +253,9 @@ type Metrics struct {
 	// graph lacked; the load dropped them (degraded) instead of failing.
 	DroppedAttributes []string
 
-	// Generation is the graph mutation counter; cached answers are pinned
-	// to the generation they were computed at.
+	// Generation counts the graph mutations a top-k answer can see
+	// (AddFact, InsertEntity); cached answers are pinned to the generation
+	// they were computed at.
 	Generation uint64
 }
 

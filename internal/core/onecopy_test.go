@@ -15,7 +15,6 @@ import (
 	"vkgraph/internal/embedding"
 	"vkgraph/internal/kg"
 	"vkgraph/internal/obs"
-	"vkgraph/internal/rtree"
 	"vkgraph/internal/snapfmt"
 )
 
@@ -174,9 +173,11 @@ func BenchmarkTopKConverged(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(examined), "ns/examined")
 }
 
-// TestLoadIgnoresRetiredParams: snapshots written before the float32 mirror
-// and the shard count went carry both in their Params. Such a snapshot loads
-// to the same index and the same answers.
+// TestLoadIgnoresRetiredParams: snapshots written before the float32 mirror,
+// the shard count and Algorithm 2 went carry them in their Params, the last
+// as the index options' SplitChoices and MaxCandidatePops. Such a snapshot
+// loads to the same index and the same answers, and its next cracks are
+// the greedy ones.
 func TestLoadIgnoresRetiredParams(t *testing.T) {
 	eng, g := testEngine(t, Crack, defaultTestParams())
 	likes, _ := g.RelationByName("likes")
@@ -192,11 +193,14 @@ func TestLoadIgnoresRetiredParams(t *testing.T) {
 	}
 
 	// Rewrite the meta section as the previous release encoded it.
+	type retiredOptions struct {
+		LeafCap, Fanout, SplitChoices, MaxCandidatePops int
+	}
 	type retiredParams struct {
 		Alpha        int
 		Eps, PTau    float64
 		Seed         int64
-		Index        rtree.Options
+		Index        retiredOptions
 		Attrs        []string
 		Shards       int
 		PackedCoords bool
@@ -228,7 +232,8 @@ func TestLoadIgnoresRetiredParams(t *testing.T) {
 			ep := meta.Params
 			var enc bytes.Buffer
 			err := gob.NewEncoder(&enc).Encode(retiredMeta{
-				Params: retiredParams{Alpha: ep.Alpha, Eps: ep.Eps, PTau: ep.PTau, Seed: ep.Seed, Index: ep.Index,
+				Params: retiredParams{Alpha: ep.Alpha, Eps: ep.Eps, PTau: ep.PTau, Seed: ep.Seed,
+					Index: retiredOptions{LeafCap: ep.Index.LeafCap, Fanout: ep.Index.Fanout, SplitChoices: 2, MaxCandidatePops: 512},
 					Attrs: ep.Attrs, Shards: 2, PackedCoords: true},
 				Mode: meta.Mode, WalGen: meta.WalGen, EffAttrs: meta.EffAttrs,
 			})
@@ -255,13 +260,22 @@ func TestLoadIgnoresRetiredParams(t *testing.T) {
 	if !reflect.DeepEqual(loaded.Params(), eng.Params()) {
 		t.Fatalf("loaded params %+v, saved %+v", loaded.Params(), eng.Params())
 	}
-	a, _ := eng.TopKTails(users[0], likes, 5)
-	b, err := loaded.TopKTails(users[0], likes, 5)
-	if err != nil {
-		t.Fatal(err)
+	splits := loaded.IndexStats().BinarySplits
+	for _, u := range users[8:24] {
+		a, _ := eng.TopKTails(u, likes, 5)
+		b, err := loaded.TopKTails(u, likes, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a.Predictions, b.Predictions) {
+			t.Fatal("a snapshot with retired Params fields answers differently")
+		}
 	}
-	if !reflect.DeepEqual(a.Predictions, b.Predictions) {
-		t.Fatal("a snapshot with retired Params fields answers differently")
+	if loaded.IndexStats().BinarySplits == splits {
+		t.Fatal("the queries after the load cracked nothing")
+	}
+	if loaded.StructureHash() != eng.StructureHash() {
+		t.Fatal("a snapshot with retired Params fields cracks to a different index")
 	}
 }
 

@@ -82,10 +82,9 @@ func (e *Engine) SetAttr(name string, id kg.EntityID, v float64) error {
 	if err := e.validateEntity(id); err != nil {
 		return err
 	}
+	// No cached answer reads an attribute (aggregates are not cached), so
+	// the result cache's generation stays as it is.
 	e.setAttrLocked(name, id, v)
-	// No cached answer reads an attribute yet, so this only empties the
-	// result cache; cached aggregates (ROADMAP item 4(iv)) would need it.
-	e.gen.Add(1)
 	e.walAppendSetAttr(name, id, v)
 	return nil
 }

@@ -598,7 +598,6 @@ func (e *Engine) applyWALRecord(rec walfmt.Record) error {
 			return err
 		}
 		e.setAttrLocked(sr.Name, kg.EntityID(sr.ID), sr.Val)
-		e.gen.Add(1)
 		return nil
 
 	default:

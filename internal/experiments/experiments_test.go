@@ -310,13 +310,4 @@ func TestMethodSpecLabels(t *testing.T) {
 			t.Fatalf("label(%+v) = %q, want %q", c.spec, got, c.want)
 		}
 	}
-	if got := splitChoicesOf("crack-3"); got != 3 {
-		t.Fatalf("splitChoicesOf(crack-3) = %d", got)
-	}
-	if got := splitChoicesOf("crack"); got != 1 {
-		t.Fatalf("splitChoicesOf(crack) = %d", got)
-	}
-	if got := splitChoicesOf("crack-x"); got != 1 {
-		t.Fatalf("splitChoicesOf(crack-x) = %d", got)
-	}
 }

@@ -21,10 +21,9 @@ type SizeRow struct {
 
 // SizeFigureConfig parameterizes the index-growth experiment.
 type SizeFigureConfig struct {
-	K            int
-	QueryCounts  []int // x axis; must be ascending
-	Seed         int64
-	SplitChoices int // 1 = greedy cracking
+	K           int
+	QueryCounts []int // x axis; must be ascending
+	Seed        int64
 }
 
 func (c SizeFigureConfig) normalize() SizeFigureConfig {
@@ -37,9 +36,6 @@ func (c SizeFigureConfig) normalize() SizeFigureConfig {
 	if c.Seed == 0 {
 		c.Seed = 777
 	}
-	if c.SplitChoices < 1 {
-		c.SplitChoices = 1
-	}
 	return c
 }
 
@@ -51,7 +47,6 @@ func SizeFigure(ds *Dataset, cfg SizeFigureConfig) ([]SizeRow, error) {
 	cfg = cfg.normalize()
 	p := core.DefaultParams()
 	p.Attrs = []string{ds.AggAttr}
-	p.Index.SplitChoices = cfg.SplitChoices
 
 	crack, err := core.NewEngine(ds.G, ds.M, core.Crack, p)
 	if err != nil {

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -16,8 +14,7 @@ import (
 
 // MethodSpec names one bar group of a time/accuracy figure.
 type MethodSpec struct {
-	// Method is one of: noindex, phtree, bulk, crack, crack-2, crack-3,
-	// crack-4, h2alsh.
+	// Method is one of: noindex, phtree, bulk, crack, h2alsh.
 	Method string
 	// Alpha overrides the S2 dimensionality (0 = 3). Used by Fig. 5's
 	// alpha=3 vs alpha=6 comparison.
@@ -50,18 +47,6 @@ type Runner struct {
 	BuildTime time.Duration
 	// TopK answers one query; the caller measures wall time around it.
 	TopK func(q Query, k int) []kg.EntityID
-}
-
-// splitChoicesOf parses crack-N method names.
-func splitChoicesOf(method string) int {
-	if !strings.HasPrefix(method, "crack-") {
-		return 1
-	}
-	n, err := strconv.Atoi(strings.TrimPrefix(method, "crack-"))
-	if err != nil || n < 1 {
-		return 1
-	}
-	return n
 }
 
 // NewRunner builds the runner for a method over a dataset. rel is only used
@@ -98,8 +83,7 @@ func NewRunner(ds *Dataset, spec MethodSpec, rel kg.RelationID) (*Runner, error)
 		build := time.Since(start)
 		return &Runner{Label: spec.label(), BuildTime: build, TopK: engineTopK(eng)}, nil
 
-	case spec.Method == "crack" || strings.HasPrefix(spec.Method, "crack-"):
-		p.Index.SplitChoices = splitChoicesOf(spec.Method)
+	case spec.Method == "crack":
 		start := time.Now()
 		eng, err := core.NewEngine(ds.G, ds.M, core.Crack, p)
 		if err != nil {

@@ -19,8 +19,6 @@ func standardMethods() []MethodSpec {
 		{Method: "phtree"},
 		{Method: "bulk"},
 		{Method: "crack"},
-		{Method: "crack-2"},
-		{Method: "crack-4"},
 	}
 }
 
@@ -32,7 +30,6 @@ func movieMethods() []MethodSpec {
 		{Method: "bulk", Alpha: 6},
 		{Method: "crack", Alpha: 3},
 		{Method: "crack", Alpha: 6},
-		{Method: "crack-2", Alpha: 3},
 		{Method: "h2alsh"},
 	}
 }
@@ -43,7 +40,6 @@ func amazonMethods() []MethodSpec {
 		{Method: "noindex"},
 		{Method: "bulk"},
 		{Method: "crack"},
-		{Method: "crack-2"},
 		{Method: "h2alsh", K: 2, Label: "h2alsh:2"},
 		{Method: "h2alsh", K: 10, Label: "h2alsh:10"},
 	}

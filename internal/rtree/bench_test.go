@@ -133,26 +133,6 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
-func BenchmarkTopKSplitsCrack(b *testing.B) {
-	ps := benchPointSet(20000)
-	opt := DefaultOptions()
-	opt.SplitChoices = 2
-	rng := rand.New(rand.NewSource(6))
-	queries := make([]Rect, 64)
-	for i := range queries {
-		queries[i] = randomQuery(rng, 3, 0, 10)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		tr := NewCracking(ps, opt)
-		b.StartTimer()
-		for _, q := range queries {
-			tr.Crack(q)
-		}
-	}
-}
-
 // BenchmarkPrepareRoot is the first query's root build at the repository
 // benchmark's size: the bucketing into Morton cells and the sort orders of
 // every cell.
@@ -185,12 +165,12 @@ func BenchmarkRootSort(b *testing.B) {
 	b.ReportMetric(float64(len(cell)), "ids/order")
 }
 
-// BenchmarkBestSplits evaluates the splits of one large pending element the
+// BenchmarkBestSplit evaluates the splits of one large pending element the
 // way a crack's first level does: seven boundaries in each of three orders.
 // The elements are 20k clustered points under a ball of radius 0.3, and the
 // Morton cell of 300k points closest to the mean cell size (as
 // BenchmarkRootSort) under a ball holding 35 of its points.
-func BenchmarkBestSplits(b *testing.B) {
+func BenchmarkBestSplit(b *testing.B) {
 	opt := DefaultOptions()
 	run := func(b *testing.B, ps *PointSet, p *partition, q Rect) {
 		m := ceilDiv(p.count(), opt.Fanout)
@@ -198,7 +178,7 @@ func BenchmarkBestSplits(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			benchChoices = bestSplits(ps, p, m, &q, total, opt.LeafCap, 1)
+			benchChoice, _ = bestSplit(ps, p, m, &q, total, opt.LeafCap)
 		}
 		b.ReportMetric(float64(p.count()), "points")
 	}
@@ -215,40 +195,30 @@ func BenchmarkBestSplits(b *testing.B) {
 
 // BenchmarkSplit times the split kernel alone on the first split of a
 // first crack: the Morton cell of 300k points closest to the mean cell size
-// (as BenchmarkRootSort, 38.6k ids), cut where bestSplits puts a ball
-// holding 35 of its points. inPlace is the greedy crack's split, with the
-// element's lists restored off the clock; out is Algorithm 2's, into fresh
-// lists.
+// (as BenchmarkRootSort, 38.6k ids), cut where bestSplit puts a ball
+// holding 35 of its points, with the element's lists restored off the
+// clock.
 func BenchmarkSplit(b *testing.B) {
 	ps := clusteredPointSet(300000, 3, 16, 1)
 	cell := meanCell(ps)
 	p := newPartition(ps, cell)
 	q := ballHolding(ps, cell, ps.At(cell[0]), 35)
 	opt := DefaultOptions()
-	ch := bestSplits(ps, p, ceilDiv(p.count(), opt.Fanout), &q, p.countInRect(ps, q), opt.LeafCap, 1)[0]
+	ch, _ := bestSplit(ps, p, ceilDiv(p.count(), opt.Fanout), &q, p.countInRect(ps, q), opt.LeafCap)
 	scratch := make([]bool, ps.N())
-	b.Run("inPlace", func(b *testing.B) {
-		cut := clonePartition(p)
-		buf := make([]int32, p.count()-ch.pos+1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			for d, o := range p.orders {
-				copy(cut.orders[d], o)
-			}
-			b.StartTimer()
-			benchHalf, _ = cut.split(ch, scratch, buf)
+	cut := clonePartition(p)
+	buf := make([]int32, p.count()-ch.pos+1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for d, o := range p.orders {
+			copy(cut.orders[d], o)
 		}
-		b.ReportMetric(float64(p.count()), "points")
-	})
-	b.Run("out", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchHalf, _ = p.splitOut(ch, scratch)
-		}
-		b.ReportMetric(float64(p.count()), "points")
-	})
+		b.StartTimer()
+		benchHalf, _ = cut.split(ch, scratch, buf)
+	}
+	b.ReportMetric(float64(p.count()), "points")
 }
 
 // meanCell returns the ids of the Morton cell of the pre-split root over ps
@@ -261,8 +231,8 @@ func meanCell(ps *PointSet) []int32 {
 	return slices.MinFunc(cells, func(x, y []int32) int { return offMean(x) - offMean(y) })
 }
 
-// benchChoices and benchHalf keep the benchmarked calls' results alive.
+// benchChoice and benchHalf keep the benchmarked calls' results alive.
 var (
-	benchChoices []splitChoice
-	benchHalf    *partition
+	benchChoice splitChoice
+	benchHalf   *partition
 )

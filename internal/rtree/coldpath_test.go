@@ -36,26 +36,25 @@ func oracleOrders(ps *PointSet, ids []int32) [][]int32 {
 	return orders
 }
 
-// oracleBestSplits is the paper's split evaluation as first written: per
+// oracleBestSplit is the paper's split evaluation as first written: per
 // order a forward sweep for the prefix boxes, a backward sweep for the
 // suffix boxes and a third for the query counts; every candidate is ranked
 // by (c_Q, c_O, s, pos), c_O = ||O|| / min(||L||, ||H||) (the paper's
 // beta^h weight is positive and cannot make a zero nonzero), and the list
-// is sorted in full. The winners' boxes are MBRof each half in the order
-// split, and their counts a rescan. The second result is the largest c_O
-// of any candidate, which on point data is zero (see bestSplits).
-func oracleBestSplits(ps *PointSet, p *partition, m int, q *Rect, leafCap, topK int) ([]splitChoice, float64) {
+// is sorted in full. The winner's boxes are MBRof each half in the order
+// split, and its counts a rescan. maxCO is the largest c_O of any
+// candidate, which on point data is zero (see bestSplit).
+func oracleBestSplit(ps *PointSet, p *partition, m int, q *Rect, leafCap int) (ch splitChoice, ok bool, maxCO float64) {
 	n := p.count()
 	nb := ceilDiv(n, m) - 1
 	if nb <= 0 {
-		return nil, 0
+		return ch, false, 0
 	}
 	type ranked struct {
 		ch splitChoice
 		co float64
 	}
 	var all []ranked
-	maxCO := 0.0
 	fronts := make([]Rect, nb)
 	backs := make([]Rect, nb)
 	for so, order := range p.orders {
@@ -116,27 +115,26 @@ func oracleBestSplits(ps *PointSet, p *partition, m int, q *Rect, leafCap, topK 
 		if a.co != b.co {
 			return a.co < b.co
 		}
-		return a.ch.less(b.ch)
+		if a.ch.s != b.ch.s {
+			return a.ch.s < b.ch.s
+		}
+		return a.ch.pos < b.ch.pos
 	})
-	choices := make([]splitChoice, 0, topK)
-	for _, r := range all[:min(topK, len(all))] {
-		ch := r.ch
-		order := p.orders[ch.s]
-		ch.mbrL, ch.mbrH = ps.MBRof(order[:ch.pos]), ps.MBRof(order[ch.pos:])
-		if q != nil {
-			for i, id := range order {
-				if q.Contains(ps.At(id)) {
-					if i < ch.pos {
-						ch.qL++
-					} else {
-						ch.qH++
-					}
+	ch = all[0].ch
+	order := p.orders[ch.s]
+	ch.mbrL, ch.mbrH = ps.MBRof(order[:ch.pos]), ps.MBRof(order[ch.pos:])
+	if q != nil {
+		for i, id := range order {
+			if q.Contains(ps.At(id)) {
+				if i < ch.pos {
+					ch.qL++
+				} else {
+					ch.qH++
 				}
 			}
 		}
-		choices = append(choices, ch)
 	}
-	return choices, maxCO
+	return ch, true, maxCO
 }
 
 // awkwardCoord draws coordinates that stress a key transform: duplicates,
@@ -370,11 +368,11 @@ func countInScan(ps *PointSet, ids []int32, q Rect) int {
 	return c
 }
 
-// TestBestSplitsMatchOracle holds bestSplits to the paper's evaluation on
-// 360 seeds of splitCase, topK 1 to 3: the same choices in the same order
-// with the same counts, and boxes equal bit for bit to the halves' MBRof
-// in the order split, zeros' signs included. It also asserts the premise
-// the counting rests on: the oracle's c_O is zero for every candidate.
+// TestBestSplitsMatchOracle holds bestSplit to the paper's evaluation on
+// 360 seeds of splitCase: the same choice with the same counts, and boxes
+// equal bit for bit to the halves' MBRof in the order split, zeros' signs
+// included. It also asserts the premise the counting rests on: the
+// oracle's c_O is zero for every candidate.
 func TestBestSplitsMatchOracle(t *testing.T) {
 	for seed := int64(0); seed < 360; seed++ {
 		ps, p, m, q := splitCase(seed)
@@ -383,22 +381,17 @@ func TestBestSplitsMatchOracle(t *testing.T) {
 			total = countInScan(ps, p.ids(), *q)
 		}
 		opt := DefaultOptions()
-		for topK := 1; topK <= 3; topK++ {
-			got := bestSplits(ps, p, m, q, total, opt.LeafCap, topK)
-			want, maxCO := oracleBestSplits(ps, p, m, q, opt.LeafCap, topK)
-			if maxCO != 0 {
-				t.Fatalf("seed %d: a candidate split has overlap cost %v", seed, maxCO)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("seed %d topK %d: %d choices, oracle has %d", seed, topK, len(got), len(want))
-			}
-			for i := range got {
-				g, w := got[i], want[i]
-				if g.s != w.s || g.pos != w.pos || g.cq != w.cq || g.qL != w.qL || g.qH != w.qH ||
-					!sameBits(g.mbrL, w.mbrL) || !sameBits(g.mbrH, w.mbrH) {
-					t.Fatalf("seed %d topK %d choice %d:\n got %+v\nwant %+v", seed, topK, i, g, w)
-				}
-			}
+		g, gok := bestSplit(ps, p, m, q, total, opt.LeafCap)
+		w, wok, maxCO := oracleBestSplit(ps, p, m, q, opt.LeafCap)
+		if maxCO != 0 {
+			t.Fatalf("seed %d: a candidate split has overlap cost %v", seed, maxCO)
+		}
+		if gok != wok {
+			t.Fatalf("seed %d: bestSplit found a split: %v, the oracle: %v", seed, gok, wok)
+		}
+		if gok && (g.s != w.s || g.pos != w.pos || g.cq != w.cq || g.qL != w.qL || g.qH != w.qH ||
+			!sameBits(g.mbrL, w.mbrL) || !sameBits(g.mbrH, w.mbrH)) {
+			t.Fatalf("seed %d:\n got %+v\nwant %+v", seed, g, w)
 		}
 	}
 }
@@ -419,8 +412,7 @@ func TestCountInRectMatchesScan(t *testing.T) {
 }
 
 // TestBestSplitsAllocs pins the split evaluation's allocation shape next to
-// the walk's guard (walk_test.go): the choice list and one slab for the
-// winners' boxes, for the greedy choice and for Algorithm 2's top 3.
+// the walk's guard (walk_test.go): one slab for the winner's boxes.
 func TestBestSplitsAllocs(t *testing.T) {
 	ps := clusteredPointSet(2000, 3, 4, 5)
 	p := newPartition(ps, firstIDs(ps.N()))
@@ -428,13 +420,11 @@ func TestBestSplitsAllocs(t *testing.T) {
 	total := countInScan(ps, p.ids(), q)
 	opt := DefaultOptions()
 	m := ceilDiv(p.count(), opt.Fanout)
-	for _, topK := range []int{1, 3} {
-		allocs := testing.AllocsPerRun(20, func() {
-			bestSplits(ps, p, m, &q, total, opt.LeafCap, topK)
-		})
-		if allocs > 2 {
-			t.Fatalf("bestSplits(topK %d) allocates %v objects per call, want at most 2", topK, allocs)
-		}
+	allocs := testing.AllocsPerRun(20, func() {
+		bestSplit(ps, p, m, &q, total, opt.LeafCap)
+	})
+	if allocs > 1 {
+		t.Fatalf("bestSplit allocates %v objects per call, want at most 1", allocs)
 	}
 }
 
@@ -637,15 +627,15 @@ func clonePartition(p *partition) *partition {
 	return c
 }
 
-// TestSplitInPlaceMatchesCopy holds the in-place split and Algorithm 2's
-// splitOut to oracleSplit, id for id in all S lists of both halves, on 360
+// TestSplitInPlaceMatchesCopy holds the in-place split to oracleSplit, id
+// for id in all S lists of both halves, on 360
 // seeds of splitCase: clustered points, ±0 lattices with duplicates, and
 // elements edited by Insert and Delete, whose lists keep Delete's spare
 // capacity. On every third seed the element is cut down to a size around
 // LeafCap. Every order s is cut at 1, m and n−1. The in-place halves are
 // capped views of the element's own lists, so an insert into the left half
-// leaves the right one as it was; splitOut leaves the element unchanged;
-// the halves carry the choice's boxes; the flags are cleared.
+// leaves the right one as it was; the halves carry the choice's boxes; the
+// flags are cleared.
 func TestSplitInPlaceMatchesCopy(t *testing.T) {
 	opt := DefaultOptions()
 	spare := 0
@@ -661,7 +651,6 @@ func TestSplitInPlaceMatchesCopy(t *testing.T) {
 			spare++
 		}
 		n := p.count()
-		before := clonePartition(p)
 		added := ps.AppendPoint(ps.At(p.ids()[0]))
 		scratch := make([]bool, ps.N())
 		for s := range p.orders {
@@ -671,12 +660,10 @@ func TestSplitInPlaceMatchesCopy(t *testing.T) {
 				}
 				ch := splitChoice{s: s, pos: pos, mbrL: EmptyRect(ps.Dim), mbrH: p.mbr.Clone()}
 				wantL, wantR := oracleSplit(p, ch, scratch)
-				outL, outR := p.splitOut(ch, scratch)
 				cut := clonePartition(p)
 				inL, inR := cut.split(ch, scratch, make([]int32, n-pos+1))
 				for d := range p.orders {
-					if !equalIDs(inL.orders[d], wantL.orders[d]) || !equalIDs(inR.orders[d], wantR.orders[d]) ||
-						!equalIDs(outL.orders[d], wantL.orders[d]) || !equalIDs(outR.orders[d], wantR.orders[d]) {
+					if !equalIDs(inL.orders[d], wantL.orders[d]) || !equalIDs(inR.orders[d], wantR.orders[d]) {
 						t.Fatalf("seed %d s %d pos %d: order %d of a half differs from the copying split", seed, s, pos, d)
 					}
 					if cap(inL.orders[d]) != pos || cap(inR.orders[d]) != n-pos ||
@@ -684,13 +671,10 @@ func TestSplitInPlaceMatchesCopy(t *testing.T) {
 						t.Fatalf("seed %d s %d pos %d: order %d's halves are not capped views of the element", seed, s, pos, d)
 					}
 				}
-				for _, h := range [][2]*partition{{inL, wantL}, {inR, wantR}, {outL, wantL}, {outR, wantR}} {
+				for _, h := range [][2]*partition{{inL, wantL}, {inR, wantR}} {
 					if !sameBits(h[0].mbr, h[1].mbr) {
 						t.Fatalf("seed %d s %d pos %d: a half's box is not the choice's", seed, s, pos)
 					}
-				}
-				if !sameOrders(p.orders, before.orders) {
-					t.Fatalf("seed %d s %d pos %d: splitOut changed the element", seed, s, pos)
 				}
 				insertSorted(ps, inL, added)
 				if !sameOrders(inR.orders, wantR.orders) {
@@ -749,8 +733,8 @@ func outlivesCrack(before, after [][]int32) error {
 }
 
 // TestContourListsOwnMemory runs random sequences of cracks, inserts and
-// deletes on greedy trees, on trees with SplitChoices 2 and 3 and on
-// bulk-loaded ones, some with a pre-split root. After every step
+// deletes on cracking trees and on bulk-loaded ones, some with a pre-split
+// root. After every step
 // CheckInvariants holds, which includes that no two id lists of the contour
 // share memory; after a crack no list lies in the memory of the lists it
 // cut (outlivesCrack); and a search around a point, which inserts often land
@@ -763,13 +747,11 @@ func TestContourListsOwnMemory(t *testing.T) {
 	for seed := int64(0); seed < 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ps := clusteredPointSet(1500+rng.Intn(9000), 3, 1+rng.Intn(6), seed)
-		opt := DefaultOptions()
 		var tr *Tree
 		if seed%4 == 3 {
-			tr = NewBulkLoaded(ps, opt)
+			tr = NewBulkLoaded(ps, DefaultOptions())
 		} else {
-			opt.SplitChoices = 1 + int(seed%4)
-			tr = NewCracking(ps, opt)
+			tr = NewCracking(ps, DefaultOptions())
 		}
 		deleted := make(map[int32]bool)
 		near := func() Rect { return BallRect(ps.At(int32(rng.Intn(ps.N()))), 0.05+rng.Float64()) }
@@ -808,8 +790,8 @@ func TestContourListsOwnMemory(t *testing.T) {
 
 // TestFirstCrackAllocs pins the objects a fixed first crack allocates on a
 // pre-split root of parallelSortMin points (built before counting): per
-// split the two halves' records and list headers and bestSplits' two
-// objects, per leaf its copied ids and rows, per element still pending at
+// split the two halves' records and list headers and bestSplit's box
+// slab, per leaf its copied ids and rows, per element still pending at
 // the end its S lists, and the nodes' child lists and the cut buffer. A
 // half that allocated its S lists again would add S objects per split.
 func TestFirstCrackAllocs(t *testing.T) {
@@ -827,7 +809,7 @@ func TestFirstCrackAllocs(t *testing.T) {
 		i++
 	})
 	// The copying split allocated 267 objects here.
-	if splits := trees[0].Splits(); allocs > 194 || splits != 19 {
-		t.Fatalf("the first crack made %d splits with %v objects, want 19 splits and at most 194 objects", splits, allocs)
+	if splits := trees[0].Splits(); allocs > 175 || splits != 19 {
+		t.Fatalf("the first crack made %d splits with %v objects, want 19 splits and at most 175 objects", splits, allocs)
 	}
 }

@@ -1,28 +1,17 @@
 package rtree
 
 // splitChoice is one candidate binary split of a partition: boundary
-// position pos of sort order s, with its query cost cq. Choices are
-// compared by cq, then s, then pos (Section IV-B1; the overlap term c_O is
-// zero for every candidate, see bestSplits).
+// position pos of sort order s, with its query cost cq (Section IV-B1; the
+// overlap term c_O is zero for every candidate, see bestSplit).
 type splitChoice struct {
 	s, pos int
 	cq     int // ceil(|Q∩L|/N) + ceil(|Q∩H|/N); 0 when no query region
 
-	// Filled in for the choices bestSplits returns: the MBRs of the two
+	// Filled in for the choice bestSplit returns: the MBRs of the two
 	// halves and |Q∩L|, |Q∩H| (0 when no query region). Whoever applies the
 	// split installs them on the halves instead of rescanning the points.
 	mbrL, mbrH Rect
 	qL, qH     int
-}
-
-func (a splitChoice) less(b splitChoice) bool {
-	if a.cq != b.cq {
-		return a.cq < b.cq
-	}
-	if a.s != b.s {
-		return a.s < b.s
-	}
-	return a.pos < b.pos
 }
 
 func ceilDiv(a, b int) int {
@@ -32,12 +21,12 @@ func ceilDiv(a, b int) int {
 	return (a + b - 1) / b
 }
 
-// bestSplits implements BestBinarySplit of Algorithm 1: it evaluates the
+// bestSplit implements BestBinarySplit of Algorithm 1: it evaluates the
 // M-1 equally spaced boundary positions in every sort order and returns the
-// topK cheapest splits, cheapest first, each with its halves' MBRs and
-// query-region counts. total is |Q ∩ p|, which every caller already holds.
-// q may be nil (bulk loading, total 0), in which case cQ is 0 for every
-// candidate.
+// cheapest split, with its halves' MBRs and query-region counts; ok is
+// false when p has no boundary at chunk size m. Ties go to the lowest
+// (s, pos). total is |Q ∩ p|, which every caller already holds. q may be
+// nil (bulk loading, total 0), in which case cQ is 0 for every candidate.
 //
 // The paper's minor cost, the overlap c_O of the halves' boxes, is zero for
 // every candidate on point data: a boundary cuts an order sorted by
@@ -48,21 +37,17 @@ func ceilDiv(a, b int) int {
 // coordinate s is within Q's extent (two binary searches), so a boundary
 // at or before qa has |Q∩L| = 0, one at or after qb has |Q∩L| = total, and
 // only the boundaries inside the stretch are counted, incrementally. No
-// split costs less than ceil(total/N), so the greedy build (topK == 1)
-// stops at the first (s, pos) that costs that much. Boxes are computed for
-// the winners' halves only (halfBoxes).
-func bestSplits(ps *PointSet, p *partition, m int, q *Rect, total, leafCap, topK int) []splitChoice {
+// split costs less than ceil(total/N), so the scan stops at the first
+// (s, pos) that costs that much. Boxes are computed for the winner's
+// halves only (halfBoxes).
+func bestSplit(ps *PointSet, p *partition, m int, q *Rect, total, leafCap int) (best splitChoice, ok bool) {
 	n := p.count()
 	nb := ceilDiv(n, m) - 1 // boundary count per order
 	if nb <= 0 {
-		return nil
+		return best, false
 	}
 	floor := ceilDiv(total, leafCap)
-	var all []splitChoice
-	if topK > 1 {
-		all = make([]splitChoice, 0, len(p.orders)*nb)
-	}
-	best := splitChoice{cq: -1}
+	best.cq = -1
 scan:
 	for s, order := range p.orders {
 		qa, qb := 0, 0
@@ -85,9 +70,7 @@ scan:
 				ch.qL, ch.qH = qL, total-qL
 				ch.cq = ceilDiv(qL, leafCap) + ceilDiv(total-qL, leafCap)
 			}
-			if topK > 1 {
-				all = append(all, ch)
-			} else if best.cq < 0 || ch.cq < best.cq {
+			if best.cq < 0 || ch.cq < best.cq {
 				best = ch
 				if ch.cq == floor {
 					break scan
@@ -95,32 +78,8 @@ scan:
 			}
 		}
 	}
-
-	choices := all
-	if topK > 1 {
-		// The cheapest topK, in order: less is a total order, so selecting
-		// them one by one gives the prefix a full sort would.
-		topK = min(topK, len(choices))
-		for i := 0; i < topK; i++ {
-			c := i
-			for j := i + 1; j < len(choices); j++ {
-				if choices[j].less(choices[c]) {
-					c = j
-				}
-			}
-			choices[i], choices[c] = choices[c], choices[i]
-		}
-		choices = choices[:topK]
-	} else {
-		choices = []splitChoice{best}
-	}
-	dim := ps.Dim
-	slab := make([]float64, len(choices)*4*dim)
-	for i := range choices {
-		ch := &choices[i]
-		ch.mbrL, ch.mbrH = halfBoxes(ps, p, ch.s, ch.pos, slab[i*4*dim:(i+1)*4*dim])
-	}
-	return choices
+	best.mbrL, best.mbrH = halfBoxes(ps, p, best.s, best.pos, make([]float64, 4*ps.Dim))
+	return best, true
 }
 
 // qStretch returns the stretch [qa, qb) of an order sorted by coordinate s

@@ -21,17 +21,17 @@ func twoClusterPointSet(n int) *PointSet {
 func TestBestSplitsSeparatesClusters(t *testing.T) {
 	ps := twoClusterPointSet(128)
 	p := newPartition(ps, firstIDs(ps.N()))
-	choices := bestSplits(ps, p, 64, nil, 0, 32, 1)
-	if len(choices) == 0 {
-		t.Fatal("no split choices")
+	ch, ok := bestSplit(ps, p, 64, nil, 0, 32)
+	if !ok {
+		t.Fatal("no split choice")
 	}
 	scratch := make([]bool, ps.N())
-	l, r := p.split(choices[0], scratch, make([]int32, p.count()))
+	l, r := p.split(ch, scratch, make([]int32, p.count()))
 	// The chosen split must not overlap (the clusters are separable).
 	if l.mbr.Overlaps(r.mbr) {
 		t.Fatalf("best split overlaps: %v vs %v", l.mbr, r.mbr)
 	}
-	checkDisjointInSplitCoord(t, choices[0])
+	checkDisjointInSplitCoord(t, ch)
 }
 
 // checkDisjointInSplitCoord fails unless the halves of ch meet at most on
@@ -49,43 +49,16 @@ func TestBestSplitsQueryCostMajorOrder(t *testing.T) {
 	ps := twoClusterPointSet(128)
 	p := newPartition(ps, firstIDs(ps.N()))
 	q := Rect{Lo: []float64{-1, -1}, Hi: []float64{1, 1}} // first cluster
-	choices := bestSplits(ps, p, 64, &q, countInScan(ps, p.ids(), q), 32, 3)
-	if len(choices) == 0 {
-		t.Fatal("no split choices")
+	best, ok := bestSplit(ps, p, 64, &q, countInScan(ps, p.ids(), q), 32)
+	if !ok {
+		t.Fatal("no split choice")
 	}
-	best := choices[0]
 	// 64 query points at leaf capacity 32 -> optimal cq is 2 (all query
 	// points on one side), and splitting them across sides would cost more.
 	if best.cq != 2 {
 		t.Fatalf("best split cq = %d, want 2", best.cq)
 	}
-	// Choices are sorted by cq, and no two halves overlap.
-	for i, ch := range choices {
-		checkDisjointInSplitCoord(t, ch)
-		if i > 0 && !choices[i-1].less(ch) {
-			t.Fatalf("choices not sorted: %+v before %+v", choices[i-1], ch)
-		}
-	}
-}
-
-func TestBestSplitsTopKDistinct(t *testing.T) {
-	ps := clusteredPointSet(400, 3, 4, 71)
-	p := newPartition(ps, firstIDs(ps.N()))
-	choices := bestSplits(ps, p, 100, nil, 0, 32, 4)
-	if len(choices) < 2 {
-		t.Fatalf("expected multiple choices, got %d", len(choices))
-	}
-	seen := map[[2]int]bool{}
-	for _, c := range choices {
-		key := [2]int{c.s, c.pos}
-		if seen[key] {
-			t.Fatalf("duplicate choice %+v", c)
-		}
-		seen[key] = true
-		if c.pos <= 0 || c.pos >= p.count() {
-			t.Fatalf("boundary position %d out of range", c.pos)
-		}
-	}
+	checkDisjointInSplitCoord(t, best)
 }
 
 func TestMaxSqDist(t *testing.T) {

@@ -55,9 +55,6 @@ func TestGoldenStructure(t *testing.T) {
 		}
 		return shapeOf(trees...)
 	}
-	top2 := DefaultOptions()
-	top2.SplitChoices = 2
-
 	// Inserts overflow leaves back into pending elements, whose sort orders
 	// are rebuilt from ids in leaf (not ascending) order. n points start the
 	// tree: below parallelSortMin under a single pending root, above it
@@ -90,8 +87,6 @@ func TestGoldenStructure(t *testing.T) {
 	}{
 		{"greedy", crackAll(NewCracking(ps, DefaultOptions())),
 			goldenShape{0x9824862e28868d09, 366, 532, 532}},
-		{"top2", crackAll(NewCracking(ps, top2)),
-			goldenShape{0xc2846a677053aa77, 331, 467, 467}},
 		{"greedy-inserts", grown(5000),
 			goldenShape{0x46e8ba0bb7b0b1b8, 125, 167, 167}},
 		{"greedy-inserts-presplit", grown(12000),

@@ -32,37 +32,32 @@ func TestNeedsCrackFalseAfterCrack(t *testing.T) {
 // completeness check: as long as NeedsCrack keeps reporting true, Crack must
 // keep making progress (it cannot report true forever).
 func TestNeedsCrackSkipIsStructuralNoOp(t *testing.T) {
-	for _, choices := range []int{1, 3} {
-		opt := DefaultOptions()
-		opt.SplitChoices = choices
-		ps := clusteredPointSet(1500, 2, 3, 73)
-		tr := NewCracking(ps, opt)
-		rng := rand.New(rand.NewSource(74))
-		for i := 0; i < 48; i++ {
-			q := randomQuery(rng, 2, 0, 10)
-			for rounds := 0; tr.NeedsCrack(q); rounds++ {
-				if rounds > 64 {
-					t.Fatalf("choices=%d query %d: NeedsCrack never converges", choices, i)
-				}
-				before := tr.Stats()
-				tr.Crack(q)
-				after := tr.Stats()
-				if after.TotalNodes == before.TotalNodes && after.BinarySplits == before.BinarySplits {
-					t.Fatalf("choices=%d query %d: NeedsCrack true but Crack changed nothing", choices, i)
-				}
+	ps := clusteredPointSet(1500, 2, 3, 73)
+	tr := NewCracking(ps, DefaultOptions())
+	rng := rand.New(rand.NewSource(74))
+	for i := 0; i < 48; i++ {
+		q := randomQuery(rng, 2, 0, 10)
+		for rounds := 0; tr.NeedsCrack(q); rounds++ {
+			if rounds > 64 {
+				t.Fatalf("query %d: NeedsCrack never converges", i)
 			}
 			before := tr.Stats()
 			tr.Crack(q)
 			after := tr.Stats()
-			if after.TotalNodes != before.TotalNodes || after.BinarySplits != before.BinarySplits ||
-				after.PendingNodes != before.PendingNodes || after.LeafNodes != before.LeafNodes {
-				t.Fatalf("choices=%d query %d: NeedsCrack false but Crack split anyway:\n%+v\n%+v",
-					choices, i, before, after)
+			if after.TotalNodes == before.TotalNodes && after.BinarySplits == before.BinarySplits {
+				t.Fatalf("query %d: NeedsCrack true but Crack changed nothing", i)
 			}
 		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatal(err)
+		before := tr.Stats()
+		tr.Crack(q)
+		after := tr.Stats()
+		if after.TotalNodes != before.TotalNodes || after.BinarySplits != before.BinarySplits ||
+			after.PendingNodes != before.PendingNodes || after.LeafNodes != before.LeafNodes {
+			t.Fatalf("query %d: NeedsCrack false but Crack split anyway:\n%+v\n%+v", i, before, after)
 		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

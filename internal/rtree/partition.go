@@ -5,10 +5,9 @@ import "slices"
 // partition is a contour element that has data but no child structure yet:
 // the S sort orders of its point ids (S = dim, one per coordinate as the
 // points are degenerate rectangles) and its MBR (set when the partition is
-// created, grown by inserts). A greedy crack or the bulk load cuts an
-// element inside its own lists (split), which consumes it; Algorithm 2
-// cuts into fresh lists (splitOut), so its candidates can share split
-// results through a cache. Insert and Delete edit a partition in place.
+// created, grown by inserts). A crack or the bulk load cuts an element
+// inside its own lists (split), which consumes it. Insert and Delete edit a
+// partition in place.
 type partition struct {
 	orders [][]int32 // S sorted id lists; orders[s] sorted by coordinate s
 	mbr    Rect
@@ -48,7 +47,7 @@ func (p *partition) countInRect(ps *PointSet, q Rect) int {
 	return countIn(ps, p.orders[s][from:to], q)
 }
 
-// split applies a choice bestSplits returned for this partition, in place:
+// split applies the choice bestSplit returned for this partition, in place:
 // the first ch.pos ids of orders[ch.s] form the left half. All S sorted
 // lists are split stably (SplitOnKey of Algorithm 1) inside their own
 // memory, using the tree's scratch flag array to test membership in O(1).
@@ -60,7 +59,11 @@ func (p *partition) countInRect(ps *PointSet, q Rect) int {
 // neighbour. p is consumed. The halves take their MBRs from the choice.
 func (p *partition) split(ch splitChoice, scratch []bool, buf []int32) (left, right *partition) {
 	n, pos := p.count(), ch.pos
-	left, right = p.halves(ch)
+	if pos <= 0 || pos >= n {
+		panic("rtree: split position out of range")
+	}
+	left = &partition{orders: make([][]int32, len(p.orders)), mbr: ch.mbrL}
+	right = &partition{orders: make([][]int32, len(p.orders)), mbr: ch.mbrH}
 	setFlags(scratch, p.orders[ch.s][:pos], true)
 	for d, order := range p.orders {
 		if d != ch.s {
@@ -71,33 +74,6 @@ func (p *partition) split(ch splitChoice, scratch []bool, buf []int32) (left, ri
 	}
 	setFlags(scratch, p.orders[ch.s][:pos], false)
 	return left, right
-}
-
-// splitOut is split into fresh lists, leaving p as it was: Algorithm 2's
-// candidates share hypothetical partitions through its split cache, so
-// none may be cut in place.
-func (p *partition) splitOut(ch splitChoice, scratch []bool) (left, right *partition) {
-	n, pos := p.count(), ch.pos
-	left, right = p.halves(ch)
-	setFlags(scratch, p.orders[ch.s][:pos], true)
-	for d, order := range p.orders {
-		lo, hi := make([]int32, pos+1), make([]int32, n-pos+1)
-		cutOrder(order, scratch, lo, hi)
-		left.orders[d], right.orders[d] = lo[:pos:pos], hi[:n-pos:n-pos]
-	}
-	setFlags(scratch, p.orders[ch.s][:pos], false)
-	return left, right
-}
-
-// halves returns the two partitions ch makes of p, with their MBRs and room
-// for S lists each.
-func (p *partition) halves(ch splitChoice) (left, right *partition) {
-	if ch.pos <= 0 || ch.pos >= p.count() {
-		panic("rtree: split position out of range")
-	}
-	s := len(p.orders)
-	return &partition{orders: make([][]int32, s), mbr: ch.mbrL},
-		&partition{orders: make([][]int32, s), mbr: ch.mbrH}
 }
 
 // setFlags sets the membership flag of every id to v.

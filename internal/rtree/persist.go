@@ -41,7 +41,6 @@ const (
 type wireFlat struct {
 	Opt      Options
 	Splits   int
-	Explored int
 	Queries  int
 	InitialN int
 	Deleted  []int32
@@ -58,7 +57,6 @@ func (t *Tree) Save(w io.Writer) error {
 	wf := wireFlat{
 		Opt:      t.opt,
 		Splits:   t.splits,
-		Explored: t.explored,
 		Queries:  int(t.queries.Load()),
 		InitialN: t.initialN,
 	}
@@ -123,7 +121,7 @@ func Load(r io.Reader, ps *PointSet) (*Tree, error) {
 	}
 	t := &Tree{ps: ps, arena: newNodeArena(ps.Dim), scratch: make([]bool, ps.N())}
 	t.opt = wf.Opt.normalize()
-	t.splits, t.explored, t.initialN = wf.Splits, wf.Explored, wf.InitialN
+	t.splits, t.initialN = wf.Splits, wf.InitialN
 	t.queries.Store(int64(wf.Queries))
 	t.setDeleted(wf.Deleted)
 	cur := &flatCursor{wf: &wf}

@@ -3,6 +3,7 @@ package rtree
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"math/rand"
 	"testing"
@@ -53,6 +54,78 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if !equalIDs(sortIDs(got.Search(q)), sortIDs(bruteSearch(ps, q))) {
 		t.Fatal("post-load crack broke search")
+	}
+}
+
+// TestLoadRetiredOptions: a tree saved by the release that still had
+// Algorithm 2 carries SplitChoices, MaxCandidatePops and an Explored count.
+// It loads to the same shape and cracks on greedily, like the tree it was
+// saved from.
+func TestLoadRetiredOptions(t *testing.T) {
+	ps := clusteredPointSet(2500, 3, 5, 64)
+	tr := NewCracking(ps, DefaultOptions())
+	rng := rand.New(rand.NewSource(65))
+	for i := 0; i < 12; i++ {
+		tr.Crack(randomQuery(rng, 3, 0, 10))
+	}
+	var buf bytes.Buffer
+	if err := tr.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := snapfmt.ReadHeader(&buf, treeMagic, treeVersion, treeVersion); err != nil {
+		t.Fatal(err)
+	}
+	_, payload, err := snapfmt.ReadSection(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wf wireFlat
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wf); err != nil {
+		t.Fatal(err)
+	}
+	type retiredOptions struct {
+		LeafCap, Fanout, SplitChoices, MaxCandidatePops int
+	}
+	type retiredWire struct {
+		Opt                                 retiredOptions
+		Splits, Explored, Queries, InitialN int
+		Deleted                             []int32
+		Kinds                               []uint8
+		Counts                              []int32
+		Mbrs                                []float64
+		IDs                                 []int32
+	}
+	var enc bytes.Buffer
+	err = gob.NewEncoder(&enc).Encode(retiredWire{
+		Opt:    retiredOptions{LeafCap: wf.Opt.LeafCap, Fanout: wf.Opt.Fanout, SplitChoices: 2, MaxCandidatePops: 512},
+		Splits: wf.Splits, Explored: 3 * wf.Splits, Queries: wf.Queries, InitialN: wf.InitialN,
+		Deleted: wf.Deleted, Kinds: wf.Kinds, Counts: wf.Counts, Mbrs: wf.Mbrs, IDs: wf.IDs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old bytes.Buffer
+	if err := snapfmt.WriteHeader(&old, treeMagic, treeVersion, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := snapfmt.WriteSection(&old, secTreeFlat, enc.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(&old, ps)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if got.Opt() != tr.Opt() || got.StructureHash() != tr.StructureHash() {
+		t.Fatal("a tree with retired options loaded to a different tree")
+	}
+	splits := got.Splits()
+	for i := 0; i < 12; i++ {
+		q := BallRect(ps.At(int32(rng.Intn(ps.N()))), 0.3)
+		tr.Crack(q)
+		got.Crack(q)
+	}
+	if got.Splits() == splits || got.StructureHash() != tr.StructureHash() {
+		t.Fatal("a tree with retired options did not crack greedily")
 	}
 }
 

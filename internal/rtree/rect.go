@@ -3,11 +3,8 @@
 // by the query workload (Section IV). It provides
 //
 //   - the classical top-down greedy-split (TGS) bulk loader
-//     (Algorithm 1, BulkLoadChunk) as the offline baseline,
-//   - the greedy online cracking build (IncrementalIndexBuild), and
-//   - the A*-style Top-kSplitsIndexBuild (Algorithm 2) that explores the
-//     top-k split choices per node with a priority queue of candidate
-//     contours,
+//     (Algorithm 1, BulkLoadChunk) as the offline baseline, and
+//   - the greedy online cracking build (IncrementalIndexBuild),
 //
 // together with the search primitives the query algorithms of Section V
 // need: range collection, the best-first distance walk, and contour summaries

@@ -16,18 +16,11 @@ type Options struct {
 	LeafCap int
 	// Fanout is M, the maximum number of children per internal node.
 	Fanout int
-	// SplitChoices is the k of Top-kSplitsIndexBuild: 1 selects the greedy
-	// IncrementalIndexBuild; 2-4 explore the top-k split choices with A*
-	// pruning.
-	SplitChoices int
-	// MaxCandidatePops caps the A* search per query; beyond it the best
-	// candidate is completed greedily. Guards pathological workloads.
-	MaxCandidatePops int
 }
 
 // DefaultOptions returns the parameters used throughout the experiments.
 func DefaultOptions() Options {
-	return Options{LeafCap: 32, Fanout: 8, SplitChoices: 1, MaxCandidatePops: 512}
+	return Options{LeafCap: 32, Fanout: 8}
 }
 
 func (o Options) normalize() Options {
@@ -36,12 +29,6 @@ func (o Options) normalize() Options {
 	}
 	if o.Fanout < 2 {
 		o.Fanout = 8
-	}
-	if o.SplitChoices < 1 {
-		o.SplitChoices = 1
-	}
-	if o.MaxCandidatePops <= 0 {
-		o.MaxCandidatePops = 512
 	}
 	return o
 }
@@ -67,10 +54,9 @@ type Tree struct {
 	scratch []bool     // point-id membership flags reused by splits
 	cutBuf  []int32    // a split's right half while it is cut in place
 
-	splits   int          // binary splits applied to the tree
-	explored int          // hypothetical splits evaluated by the top-k search
-	created  int          // tree nodes created (cracking, bulk build, root)
-	queries  atomic.Int64 // query count (Crack invocations + NoteQuery calls)
+	splits  int          // binary splits applied to the tree
+	created int          // tree nodes created (cracking, bulk build, root)
+	queries atomic.Int64 // query count (Crack invocations + NoteQuery calls)
 
 	// access, when set, receives node-access counts from WalkWithin (see
 	// AccessCounters).
@@ -302,16 +288,13 @@ func (t *Tree) toLeaf(nd *node) {
 }
 
 // Crack incrementally builds the index for query region q: the greedy
-// IncrementalIndexBuild when SplitChoices == 1, Top-kSplitsIndexBuild
-// otherwise. It is the entry point Algorithm 3 calls with its final query
-// region.
+// IncrementalIndexBuild of §IV, which commits to the locally best binary
+// split at every step. It is the entry point Algorithm 3 calls with its
+// final query region. The paper's A*-searched Top-kSplitsIndexBuild
+// (Algorithm 2) was measured against it and removed: see EXPERIMENTS.md.
 func (t *Tree) Crack(q Rect) {
 	t.ensureRoot()
 	t.queries.Add(1)
-	if t.opt.SplitChoices > 1 {
-		t.crackTopK(q)
-		return
-	}
 	t.crackGreedy(t.root, q)
 }
 
@@ -353,16 +336,16 @@ func (t *Tree) needsCrackAt(nd *node, q Rect) bool {
 			return true // Crack would convert it to a leaf
 		}
 		cq := p.countInRect(t.ps, q)
-		// The stopping condition of Section IV-C step 3, as applied by both
-		// the greedy and the top-k builders: irrelevant or (almost) fully
-		// covered elements stay coarse.
+		// The stopping condition of Section IV-C step 3, as crackPending
+		// applies it: irrelevant or (almost) fully covered elements stay
+		// coarse.
 		return cq != 0 && ceilDiv(cq, t.opt.LeafCap) != ceilDiv(n, t.opt.LeafCap)
 	}
 }
 
 // crackGreedy implements IncrementalIndexBuild: descend to contour elements
 // overlapping q; split each one that fails the stopping condition, using the
-// locally best binary split (bestSplits); recurse into the new children.
+// locally best binary split (bestSplit); recurse into the new children.
 func (t *Tree) crackGreedy(nd *node, q Rect) {
 	if !nd.mbr.Overlaps(q) {
 		return
@@ -453,11 +436,10 @@ func (t *Tree) partitionGreedy(out []countedPart, p countedPart, m int, q *Rect)
 	if q != nil && (p.cq == 0 || ceilDiv(p.cq, t.opt.LeafCap) == ceilDiv(n, t.opt.LeafCap)) {
 		return append(out, p)
 	}
-	choices := bestSplits(t.ps, p.part, m, q, p.cq, t.opt.LeafCap, 1)
-	if len(choices) == 0 {
+	ch, ok := bestSplit(t.ps, p.part, m, q, p.cq, t.opt.LeafCap)
+	if !ok {
 		return append(out, p)
 	}
-	ch := choices[0]
 	if need := n - ch.pos + 1; len(t.cutBuf) < need {
 		t.cutBuf = make([]int32, need)
 	}
@@ -520,11 +502,7 @@ type Stats struct {
 	PendingNodes  int
 	TotalNodes    int
 	BinarySplits  int
-	// ExploredSplits counts the hypothetical splits the Top-kSplits A*
-	// search materialized but did not necessarily adopt; it equals
-	// BinarySplits for the greedy build.
-	ExploredSplits int
-	Queries        int
+	Queries       int
 	// SizeBytes is the true index footprint: arena slab bytes plus the heap
 	// memory nodes reference (child lists, leaf pages, pending partitions).
 	// It excludes the PointSet, which is shared across trees.
@@ -548,7 +526,6 @@ func (t *Tree) Stats() Stats {
 		PendingNodes:    pd,
 		TotalNodes:      in + lf + pd,
 		BinarySplits:    t.splits,
-		ExploredSplits:  t.splits + t.explored,
 		Queries:         int(t.queries.Load()),
 		SizeBytes:       t.arena.slabBytes() + t.root.sizeBytes(t.ps.Dim),
 		Height:          t.root.height(),

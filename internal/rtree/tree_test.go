@@ -147,28 +147,6 @@ func TestCrackingSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestTopKSplitsSearchMatchesBruteForce(t *testing.T) {
-	for _, choices := range []int{2, 3, 4} {
-		opt := DefaultOptions()
-		opt.SplitChoices = choices
-		ps := clusteredPointSet(1500, 3, 4, 3)
-		tr := NewCracking(ps, opt)
-		rng := rand.New(rand.NewSource(4))
-		for i := 0; i < 25; i++ {
-			q := randomQuery(rng, 3, 0, 10)
-			want := sortIDs(bruteSearch(ps, q))
-			tr.Crack(q)
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("choices=%d after crack %d: %v", choices, i, err)
-			}
-			got := sortIDs(tr.Search(q))
-			if !equalIDs(got, want) {
-				t.Fatalf("choices=%d query %d: got %d ids, want %d", choices, i, len(got), len(want))
-			}
-		}
-	}
-}
-
 func TestBulkLoadedSearchMatchesBruteForce(t *testing.T) {
 	ps := randomPointSet(3000, 3, 5)
 	tr := NewBulkLoaded(ps, DefaultOptions())

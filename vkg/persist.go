@@ -72,11 +72,8 @@ func Load(r io.Reader) (*VKG, error) {
 // and LoadFileWAL).
 func wrapLoadedEngine(eng *core.Engine) *VKG {
 	mode := ModeCrack
-	switch {
-	case eng.Mode() == core.Bulk:
+	if eng.Mode() == core.Bulk {
 		mode = ModeBulk
-	case eng.Params().Index.SplitChoices > 1:
-		mode = ModeCrackTopK
 	}
 	return &VKG{
 		graph: WrapGraph(eng.Graph()),

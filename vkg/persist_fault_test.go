@@ -109,8 +109,8 @@ func TestTornSaveKeepsPreviousSnapshot(t *testing.T) {
 }
 
 // Load must hand back the index mode the snapshot was built with — a loaded
-// VKG that silently reverts to the default mode drops the bulk/top-k-split
-// configuration the user chose.
+// VKG that silently reverts to the default mode drops the bulk configuration
+// the user chose.
 func TestLoadRestoresIndexMode(t *testing.T) {
 	cases := []struct {
 		name string
@@ -118,7 +118,6 @@ func TestLoadRestoresIndexMode(t *testing.T) {
 		want IndexMode
 	}{
 		{"crack", nil, ModeCrack},
-		{"crack top-k splits", []Option{WithSplitChoices(3)}, ModeCrackTopK},
 		{"bulk", []Option{WithIndexMode(ModeBulk)}, ModeBulk},
 	}
 	for _, c := range cases {

@@ -161,9 +161,6 @@ const (
 	// ModeCrack is the paper's contribution: no offline build, the index
 	// grows with the query workload. Default.
 	ModeCrack IndexMode = iota
-	// ModeCrackTopK is ModeCrack with the A*-style top-k split search
-	// (Algorithm 2); set the number of choices with WithSplitChoices.
-	ModeCrackTopK
 	// ModeBulk bulk-loads the complete R-tree up front (Algorithm 1).
 	ModeBulk
 	// ModeNoIndex answers every query by scanning all entities in S1. It
@@ -184,17 +181,16 @@ type EmbeddingParams struct {
 }
 
 type options struct {
-	mode         IndexMode
-	alpha        int
-	eps          float64
-	pTau         float64
-	seed         int64
-	splitChoices int
-	leafCap      int
-	fanout       int
-	emb          EmbeddingParams
-	model        *embedding.Model
-	attrs        []string
+	mode    IndexMode
+	alpha   int
+	eps     float64
+	pTau    float64
+	seed    int64
+	leafCap int
+	fanout  int
+	emb     EmbeddingParams
+	model   *embedding.Model
+	attrs   []string
 }
 
 // Option customizes Build.
@@ -217,10 +213,6 @@ func WithProbabilityThreshold(p float64) Option { return func(o *options) { o.pT
 
 // WithSeed fixes all randomized components (embedding init, JL projection).
 func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
-
-// WithSplitChoices sets the k of the top-k split search (2-4 in the paper);
-// it implies ModeCrackTopK when > 1.
-func WithSplitChoices(k int) Option { return func(o *options) { o.splitChoices = k } }
 
 // WithLeafCapacity sets N, the R-tree leaf capacity (default 32).
 func WithLeafCapacity(n int) Option { return func(o *options) { o.leafCap = n } }
@@ -276,9 +268,6 @@ func Build(gr *Graph, opts ...Option) (*VKG, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.splitChoices > 1 && o.mode == ModeCrack {
-		o.mode = ModeCrackTopK
-	}
 	gr.g.Freeze()
 
 	model := o.model
@@ -319,9 +308,8 @@ func Build(gr *Graph, opts ...Option) (*VKG, error) {
 		Seed:  o.seed,
 		Attrs: o.attrs,
 		Index: rtree.Options{
-			LeafCap:      o.leafCap,
-			Fanout:       o.fanout,
-			SplitChoices: max(1, o.splitChoices),
+			LeafCap: o.leafCap,
+			Fanout:  o.fanout,
 		},
 	}
 	mode := core.Crack

@@ -100,12 +100,8 @@ func TestAllIndexModesAgree(t *testing.T) {
 		wantSet[p.Entity] = true
 	}
 
-	for _, mode := range []IndexMode{ModeCrack, ModeCrackTopK, ModeBulk} {
-		opts := fastOpts(WithIndexMode(mode))
-		if mode == ModeCrackTopK {
-			opts = append(opts, WithSplitChoices(2))
-		}
-		v, err := Build(g, opts...)
+	for _, mode := range []IndexMode{ModeCrack, ModeBulk} {
+		v, err := Build(g, fastOpts(WithIndexMode(mode))...)
 		if err != nil {
 			t.Fatalf("Build mode %d: %v", mode, err)
 		}
