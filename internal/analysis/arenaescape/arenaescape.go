@@ -1,17 +1,21 @@
 // Package arenaescape keeps slab-arena node pointers inside the scope
 // that owns them. An rtree *node is pointer-stable for the life of its
-// tree (slabs are never reallocated), but not beyond: Delete releases
-// records onto a freelist that alloc hands out again, and the whole arena
-// dies with the tree on rebuild. A *node stored anywhere that outlives
-// the index-lock scope — a package-level variable, a channel, a structure
-// shared with a goroutine, a return value crossing the package API —
-// dangles silently the next time the tree cracks or reloads.
+// tree (slabs are never reallocated, and records are never recycled), but
+// not beyond, and its meaning is not fixed even within it: a crack turns
+// the pending record it splits into an internal node, an Insert can turn a
+// leaf back into a pending element, and a reload drops the whole arena. A
+// *node stored anywhere that outlives the index-lock scope — a
+// package-level variable, a channel, a structure shared with a goroutine,
+// a return value crossing the package API — silently describes a node that
+// is no longer what it was, or no longer in the tree, the next time the
+// tree cracks or reloads.
 //
-// The analyzer identifies arena record types structurally (the element
-// type of a slab-arena's [][]T field — in rtree the node records and, in
-// their own slab beside them, the leaf page headers node.leaf points at,
-// emptied when their record is released)
-// and flags four escape sinks for values whose type contains *record:
+// The analyzer identifies arena record types structurally: a struct type
+// with an alloc method is an arena, and the element type of each of its
+// slab fields (slices of T, T a struct declared in the same package) is a
+// record type — in rtree the node records and, in their own slab beside them, the
+// leaf page headers node.leaf points at. It flags four escape sinks for
+// values whose type contains *record:
 //
 //  1. assignment into a package-level variable (or a field of one);
 //  2. a channel send;
@@ -99,7 +103,10 @@ func run(pass *analysis.Pass) error {
 }
 
 // recordTypes finds the package's arena record types by shape: the slab
-// element types of a struct with alloc/release methods.
+// element types of a struct with an alloc method — a slice field, of any
+// depth, of a struct type declared in the package. A slab of another
+// package's type (rtree's statistics slots are sync/atomic Pointers) holds
+// no records.
 func recordTypes(pass *analysis.Pass) map[*types.Named]bool {
 	records := make(map[*types.Named]bool)
 	scope := pass.Pkg.Scope()
@@ -113,19 +120,7 @@ func recordTypes(pass *analysis.Pass) map[*types.Named]bool {
 			continue
 		}
 		st, ok := named.Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		hasAlloc, hasRelease := false, false
-		for i := 0; i < named.NumMethods(); i++ {
-			switch named.Method(i).Name() {
-			case "alloc", "Alloc":
-				hasAlloc = true
-			case "release", "Release":
-				hasRelease = true
-			}
-		}
-		if !hasAlloc || !hasRelease {
+		if !ok || !hasAlloc(named) {
 			continue
 		}
 		for i := 0; i < st.NumFields(); i++ {
@@ -137,7 +132,7 @@ func recordTypes(pass *analysis.Pass) map[*types.Named]bool {
 				}
 				ft = sl.Elem()
 			}
-			if rn, ok := ft.(*types.Named); ok {
+			if rn, ok := ft.(*types.Named); ok && rn.Obj().Pkg() == pass.Pkg {
 				if _, isStruct := rn.Underlying().(*types.Struct); isStruct {
 					records[rn] = true
 				}
@@ -145,6 +140,16 @@ func recordTypes(pass *analysis.Pass) map[*types.Named]bool {
 		}
 	}
 	return records
+}
+
+// hasAlloc reports whether named declares an alloc (or Alloc) method.
+func hasAlloc(named *types.Named) bool {
+	for i := 0; i < named.NumMethods(); i++ {
+		if name := named.Method(i).Name(); name == "alloc" || name == "Alloc" {
+			return true
+		}
+	}
+	return false
 }
 
 // containsRecord reports whether t is a record pointer or a direct

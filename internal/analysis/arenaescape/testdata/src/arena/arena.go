@@ -15,24 +15,21 @@ type Page struct {
 	IDs []int32
 }
 
+// slab is the arena: a struct with an alloc method, whose slice fields
+// are slabs of records.
 type slab struct {
 	slabs [][]Node
 	pages [][]Page
-	free  []*Node
+	next  int
 }
 
 func (s *slab) alloc() *Node {
-	if len(s.free) > 0 {
-		nd := s.free[len(s.free)-1]
-		s.free = s.free[:len(s.free)-1]
-		return nd
+	if len(s.slabs) == 0 || s.next == 16 {
+		s.slabs = append(s.slabs, make([]Node, 16))
+		s.next = 0
 	}
-	s.slabs = append(s.slabs, make([]Node, 16))
-	return &s.slabs[len(s.slabs)-1][0]
-}
-
-func (s *slab) release(nd *Node) {
-	s.free = append(s.free, nd)
+	s.next++
+	return &s.slabs[len(s.slabs)-1][s.next-1]
 }
 
 // Tree holds node pointers inside a named struct: the arena's own

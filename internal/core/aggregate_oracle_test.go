@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,6 +13,7 @@ import (
 	"vkgraph/internal/kg"
 	"vkgraph/internal/kg/kggen"
 	"vkgraph/internal/rtree"
+	"vkgraph/internal/snapfmt"
 )
 
 // This file keeps the aggregate implementation that preceded the two-phase
@@ -52,20 +55,51 @@ func oracleAttrStats(ps *rtree.PointSet, ai int, ids []int32) rtree.AttrStats {
 
 // oracleContourOverlap summarizes every contour element whose MBR
 // intersects the bounding box of B(center, radius); the caller holds the
-// engine read lock and the index read lock.
+// engine read lock and the index read lock. The contour is read from the
+// index's own saved form — a preorder of node kinds and entry counts, MBRs
+// and id lists — so the oracle shares no traversal with the engine.
 func (e *Engine) oracleContourOverlap(center []float64, radius float64) []oracleElement {
+	var blob bytes.Buffer
+	if err := e.idx.tree.Save(&blob); err != nil {
+		panic(err)
+	}
+	if _, _, err := snapfmt.ReadHeader(&blob, "VKGRTREE", 2, 2); err != nil {
+		panic(err)
+	}
+	_, payload, err := snapfmt.ReadSection(&blob)
+	if err != nil {
+		panic(err)
+	}
+	var flat struct {
+		Kinds  []uint8
+		Counts []int32
+		Mbrs   []float64
+		IDs    []int32
+	}
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&flat); err != nil {
+		panic(err)
+	}
 	q := rtree.BallRect(center, radius)
+	dim := len(center)
 	var out []oracleElement
-	e.idx.tree.EachElement(func(mbr rtree.Rect, ids []int32) {
+	at := 0
+	for i, kind := range flat.Kinds {
+		if kind == 0 {
+			continue // internal
+		}
+		box := flat.Mbrs[2*dim*i : 2*dim*(i+1)]
+		mbr := rtree.Rect{Lo: box[:dim], Hi: box[dim:]}
+		ids := flat.IDs[at : at+int(flat.Counts[i])]
+		at += len(ids)
 		if !mbr.Overlaps(q) {
-			return
+			continue
 		}
 		sum := oracleElement{MaxDist: math.Sqrt(mbr.MaxSqDist(center)), Attrs: make([]rtree.AttrStats, e.ps.NumAttrs())}
 		for ai := range sum.Attrs {
 			sum.Attrs[ai] = oracleAttrStats(e.ps, ai, ids)
 		}
 		out = append(out, sum)
-	})
+	}
 	return out
 }
 

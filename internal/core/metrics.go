@@ -145,7 +145,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 
 	// Memory-layout gauges: the observable form of the "flat GC profile"
 	// claim — arena occupancy and resident points, both O(1).
-	r.GaugeFunc("vkg_mem_resident_points", "Points resident in the shared S2 point set (including tombstones).", func() float64 {
+	r.GaugeFunc("vkg_mem_resident_points", "Points resident in the shared S2 point set.", func() float64 {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
 		return float64(e.ps.N())

@@ -16,24 +16,23 @@ import (
 // Slabs are never reallocated, so *node pointers stay valid for the life of
 // the tree; every record also carries its arena index (slab*size+offset),
 // the address-free form a paged or persisted node format can use directly.
-// Released records (Delete pruning an emptied element) go on a freelist and
-// are handed out again before any new slab is carved.
+// Records are never released or recycled: a crack turns the pending record
+// it splits into the internal node over the new children, which take fresh
+// records, and a reload builds a new arena and drops the old one whole.
 type nodeArena struct {
 	dim   int
 	slabs [][]node
 	// stats holds, beside each slab and out of the walks' cache lines, each
 	// record's cached element statistics (attrStats in ball.go). Aggregates
 	// fill a slot under the index read lock — hence atomic: readers may race
-	// to store equal values — and Insert, Delete, NoteAttr and a crack of
-	// the element clear it, so a record is released with its slot empty.
+	// to store equal values — and Insert, NoteAttr and a crack of the
+	// element clear it.
 	stats [][]atomic.Pointer[[]AttrStats]
 	// pages holds, beside each slab, each record's leaf page header; a
 	// leaf's node.leaf points at its own slot, so becoming a leaf allocates
 	// the page's coordinates and nothing else.
 	pages [][]leafPage
-	free  []int32 // arena indices of released records
-	next  int     // records handed out from the newest slab
-	inUse int
+	next  int // records handed out from the newest slab
 }
 
 // arenaSlabSize is the number of node records per slab: large enough that
@@ -62,18 +61,10 @@ func (a *nodeArena) statsOf(nd *node) *atomic.Pointer[[]AttrStats] {
 	return &a.stats[nd.idx/arenaSlabSize][nd.idx%arenaSlabSize]
 }
 
-// alloc hands out an empty node record — a new one is zero, release
-// emptied a reused one — with an inverted MBR that the first Expand snaps
-// to its point, reusing the freelist before carving new slab space.
+// alloc hands out the next record of the newest slab, carving a new slab
+// when it is full: a zero record with an inverted MBR that the first
+// Expand snaps to its point.
 func (a *nodeArena) alloc() *node {
-	a.inUse++
-	if n := len(a.free); n > 0 {
-		idx := a.free[n-1]
-		a.free = a.free[:n-1]
-		nd := a.at(idx)
-		nd.mbr.reset()
-		return nd
-	}
 	if a.next == arenaSlabSize {
 		slab := make([]node, arenaSlabSize)
 		backing := make([]float64, arenaSlabSize*2*a.dim)
@@ -97,27 +88,18 @@ func (a *nodeArena) alloc() *node {
 	return nd
 }
 
-// release returns a record to the freelist, dropping its references so the
-// contents it pointed at can be collected.
-func (a *nodeArena) release(nd *node) {
-	nd.children = nil
-	nd.dropPage()
-	nd.part = nil
-	a.free = append(a.free, nd.idx)
-	a.inUse--
-}
-
-// nodesInUse and nodesFree report the arena occupancy; slabBytes the memory
-// retained by the slabs themselves (records, MBR backing, statistics slots
-// and page headers), which is the true per-node footprint — node records
-// have no individual heap identity.
-func (a *nodeArena) nodesInUse() int { return a.inUse }
+// nodesInUse and nodesFree report the arena occupancy — the records handed
+// out and the ones the newest slab has yet to hand out; slabBytes the
+// memory retained by the slabs themselves (records, MBR backing,
+// statistics slots and page headers), which is the true per-node
+// footprint — node records have no individual heap identity.
+func (a *nodeArena) nodesInUse() int { return len(a.slabs)*arenaSlabSize - a.nodesFree() }
 
 func (a *nodeArena) nodesFree() int {
 	if len(a.slabs) == 0 {
 		return 0
 	}
-	return len(a.free) + (arenaSlabSize - a.next)
+	return arenaSlabSize - a.next
 }
 
 func (a *nodeArena) slabBytes() int {

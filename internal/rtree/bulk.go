@@ -10,7 +10,7 @@ package rtree
 func NewBulkLoaded(ps *PointSet, opt Options) *Tree {
 	opt = opt.normalize()
 	t := &Tree{ps: ps, opt: opt, arena: newNodeArena(ps.Dim),
-		scratch: make([]bool, ps.N()), initialN: ps.N(), owned: ps.N()}
+		scratch: make([]bool, ps.N()), initialN: ps.N()}
 	if ps.N() == 0 {
 		t.created++
 		t.root = t.arena.alloc()

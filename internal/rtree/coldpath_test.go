@@ -98,7 +98,7 @@ func oracleBestSplit(ps *PointSet, p *partition, m int, q *Rect, leafCap int) (c
 			if q != nil {
 				r.ch.cq = ceilDiv(prefQ[b], leafCap) + ceilDiv(totalQ-prefQ[b], leafCap)
 			}
-			overlap := fronts[b].OverlapVolume(backs[b])
+			overlap := overlapVolume(fronts[b], backs[b])
 			minVol := math.Min(fronts[b].Volume(), backs[b].Volume())
 			if overlap > 0 && minVol > 0 {
 				r.co = overlap / minVol
@@ -135,6 +135,21 @@ func oracleBestSplit(ps *PointSet, p *partition, m int, q *Rect, leafCap int) (c
 		}
 	}
 	return ch, true, maxCO
+}
+
+// overlapVolume is the volume of the intersection of two boxes, as the
+// oracle's c_O term measured it.
+func overlapVolume(r, o Rect) float64 {
+	v := 1.0
+	for i := range r.Lo {
+		lo := math.Max(r.Lo[i], o.Lo[i])
+		hi := math.Min(r.Hi[i], o.Hi[i])
+		if hi <= lo {
+			return 0
+		}
+		v *= hi - lo
+	}
+	return v
 }
 
 // awkwardCoord draws coordinates that stress a key transform: duplicates,
@@ -280,7 +295,7 @@ func sameBits(a, b Rect) bool {
 // the split evaluation's differential tests. The seed picks the points
 // (clustered; a coarse lattice with duplicates and both zeros; a {-1, 0, 1}
 // lattice, where most bounds are a zero of either sign; or an element
-// edited by Insert and Delete, whose box is then only a superset) and the
+// edited by Insert, whose lists have grown by append) and the
 // region (a ball around a point; nil; the element's whole box; a box
 // disjoint from it; or a ball stretched to the low or the high end of one
 // order). On some seeds the element holds a subset of the ids, as a cell
@@ -315,7 +330,7 @@ func splitCase(seed int64) (ps *PointSet, p *partition, m int, q *Rect) {
 		ps = lattice(3)
 	default:
 		// Copies of earlier points, a zero's sign flipped at random, are
-		// inserted and random ids deleted.
+		// inserted.
 		ps = lattice(5)
 		tr := NewCracking(ps, opt)
 		tr.Prepare()
@@ -327,7 +342,6 @@ func splitCase(seed int64) (ps *PointSet, p *partition, m int, q *Rect) {
 				}
 			}
 			tr.Insert(ps.AppendPoint(pt))
-			tr.Delete(int32(rng.Intn(ps.N())))
 		}
 		p = tr.root.part
 	}
@@ -630,8 +644,7 @@ func clonePartition(p *partition) *partition {
 // TestSplitInPlaceMatchesCopy holds the in-place split to oracleSplit, id
 // for id in all S lists of both halves, on 360
 // seeds of splitCase: clustered points, ±0 lattices with duplicates, and
-// elements edited by Insert and Delete, whose lists keep Delete's spare
-// capacity. On every third seed the element is cut down to a size around
+// elements edited by Insert, whose lists keep append's spare capacity. On every third seed the element is cut down to a size around
 // LeafCap. Every order s is cut at 1, m and n−1. The in-place halves are
 // capped views of the element's own lists, so an insert into the left half
 // leaves the right one as it was; the halves carry the choice's boxes; the
@@ -732,13 +745,12 @@ func outlivesCrack(before, after [][]int32) error {
 	return nil
 }
 
-// TestContourListsOwnMemory runs random sequences of cracks, inserts and
-// deletes on cracking trees and on bulk-loaded ones, some with a pre-split
-// root. After every step
-// CheckInvariants holds, which includes that no two id lists of the contour
-// share memory; after a crack no list lies in the memory of the lists it
-// cut (outlivesCrack); and a search around a point, which inserts often land
-// beside, agrees with a scan of the live points.
+// TestContourListsOwnMemory runs random sequences of cracks and inserts on
+// cracking trees and on bulk-loaded ones, some with a pre-split root. After
+// every step CheckInvariants holds, which includes that no two id lists of
+// the contour share memory; after a crack no list lies in the memory of the
+// lists it cut (outlivesCrack); and a search around a point, which inserts
+// often land beside, agrees with a scan of the points.
 func TestContourListsOwnMemory(t *testing.T) {
 	shared := make([]int32, 8)
 	if sharedLists([][]int32{shared[:4:4], shared[4:]}) != nil || sharedLists([][]int32{shared[:5], shared[4:]}) == nil {
@@ -753,34 +765,27 @@ func TestContourListsOwnMemory(t *testing.T) {
 		} else {
 			tr = NewCracking(ps, DefaultOptions())
 		}
-		deleted := make(map[int32]bool)
 		near := func() Rect { return BallRect(ps.At(int32(rng.Intn(ps.N()))), 0.05+rng.Float64()) }
 		for step := 0; step < 40; step++ {
-			switch rng.Intn(4) {
+			switch rng.Intn(3) {
 			case 0, 1:
 				before := contourLists(tr)
 				tr.Crack(near())
 				if err := outlivesCrack(before, contourLists(tr)); err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
-			case 2:
+			default:
 				for i := 0; i < 1+rng.Intn(40); i++ {
 					pt := append([]float64{}, ps.At(int32(rng.Intn(ps.N())))...)
 					pt[rng.Intn(len(pt))] += rng.Float64() * 0.01
 					tr.Insert(ps.AppendPoint(pt))
-				}
-			default:
-				for i := 0; i < 1+rng.Intn(40); i++ {
-					if id := int32(rng.Intn(ps.N())); tr.Delete(id) {
-						deleted[id] = true
-					}
 				}
 			}
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 			q := near()
-			want := slices.DeleteFunc(bruteSearch(ps, q), func(id int32) bool { return deleted[id] })
+			want := bruteSearch(ps, q)
 			if got := sortIDs(tr.Search(q)); !equalIDs(got, want) {
 				t.Fatalf("seed %d step %d: search finds %d points, a scan %d", seed, step, len(got), len(want))
 			}

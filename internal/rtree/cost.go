@@ -31,7 +31,8 @@ func ceilDiv(a, b int) int {
 // The paper's minor cost, the overlap c_O of the halves' boxes, is zero for
 // every candidate on point data: a boundary cuts an order sorted by
 // coordinate s, so the left half's Hi[s] is at most the right half's Lo[s],
-// and Rect.OverlapVolume is 0 as soon as hi <= lo in one dimension. The
+// and the volume of the boxes' intersection is 0 as soon as hi <= lo in one
+// dimension. The
 // ranking is therefore (cQ, s, pos), and cQ needs only counts: in the
 // order sorted by s, the points of Q lie in the stretch [qa, qb) whose
 // coordinate s is within Q's extent (two binary searches), so a boundary

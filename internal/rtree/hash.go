@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"hash/crc64"
 	"math"
-	"sort"
 )
 
 // hashTab is shared by every StructureHash call; crc64.MakeTable caches
@@ -12,13 +11,12 @@ import (
 var hashTab = crc64.MakeTable(crc64.ECMA)
 
 // StructureHash digests the tree's structural state — node kinds, child
-// counts, MBRs, and point ids in stored order, plus the sorted deleted set —
-// into one 64-bit value. Two trees hash equal iff a query walk would visit
-// identical nodes in identical order, which is the contract WAL replay must
-// meet: a snapshot plus replayed crack/insert records must rebuild this
-// exact shape.
+// counts, MBRs, and point ids in stored order — into one 64-bit value. Two
+// trees hash equal iff a query walk would visit identical nodes in
+// identical order, which is the contract WAL replay must meet: a snapshot
+// plus replayed crack/insert records must rebuild this exact shape.
 //
-// Access counters (queries, splits, explored) are deliberately excluded:
+// Access counters (queries, splits) are deliberately excluded:
 // the live tree counts every query via NoteQuery while replay only re-runs
 // the structural subset, so counters legitimately diverge between a tree
 // and its replayed twin.
@@ -38,18 +36,10 @@ func (t *Tree) StructureHash() uint64 {
 	}
 	putU64(uint64(t.ps.Dim))
 	putU64(uint64(t.initialN))
-	// deleted is a map: range order is nondeterministic, so sort before
-	// hashing (Save has the same obligation when it persists the set).
-	if len(t.deleted) > 0 {
-		del := make([]int32, 0, len(t.deleted))
-		for id := range t.deleted {
-			del = append(del, id)
-		}
-		sort.Slice(del, func(i, j int) bool { return del[i] < del[j] })
-		putIDs(del)
-	} else {
-		putU64(0)
-	}
+	// The word that once held the length of the tree's tombstone set, always
+	// empty in a tree saved or replayed by an engine: kept so that no
+	// recorded hash moves.
+	putU64(0)
 	var walk func(nd *node)
 	walk = func(nd *node) {
 		for _, v := range nd.mbr.Lo {

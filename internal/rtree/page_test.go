@@ -96,13 +96,11 @@ func TestEnablePackedIdempotent(t *testing.T) {
 // maintenance. On a tree — now and then one large enough for a pre-split
 // root — it interleaves cracks, inserts (single ones, and bursts of
 // duplicates that push a leaf past LeafCap back to pending, re-cracked
-// afterwards), deletes (single ones, a
-// whole contour element so its record is released, a whole tree down to the
-// empty leaf), re-inserts of tombstones and a save/load of a tree; a bulk
-// loaded tree takes the place of the cracking one now and then. After every
-// step CheckInvariants — every page row bit-equal to its point — must hold
-// and the bounded walk, the unbounded walk and SummarizeBall must equal a
-// brute-force scan of the live points.
+// afterwards) and a save/load of a tree; a bulk loaded tree takes the place
+// of the cracking one now and then. After every step CheckInvariants —
+// every page row bit-equal to its point — must hold and the bounded walk,
+// the unbounded walk and SummarizeBall must equal a brute-force scan of the
+// points.
 func TestLeafPagesFollowMutations(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
@@ -129,11 +127,6 @@ func TestLeafPagesFollowMutations(t *testing.T) {
 		opt := DefaultOptions()
 		opt.LeafCap = []int{4, 8, 32}[rng.Intn(3)]
 		opt.Fanout = 3 + rng.Intn(6)
-
-		live := make([]bool, n) // false once deleted
-		for i := range live {
-			live[i] = true
-		}
 		tr := NewCracking(ps, opt)
 		if rng.Intn(9) == 0 {
 			tr = NewBulkLoaded(ps, opt)
@@ -151,9 +144,9 @@ func TestLeafPagesFollowMutations(t *testing.T) {
 			radius := float64(1+rng.Intn(7)) / 2
 			for _, bound := range []float64{radius * radius, math.Inf(1)} {
 				var want []walkItem
-				for id, ok := range live {
-					if d := ps.SqDistTo(int32(id), q); ok && d <= bound {
-						want = append(want, walkItem{d: d, ref: int32(id)})
+				for id := int32(0); int(id) < ps.N(); id++ {
+					if d := ps.SqDistTo(id, q); d <= bound {
+						want = append(want, walkItem{d: d, ref: id})
 					}
 				}
 				slices.SortFunc(want, func(a, b walkItem) int {
@@ -177,28 +170,11 @@ func TestLeafPagesFollowMutations(t *testing.T) {
 				}
 			}
 		}
-		insert := func(pt []float64) {
-			live = append(live, true)
-			tr.Insert(ps.AppendPoint(pt))
-		}
-		livePoint := func() int32 {
-			for try := 0; try < 64; try++ {
-				if id := rng.Intn(len(live)); live[id] {
-					return int32(id)
-				}
-			}
-			return -1
-		}
-		remove := func(id int32) {
-			if !tr.Delete(id) {
-				t.Fatalf("seed %d: Delete(%d) found nothing", seed, id)
-			}
-			live[id] = false
-		}
+		insert := func(pt []float64) { tr.Insert(ps.AppendPoint(pt)) }
 
 		check("build")
 		for step := 0; step < 30; step++ {
-			switch op := rng.Intn(9); op {
+			switch op := rng.Intn(5); op {
 			case 0, 1:
 				tr.Crack(randomQuery(rng, dim, 0, 6))
 				check("crack")
@@ -212,11 +188,7 @@ func TestLeafPagesFollowMutations(t *testing.T) {
 			case 3:
 				// Duplicates descend to one leaf: LeafCap+1 of them overflow
 				// it to pending, and the crack around them splits it again.
-				src := livePoint()
-				if src < 0 {
-					continue
-				}
-				pt := slices.Clone(ps.At(src))
+				pt := slices.Clone(ps.At(int32(rng.Intn(ps.N()))))
 				for i := 0; i <= opt.LeafCap; i++ {
 					insert(pt)
 					check("burst insert")
@@ -224,47 +196,6 @@ func TestLeafPagesFollowMutations(t *testing.T) {
 				tr.Crack(BallRect(pt, 0.5))
 				check("crack after overflow")
 			case 4:
-				if id := livePoint(); id >= 0 {
-					remove(id)
-					check("delete")
-				}
-			case 5:
-				// Empty one contour element: its record is released.
-				var victims []int32
-				tr.EachElement(func(_ Rect, ids []int32) {
-					if victims == nil && len(ids) > 0 && rng.Intn(3) == 0 {
-						victims = slices.Clone(ids)
-					}
-				})
-				// A cell of a pre-split root holds a thousand points: check
-				// some twenty states on the way down, the empty one last.
-				stride := 1 + len(victims)/16
-				for i, id := range victims {
-					remove(id)
-					if i%stride == 0 || i == len(victims)-1 {
-						check("delete of an element")
-					}
-				}
-			case 6:
-				if rng.Intn(4) != 0 {
-					continue
-				}
-				for id, ok := range live {
-					if ok {
-						remove(int32(id))
-					}
-				}
-				check("delete of a tree")
-			case 7:
-				for try := 0; try < 8; try++ {
-					if id := rng.Intn(len(live)); !live[id] {
-						tr.Insert(int32(id))
-						live[id] = true
-						break
-					}
-				}
-				check("re-insert")
-			case 8:
 				var buf bytes.Buffer
 				if err := tr.Save(&buf); err != nil {
 					t.Fatal(err)

@@ -6,7 +6,7 @@ import "slices"
 // the S sort orders of its point ids (S = dim, one per coordinate as the
 // points are degenerate rectangles) and its MBR (set when the partition is
 // created, grown by inserts). A crack or the bulk load cuts an element
-// inside its own lists (split), which consumes it. Insert and Delete edit a
+// inside its own lists (split), which consumes it. Insert edits a
 // partition in place.
 type partition struct {
 	orders [][]int32 // S sorted id lists; orders[s] sorted by coordinate s

@@ -37,13 +37,14 @@ const (
 // parallel arrays. Kinds[i] is node i's state (0 internal, 1 leaf,
 // 2 pending); Counts[i] its child count (internal) or entry count
 // (leaf/pending); Mbrs holds 2*dim coordinates per node (lo then hi); IDs
-// the concatenated leaf/pending id lists in preorder.
+// the concatenated leaf/pending id lists in preorder. A blob from before
+// the index was insert-only also carries a Deleted id list, which gob
+// skips; no engine ever wrote a non-empty one.
 type wireFlat struct {
 	Opt      Options
 	Splits   int
 	Queries  int
 	InitialN int
-	Deleted  []int32
 	Kinds    []uint8
 	Counts   []int32
 	Mbrs     []float64
@@ -59,9 +60,6 @@ func (t *Tree) Save(w io.Writer) error {
 		Splits:   t.splits,
 		Queries:  int(t.queries.Load()),
 		InitialN: t.initialN,
-	}
-	for id := range t.deleted {
-		wf.Deleted = append(wf.Deleted, id)
 	}
 	var flatten func(nd *node)
 	flatten = func(nd *node) {
@@ -123,7 +121,6 @@ func Load(r io.Reader, ps *PointSet) (*Tree, error) {
 	t.opt = wf.Opt.normalize()
 	t.splits, t.initialN = wf.Splits, wf.InitialN
 	t.queries.Store(int64(wf.Queries))
-	t.setDeleted(wf.Deleted)
 	cur := &flatCursor{wf: &wf}
 	t.root, err = t.decodeFlat(cur)
 	if err == nil && (cur.node != len(wf.Kinds) || cur.id != len(wf.IDs) || cur.mbr != len(wf.Mbrs)) {
@@ -132,21 +129,7 @@ func Load(r io.Reader, ps *PointSet) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The wire format predates the owned counter; recover it from the
-	// structure (contour points + tombstones), which is exactly what the
-	// counter tracks.
-	t.owned = t.root.numPoints() + len(t.deleted)
 	return t, nil
-}
-
-func (t *Tree) setDeleted(ids []int32) {
-	if len(ids) == 0 {
-		return
-	}
-	t.deleted = make(map[int32]bool, len(ids))
-	for _, id := range ids {
-		t.deleted[id] = true
-	}
 }
 
 // flatCursor tracks the decode position in each wireFlat array.

@@ -58,7 +58,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestLoadRetiredOptions: a tree saved by the release that still had
-// Algorithm 2 carries SplitChoices, MaxCandidatePops and an Explored count.
+// Algorithm 2 carries SplitChoices, MaxCandidatePops, an Explored count and
+// a Deleted list (always empty, so gob writes none of it).
 // It loads to the same shape and cracks on greedily, like the tree it was
 // saved from.
 func TestLoadRetiredOptions(t *testing.T) {
@@ -99,7 +100,7 @@ func TestLoadRetiredOptions(t *testing.T) {
 	err = gob.NewEncoder(&enc).Encode(retiredWire{
 		Opt:    retiredOptions{LeafCap: wf.Opt.LeafCap, Fanout: wf.Opt.Fanout, SplitChoices: 2, MaxCandidatePops: 512},
 		Splits: wf.Splits, Explored: 3 * wf.Splits, Queries: wf.Queries, InitialN: wf.InitialN,
-		Deleted: wf.Deleted, Kinds: wf.Kinds, Counts: wf.Counts, Mbrs: wf.Mbrs, IDs: wf.IDs,
+		Kinds: wf.Kinds, Counts: wf.Counts, Mbrs: wf.Mbrs, IDs: wf.IDs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,33 +127,6 @@ func TestLoadRetiredOptions(t *testing.T) {
 	}
 	if got.Splits() == splits || got.StructureHash() != tr.StructureHash() {
 		t.Fatal("a tree with retired options did not crack greedily")
-	}
-}
-
-func TestSaveLoadWithDeletes(t *testing.T) {
-	ps := clusteredPointSet(500, 2, 3, 63)
-	tr := NewCracking(ps, DefaultOptions())
-	tr.Crack(BallRect([]float64{5, 5}, 2))
-	tr.Delete(7)
-	tr.Delete(123)
-
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	got, err := Load(&buf, ps)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if err := got.CheckInvariants(); err != nil {
-		t.Fatalf("invariants: %v", err)
-	}
-	for _, id := range []int32{7, 123} {
-		for _, found := range got.Search(NewRect(ps.At(id))) {
-			if found == id {
-				t.Fatalf("deleted point %d resurrected by round trip", id)
-			}
-		}
 	}
 }
 
@@ -231,7 +205,6 @@ func FuzzTreeLoad(f *testing.F) {
 	for i := 0; i < 6; i++ {
 		tr.Crack(randomQuery(rng, 2, 0, 10))
 	}
-	tr.Delete(5)
 	var v2 bytes.Buffer
 	if err := tr.Save(&v2); err != nil {
 		f.Fatal(err)

@@ -124,7 +124,7 @@ func (ps *PointSet) appendWithin(dst []walkItem, ids []int32, q []float64, bound
 // R-tree keeps a leaf's entries in the leaf's page: the point ids and, row i
 // for ids[i], a copy of their exact coordinates. A page is derived data: it
 // is rebuilt from the PointSet when a leaf is made or loaded, follows
-// Insert and Delete, and is in no snapshot, WAL record or StructureHash.
+// Insert, and is in no snapshot, WAL record or StructureHash.
 // Only this file reads or writes xy.
 type leafPage struct {
 	ids []int32
@@ -144,13 +144,6 @@ func (pg *leafPage) fill(ps *PointSet, ids []int32) {
 func (pg *leafPage) add(ps *PointSet, id int32) {
 	pg.ids = append(pg.ids, id)
 	pg.xy = append(pg.xy, ps.At(id)...)
-}
-
-// remove deletes entry i, keeping the order of the rest.
-func (pg *leafPage) remove(i int) {
-	dim := len(pg.xy) / len(pg.ids)
-	pg.ids = append(pg.ids[:i], pg.ids[i+1:]...)
-	pg.xy = append(pg.xy[:i*dim], pg.xy[(i+1)*dim:]...)
 }
 
 // sizeBytes is the heap memory the page holds beyond its header.

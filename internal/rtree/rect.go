@@ -149,20 +149,6 @@ func (r Rect) Volume() float64 {
 	return v
 }
 
-// OverlapVolume returns the volume of the intersection of r and o.
-func (r Rect) OverlapVolume(o Rect) float64 {
-	v := 1.0
-	for i := range r.Lo {
-		lo := math.Max(r.Lo[i], o.Lo[i])
-		hi := math.Min(r.Hi[i], o.Hi[i])
-		if hi <= lo {
-			return 0
-		}
-		v *= hi - lo
-	}
-	return v
-}
-
 // MinSqDist returns the squared Euclidean distance from p to the closest
 // point of r (0 when p is inside), the best-first search key.
 func (r Rect) MinSqDist(p []float64) float64 {

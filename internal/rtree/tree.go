@@ -41,7 +41,7 @@ func (o Options) normalize() Options {
 // reader/writer lock: once Prepare has materialized the root, every
 // traversal (Search, WalkWithin, SummarizeBall, Stats, Save, NeedsCrack) is
 // read-only and safe to run concurrently with other readers, while Crack,
-// Insert, and Delete mutate the structure and must be exclusive. NeedsCrack
+// Insert and NoteAttr write to the tree and must be exclusive. NeedsCrack
 // is the read-side probe that tells callers whether a Crack for a query
 // region would actually change anything, so warm query regions never need
 // the exclusive lock. NoteQuery is the lock-free way to count a query whose
@@ -62,22 +62,10 @@ type Tree struct {
 	// AccessCounters).
 	access *AccessCounters
 
-	// deleted tracks tombstoned point ids (see Delete): their coordinates
-	// remain in the PointSet but they are no longer referenced by any
-	// contour element.
-	deleted map[int32]bool
-
 	// initialN is the PointSet size when the tree was created; the lazy
 	// root covers exactly these points, and anything appended later enters
 	// only through Insert.
 	initialN int
-
-	// owned counts the points this tree is responsible for: the initial
-	// points plus everything Inserted, including current tombstones. The
-	// live count is owned - len(deleted); CheckInvariants verifies the
-	// contour covers exactly that, which stays meaningful when several
-	// trees share one PointSet.
-	owned int
 }
 
 // NewCracking returns a cracking index over all points whose root is still
@@ -87,7 +75,7 @@ type Tree struct {
 func NewCracking(ps *PointSet, opt Options) *Tree {
 	opt = opt.normalize()
 	return &Tree{ps: ps, opt: opt, arena: newNodeArena(ps.Dim),
-		scratch: make([]bool, ps.N()), initialN: ps.N(), owned: ps.N()}
+		scratch: make([]bool, ps.N()), initialN: ps.N()}
 }
 
 // ensureRoot materializes the root on first use.
@@ -271,9 +259,6 @@ func mortonMids(frame Rect, nbits int) []float64 {
 	fill(0, 0)
 	return mids
 }
-
-// PS returns the underlying point set.
-func (t *Tree) PS() *PointSet { return t.ps }
 
 // Opt returns the tree's normalized options.
 func (t *Tree) Opt() Options { return t.opt }
@@ -471,14 +456,6 @@ func (t *Tree) SearchFunc(q Rect, fn func(id int32)) {
 	})
 }
 
-// EachElement calls fn with the MBR and point ids of every contour element
-// (leaf or pending), in tree order. Read-only; fn must not keep or modify
-// either argument.
-func (t *Tree) EachElement(fn func(mbr Rect, ids []int32)) {
-	t.ensureRoot()
-	t.root.eachElement(nil, func(nd *node) { fn(nd.mbr, nd.ids()) })
-}
-
 // eachElement visits the contour elements under n, skipping subtrees whose
 // MBR does not overlap q when q is non-nil.
 func (n *node) eachElement(q *Rect, fn func(nd *node)) {
@@ -509,8 +486,9 @@ type Stats struct {
 	SizeBytes int
 	Height    int
 	Points    int
-	// ArenaNodesInUse/Free report the node-arena occupancy; ArenaBytes the
-	// slab memory retained (in-use and free records alike).
+	// ArenaNodesInUse/Free report the node-arena occupancy: the records
+	// handed out, and those the newest slab has yet to hand out; ArenaBytes
+	// the slab memory retained (both kinds alike).
 	ArenaNodesInUse int
 	ArenaNodesFree  int
 	ArenaBytes      int
@@ -529,7 +507,7 @@ func (t *Tree) Stats() Stats {
 		Queries:         int(t.queries.Load()),
 		SizeBytes:       t.arena.slabBytes() + t.root.sizeBytes(t.ps.Dim),
 		Height:          t.root.height(),
-		Points:          t.owned - len(t.deleted),
+		Points:          t.root.numPoints(),
 		ArenaNodesInUse: t.arena.nodesInUse(),
 		ArenaNodesFree:  t.arena.nodesFree(),
 		ArenaBytes:      t.arena.slabBytes(),
@@ -537,10 +515,12 @@ func (t *Tree) Stats() Stats {
 }
 
 // CheckInvariants verifies the structural invariants the paper's lemmas rely
-// on: every node's MBR contains its contents; internal nodes have children;
-// the contour elements partition the tree's owned point set (Lemma 1);
-// leaves respect the capacity and their pages hold exactly
-// their points' rows; pending partitions keep consistent sort orders; no
+// on: every node's MBR is exactly the box of the points below it, compared
+// by value so that -0 equals +0 (the updates are insert-only, so no box is
+// ever left loose); internal nodes have children; the contour elements
+// partition the point set (Lemma 1); leaves respect the capacity and their
+// pages hold exactly their points' rows; pending partitions keep
+// consistent sort orders; every arena record handed out is in the tree; no
 // two id lists of the contour share memory (sharedLists).
 // Intended for tests; O(n log n).
 func (t *Tree) CheckInvariants() error {
@@ -548,9 +528,11 @@ func (t *Tree) CheckInvariants() error {
 	seen := make(map[int32]int)
 	var lists [][]int32
 	live := 0
-	var walk func(nd *node, depth int) error
-	walk = func(nd *node, depth int) error {
+	// walk checks the subtree of nd and grows into to cover its points.
+	var walk func(nd *node, depth int, into *Rect) error
+	walk = func(nd *node, depth int, into *Rect) error {
 		live++
+		box := EmptyRect(t.ps.Dim)
 		if got := t.arena.at(nd.idx); got != nd {
 			return fmt.Errorf("node arena index %d resolves to a different record", nd.idx)
 		}
@@ -563,10 +545,7 @@ func (t *Tree) CheckInvariants() error {
 				return fmt.Errorf("internal node with %d > M=%d children", len(nd.children), t.opt.Fanout)
 			}
 			for _, c := range nd.children {
-				if !nd.mbr.ContainsRect(c.mbr) {
-					return fmt.Errorf("child MBR %v escapes parent %v", c.mbr, nd.mbr)
-				}
-				if err := walk(c, depth+1); err != nil {
+				if err := walk(c, depth+1, &box); err != nil {
 					return err
 				}
 			}
@@ -578,12 +557,6 @@ func (t *Tree) CheckInvariants() error {
 				return err
 			}
 			lists = append(lists, nd.leaf.ids)
-			for _, id := range nd.leaf.ids {
-				if !nd.mbr.Contains(t.ps.At(id)) {
-					return fmt.Errorf("leaf point %d outside MBR", id)
-				}
-				seen[id]++
-			}
 		case nd.isPending():
 			p := nd.part
 			n := p.count()
@@ -600,20 +573,25 @@ func (t *Tree) CheckInvariants() error {
 					}
 				}
 			}
-			for _, id := range p.ids() {
-				if !nd.mbr.Contains(t.ps.At(id)) {
-					return fmt.Errorf("pending point %d outside MBR", id)
-				}
+		default:
+			return fmt.Errorf("node with no state at depth %d", depth)
+		}
+		if !nd.isInternal() {
+			for _, id := range nd.ids() {
+				box.Expand(t.ps.At(id))
 				seen[id]++
 			}
-		default:
-			if t.owned != 0 {
-				return fmt.Errorf("empty node in non-empty tree")
+		}
+		for i := range box.Lo {
+			if nd.mbr.Lo[i] != box.Lo[i] || nd.mbr.Hi[i] != box.Hi[i] {
+				return fmt.Errorf("MBR %v at depth %d is not %v, the box of the points below it", nd.mbr, depth, box)
 			}
 		}
+		into.ExpandRect(box)
 		return nil
 	}
-	if err := walk(t.root, 0); err != nil {
+	all := EmptyRect(t.ps.Dim)
+	if err := walk(t.root, 0, &all); err != nil {
 		return err
 	}
 	if err := sharedLists(lists); err != nil {
@@ -622,20 +600,12 @@ func (t *Tree) CheckInvariants() error {
 	if live != t.arena.nodesInUse() {
 		return fmt.Errorf("tree has %d nodes but arena reports %d in use", live, t.arena.nodesInUse())
 	}
-	for _, idx := range t.arena.free {
-		if nd := t.arena.at(idx); nd.children != nil || nd.leaf != nil || nd.part != nil {
-			return fmt.Errorf("released record %d still holds its contents", idx)
-		}
-	}
-	if want := t.owned - len(t.deleted); len(seen) != want {
-		return fmt.Errorf("contour covers %d of %d live points", len(seen), want)
+	if len(seen) != t.ps.N() {
+		return fmt.Errorf("contour covers %d of %d points", len(seen), t.ps.N())
 	}
 	for id, c := range seen {
 		if c != 1 {
 			return fmt.Errorf("point %d appears %d times in contour", id, c)
-		}
-		if t.deleted[id] {
-			return fmt.Errorf("deleted point %d still in contour", id)
 		}
 	}
 	return nil

@@ -89,9 +89,6 @@ func TestRectBasics(t *testing.T) {
 	if !r.Overlaps(o) {
 		t.Fatalf("Overlaps failed")
 	}
-	if got := r.OverlapVolume(o); got != 1 {
-		t.Fatalf("OverlapVolume = %v, want 1", got)
-	}
 	far := []float64{6, 2}
 	if got := o.MinSqDist(far); got != 1 {
 		t.Fatalf("MinSqDist = %v, want 1", got)

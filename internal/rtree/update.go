@@ -5,11 +5,13 @@ import (
 )
 
 // This file implements the paper's stated future work (Section VIII):
-// incremental updates on the partial index. The cracking structure makes
-// insertion natural — a new point descends to a contour element; pending
-// elements absorb it into their sort orders, and a leaf that overflows
-// reverts to a pending element whose split is deferred until a query
-// actually needs it, exactly in the cracking spirit.
+// incremental updates on the partial index. They are insert-only: nothing
+// removes a point, so every box stays the exact box of the points below
+// it. The cracking structure makes insertion natural — a new point
+// descends to a contour element; pending elements absorb it into their
+// sort orders, and a leaf that overflows reverts to a pending element
+// whose split is deferred until a query actually needs it, exactly in the
+// cracking spirit.
 
 // Insert adds point id (already appended to the PointSet) to the index.
 // The point descends along least-enlargement children as in a classical
@@ -20,11 +22,6 @@ func (t *Tree) Insert(id int32) {
 	t.ensureRoot()
 	for int(id) >= len(t.scratch) {
 		t.scratch = append(t.scratch, false)
-	}
-	if t.deleted[id] {
-		delete(t.deleted, id) // resurrecting a tombstone: already owned
-	} else {
-		t.owned++
 	}
 	t.insertAt(t.root, id)
 }
@@ -65,10 +62,27 @@ func chooseChild(children []*node, pt []float64) *node {
 	return best
 }
 
+// enlargement is the growth of r's volume when it absorbs pt: the Volume
+// of r.Expand(pt) minus r's, computed in place with the same per-axis
+// arithmetic, so an Insert's descent allocates nothing.
 func enlargement(r Rect, pt []float64) float64 {
-	grown := r.Clone()
-	grown.Expand(pt)
-	return grown.Volume() - r.Volume()
+	grown := 1.0
+	for i, v := range pt {
+		lo, hi := r.Lo[i], r.Hi[i]
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+		side := hi - lo
+		if side < 0 {
+			grown = 0
+			break
+		}
+		grown *= side
+	}
+	return grown - r.Volume()
 }
 
 // insertSorted splices id into every sort order of a pending partition.
@@ -93,90 +107,12 @@ func insertSorted(ps *PointSet, p *partition, id int32) {
 // NoteAttr tells the index that an attribute value of point id changed: the
 // cached statistics of every contour element whose MBR contains the point —
 // the one holding it among them — are dropped and recomputed by the next
-// aggregate that reads them. Like Insert and Delete it needs the tree
-// exclusively. A point not in the PointSet yet has no element to refresh.
+// aggregate that reads them. Like Insert it needs the tree exclusively. A
+// point not in the PointSet yet has no element to refresh.
 func (t *Tree) NoteAttr(id int32) {
 	if t.root != nil && int(id) < t.ps.N() {
 		pt := t.ps.At(id)
 		at := Rect{Lo: pt, Hi: pt} // read-only, so it may alias the point
 		t.root.eachElement(&at, func(nd *node) { t.arena.statsOf(nd).Store(nil) })
 	}
-}
-
-// Delete removes point id from the index, returning whether it was found.
-// MBRs are not shrunk (they stay conservative supersets, which preserves
-// correctness); a later Crack rebuilds exact boxes for the touched region.
-// The point's coordinates remain in the PointSet as an unreferenced
-// tombstone. A leaf or pending element emptied by the removal is unlinked
-// from its parent and its record returned to the node arena's freelist —
-// with empty internal nodes pruned recursively — so churned regions recycle
-// records instead of growing the arena.
-func (t *Tree) Delete(id int32) bool {
-	if t.root == nil || int(id) >= t.ps.N() {
-		return false
-	}
-	pt := t.ps.At(id)
-	// del reports (found, empty): whether the id was removed under nd, and
-	// whether nd holds no points afterwards and should be pruned.
-	var del func(nd *node) (bool, bool)
-	del = func(nd *node) (bool, bool) {
-		if !nd.mbr.Contains(pt) {
-			return false, false
-		}
-		switch {
-		case nd.isInternal():
-			for i, c := range nd.children {
-				found, empty := del(c)
-				if !found {
-					continue
-				}
-				if empty {
-					nd.children = append(nd.children[:i], nd.children[i+1:]...)
-					t.arena.release(c)
-				}
-				return true, len(nd.children) == 0
-			}
-			return false, false
-		case nd.isLeaf():
-			for i, v := range nd.leaf.ids {
-				if v == id {
-					t.arena.statsOf(nd).Store(nil)
-					nd.leaf.remove(i)
-					return true, len(nd.leaf.ids) == 0
-				}
-			}
-			return false, false
-		default:
-			found := false
-			for s, order := range nd.part.orders {
-				for i, v := range order {
-					if v == id {
-						nd.part.orders[s] = append(order[:i], order[i+1:]...)
-						found = true
-						break
-					}
-				}
-			}
-			if found {
-				t.arena.statsOf(nd).Store(nil)
-			}
-			return found, found && nd.part.count() == 0
-		}
-	}
-	found, empty := del(t.root)
-	if !found {
-		return false
-	}
-	if empty {
-		// The root is never released; an emptied tree reverts to the empty
-		// leaf state NewCracking would produce over zero points.
-		t.root.children = nil
-		t.root.part = nil
-		t.arena.setLeaf(t.root, t.ps, []int32{})
-	}
-	if t.deleted == nil {
-		t.deleted = make(map[int32]bool)
-	}
-	t.deleted[id] = true
-	return true
 }

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -103,57 +104,6 @@ func TestInsertIntoBulkTree(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	ps := clusteredPointSet(600, 3, 3, 47)
-	tr := NewCracking(ps, DefaultOptions())
-	rng := rand.New(rand.NewSource(48))
-	for i := 0; i < 8; i++ {
-		tr.Crack(randomQuery(rng, 3, 0, 10))
-	}
-	victims := []int32{0, 17, 599, 300}
-	for _, id := range victims {
-		if !tr.Delete(id) {
-			t.Fatalf("Delete(%d) did not find the point", id)
-		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after delete: %v", err)
-	}
-	for _, id := range victims {
-		for _, got := range tr.Search(NewRect(ps.At(id))) {
-			if got == id {
-				t.Fatalf("deleted point %d still found", id)
-			}
-		}
-	}
-	// Deleting again reports not found.
-	if tr.Delete(victims[0]) {
-		t.Fatal("double delete succeeded")
-	}
-	// Re-insert one of them.
-	tr.Insert(victims[0])
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after re-insert: %v", err)
-	}
-	found := false
-	for _, got := range tr.Search(NewRect(ps.At(victims[0]))) {
-		if got == victims[0] {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("re-inserted point not found")
-	}
-}
-
-func TestDeleteOutOfRange(t *testing.T) {
-	ps := randomPointSet(10, 2, 49)
-	tr := NewCracking(ps, DefaultOptions())
-	if tr.Delete(99) {
-		t.Fatal("deleted a nonexistent id")
-	}
-}
-
 func TestInsertIntoEmptyTree(t *testing.T) {
 	ps := NewPointSet(2, nil)
 	tr := NewCracking(ps, DefaultOptions())
@@ -164,5 +114,83 @@ func TestInsertIntoEmptyTree(t *testing.T) {
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
+	}
+}
+
+// TestChooseChildAllocatesNothing: an Insert's descent reads every child's
+// enlargement at every level, so it must not allocate; and enlargement must
+// be bit-equal to growing a copy of the box and taking the difference of
+// the volumes, or inserts would descend differently.
+func TestChooseChildAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	children := make([]*node, 8)
+	for i := range children {
+		lo := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		r := NewRect(lo)
+		r.Expand([]float64{lo[0] + rng.Float64(), lo[1] + rng.Float64(), lo[2]})
+		children[i] = &node{mbr: r}
+	}
+	for i := 0; i < 1000; i++ {
+		pt := []float64{rng.Float64() * 2, rng.Float64() * 2, rng.Float64() * 2}
+		if i%4 == 0 {
+			pt[2] = 0
+		}
+		for _, c := range children {
+			grown := c.mbr.Clone()
+			grown.Expand(pt)
+			if got, want := enlargement(c.mbr, pt), grown.Volume()-c.mbr.Volume(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("enlargement of %v by %v = %v, want %v", c.mbr, pt, got, want)
+			}
+		}
+	}
+	pt := []float64{0.5, 0.5, 0.5}
+	if allocs := testing.AllocsPerRun(100, func() { chooseChild(children, pt) }); allocs != 0 {
+		t.Fatalf("chooseChild allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestCheckInvariantsRequiresTightBoxes: the updates are insert-only, so
+// every node's box is the exact box of the points below it. A node widened
+// inside its parent, which every containment test passes, is reported.
+func TestCheckInvariantsRequiresTightBoxes(t *testing.T) {
+	ps := clusteredPointSet(1500, 3, 4, 90)
+	tr := NewCracking(ps, DefaultOptions())
+	rng := rand.New(rand.NewSource(91))
+	for i := 0; i < 10; i++ {
+		tr.Crack(BallRect(ps.At(int32(rng.Intn(ps.N()))), 0.5))
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	widen := func(what string, v *float64, to float64) {
+		t.Helper()
+		was := *v
+		*v = to
+		if err := tr.CheckInvariants(); err == nil {
+			t.Fatalf("CheckInvariants passes a widened %s", what)
+		}
+		*v = was
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	widen("root", &tr.root.mbr.Hi[0], tr.root.mbr.Hi[0]+1)
+	var find func(parent *node) bool
+	find = func(parent *node) bool {
+		for _, c := range parent.children {
+			for d := range c.mbr.Lo {
+				if c.mbr.Lo[d] > parent.mbr.Lo[d] {
+					widen("child", &c.mbr.Lo[d], parent.mbr.Lo[d])
+					return true
+				}
+			}
+			if find(c) {
+				return true
+			}
+		}
+		return false
+	}
+	if !find(tr.root) {
+		t.Fatal("no node lies strictly inside its parent; the test widened nothing")
 	}
 }

@@ -7,21 +7,16 @@ import (
 	"sync"
 )
 
-// WalkAscending streams point ids in non-decreasing S2 distance from q
+// WalkWithin streams point ids in non-decreasing S2 distance from q
 // (classic best-first branch-and-bound over the tree). visit receives each
 // id with its squared distance and returns false to stop the walk — since
 // points arrive in ascending order, returning false at the first point
 // outside the caller's (possibly shrinking) search radius is exact.
 //
 // This is the traversal Algorithm 3's line 5 loop relies on: "examine the
-// data points of the query region in increasing distance from q".
-func (t *Tree) WalkAscending(q []float64, visit func(id int32, sqDist float64) bool) {
-	t.WalkWithin(q, func() float64 { return math.Inf(1) }, visit)
-}
-
-// WalkWithin is WalkAscending with a dynamic pruning bound: nodes and
-// points whose squared distance exceeds bound() are never pushed onto the
-// frontier. The bound may shrink over time (Algorithm 3's radius does);
+// data points of the query region in increasing distance from q". Nodes
+// and points whose squared distance exceeds bound() are never pushed onto
+// the frontier. The bound may shrink over time (Algorithm 3's radius does);
 // growing it mid-walk is not supported. The tree must be Ready (the engine
 // prepares its tree under its write lock before serving).
 func (t *Tree) WalkWithin(q []float64, bound func() float64, visit func(id int32, sqDist float64) bool) {

@@ -11,17 +11,15 @@ import (
 	"vkgraph/internal/raceflag"
 )
 
-// walkOracle is the brute-force reference for a walk: every live point
-// (deleted ids left out) sorted by (sqDist, id), cut where the walk's rule
+// walkOracle is the brute-force reference for a walk: every point sorted
+// by (sqDist, id), cut where the walk's rule
 // cuts it — before each point the bound is read (as a function of the
 // points visited so far) and the walk ends at the first point beyond it,
 // or after stop points.
-func walkOracle(ps *PointSet, deleted map[int32]bool, q []float64, bound func(visited int) float64, stop int) []walkItem {
+func walkOracle(ps *PointSet, q []float64, bound func(visited int) float64, stop int) []walkItem {
 	var all []walkItem
 	for i := int32(0); int(i) < ps.N(); i++ {
-		if !deleted[i] {
-			all = append(all, walkItem{d: ps.SqDistTo(i, q), ref: i})
-		}
+		all = append(all, walkItem{d: ps.SqDistTo(i, q), ref: i})
 	}
 	slices.SortFunc(all, func(a, b walkItem) int {
 		return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.ref, b.ref))
@@ -50,9 +48,9 @@ func walkTree(tr *Tree, q []float64, bound func(visited int) float64, stop int, 
 }
 
 // TestWalkMatchesSortedScan is the randomized differential test of the
-// radix frontier: over a random sequence of cracks, inserts and deletes, on
-// trees below and above the size at which the root is pre-split, the visit
-// sequence must equal the (sqDist, id)-sorted scan of the live points under
+// radix frontier: over a random sequence of cracks and inserts, on trees
+// below and above the size at which the root is pre-split, the visit
+// sequence must equal the (sqDist, id)-sorted scan of the points under
 // a fixed bound, no bound, and a bound that shrinks with the points
 // visited; an early stop must leave the next walk on the goroutine intact,
 // and so must a walk started from inside a visit callback.
@@ -62,8 +60,8 @@ func walkTree(tr *Tree, q []float64, bound func(visited int) float64, stop int, 
 // duplicates a few ulps apart, whose keys share all but their last bits.
 // Each seed scales its coordinates by 2^s, s in [-60, 60], which moves the
 // keys across binades without changing the order. Inserted points grow
-// MBRs and deleted ones leave them loose. Queries sit on the lattice, on a
-// data point (distance +0) or on a face of an MBR.
+// MBRs. Queries sit on the lattice, on a data point (distance +0) or on a
+// face of an MBR.
 func TestWalkMatchesSortedScan(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
@@ -111,9 +109,8 @@ func TestWalkMatchesSortedScan(t *testing.T) {
 		}
 		ps := NewPointSet(dim, coords)
 		tr := NewCracking(ps, opt)
-		deleted := map[int32]bool{}
 		for round := 0; round < 4; round++ {
-			checkWalks(t, rng, ps, tr, deleted, scale, seed)
+			checkWalks(t, rng, ps, tr, scale, seed)
 			for c := rng.Intn(6); c > 0; c-- {
 				q := randomQuery(rng, dim, 0, 6)
 				for d := range q.Lo {
@@ -128,11 +125,6 @@ func TestWalkMatchesSortedScan(t *testing.T) {
 			for c := rng.Intn(20); c > 0; c-- {
 				tr.Insert(ps.AppendPoint(point(ps.N(), func(j int) []float64 { return ps.At(int32(j)) })))
 			}
-			for c := rng.Intn(20); c > 0; c-- {
-				if id := int32(rng.Intn(ps.N())); !deleted[id] && tr.Delete(id) {
-					deleted[id] = true
-				}
-			}
 		}
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -140,19 +132,15 @@ func TestWalkMatchesSortedScan(t *testing.T) {
 	}
 }
 
-func checkWalks(t *testing.T, rng *rand.Rand, ps *PointSet, tr *Tree, deleted map[int32]bool, scale float64, seed int) {
+func checkWalks(t *testing.T, rng *rand.Rand, ps *PointSet, tr *Tree, scale float64, seed int) {
 	t.Helper()
 	q := make([]float64, ps.Dim)
 	for d := range q {
 		q[d] = float64(rng.Intn(13)) / 2 * scale // on the lattice or midway between its points
 	}
 	switch rng.Intn(3) {
-	case 0: // on a live data point
-		id := int32(rng.Intn(ps.N()))
-		for deleted[id] {
-			id = int32(rng.Intn(ps.N()))
-		}
-		copy(q, ps.At(id))
+	case 0: // on a data point
+		copy(q, ps.At(int32(rng.Intn(ps.N()))))
 	case 1: // on a face of an MBR
 		tr.ensureRoot()
 		nd := tr.root
@@ -173,7 +161,7 @@ func checkWalks(t *testing.T, rng *rand.Rand, ps *PointSet, tr *Tree, deleted ma
 		"shrinking": func(v int) float64 { return 40*scale*scale - step*float64(v) },
 	}
 	for name, bound := range bounds {
-		want := walkOracle(ps, deleted, q, bound, -1)
+		want := walkOracle(ps, q, bound, -1)
 		check := func(what string, got, want []walkItem) {
 			t.Helper()
 			if !slices.Equal(got, want) {
@@ -188,7 +176,7 @@ func checkWalks(t *testing.T, rng *rand.Rand, ps *PointSet, tr *Tree, deleted ma
 		check("full walk", walkTree(tr, q, bound, -1, nil), want)
 
 		stop := 1 + rng.Intn(20)
-		check("early stop", walkTree(tr, q, bound, stop, nil), walkOracle(ps, deleted, q, bound, stop))
+		check("early stop", walkTree(tr, q, bound, stop, nil), walkOracle(ps, q, bound, stop))
 		check("walk after early stop", walkTree(tr, q, bound, -1, nil), want)
 
 		var inner []walkItem
@@ -197,14 +185,6 @@ func checkWalks(t *testing.T, rng *rand.Rand, ps *PointSet, tr *Tree, deleted ma
 		if len(want) >= 3 {
 			check("nested walk", inner, want)
 		}
-	}
-	var got []walkItem
-	tr.WalkAscending(q, func(id int32, d float64) bool {
-		got = append(got, walkItem{d: d, ref: id})
-		return true
-	})
-	if !slices.Equal(got, walkOracle(ps, deleted, q, bounds["unbounded"], -1)) {
-		t.Fatalf("seed %d: WalkAscending differs from the sorted scan", seed)
 	}
 }
 
