@@ -78,16 +78,16 @@ func BenchmarkSearchCracked(b *testing.B) {
 	}
 }
 
-// BenchmarkWalkWithin times a converged walk: 64 queries centred on points
-// of a clustered 100k-point set, each bounded by the squared distance of
-// its 300th nearest point, over a tree cracked around those balls until a
-// further crack splits nothing.
-func BenchmarkWalkWithin(b *testing.B) {
+// convergedWalkTree returns the tree and queries of the converged-walk
+// benchmarks: 64 queries centred on points of a clustered 100k-point set,
+// each bounded by the squared distance of its 300th nearest point, and a
+// tree cracked around those balls until a further crack splits nothing.
+func convergedWalkTree() (tr *Tree, centers [][]float64, bounds []float64) {
 	const n, queries, visits = 100000, 64, 300
 	ps := clusteredPointSet(n, 3, 16, 1)
 	rng := rand.New(rand.NewSource(4))
-	centers := make([][]float64, queries)
-	bounds := make([]float64, queries)
+	centers = make([][]float64, queries)
+	bounds = make([]float64, queries)
 	sq := make([]float64, n)
 	for i := range centers {
 		centers[i] = ps.At(int32(rng.Intn(n)))
@@ -97,13 +97,20 @@ func BenchmarkWalkWithin(b *testing.B) {
 		slices.Sort(sq)
 		bounds[i] = sq[visits-1]
 	}
-	tr := NewCracking(ps, DefaultOptions())
+	tr = NewCracking(ps, DefaultOptions())
 	for before := -1; before != tr.Splits(); {
 		before = tr.Splits()
 		for i, c := range centers {
 			tr.Crack(BallRect(c, math.Sqrt(bounds[i])))
 		}
 	}
+	return tr, centers, bounds
+}
+
+// BenchmarkWalkWithin times a converged walk over convergedWalkTree.
+func BenchmarkWalkWithin(b *testing.B) {
+	tr, centers, bounds := convergedWalkTree()
+	queries := len(centers)
 	visited := 0
 	visit := func(int32, float64) bool { visited++; return true }
 	b.ResetTimer()
@@ -117,6 +124,25 @@ func BenchmarkWalkWithin(b *testing.B) {
 	}
 	b.ReportMetric(float64(visited)/float64(b.N), "visits/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(visited), "ns/visit")
+}
+
+// BenchmarkNeedsCrack times the probe every query makes under the index
+// read lock once it has its answer: NeedsCrack on the warm regions of
+// convergedWalkTree, the balls it was cracked around, for which it always
+// reports false.
+func BenchmarkNeedsCrack(b *testing.B) {
+	tr, centers, bounds := convergedWalkTree()
+	regions := make([]Rect, len(centers))
+	for i, c := range centers {
+		regions[i] = BallRect(c, math.Sqrt(bounds[i]))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if tr.NeedsCrack(regions[i%len(regions)]) {
+			b.Fatal("a warm region needs a crack")
+		}
+	}
 }
 
 func BenchmarkInsert(b *testing.B) {

@@ -41,6 +41,7 @@ func (t *Tree) buildFull(p *partition) *node {
 	nd := t.arena.alloc()
 	for _, c := range children {
 		nd.mbr.ExpandRect(c.mbr)
+		nd.pending += c.pending
 	}
 	nd.children = children
 	return nd

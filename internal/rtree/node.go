@@ -16,12 +16,22 @@ package rtree
 // the record's own slot in the arena's page slab. The record is 96 bytes;
 // the walks read one per node they touch, so it must not grow (a test next
 // to the arena's holds it to that).
+//
+// pending counts the pending elements in the node's subtree, itself
+// included: 1 for a pending element, 0 for a leaf, the children's sum for
+// an internal node. It fills the record's padding. NeedsCrack and Crack
+// stop at a node whose count is 0, before they read its MBR, so a warm
+// query pays only for the subtrees that can still change. Every writer
+// keeps it exact as it goes (setPending, toLeaf, crackPending, buildFull,
+// insertAt and the root build), Load derives it bottom-up, and it is in no
+// snapshot and no StructureHash.
 type node struct {
 	mbr      Rect
 	children []*node
 	leaf     *leafPage
 	part     *partition
 	idx      int32 // arena index: slab*arenaSlabSize + offset
+	pending  int32 // pending elements in the subtree, itself included
 }
 
 func (n *node) isInternal() bool { return n.children != nil }

@@ -100,8 +100,10 @@ func (t *Tree) Save(w io.Writer) error {
 // proportional to the pending mass only, far cheaper than re-cracking.
 //
 // A stream with bad magic, a failed checksum, or a truncation returns an
-// error satisfying errors.Is(err, snapfmt.ErrCorrupt); any other format
-// version returns one satisfying errors.Is(err, snapfmt.ErrVersion).
+// error satisfying errors.Is(err, snapfmt.ErrCorrupt), and so does a tree
+// that does not hold every point of ps exactly once or whose stored boxes
+// are not the boxes of the points below them; any other format version
+// returns one satisfying errors.Is(err, snapfmt.ErrVersion).
 func Load(r io.Reader, ps *PointSet) (*Tree, error) {
 	if _, _, err := snapfmt.ReadHeader(r, treeMagic, treeVersion, treeVersion); err != nil {
 		return nil, fmt.Errorf("rtree: %w", err)
@@ -123,12 +125,17 @@ func Load(r io.Reader, ps *PointSet) (*Tree, error) {
 	t.queries.Store(int64(wf.Queries))
 	cur := &flatCursor{wf: &wf}
 	t.root, err = t.decodeFlat(cur)
-	if err == nil && (cur.node != len(wf.Kinds) || cur.id != len(wf.IDs) || cur.mbr != len(wf.Mbrs)) {
-		err = fmt.Errorf("rtree: trailing tree data: %w", snapfmt.ErrCorrupt)
-	}
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, err
+	case cur.node != len(wf.Kinds) || cur.id != len(wf.IDs) || cur.mbr != len(wf.Mbrs):
+		return nil, fmt.Errorf("rtree: trailing tree data: %w", snapfmt.ErrCorrupt)
+	case len(wf.IDs) != ps.N():
+		// The ids are distinct and in range (claimIDs), so this is the
+		// last way a point can be missing from the contour.
+		return nil, fmt.Errorf("rtree: tree holds %d of %d points: %w", len(wf.IDs), ps.N(), snapfmt.ErrCorrupt)
 	}
+	clear(t.scratch) // partition.split relies on it being all false
 	return t, nil
 }
 
@@ -140,6 +147,12 @@ type flatCursor struct {
 	mbr  int // consumed prefix of Mbrs
 }
 
+// decodeFlat rebuilds the subtree whose preorder starts at c, deriving
+// each node's pending count bottom-up. It trusts no stored box: a leaf's
+// or pending element's must be the box of its points, an internal node's
+// the union of its children's, compared by value so that -0 equals +0 as
+// in CheckInvariants; the walks prune by these boxes, so a wrong one would
+// hide points from every query.
 func (t *Tree) decodeFlat(c *flatCursor) (*node, error) {
 	wf := c.wf
 	if c.node >= len(wf.Kinds) || c.node >= len(wf.Counts) {
@@ -155,18 +168,22 @@ func (t *Tree) decodeFlat(c *flatCursor) (*node, error) {
 	copy(nd.mbr.Lo, wf.Mbrs[c.mbr:c.mbr+dim])
 	copy(nd.mbr.Hi, wf.Mbrs[c.mbr+dim:c.mbr+2*dim])
 	c.mbr += 2 * dim
+	var box Rect // what nd's stored box must equal
 	switch kind {
 	case 0:
-		if cnt == 0 {
-			return nil, fmt.Errorf("rtree: internal node without children: %w", snapfmt.ErrCorrupt)
+		if cnt == 0 || cnt > t.opt.Fanout {
+			return nil, fmt.Errorf("rtree: internal node with %d children: %w", cnt, snapfmt.ErrCorrupt)
 		}
 		nd.children = make([]*node, 0, cnt)
+		box = EmptyRect(dim)
 		for i := 0; i < cnt; i++ {
 			child, err := t.decodeFlat(c)
 			if err != nil {
 				return nil, err
 			}
 			nd.children = append(nd.children, child)
+			box.ExpandRect(child.mbr)
+			nd.pending += child.pending
 		}
 	case 1, 2:
 		if c.id+cnt > len(wf.IDs) {
@@ -174,30 +191,46 @@ func (t *Tree) decodeFlat(c *flatCursor) (*node, error) {
 		}
 		ids := wf.IDs[c.id : c.id+cnt]
 		c.id += cnt
-		if err := t.checkIDs(ids); err != nil {
+		if err := t.claimIDs(ids); err != nil {
 			return nil, err
 		}
 		if kind == 1 {
+			if cnt > t.opt.LeafCap {
+				return nil, fmt.Errorf("rtree: leaf with %d entries: %w", cnt, snapfmt.ErrCorrupt)
+			}
+			box = t.ps.MBRof(ids)
 			t.arena.setLeaf(nd, t.ps, append([]int32{}, ids...))
 		} else {
 			if cnt == 0 {
 				return nil, fmt.Errorf("rtree: empty pending element: %w", snapfmt.ErrCorrupt)
 			}
 			nd.part = newPartition(t.ps, ids)
+			box = nd.part.mbr
 			nd.part.mbr = nd.mbr.Clone()
+			nd.pending = 1
 		}
 	default:
 		return nil, fmt.Errorf("rtree: unknown node kind %d: %w", kind, snapfmt.ErrCorrupt)
 	}
+	if !nd.mbr.equal(box) {
+		return nil, fmt.Errorf("rtree: stored box %v is not %v, the box of the points below it: %w",
+			nd.mbr, box, snapfmt.ErrCorrupt)
+	}
 	return nd, nil
 }
 
-func (t *Tree) checkIDs(ids []int32) error {
+// claimIDs checks that ids lie in the point set and that none was claimed
+// before, marking each in t.scratch; Load clears the flags again.
+func (t *Tree) claimIDs(ids []int32) error {
 	for _, id := range ids {
 		if id < 0 || int(id) >= t.ps.N() {
 			return fmt.Errorf("rtree: point id %d outside point set of %d: %w",
 				id, t.ps.N(), snapfmt.ErrCorrupt)
 		}
+		if t.scratch[id] {
+			return fmt.Errorf("rtree: point id %d appears twice: %w", id, snapfmt.ErrCorrupt)
+		}
+		t.scratch[id] = true
 	}
 	return nil
 }

@@ -69,21 +69,7 @@ func TestLoadRetiredOptions(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		tr.Crack(randomQuery(rng, 3, 0, 10))
 	}
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := snapfmt.ReadHeader(&buf, treeMagic, treeVersion, treeVersion); err != nil {
-		t.Fatal(err)
-	}
-	_, payload, err := snapfmt.ReadSection(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wf wireFlat
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wf); err != nil {
-		t.Fatal(err)
-	}
+	wf := decodeTree(t, tr)
 	type retiredOptions struct {
 		LeafCap, Fanout, SplitChoices, MaxCandidatePops int
 	}
@@ -96,23 +82,11 @@ func TestLoadRetiredOptions(t *testing.T) {
 		Mbrs                                []float64
 		IDs                                 []int32
 	}
-	var enc bytes.Buffer
-	err = gob.NewEncoder(&enc).Encode(retiredWire{
+	got, err := Load(encodeTree(t, retiredWire{
 		Opt:    retiredOptions{LeafCap: wf.Opt.LeafCap, Fanout: wf.Opt.Fanout, SplitChoices: 2, MaxCandidatePops: 512},
 		Splits: wf.Splits, Explored: 3 * wf.Splits, Queries: wf.Queries, InitialN: wf.InitialN,
 		Kinds: wf.Kinds, Counts: wf.Counts, Mbrs: wf.Mbrs, IDs: wf.IDs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var old bytes.Buffer
-	if err := snapfmt.WriteHeader(&old, treeMagic, treeVersion, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := snapfmt.WriteSection(&old, secTreeFlat, enc.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&old, ps)
+	}), ps)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -229,4 +203,119 @@ func FuzzTreeLoad(f *testing.F) {
 		// A loaded tree must be traversable without panicking.
 		got.Search(BallRect([]float64{5, 5}, 1))
 	})
+}
+
+// encodeTree wraps a tree payload (a wireFlat, or a struct gob matches to
+// one) in a fresh header and section, as Save does, so that a test can load
+// an edited blob whose checksum is valid.
+func encodeTree(t *testing.T, wf any) *bytes.Buffer {
+	t.Helper()
+	var payload, blob bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(wf); err != nil {
+		t.Fatal(err)
+	}
+	if err := snapfmt.WriteHeader(&blob, treeMagic, treeVersion, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := snapfmt.WriteSection(&blob, secTreeFlat, payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	return &blob
+}
+
+// decodeTree returns the payload Save writes for tr.
+func decodeTree(t *testing.T, tr *Tree) wireFlat {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := snapfmt.ReadHeader(&buf, treeMagic, treeVersion, treeVersion); err != nil {
+		t.Fatal(err)
+	}
+	_, payload, err := snapfmt.ReadSection(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wf wireFlat
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wf); err != nil {
+		t.Fatal(err)
+	}
+	return wf
+}
+
+// TestLoadRejectsWrongBoxes: the walks and Search prune by the stored
+// boxes, so a blob with a valid checksum whose box is not the box of the
+// points below it must be refused, not loaded to hide those points. The
+// blobs are a saved 2,500-point cracked tree with the last node's box moved
+// to the point 1e6, and with the root's box widened.
+func TestLoadRejectsWrongBoxes(t *testing.T) {
+	ps := clusteredPointSet(2500, 3, 5, 61)
+	tr := NewCracking(ps, DefaultOptions())
+	rng := rand.New(rand.NewSource(62))
+	for i := 0; i < 24; i++ {
+		tr.Crack(randomQuery(rng, 3, 0, 10))
+	}
+	if _, err := Load(encodeTree(t, decodeTree(t, tr)), ps); err != nil {
+		t.Fatalf("the re-encoded tree does not load: %v", err)
+	}
+	for name, edit := range map[string]func(mbrs []float64){
+		"last node moved": func(mbrs []float64) {
+			for i := len(mbrs) - 2*ps.Dim; i < len(mbrs); i++ {
+				mbrs[i] = 1e6
+			}
+		},
+		"root widened": func(mbrs []float64) { mbrs[0] -= 1 },
+	} {
+		wf := decodeTree(t, tr)
+		edit(wf.Mbrs)
+		if _, err := Load(encodeTree(t, wf), ps); !errors.Is(err, snapfmt.ErrCorrupt) {
+			t.Errorf("%s: Load = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestLoadRejectsRepeatedIDs: every point is in the contour exactly once.
+// The blobs are one leaf over three points, the third a copy of the
+// second, so that every box is right: the leaf lists the second point
+// twice and the third not at all, or leaves the third out.
+func TestLoadRejectsRepeatedIDs(t *testing.T) {
+	ps := NewPointSet(2, []float64{0, 0, 1, 1, 1, 1})
+	leaf := func(ids ...int32) wireFlat {
+		return wireFlat{Opt: DefaultOptions(), InitialN: ps.N(), Kinds: []uint8{1},
+			Counts: []int32{int32(len(ids))}, Mbrs: []float64{0, 0, 1, 1}, IDs: ids}
+	}
+	if _, err := Load(encodeTree(t, leaf(0, 1, 2)), ps); err != nil {
+		t.Fatalf("the well-formed leaf does not load: %v", err)
+	}
+	for name, wf := range map[string]wireFlat{
+		"a point twice":   leaf(0, 1, 1),
+		"a point missing": leaf(0, 1),
+	} {
+		if _, err := Load(encodeTree(t, wf), ps); !errors.Is(err, snapfmt.ErrCorrupt) {
+			t.Errorf("%s: Load = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestLoadRejectsOverfullNodes: every walk and crack assumes a leaf holds
+// at most LeafCap points and an internal node at most Fanout children.
+func TestLoadRejectsOverfullNodes(t *testing.T) {
+	ps := NewPointSet(1, []float64{0, 1, 2})
+	opt := Options{LeafCap: 2, Fanout: 2}
+	tree := func(kinds []uint8, counts []int32, mbrs []float64) wireFlat {
+		return wireFlat{Opt: opt, InitialN: ps.N(), Kinds: kinds, Counts: counts, Mbrs: mbrs, IDs: []int32{0, 1, 2}}
+	}
+	wellFormed := tree([]uint8{0, 1, 1}, []int32{2, 2, 1}, []float64{0, 2, 0, 1, 2, 2})
+	if _, err := Load(encodeTree(t, wellFormed), ps); err != nil {
+		t.Fatalf("the well-formed tree does not load: %v", err)
+	}
+	for name, wf := range map[string]wireFlat{
+		"leaf over LeafCap": tree([]uint8{1}, []int32{3}, []float64{0, 2}),
+		"node over Fanout":  tree([]uint8{0, 1, 1, 1}, []int32{3, 1, 1, 1}, []float64{0, 2, 0, 0, 1, 1, 2, 2}),
+	} {
+		if _, err := Load(encodeTree(t, wf), ps); !errors.Is(err, snapfmt.ErrCorrupt) {
+			t.Errorf("%s: Load = %v, want ErrCorrupt", name, err)
+		}
+	}
 }

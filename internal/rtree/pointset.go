@@ -3,6 +3,7 @@ package rtree
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // PointSet is the sealed flat store of all indexed points in S2. The
@@ -167,21 +168,26 @@ func (pg *leafPage) check(ps *PointSet) error {
 // appendWithin is PointSet.appendWithin over the page's entries: one
 // sequential pass over the rows, each distance summed in SqDistTo's order
 // and therefore bit-identical to it. This is the leaf scan of every walk.
+// Whether a row is in bound is a coin flip the branch predictor loses, so
+// the loop does not branch on it: dst grows by the page once, every row is
+// written behind the kept ones, and the cursor advances by the comparison.
 func (pg *leafPage) appendWithin(dst []walkItem, q []float64, bound float64) []walkItem {
-	xy := pg.xy
-	for _, id := range pg.ids {
-		row := xy[:len(q)]
-		xy = xy[len(q):]
+	n, dim, xy := len(dst), len(q), pg.xy
+	out := slices.Grow(dst, len(pg.ids))[:n+len(pg.ids)]
+	for i, id := range pg.ids {
 		var s float64
-		for j, v := range q {
-			d := row[j] - v
+		for j, v := range xy[i*dim : i*dim+dim] {
+			d := v - q[j]
 			s += d * d
 		}
+		out[n] = walkItem{d: s, ref: id}
+		in := 0
 		if s <= bound {
-			dst = append(dst, walkItem{d: s, ref: id})
+			in = 1
 		}
+		n += in
 	}
-	return dst
+	return out[:n]
 }
 
 // AppendPoint adds a point to the PointSet and returns its id. The caller

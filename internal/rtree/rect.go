@@ -116,6 +116,17 @@ func (r Rect) Contains(p []float64) bool {
 	return true
 }
 
+// equal reports whether r and o are the same box, compared by value, so
+// that -0 equals +0.
+func (r Rect) equal(o Rect) bool {
+	for i := range r.Lo {
+		if r.Lo[i] != o.Lo[i] || r.Hi[i] != o.Hi[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // ContainsRect reports whether o lies fully inside r.
 func (r Rect) ContainsRect(o Rect) bool {
 	for i := range r.Lo {

@@ -137,6 +137,11 @@ func (t *Tree) buildRoot() {
 			t.toLeaf(nd)
 		}
 	}
+	if t.root.isInternal() {
+		for _, nd := range elems {
+			t.root.pending += nd.pending
+		}
+	}
 }
 
 // setPending makes nd the pending element over ids (ascending), whose MBR
@@ -145,6 +150,7 @@ func (t *Tree) setPending(nd *node, ids []int32, mbr Rect, jobs []orderJob) []or
 	p := &partition{orders: make([][]int32, t.ps.Dim), mbr: mbr}
 	nd.setMBR(mbr)
 	nd.part = p
+	nd.pending = 1
 	return appendOrderJobs(jobs, t.ps, ids, p.orders)
 }
 
@@ -270,6 +276,7 @@ func (t *Tree) toLeaf(nd *node) {
 	nd.setMBR(nd.part.mbr)
 	t.arena.setLeaf(nd, t.ps, slices.Clone(nd.part.ids()))
 	nd.part = nil
+	nd.pending = 0
 }
 
 // Crack incrementally builds the index for query region q: the greedy
@@ -300,55 +307,54 @@ func (t *Tree) NeedsCrack(q Rect) bool {
 	return t.needsCrackAt(t.root, q)
 }
 
+// needsCrackAt is NeedsCrack below nd. A subtree without pending elements
+// (all of a converged region) is passed over on its count alone.
 func (t *Tree) needsCrackAt(nd *node, q Rect) bool {
-	if !nd.mbr.Overlaps(q) {
+	if nd.pending == 0 || !nd.mbr.Overlaps(q) {
 		return false
 	}
-	switch {
-	case nd.isInternal():
+	if nd.isInternal() {
 		for _, c := range nd.children {
 			if t.needsCrackAt(c, q) {
 				return true
 			}
 		}
 		return false
-	case nd.isLeaf():
-		return false
-	default:
-		p := nd.part
-		n := p.count()
-		if n <= t.opt.LeafCap {
-			return true // Crack would convert it to a leaf
-		}
-		cq := p.countInRect(t.ps, q)
-		// The stopping condition of Section IV-C step 3, as crackPending
-		// applies it: irrelevant or (almost) fully covered elements stay
-		// coarse.
-		return cq != 0 && ceilDiv(cq, t.opt.LeafCap) != ceilDiv(n, t.opt.LeafCap)
 	}
+	p := nd.part
+	n := p.count()
+	if n <= t.opt.LeafCap {
+		return true // Crack would convert it to a leaf
+	}
+	cq := p.countInRect(t.ps, q)
+	// The stopping condition of Section IV-C step 3, as crackPending
+	// applies it: irrelevant or (almost) fully covered elements stay
+	// coarse.
+	return cq != 0 && ceilDiv(cq, t.opt.LeafCap) != ceilDiv(n, t.opt.LeafCap)
 }
 
 // crackGreedy implements IncrementalIndexBuild: descend to contour elements
 // overlapping q; split each one that fails the stopping condition, using the
-// locally best binary split (bestSplit); recurse into the new children.
-func (t *Tree) crackGreedy(nd *node, q Rect) {
-	if !nd.mbr.Overlaps(q) {
-		return
+// locally best binary split (bestSplit); recurse into the new children. It
+// skips subtrees without pending elements, keeps nd's pending count and
+// returns the change to it.
+func (t *Tree) crackGreedy(nd *node, q Rect) int32 {
+	if nd.pending == 0 || !nd.mbr.Overlaps(q) {
+		return 0
 	}
 	if nd.isInternal() {
+		var delta int32
 		for _, c := range nd.children {
-			t.crackGreedy(c, q)
+			delta += t.crackGreedy(c, q)
 		}
-		return
-	}
-	if nd.isLeaf() {
-		return
+		nd.pending += delta
+		return delta
 	}
 	if nd.part.count() <= t.opt.LeafCap {
 		t.toLeaf(nd)
-		return
+		return -1
 	}
-	t.crackPending(nd, q, nd.part.countInRect(t.ps, q))
+	return t.crackPending(nd, q, nd.part.countInRect(t.ps, q))
 }
 
 // crackPending cracks a pending element too big for a leaf, cq of whose
@@ -356,39 +362,43 @@ func (t *Tree) crackGreedy(nd *node, q Rect) {
 // the split evaluation computed, so only the element the crack arrived at
 // is ever scanned for its count. They are cut inside nd's lists, and each
 // that is still pending once its own crack returns copies its lists out,
-// so nd's become garbage.
-func (t *Tree) crackPending(nd *node, q Rect, cq int) {
+// so nd's become garbage. It returns the change to nd's pending count.
+func (t *Tree) crackPending(nd *node, q Rect, cq int) int32 {
 	p := nd.part
 	n := p.count()
 	// Stopping condition (Section IV-C step 3): element irrelevant to q, or
 	// q already covers (almost) all of it, in which case splitting cannot
 	// reduce the leaf-page lower bound of Lemma 3.
 	if cq == 0 || ceilDiv(cq, t.opt.LeafCap) == ceilDiv(n, t.opt.LeafCap) {
-		return
+		return 0
 	}
 
 	parts := t.partitionGreedy(nil, countedPart{p, cq}, t.levelM(n), &q)
 	nd.part = nil
 	t.arena.statsOf(nd).Store(nil)
 	nd.children = make([]*node, 0, len(parts))
+	nd.pending = 0
 	for _, cp := range parts {
 		t.created++
 		child := t.arena.alloc()
 		child.setMBR(cp.part.mbr)
 		child.part = cp.part
+		child.pending = 1
 		if cp.part.count() <= t.opt.LeafCap {
 			t.toLeaf(child)
 		}
+		nd.pending += child.pending
 		nd.children = append(nd.children, child)
 	}
 	for i, c := range nd.children {
 		if c.isPending() {
-			t.crackPending(c, q, parts[i].cq)
+			nd.pending += t.crackPending(c, q, parts[i].cq)
 			if c.isPending() {
 				c.part.own()
 			}
 		}
 	}
+	return nd.pending - 1
 }
 
 // levelM returns m, the per-child chunk size when partitioning an n-point
@@ -515,14 +525,15 @@ func (t *Tree) Stats() Stats {
 }
 
 // CheckInvariants verifies the structural invariants the paper's lemmas rely
-// on: every node's MBR is exactly the box of the points below it, compared
-// by value so that -0 equals +0 (the updates are insert-only, so no box is
-// ever left loose); internal nodes have children; the contour elements
-// partition the point set (Lemma 1); leaves respect the capacity and their
-// pages hold exactly their points' rows; pending partitions keep
-// consistent sort orders; every arena record handed out is in the tree; no
-// two id lists of the contour share memory (sharedLists).
-// Intended for tests; O(n log n).
+// on, and the records' derived fields: every node's MBR is exactly the box
+// of the points below it, compared by value so that -0 equals +0 (the
+// updates are insert-only, so no box is ever left loose); internal nodes
+// have children; the contour elements partition the point set (Lemma 1);
+// leaves respect the capacity and their pages hold exactly their points'
+// rows; pending partitions keep consistent sort orders; every node counts
+// the pending elements below it (node.pending); every arena record handed
+// out is in the tree; no two id lists of the contour share memory
+// (sharedLists). Intended for tests; O(n log n).
 func (t *Tree) CheckInvariants() error {
 	t.ensureRoot()
 	seen := make(map[int32]int)
@@ -536,6 +547,7 @@ func (t *Tree) CheckInvariants() error {
 		if got := t.arena.at(nd.idx); got != nd {
 			return fmt.Errorf("node arena index %d resolves to a different record", nd.idx)
 		}
+		var pending int32 // the pending elements below nd, itself included
 		switch {
 		case nd.isInternal():
 			if len(nd.children) == 0 {
@@ -548,6 +560,7 @@ func (t *Tree) CheckInvariants() error {
 				if err := walk(c, depth+1, &box); err != nil {
 					return err
 				}
+				pending += c.pending
 			}
 		case nd.isLeaf():
 			if len(nd.leaf.ids) > t.opt.LeafCap {
@@ -558,6 +571,7 @@ func (t *Tree) CheckInvariants() error {
 			}
 			lists = append(lists, nd.leaf.ids)
 		case nd.isPending():
+			pending = 1
 			p := nd.part
 			n := p.count()
 			lists = append(lists, p.orders...)
@@ -576,16 +590,17 @@ func (t *Tree) CheckInvariants() error {
 		default:
 			return fmt.Errorf("node with no state at depth %d", depth)
 		}
+		if nd.pending != pending {
+			return fmt.Errorf("node at depth %d counts %d pending elements below it, not %d", depth, nd.pending, pending)
+		}
 		if !nd.isInternal() {
 			for _, id := range nd.ids() {
 				box.Expand(t.ps.At(id))
 				seen[id]++
 			}
 		}
-		for i := range box.Lo {
-			if nd.mbr.Lo[i] != box.Lo[i] || nd.mbr.Hi[i] != box.Hi[i] {
-				return fmt.Errorf("MBR %v at depth %d is not %v, the box of the points below it", nd.mbr, depth, box)
-			}
+		if !nd.mbr.equal(box) {
+			return fmt.Errorf("MBR %v at depth %d is not %v, the box of the points below it", nd.mbr, depth, box)
 		}
 		into.ExpandRect(box)
 		return nil

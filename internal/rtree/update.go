@@ -26,12 +26,16 @@ func (t *Tree) Insert(id int32) {
 	t.insertAt(t.root, id)
 }
 
-func (t *Tree) insertAt(nd *node, id int32) {
+// insertAt adds id below nd and returns the change to nd's pending count:
+// 1 when a leaf on the path overflowed into a pending element.
+func (t *Tree) insertAt(nd *node, id int32) int32 {
 	pt := t.ps.At(id)
 	nd.mbr.Expand(pt) // an empty (inverted) MBR snaps to pt
 	switch {
 	case nd.isInternal():
-		t.insertAt(chooseChild(nd.children, pt), id)
+		delta := t.insertAt(chooseChild(nd.children, pt), id)
+		nd.pending += delta
+		return delta
 	case nd.isLeaf():
 		t.arena.statsOf(nd).Store(nil)
 		nd.leaf.add(t.ps, id)
@@ -40,11 +44,14 @@ func (t *Tree) insertAt(nd *node, id int32) {
 			// touches it will crack it with full cost-model context.
 			nd.part = newPartition(t.ps, nd.leaf.ids)
 			nd.dropPage()
+			nd.pending = 1
+			return 1
 		}
 	default:
 		t.arena.statsOf(nd).Store(nil)
 		insertSorted(t.ps, nd.part, id)
 	}
+	return 0
 }
 
 // chooseChild picks the child whose MBR needs the least volume enlargement
