@@ -56,8 +56,9 @@ func oracleAttrStats(ps *rtree.PointSet, ai int, ids []int32) rtree.AttrStats {
 // oracleContourOverlap summarizes every contour element whose MBR
 // intersects the bounding box of B(center, radius); the caller holds the
 // engine read lock and the index read lock. The contour is read from the
-// index's own saved form — a preorder of node kinds and entry counts, MBRs
-// and id lists — so the oracle shares no traversal with the engine.
+// index's own saved form — a preorder of node kinds and entry counts and
+// id lists — and each element's MBR is computed from its points, so the
+// oracle shares no traversal with the engine.
 func (e *Engine) oracleContourOverlap(center []float64, radius float64) []oracleElement {
 	var blob bytes.Buffer
 	if err := e.idx.tree.Save(&blob); err != nil {
@@ -73,24 +74,21 @@ func (e *Engine) oracleContourOverlap(center []float64, radius float64) []oracle
 	var flat struct {
 		Kinds  []uint8
 		Counts []int32
-		Mbrs   []float64
 		IDs    []int32
 	}
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&flat); err != nil {
 		panic(err)
 	}
 	q := rtree.BallRect(center, radius)
-	dim := len(center)
 	var out []oracleElement
 	at := 0
 	for i, kind := range flat.Kinds {
 		if kind == 0 {
 			continue // internal
 		}
-		box := flat.Mbrs[2*dim*i : 2*dim*(i+1)]
-		mbr := rtree.Rect{Lo: box[:dim], Hi: box[dim:]}
 		ids := flat.IDs[at : at+int(flat.Counts[i])]
 		at += len(ids)
+		mbr := e.ps.MBRof(ids)
 		if !mbr.Overlaps(q) {
 			continue
 		}

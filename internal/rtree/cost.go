@@ -110,15 +110,12 @@ func qStretch(ps *PointSet, order []int32, s int, q Rect) (qa, qb int) {
 }
 
 // halfBoxes returns the MBRs of the two halves a split at position pos of
-// order s0 makes, carved from slab (4*Dim values), each bit for bit the box
-// growBox builds over the half in order s0. In dimension s0 a half's
+// order s0 makes, carved from slab (4*Dim values). In dimension s0 a half's
 // bounds are its ends in order s0. In any other dimension d they are the
 // coordinates of the first and the last id of order d that lie in the half
-// (cut.ends): a walk of O(n) steps at worst, no more than growBox's. A
-// nonzero float has one bit pattern per value, so those bounds are
-// growBox's; a bound that is zero may be -0 or +0 depending on which point
-// growBox meets first, so a half with a zero bound is grown by growBox
-// instead.
+// (cut.ends): a walk of O(n) steps at worst, no more than a scan of the
+// half's points. A zero bound may be either sign of zero; boxes are
+// compared and hashed by value.
 func halfBoxes(ps *PointSet, p *partition, s0, pos int, slab []float64) (l, h Rect) {
 	dim := ps.Dim
 	l = Rect{Lo: slab[0:dim:dim], Hi: slab[dim : 2*dim : 2*dim]}
@@ -133,14 +130,6 @@ func halfBoxes(ps *PointSet, p *partition, s0, pos int, slab []float64) (l, h Re
 		}
 		l.Lo[d], h.Lo[d] = c.ends(od, d, 0, 1)
 		l.Hi[d], h.Hi[d] = c.ends(od, d, len(od)-1, -1)
-	}
-	if hasZero(l) {
-		l.reset()
-		growBox(ps, order[:pos], l)
-	}
-	if hasZero(h) {
-		h.reset()
-		growBox(ps, order[pos:], h)
 	}
 	return l, h
 }
@@ -176,37 +165,6 @@ func (c cut) ends(od []int32, d, i, step int) (vl, vh float64) {
 		}
 	}
 	return vl, vh
-}
-
-// hasZero reports whether any bound of r is zero (of either sign).
-func hasZero(r Rect) bool {
-	for d := range r.Lo {
-		if r.Lo[d] == 0 || r.Hi[d] == 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// growBox expands box to cover the given points, in order: where a bound
-// is reached by several points, the first one's value is kept.
-func growBox(ps *PointSet, ids []int32, box Rect) {
-	// Same-length local views let the compiler drop the bounds checks of
-	// the inner loop, which is most of what a point costs here.
-	dim := len(box.Lo)
-	lo, hi := box.Lo, box.Hi[:dim]
-	for _, id := range ids {
-		pt := ps.At(id)[:dim]
-		for d := 0; d < dim; d++ {
-			v := pt[d]
-			if v < lo[d] {
-				lo[d] = v
-			}
-			if v > hi[d] {
-				hi[d] = v
-			}
-		}
-	}
 }
 
 // countIn counts the ids whose points fall inside q.

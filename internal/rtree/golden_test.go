@@ -1,6 +1,8 @@
 package rtree
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -97,6 +99,57 @@ func TestGoldenStructure(t *testing.T) {
 	for _, c := range cases {
 		if c.got != c.want {
 			t.Errorf("%s: shape %#v, want %#v", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestStructureHashReadsZeroByValue: a lattice of {-1, 0, 1} with zeros of
+// both signs, where most bounds are zero, and its twin with every -0 made
+// +0 differ only in bits no comparison can see, so the same cracks give
+// both the same shape. Their trees must hash equal, and so must each
+// tree's Save/Load copy, whose boxes are derived in another order than the
+// splits grew them. The sizes put the root under and over
+// parallelSortMin.
+func TestStructureHashReadsZeroByValue(t *testing.T) {
+	reload := func(tr *Tree, ps *PointSet) *Tree {
+		var buf bytes.Buffer
+		if err := tr.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Load(&buf, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dim := 2 + rng.Intn(3)
+		n := []int{300, 3000, parallelSortMin + 300}[seed%3]
+		mixed := make([]float64, n*dim)
+		positive := make([]float64, n*dim)
+		for i := range mixed {
+			positive[i] = float64(rng.Intn(3) - 1)
+			mixed[i] = positive[i]
+			if mixed[i] == 0 && rng.Intn(2) == 0 {
+				mixed[i] = math.Copysign(0, -1)
+			}
+		}
+		ps, twin := NewPointSet(dim, mixed), NewPointSet(dim, positive)
+		a, b := NewCracking(ps, DefaultOptions()), NewCracking(twin, DefaultOptions())
+		for i := 0; i < 8; i++ {
+			q := BallRect(ps.At(int32(rng.Intn(n))), 0.5+rng.Float64())
+			a.Crack(q)
+			b.Crack(q)
+		}
+		if a.Splits() == 0 {
+			t.Fatalf("seed %d: the cracks split nothing", seed)
+		}
+		want := a.StructureHash()
+		for name, tr := range map[string]*Tree{"twin": b, "saved": reload(a, ps), "saved twin": reload(b, twin)} {
+			if got := tr.StructureHash(); got != want {
+				t.Fatalf("seed %d: the %s tree hashes %#x, the tree %#x", seed, name, got, want)
+			}
 		}
 	}
 }

@@ -14,7 +14,10 @@ var hashTab = crc64.MakeTable(crc64.ECMA)
 // counts, MBRs, and point ids in stored order — into one 64-bit value. Two
 // trees hash equal iff a query walk would visit identical nodes in
 // identical order, which is the contract WAL replay must meet: a snapshot
-// plus replayed crack/insert records must rebuild this exact shape.
+// plus replayed crack/insert records must rebuild this exact shape. A box
+// is hashed by value: a zero bound is hashed as +0 whichever sign it has,
+// as the sign of a zero depends on the order in which a scan met the
+// points, and comparisons cannot tell them apart.
 //
 // Access counters (queries, splits) are deliberately excluded:
 // the live tree counts every query via NoteQuery while replay only re-runs
@@ -40,13 +43,19 @@ func (t *Tree) StructureHash() uint64 {
 	// empty in a tree saved or replayed by an engine: kept so that no
 	// recorded hash moves.
 	putU64(0)
+	putBound := func(v float64) {
+		if v == 0 {
+			v = 0 // -0 → +0
+		}
+		putU64(math.Float64bits(v))
+	}
 	var walk func(nd *node)
 	walk = func(nd *node) {
 		for _, v := range nd.mbr.Lo {
-			putU64(math.Float64bits(v))
+			putBound(v)
 		}
 		for _, v := range nd.mbr.Hi {
-			putU64(math.Float64bits(v))
+			putBound(v)
 		}
 		switch {
 		case nd.isInternal():

@@ -92,32 +92,35 @@ func needsCrackUncounted(t *Tree, nd *node, q Rect) bool {
 		return false
 	}
 	n, cq := nd.part.count(), nd.part.countInRect(t.ps, q)
-	return n <= t.opt.LeafCap || cq != 0 && ceilDiv(cq, t.opt.LeafCap) != ceilDiv(n, t.opt.LeafCap)
+	return cq != 0 && ceilDiv(cq, t.opt.LeafCap) != ceilDiv(n, t.opt.LeafCap)
 }
 
-// TestLoadedSmallPendingElementCracks: no writer of today leaves a pending
-// element of LeafCap points or fewer, but a blob from a release that could
-// delete points may hold one. A crack over it makes it a leaf, and the
-// counts above it follow.
-func TestLoadedSmallPendingElementCracks(t *testing.T) {
+// smallPendingTree is a blob with a pending element of LeafCap points,
+// which no writer of today leaves but a release that could delete points
+// may have saved: a root over a leaf of points 0 and 1 and a pending
+// element of points 2 and 3.
+var smallPendingTree = wireFlat{
+	Opt: Options{LeafCap: 2, Fanout: 2}, InitialN: 4,
+	Kinds: []uint8{0, 1, 2}, Counts: []int32{2, 2, 2}, IDs: []int32{0, 1, 2, 3},
+}
+
+// TestSmallPendingElementLoadsAsLeaf: Load makes a pending element that
+// fits in a leaf a leaf, so that no crack has to, and the counts above it
+// follow.
+func TestSmallPendingElementLoadsAsLeaf(t *testing.T) {
 	ps := NewPointSet(1, []float64{0, 1, 2, 3})
-	tr, err := Load(encodeTree(t, wireFlat{
-		Opt: Options{LeafCap: 2, Fanout: 2}, InitialN: ps.N(),
-		Kinds: []uint8{0, 1, 2}, Counts: []int32{2, 2, 2},
-		Mbrs: []float64{0, 3, 0, 1, 2, 3}, IDs: []int32{0, 1, 2, 3},
-	}), ps)
+	tr, err := Load(encodeTree(t, smallPendingTree), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := BallRect([]float64{2.5}, 1)
-	if !tr.NeedsCrack(q) {
-		t.Fatal("NeedsCrack is false over a pending element that fits in a leaf")
-	}
-	tr.Crack(q)
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if st := tr.Stats(); st.PendingNodes != 0 || tr.NeedsCrack(q) {
-		t.Fatalf("the crack left %d pending elements", st.PendingNodes)
+	q := BallRect([]float64{2.5}, 1)
+	if st := tr.Stats(); st.PendingNodes != 0 || st.LeafNodes != 2 || tr.NeedsCrack(q) {
+		t.Fatalf("loaded to %d pending elements and %d leaves", st.PendingNodes, st.LeafNodes)
+	}
+	if !equalIDs(sortIDs(tr.Search(q)), bruteSearch(ps, q)) {
+		t.Fatal("Search of the loaded tree differs from a scan")
 	}
 }

@@ -15,14 +15,16 @@ import (
 // preserves that investment across process restarts.
 //
 // The wire format stores structure only — node kinds, leaf ids, pending
-// element id sets, MBRs — not point coordinates; the PointSet is rebuilt
-// from the embedding + JL transform on load (both deterministic by seed).
+// element id sets — and no geometry: not the point coordinates, which the
+// PointSet rebuilds from the embedding + JL transform on load (both
+// deterministic by seed), and not the boxes. The index is insert-only, so
+// every box is the box of the points below it, and Load derives each one.
 // The gob payload is wrapped in a snapfmt container (magic, version, CRC32)
 // so a torn or bit-rotted file is rejected with a typed error before any
 // byte reaches the decoder.
 //
 // The tree is flattened into packed preorder arrays (kinds, child/entry
-// counts, MBR coordinates, concatenated id lists), mirroring the arena's
+// counts, concatenated id lists), mirroring the arena's
 // index-addressed records: decoding is one gob of a few flat slices, and
 // nodes rebuild straight into arena slabs. This is format version 2, the
 // only one read or written; any other version is rejected with ErrVersion.
@@ -36,10 +38,10 @@ const (
 // wireFlat is the payload: the tree in preorder as packed
 // parallel arrays. Kinds[i] is node i's state (0 internal, 1 leaf,
 // 2 pending); Counts[i] its child count (internal) or entry count
-// (leaf/pending); Mbrs holds 2*dim coordinates per node (lo then hi); IDs
-// the concatenated leaf/pending id lists in preorder. A blob from before
-// the index was insert-only also carries a Deleted id list, which gob
-// skips; no engine ever wrote a non-empty one.
+// (leaf/pending); IDs the concatenated leaf/pending id lists in preorder.
+// An older blob also carries each node's box (Mbrs) and, from before the
+// index was insert-only, a Deleted id list (no engine ever wrote a
+// non-empty one); gob skips both.
 type wireFlat struct {
 	Opt      Options
 	Splits   int
@@ -47,7 +49,6 @@ type wireFlat struct {
 	InitialN int
 	Kinds    []uint8
 	Counts   []int32
-	Mbrs     []float64
 	IDs      []int32
 }
 
@@ -63,8 +64,6 @@ func (t *Tree) Save(w io.Writer) error {
 	}
 	var flatten func(nd *node)
 	flatten = func(nd *node) {
-		wf.Mbrs = append(wf.Mbrs, nd.mbr.Lo...)
-		wf.Mbrs = append(wf.Mbrs, nd.mbr.Hi...)
 		switch {
 		case nd.isInternal():
 			wf.Kinds = append(wf.Kinds, 0)
@@ -98,12 +97,13 @@ func (t *Tree) Save(w io.Writer) error {
 // the same points the tree was built over (same embedding, same transform,
 // same seed). Pending elements rebuild their sort orders locally; this is
 // proportional to the pending mass only, far cheaper than re-cracking.
+// Every box is derived from the points, and boxes stored by an older
+// release are ignored.
 //
 // A stream with bad magic, a failed checksum, or a truncation returns an
 // error satisfying errors.Is(err, snapfmt.ErrCorrupt), and so does a tree
-// that does not hold every point of ps exactly once or whose stored boxes
-// are not the boxes of the points below them; any other format version
-// returns one satisfying errors.Is(err, snapfmt.ErrVersion).
+// that does not hold every point of ps exactly once; any other format
+// version returns one satisfying errors.Is(err, snapfmt.ErrVersion).
 func Load(r io.Reader, ps *PointSet) (*Tree, error) {
 	if _, _, err := snapfmt.ReadHeader(r, treeMagic, treeVersion, treeVersion); err != nil {
 		return nil, fmt.Errorf("rtree: %w", err)
@@ -128,7 +128,7 @@ func Load(r io.Reader, ps *PointSet) (*Tree, error) {
 	switch {
 	case err != nil:
 		return nil, err
-	case cur.node != len(wf.Kinds) || cur.id != len(wf.IDs) || cur.mbr != len(wf.Mbrs):
+	case cur.node != len(wf.Kinds) || cur.id != len(wf.IDs):
 		return nil, fmt.Errorf("rtree: trailing tree data: %w", snapfmt.ErrCorrupt)
 	case len(wf.IDs) != ps.N():
 		// The ids are distinct and in range (claimIDs), so this is the
@@ -142,17 +142,15 @@ func Load(r io.Reader, ps *PointSet) (*Tree, error) {
 // flatCursor tracks the decode position in each wireFlat array.
 type flatCursor struct {
 	wf   *wireFlat
-	node int // index into Kinds/Counts, and *2*dim into Mbrs
+	node int // index into Kinds/Counts
 	id   int // consumed prefix of IDs
-	mbr  int // consumed prefix of Mbrs
 }
 
 // decodeFlat rebuilds the subtree whose preorder starts at c, deriving
-// each node's pending count bottom-up. It trusts no stored box: a leaf's
-// or pending element's must be the box of its points, an internal node's
-// the union of its children's, compared by value so that -0 equals +0 as
-// in CheckInvariants; the walks prune by these boxes, so a wrong one would
-// hide points from every query.
+// each node's box and pending count bottom-up: a leaf's box is its points',
+// a pending element's is newPartition's, an internal node's the union of
+// its children's. A pending element that fits in a leaf, which only an
+// older release could save, is made one.
 func (t *Tree) decodeFlat(c *flatCursor) (*node, error) {
 	wf := c.wf
 	if c.node >= len(wf.Kinds) || c.node >= len(wf.Counts) {
@@ -160,29 +158,25 @@ func (t *Tree) decodeFlat(c *flatCursor) (*node, error) {
 	}
 	kind, cnt := wf.Kinds[c.node], int(wf.Counts[c.node])
 	c.node++
-	dim := t.ps.Dim
-	if cnt < 0 || c.mbr+2*dim > len(wf.Mbrs) {
+	if cnt < 0 {
 		return nil, fmt.Errorf("rtree: malformed node record: %w", snapfmt.ErrCorrupt)
 	}
 	nd := t.arena.alloc()
-	copy(nd.mbr.Lo, wf.Mbrs[c.mbr:c.mbr+dim])
-	copy(nd.mbr.Hi, wf.Mbrs[c.mbr+dim:c.mbr+2*dim])
-	c.mbr += 2 * dim
-	var box Rect // what nd's stored box must equal
 	switch kind {
 	case 0:
-		if cnt == 0 || cnt > t.opt.Fanout {
+		// Each child takes a record of its own, so a count past the records
+		// left is refused before it sizes the child list.
+		if cnt == 0 || cnt > t.opt.Fanout || cnt > len(wf.Kinds)-c.node {
 			return nil, fmt.Errorf("rtree: internal node with %d children: %w", cnt, snapfmt.ErrCorrupt)
 		}
 		nd.children = make([]*node, 0, cnt)
-		box = EmptyRect(dim)
 		for i := 0; i < cnt; i++ {
 			child, err := t.decodeFlat(c)
 			if err != nil {
 				return nil, err
 			}
 			nd.children = append(nd.children, child)
-			box.ExpandRect(child.mbr)
+			nd.mbr.ExpandRect(child.mbr)
 			nd.pending += child.pending
 		}
 	case 1, 2:
@@ -194,27 +188,21 @@ func (t *Tree) decodeFlat(c *flatCursor) (*node, error) {
 		if err := t.claimIDs(ids); err != nil {
 			return nil, err
 		}
-		if kind == 1 {
-			if cnt > t.opt.LeafCap {
-				return nil, fmt.Errorf("rtree: leaf with %d entries: %w", cnt, snapfmt.ErrCorrupt)
-			}
-			box = t.ps.MBRof(ids)
+		switch {
+		case kind == 2 && cnt == 0:
+			return nil, fmt.Errorf("rtree: empty pending element: %w", snapfmt.ErrCorrupt)
+		case cnt <= t.opt.LeafCap:
+			nd.setMBR(t.ps.MBRof(ids))
 			t.arena.setLeaf(nd, t.ps, append([]int32{}, ids...))
-		} else {
-			if cnt == 0 {
-				return nil, fmt.Errorf("rtree: empty pending element: %w", snapfmt.ErrCorrupt)
-			}
+		case kind == 1:
+			return nil, fmt.Errorf("rtree: leaf with %d entries: %w", cnt, snapfmt.ErrCorrupt)
+		default:
 			nd.part = newPartition(t.ps, ids)
-			box = nd.part.mbr
-			nd.part.mbr = nd.mbr.Clone()
+			nd.setMBR(nd.part.mbr)
 			nd.pending = 1
 		}
 	default:
 		return nil, fmt.Errorf("rtree: unknown node kind %d: %w", kind, snapfmt.ErrCorrupt)
-	}
-	if !nd.mbr.equal(box) {
-		return nil, fmt.Errorf("rtree: stored box %v is not %v, the box of the points below it: %w",
-			nd.mbr, box, snapfmt.ErrCorrupt)
 	}
 	return nd, nil
 }

@@ -163,8 +163,7 @@ func (t *Tree) setPending(nd *node, ids []int32, mbr Rect, jobs []orderJob) []or
 // Workers take contiguous id ranges (bucketRanges). The first pass finds
 // each range's box, the second notes each id's cell and each (range, cell)
 // count and box, the third scatters the ids into exact-size cells at
-// per-(range, cell) offsets. Boxes merge in range order by strict
-// comparison (ExpandRect), so each keeps the first-seen ±0 MBRof keeps.
+// per-(range, cell) offsets.
 func mortonCells(ps *PointSet, n, nbits int) (frame Rect, cells [][]int32, mbrs []Rect) {
 	ranges := bucketRanges(n)
 	frames := make([]Rect, len(ranges)-1)
@@ -295,9 +294,8 @@ func (t *Tree) Crack(q Rect) {
 func (t *Tree) NoteQuery() { t.queries.Add(1) }
 
 // NeedsCrack reports whether Crack(q) would mutate the tree: the root is
-// still lazy, or some pending element overlapping q either fits in a leaf
-// (it would be converted) or fails the stopping condition (it would be
-// split). When it returns false, Crack(q) is a structural no-op — the
+// still lazy, or some pending element overlapping q fails the stopping
+// condition (it would be split). When it returns false, Crack(q) is a structural no-op — the
 // read-lock fast path can skip the exclusive lock entirely and just
 // NoteQuery. Read-only; safe under a shared lock once the tree is Ready.
 func (t *Tree) NeedsCrack(q Rect) bool {
@@ -323,9 +321,6 @@ func (t *Tree) needsCrackAt(nd *node, q Rect) bool {
 	}
 	p := nd.part
 	n := p.count()
-	if n <= t.opt.LeafCap {
-		return true // Crack would convert it to a leaf
-	}
 	cq := p.countInRect(t.ps, q)
 	// The stopping condition of Section IV-C step 3, as crackPending
 	// applies it: irrelevant or (almost) fully covered elements stay
@@ -349,10 +344,6 @@ func (t *Tree) crackGreedy(nd *node, q Rect) int32 {
 		}
 		nd.pending += delta
 		return delta
-	}
-	if nd.part.count() <= t.opt.LeafCap {
-		t.toLeaf(nd)
-		return -1
 	}
 	return t.crackPending(nd, q, nd.part.countInRect(t.ps, q))
 }
@@ -530,7 +521,8 @@ func (t *Tree) Stats() Stats {
 // updates are insert-only, so no box is ever left loose); internal nodes
 // have children; the contour elements partition the point set (Lemma 1);
 // leaves respect the capacity and their pages hold exactly their points'
-// rows; pending partitions keep consistent sort orders; every node counts
+// rows; pending elements are too big for a leaf and keep consistent sort
+// orders; every node counts
 // the pending elements below it (node.pending); every arena record handed
 // out is in the tree; no two id lists of the contour share memory
 // (sharedLists). Intended for tests; O(n log n).
@@ -574,6 +566,9 @@ func (t *Tree) CheckInvariants() error {
 			pending = 1
 			p := nd.part
 			n := p.count()
+			if n <= t.opt.LeafCap {
+				return fmt.Errorf("pending element of %d <= N=%d points", n, t.opt.LeafCap)
+			}
 			lists = append(lists, p.orders...)
 			for s := 1; s < len(p.orders); s++ {
 				if len(p.orders[s]) != n {
