@@ -102,52 +102,25 @@ func (r AggResult) ConfidenceRadius(conf float64) float64 {
 	return math.Sqrt(den*math.Log(2/(1-conf))/2) / math.Abs(r.Value)
 }
 
-// AggregateTails answers an aggregate query over the predicted tails of
-// (h, r, ?): Q2 of the paper ("average age of people who would like
-// Restaurant 2" is the symmetric AggregateHeads). Safe for concurrent use.
-func (e *Engine) AggregateTails(h kg.EntityID, r kg.RelationID, q AggQuery) (*AggResult, error) {
-	return e.aggregateQuery(context.Background(), DirTail, h, r, q, e.params.Eps, nil)
+// Aggregate answers an aggregate query over the predicted tails of
+// (ent, rel, ?) for dir = DirTail — Q2 of the paper — or over the predicted
+// heads of (?, rel, ent) for DirHead ("average age of people who would like
+// Restaurant 2"). Safe for concurrent use.
+func (e *Engine) Aggregate(dir Dir, ent kg.EntityID, rel kg.RelationID, agg AggQuery) (*AggResult, error) {
+	return e.aggregateQuery(context.Background(), dir, ent, rel, agg, e.params.Eps, nil)
 }
 
-// AggregateHeads answers an aggregate query over the predicted heads of
-// (?, r, t). Safe for concurrent use.
-func (e *Engine) AggregateHeads(t kg.EntityID, r kg.RelationID, q AggQuery) (*AggResult, error) {
-	return e.aggregateQuery(context.Background(), DirHead, t, r, q, e.params.Eps, nil)
-}
-
-// aggregateQuery is the shared body of the aggregate entry points; the eps
-// parameter lets Do/DoBatch apply a per-request ball-expansion override and
-// tr, when non-nil, collects the per-stage breakdown. A query whose ctx
-// expires (a nil one, as for Do, never does) returns ctx.Err().
-func (e *Engine) aggregateQuery(ctx context.Context, dir Dir, ent kg.EntityID, rel kg.RelationID, q AggQuery, eps float64, tr *obs.QueryTrace) (*AggResult, error) {
+// aggregateQuery is the body of the indexed aggregate; the eps parameter
+// lets Do apply a per-request ball-expansion override and tr, when non-nil,
+// collects the per-stage breakdown. A query whose ctx expires (a nil one,
+// as for Do, never does) returns ctx.Err().
+func (e *Engine) aggregateQuery(ctx context.Context, dir Dir, ent kg.EntityID, rel kg.RelationID, agg AggQuery, eps float64, tr *obs.QueryTrace) (*AggResult, error) {
 	start := time.Now()
-	if e.prepareIndex() {
-		// Building the root is index construction the first query pays
-		// for, not validation: its time goes to the crack span.
-		tr.Carry(obs.StageCrack)
-	}
-	w0 := time.Now()
-	e.mu.RLock()
-	e.met.lockReadWait.Observe(time.Since(w0).Seconds())
-	if err := e.validateEntity(ent); err != nil {
-		e.mu.RUnlock()
-		e.met.queryErrors.Inc()
+	q, err := e.beginQuery(dir, ent, rel, tr)
+	if err != nil {
 		return nil, err
 	}
-	if err := e.validateRelation(rel); err != nil {
-		e.mu.RUnlock()
-		e.met.queryErrors.Inc()
-		return nil, err
-	}
-	tr.Step(obs.StageValidate)
-	// As for top-k, the entity and its known edges (sorted) are skipped.
-	var res *AggResult
-	var err error
-	if dir == DirHead {
-		res, err = e.aggregate(ctx, e.m.HeadQueryPoint(ent, rel), q, ent, e.g.Heads(ent, rel), eps, tr)
-	} else {
-		res, err = e.aggregate(ctx, e.m.TailQueryPoint(ent, rel), q, ent, e.g.Tails(ent, rel), eps, tr)
-	}
+	res, err := e.aggregate(ctx, q, agg, eps, tr)
 	if err != nil {
 		e.met.queryErrors.Inc()
 		return nil, err
@@ -188,31 +161,31 @@ type ballPoint struct {
 // The caller holds the engine read lock; aggregate releases it on every
 // path, upgrading to the write lock for the cracking step only when the
 // query region actually needs it (see Engine.finishQuery).
-func (e *Engine) aggregate(ctx context.Context, q1 []float64, q AggQuery, self kg.EntityID, known []kg.EntityID, eps float64, tr *obs.QueryTrace) (*AggResult, error) {
+func (e *Engine) aggregate(ctx context.Context, q query, agg AggQuery, eps float64, tr *obs.QueryTrace) (*AggResult, error) {
 	attrIdx := -1
-	if q.Kind != Count {
-		if q.Attr == "" {
+	if agg.Kind != Count {
+		if agg.Attr == "" {
 			e.mu.RUnlock()
 			return nil, fmt.Errorf("core: aggregate needs an attribute: %w", ErrUnknownAttribute)
 		}
-		attrIdx = e.ps.AttrIndex(q.Attr)
+		attrIdx = e.ps.AttrIndex(agg.Attr)
 		if attrIdx < 0 {
 			e.mu.RUnlock()
-			return nil, errAttr(q.Attr)
+			return nil, errAttr(agg.Attr)
 		}
 	}
-	if q.Kind < Count || q.Kind > Min {
+	if agg.Kind < Count || agg.Kind > Min {
 		e.mu.RUnlock()
-		return nil, fmt.Errorf("core: unknown aggregate kind %v", q.Kind)
+		return nil, fmt.Errorf("core: unknown aggregate kind %v", agg.Kind)
 	}
-	pTau := q.PTau
+	pTau := agg.PTau
 	if pTau <= 0 {
 		pTau = e.params.PTau
 	}
 	// The closest non-skipped S2 points tried for d1, the nearest S1 distance.
 	const nearestProbe = 8
 
-	q2 := e.tf.Apply(q1)
+	q2 := e.tf.Apply(q.q1)
 	tr.Step(obs.StageTransform)
 
 	// Both phases read the tree, so the index read lock is held until the
@@ -229,14 +202,14 @@ func (e *Engine) aggregate(ctx context.Context, q1 []float64, q AggQuery, self k
 	// radius is expanded by (1+eps) to survive the JL distortion. Of the
 	// points probed (in ascending order) those inside the ball stay, up to a.
 	d1, rTau, r2, bound := math.Inf(1), 0.0, 0.0, math.Inf(1)
-	acc := make([]ballPoint, 0, min(max(q.MaxAccess, nearestProbe), e.ps.N()))
+	acc := make([]ballPoint, 0, min(max(agg.MaxAccess, nearestProbe), e.ps.N()))
 	setBall := func() {
 		d1 = max(d1, 1e-12)
 		rTau = d1 / pTau
 		r2 = rTau * (1 + eps)
 		bound = r2 * r2
 		n := 0
-		for n < len(acc) && acc[n].d <= bound && (q.MaxAccess <= 0 || n < q.MaxAccess) {
+		for n < len(acc) && acc[n].d <= bound && (agg.MaxAccess <= 0 || n < agg.MaxAccess) {
 			n++
 		}
 		acc = acc[:n]
@@ -250,11 +223,11 @@ func (e *Engine) aggregate(ctx context.Context, q1 []float64, q AggQuery, self k
 			}
 		}
 		eid := kg.EntityID(id)
-		if eid == self || containsSorted(known, eid) {
+		if q.skips(eid) {
 			return true
 		}
 		if probed < nearestProbe {
-			d1 = min(d1, e.s1Dist(q1, eid))
+			d1 = min(d1, e.s1Dist(q.q1, eid))
 			probed++
 		}
 		if e.ps.HasAttr(attrIdx, id) {
@@ -266,7 +239,7 @@ func (e *Engine) aggregate(ctx context.Context, q1 []float64, q AggQuery, self k
 		if math.IsInf(bound, 1) {
 			setBall()
 		}
-		return q.MaxAccess <= 0 || len(acc) < q.MaxAccess
+		return agg.MaxAccess <= 0 || len(acc) < agg.MaxAccess
 	})
 	if cancelled == nil && ctx != nil {
 		cancelled = ctx.Err() // once more before the unordered phase
@@ -286,7 +259,7 @@ func (e *Engine) aggregate(ctx context.Context, q1 []float64, q AggQuery, self k
 	// Access the a closest points: S1 distance, probability, attribute.
 	for i := range acc {
 		p := &acc[i]
-		p.prob = clampProb(d1 / math.Max(e.s1Dist(q1, p.id), 1e-12))
+		p.prob = clampProb(d1 / math.Max(e.s1Dist(q.q1, p.id), 1e-12))
 		p.val = 1
 		if attrIdx >= 0 {
 			p.val, _ = e.ps.AttrValue(attrIdx, int32(p.id))
@@ -326,7 +299,7 @@ func (e *Engine) aggregate(ctx context.Context, q1 []float64, q AggQuery, self k
 	}
 	var tail float64
 	var each func(id int32, sqd float64)
-	if q.Kind == Count || q.Kind == Sum {
+	if agg.Kind == Count || agg.Kind == Sum {
 		each = func(id int32, sqd float64) { tail += tailProb(id, sqd) }
 	}
 	st := e.idx.tree.SummarizeBall(q2, r2, attrIdx, each)
@@ -339,11 +312,11 @@ func (e *Engine) aggregate(ctx context.Context, q1 []float64, q AggQuery, self k
 			}
 		}
 	}
-	for _, id := range known {
+	for _, id := range q.known {
 		unskip(id)
 	}
-	if !containsSorted(known, self) {
-		unskip(self)
+	if !containsSorted(q.known, q.self) {
+		unskip(q.self)
 	}
 	e.idx.mu.RUnlock()
 	tr.Step(obs.StageSearch)
@@ -365,7 +338,7 @@ func (e *Engine) aggregate(ctx context.Context, q1 []float64, q AggQuery, self k
 
 	// v_m: the element statistic, or the sample maximum when there is none.
 	res := &AggResult{Accessed: a, BallSize: b, VM: st.MaxAbs}
-	if q.Kind == Count {
+	if agg.Kind == Count {
 		res.VM = 1
 	}
 	for _, p := range acc {
@@ -375,9 +348,9 @@ func (e *Engine) aggregate(ctx context.Context, q1 []float64, q AggQuery, self k
 		}
 	}
 
-	switch q.Kind {
+	switch agg.Kind {
 	case Count, Sum, Avg:
-		res.Value = estimateSum(acc, q.Kind, tail)
+		res.Value = estimateSum(acc, agg.Kind, tail)
 	default:
 		// Equation 4's sample estimate is sharpened with index metadata, as
 		// the paper suggests ("we can maintain minimum statistics at R-tree
@@ -393,10 +366,10 @@ func (e *Engine) aggregate(ctx context.Context, q1 []float64, q AggQuery, self k
 		unlock()
 		// MIN is MAX over negated values; v stays -Inf with neither.
 		sign, v := 1.0, st.Max
-		if q.Kind == Min {
+		if agg.Kind == Min {
 			sign, v = -1, -st.Min
 		}
-		if est, ok := estimateMax(acc, q.Kind == Min); ok {
+		if est, ok := estimateMax(acc, agg.Kind == Min); ok {
 			v = math.Max(v, sign*est)
 		}
 		if !math.IsInf(v, -1) {

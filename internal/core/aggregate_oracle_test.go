@@ -104,10 +104,12 @@ func (e *Engine) oracleContourOverlap(center []float64, radius float64) []oracle
 func (e *Engine) oracleAggregateQuery(dir Dir, ent kg.EntityID, rel kg.RelationID, q AggQuery, eps float64) (*AggResult, error) {
 	e.prepareIndex()
 	e.mu.RLock()
-	if dir == DirHead {
-		return e.oracleAggregate(e.m.HeadQueryPoint(ent, rel), q, e.skipHeads(ent, rel), eps)
+	pq, err := e.resolve(dir, ent, rel)
+	if err != nil {
+		e.mu.RUnlock()
+		return nil, err
 	}
-	return e.oracleAggregate(e.m.TailQueryPoint(ent, rel), q, e.skipTails(ent, rel), eps)
+	return e.oracleAggregate(pq.q1, q, pq.skips, eps)
 }
 
 func (e *Engine) oracleAggregate(q1 []float64, q AggQuery, skip func(kg.EntityID) bool, eps float64) (*AggResult, error) {
@@ -518,7 +520,7 @@ func TestAggregateMatchesOracle(t *testing.T) {
 			case step%3 == 0:
 				u := users[rng.Intn(len(users))]
 				tw.mutate(func(e *Engine) error {
-					_, err := e.TopKTails(u, likes, 5)
+					_, err := e.TopK(DirTail, u, likes, 5)
 					return err
 				})
 			default:

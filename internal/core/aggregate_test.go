@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -62,11 +63,11 @@ func TestAggregateMaxMinNegativeValues(t *testing.T) {
 
 	likes, _ := g.RelationByName("likes")
 	for _, u := range g.EntitiesOfType("user")[:5] {
-		maxRes, err := eng.AggregateTails(u, likes, AggQuery{Kind: Max, Attr: "year"})
+		maxRes, err := eng.Aggregate(DirTail, u, likes, AggQuery{Kind: Max, Attr: "year"})
 		if err != nil {
 			t.Fatalf("Max: %v", err)
 		}
-		minRes, err := eng.AggregateTails(u, likes, AggQuery{Kind: Min, Attr: "year"})
+		minRes, err := eng.Aggregate(DirTail, u, likes, AggQuery{Kind: Min, Attr: "year"})
 		if err != nil {
 			t.Fatalf("Min: %v", err)
 		}
@@ -98,7 +99,7 @@ func TestSetAttrRefreshesElementStatistics(t *testing.T) {
 	users, movies := g.EntitiesOfType("user")[:20], g.EntitiesOfType("movie")
 	maxYear := func(u kg.EntityID) *AggResult {
 		t.Helper()
-		res, err := eng.AggregateTails(u, likes, AggQuery{Kind: Max, Attr: "year", MaxAccess: 5})
+		res, err := eng.Aggregate(DirTail, u, likes, AggQuery{Kind: Max, Attr: "year", MaxAccess: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +216,7 @@ func TestConcurrentAggregatesAndSetAttr(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				u, q := query(7*w + i)
-				if _, err := eng.AggregateTails(u, likes, q); err != nil {
+				if _, err := eng.Aggregate(DirTail, u, likes, q); err != nil {
 					t.Error(err)
 					return
 				}
@@ -235,10 +236,10 @@ func TestConcurrentAggregatesAndSetAttr(t *testing.T) {
 	wg.Wait()
 	for i := 0; i < 30; i++ {
 		u, q := query(i)
-		if _, err := eng.AggregateTails(u, likes, q); err != nil { // converges the region
+		if _, err := eng.Aggregate(DirTail, u, likes, q); err != nil { // converges the region
 			t.Fatal(err)
 		}
-		got, err := eng.AggregateTails(u, likes, q)
+		got, err := eng.Aggregate(DirTail, u, likes, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,5 +253,30 @@ func TestConcurrentAggregatesAndSetAttr(t *testing.T) {
 	}
 	if err := eng.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestJLInverseBias(t *testing.T) {
+	// Monte-Carlo check of E[l1/l2] = E[(chi2_a/a)^(-1/2)].
+	rng := rand.New(rand.NewSource(9))
+	for _, alpha := range []int{2, 3, 6} {
+		want := jlInverseBias(alpha)
+		var sum float64
+		const trials = 200000
+		for i := 0; i < trials; i++ {
+			var s float64
+			for j := 0; j < alpha; j++ {
+				v := rng.NormFloat64()
+				s += v * v
+			}
+			sum += 1 / math.Sqrt(s/float64(alpha))
+		}
+		emp := sum / trials
+		if math.Abs(want-emp)/want > 0.02 {
+			t.Fatalf("alpha=%d: analytic %v vs empirical %v", alpha, want, emp)
+		}
+	}
+	if got := jlInverseBias(1); got != 1 {
+		t.Fatalf("alpha=1 fallback = %v, want 1", got)
 	}
 }

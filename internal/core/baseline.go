@@ -14,36 +14,21 @@ import (
 // Figures 3, 5, 7 and as the accuracy ground truth for precision@K
 // (Figures 4, 6, 8) and for the aggregate experiments (Figures 12-16).
 
-// TopKTailsNoIndex answers the tail query by scanning all entities in S1.
-// The scan never touches the index, so the whole query runs under the read
-// lock (safe for concurrent use, and never blocks other queries).
-func (e *Engine) TopKTailsNoIndex(h kg.EntityID, r kg.RelationID, k int) (*TopKResult, error) {
+// TopKNoIndex answers the top-k query of TopK by scanning all entities in
+// S1. The scan never touches the index, so the whole query runs under the
+// read lock (safe for concurrent use, and never blocks other queries).
+func (e *Engine) TopKNoIndex(dir Dir, ent kg.EntityID, rel kg.RelationID, k int) (*TopKResult, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if err := e.validateEntity(h); err != nil {
+	q, err := e.resolve(dir, ent, rel)
+	if err != nil {
 		return nil, err
 	}
-	if err := e.validateRelation(r); err != nil {
-		return nil, err
-	}
-	return e.scanTopK(e.m.TailQueryPoint(h, r), k, e.skipTails(h, r)), nil
+	return e.scanTopK(q, k), nil
 }
 
-// TopKHeadsNoIndex answers the head query by scanning all entities in S1.
-func (e *Engine) TopKHeadsNoIndex(t kg.EntityID, r kg.RelationID, k int) (*TopKResult, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if err := e.validateEntity(t); err != nil {
-		return nil, err
-	}
-	if err := e.validateRelation(r); err != nil {
-		return nil, err
-	}
-	return e.scanTopK(e.m.HeadQueryPoint(t, r), k, e.skipHeads(t, r)), nil
-}
-
-func (e *Engine) scanTopK(q1 []float64, k int, skip func(kg.EntityID) bool) *TopKResult {
-	nbs := scan.TopK(e.m.Dim, e.m.Entities, q1, k, func(id int32) bool { return skip(kg.EntityID(id)) })
+func (e *Engine) scanTopK(q query, k int) *TopKResult {
+	nbs := scan.TopK(e.m.Dim, e.m.Entities, q.q1, k, func(id int32) bool { return q.skips(kg.EntityID(id)) })
 	res := &TopKResult{Predictions: make([]Prediction, 0, len(nbs)), RecallBound: 1, Examined: e.g.NumEntities()}
 	for _, nb := range nbs {
 		res.Predictions = append(res.Predictions, Prediction{
@@ -55,51 +40,36 @@ func (e *Engine) scanTopK(q1 []float64, k int, skip func(kg.EntityID) bool) *Top
 	return res
 }
 
-// AggregateTailsExact computes the aggregate ground truth: every entity is
-// scanned in S1, the probability ball is exact, and every ball point is
-// accessed (a = b). This is the reference for the accuracy metric
+// AggregateExact computes the aggregate ground truth of Aggregate: every
+// entity is scanned in S1, the probability ball is exact, and every ball
+// point is accessed (a = b). This is the reference for the accuracy metric
 // 1 - |v_returned - v_true| / v_true of Figures 12-16.
-func (e *Engine) AggregateTailsExact(h kg.EntityID, r kg.RelationID, q AggQuery) (*AggResult, error) {
+func (e *Engine) AggregateExact(dir Dir, ent kg.EntityID, rel kg.RelationID, agg AggQuery) (*AggResult, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if err := e.validateEntity(h); err != nil {
+	q, err := e.resolve(dir, ent, rel)
+	if err != nil {
 		return nil, err
 	}
-	if err := e.validateRelation(r); err != nil {
-		return nil, err
-	}
-	return e.aggregateExact(e.m.TailQueryPoint(h, r), q, e.skipTails(h, r))
+	return e.aggregateExact(q, agg)
 }
 
-// AggregateHeadsExact is the head-side ground-truth aggregate.
-func (e *Engine) AggregateHeadsExact(t kg.EntityID, r kg.RelationID, q AggQuery) (*AggResult, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if err := e.validateEntity(t); err != nil {
-		return nil, err
-	}
-	if err := e.validateRelation(r); err != nil {
-		return nil, err
-	}
-	return e.aggregateExact(e.m.HeadQueryPoint(t, r), q, e.skipHeads(t, r))
-}
-
-func (e *Engine) aggregateExact(q1 []float64, q AggQuery, skip func(kg.EntityID) bool) (*AggResult, error) {
+func (e *Engine) aggregateExact(q query, agg AggQuery) (*AggResult, error) {
 	attrIdx := -1
-	if q.Kind != Count {
-		attrIdx = e.ps.AttrIndex(q.Attr)
+	if agg.Kind != Count {
+		attrIdx = e.ps.AttrIndex(agg.Attr)
 		if attrIdx < 0 {
-			return nil, errAttr(q.Attr)
+			return nil, errAttr(agg.Attr)
 		}
 	}
-	pTau := q.PTau
+	pTau := agg.PTau
 	if pTau <= 0 {
 		pTau = e.params.PTau
 	}
-	skipFn := func(id int32) bool { return skip(kg.EntityID(id)) }
+	skipFn := func(id int32) bool { return q.skips(kg.EntityID(id)) }
 
 	// Exact d1 and exact S1 ball.
-	nearest := scan.TopK(e.m.Dim, e.m.Entities, q1, 1, skipFn)
+	nearest := scan.TopK(e.m.Dim, e.m.Entities, q.q1, 1, skipFn)
 	if len(nearest) == 0 {
 		return &AggResult{}, nil
 	}
@@ -108,13 +78,13 @@ func (e *Engine) aggregateExact(q1 []float64, q AggQuery, skip func(kg.EntityID)
 		d1 = 1e-12
 	}
 	rTau := d1 / pTau
-	within := scan.Within(e.m.Dim, e.m.Entities, q1, rTau*rTau, skipFn)
+	within := scan.Within(e.m.Dim, e.m.Entities, q.q1, rTau*rTau, skipFn)
 
 	ball := make([]ballPoint, 0, len(within))
 	for _, nb := range within {
 		bp := ballPoint{id: kg.EntityID(nb.ID), d: math.Sqrt(nb.SqDist), val: 1}
 		bp.prob = clampProb(d1 / math.Max(bp.d, 1e-12))
-		if q.Kind != Count {
+		if agg.Kind != Count {
 			var has bool
 			if bp.val, has = e.ps.AttrValue(attrIdx, int32(bp.id)); !has {
 				continue // same relevance filter as the indexed path
@@ -134,9 +104,9 @@ func (e *Engine) aggregateExact(q1 []float64, q AggQuery, skip func(kg.EntityID)
 	for _, bp := range ball {
 		res.SumVi2 += bp.val * bp.val
 	}
-	switch q.Kind {
+	switch agg.Kind {
 	case Count, Sum, Avg:
-		res.Value = estimateSum(ball, q.Kind, 0)
+		res.Value = estimateSum(ball, agg.Kind, 0)
 	case Max:
 		res.Value, _ = estimateMax(ball, false)
 	case Min:

@@ -36,15 +36,15 @@ func TestDoBatchMatchesSerial(t *testing.T) {
 
 	want := make([]*TopKResult, len(reqs))
 	for i, r := range reqs {
-		res, err := eng.TopKTails(r.Entity, r.Rel, r.K)
+		res, err := eng.TopK(DirTail, r.Entity, r.Rel, r.K)
 		if err != nil {
-			t.Fatalf("serial TopKTails: %v", err)
+			t.Fatalf("serial TopK: %v", err)
 		}
 		want[i] = res
 	}
-	got := eng.DoBatch(context.Background(), reqs)
+	got := eng.DoBatchWorkers(context.Background(), reqs, 0)
 	if len(got) != len(reqs) {
-		t.Fatalf("DoBatch returned %d responses for %d requests", len(got), len(reqs))
+		t.Fatalf("DoBatchWorkers returned %d responses for %d requests", len(got), len(reqs))
 	}
 	for i, resp := range got {
 		if resp.Err != nil {
@@ -79,7 +79,7 @@ func TestDoBatchCoalescesDuplicates(t *testing.T) {
 			for i := range reqs {
 				reqs[i] = Request{Kind: KindTopK, Dir: DirTail, Entity: u, Rel: likes, K: k}
 			}
-			resps := eng.DoBatch(context.Background(), reqs)
+			resps := eng.DoBatchWorkers(context.Background(), reqs, 0)
 			for i, resp := range resps {
 				if resp.Err != nil {
 					t.Fatalf("user %d k=%d response %d: %v", u, k, i, resp.Err)
@@ -287,7 +287,7 @@ func TestDoBatchContextCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for i, resp := range eng.DoBatch(ctx, reqs) {
+	for i, resp := range eng.DoBatchWorkers(ctx, reqs, 0) {
 		if !errors.Is(resp.Err, context.Canceled) {
 			t.Fatalf("response %d: got err %v, want context.Canceled", i, resp.Err)
 		}

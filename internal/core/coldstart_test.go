@@ -47,9 +47,9 @@ func TestColdFirstQueriesConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			res, err := cold.TopKTails(users[i], likes, 10)
+			res, err := cold.TopK(DirTail, users[i], likes, 10)
 			if err != nil {
-				t.Errorf("TopKTails(%d): %v", users[i], err)
+				t.Errorf("TopK(%d): %v", users[i], err)
 				return
 			}
 			answers[i] = res
@@ -69,11 +69,11 @@ func TestColdFirstQueriesConcurrent(t *testing.T) {
 
 	var precision float64
 	for i, got := range answers {
-		b, err := before.TopKTails(users[i], likes, 10)
+		b, err := before.TopK(DirTail, users[i], likes, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := after.TopKTails(users[i], likes, 10)
+		a, err := after.TopK(DirTail, users[i], likes, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,14 +83,14 @@ func TestColdFirstQueriesConcurrent(t *testing.T) {
 		}
 		// Now that the insert is in, the cold engine and the twin that
 		// started with it agree, and both agree with the scan.
-		again, err := cold.TopKTails(users[i], likes, 10)
+		again, err := cold.TopK(DirTail, users[i], likes, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(again.Predictions, a.Predictions) {
 			t.Fatalf("user %d: settled answer diverges from the serial twin", users[i])
 		}
-		want, err := cold.TopKTailsNoIndex(users[i], likes, 10)
+		want, err := cold.TopKNoIndex(DirTail, users[i], likes, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,10 +135,10 @@ func TestStructureHashIsMachineIndependent(t *testing.T) {
 		mutateEngine(t, eng, g)
 		likes, _ := g.RelationByName("likes")
 		for _, u := range g.EntitiesOfType("user")[12:40] {
-			if _, err := eng.AggregateTails(u, likes, AggQuery{Kind: Avg, Attr: "year", MaxAccess: 20}); err != nil {
+			if _, err := eng.Aggregate(DirTail, u, likes, AggQuery{Kind: Avg, Attr: "year", MaxAccess: 20}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := eng.TopKTails(u, likes, 10); err != nil {
+			if _, err := eng.TopK(DirTail, u, likes, 10); err != nil {
 				t.Fatal(err)
 			}
 		}

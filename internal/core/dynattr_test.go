@@ -19,14 +19,14 @@ func TestDynamicAttrAggregatesLive(t *testing.T) {
 	likes, _ := g.RelationByName("likes")
 	u := g.EntitiesOfType("user")[0]
 
-	res, err := eng.TopKTails(u, likes, 5)
+	res, err := eng.TopK(DirTail, u, likes, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	top := res.Predictions[0].Entity
 
 	// Before any write, the attribute is genuinely unknown.
-	if _, err := eng.AggregateTails(u, likes, AggQuery{Kind: Max, Attr: "rating"}); !errors.Is(err, ErrUnknownAttribute) {
+	if _, err := eng.Aggregate(DirTail, u, likes, AggQuery{Kind: Max, Attr: "rating"}); !errors.Is(err, ErrUnknownAttribute) {
 		t.Fatalf("aggregate over never-written attr: %v, want ErrUnknownAttribute", err)
 	}
 
@@ -34,7 +34,7 @@ func TestDynamicAttrAggregatesLive(t *testing.T) {
 	if err := eng.SetAttr("rating", top, 9.5); err != nil {
 		t.Fatalf("SetAttr: %v", err)
 	}
-	agg, err := eng.AggregateTails(u, likes, AggQuery{Kind: Max, Attr: "rating"})
+	agg, err := eng.Aggregate(DirTail, u, likes, AggQuery{Kind: Max, Attr: "rating"})
 	if err != nil {
 		t.Fatalf("aggregate over dynamic attr: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestDynamicAttrAggregatesLive(t *testing.T) {
 	}, map[string]float64{"budget": 1e6}); err != nil {
 		t.Fatalf("InsertEntity: %v", err)
 	}
-	if _, err := eng.AggregateTails(u, likes, AggQuery{Kind: Max, Attr: "budget"}); err != nil {
+	if _, err := eng.Aggregate(DirTail, u, likes, AggQuery{Kind: Max, Attr: "budget"}); err != nil {
 		t.Fatalf("aggregate over insert-created attr: %v", err)
 	}
 	if err := eng.CheckInvariants(); err != nil {
@@ -65,14 +65,14 @@ func TestDynamicAttrSurvivesRoundTrip(t *testing.T) {
 	eng, g := testEngine(t, Crack, defaultTestParams())
 	likes, _ := g.RelationByName("likes")
 	u := g.EntitiesOfType("user")[0]
-	res, err := eng.TopKTails(u, likes, 5)
+	res, err := eng.TopK(DirTail, u, likes, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.SetAttr("rating", res.Predictions[0].Entity, 8.25); err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.AggregateTails(u, likes, AggQuery{Kind: Max, Attr: "rating"})
+	want, err := eng.Aggregate(DirTail, u, likes, AggQuery{Kind: Max, Attr: "rating"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDynamicAttrSurvivesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := got.AggregateTails(u, likes, AggQuery{Kind: Max, Attr: "rating"})
+	agg, err := got.Aggregate(DirTail, u, likes, AggQuery{Kind: Max, Attr: "rating"})
 	if err != nil {
 		t.Fatalf("dynamic attr lost in round-trip: %v", err)
 	}
@@ -162,11 +162,11 @@ func TestLoadEngineDropsMissingAttr(t *testing.T) {
 	}
 
 	// The real attributes still aggregate; the phantom errors per-query.
-	want, err := eng.TopKTails(1, 0, 3)
+	want, err := eng.TopK(DirTail, 1, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := got.TopKTails(1, 0, 3)
+	res, err := got.TopK(DirTail, 1, 0, 3)
 	if err != nil {
 		t.Fatalf("query on degraded engine: %v", err)
 	}
@@ -175,10 +175,10 @@ func TestLoadEngineDropsMissingAttr(t *testing.T) {
 			t.Fatalf("answers diverged: %v vs %v", res.Predictions, want.Predictions)
 		}
 	}
-	if _, err := got.AggregateTails(1, 0, AggQuery{Kind: Max, Attr: "year"}); err != nil {
+	if _, err := got.Aggregate(DirTail, 1, 0, AggQuery{Kind: Max, Attr: "year"}); err != nil {
 		t.Fatalf("real attr broken on degraded engine: %v", err)
 	}
-	if _, err := got.AggregateTails(1, 0, AggQuery{Kind: Max, Attr: "ghost"}); !errors.Is(err, ErrUnknownAttribute) {
+	if _, err := got.Aggregate(DirTail, 1, 0, AggQuery{Kind: Max, Attr: "ghost"}); !errors.Is(err, ErrUnknownAttribute) {
 		t.Fatalf("phantom attr: %v, want ErrUnknownAttribute", err)
 	}
 }

@@ -74,8 +74,8 @@ type lockedIndex struct {
 // # Concurrency
 //
 // The engine is safe for concurrent use through its query and update
-// methods: TopKTails/TopKHeads, AggregateTails/AggregateHeads (and their
-// NoIndex/Exact variants), AddFact, InsertEntity, Save, and IndexStats.
+// methods: Do, DoBatchWorkers, TopK, Aggregate, TopKNoIndex,
+// AggregateExact, AddFact, InsertEntity, Save, and IndexStats.
 // The paper's core idea makes even read-only-looking queries potential
 // writers — cracking means queries mutate the index — so the locking is
 // two-level:
@@ -426,24 +426,58 @@ func sqDistBounded(q1, row []float64, cutoffSq float64) float64 {
 	return s
 }
 
-// skipTails returns the default E'-only filter for (h, r, ?) queries: the
-// query entity itself and its known tails in E are excluded. The known-tail
-// set is captured once as a sorted slice, so the per-candidate test is a
-// branchless binary search instead of a map probe — this filter runs for
-// every examined point of every query.
-func (e *Engine) skipTails(h kg.EntityID, r kg.RelationID) func(kg.EntityID) bool {
-	known := e.g.Tails(h, r) // sorted after Freeze
-	return func(id kg.EntityID) bool {
-		return id == h || containsSorted(known, id)
-	}
+// query is one validated predictive query: the S1 query point q1 and what
+// the answer excludes, the query entity itself and its known edges in E.
+// known is sorted (the graph is frozen), so skips is a binary search
+// instead of a map probe: it runs for every examined point of every query.
+type query struct {
+	q1    []float64
+	self  kg.EntityID
+	known []kg.EntityID
 }
 
-// skipHeads is the analogous filter for (?, r, t) queries.
-func (e *Engine) skipHeads(t kg.EntityID, r kg.RelationID) func(kg.EntityID) bool {
-	known := e.g.Heads(t, r)
-	return func(id kg.EntityID) bool {
-		return id == t || containsSorted(known, id)
+func (q *query) skips(id kg.EntityID) bool {
+	return id == q.self || containsSorted(q.known, id)
+}
+
+// resolve validates ent and rel and builds the query for dir: Q1 searches
+// around h + r among the tails, its symmetric form around t - r among the
+// heads. The caller holds the engine read lock.
+func (e *Engine) resolve(dir Dir, ent kg.EntityID, rel kg.RelationID) (query, error) {
+	if err := e.validateEntity(ent); err != nil {
+		return query{}, err
 	}
+	if err := e.validateRelation(rel); err != nil {
+		return query{}, err
+	}
+	if dir == DirHead {
+		return query{q1: e.m.HeadQueryPoint(ent, rel), self: ent, known: e.g.Heads(ent, rel)}, nil
+	}
+	return query{q1: e.m.TailQueryPoint(ent, rel), self: ent, known: e.g.Tails(ent, rel)}, nil
+}
+
+// beginQuery is the preamble of the indexed queries: it materializes the
+// lazy root, takes the engine read lock and resolves the query. On success
+// the caller holds the read lock; on failure it is released and the error
+// counted. The exact scans call resolve alone, so they never build the root
+// and never count in the indexed metrics.
+func (e *Engine) beginQuery(dir Dir, ent kg.EntityID, rel kg.RelationID, tr *obs.QueryTrace) (query, error) {
+	if e.prepareIndex() {
+		// Building the root is index construction the first query pays
+		// for, not validation: its time goes to the crack span.
+		tr.Carry(obs.StageCrack)
+	}
+	w0 := time.Now()
+	e.mu.RLock()
+	e.met.lockReadWait.Observe(time.Since(w0).Seconds())
+	q, err := e.resolve(dir, ent, rel)
+	if err != nil {
+		e.mu.RUnlock()
+		e.met.queryErrors.Inc()
+		return query{}, err
+	}
+	tr.Step(obs.StageValidate)
+	return q, nil
 }
 
 func containsSorted(s []kg.EntityID, x kg.EntityID) bool {

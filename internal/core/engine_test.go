@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -110,13 +112,13 @@ func TestTopKTailsPrecision(t *testing.T) {
 		var total float64
 		n := 0
 		for _, u := range users[:30] {
-			got, err := eng.TopKTails(u, likes, 10)
+			got, err := eng.TopK(DirTail, u, likes, 10)
 			if err != nil {
-				t.Fatalf("TopKTails: %v", err)
+				t.Fatalf("TopK: %v", err)
 			}
-			want, err := eng.TopKTailsNoIndex(u, likes, 10)
+			want, err := eng.TopKNoIndex(DirTail, u, likes, 10)
 			if err != nil {
-				t.Fatalf("TopKTailsNoIndex: %v", err)
+				t.Fatalf("TopKNoIndex: %v", err)
 			}
 			total += precisionAtK(got.Predictions, want.Predictions)
 			n++
@@ -140,13 +142,13 @@ func TestTopKHeadsPrecision(t *testing.T) {
 	var total float64
 	n := 0
 	for _, m := range movies[:20] {
-		got, err := eng.TopKHeads(m, likes, 10)
+		got, err := eng.TopK(DirHead, m, likes, 10)
 		if err != nil {
-			t.Fatalf("TopKHeads: %v", err)
+			t.Fatalf("TopK: %v", err)
 		}
-		want, err := eng.TopKHeadsNoIndex(m, likes, 10)
+		want, err := eng.TopKNoIndex(DirHead, m, likes, 10)
 		if err != nil {
-			t.Fatalf("TopKHeadsNoIndex: %v", err)
+			t.Fatalf("TopKNoIndex: %v", err)
 		}
 		total += precisionAtK(got.Predictions, want.Predictions)
 		n++
@@ -161,9 +163,9 @@ func TestTopKExcludesKnownEdges(t *testing.T) {
 	likes, _ := g.RelationByName("likes")
 	users := g.EntitiesOfType("user")
 	for _, u := range users[:20] {
-		res, err := eng.TopKTails(u, likes, 10)
+		res, err := eng.TopK(DirTail, u, likes, 10)
 		if err != nil {
-			t.Fatalf("TopKTails: %v", err)
+			t.Fatalf("TopK: %v", err)
 		}
 		for _, p := range res.Predictions {
 			if g.HasEdge(u, likes, p.Entity) {
@@ -179,9 +181,9 @@ func TestTopKExcludesKnownEdges(t *testing.T) {
 func TestTopKProbabilities(t *testing.T) {
 	eng, g := testEngine(t, Crack, defaultTestParams())
 	likes, _ := g.RelationByName("likes")
-	res, err := eng.TopKTails(g.EntitiesOfType("user")[0], likes, 10)
+	res, err := eng.TopK(DirTail, g.EntitiesOfType("user")[0], likes, 10)
 	if err != nil {
-		t.Fatalf("TopKTails: %v", err)
+		t.Fatalf("TopK: %v", err)
 	}
 	if len(res.Predictions) == 0 {
 		t.Fatal("no predictions")
@@ -208,9 +210,9 @@ func TestAggregateCountAccuracy(t *testing.T) {
 	likes, _ := g.RelationByName("likes")
 	users := g.EntitiesOfType("user")
 	for _, u := range users[:10] {
-		full, err := eng.AggregateTails(u, likes, AggQuery{Kind: Count})
+		full, err := eng.Aggregate(DirTail, u, likes, AggQuery{Kind: Count})
 		if err != nil {
-			t.Fatalf("AggregateTails: %v", err)
+			t.Fatalf("Aggregate: %v", err)
 		}
 		if full.BallSize < full.Accessed {
 			t.Fatalf("b=%d < a=%d", full.BallSize, full.Accessed)
@@ -232,13 +234,13 @@ func TestAggregateFullAccessMatchesExact(t *testing.T) {
 	var relErrSum float64
 	n := 0
 	for _, u := range users[:10] {
-		got, err := eng.AggregateTails(u, likes, AggQuery{Kind: Avg, Attr: "year"})
+		got, err := eng.Aggregate(DirTail, u, likes, AggQuery{Kind: Avg, Attr: "year"})
 		if err != nil {
-			t.Fatalf("AggregateTails: %v", err)
+			t.Fatalf("Aggregate: %v", err)
 		}
-		want, err := eng.AggregateTailsExact(u, likes, AggQuery{Kind: Avg, Attr: "year"})
+		want, err := eng.AggregateExact(DirTail, u, likes, AggQuery{Kind: Avg, Attr: "year"})
 		if err != nil {
-			t.Fatalf("AggregateTailsExact: %v", err)
+			t.Fatalf("AggregateExact: %v", err)
 		}
 		if want.Value == 0 {
 			continue
@@ -258,18 +260,18 @@ func TestAggregateSampledConvergesToFull(t *testing.T) {
 	eng, g := testEngine(t, Crack, defaultTestParams())
 	likes, _ := g.RelationByName("likes")
 	u := g.EntitiesOfType("user")[1]
-	full, err := eng.AggregateTails(u, likes, AggQuery{Kind: Avg, Attr: "year"})
+	full, err := eng.Aggregate(DirTail, u, likes, AggQuery{Kind: Avg, Attr: "year"})
 	if err != nil {
 		t.Fatalf("full: %v", err)
 	}
 	if full.BallSize < 20 {
 		t.Skipf("ball too small (%d) for a sampling comparison", full.BallSize)
 	}
-	small, err := eng.AggregateTails(u, likes, AggQuery{Kind: Avg, Attr: "year", MaxAccess: 5})
+	small, err := eng.Aggregate(DirTail, u, likes, AggQuery{Kind: Avg, Attr: "year", MaxAccess: 5})
 	if err != nil {
 		t.Fatalf("small: %v", err)
 	}
-	big, err := eng.AggregateTails(u, likes, AggQuery{Kind: Avg, Attr: "year", MaxAccess: full.BallSize - 1})
+	big, err := eng.Aggregate(DirTail, u, likes, AggQuery{Kind: Avg, Attr: "year", MaxAccess: full.BallSize - 1})
 	if err != nil {
 		t.Fatalf("big: %v", err)
 	}
@@ -287,11 +289,11 @@ func TestAggregateMaxMin(t *testing.T) {
 	eng, g := testEngine(t, Crack, defaultTestParams())
 	likes, _ := g.RelationByName("likes")
 	u := g.EntitiesOfType("user")[2]
-	maxRes, err := eng.AggregateTails(u, likes, AggQuery{Kind: Max, Attr: "year"})
+	maxRes, err := eng.Aggregate(DirTail, u, likes, AggQuery{Kind: Max, Attr: "year"})
 	if err != nil {
 		t.Fatalf("Max: %v", err)
 	}
-	minRes, err := eng.AggregateTails(u, likes, AggQuery{Kind: Min, Attr: "year"})
+	minRes, err := eng.Aggregate(DirTail, u, likes, AggQuery{Kind: Min, Attr: "year"})
 	if err != nil {
 		t.Fatalf("Min: %v", err)
 	}
@@ -326,24 +328,66 @@ func TestTheorem4BoundBehaviour(t *testing.T) {
 func TestEngineValidation(t *testing.T) {
 	eng, g := testEngine(t, Crack, defaultTestParams())
 	likes, _ := g.RelationByName("likes")
-	if _, err := eng.TopKTails(-1, likes, 5); err == nil {
+	if _, err := eng.TopK(DirTail, -1, likes, 5); err == nil {
 		t.Fatal("negative entity accepted")
 	}
-	if _, err := eng.TopKTails(kg.EntityID(g.NumEntities()), likes, 5); err == nil {
+	if _, err := eng.TopK(DirTail, kg.EntityID(g.NumEntities()), likes, 5); err == nil {
 		t.Fatal("out-of-range entity accepted")
 	}
-	if _, err := eng.TopKTails(0, kg.RelationID(99), 5); err == nil {
+	if _, err := eng.TopK(DirTail, 0, kg.RelationID(99), 5); err == nil {
 		t.Fatal("out-of-range relation accepted")
 	}
-	if _, err := eng.AggregateTails(0, likes, AggQuery{Kind: Sum}); err == nil {
+	if _, err := eng.Aggregate(DirTail, 0, likes, AggQuery{Kind: Sum}); err == nil {
 		t.Fatal("SUM without attribute accepted")
 	}
-	if _, err := eng.AggregateTails(0, likes, AggQuery{Kind: Sum, Attr: "nope"}); err == nil {
+	if _, err := eng.Aggregate(DirTail, 0, likes, AggQuery{Kind: Sum, Attr: "nope"}); err == nil {
 		t.Fatal("unknown attribute accepted")
 	}
-	res, err := eng.TopKTails(0, likes, 0)
+	res, err := eng.TopK(DirTail, 0, likes, 0)
 	if err != nil || len(res.Predictions) != 0 {
 		t.Fatalf("k=0 should return empty: %v, %v", res, err)
+	}
+}
+
+// TestExactPathsStayOffTheIndex pins the split between resolve and
+// beginQuery: the exact scans validate and answer without building the
+// lazy root, and count in none of the indexed query metrics, not even when
+// they fail.
+func TestExactPathsStayOffTheIndex(t *testing.T) {
+	eng, g := testEngine(t, Crack, defaultTestParams())
+	likes, _ := g.RelationByName("likes")
+	u := g.EntitiesOfType("user")[0]
+	m := g.EntitiesOfType("movie")[0]
+	for _, c := range []struct {
+		dir Dir
+		ent kg.EntityID
+	}{{DirTail, u}, {DirHead, m}} {
+		res, err := eng.TopKNoIndex(c.dir, c.ent, likes, 5)
+		if err != nil || len(res.Predictions) == 0 {
+			t.Fatalf("TopKNoIndex(%d): %v, %v", c.dir, res, err)
+		}
+		if _, err := eng.AggregateExact(c.dir, c.ent, likes, AggQuery{Kind: Count}); err != nil {
+			t.Fatalf("AggregateExact(%d): %v", c.dir, err)
+		}
+		for _, req := range []Request{
+			{Kind: KindTopK, Dir: c.dir, Entity: c.ent, Rel: likes, K: 5, NoIndex: true},
+			{Kind: KindAggregate, Dir: c.dir, Entity: c.ent, Rel: likes, Agg: AggQuery{Kind: Avg, Attr: "year"}, NoIndex: true},
+		} {
+			if resp := eng.Do(context.Background(), req); resp.Err != nil {
+				t.Fatalf("Do(%+v): %v", req, resp.Err)
+			}
+		}
+	}
+	bad := Request{Kind: KindTopK, Entity: kg.EntityID(g.NumEntities()), Rel: likes, K: 5, NoIndex: true}
+	if resp := eng.Do(context.Background(), bad); !errors.Is(resp.Err, ErrUnknownEntity) {
+		t.Fatalf("Do with an unknown entity: %v, want ErrUnknownEntity", resp.Err)
+	}
+	if eng.Tree().Ready() {
+		t.Fatal("an exact scan built the index root")
+	}
+	if m := eng.Metrics(); m.TopKQueries != 0 || m.AggregateQueries != 0 || m.QueryErrors != 0 {
+		t.Fatalf("exact scans counted as indexed queries: topk %d, aggregate %d, errors %d",
+			m.TopKQueries, m.AggregateQueries, m.QueryErrors)
 	}
 }
 

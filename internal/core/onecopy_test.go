@@ -31,7 +31,7 @@ func TestEngineReRanksOnModelRows(t *testing.T) {
 	likes, _ := g.RelationByName("likes")
 	users := g.EntitiesOfType("user")
 	u1, u2 := users[0], users[1]
-	if _, err := eng.TopKTails(u2, likes, 10); err != nil { // crack first: the insert lands in a shaped index
+	if _, err := eng.TopK(DirTail, u2, likes, 10); err != nil { // crack first: the insert lands in a shaped index
 		t.Fatal(err)
 	}
 	rows := unsafe.SliceData(eng.m.Entities)
@@ -43,7 +43,7 @@ func TestEngineReRanksOnModelRows(t *testing.T) {
 		t.Fatal("InsertEntity grew the model in place: the test needs a reallocation")
 	}
 
-	all, err := eng.TopKTailsNoIndex(u2, likes, g.NumEntities())
+	all, err := eng.TopKNoIndex(DirTail, u2, likes, g.NumEntities())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestEngineReRanksOnModelRows(t *testing.T) {
 		t.Fatal("the scan does not see the new entity")
 	}
 	k := max(10, rank+1)
-	got, err := eng.TopKTails(u2, likes, k)
+	got, err := eng.TopK(DirTail, u2, likes, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestEngineReRanksOnModelRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []AggQuery{{Kind: Avg, Attr: "year"}, {Kind: Count}, {Kind: Sum, Attr: "year", MaxAccess: 20}} {
-		a, err := eng.AggregateTails(u2, likes, q)
+		a, err := eng.Aggregate(DirTail, u2, likes, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := fresh.AggregateTails(u2, likes, q)
+		b, err := fresh.Aggregate(DirTail, u2, likes, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestEngineReRanksOnModelRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := bigEng.TopKTails(kg.EntityID(rng.Intn(n)), 0, 10); err != nil {
+		if _, err := bigEng.TopK(DirTail, kg.EntityID(rng.Intn(n)), 0, 10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,7 +155,7 @@ func BenchmarkTopKConverged(b *testing.B) {
 	}
 	for pass := 0; pass < 2; pass++ {
 		for _, ent := range ents {
-			if _, err := eng.TopKTails(ent, 0, 10); err != nil {
+			if _, err := eng.TopK(DirTail, ent, 0, 10); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -163,7 +163,7 @@ func BenchmarkTopKConverged(b *testing.B) {
 	examined := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.TopKTails(ents[i%len(ents)], 0, 10)
+		res, err := eng.TopK(DirTail, ents[i%len(ents)], 0, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestLoadIgnoresRetiredParams(t *testing.T) {
 	likes, _ := g.RelationByName("likes")
 	users := g.EntitiesOfType("user")
 	for _, u := range users[:8] {
-		if _, err := eng.TopKTails(u, likes, 5); err != nil {
+		if _, err := eng.TopK(DirTail, u, likes, 5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,8 +262,8 @@ func TestLoadIgnoresRetiredParams(t *testing.T) {
 	}
 	splits := loaded.IndexStats().BinarySplits
 	for _, u := range users[8:24] {
-		a, _ := eng.TopKTails(u, likes, 5)
-		b, err := loaded.TopKTails(u, likes, 5)
+		a, _ := eng.TopK(DirTail, u, likes, 5)
+		b, err := loaded.TopK(DirTail, u, likes, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +346,7 @@ func TestTopKCancellation(t *testing.T) {
 	// scan's: k covers everything, so nothing can be missing.
 	var none context.Context
 	resp = eng.Do(none, req)
-	want, err := eng.TopKTailsNoIndex(u, likes, req.K)
+	want, err := eng.TopKNoIndex(DirTail, u, likes, req.K)
 	if err != nil || resp.Err != nil {
 		t.Fatal(err, resp.Err)
 	}

@@ -14,7 +14,7 @@ func savedEngine(t *testing.T, mode IndexMode) (*Engine, []byte) {
 	t.Helper()
 	eng, _ := testEngine(t, mode, defaultTestParams())
 	for i := 0; i < 6; i++ {
-		if _, err := eng.TopKTails(0, 0, 3); err != nil {
+		if _, err := eng.TopK(DirTail, 0, 0, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,11 +54,11 @@ func TestLoadEngineRoundTrip(t *testing.T) {
 	if got.Mode() != Crack {
 		t.Fatalf("mode %v after round trip, want Crack", got.Mode())
 	}
-	want, err := eng.TopKTails(1, 0, 3)
+	want, err := eng.TopK(DirTail, 1, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := got.TopKTails(1, 0, 3)
+	res, err := got.TopK(DirTail, 1, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +134,11 @@ func TestLoadEngineCorruptIndexDegrades(t *testing.T) {
 			if got.Mode() != mode {
 				t.Fatalf("mode %v, %s: mode became %v", mode, name, got.Mode())
 			}
-			want, err := eng.TopKTailsNoIndex(1, 0, 3)
+			want, err := eng.TopKNoIndex(DirTail, 1, 0, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := got.TopKTails(1, 0, 3)
+			res, err := got.TopK(DirTail, 1, 0, 3)
 			if err != nil {
 				t.Fatalf("mode %v, %s: query on degraded engine: %v", mode, name, err)
 			}

@@ -13,9 +13,9 @@ import (
 )
 
 // This file is the unified request surface over the engine: every query the
-// five method pairs (TopKTails/TopKHeads, AggregateTails/AggregateHeads and
-// their NoIndex/Exact variants) can express is one Request value, executed
-// by Do or fanned across a worker pool by DoBatch. Serving throughput is
+// four entry points (TopK, Aggregate and their NoIndex/Exact scans) can
+// express is one Request value, executed by Do or fanned across a worker
+// pool by DoBatchWorkers. Serving throughput is
 // the system here — the cracking index is built by the workload (Section IV)
 // — so every top-k key has one slot in the result cache: while its leader
 // computes, the slot is the call in flight that duplicates wait on, and once
@@ -108,19 +108,14 @@ func (e *Engine) Do(ctx context.Context, req Request) Response {
 	}
 }
 
-// DoBatch answers a slice of requests on a bounded worker pool and returns
-// the responses in request order. The context is checked before each
-// request, so cancelling mid-batch fails the not-yet-started remainder with
-// ctx.Err() while already-computed answers are kept. Duplicate top-k
-// requests — same (dir, entity, rel, k, eps) — are coalesced: one descent
-// serves all of them.
-func (e *Engine) DoBatch(ctx context.Context, reqs []Request) []Response {
-	return e.DoBatchWorkers(ctx, reqs, 0)
-}
-
-// DoBatchWorkers is DoBatch with an explicit worker count; workers <= 0
-// selects GOMAXPROCS. Cracking writers still serialize on the engine lock,
-// so a mixed batch interleaves read-served queries with the few that split.
+// DoBatchWorkers answers a slice of requests on a pool of workers (<= 0
+// selects GOMAXPROCS) and returns the responses in request order. The
+// context is checked before each request, so cancelling mid-batch fails the
+// not-yet-started remainder with ctx.Err() while already-computed answers
+// are kept. Duplicate top-k requests — same (dir, entity, rel, k, eps) —
+// are coalesced: one descent serves all of them. Cracking writers still
+// serialize on the engine lock, so a mixed batch interleaves read-served
+// queries with the few that split.
 func (e *Engine) DoBatchWorkers(ctx context.Context, reqs []Request, workers int) []Response {
 	out := make([]Response, len(reqs))
 	if len(reqs) == 0 {
@@ -218,11 +213,7 @@ func (e *Engine) doTopK(ctx context.Context, req Request) (*TopKResult, *obs.Que
 	if req.NoIndex {
 		// The exact scan is the accuracy ground truth; it bypasses both the
 		// index and the cache so it can never return an index-shaped answer.
-		if req.Dir == DirHead {
-			res, err := e.TopKHeadsNoIndex(req.Entity, req.Rel, req.K)
-			return res, nil, err
-		}
-		res, err := e.TopKTailsNoIndex(req.Entity, req.Rel, req.K)
+		res, err := e.TopKNoIndex(req.Dir, req.Entity, req.Rel, req.K)
 		return res, nil, err
 	}
 	tr := e.startTrace(req)
@@ -292,11 +283,7 @@ func (e *Engine) follow(ctx context.Context, s *slot, req Request, eps float64, 
 
 func (e *Engine) doAggregate(ctx context.Context, req Request) (*AggResult, *obs.QueryTrace, error) {
 	if req.NoIndex {
-		if req.Dir == DirHead {
-			res, err := e.AggregateHeadsExact(req.Entity, req.Rel, req.Agg)
-			return res, nil, err
-		}
-		res, err := e.AggregateTailsExact(req.Entity, req.Rel, req.Agg)
+		res, err := e.AggregateExact(req.Dir, req.Entity, req.Rel, req.Agg)
 		return res, nil, err
 	}
 	eps := req.Eps

@@ -42,63 +42,33 @@ type TopKResult struct {
 	Examined int `json:"examined"`
 }
 
-// TopKTails answers "top-k entities t most likely to be in relation r with
-// head h, excluding edges already in E" — query Q1 of the paper. Safe for
-// concurrent use; see the Engine concurrency notes.
-func (e *Engine) TopKTails(h kg.EntityID, r kg.RelationID, k int) (*TopKResult, error) {
-	return e.topKQuery(context.Background(), DirTail, h, r, k, e.params.Eps, nil)
+// TopK answers "top-k entities most likely to complete (ent, rel, ?)" for
+// dir = DirTail — query Q1 of the paper — or "(?, rel, ent)" for DirHead,
+// the symmetric query searching around t - r. Edges already in E are
+// excluded. Safe for concurrent use; see the Engine concurrency notes.
+func (e *Engine) TopK(dir Dir, ent kg.EntityID, rel kg.RelationID, k int) (*TopKResult, error) {
+	return e.topKQuery(context.Background(), dir, ent, rel, k, e.params.Eps, nil)
 }
 
-// TopKHeads answers "top-k entities h most likely to be in relation r with
-// tail t" — the symmetric query, searching around t - r. Safe for
-// concurrent use.
-func (e *Engine) TopKHeads(t kg.EntityID, r kg.RelationID, k int) (*TopKResult, error) {
-	return e.topKQuery(context.Background(), DirHead, t, r, k, e.params.Eps, nil)
-}
-
-// topKQuery is the shared body of the top-k entry points: validate under
-// the read lock, run Algorithm 3 with the given query-expansion eps, and
-// complete the cracking step. The eps parameter lets Do/DoBatch apply a
-// per-request override without touching the engine parameters; tr, when
-// non-nil, collects the per-stage breakdown. A query whose ctx expires (a
-// nil one, as for Do, never does) returns ctx.Err().
+// topKQuery is the body of the indexed top-k: run Algorithm 3 with the
+// given query-expansion eps and complete the cracking step. The eps
+// parameter lets Do apply a per-request override without touching the
+// engine parameters; tr, when non-nil, collects the per-stage breakdown. A
+// query whose ctx expires (a nil one, as for Do, never does) returns
+// ctx.Err().
 func (e *Engine) topKQuery(ctx context.Context, dir Dir, ent kg.EntityID, rel kg.RelationID, k int, eps float64, tr *obs.QueryTrace) (*TopKResult, error) {
 	start := time.Now()
-	if e.prepareIndex() {
-		// Building the root is index construction the first query pays
-		// for, not validation: its time goes to the crack span.
-		tr.Carry(obs.StageCrack)
-	}
-	w0 := time.Now()
-	e.mu.RLock()
-	e.met.lockReadWait.Observe(time.Since(w0).Seconds())
-	if err := e.validateEntity(ent); err != nil {
-		e.mu.RUnlock()
-		e.met.queryErrors.Inc()
+	q, err := e.beginQuery(dir, ent, rel, tr)
+	if err != nil {
 		return nil, err
 	}
-	if err := e.validateRelation(rel); err != nil {
-		e.mu.RUnlock()
-		e.met.queryErrors.Inc()
-		return nil, err
-	}
-	tr.Step(obs.StageValidate)
-	var q1 []float64
-	var skip func(kg.EntityID) bool
-	if dir == DirHead {
-		q1 = e.m.HeadQueryPoint(ent, rel)
-		skip = e.skipHeads(ent, rel)
-	} else {
-		q1 = e.m.TailQueryPoint(ent, rel)
-		skip = e.skipTails(ent, rel)
-	}
-	res, q, doCrack, err := e.findTopK(ctx, q1, k, eps, skip, tr)
+	res, region, doCrack, err := e.findTopK(ctx, q, k, eps, tr)
 	if err != nil {
 		e.mu.RUnlock() // given up: no crack
 		e.met.queryErrors.Inc()
 		return nil, err
 	}
-	e.finishQuery(q, doCrack, tr) // releases the read lock
+	e.finishQuery(region, doCrack, tr) // releases the read lock
 	e.met.topkQueries.Inc()
 	e.met.latTopK.Observe(time.Since(start).Seconds())
 	return res, nil
@@ -126,20 +96,20 @@ func (e *Engine) topKQuery(ctx context.Context, dir Dir, ent kg.EntityID, rel kg
 // returns the final query region and whether the caller should complete the
 // cracking step. The walk looks at ctx every 256 visits and gives up with
 // ctx.Err() once it has expired.
-func (e *Engine) findTopK(ctx context.Context, q1 []float64, k int, eps float64, skip func(kg.EntityID) bool, tr *obs.QueryTrace) (*TopKResult, rtree.Rect, bool, error) {
+func (e *Engine) findTopK(ctx context.Context, q query, k int, eps float64, tr *obs.QueryTrace) (*TopKResult, rtree.Rect, bool, error) {
 	res := &TopKResult{Predictions: []Prediction{}}
 	if k <= 0 || e.ps.N() == 0 {
 		res.RecallBound = 1
 		return res, rtree.Rect{}, false, nil
 	}
-	q2 := e.tf.Apply(q1)
+	q2 := e.tf.Apply(q.q1)
 	tr.Step(obs.StageTransform)
 
 	// Lines 2-8 as one merged pass: unbounded while the top-k is filling
 	// (the first k eligible points are the exact seeds), then bounded by the
 	// shrinking (1+eps)-expanded kth distance. The walk hands its points to
 	// the re-ranker, which examines them a batch at a time.
-	rr := reRanker{e: e, q1: q1, skip: skip, top: newTopKSet(k, e.ps.N()), k: k, eps: eps,
+	rr := reRanker{e: e, q: q, top: newTopKSet(k, e.ps.N()), k: k, eps: eps,
 		l1: e.m.NormUsed == embedding.L1, b: math.Inf(1)}
 	visits := 0
 	var cancelled error
@@ -210,14 +180,13 @@ const reRankBatch = 16
 // flushed at once, so the radius turns finite on the same visit as it
 // would unbatched.
 type reRanker struct {
-	e    *Engine
-	q1   []float64
-	skip func(kg.EntityID) bool
-	top  *topKSet
-	k    int
-	eps  float64
-	l1   bool
-	b    float64 // squared radius as of the last examined point
+	e   *Engine
+	q   query
+	top *topKSet
+	k   int
+	eps float64
+	l1  bool
+	b   float64 // squared radius as of the last examined point
 
 	examined, pruned int
 
@@ -265,12 +234,12 @@ func (r *reRanker) flush() bool {
 			return false
 		}
 		id := kg.EntityID(batch[i].id)
-		if r.skip(id) {
+		if r.q.skips(id) {
 			continue
 		}
 		r.examined++
 		if r.l1 {
-			r.top.offer(Prediction{Entity: id, Dist: r.e.s1Dist(r.q1, id)})
+			r.top.offer(Prediction{Entity: id, Dist: r.e.s1Dist(r.q.q1, id)})
 		} else {
 			// Exact distances are only needed for candidates that can
 			// enter the current top-k; the bounded computation aborts
@@ -280,7 +249,7 @@ func (r *reRanker) flush() bool {
 				kd := r.top.kth()
 				cutoffSq = kd * kd
 			}
-			sq := sqDistBounded(r.q1, r.e.m.EntityVec(id), cutoffSq)
+			sq := sqDistBounded(r.q.q1, r.e.m.EntityVec(id), cutoffSq)
 			if math.IsInf(sq, 1) {
 				r.pruned++
 				continue

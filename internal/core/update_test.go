@@ -11,7 +11,7 @@ func TestAddFactExcludesFromPredictions(t *testing.T) {
 	likes, _ := g.RelationByName("likes")
 	u := g.EntitiesOfType("user")[0]
 
-	res, err := eng.TopKTails(u, likes, 5)
+	res, err := eng.TopK(DirTail, u, likes, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestAddFactExcludesFromPredictions(t *testing.T) {
 	if !g.HasEdge(u, likes, top) {
 		t.Fatal("fact not recorded")
 	}
-	res2, err := eng.TopKTails(u, likes, 5)
+	res2, err := eng.TopK(DirTail, u, likes, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestInsertEntity(t *testing.T) {
 
 	// Warm the index so the insert lands in a cracked structure.
 	for _, u := range users[:10] {
-		if _, err := eng.TopKTails(u, likes, 5); err != nil {
+		if _, err := eng.TopK(DirTail, u, likes, 5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,7 +94,7 @@ func TestInsertEntity(t *testing.T) {
 	}
 
 	// The new entity must be queryable...
-	res, err := eng.TopKTails(id, likes, 3)
+	res, err := eng.TopK(DirTail, id, likes, 3)
 	_ = res
 	if err != nil {
 		t.Fatalf("query on new entity: %v", err)
@@ -103,7 +103,7 @@ func TestInsertEntity(t *testing.T) {
 	// see it near the top, since its vector sits at their h+r locus.
 	found := false
 	for _, u := range users[3:40] {
-		r, err := eng.TopKTails(u, likes, 10)
+		r, err := eng.TopK(DirTail, u, likes, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestInsertEntity(t *testing.T) {
 	}
 
 	// Aggregates see the new attribute value through the refreshed column.
-	agg, err := eng.AggregateTails(users[0], likes, AggQuery{Kind: Max, Attr: "year"})
+	agg, err := eng.Aggregate(DirTail, users[0], likes, AggQuery{Kind: Max, Attr: "year"})
 	if err != nil {
 		t.Fatalf("aggregate after insert: %v", err)
 	}
@@ -220,7 +220,7 @@ func TestInsertEntityHeadRole(t *testing.T) {
 	if !g.HasEdge(id, likes, movies[0]) {
 		t.Fatal("head-role fact missing")
 	}
-	res, err := eng.TopKTails(id, likes, 5)
+	res, err := eng.TopK(DirTail, id, likes, 5)
 	if err != nil {
 		t.Fatalf("query for new user: %v", err)
 	}

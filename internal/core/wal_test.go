@@ -36,11 +36,11 @@ func mutateEngine(t *testing.T, eng *Engine, g *kg.Graph) {
 	likes, _ := g.RelationByName("likes")
 	users := g.EntitiesOfType("user")
 	for _, u := range users[:8] {
-		if _, err := eng.TopKTails(u, likes, 5); err != nil {
+		if _, err := eng.TopK(DirTail, u, likes, 5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := eng.TopKTails(users[0], likes, 3)
+	res, err := eng.TopK(DirTail, users[0], likes, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func mutateEngine(t *testing.T, eng *Engine, g *kg.Graph) {
 		t.Fatalf("SetAttr: %v", err)
 	}
 	for _, u := range users[8:12] {
-		if _, err := eng.TopKTails(u, likes, 5); err != nil {
+		if _, err := eng.TopK(DirTail, u, likes, 5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,11 +73,11 @@ func TestWALReplayStructureHash(t *testing.T) {
 
 	likes, _ := g.RelationByName("likes")
 	users := g.EntitiesOfType("user")
-	liveAgg, err := eng.AggregateTails(users[0], likes, AggQuery{Kind: Max, Attr: "rating"})
+	liveAgg, err := eng.Aggregate(DirTail, users[0], likes, AggQuery{Kind: Max, Attr: "rating"})
 	if err != nil {
 		t.Fatalf("live aggregate over dynamic attr: %v", err)
 	}
-	liveTop, err := eng.TopKTails(users[3], likes, 5)
+	liveTop, err := eng.TopK(DirTail, users[3], likes, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +106,14 @@ func TestWALReplayStructureHash(t *testing.T) {
 		t.Fatalf("structure hash diverged: live %x, replayed %x", liveHash, gotHash)
 	}
 
-	gotAgg, err := got.AggregateTails(users[0], likes, AggQuery{Kind: Max, Attr: "rating"})
+	gotAgg, err := got.Aggregate(DirTail, users[0], likes, AggQuery{Kind: Max, Attr: "rating"})
 	if err != nil {
 		t.Fatalf("replayed aggregate over dynamic attr: %v", err)
 	}
 	if gotAgg.Value != liveAgg.Value {
 		t.Fatalf("dynamic-attr aggregate diverged: live %v, replayed %v", liveAgg.Value, gotAgg.Value)
 	}
-	gotTop, err := got.TopKTails(users[3], likes, 5)
+	gotTop, err := got.TopK(DirTail, users[3], likes, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +150,11 @@ func TestWALRotationNoDoubleApply(t *testing.T) {
 
 	// Post-rotation work: only this suffix may replay.
 	for _, u := range users[12:16] {
-		if _, err := eng.TopKTails(u, likes, 5); err != nil {
+		if _, err := eng.TopK(DirTail, u, likes, 5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := eng.TopKTails(users[12], likes, 3)
+	res, err := eng.TopK(DirTail, users[12], likes, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestWALRecoveryMatrix(t *testing.T) {
 
 			// The degraded engine serves, keeps its invariants, and keeps
 			// logging: the next crash loses nothing new.
-			if _, err := got.TopKTails(u, likes, 5); err != nil {
+			if _, err := got.TopK(DirTail, u, likes, 5); err != nil {
 				t.Fatalf("query on recovered engine: %v", err)
 			}
 			if err := got.CheckInvariants(); err != nil {
@@ -372,7 +372,7 @@ func TestWALPlainSnapshotReanchored(t *testing.T) {
 
 	likes, _ := g.RelationByName("likes")
 	for _, u := range g.EntitiesOfType("user")[:6] {
-		if _, err := got.TopKTails(u, likes, 5); err != nil {
+		if _, err := got.TopK(DirTail, u, likes, 5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -404,7 +404,7 @@ func TestWALAppendErrorSticky(t *testing.T) {
 	eng, g, snap := walTestEngine(t)
 	likes, _ := g.RelationByName("likes")
 	users := g.EntitiesOfType("user")
-	res, err := eng.TopKTails(users[0], likes, 5)
+	res, err := eng.TopK(DirTail, users[0], likes, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func TestWALSyncAlways(t *testing.T) {
 	}
 	likes, _ := g.RelationByName("likes")
 	for _, u := range g.EntitiesOfType("user")[:4] {
-		if _, err := eng.TopKTails(u, likes, 5); err != nil {
+		if _, err := eng.TopK(DirTail, u, likes, 5); err != nil {
 			t.Fatal(err)
 		}
 	}

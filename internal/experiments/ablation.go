@@ -83,15 +83,10 @@ func AblationScale(scale Scale, w io.Writer) error {
 
 func runQuery(eng *core.Engine, q Query, k int, noIndex bool) int {
 	var res *core.TopKResult
-	switch {
-	case noIndex && q.Tail:
-		res, _ = eng.TopKTailsNoIndex(q.E, q.R, k)
-	case noIndex:
-		res, _ = eng.TopKHeadsNoIndex(q.E, q.R, k)
-	case q.Tail:
-		res, _ = eng.TopKTails(q.E, q.R, k)
-	default:
-		res, _ = eng.TopKHeads(q.E, q.R, k)
+	if noIndex {
+		res, _ = eng.TopKNoIndex(q.Dir, q.E, q.R, k)
+	} else {
+		res, _ = eng.TopK(q.Dir, q.E, q.R, k)
 	}
 	if res == nil {
 		return 0
@@ -131,14 +126,8 @@ func AblationAlpha(scale Scale, w io.Writer) error {
 		// Precision@10 on a query sample against the exact scan.
 		var prec float64
 		for _, q := range workload[120:] {
-			var idx, exact *core.TopKResult
-			if q.Tail {
-				idx, _ = eng.TopKTails(q.E, q.R, 10)
-				exact, _ = eng.TopKTailsNoIndex(q.E, q.R, 10)
-			} else {
-				idx, _ = eng.TopKHeads(q.E, q.R, 10)
-				exact, _ = eng.TopKHeadsNoIndex(q.E, q.R, 10)
-			}
+			idx, _ := eng.TopK(q.Dir, q.E, q.R, 10)
+			exact, _ := eng.TopKNoIndex(q.Dir, q.E, q.R, 10)
 			want := map[int32]bool{}
 			for _, pr := range exact.Predictions {
 				want[pr.Entity] = true
@@ -184,12 +173,7 @@ func AblationEps(scale Scale, w io.Writer) error {
 		var bound float64
 		start := time.Now()
 		for _, q := range workload[20:120] {
-			var res *core.TopKResult
-			if q.Tail {
-				res, _ = eng.TopKTails(q.E, q.R, 10)
-			} else {
-				res, _ = eng.TopKHeads(q.E, q.R, 10)
-			}
+			res, _ := eng.TopK(q.Dir, q.E, q.R, 10)
 			examined += res.Examined
 			bound += res.RecallBound
 		}
@@ -197,14 +181,8 @@ func AblationEps(scale Scale, w io.Writer) error {
 
 		var prec float64
 		for _, q := range workload[120:] {
-			var idx, exact *core.TopKResult
-			if q.Tail {
-				idx, _ = eng.TopKTails(q.E, q.R, 10)
-				exact, _ = eng.TopKTailsNoIndex(q.E, q.R, 10)
-			} else {
-				idx, _ = eng.TopKHeads(q.E, q.R, 10)
-				exact, _ = eng.TopKHeadsNoIndex(q.E, q.R, 10)
-			}
+			idx, _ := eng.TopK(q.Dir, q.E, q.R, 10)
+			exact, _ := eng.TopKNoIndex(q.Dir, q.E, q.R, 10)
 			want := map[int32]bool{}
 			for _, pr := range exact.Predictions {
 				want[pr.Entity] = true

@@ -55,7 +55,7 @@ func TestWorkloadDeterministic(t *testing.T) {
 	}
 	rel, _ := ds.G.RelationByName("likes")
 	for _, q := range RelationWorkload(ds.G, rel, 20, 9) {
-		if q.R != rel || !q.Tail {
+		if q.R != rel || q.Dir != core.DirTail {
 			t.Fatalf("relation workload produced %+v", q)
 		}
 	}

@@ -84,14 +84,8 @@ func SizeFigure(ds *Dataset, cfg SizeFigureConfig) ([]SizeRow, error) {
 			break
 		}
 		q := workload[qi]
-		if q.Tail {
-			if _, err := crack.TopKTails(q.E, q.R, cfg.K); err != nil {
-				return nil, err
-			}
-		} else {
-			if _, err := crack.TopKHeads(q.E, q.R, cfg.K); err != nil {
-				return nil, err
-			}
+		if _, err := crack.TopK(q.Dir, q.E, q.R, cfg.K); err != nil {
+			return nil, err
 		}
 	}
 	return rows, nil
@@ -153,11 +147,7 @@ func AggFigure(ds *Dataset, cfg AggFigureConfig) ([]AggRow, error) {
 	workload := Workload(ds.G, cfg.Warm+cfg.Queries, cfg.Seed)
 	for i := 0; i < cfg.Warm; i++ {
 		q := workload[i]
-		if q.Tail {
-			_, _ = eng.TopKTails(q.E, q.R, 10)
-		} else {
-			_, _ = eng.TopKHeads(q.E, q.R, 10)
-		}
+		_, _ = eng.TopK(q.Dir, q.E, q.R, 10)
 	}
 	measured := workload[cfg.Warm:]
 
@@ -168,13 +158,7 @@ func AggFigure(ds *Dataset, cfg AggFigureConfig) ([]AggRow, error) {
 		if cfg.Kind == core.Count {
 			spec.Attr = ""
 		}
-		var res *core.AggResult
-		var err error
-		if q.Tail {
-			res, err = eng.AggregateTailsExact(q.E, q.R, spec)
-		} else {
-			res, err = eng.AggregateHeadsExact(q.E, q.R, spec)
-		}
+		res, err := eng.AggregateExact(q.Dir, q.E, q.R, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -191,13 +175,7 @@ func AggFigure(ds *Dataset, cfg AggFigureConfig) ([]AggRow, error) {
 			if cfg.Kind == core.Count {
 				spec.Attr = ""
 			}
-			var res *core.AggResult
-			var err error
-			if q.Tail {
-				res, err = eng.AggregateTails(q.E, q.R, spec)
-			} else {
-				res, err = eng.AggregateHeads(q.E, q.R, spec)
-			}
+			res, err := eng.Aggregate(q.Dir, q.E, q.R, spec)
 			if err != nil {
 				return nil, err
 			}

@@ -65,12 +65,7 @@ func NewRunner(ds *Dataset, spec MethodSpec, rel kg.RelationID) (*Runner, error)
 			return nil, err
 		}
 		return &Runner{Label: spec.label(), TopK: func(q Query, k int) []kg.EntityID {
-			var res *core.TopKResult
-			if q.Tail {
-				res, _ = eng.TopKTailsNoIndex(q.E, q.R, k)
-			} else {
-				res, _ = eng.TopKHeadsNoIndex(q.E, q.R, k)
-			}
+			res, _ := eng.TopKNoIndex(q.Dir, q.E, q.R, k)
 			return ids(res)
 		}}, nil
 
@@ -103,7 +98,7 @@ func NewRunner(ds *Dataset, spec MethodSpec, rel kg.RelationID) (*Runner, error)
 		return &Runner{Label: spec.label(), BuildTime: build, TopK: func(q Query, k int) []kg.EntityID {
 			var q1 []float64
 			var skip func(int32) bool
-			if q.Tail {
+			if q.Dir == core.DirTail {
 				q1 = m.TailQueryPoint(q.E, q.R)
 				skip = func(id int32) bool { return id == q.E || g.HasEdge(q.E, q.R, id) }
 			} else {
@@ -128,12 +123,7 @@ func NewRunner(ds *Dataset, spec MethodSpec, rel kg.RelationID) (*Runner, error)
 
 func engineTopK(eng *core.Engine) func(q Query, k int) []kg.EntityID {
 	return func(q Query, k int) []kg.EntityID {
-		var res *core.TopKResult
-		if q.Tail {
-			res, _ = eng.TopKTails(q.E, q.R, k)
-		} else {
-			res, _ = eng.TopKHeads(q.E, q.R, k)
-		}
+		res, _ := eng.TopK(q.Dir, q.E, q.R, k)
 		return ids(res)
 	}
 }

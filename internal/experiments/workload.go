@@ -3,16 +3,18 @@ package experiments
 import (
 	"math/rand"
 
+	"vkgraph/internal/core"
 	"vkgraph/internal/kg"
 )
 
 // Query is one workload item: as in the paper's setup, either a tail query
-// (given head entity E and relation R, find top-k tails) or a head query
-// (given tail entity E and relation R, find top-k heads).
+// (Dir = core.DirTail: given head entity E and relation R, find top-k
+// tails) or a head query (core.DirHead: given tail entity E and relation R,
+// find top-k heads).
 type Query struct {
-	E    kg.EntityID
-	R    kg.RelationID
-	Tail bool
+	E   kg.EntityID
+	R   kg.RelationID
+	Dir core.Dir
 }
 
 // Workload samples n queries by drawing random triples of the graph and
@@ -25,9 +27,9 @@ func Workload(g *kg.Graph, n int, seed int64) []Query {
 	for i := range out {
 		tr := triples[rng.Intn(len(triples))]
 		if rng.Intn(2) == 0 {
-			out[i] = Query{E: tr.H, R: tr.R, Tail: true}
+			out[i] = Query{E: tr.H, R: tr.R, Dir: core.DirTail}
 		} else {
-			out[i] = Query{E: tr.T, R: tr.R, Tail: false}
+			out[i] = Query{E: tr.T, R: tr.R, Dir: core.DirHead}
 		}
 	}
 	return out
@@ -48,7 +50,7 @@ func RelationWorkload(g *kg.Graph, rel kg.RelationID, n int, seed int64) []Query
 	}
 	out := make([]Query, n)
 	for i := range out {
-		out[i] = Query{E: heads[rng.Intn(len(heads))], R: rel, Tail: true}
+		out[i] = Query{E: heads[rng.Intn(len(heads))], R: rel, Dir: core.DirTail}
 	}
 	return out
 }

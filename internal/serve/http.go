@@ -101,15 +101,11 @@ func classify(err error) (int, string) {
 	}
 }
 
-// writeError answers with a JSON error document. 429s and 503s carry a
-// Retry-After hint: shed clients should back off, not hammer.
-func (s *Server) writeError(w http.ResponseWriter, status int, code string, err error) {
-	s.writeErrorTrace(w, status, code, err, "")
-}
-
-// writeErrorTrace is writeError with the request's trace id in the body —
-// shed (429) and timed-out (504) answers carry the handle into /traces, so
-// the client can report exactly which request was refused.
+// writeErrorTrace answers with a JSON error document carrying the request's
+// trace id — shed (429) and timed-out (504) answers carry the handle into
+// /traces, so the client can report exactly which request was refused. 429s
+// and 503s carry a Retry-After hint: shed clients should back off, not
+// hammer.
 func (s *Server) writeErrorTrace(w http.ResponseWriter, status int, code string, err error, traceID string) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))

@@ -84,7 +84,6 @@ import (
 	"vkgraph/internal/core"
 	"vkgraph/internal/embedding"
 	"vkgraph/internal/kg"
-	"vkgraph/internal/rtree"
 )
 
 // EntityID identifies an entity in a Graph.
@@ -181,16 +180,14 @@ type EmbeddingParams struct {
 }
 
 type options struct {
-	mode    IndexMode
-	alpha   int
-	eps     float64
-	pTau    float64
-	seed    int64
-	leafCap int
-	fanout  int
-	emb     EmbeddingParams
-	model   *embedding.Model
-	attrs   []string
+	mode  IndexMode
+	alpha int
+	eps   float64
+	pTau  float64
+	seed  int64
+	emb   EmbeddingParams
+	model *embedding.Model
+	attrs []string
 }
 
 // Option customizes Build.
@@ -213,12 +210,6 @@ func WithProbabilityThreshold(p float64) Option { return func(o *options) { o.pT
 
 // WithSeed fixes all randomized components (embedding init, JL projection).
 func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
-
-// WithLeafCapacity sets N, the R-tree leaf capacity (default 32).
-func WithLeafCapacity(n int) Option { return func(o *options) { o.leafCap = n } }
-
-// WithFanout sets M, the R-tree fanout (default 8).
-func WithFanout(m int) Option { return func(o *options) { o.fanout = m } }
 
 // WithEmbedding overrides the TransE hyperparameters.
 func WithEmbedding(p EmbeddingParams) Option { return func(o *options) { o.emb = p } }
@@ -307,10 +298,6 @@ func Build(gr *Graph, opts ...Option) (*VKG, error) {
 		PTau:  o.pTau,
 		Seed:  o.seed,
 		Attrs: o.attrs,
-		Index: rtree.Options{
-			LeafCap: o.leafCap,
-			Fanout:  o.fanout,
-		},
 	}
 	mode := core.Crack
 	if o.mode == ModeBulk {
