@@ -1,7 +1,10 @@
 // Command vkg-lint runs the project's custom static-analysis suite
-// (internal/analysis/...): the machine-checked versions of the lock,
-// arena, error-handling and context-propagation invariants DESIGN.md
-// states in prose that neither `go vet` nor the tests would catch.
+// (internal/analysis/...), six analyzers: the machine-checked versions of
+// the lock, arena, error-handling, context-propagation and point-set
+// layout invariants DESIGN.md states in prose that neither `go vet` nor
+// the tests would catch. One analyzer, lockgraph, holds both lock rules:
+// the program-wide lock order and no blocking work inside a
+// write-critical section on the query path.
 //
 // Usage:
 //
@@ -30,14 +33,12 @@ import (
 	"vkgraph/internal/analysis/checker"
 	"vkgraph/internal/analysis/ctxpropagate"
 	"vkgraph/internal/analysis/lockgraph"
-	"vkgraph/internal/analysis/lockorder"
 	"vkgraph/internal/analysis/sealedps"
 	"vkgraph/internal/analysis/sentinelerr"
 )
 
 func main() {
 	suite := []*analysis.Analyzer{
-		lockorder.Analyzer,
 		lockgraph.Analyzer,
 		atomicmix.Analyzer,
 		arenaescape.Analyzer,

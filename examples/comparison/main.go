@@ -55,7 +55,7 @@ func main() {
 		{"cracking", vkg.ModeCrack},
 	} {
 		start := time.Now()
-		v, err := vkg.Build(g, vkg.WithSeed(3), vkg.WithIndexMode(mc.mode), vkg.WithModelFrom(base))
+		v, err := vkg.Build(g, vkg.WithSeed(3), vkg.WithIndexMode(mc.mode), vkg.WithPretrainedModel(base.Engine().Model()))
 		if err != nil {
 			log.Fatal(err)
 		}

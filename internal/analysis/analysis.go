@@ -70,22 +70,15 @@ type Pass struct {
 	// obj (by this or an earlier package's analysis) into f, reporting
 	// whether one existed.
 	ImportObjectFact func(obj types.Object, f Fact) bool
-	// ExportPackageFact attaches a fact to the package under analysis.
+	// ExportPackageFact attaches a fact to the package under analysis;
+	// the analyzer's Finish step reads it.
 	ExportPackageFact func(f Fact)
-	// ImportPackageFact copies pkg's fact of f's concrete type into f.
-	ImportPackageFact func(pkg *types.Package, f Fact) bool
 }
 
 // Fact is a typed value an analyzer attaches to an object or package,
 // visible to the analysis of every dependent package in the same run.
 // Concrete fact types must be pointers to structs; AFact is a marker.
 type Fact interface{ AFact() }
-
-// ObjectFact pairs an object with one fact attached to it.
-type ObjectFact struct {
-	Object types.Object
-	Fact   Fact
-}
 
 // PackageFact pairs a package with one fact attached to it.
 type PackageFact struct {
@@ -97,9 +90,8 @@ type PackageFact struct {
 // packages were analyzed.
 type FinalPass struct {
 	Analyzer *Analyzer
-	// ObjectFacts and PackageFacts are every fact this analyzer exported,
-	// across all packages, in analysis (dependency) order.
-	ObjectFacts  []ObjectFact
+	// PackageFacts are every package fact this analyzer exported, across
+	// all packages, in analysis (dependency) order.
 	PackageFacts []PackageFact
 	// Reportf reports a whole-program diagnostic at an already-resolved
 	// position (facts carry "file:line" strings across packages, not
@@ -166,13 +158,3 @@ func NewParentMap(files []*ast.File) *ParentMap {
 
 // Parent returns the immediate parent of n, or nil at a file root.
 func (pm *ParentMap) Parent(n ast.Node) ast.Node { return pm.parent[n] }
-
-// Path returns the ancestor chain of n from the node itself outward.
-func (pm *ParentMap) Path(n ast.Node) []ast.Node {
-	var path []ast.Node
-	for n != nil {
-		path = append(path, n)
-		n = pm.parent[n]
-	}
-	return path
-}

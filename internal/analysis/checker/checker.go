@@ -71,12 +71,10 @@ func Finish(facts *analysis.FactStore, analyzers []*analysis.Analyzer) ([]Diag, 
 		if a.Finish == nil {
 			continue
 		}
-		objs, pkgs := facts.FactsFor(a)
 		name := a.Name
 		fp := &analysis.FinalPass{
 			Analyzer:     a,
-			ObjectFacts:  objs,
-			PackageFacts: pkgs,
+			PackageFacts: facts.FactsFor(a),
 			Reportf: func(posn token.Position, format string, args ...interface{}) {
 				diags = append(diags, Diag{Analyzer: name, Position: posn, Message: fmt.Sprintf(format, args...)})
 			},

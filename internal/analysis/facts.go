@@ -18,9 +18,8 @@ type FactStore struct {
 	obj map[types.Object]map[reflect.Type]Fact
 	pkg map[*types.Package]map[reflect.Type]Fact
 
-	// objLog/pkgLog record export order for FinalPass, which wants a
+	// pkgLog records export order for FinalPass, which wants a
 	// deterministic whole-program view.
-	objLog []ObjectFact
 	pkgLog []PackageFact
 }
 
@@ -43,11 +42,7 @@ func (s *FactStore) BindPass(pass *Pass) {
 			m = make(map[reflect.Type]Fact)
 			s.obj[obj] = m
 		}
-		t := reflect.TypeOf(f)
-		if _, dup := m[t]; !dup {
-			s.objLog = append(s.objLog, ObjectFact{Object: obj, Fact: f})
-		}
-		m[t] = f
+		m[reflect.TypeOf(f)] = f
 	}
 	pass.ImportObjectFact = func(obj types.Object, f Fact) bool {
 		return copyFact(s.obj[obj], f)
@@ -66,9 +61,6 @@ func (s *FactStore) BindPass(pass *Pass) {
 			s.pkgLog = append(s.pkgLog, PackageFact{Package: pass.Pkg, Fact: f})
 		}
 		m[t] = f
-	}
-	pass.ImportPackageFact = func(pkg *types.Package, f Fact) bool {
-		return copyFact(s.pkg[pkg], f)
 	}
 }
 
@@ -89,23 +81,19 @@ func copyFact(m map[reflect.Type]Fact, f Fact) bool {
 	return true
 }
 
-// FactsFor returns the facts exported for one analyzer's FinalPass: every
-// logged fact whose concrete type appears in the analyzer's FactTypes, in
-// export order.
-func (s *FactStore) FactsFor(a *Analyzer) (objs []ObjectFact, pkgs []PackageFact) {
+// FactsFor returns the package facts exported for one analyzer's
+// FinalPass: every logged fact whose concrete type appears in the
+// analyzer's FactTypes, in export order.
+func (s *FactStore) FactsFor(a *Analyzer) []PackageFact {
 	want := make(map[reflect.Type]bool, len(a.FactTypes))
 	for _, ft := range a.FactTypes {
 		want[reflect.TypeOf(ft)] = true
 	}
-	for _, of := range s.objLog {
-		if want[reflect.TypeOf(of.Fact)] {
-			objs = append(objs, of)
-		}
-	}
+	var pkgs []PackageFact
 	for _, pf := range s.pkgLog {
 		if want[reflect.TypeOf(pf.Fact)] {
 			pkgs = append(pkgs, pf)
 		}
 	}
-	return objs, pkgs
+	return pkgs
 }

@@ -1,5 +1,7 @@
-// Package lockgraph builds the program-wide lock-order graph and detects
-// the cycles that make it a deadlock risk.
+// Package lockgraph guards the engine's two-level locking: it builds the
+// program-wide lock-order graph, detects the cycles that make it a
+// deadlock risk, and keeps write-critical sections on the query path free
+// of blocking work.
 //
 // Every mutex field of a package-level struct type is a lock class, named
 // pkg.Type.field (core.Engine.mu, core.lockedIndex.mu, core.walState.mu,
@@ -25,15 +27,28 @@
 //     among leaves (index before WAL) is not ranked: an inversion there
 //     closes a cycle with the edge it inverts.
 //
+// The same replay keeps write-critical sections short on the query path
+// (DESIGN.md "Concurrency"; import paths containing internal/core or
+// internal/rtree). Between mu.Lock and mu.Unlock, on any mutex, classed or
+// not, there may be no potentially blocking operation: channel
+// operations, select, time.Sleep, sync.WaitGroup.Wait, filesystem and
+// network calls, writes to stdio, and obs registry renders (every
+// Registry.Write* method takes the registry lock and writes to a client).
+// Lock-free obs increments (Counter.Inc, Histogram.Observe, ...) are
+// allowed — the hot paths depend on that. Elsewhere, holding a lock across
+// I/O can be a deliberate serialization choice (the experiments dataset
+// cache memoizes expensive builds under its mutex).
+//
 // Self-edges (two locks of one class) are excluded from cycle detection
 // but shown in the dump. `-lockgraph-dump` prints the whole graph.
 //
 // Approximations, deliberate (the framework is lexical, not SSA): events
 // are ordered by source position within one body; function literals are
 // scanned as separate roots with an empty held set (what a deferred or
-// spawned closure holds at run time is unknowable lexically); a callee
-// that returns still holding locks contributes edges at the call site but
-// does not extend the caller's held set.
+// spawned closure holds at run time is unknowable lexically), though the
+// blocking work a literal does counts against the section it is written
+// in; a callee that returns still holding locks contributes edges at the
+// call site but does not extend the caller's held set.
 package lockgraph
 
 import (
@@ -47,7 +62,6 @@ import (
 	"strings"
 
 	"vkgraph/internal/analysis"
-	"vkgraph/internal/analysis/lockorder"
 )
 
 // AcquiresFact records, on a function, the lock classes the function may
@@ -91,7 +105,7 @@ var dumpGraph bool
 // acyclic and rank-ordered.
 var Analyzer = &analysis.Analyzer{
 	Name:      "lockgraph",
-	Doc:       "build the program-wide lock-order graph; report cycles (potential deadlocks) and engine→leaf rank inversions",
+	Doc:       "build the program-wide lock-order graph; report cycles (potential deadlocks), engine→leaf rank inversions, and blocking work inside a write-critical section on the query path",
 	Run:       run,
 	FactTypes: []analysis.Fact{new(AcquiresFact), new(EdgesFact)},
 	Finish:    finish,
@@ -100,10 +114,10 @@ var Analyzer = &analysis.Analyzer{
 	},
 }
 
-// acq is one direct lock acquisition inside a function.
+// acq is one lock event inside a function.
 type acq struct {
-	class string
-	op    string
+	class string // "" for a mutex with no lock class (a variable's)
+	op    string // Lock, RLock, Unlock, or RUnlock
 	pos   token.Pos
 	key   string // receiver expression, to pair with unlocks
 }
@@ -152,71 +166,62 @@ func run(pass *analysis.Pass) error {
 
 	// Fixed point over the in-package call graph: acquire(f) = direct ∪
 	// callees' acquire ∪ imported facts of cross-package callees.
+	// A declaration's own body is its one root with an object.
 	acquires := make(map[*types.Func]map[string]bool)
-	byObj := make(map[*types.Func][]*funcScan)
+	byObj := make(map[*types.Func]*funcScan)
 	for _, fs := range scans {
-		if fs.obj != nil {
-			byObj[fs.obj] = append(byObj[fs.obj], fs)
+		if fs.obj == nil {
+			continue
 		}
-	}
-	for obj, list := range byObj {
+		byObj[fs.obj] = fs
 		set := make(map[string]bool)
-		for _, fs := range list {
-			for _, a := range fs.direct {
-				set[a.class] = true
-			}
-			for _, cls := range fs.foreign {
-				for _, c := range cls {
-					set[c] = true
-				}
+		for _, a := range fs.direct {
+			set[a.class] = true
+		}
+		for _, cls := range fs.foreign {
+			for _, c := range cls {
+				set[c] = true
 			}
 		}
-		acquires[obj] = set
+		acquires[fs.obj] = set
 	}
 	for changed := true; changed; {
 		changed = false
-		for obj, list := range byObj {
+		for obj, fs := range byObj {
 			set := acquires[obj]
-			for _, fs := range list {
-				for callee := range fs.callees {
-					for c := range acquires[callee] {
-						if !set[c] {
-							set[c] = true
-							changed = true
-						}
+			for callee := range fs.callees {
+				for c := range acquires[callee] {
+					if !set[c] {
+						set[c] = true
+						changed = true
 					}
 				}
 			}
 		}
 	}
-	if pass.ExportObjectFact != nil {
-		for obj, set := range acquires {
-			if len(set) == 0 {
-				continue
-			}
-			fact := &AcquiresFact{Classes: sortedKeys(set)}
-			pass.ExportObjectFact(obj, fact)
+	for obj, set := range acquires {
+		if len(set) > 0 {
+			pass.ExportObjectFact(obj, &AcquiresFact{Classes: sortedKeys(set)})
 		}
 	}
 
-	// Pass 2: replay each root, held-set tracking, edge recording.
-	seen := make(map[[2]string]bool)
-	var edges []Edge
-	addEdge := func(e Edge) {
-		k := [2]string{e.From, e.To}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		edges = append(edges, e)
+	// Pass 2: replay each root, held-set tracking, edge recording and
+	// the blocking rule.
+	path := pass.Pkg.Path()
+	r := &replayer{
+		pass:      pass,
+		classes:   classes,
+		acquires:  acquires,
+		seen:      make(map[[2]string]bool),
+		queryPath: strings.Contains(path, "internal/core") || strings.Contains(path, "internal/rtree"),
+		reported:  make(map[token.Pos]bool),
 	}
 	for _, fs := range scans {
-		replayEdges(pass, fs, classes, acquires, addEdge)
+		r.replay(fs)
 	}
 
-	if pass.ExportPackageFact != nil && (len(edges) > 0 || len(classes.info) > 0) {
-		fact := &EdgesFact{Edges: edges, Classes: classes.infoList()}
-		pass.ExportPackageFact(fact)
+	if len(r.edges) > 0 || len(classes.info) > 0 {
+		pass.ExportPackageFact(&EdgesFact{Edges: r.edges, Classes: classes.infoList()})
 	}
 	return nil
 }
@@ -249,7 +254,7 @@ func classTable(pkg *types.Package) *classKinds {
 		}
 		var own []*types.Var
 		for i := 0; i < st.NumFields(); i++ {
-			if f := st.Field(i); lockorder.IsMutexType(f.Type()) {
+			if f := st.Field(i); isMutexType(f.Type()) {
 				own = append(own, f)
 			}
 		}
@@ -278,7 +283,7 @@ func classTable(pkg *types.Package) *classKinds {
 			}
 			for j := 0; j < fst.NumFields(); j++ {
 				lf := fst.Field(j)
-				if !lockorder.IsMutexType(lf.Type()) {
+				if !isMutexType(lf.Type()) {
 					continue
 				}
 				leaves++
@@ -410,7 +415,7 @@ func collectScan(pass *analysis.Pass, fs *funcScan, classes *classKinds) {
 			return true
 		}
 		if a, ok := lockAcq(pass, call, classes); ok {
-			if a.op == "Lock" || a.op == "RLock" {
+			if a.class != "" && (a.op == "Lock" || a.op == "RLock") {
 				fs.direct = append(fs.direct, a)
 			}
 			return true
@@ -421,7 +426,7 @@ func collectScan(pass *analysis.Pass, fs *funcScan, classes *classKinds) {
 		}
 		if callee.Pkg() == pass.Pkg {
 			fs.callees[callee] = true
-		} else if pass.ImportObjectFact != nil {
+		} else {
 			var af AcquiresFact
 			if pass.ImportObjectFact(callee, &af) {
 				fs.foreign[callee] = af.Classes
@@ -431,8 +436,9 @@ func collectScan(pass *analysis.Pass, fs *funcScan, classes *classKinds) {
 	})
 }
 
-// lockAcq recognizes x.mu.Lock / RLock / Unlock / RUnlock where x.mu is a
-// struct mutex field with a known class.
+// lockAcq recognizes x.Lock / RLock / Unlock / RUnlock on a mutex x. The
+// class is x's when x is a struct mutex field with a known class, "" for
+// any other mutex (a package-level or local variable).
 func lockAcq(pass *analysis.Pass, call *ast.CallExpr, classes *classKinds) (acq, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -444,80 +450,240 @@ func lockAcq(pass *analysis.Pass, call *ast.CallExpr, classes *classKinds) (acq,
 	default:
 		return acq{}, false
 	}
-	fieldSel, ok := sel.X.(*ast.SelectorExpr)
-	if !ok {
+	if t, ok := pass.TypesInfo.Types[sel.X]; !ok || !isMutexType(t.Type) {
 		return acq{}, false
 	}
-	fieldObj, ok := pass.ObjectOf(fieldSel.Sel).(*types.Var)
-	if !ok || !fieldObj.IsField() || !lockorder.IsMutexType(fieldObj.Type()) {
-		return acq{}, false
-	}
-	class, ok := classes.classOfField(fieldObj)
-	if !ok {
-		return acq{}, false
-	}
-	return acq{class: class, op: op, pos: call.Pos(), key: exprKey(sel.X)}, true
-}
-
-// replayEdges walks one root in source order with a held set, recording an
-// edge for every acquisition (direct or through a callee's acquire set)
-// made while other classes are held.
-func replayEdges(pass *analysis.Pass, fs *funcScan, classes *classKinds, acquires map[*types.Func]map[string]bool, addEdge func(Edge)) {
-	type heldLock struct{ class string }
-	held := make(map[string]heldLock) // key -> class
-	posn := func(p token.Pos) string {
-		pp := pass.Fset.Position(p)
-		return fmt.Sprintf("%s:%d", pp.Filename, pp.Line)
-	}
-	emit := func(to, op string, p token.Pos) {
-		for _, h := range held {
-			addEdge(Edge{From: h.class, To: to, Op: op, Pos: posn(p), Fn: fs.name})
+	a := acq{op: op, pos: call.Pos(), key: exprKey(sel.X)}
+	if fieldSel, ok := sel.X.(*ast.SelectorExpr); ok {
+		if fieldObj, ok := pass.ObjectOf(fieldSel.Sel).(*types.Var); ok && fieldObj.IsField() {
+			a.class, _ = classes.classOfField(fieldObj)
 		}
 	}
-	inspectRoot(fs.body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			if a, ok := lockAcq(pass, n.Call, classes); ok {
-				// A deferred unlock keeps the section open to the end of
-				// the body, which is how an unreleased key already behaves.
-				if a.op == "Lock" || a.op == "RLock" {
-					emit(a.class, a.op, a.pos)
-					held[a.key] = heldLock{class: a.class}
+	return a, true
+}
+
+// isMutexType reports whether t (or its pointee) is sync.Mutex or
+// sync.RWMutex.
+func isMutexType(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
+		return false
+	}
+	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
+}
+
+// replayer is one package's pass 2: the edges it has recorded, and the
+// blocking operations it has reported.
+type replayer struct {
+	pass     *analysis.Pass
+	classes  *classKinds
+	acquires map[*types.Func]map[string]bool
+	edges    []Edge
+	seen     map[[2]string]bool
+	// queryPath turns the blocking rule on. reported keeps an operation in
+	// a nested literal from being reported once per enclosing root.
+	queryPath bool
+	reported  map[token.Pos]bool
+}
+
+// heldLock is one entry of the held set.
+type heldLock struct {
+	class string
+	write bool
+}
+
+// replay walks one root in source order with a held set. It records an
+// edge for every acquisition (direct or through a callee's acquire set)
+// made while a classed lock is held and, on the query path, reports every
+// blocking operation made while a write lock is held.
+func (r *replayer) replay(fs *funcScan) {
+	pass := r.pass
+	held := make(map[string]heldLock) // key -> lock
+	emit := func(to, op string, p token.Pos) {
+		pp := pass.Fset.Position(p)
+		for _, h := range held {
+			k := [2]string{h.class, to}
+			if h.class == "" || r.seen[k] {
+				continue
+			}
+			r.seen[k] = true
+			r.edges = append(r.edges, Edge{From: h.class, To: to, Op: op, Pos: fmt.Sprintf("%s:%d", pp.Filename, pp.Line), Fn: fs.name})
+		}
+	}
+	acquire := func(a acq) {
+		if a.class != "" {
+			emit(a.class, a.op, a.pos)
+		}
+		held[a.key] = heldLock{class: a.class, write: a.op == "Lock"}
+	}
+	block := func(p token.Pos, desc string) {
+		key := ""
+		for k, h := range held {
+			if h.write && (key == "" || k < key) {
+				key = k
+			}
+		}
+		if key != "" && !r.reported[p] {
+			r.reported[p] = true
+			pass.Reportf(p, "%s inside the %s write-critical section; move it outside the lock", desc, key)
+		}
+	}
+	// walk visits root's subtree. locks replays lock events and records
+	// edges; blocks applies the blocking rule against the current held set.
+	var walk func(root ast.Node, locks, blocks bool)
+	walk = func(root ast.Node, locks, blocks bool) {
+		ast.Inspect(root, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				// Its lock events are its own root's; the blocking work it
+				// does counts against the section it is written in.
+				if blocks {
+					walk(n.Body, false, true)
 				}
 				return false
-			}
-		case *ast.CallExpr:
-			if a, ok := lockAcq(pass, n, classes); ok {
-				switch a.op {
-				case "Lock", "RLock":
-					emit(a.class, a.op, a.pos)
-					held[a.key] = heldLock{class: a.class}
-				case "Unlock", "RUnlock":
-					delete(held, a.key)
+			case *ast.SelectStmt:
+				if blocks {
+					block(n.Pos(), "select statement")
 				}
-				return true
+				// The cases' channel operations are the select's own.
+				if locks {
+					walk(n.Body, true, false)
+				}
+				return false
+			case *ast.DeferStmt:
+				if a, ok := lockAcq(pass, n.Call, r.classes); ok {
+					// A deferred unlock keeps the section open to the end of
+					// the body, which is how an unreleased key already behaves.
+					if locks && (a.op == "Lock" || a.op == "RLock") {
+						acquire(a)
+					}
+					return false
+				}
+			case *ast.CallExpr:
+				if a, ok := lockAcq(pass, n, r.classes); ok {
+					if !locks {
+						return true
+					}
+					switch a.op {
+					case "Lock", "RLock":
+						acquire(a)
+					case "Unlock", "RUnlock":
+						delete(held, a.key)
+					}
+					return true
+				}
+				if blocks {
+					if desc, ok := blockingCall(pass, n); ok {
+						block(n.Pos(), desc)
+					}
+				}
+				if !locks || len(held) == 0 {
+					return true
+				}
+				callee, _ := pass.ObjectOf(n.Fun).(*types.Func)
+				if callee == nil {
+					return true
+				}
+				var set []string
+				if callee.Pkg() == pass.Pkg {
+					set = sortedKeys(r.acquires[callee])
+				} else {
+					set = fs.foreign[callee]
+				}
+				for _, c := range set {
+					emit(c, "call", n.Pos())
+				}
+			case *ast.SendStmt:
+				if blocks {
+					block(n.Pos(), "channel send")
+				}
+			case *ast.UnaryExpr:
+				if blocks && n.Op == token.ARROW {
+					block(n.Pos(), "channel receive")
+				}
+			case *ast.RangeStmt:
+				if t, ok := pass.TypesInfo.Types[n.X]; blocks && ok {
+					if _, isChan := t.Type.Underlying().(*types.Chan); isChan {
+						block(n.Pos(), "range over channel")
+					}
+				}
 			}
-			if len(held) == 0 {
-				return true
-			}
-			callee, _ := pass.ObjectOf(n.Fun).(*types.Func)
-			if callee == nil {
-				return true
-			}
-			var set []string
-			if callee.Pkg() == pass.Pkg {
-				set = sortedKeys(acquires[callee])
-			} else {
-				set = fs.foreign[callee]
-			}
-			for _, c := range set {
-				emit(c, "call", n.Pos())
-			}
-		}
-		return true
-	})
+			return true
+		})
+	}
+	walk(fs.body, true, r.queryPath)
 }
 
+// blockingCall recognizes calls that may block or perform I/O.
+func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
+	obj := pass.ObjectOf(call.Fun)
+	if obj == nil {
+		return "", false
+	}
+	name := obj.Name()
+	// The package-path table below is for package-level functions only:
+	// a method on an os/net type (say (*os.File).Name, a field read) must
+	// not inherit its package's blocking reputation.
+	fn, isFunc := obj.(*types.Func)
+	if isFunc && fn.Type().(*types.Signature).Recv() == nil {
+		if pkg := obj.Pkg(); pkg != nil {
+			switch pkg.Path() {
+			case "time":
+				if name == "Sleep" {
+					return "time.Sleep", true
+				}
+			case "net", "net/http", "os/exec", "io/ioutil":
+				return pkg.Path() + "." + name + " call (I/O)", true
+			case "os":
+				switch name {
+				case "Getenv", "LookupEnv", "Getpid", "Environ", "Expand", "ExpandEnv":
+					return "", false
+				}
+				return "os." + name + " call (I/O)", true
+			case "fmt":
+				switch name {
+				case "Print", "Println", "Printf", "Fprint", "Fprintln", "Fprintf":
+					return "fmt." + name + " call (I/O)", true
+				}
+			case "log":
+				return "log." + name + " call (I/O)", true
+			}
+		}
+	}
+	// Method calls: WaitGroup.Wait, Cond.Wait, and obs registry renders.
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		if t, ok := pass.TypesInfo.Types[sel.X]; ok {
+			rt := t.Type
+			if p, ok := rt.(*types.Pointer); ok {
+				rt = p.Elem()
+			}
+			if named, ok := rt.(*types.Named); ok {
+				tobj := named.Obj()
+				tpkg := ""
+				if tobj.Pkg() != nil {
+					tpkg = tobj.Pkg().Name()
+				}
+				if tpkg == "sync" && name == "Wait" {
+					return "sync." + tobj.Name() + ".Wait", true
+				}
+				if tpkg == "obs" && tobj.Name() == "Registry" && strings.HasPrefix(name, "Write") {
+					return "obs.Registry." + name + " (takes the registry lock)", true
+				}
+			}
+		}
+	}
+	return "", false
+}
+
+// exprKey renders a lock receiver expression compactly (ix.mu, e.wal.mu)
+// so Lock and Unlock events pair up by key.
 func exprKey(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.Ident:
@@ -539,7 +705,7 @@ func exprKey(e ast.Expr) string {
 	}
 }
 
-func sortedKeys(m map[string]bool) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -551,35 +717,7 @@ func sortedKeys(m map[string]bool) []string {
 // --- whole-program step -------------------------------------------------
 
 func finish(fp *analysis.FinalPass) error {
-	// Union the per-package contributions. First edge per (From,To) wins —
-	// package facts arrive in dependency order, so the witness position is
-	// stable run to run.
-	var edges []Edge
-	seen := make(map[[2]string]bool)
-	ranks := make(map[string]int)
-	for _, pf := range fp.PackageFacts {
-		ef, ok := pf.Fact.(*EdgesFact)
-		if !ok {
-			continue
-		}
-		for _, e := range ef.Edges {
-			k := [2]string{e.From, e.To}
-			if !seen[k] {
-				seen[k] = true
-				edges = append(edges, e)
-			}
-		}
-		for _, ci := range ef.Classes {
-			old, ok := ranks[ci.Name]
-			switch {
-			case !ok:
-				ranks[ci.Name] = ci.Rank
-			case ci.Rank >= 0 && (old < 0 || ci.Rank < old):
-				ranks[ci.Name] = ci.Rank
-			}
-		}
-	}
-
+	edges, ranks := union(fp.PackageFacts)
 	if dumpGraph {
 		dump(edges, ranks)
 	}
@@ -609,6 +747,37 @@ func finish(fp *analysis.FinalPass) error {
 	}
 	reportCycles(fp, adj)
 	return nil
+}
+
+// union merges the per-package contributions into the program's edges and
+// ranks. First edge per (From,To) wins — package facts arrive in
+// dependency order, so the witness position is stable run to run.
+func union(pfs []analysis.PackageFact) (edges []Edge, ranks map[string]int) {
+	seen := make(map[[2]string]bool)
+	ranks = make(map[string]int)
+	for _, pf := range pfs {
+		ef, ok := pf.Fact.(*EdgesFact)
+		if !ok {
+			continue
+		}
+		for _, e := range ef.Edges {
+			k := [2]string{e.From, e.To}
+			if !seen[k] {
+				seen[k] = true
+				edges = append(edges, e)
+			}
+		}
+		for _, ci := range ef.Classes {
+			old, ok := ranks[ci.Name]
+			switch {
+			case !ok:
+				ranks[ci.Name] = ci.Rank
+			case ci.Rank >= 0 && (old < 0 || ci.Rank < old):
+				ranks[ci.Name] = ci.Rank
+			}
+		}
+	}
+	return edges, ranks
 }
 
 // reportCycles DFS-colors the graph and reports each cycle once with the
@@ -651,19 +820,11 @@ func reportCycles(fp *analysis.FinalPass, adj map[string][]Edge) {
 		delete(onStack, u)
 		color[u] = black
 	}
-	for _, u := range sortedKeys(boolKeys(adj)) {
+	for _, u := range sortedKeys(adj) {
 		if color[u] == white {
 			visit(u)
 		}
 	}
-}
-
-func boolKeys(adj map[string][]Edge) map[string]bool {
-	m := make(map[string]bool, len(adj))
-	for k := range adj {
-		m[k] = true
-	}
-	return m
 }
 
 // cycleKey canonicalizes a cycle (rotation-invariant) so each is reported
@@ -713,13 +874,8 @@ func dump(edges []Edge, ranks map[string]int) {
 	if len(sorted) == 0 {
 		fmt.Println("  (no edges: no nested lock acquisitions observed)")
 	}
-	var classes []string
-	for c := range ranks {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
 	fmt.Println("lock classes:")
-	for _, c := range classes {
+	for _, c := range sortedKeys(ranks) {
 		fmt.Printf("  %-28s rank %s\n", c, rankName(ranks[c]))
 	}
 }

@@ -10,3 +10,10 @@ import (
 func TestGolden(t *testing.T) {
 	analysistest.Run(t, "testdata", lockgraph.Analyzer, "cyclic", "lockuser")
 }
+
+// TestGoldenBlocking runs the blocking-in-write-section corpus: each
+// // want in internal/core is a blocking operation made while a write
+// lock is held.
+func TestGoldenBlocking(t *testing.T) {
+	analysistest.Run(t, "testdata", lockgraph.Analyzer, "internal/core")
+}

@@ -1,6 +1,6 @@
-// Package core stands in for the query path in the lockorder golden test:
-// the analyzer applies only where the import path says internal/core or
-// internal/rtree, so the corpus lives under that name.
+// Package core stands in for the query path in the lockgraph golden test:
+// the blocking rule applies only where the import path says internal/core
+// or internal/rtree, so the corpus lives under that name.
 package core
 
 import (
@@ -60,6 +60,27 @@ func (e *engine) scrapeUnderLock(w io.Writer) {
 	e.hits.Inc()
 	_ = e.reg.WritePrometheusLabeled(w, nil) // want `obs.Registry.WritePrometheusLabeled \(takes the registry lock\) inside the e.mu write-critical section`
 	e.mu.Unlock()
+}
+
+// bad: a function literal written inside the section is its own root for
+// the lock graph, but its blocking work still counts against the section.
+func (c *counter) spawnUnderLock(ch chan int) {
+	c.mu.Lock()
+	go func() {
+		ch <- c.n // want `channel send inside the c.mu write-critical section`
+	}()
+	c.mu.Unlock()
+}
+
+// pkgMu has no lock class (it is no struct's field), so it records no
+// edge; its write lock still opens a section.
+var pkgMu sync.Mutex
+
+// bad: blocking under a class-less write lock.
+func pkgLocked() {
+	pkgMu.Lock()
+	time.Sleep(time.Millisecond) // want `time.Sleep inside the pkgMu write-critical section`
+	pkgMu.Unlock()
 }
 
 // ok: blocking work after the unlock is the fix the rule asks for.

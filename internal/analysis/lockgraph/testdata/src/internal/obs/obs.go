@@ -1,4 +1,4 @@
-// Package obs is a miniature of the real internal/obs for the lockorder
+// Package obs is a miniature of the real internal/obs for the lockgraph
 // golden test: a Registry whose Write* renders take its lock, and a Counter
 // whose increment is lock-free.
 package obs

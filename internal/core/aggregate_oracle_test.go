@@ -64,7 +64,7 @@ func (e *Engine) oracleContourOverlap(center []float64, radius float64) []oracle
 	if err := e.idx.tree.Save(&blob); err != nil {
 		panic(err)
 	}
-	if _, _, err := snapfmt.ReadHeader(&blob, "VKGRTREE", 2, 2); err != nil {
+	if _, err := snapfmt.ReadHeader(&blob, "VKGRTREE", 2); err != nil {
 		panic(err)
 	}
 	_, payload, err := snapfmt.ReadSection(&blob)

@@ -170,6 +170,7 @@ func (e *Engine) CacheStats() CacheStats {
 func (e *Engine) ResetCache() { e.cache.reset() }
 
 // Generation returns the graph mutation counter: it increases on every
-// AddFact, SetAttr and InsertEntity, and cached answers are only served
-// while the generation they were computed at is still current.
+// AddFact and InsertEntity, and cached answers are only served while the
+// generation they were computed at is still current. SetAttr leaves it
+// alone: no cached answer reads an attribute.
 func (e *Engine) Generation() uint64 { return e.gen.Load() }

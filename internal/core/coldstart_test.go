@@ -106,9 +106,9 @@ func TestColdFirstQueriesConcurrent(t *testing.T) {
 	// One pre-split root and nothing else beyond what the cracks created:
 	// a root built twice would leave orphan records in the arena.
 	st, ms := cold.IndexStats(), cold.Metrics()
-	if want := rootNodes + int(ms.CrackNodesCreated); st.TotalNodes != want || st.ArenaNodesInUse != want {
+	if want := rootNodes + int(ms.CrackNodesCreated); st.TotalNodes != want || cold.idx.tree.Nodes() != want {
 		t.Fatalf("%d tree nodes, %d arena records, want %d of the root + %d cracked = %d",
-			st.TotalNodes, st.ArenaNodesInUse, rootNodes, ms.CrackNodesCreated, want)
+			st.TotalNodes, cold.idx.tree.Nodes(), rootNodes, ms.CrackNodesCreated, want)
 	}
 	if ms.CrackSplits == 0 {
 		t.Fatal("the cold queries cracked nothing; the test exercises no crack path")

@@ -103,7 +103,7 @@ func TestDynamicAttrSurvivesRoundTrip(t *testing.T) {
 func rewriteMetaAttrs(t *testing.T, snap []byte, extra ...string) []byte {
 	t.Helper()
 	r := bytes.NewReader(snap)
-	version, sections, err := snapfmt.ReadHeader(r, engineMagic, engineVersion, engineVersion)
+	sections, err := snapfmt.ReadHeader(r, engineMagic, engineVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func rewriteMetaAttrs(t *testing.T, snap []byte, extra ...string) []byte {
 		payloads = append(payloads, payload)
 	}
 	var out bytes.Buffer
-	if err := snapfmt.WriteHeader(&out, engineMagic, version, uint16(sections)); err != nil {
+	if err := snapfmt.WriteHeader(&out, engineMagic, engineVersion, uint16(sections)); err != nil {
 		t.Fatal(err)
 	}
 	for i, kind := range kinds {

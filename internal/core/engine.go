@@ -346,7 +346,7 @@ func (e *Engine) finishQuery(q rtree.Rect, doCrack bool, tr *obs.QueryTrace) {
 		wait = time.Since(t0)
 		e.met.lockWriteWait.Observe(wait.Seconds())
 		if needs = ix.tree.NeedsCrack(q); needs {
-			splits0, nodes0 := ix.tree.Splits(), ix.tree.NodesCreated()
+			splits0, nodes0 := ix.tree.Splits(), ix.tree.Nodes()
 			c0 := time.Now()
 			ix.tree.Crack(q)
 			// Log the crack while still holding the write lock: record
@@ -355,7 +355,7 @@ func (e *Engine) finishQuery(q rtree.Rect, doCrack bool, tr *obs.QueryTrace) {
 			e.walAppendCrack(q)
 			held = time.Since(c0)
 			splits = ix.tree.Splits() - splits0
-			nodes = ix.tree.NodesCreated() - nodes0
+			nodes = ix.tree.Nodes() - nodes0
 			e.met.crackLock.Observe(held.Seconds())
 		}
 		ix.mu.Unlock()

@@ -136,39 +136,25 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	r.GaugeFunc("vkg_graph_generation", "Graph mutation counter (AddFact/InsertEntity).", func() float64 {
 		return float64(e.gen.Load())
 	})
+	// The node count is the arena's, O(1); the size walks the tree.
 	r.GaugeFunc("vkg_index_nodes", "Current index node count.", func() float64 {
-		return float64(e.IndexStats().TotalNodes)
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		e.idx.mu.RLock()
+		defer e.idx.mu.RUnlock()
+		return float64(e.idx.tree.Nodes())
 	})
 	r.GaugeFunc("vkg_index_size_bytes", "Index size in bytes (arena slabs plus referenced heap).", func() float64 {
 		return float64(e.IndexStats().SizeBytes)
 	})
 
-	// Memory-layout gauges: the observable form of the "flat GC profile"
-	// claim — arena occupancy and resident points, both O(1).
+	// Memory layout: the points resident beside the arena, O(1).
 	r.GaugeFunc("vkg_mem_resident_points", "Points resident in the shared S2 point set.", func() float64 {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
 		return float64(e.ps.N())
 	})
-	r.GaugeFunc("vkg_mem_arena_nodes", "Index node-arena records, by state.", func() float64 {
-		inUse, _ := e.arenaNodes()
-		return float64(inUse)
-	}, obs.Label{Key: "state", Value: "inuse"})
-	r.GaugeFunc("vkg_mem_arena_nodes", "Index node-arena records, by state.", func() float64 {
-		_, free := e.arenaNodes()
-		return float64(free)
-	}, obs.Label{Key: "state", Value: "free"})
 	return m
-}
-
-// arenaNodes reads the arena occupancy under the read locks.
-func (e *Engine) arenaNodes() (inUse, free int) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	e.idx.mu.RLock()
-	defer e.idx.mu.RUnlock()
-	inUse, free, _ = e.idx.tree.ArenaStats()
-	return inUse, free
 }
 
 // Registry returns the engine's metric registry (for the serving layer's

@@ -212,7 +212,7 @@ func TestLoadIgnoresRetiredParams(t *testing.T) {
 		EffAttrs []string
 	}
 	r := bytes.NewReader(buf.Bytes())
-	if _, _, err := snapfmt.ReadHeader(r, engineMagic, engineVersion, engineVersion); err != nil {
+	if _, err := snapfmt.ReadHeader(r, engineMagic, engineVersion); err != nil {
 		t.Fatal(err)
 	}
 	var old bytes.Buffer

@@ -132,7 +132,7 @@ func (e *Engine) saveLocked(w io.Writer, walGen uint64) error {
 // Loading logs nothing: it reconstructs state the snapshot already made
 // durable, and the WAL arms only after the load (and replay) completes.
 func LoadEngine(r io.Reader) (*Engine, error) {
-	if _, _, err := snapfmt.ReadHeader(r, engineMagic, engineVersion, engineVersion); err != nil {
+	if _, err := snapfmt.ReadHeader(r, engineMagic, engineVersion); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	var meta wireMeta

@@ -38,13 +38,7 @@ func (t *Tree) SetAccessCounters(c *AccessCounters) { t.access = c }
 // a Crack call; the caller must hold the same lock as for Crack.
 func (t *Tree) Splits() int { return t.splits }
 
-// NodesCreated returns the number of tree nodes created so far (cracking,
-// bulk build, and root materialization alike). O(1); same locking contract
-// as Splits.
-func (t *Tree) NodesCreated() int { return t.created }
-
-// ArenaStats reports the node arena's occupancy and slab memory. O(1);
-// same locking contract as Splits (unlike Stats, which walks the tree).
-func (t *Tree) ArenaStats() (inUse, free, slabBytes int) {
-	return t.arena.nodesInUse(), t.arena.nodesFree(), t.arena.slabBytes()
-}
+// Nodes returns the number of tree nodes: the arena records handed out,
+// which CheckInvariants holds equal to Stats().TotalNodes. O(1); same
+// locking contract as Splits (unlike Stats, which walks the tree).
+func (t *Tree) Nodes() int { return t.arena.nodesInUse() }

@@ -88,18 +88,15 @@ func (a *nodeArena) alloc() *node {
 	return nd
 }
 
-// nodesInUse and nodesFree report the arena occupancy — the records handed
-// out and the ones the newest slab has yet to hand out; slabBytes the
-// memory retained by the slabs themselves (records, MBR backing,
-// statistics slots and page headers), which is the true per-node
-// footprint — node records have no individual heap identity.
-func (a *nodeArena) nodesInUse() int { return len(a.slabs)*arenaSlabSize - a.nodesFree() }
-
-func (a *nodeArena) nodesFree() int {
+// nodesInUse reports the records handed out; slabBytes the memory retained
+// by the slabs themselves (records, MBR backing, statistics slots and page
+// headers), which is the true per-node footprint — node records have no
+// individual heap identity.
+func (a *nodeArena) nodesInUse() int {
 	if len(a.slabs) == 0 {
 		return 0
 	}
-	return arenaSlabSize - a.next
+	return (len(a.slabs)-1)*arenaSlabSize + a.next
 }
 
 func (a *nodeArena) slabBytes() int {

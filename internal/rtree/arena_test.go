@@ -6,8 +6,8 @@ import (
 	"unsafe"
 )
 
-// TestArenaStatsConsistency pins the O(1) ArenaStats to the arena's
-// internal bookkeeping and to Stats().
+// TestArenaStatsConsistency pins the O(1) Nodes to the arena's internal
+// bookkeeping and to Stats(), past the first slab.
 func TestArenaStatsConsistency(t *testing.T) {
 	ps := clusteredPointSet(800, 3, 4, 83)
 	tr := NewCracking(ps, DefaultOptions())
@@ -15,20 +15,22 @@ func TestArenaStatsConsistency(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Crack(randomQuery(rng, 3, 0, 10))
 	}
-	inUse, free, slabBytes := tr.ArenaStats()
 	st := tr.Stats()
-	if st.ArenaNodesInUse != inUse || st.ArenaNodesFree != free || st.ArenaBytes != slabBytes {
-		t.Fatalf("Stats arena fields (%d, %d, %d) != ArenaStats (%d, %d, %d)",
-			st.ArenaNodesInUse, st.ArenaNodesFree, st.ArenaBytes, inUse, free, slabBytes)
+	if tr.Nodes() != st.TotalNodes {
+		t.Fatalf("Nodes %d != TotalNodes %d", tr.Nodes(), st.TotalNodes)
 	}
-	if inUse != st.TotalNodes {
-		t.Fatalf("arena inUse %d != TotalNodes %d", inUse, st.TotalNodes)
+	if slots := len(tr.arena.slabs) * arenaSlabSize; tr.Nodes() > slots || tr.Nodes() <= slots-arenaSlabSize {
+		t.Fatalf("Nodes %d outside the newest slab of %d records", tr.Nodes(), slots)
 	}
-	if got := len(tr.arena.slabs) * arenaSlabSize; got != inUse+free {
-		t.Fatalf("slab capacity %d != inUse %d + free %d", got, inUse, free)
+	if st.ArenaBytes <= 0 || st.SizeBytes < st.ArenaBytes {
+		t.Fatalf("SizeBytes %d must include slab bytes %d", st.SizeBytes, st.ArenaBytes)
 	}
-	if slabBytes <= 0 || st.SizeBytes < slabBytes {
-		t.Fatalf("SizeBytes %d must include slab bytes %d", st.SizeBytes, slabBytes)
+	a := newNodeArena(3)
+	for i := 0; i <= arenaSlabSize+1; i++ {
+		if a.nodesInUse() != i {
+			t.Fatalf("arena with %d records handed out reports %d", i, a.nodesInUse())
+		}
+		a.alloc()
 	}
 }
 

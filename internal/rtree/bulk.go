@@ -12,7 +12,6 @@ func NewBulkLoaded(ps *PointSet, opt Options) *Tree {
 	t := &Tree{ps: ps, opt: opt, arena: newNodeArena(ps.Dim),
 		scratch: make([]bool, ps.N()), initialN: ps.N()}
 	if ps.N() == 0 {
-		t.created++
 		t.root = t.arena.alloc()
 		t.arena.setLeaf(t.root, ps, []int32{})
 		return t
@@ -25,7 +24,6 @@ func NewBulkLoaded(ps *PointSet, opt Options) *Tree {
 // buildFull implements BulkLoadChunk: partition into at most M chunks of
 // ~equal size, recurse into each.
 func (t *Tree) buildFull(p *partition) *node {
-	t.created++
 	if p.count() <= t.opt.LeafCap {
 		nd := t.arena.alloc()
 		nd.part = p

@@ -450,9 +450,9 @@ func TestPrepareParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := batch.Stats()
-	if st.InternalNodes != 1 || st.TotalNodes != 1+len(batch.root.children) || batch.created != st.TotalNodes {
+	if st.InternalNodes != 1 || st.TotalNodes != 1+len(batch.root.children) || batch.Nodes() != st.TotalNodes {
 		t.Fatalf("%d nodes (%d internal), %d created, want a root and its %d cells",
-			st.TotalNodes, st.InternalNodes, batch.created, len(batch.root.children))
+			st.TotalNodes, st.InternalNodes, batch.Nodes(), len(batch.root.children))
 	}
 	empty := NewCracking(NewPointSet(3, nil), DefaultOptions())
 	empty.Prepare()
@@ -525,15 +525,15 @@ func TestPresplitRoot(t *testing.T) {
 		}
 
 		if n < parallelSortMin {
-			if !tr.root.isPending() || tr.created != 1 {
+			if !tr.root.isPending() || tr.Nodes() != 1 {
 				t.Fatalf("seed %d: a root of %d points is not a single pending element", seed, n)
 			}
 			continue
 		}
 		kids := tr.root.children
-		if len(kids) < 1 || len(kids) > opt.Fanout || tr.created != 1+len(kids) {
+		if len(kids) < 1 || len(kids) > opt.Fanout || tr.Nodes() != 1+len(kids) {
 			t.Fatalf("seed %d: a root of %d points has %d children (%d nodes created), want 1..%d",
-				seed, n, len(kids), tr.created, opt.Fanout)
+				seed, n, len(kids), tr.Nodes(), opt.Fanout)
 		}
 		nbits := 0
 		for 2<<nbits <= opt.Fanout {

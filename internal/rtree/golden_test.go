@@ -27,7 +27,7 @@ func shapeOf(trees ...*Tree) goldenShape {
 		g.hash = g.hash*1099511628211 ^ tr.StructureHash()
 		g.splits += st.BinarySplits
 		g.nodes += st.TotalNodes
-		g.created += tr.created
+		g.created += tr.Nodes()
 	}
 	return g
 }

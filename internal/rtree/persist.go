@@ -105,7 +105,7 @@ func (t *Tree) Save(w io.Writer) error {
 // that does not hold every point of ps exactly once; any other format
 // version returns one satisfying errors.Is(err, snapfmt.ErrVersion).
 func Load(r io.Reader, ps *PointSet) (*Tree, error) {
-	if _, _, err := snapfmt.ReadHeader(r, treeMagic, treeVersion, treeVersion); err != nil {
+	if _, err := snapfmt.ReadHeader(r, treeMagic, treeVersion); err != nil {
 		return nil, fmt.Errorf("rtree: %w", err)
 	}
 	kind, payload, err := snapfmt.ReadSection(r)

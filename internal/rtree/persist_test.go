@@ -303,7 +303,7 @@ func savedPayload(tb testing.TB, tr *Tree) []byte {
 	if err := tr.Save(&buf); err != nil {
 		tb.Fatal(err)
 	}
-	if _, _, err := snapfmt.ReadHeader(&buf, treeMagic, treeVersion, treeVersion); err != nil {
+	if _, err := snapfmt.ReadHeader(&buf, treeMagic, treeVersion); err != nil {
 		tb.Fatal(err)
 	}
 	_, payload, err := snapfmt.ReadSection(&buf)

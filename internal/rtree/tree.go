@@ -55,7 +55,6 @@ type Tree struct {
 	cutBuf  []int32    // a split's right half while it is cut in place
 
 	splits  int          // binary splits applied to the tree
-	created int          // tree nodes created (cracking, bulk build, root)
 	queries atomic.Int64 // query count (Crack invocations + NoteQuery calls)
 
 	// access, when set, receives node-access counts from WalkWithin (see
@@ -106,7 +105,6 @@ func (t *Tree) Prepare() { t.ensureRoot() }
 // Lazy root materialization is deterministic from the point set and
 // happens identically on load, so it is never WAL-logged.
 func (t *Tree) buildRoot() {
-	t.created++
 	t.root = t.arena.alloc()
 	if t.initialN == 0 {
 		t.arena.setLeaf(t.root, t.ps, []int32{})
@@ -123,7 +121,6 @@ func (t *Tree) buildRoot() {
 		t.root.setMBR(frame)
 		for c, ids := range cells {
 			if len(ids) > 0 {
-				t.created++
 				child := t.arena.alloc()
 				jobs = t.setPending(child, ids, mbrs[c], jobs)
 				elems = append(elems, child)
@@ -370,7 +367,6 @@ func (t *Tree) crackPending(nd *node, q Rect, cq int) int32 {
 	nd.children = make([]*node, 0, len(parts))
 	nd.pending = 0
 	for _, cp := range parts {
-		t.created++
 		child := t.arena.alloc()
 		child.setMBR(cp.part.mbr)
 		child.part = cp.part
@@ -487,12 +483,8 @@ type Stats struct {
 	SizeBytes int
 	Height    int
 	Points    int
-	// ArenaNodesInUse/Free report the node-arena occupancy: the records
-	// handed out, and those the newest slab has yet to hand out; ArenaBytes
-	// the slab memory retained (both kinds alike).
-	ArenaNodesInUse int
-	ArenaNodesFree  int
-	ArenaBytes      int
+	// ArenaBytes is the slab memory retained, records handed out or not.
+	ArenaBytes int
 }
 
 // Stats computes current structural statistics.
@@ -500,18 +492,16 @@ func (t *Tree) Stats() Stats {
 	t.ensureRoot()
 	in, lf, pd := t.root.countNodes()
 	return Stats{
-		InternalNodes:   in,
-		LeafNodes:       lf,
-		PendingNodes:    pd,
-		TotalNodes:      in + lf + pd,
-		BinarySplits:    t.splits,
-		Queries:         int(t.queries.Load()),
-		SizeBytes:       t.arena.slabBytes() + t.root.sizeBytes(t.ps.Dim),
-		Height:          t.root.height(),
-		Points:          t.root.numPoints(),
-		ArenaNodesInUse: t.arena.nodesInUse(),
-		ArenaNodesFree:  t.arena.nodesFree(),
-		ArenaBytes:      t.arena.slabBytes(),
+		InternalNodes: in,
+		LeafNodes:     lf,
+		PendingNodes:  pd,
+		TotalNodes:    in + lf + pd,
+		BinarySplits:  t.splits,
+		Queries:       int(t.queries.Load()),
+		SizeBytes:     t.arena.slabBytes() + t.root.sizeBytes(t.ps.Dim),
+		Height:        t.root.height(),
+		Points:        t.root.numPoints(),
+		ArenaBytes:    t.arena.slabBytes(),
 	}
 }
 

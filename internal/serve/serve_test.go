@@ -441,16 +441,9 @@ func TestMetricsPage(t *testing.T) {
 	if !strings.Contains(out, `vkg_queries_total{kind="topk",tenant="movie"}`) {
 		t.Error("engine families are not stamped with the tenant label")
 	}
-	// The memory-layout gauges ride the same labeled path: their own
-	// label (state) must compose with the tenant label.
-	for _, want := range []string{
-		`vkg_mem_resident_points{tenant="movie"}`,
-		`vkg_mem_arena_nodes{state="inuse",tenant="movie"}`,
-		`vkg_mem_arena_nodes{state="free",tenant="movie"}`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics page missing memory gauge %q", want)
-		}
+	// The memory-layout gauge rides the same labeled path.
+	if want := `vkg_mem_resident_points{tenant="movie"}`; !strings.Contains(out, want) {
+		t.Errorf("metrics page missing memory gauge %q", want)
 	}
 	if n := strings.Count(out, "# HELP vkg_queries_total"); n != 1 {
 		t.Errorf("HELP header for vkg_queries_total appears %d times, want 1", n)

@@ -23,7 +23,7 @@ const fuzzMagic = "VKGSNAP\x00"
 func FuzzSnapshotLoad(f *testing.F) {
 	// Seed 1: a valid two-section snapshot.
 	var good bytes.Buffer
-	if err := WriteHeader(&good, fuzzMagic, 2, 2); err != nil {
+	if err := WriteHeader(&good, fuzzMagic, 3, 2); err != nil {
 		f.Fatal(err)
 	}
 	if err := WriteSection(&good, 1, []byte("graph payload")); err != nil {
@@ -66,7 +66,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		_, sections, err := ReadHeader(r, fuzzMagic, 1, 3)
+		sections, err := ReadHeader(r, fuzzMagic, 3)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
 				t.Fatalf("ReadHeader returned unclassified error: %v", err)

@@ -53,24 +53,21 @@ func WriteHeader(w io.Writer, magic string, version, sections uint16) error {
 	return err
 }
 
-// ReadHeader validates the magic string and returns the version and section
-// count. A magic mismatch (including a short stream) is ErrCorrupt; a
-// version outside [minVersion, maxVersion] is ErrVersion.
-func ReadHeader(r io.Reader, magic string, minVersion, maxVersion uint16) (version uint16, sections int, err error) {
+// ReadHeader validates the magic string and the version and returns the
+// section count. A magic mismatch (including a short stream) is ErrCorrupt;
+// any version other than want is ErrVersion.
+func ReadHeader(r io.Reader, magic string, want uint16) (sections int, err error) {
 	hdr := make([]byte, MagicLen+4)
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, 0, fmt.Errorf("snapfmt: reading header: %w", ErrCorrupt)
+		return 0, fmt.Errorf("snapfmt: reading header: %w", ErrCorrupt)
 	}
 	if string(hdr[:MagicLen]) != magic {
-		return 0, 0, fmt.Errorf("snapfmt: bad magic %q: %w", hdr[:MagicLen], ErrCorrupt)
+		return 0, fmt.Errorf("snapfmt: bad magic %q: %w", hdr[:MagicLen], ErrCorrupt)
 	}
-	version = binary.LittleEndian.Uint16(hdr[MagicLen : MagicLen+2])
-	sections = int(binary.LittleEndian.Uint16(hdr[MagicLen+2 : MagicLen+4]))
-	if version < minVersion || version > maxVersion {
-		return version, sections, fmt.Errorf("snapfmt: version %d (supported %d..%d): %w",
-			version, minVersion, maxVersion, ErrVersion)
+	if version := binary.LittleEndian.Uint16(hdr[MagicLen : MagicLen+2]); version != want {
+		return 0, fmt.Errorf("snapfmt: version %d (supported %d): %w", version, want, ErrVersion)
 	}
-	return version, sections, nil
+	return int(binary.LittleEndian.Uint16(hdr[MagicLen+2 : MagicLen+4])), nil
 }
 
 // WriteSection frames one payload: kind, length, checksum, bytes.

@@ -177,10 +177,10 @@ type SyncFile interface {
 
 // Writer appends framed records to a SyncFile. It is not itself
 // synchronized — the engine serializes appends under its WAL mutex — and it
-// implements only the per-append half of the fsync policy: SyncEveryRecord
-// syncs inside Append, while interval syncing is driven by the caller
-// calling Sync on its own clock. Sync skips the barrier entirely when
-// nothing was appended since the last one.
+// holds no fsync policy: Append never syncs, and the caller calls Sync
+// after every append (core.WALSyncAlways) or on its own clock
+// (core.WALSyncInterval). Sync skips the barrier entirely when nothing was
+// appended since the last one.
 type Writer struct {
 	f     SyncFile
 	dirty bool

@@ -183,7 +183,6 @@ type options struct {
 	mode  IndexMode
 	alpha int
 	eps   float64
-	pTau  float64
 	seed  int64
 	emb   EmbeddingParams
 	model *embedding.Model
@@ -204,10 +203,6 @@ func WithAlpha(alpha int) Option { return func(o *options) { o.alpha = alpha } }
 // 0.75). Larger values improve the Theorem 2 recall bound at higher cost.
 func WithEpsilon(eps float64) Option { return func(o *options) { o.eps = eps } }
 
-// WithProbabilityThreshold sets p_tau, the minimum predicted probability
-// for entities included in aggregate queries (default 0.05).
-func WithProbabilityThreshold(p float64) Option { return func(o *options) { o.pTau = p } }
-
 // WithSeed fixes all randomized components (embedding init, JL projection).
 func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
 
@@ -215,15 +210,10 @@ func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
 func WithEmbedding(p EmbeddingParams) Option { return func(o *options) { o.emb = p } }
 
 // WithPretrainedModel skips training and uses the given model (as loaded by
-// the vkg-train tool). The model must match the graph's entity/relation
-// counts.
+// the vkg-train tool, or another VKG's src.Engine().Model(), which is how
+// comparison runs build several index backends over one embedding). The
+// model must match the graph's entity/relation counts.
 func WithPretrainedModel(m *embedding.Model) Option { return func(o *options) { o.model = m } }
-
-// WithModelFrom reuses the trained embedding of an existing VKG, skipping
-// training. It is how comparison runs build several index backends over the
-// same graph and the same embedding so the measured differences come from
-// the index alone. The source must have been built from the same graph.
-func WithModelFrom(src *VKG) Option { return func(o *options) { o.model = src.eng.Model() } }
 
 // WithAttributes registers graph attribute columns with the index so they
 // can be aggregated. Attributes named in aggregate queries must be listed
@@ -252,7 +242,6 @@ func Build(gr *Graph, opts ...Option) (*VKG, error) {
 		mode:  ModeCrack,
 		alpha: 3,
 		eps:   0.75,
-		pTau:  0.05,
 		seed:  1,
 		emb:   EmbeddingParams{},
 	}
@@ -295,7 +284,7 @@ func Build(gr *Graph, opts ...Option) (*VKG, error) {
 	params := core.Params{
 		Alpha: o.alpha,
 		Eps:   o.eps,
-		PTau:  o.pTau,
+		PTau:  0.05, // an aggregate query may set its own (AggSpec.ProbThreshold)
 		Seed:  o.seed,
 		Attrs: o.attrs,
 	}

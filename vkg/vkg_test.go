@@ -228,7 +228,7 @@ func TestPretrainedModelReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := Build(g, WithModelFrom(base), WithAttributes("age"), WithSeed(42))
+	v2, err := Build(g, WithPretrainedModel(base.Engine().Model()), WithAttributes("age"), WithSeed(42))
 	if err != nil {
 		t.Fatalf("Build with pretrained: %v", err)
 	}
