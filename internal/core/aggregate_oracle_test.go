@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -64,19 +63,34 @@ func (e *Engine) oracleContourOverlap(center []float64, radius float64) []oracle
 	if err := e.idx.tree.Save(&blob); err != nil {
 		panic(err)
 	}
-	if _, err := snapfmt.ReadHeader(&blob, "VKGRTREE", 2); err != nil {
+	if _, err := snapfmt.ReadHeader(&blob, "VKGRTREE", 3); err != nil {
 		panic(err)
 	}
 	_, payload, err := snapfmt.ReadSection(&blob)
 	if err != nil {
 		panic(err)
 	}
+	// leafCap, fanout, splits, queries, initial size; then the node count,
+	// a kind byte and an entry count per node, and the id list.
+	r := snapfmt.NewReader(payload)
+	for i := 0; i < 5; i++ {
+		r.I64()
+	}
 	var flat struct {
 		Kinds  []uint8
 		Counts []int32
 		IDs    []int32
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&flat); err != nil {
+	flat.Kinds = make([]uint8, r.Count(5))
+	for i := range flat.Kinds {
+		flat.Kinds[i] = r.U8()
+	}
+	flat.Counts = make([]int32, len(flat.Kinds))
+	for i := range flat.Counts {
+		flat.Counts[i] = r.I32()
+	}
+	flat.IDs = r.I32s()
+	if err := r.Finish(); err != nil {
 		panic(err)
 	}
 	q := rtree.BallRect(center, radius)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"reflect"
 	"runtime"
 	"sync"
@@ -33,6 +34,7 @@ func TestColdFirstQueriesConcurrent(t *testing.T) {
 		}
 	}
 	insert(after)
+	before.prepareIndex()
 	rootNodes := before.IndexStats().TotalNodes // the root and its cells, nothing cracked yet
 	if rootNodes < 2 {
 		t.Fatalf("a fresh index over %d entities has %d nodes: the root is not pre-split", g.NumEntities(), rootNodes)
@@ -171,5 +173,22 @@ func TestStructureHashIsMachineIndependent(t *testing.T) {
 		if got := run(procs); got != want {
 			t.Fatalf("GOMAXPROCS %d: hashes %+v, at GOMAXPROCS 1 %+v", procs, got, want)
 		}
+	}
+}
+
+// TestScrapeLeavesRootUnbuilt: a /metrics scrape and Metrics on a fresh
+// cracking engine report the unbuilt index and build nothing, so the
+// first query still pays for the root.
+func TestScrapeLeavesRootUnbuilt(t *testing.T) {
+	eng, g := testEngine(t, Crack, defaultTestParams())
+	if err := eng.Registry().WritePrometheusLabeled(io.Discard, nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.Metrics()
+	if eng.Tree().Ready() {
+		t.Fatal("a scrape built the lazy root")
+	}
+	if st := eng.IndexStats(); st.TotalNodes != 0 || st.Points != g.NumEntities() {
+		t.Fatalf("the unbuilt index reports %d nodes over %d points, want none over %d", st.TotalNodes, st.Points, g.NumEntities())
 	}
 }

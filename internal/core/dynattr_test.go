@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"testing"
 
@@ -102,46 +101,15 @@ func TestDynamicAttrSurvivesRoundTrip(t *testing.T) {
 // (or never had) a column the meta section promises.
 func rewriteMetaAttrs(t *testing.T, snap []byte, extra ...string) []byte {
 	t.Helper()
-	r := bytes.NewReader(snap)
-	sections, err := snapfmt.ReadHeader(r, engineMagic, engineVersion)
+	start, n := sectionSpan(t, snap, secMeta)
+	meta, err := decodeMeta(snap[start : start+n])
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := make([]uint8, 0, sections)
-	payloads := make([][]byte, 0, sections)
-	for i := 0; i < sections; i++ {
-		kind, payload, err := snapfmt.ReadSection(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kind == secMeta {
-			var meta wireMeta
-			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&meta); err != nil {
-				t.Fatal(err)
-			}
-			if len(meta.EffAttrs) == 0 {
-				meta.EffAttrs = append([]string(nil), meta.Params.Attrs...)
-			}
-			meta.EffAttrs = append(meta.EffAttrs, extra...)
-			var b bytes.Buffer
-			if err := gob.NewEncoder(&b).Encode(meta); err != nil {
-				t.Fatal(err)
-			}
-			payload = b.Bytes()
-		}
-		kinds = append(kinds, kind)
-		payloads = append(payloads, payload)
-	}
-	var out bytes.Buffer
-	if err := snapfmt.WriteHeader(&out, engineMagic, engineVersion, uint16(sections)); err != nil {
-		t.Fatal(err)
-	}
-	for i, kind := range kinds {
-		if err := snapfmt.WriteSection(&out, kind, payloads[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out.Bytes()
+	meta.EffAttrs = append(meta.EffAttrs, extra...)
+	var w snapfmt.Writer
+	meta.encode(&w)
+	return replaceSection(t, snap, secMeta, w.Bytes())
 }
 
 // Regression: an attribute named by the snapshot meta but missing from the

@@ -278,9 +278,11 @@ func (e *Engine) StructureHash() uint64 {
 	return h.Sum64()
 }
 
-// IndexStats reports the index structure counters (Figs. 9-11).
+// IndexStats reports the index structure counters (Figs. 9-11). It never
+// builds the lazy root: before the first query it reports the unbuilt
+// index (rtree.Tree.Stats), so a metrics scrape of a fresh engine leaves
+// the first query's work to the first query.
 func (e *Engine) IndexStats() rtree.Stats {
-	e.prepareIndex()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	e.idx.mu.RLock()

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -15,7 +12,6 @@ import (
 	"vkgraph/internal/embedding"
 	"vkgraph/internal/kg"
 	"vkgraph/internal/obs"
-	"vkgraph/internal/snapfmt"
 )
 
 // TestEngineReRanksOnModelRows: the model's Entities block is the only copy
@@ -171,112 +167,6 @@ func BenchmarkTopKConverged(b *testing.B) {
 	}
 	b.ReportMetric(float64(examined)/float64(b.N), "examined/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(examined), "ns/examined")
-}
-
-// TestLoadIgnoresRetiredParams: snapshots written before the float32 mirror,
-// the shard count and Algorithm 2 went carry them in their Params, the last
-// as the index options' SplitChoices and MaxCandidatePops. Such a snapshot
-// loads to the same index and the same answers, and its next cracks are
-// the greedy ones.
-func TestLoadIgnoresRetiredParams(t *testing.T) {
-	eng, g := testEngine(t, Crack, defaultTestParams())
-	likes, _ := g.RelationByName("likes")
-	users := g.EntitiesOfType("user")
-	for _, u := range users[:8] {
-		if _, err := eng.TopK(DirTail, u, likes, 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// Rewrite the meta section as the previous release encoded it.
-	type retiredOptions struct {
-		LeafCap, Fanout, SplitChoices, MaxCandidatePops int
-	}
-	type retiredParams struct {
-		Alpha        int
-		Eps, PTau    float64
-		Seed         int64
-		Index        retiredOptions
-		Attrs        []string
-		Shards       int
-		PackedCoords bool
-	}
-	type retiredMeta struct {
-		Params   retiredParams
-		Mode     IndexMode
-		WalGen   uint64
-		EffAttrs []string
-	}
-	r := bytes.NewReader(buf.Bytes())
-	if _, err := snapfmt.ReadHeader(r, engineMagic, engineVersion); err != nil {
-		t.Fatal(err)
-	}
-	var old bytes.Buffer
-	if err := snapfmt.WriteHeader(&old, engineMagic, engineVersion, engineSections); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < engineSections; i++ {
-		kind, payload, err := snapfmt.ReadSection(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kind == secMeta {
-			var meta wireMeta
-			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&meta); err != nil {
-				t.Fatal(err)
-			}
-			ep := meta.Params
-			var enc bytes.Buffer
-			err := gob.NewEncoder(&enc).Encode(retiredMeta{
-				Params: retiredParams{Alpha: ep.Alpha, Eps: ep.Eps, PTau: ep.PTau, Seed: ep.Seed,
-					Index: retiredOptions{LeafCap: ep.Index.LeafCap, Fanout: ep.Index.Fanout, SplitChoices: 2, MaxCandidatePops: 512},
-					Attrs: ep.Attrs, Shards: 2, PackedCoords: true},
-				Mode: meta.Mode, WalGen: meta.WalGen, EffAttrs: meta.EffAttrs,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			payload = enc.Bytes()
-		}
-		if err := snapfmt.WriteSection(&old, kind, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if bytes.Equal(old.Bytes(), buf.Bytes()) {
-		t.Fatal("the rewritten snapshot carries no retired field")
-	}
-
-	loaded, err := LoadEngine(&old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.IndexRebuilt() || loaded.StructureHash() != eng.StructureHash() {
-		t.Fatal("a snapshot with retired Params fields loaded to a different index")
-	}
-	if !reflect.DeepEqual(loaded.Params(), eng.Params()) {
-		t.Fatalf("loaded params %+v, saved %+v", loaded.Params(), eng.Params())
-	}
-	splits := loaded.IndexStats().BinarySplits
-	for _, u := range users[8:24] {
-		a, _ := eng.TopK(DirTail, u, likes, 5)
-		b, err := loaded.TopK(DirTail, u, likes, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a.Predictions, b.Predictions) {
-			t.Fatal("a snapshot with retired Params fields answers differently")
-		}
-	}
-	if loaded.IndexStats().BinarySplits == splits {
-		t.Fatal("the queries after the load cracked nothing")
-	}
-	if loaded.StructureHash() != eng.StructureHash() {
-		t.Fatal("a snapshot with retired Params fields cracks to a different index")
-	}
 }
 
 // TestTopKCancellation: a top-k looks at its context every 256 visits of

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
@@ -29,14 +28,14 @@ import (
 //
 // The index section is the tree as rtree.Save writes it, its query counter
 // included; leaf pages are derived data, rebuilt from the points as the tree
-// loads. This is format version 4, the only one read or written; any other
-// version fails the load with snapfmt.ErrVersion. A Params field retired
-// since a snapshot was written may still be in its meta section: gob drops
-// what the struct no longer has.
+// loads. Every section is written with snapfmt's fixed-width codec: the
+// meta layout is below, the graph's is kg.Graph.Encode's and the model's
+// embedding.Model.Encode's. This is format version 5, the only one read or
+// written; any other version fails the load with snapfmt.ErrVersion.
 
 const (
 	engineMagic   = "VKGSNAP\x00"
-	engineVersion = 4
+	engineVersion = 5
 
 	secMeta  = 1
 	secGraph = 2
@@ -46,24 +45,64 @@ const (
 	engineSections = 4
 )
 
-// wireMeta carries the engine parameters and index mode, plus two fields
-// added with the WAL (older readers ignore unknown gob fields; older
-// snapshots decode them as zero):
+// wireMeta is the meta section: the engine parameters and index mode, plus
 //
-//   - WalGen keys the snapshot to its sidecar write-ahead log. It is
+//   - WalGen, which keys the snapshot to its sidecar write-ahead log. It is
 //     nonzero only in snapshots written by the WAL rotation path; a plain
 //     Save always writes 0, so a log can never be replayed onto a snapshot
 //     it does not extend.
-//   - EffAttrs is the effective attribute list — the point set's registered
+//   - EffAttrs, the effective attribute list — the point set's registered
 //     columns at save time, which may exceed Params.Attrs once attributes
 //     were added dynamically. Params.Attrs stays the build-time set; load
-//     registers EffAttrs (falling back to Params.Attrs for old snapshots),
-//     so dynamically added columns survive the round-trip.
+//     registers EffAttrs, so dynamically added columns survive the
+//     round-trip.
+//
+// Its layout:
+//
+//	alpha i64 | eps f64 | pTau f64 | seed i64 | leafCap i64 | fanout i64 |
+//	attrs strings | mode u8 | walGen u64 | effAttrs strings
 type wireMeta struct {
 	Params   Params
 	Mode     IndexMode
 	WalGen   uint64
 	EffAttrs []string
+}
+
+func (m *wireMeta) encode(w *snapfmt.Writer) {
+	p := &m.Params
+	w.I64(int64(p.Alpha))
+	w.F64(p.Eps)
+	w.F64(p.PTau)
+	w.I64(p.Seed)
+	p.Index.Encode(w)
+	w.Strings(p.Attrs)
+	w.U8(uint8(m.Mode))
+	w.U64(m.WalGen)
+	w.Strings(m.EffAttrs)
+}
+
+// decodeMeta reads a meta section written by wireMeta.encode. Any failure
+// wraps snapfmt.ErrCorrupt.
+func decodeMeta(b []byte) (wireMeta, error) {
+	r := snapfmt.NewReader(b)
+	var m wireMeta
+	p := &m.Params
+	p.Alpha = int(r.I64())
+	p.Eps = r.F64()
+	p.PTau = r.F64()
+	p.Seed = r.I64()
+	p.Index = rtree.DecodeOptions(r)
+	p.Attrs = r.Strings()
+	m.Mode = IndexMode(r.U8())
+	m.WalGen = r.U64()
+	m.EffAttrs = r.Strings()
+	if p.Alpha <= 0 || (m.Mode != Crack && m.Mode != Bulk) {
+		r.Fail("alpha %d, index mode %d", p.Alpha, m.Mode)
+	}
+	if err := r.Finish(); err != nil {
+		return wireMeta{}, fmt.Errorf("core: decode params: %w", err)
+	}
+	return m, nil
 }
 
 // Save writes the engine (graph, model, parameters, index shape) to w. It
@@ -86,17 +125,12 @@ func (e *Engine) Save(w io.Writer) error {
 // and the index read lock (so no mutation or crack can interleave), and
 // passes the WAL generation to stamp into the meta section.
 func (e *Engine) saveLocked(w io.Writer, walGen uint64) error {
-	var metaBuf, graphBuf, modelBuf, treeBuf bytes.Buffer
+	var metaBuf, graphBuf, modelBuf snapfmt.Writer
+	var treeBuf bytes.Buffer
 	meta := wireMeta{Params: e.params, Mode: e.mode, WalGen: walGen, EffAttrs: e.ps.AttrNames()}
-	if err := gob.NewEncoder(&metaBuf).Encode(meta); err != nil {
-		return fmt.Errorf("core: saving params: %w", err)
-	}
-	if err := e.g.Save(&graphBuf); err != nil {
-		return fmt.Errorf("core: saving graph: %w", err)
-	}
-	if err := e.m.Save(&modelBuf); err != nil {
-		return fmt.Errorf("core: saving model: %w", err)
-	}
+	meta.encode(&metaBuf)
+	e.g.Encode(&graphBuf)
+	e.m.Encode(&modelBuf)
 	if err := e.idx.tree.Save(&treeBuf); err != nil {
 		return fmt.Errorf("core: saving index: %w", err)
 	}
@@ -135,7 +169,6 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 	if _, err := snapfmt.ReadHeader(r, engineMagic, engineVersion); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	var meta wireMeta
 	sections := make(map[uint8][]byte, engineSections)
 	var treeErr error
 	for i := 0; i < engineSections; i++ {
@@ -156,14 +189,15 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 		return nil, fmt.Errorf("core: snapshot missing sections: %w", snapfmt.ErrCorrupt)
 	}
 
-	if err := gob.NewDecoder(bytes.NewReader(sections[secMeta])).Decode(&meta); err != nil {
-		return nil, fmt.Errorf("core: decode params: %v: %w", err, snapfmt.ErrCorrupt)
+	meta, err := decodeMeta(sections[secMeta])
+	if err != nil {
+		return nil, err
 	}
-	g, err := kg.Load(bytes.NewReader(sections[secGraph]))
+	g, err := kg.Decode(sections[secGraph])
 	if err != nil {
 		return nil, fmt.Errorf("core: loading graph: %w", err)
 	}
-	m, err := embedding.Load(bytes.NewReader(sections[secModel]))
+	m, err := embedding.Decode(sections[secModel])
 	if err != nil {
 		return nil, fmt.Errorf("core: loading model: %w", err)
 	}
@@ -173,18 +207,13 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 	ps := rtree.NewPointSet(p.Alpha, tf.ApplyAll(m.Entities))
 	// Register the effective attribute list — the columns the point set had
 	// at save time, a superset of the build-time Params.Attrs once
-	// attributes were added dynamically. Old snapshots have no EffAttrs and
-	// fall back to Params.Attrs. A name the loaded graph does not carry is
-	// dropped with the load degraded (visible via DroppedAttrs and the
-	// vkg_load_dropped_attrs gauge) rather than failing a snapshot whose
+	// attributes were added dynamically. A name the loaded graph does not
+	// carry is dropped with the load degraded (visible via DroppedAttrs and
+	// the vkg_load_dropped_attrs gauge) rather than failing a snapshot whose
 	// graph and model are intact — the same spirit as the index-section
 	// degrade contract.
-	attrs := meta.EffAttrs
-	if len(attrs) == 0 {
-		attrs = p.Attrs
-	}
 	var droppedAttrs []string
-	for _, name := range attrs {
+	for _, name := range meta.EffAttrs {
 		col, ok := g.AttrColumn(name)
 		if !ok {
 			droppedAttrs = append(droppedAttrs, name)

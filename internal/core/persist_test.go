@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"testing"
 
@@ -150,20 +151,97 @@ func TestLoadEngineCorruptIndexDegrades(t *testing.T) {
 	}
 }
 
-// TestOldSnapshotVersionsRejected forges version-1 to version-3 headers on
+// TestOldSnapshotVersionsRejected forges version-1 to version-4 headers on
 // an otherwise valid snapshot: the retired formats must be refused with the
-// typed version error, never misread as version 4.
+// typed version error, never misread as version 5.
 func TestOldSnapshotVersionsRejected(t *testing.T) {
 	eng, _ := testEngine(t, Crack, defaultTestParams())
 	var buf bytes.Buffer
 	if err := eng.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []uint16{1, 2, 3} {
+	for _, version := range []uint16{1, 2, 3, 4} {
 		snap := append([]byte(nil), buf.Bytes()...)
 		binary.LittleEndian.PutUint16(snap[snapfmt.MagicLen:], version)
 		if _, err := LoadEngine(bytes.NewReader(snap)); !errors.Is(err, snapfmt.ErrVersion) {
 			t.Fatalf("LoadEngine of a version-%d header = %v, want ErrVersion", version, err)
 		}
 	}
+}
+
+// TestRetiredParamsSnapshotRefused: a snapshot as version 4 wrote it —
+// sections in gob, its Params still carrying fields retired since (the
+// float32 mirror, the shard count, Algorithm 2's options) — is refused by
+// its header with ErrVersion; the same gob meta under a version-5 header
+// is ErrCorrupt, not a misread engine.
+func TestRetiredParamsSnapshotRefused(t *testing.T) {
+	eng, _ := testEngine(t, Crack, defaultTestParams())
+	var buf bytes.Buffer
+	if err := eng.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	type retiredOptions struct {
+		LeafCap, Fanout, SplitChoices, MaxCandidatePops int
+	}
+	type retiredParams struct {
+		Alpha        int
+		Eps, PTau    float64
+		Seed         int64
+		Index        retiredOptions
+		Attrs        []string
+		Shards       int
+		PackedCoords bool
+	}
+	type retiredMeta struct {
+		Params   retiredParams
+		Mode     IndexMode
+		WalGen   uint64
+		EffAttrs []string
+	}
+	p := eng.Params()
+	var gobMeta bytes.Buffer
+	err := gob.NewEncoder(&gobMeta).Encode(retiredMeta{
+		Params: retiredParams{Alpha: p.Alpha, Eps: p.Eps, PTau: p.PTau, Seed: p.Seed,
+			Index: retiredOptions{LeafCap: p.Index.LeafCap, Fanout: p.Index.Fanout, SplitChoices: 2, MaxCandidatePops: 512},
+			Attrs: p.Attrs, Shards: 2, PackedCoords: true},
+		EffAttrs: p.Attrs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for version, want := range map[uint16]error{4: snapfmt.ErrVersion, engineVersion: snapfmt.ErrCorrupt} {
+		snap := replaceSection(t, buf.Bytes(), secMeta, gobMeta.Bytes())
+		binary.LittleEndian.PutUint16(snap[snapfmt.MagicLen:], version)
+		if _, err := LoadEngine(bytes.NewReader(snap)); !errors.Is(err, want) {
+			t.Errorf("LoadEngine of a gob meta under a version-%d header = %v, want %v", version, err, want)
+		}
+	}
+}
+
+// replaceSection returns snap with the payload of its section kind
+// replaced, checksummed afresh.
+func replaceSection(t *testing.T, snap []byte, kind uint8, payload []byte) []byte {
+	t.Helper()
+	r := bytes.NewReader(snap)
+	sections, err := snapfmt.ReadHeader(r, engineMagic, engineVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := snapfmt.WriteHeader(&out, engineMagic, engineVersion, uint16(sections)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < sections; i++ {
+		k, p, err := snapfmt.ReadSection(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == kind {
+			p = payload
+		}
+		if err := snapfmt.WriteSection(&out, k, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out.Bytes()
 }

@@ -2,13 +2,9 @@ package core
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,6 +14,7 @@ import (
 
 	"vkgraph/internal/kg"
 	"vkgraph/internal/rtree"
+	"vkgraph/internal/snapfmt"
 	"vkgraph/internal/walfmt"
 )
 
@@ -80,12 +77,13 @@ func (o WALOptions) normalized(snapPath string) WALOptions {
 }
 
 // WAL record kinds. The payloads are versioned by walfmt's header version;
-// kinds are never reused.
+// kinds are never reused. Every payload is written with snapfmt's
+// fixed-width codec.
 const (
-	walRecCrack   uint8 = 1 // rect Lo,Hi float64 LE bits
-	walRecAddFact uint8 = 2 // h, r, t uint32 LE
-	walRecInsert  uint8 = 3 // gob(walInsertRec)
-	walRecSetAttr uint8 = 4 // gob(walSetAttrRec)
+	walRecCrack   uint8 = 1 // rect: Lo then Hi, f64 each
+	walRecAddFact uint8 = 2 // h, r, t: i32 each
+	walRecInsert  uint8 = 3 // walInsertRec.encode
+	walRecSetAttr uint8 = 4 // walSetAttrRec.encode
 )
 
 // walInsertRec is the replayable form of an InsertEntity call. The solved
@@ -101,10 +99,73 @@ type walInsertRec struct {
 	AttrVals  []float64
 }
 
+// encode writes the record:
+//
+//	name str | type str | facts: count | (rel i32, other i32, newIsHead u8)... |
+//	attrs: count | (name str, value f64)...
+func (ir *walInsertRec) encode(w *snapfmt.Writer) {
+	w.Str(ir.Name)
+	w.Str(ir.Typ)
+	w.Count(len(ir.Facts))
+	for _, f := range ir.Facts {
+		w.I32(f.Rel)
+		w.I32(f.Other)
+		w.Bool(f.NewIsHead)
+	}
+	w.Count(len(ir.AttrNames))
+	for i, name := range ir.AttrNames {
+		w.Str(name)
+		w.F64(ir.AttrVals[i])
+	}
+}
+
+// decodeInsertRec reads a payload written by walInsertRec.encode. Any
+// failure wraps snapfmt.ErrCorrupt.
+func decodeInsertRec(b []byte) (walInsertRec, error) {
+	r := snapfmt.NewReader(b)
+	ir := walInsertRec{Name: r.Str(), Typ: r.Str()}
+	if n := r.Count(9); n > 0 {
+		ir.Facts = make([]Fact, n)
+		for i := range ir.Facts {
+			ir.Facts[i] = Fact{Rel: r.I32(), Other: r.I32(), NewIsHead: r.Bool()}
+		}
+	}
+	if n := r.Count(12); n > 0 {
+		ir.AttrNames, ir.AttrVals = make([]string, n), make([]float64, n)
+		for i := range ir.AttrNames {
+			ir.AttrNames[i], ir.AttrVals[i] = r.Str(), r.F64()
+		}
+	}
+	if err := r.Finish(); err != nil {
+		return walInsertRec{}, fmt.Errorf("core: decode insert record: %w", err)
+	}
+	return ir, nil
+}
+
+// walSetAttrRec is the replayable form of a SetAttr call:
+//
+//	name str | id i32 | value f64
 type walSetAttrRec struct {
 	Name string
 	ID   int32
 	Val  float64
+}
+
+func (sr *walSetAttrRec) encode(w *snapfmt.Writer) {
+	w.Str(sr.Name)
+	w.I32(sr.ID)
+	w.F64(sr.Val)
+}
+
+// decodeSetAttrRec reads a payload written by walSetAttrRec.encode. Any
+// failure wraps snapfmt.ErrCorrupt.
+func decodeSetAttrRec(b []byte) (walSetAttrRec, error) {
+	r := snapfmt.NewReader(b)
+	sr := walSetAttrRec{Name: r.Str(), ID: r.I32(), Val: r.F64()}
+	if err := r.Finish(); err != nil {
+		return walSetAttrRec{}, fmt.Errorf("core: decode setattr record: %w", err)
+	}
+	return sr, nil
 }
 
 // walState is the engine's WAL writer state, embedded by value so the
@@ -486,15 +547,15 @@ func (e *Engine) walAppendCrack(q rtree.Rect) {
 		return
 	}
 	e.walcheckIndexLocked()
-	dim := len(q.Lo)
-	p := make([]byte, 16*dim)
-	for i, v := range q.Lo {
-		binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(v))
+	var w snapfmt.Writer
+	w.Grow(16 * len(q.Lo))
+	for _, v := range q.Lo {
+		w.F64(v)
 	}
-	for i, v := range q.Hi {
-		binary.LittleEndian.PutUint64(p[8*(dim+i):], math.Float64bits(v))
+	for _, v := range q.Hi {
+		w.F64(v)
 	}
-	e.walAppend(walRecCrack, p)
+	e.walAppend(walRecCrack, w.Bytes())
 }
 
 func (e *Engine) walAppendAddFact(h kg.EntityID, r kg.RelationID, t kg.EntityID) {
@@ -502,11 +563,12 @@ func (e *Engine) walAppendAddFact(h kg.EntityID, r kg.RelationID, t kg.EntityID)
 		return
 	}
 	e.walcheckEngineLocked("AddFact")
-	var p [12]byte
-	binary.LittleEndian.PutUint32(p[0:4], uint32(h))
-	binary.LittleEndian.PutUint32(p[4:8], uint32(r))
-	binary.LittleEndian.PutUint32(p[8:12], uint32(t))
-	e.walAppend(walRecAddFact, p[:])
+	var w snapfmt.Writer
+	w.Grow(12)
+	w.I32(h)
+	w.I32(r)
+	w.I32(t)
+	e.walAppend(walRecAddFact, w.Bytes())
 }
 
 func (e *Engine) walAppendInsert(name, typ string, facts []Fact, attrNames []string, attrVals []float64) {
@@ -514,18 +576,10 @@ func (e *Engine) walAppendInsert(name, typ string, facts []Fact, attrNames []str
 		return
 	}
 	e.walcheckEngineLocked("InsertEntity")
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(walInsertRec{
-		Name: name, Typ: typ, Facts: facts,
-		AttrNames: attrNames, AttrVals: attrVals,
-	}); err != nil {
-		e.wal.mu.Lock()
-		e.wal.err = err
-		e.wal.appendErrs.Add(1)
-		e.wal.mu.Unlock()
-		return
-	}
-	e.walAppend(walRecInsert, b.Bytes())
+	var w snapfmt.Writer
+	rec := walInsertRec{Name: name, Typ: typ, Facts: facts, AttrNames: attrNames, AttrVals: attrVals}
+	rec.encode(&w)
+	e.walAppend(walRecInsert, w.Bytes())
 }
 
 func (e *Engine) walAppendSetAttr(name string, id kg.EntityID, v float64) {
@@ -533,15 +587,10 @@ func (e *Engine) walAppendSetAttr(name string, id kg.EntityID, v float64) {
 		return
 	}
 	e.walcheckEngineLocked("SetAttr")
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(walSetAttrRec{Name: name, ID: int32(id), Val: v}); err != nil {
-		e.wal.mu.Lock()
-		e.wal.err = err
-		e.wal.appendErrs.Add(1)
-		e.wal.mu.Unlock()
-		return
-	}
-	e.walAppend(walRecSetAttr, b.Bytes())
+	var w snapfmt.Writer
+	rec := walSetAttrRec{Name: name, ID: id, Val: v}
+	rec.encode(&w)
+	e.walAppend(walRecSetAttr, w.Bytes())
 }
 
 // applyWALRecord replays one record onto the loading engine. Any failure —
@@ -557,42 +606,40 @@ func (e *Engine) walAppendSetAttr(name string, id kg.EntityID, v float64) {
 func (e *Engine) applyWALRecord(rec walfmt.Record) error {
 	switch rec.Kind {
 	case walRecCrack:
-		dim := e.ps.Dim
-		if len(rec.Payload) != 16*dim {
-			return fmt.Errorf("core: crack record of %d bytes, want %d", len(rec.Payload), 16*dim)
+		r := snapfmt.NewReader(rec.Payload)
+		q := rtree.Rect{Lo: make([]float64, e.ps.Dim), Hi: make([]float64, e.ps.Dim)}
+		for i := range q.Lo {
+			q.Lo[i] = r.F64()
 		}
-		q := rtree.Rect{Lo: make([]float64, dim), Hi: make([]float64, dim)}
-		for i := 0; i < dim; i++ {
-			q.Lo[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec.Payload[8*i:]))
-			q.Hi[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec.Payload[8*(dim+i):]))
+		for i := range q.Hi {
+			q.Hi[i] = r.F64()
+		}
+		if err := r.Finish(); err != nil {
+			return fmt.Errorf("core: crack record of %d bytes in %d dimensions: %w", len(rec.Payload), e.ps.Dim, err)
 		}
 		e.idx.tree.Crack(q)
 		return nil
 
 	case walRecAddFact:
-		if len(rec.Payload) != 12 {
-			return fmt.Errorf("core: addfact record of %d bytes, want 12", len(rec.Payload))
+		r := snapfmt.NewReader(rec.Payload)
+		h, rel, t := r.I32(), r.I32(), r.I32()
+		if err := r.Finish(); err != nil {
+			return fmt.Errorf("core: addfact record: %w", err)
 		}
-		h := kg.EntityID(int32(binary.LittleEndian.Uint32(rec.Payload[0:4])))
-		r := kg.RelationID(int32(binary.LittleEndian.Uint32(rec.Payload[4:8])))
-		t := kg.EntityID(int32(binary.LittleEndian.Uint32(rec.Payload[8:12])))
-		return e.addFactLocked(h, r, t)
+		return e.addFactLocked(h, rel, t)
 
 	case walRecInsert:
-		var ir walInsertRec
-		if err := gob.NewDecoder(bytes.NewReader(rec.Payload)).Decode(&ir); err != nil {
-			return fmt.Errorf("core: decode insert record: %w", err)
+		ir, err := decodeInsertRec(rec.Payload)
+		if err != nil {
+			return err
 		}
-		if len(ir.AttrNames) != len(ir.AttrVals) {
-			return fmt.Errorf("core: insert record attrs mismatched: %d names, %d values", len(ir.AttrNames), len(ir.AttrVals))
-		}
-		_, err := e.insertEntityLocked(ir.Name, ir.Typ, ir.Facts, ir.AttrNames, ir.AttrVals)
+		_, err = e.insertEntityLocked(ir.Name, ir.Typ, ir.Facts, ir.AttrNames, ir.AttrVals)
 		return err
 
 	case walRecSetAttr:
-		var sr walSetAttrRec
-		if err := gob.NewDecoder(bytes.NewReader(rec.Payload)).Decode(&sr); err != nil {
-			return fmt.Errorf("core: decode setattr record: %w", err)
+		sr, err := decodeSetAttrRec(rec.Payload)
+		if err != nil {
+			return err
 		}
 		if err := e.validateEntity(kg.EntityID(sr.ID)); err != nil {
 			return err

@@ -265,8 +265,20 @@ func TestWALRecoveryMatrix(t *testing.T) {
 			refused: snapfmt.ErrVersion,
 		},
 		{
+			name: "snapshot of format version 4",
+			damage: func(t *testing.T, wal string) {
+				forgeVersion(t, strings.TrimSuffix(wal, ".wal"), 4)
+			},
+			refused: snapfmt.ErrVersion,
+		},
+		{
 			name:    "log of format version 1",
 			damage:  func(t *testing.T, wal string) { forgeVersion(t, wal, 1) },
+			refused: walfmt.ErrVersion,
+		},
+		{
+			name:    "log of format version 2",
+			damage:  func(t *testing.T, wal string) { forgeVersion(t, wal, 2) },
 			refused: walfmt.ErrVersion,
 		},
 	}

@@ -11,7 +11,6 @@
 package embedding
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -21,6 +20,7 @@ import (
 
 	"vkgraph/internal/atomicfile"
 	"vkgraph/internal/kg"
+	"vkgraph/internal/snapfmt"
 )
 
 // Norm selects the dissimilarity used by TransE.
@@ -434,21 +434,61 @@ func bernoulliProbs(g *kg.Graph) []float64 {
 	return probs
 }
 
-// Save writes the model in gob format.
-func (m *Model) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(m)
+// A model file is a snapfmt container of its own (magic "VKGMODEL",
+// version modelVersion) with one section holding Encode's payload, so a
+// file in any other format is refused with a typed error.
+const (
+	modelMagic   = "VKGMODEL"
+	modelVersion = 1
+	secModelFile = 1
+)
+
+// Encode writes the model's payload to w:
+//
+//	dim u32 | norm u8 | entity rows (float64s) | relation rows (float64s)
+func (m *Model) Encode(w *snapfmt.Writer) {
+	w.Grow(8*(len(m.Entities)+len(m.Rels)) + 13)
+	w.U32(uint32(m.Dim))
+	w.U8(uint8(m.NormUsed))
+	w.F64s(m.Entities)
+	w.F64s(m.Rels)
 }
 
-// Load reads a model written by Save.
-func Load(r io.Reader) (*Model, error) {
-	var m Model
-	if err := gob.NewDecoder(r).Decode(&m); err != nil {
+// Decode reads a payload written by Encode. Any failure wraps
+// snapfmt.ErrCorrupt.
+func Decode(b []byte) (*Model, error) {
+	r := snapfmt.NewReader(b)
+	m := &Model{Dim: int(r.U32()), NormUsed: Norm(r.U8())}
+	if m.Dim <= 0 || m.NormUsed > L1 {
+		r.Fail("dimension %d, norm %d", m.Dim, m.NormUsed)
+	}
+	m.Entities = r.F64s()
+	m.Rels = r.F64s()
+	if r.Err() == nil && (len(m.Entities)%m.Dim != 0 || len(m.Rels)%m.Dim != 0) {
+		r.Fail("%d entity and %d relation values in rows of %d", len(m.Entities), len(m.Rels), m.Dim)
+	}
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("embedding: decode model: %w", err)
 	}
-	if m.Dim <= 0 || len(m.Entities)%m.Dim != 0 || len(m.Rels)%m.Dim != 0 {
-		return nil, errors.New("embedding: corrupt model")
+	return m, nil
+}
+
+// Save writes the model to w as a model file.
+func (m *Model) Save(w io.Writer) error {
+	var p snapfmt.Writer
+	m.Encode(&p)
+	return snapfmt.WriteOne(w, modelMagic, modelVersion, secModelFile, p.Bytes())
+}
+
+// Load reads a model file written by Save. A stream that is not one fails
+// with an error wrapping snapfmt.ErrCorrupt, a model file of another
+// version with one wrapping snapfmt.ErrVersion.
+func Load(r io.Reader) (*Model, error) {
+	payload, err := snapfmt.ReadOne(r, modelMagic, modelVersion, secModelFile)
+	if err != nil {
+		return nil, fmt.Errorf("embedding: %w", err)
 	}
-	return &m, nil
+	return Decode(payload)
 }
 
 // SaveFile writes the model to path atomically (temp file + rename): a

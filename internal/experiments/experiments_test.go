@@ -153,8 +153,8 @@ func TestSizeFigureShapes(t *testing.T) {
 		t.Fatalf("got %d rows, want 5", len(rows))
 	}
 	first, last := rows[0], rows[len(rows)-1]
-	if first.AfterQueries != 0 || first.CrackNodes != 1 {
-		t.Fatalf("before any query the cracking index must be a single node: %+v", first)
+	if first.AfterQueries != 0 || first.CrackNodes != 0 || first.CrackBytes != 0 {
+		t.Fatalf("before any query the cracking index must be unbuilt: %+v", first)
 	}
 	// The paper's headline — cracking performs a small fraction of the bulk
 	// loader's splits — appears at full scale (Figs. 9-11: ~60% of the

@@ -9,9 +9,7 @@
 package jl
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 )
@@ -87,29 +85,6 @@ func (t *Transform) ApplyAll(xs []float64) []float64 {
 		t.ApplyInto(out[i*t.alpha:(i+1)*t.alpha], xs[i*t.d:(i+1)*t.d])
 	}
 	return out
-}
-
-type gobTransform struct {
-	D, Alpha int
-	A        []float64
-}
-
-// Save writes the transform in gob format.
-func (t *Transform) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(gobTransform{D: t.d, Alpha: t.alpha, A: t.a})
-}
-
-// Load reads a transform written by Save.
-func Load(r io.Reader) (*Transform, error) {
-	var wire gobTransform
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("jl: decode transform: %w", err)
-	}
-	if wire.D <= 0 || wire.Alpha <= 0 || len(wire.A) != wire.D*wire.Alpha {
-		return nil, fmt.Errorf("jl: corrupt transform (d=%d alpha=%d len=%d)",
-			wire.D, wire.Alpha, len(wire.A))
-	}
-	return &Transform{d: wire.D, alpha: wire.Alpha, a: wire.A}, nil
 }
 
 // DeltaUpper is the Theorem 1 upper-tail bound: for any eps > 0,

@@ -1,7 +1,6 @@
 package jl
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -239,34 +238,6 @@ func TestFalsePositiveBound(t *testing.T) {
 	// Tighter in alpha.
 	if FalsePositiveBound(0.5, 6) > FalsePositiveBound(0.5, 3) {
 		t.Fatalf("bound not decreasing in alpha")
-	}
-}
-
-func TestSaveLoad(t *testing.T) {
-	tf := New(12, 4, 99)
-	var buf bytes.Buffer
-	if err := tf.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	x := make([]float64, 12)
-	for i := range x {
-		x[i] = float64(i) * 0.5
-	}
-	a, b := tf.Apply(x), got.Apply(x)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("round-tripped transform differs at %d", i)
-		}
-	}
-	// Corrupt payload rejected.
-	var bad bytes.Buffer
-	bad.WriteString("not gob")
-	if _, err := Load(&bad); err == nil {
-		t.Fatal("Load accepted garbage")
 	}
 }
 

@@ -2,10 +2,16 @@ package kg
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+
+	"vkgraph/internal/snapfmt"
 )
 
 // mapGraph is the map form the flat layout replaced: entities as structs, a
@@ -250,20 +256,11 @@ func TestFlatGraphMatchesMapForm(t *testing.T) {
 	}
 }
 
-// TestLoadKeepsFirstOccurrence feeds Load a wire graph whose triple list
+// TestLoadKeepsFirstOccurrence feeds Decode a graph whose triple list
 // repeats triples, as no Save writes: each is kept once, at its first
 // position.
 func TestLoadKeepsFirstOccurrence(t *testing.T) {
-	wire := gobGraph{
-		Entities:  []Entity{{0, "a", "t"}, {1, "b", "t"}, {2, "a", "u"}},
-		Relations: []Relation{{0, "r"}, {1, "s"}},
-		Triples:   []Triple{{1, 0, 0}, {0, 1, 0}, {1, 0, 0}, {0, 0, 2}, {0, 1, 0}, {2, 0, 1}},
-	}
-	var buf bytes.Buffer
-	if err := gobEncode(&buf, wire); err != nil {
-		t.Fatal(err)
-	}
-	g, err := Load(&buf)
+	g, err := Decode(repeatsPayload(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,12 +275,45 @@ func TestLoadKeepsFirstOccurrence(t *testing.T) {
 		t.Fatalf("EntityByName(a) = %d, %v; the first entity named a is 0", id, ok)
 	}
 
-	wire.Entities[1].ID = 7
-	buf.Reset()
-	if err := gobEncode(&buf, wire); err != nil {
-		t.Fatal(err)
+	bad := repeatsPayload(func(g *Graph) { g.types[1] = 7 })
+	if _, err := Decode(bad); !errors.Is(err, snapfmt.ErrCorrupt) {
+		t.Fatalf("Decode of an entity with an unknown type = %v, want ErrCorrupt", err)
 	}
-	if _, err := Load(&buf); err == nil {
-		t.Fatal("Load accepted an entity whose id is not its position")
+}
+
+// TestTripleCountPastPayload: a triple count the bytes left cannot hold
+// fails with ErrCorrupt before the triple list is sized by it.
+func TestTripleCountPastPayload(t *testing.T) {
+	payload := repeatsPayload(nil)
+	// The payload ends with the triple count, six triples of 12 bytes and
+	// an attribute count of 0.
+	binary.LittleEndian.PutUint32(payload[len(payload)-4-6*12-4:], 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(payload)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, snapfmt.ErrCorrupt) || !strings.Contains(err.Error(), "count 1073741824 of 12-byte entries") {
+		t.Fatalf("Decode = %v, want ErrCorrupt for the triple count", err)
 	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<16 {
+		t.Fatalf("Decode of a %d-byte payload allocated %d bytes", len(payload), got)
+	}
+}
+
+// repeatsPayload is the payload of a three-entity graph whose triple list
+// repeats triples, edited by edit first if it is not nil.
+func repeatsPayload(edit func(*Graph)) []byte {
+	g := NewGraph()
+	g.AddEntity("a", "t")
+	g.AddEntity("b", "t")
+	g.AddEntity("a", "u")
+	g.AddRelation("r")
+	g.AddRelation("s")
+	g.triples = []Triple{{1, 0, 0}, {0, 1, 0}, {1, 0, 0}, {0, 0, 2}, {0, 1, 0}, {2, 0, 1}}
+	if edit != nil {
+		edit(g)
+	}
+	var w snapfmt.Writer
+	g.Encode(&w)
+	return w.Bytes()
 }

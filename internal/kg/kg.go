@@ -21,7 +21,6 @@ package kg
 
 import (
 	"cmp"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -32,6 +31,7 @@ import (
 	"strings"
 
 	"vkgraph/internal/atomicfile"
+	"vkgraph/internal/snapfmt"
 )
 
 // EntityID identifies an entity; ids are dense, starting at 0.
@@ -581,67 +581,107 @@ func (g *Graph) Stats() Stats {
 	return s
 }
 
-// gobGraph is the wire representation for gob persistence.
-type gobGraph struct {
-	Entities  []Entity
-	Relations []Relation
-	Triples   []Triple
-	Attrs     map[string][]float64
+// A graph file is a snapfmt container of its own (magic "VKGGRAPH",
+// version graphVersion) with one section holding Encode's payload, so a
+// file in any other format is refused with a typed error.
+const (
+	graphMagic   = "VKGGRAPH"
+	graphVersion = 1
+	secGraphFile = 1
+)
+
+// Encode writes the graph's payload to w, column by column:
+//
+//	type names          strings
+//	entity names        strings
+//	entity types        int32s, indexes into the type names
+//	relation names      strings, in id order
+//	triples             count | (h, r, t int32)...
+//	attribute columns   count | (name, float64s)..., in name order
+//
+// The bytes are a function of the graph's contents: the attribute map is
+// written in name order, everything else in id order.
+func (g *Graph) Encode(w *snapfmt.Writer) {
+	w.Strings(g.typeNames)
+	w.Strings(g.names)
+	w.I32s(g.types)
+	w.Count(len(g.relations))
+	for _, rel := range g.relations {
+		w.Str(rel.Name)
+	}
+	w.Count(len(g.triples))
+	w.Grow(12 * len(g.triples))
+	for _, t := range g.triples {
+		w.I32(t.H)
+		w.I32(t.R)
+		w.I32(t.T)
+	}
+	names := g.AttrNames()
+	w.Count(len(names))
+	for _, name := range names {
+		w.Str(name)
+		w.F64s(g.attrs[name])
+	}
 }
 
-// Save writes the graph to w in gob format.
-func (g *Graph) Save(w io.Writer) error {
-	ents := make([]Entity, len(g.names))
-	for i := range ents {
-		ents[i] = g.Entity(EntityID(i))
-	}
-	return gob.NewEncoder(w).Encode(gobGraph{
-		Entities:  ents,
-		Relations: g.relations,
-		Triples:   g.triples,
-		Attrs:     g.attrs,
-	})
-}
-
-// Load reads a graph previously written by Save and lays it out frozen. It
-// builds the flat arrays straight from the decoded triples: a repeated
-// triple is kept at its first position only.
-func Load(r io.Reader) (*Graph, error) {
-	var wire gobGraph
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("kg: decode graph: %w", err)
-	}
+// Decode reads a payload written by Encode and lays the graph out frozen.
+// It builds the flat arrays straight from the decoded triples: a repeated
+// triple is kept at its first position only. Any failure wraps
+// snapfmt.ErrCorrupt.
+func Decode(b []byte) (*Graph, error) {
+	r := snapfmt.NewReader(b)
 	g := &Graph{
-		names:          make([]string, len(wire.Entities)),
-		types:          make([]int32, len(wire.Entities)),
+		typeNames:      r.Strings(),
+		names:          r.Strings(),
+		types:          r.I32s(),
 		typeByName:     make(map[string]int32),
-		relations:      wire.Relations,
-		relationByName: make(map[string]RelationID, len(wire.Relations)),
-		attrs:          wire.Attrs,
+		relationByName: make(map[string]RelationID),
+		attrs:          make(map[string][]float64),
 		frozen:         true,
 	}
-	if g.attrs == nil {
-		g.attrs = make(map[string][]float64)
-	}
-	for i, e := range wire.Entities {
-		if e.ID != EntityID(i) {
-			return nil, fmt.Errorf("kg: entity %d carries id %d", i, e.ID)
+	for i, name := range g.typeNames {
+		if _, dup := g.typeByName[name]; dup {
+			r.Fail("type %q twice", name)
 		}
-		g.names[i] = e.Name
-		g.types[i] = g.typeID(e.Type)
+		g.typeByName[name] = int32(i)
 	}
-	for i, rel := range g.relations {
-		if rel.ID != RelationID(i) {
-			return nil, fmt.Errorf("kg: relation %d carries id %d", i, rel.ID)
+	if len(g.types) != len(g.names) {
+		r.Fail("%d entity types for %d entities", len(g.types), len(g.names))
+	}
+	for _, ti := range g.types {
+		if ti < 0 || int(ti) >= len(g.typeNames) {
+			r.Fail("type index %d of %d types", ti, len(g.typeNames))
 		}
+	}
+	g.relations = make([]Relation, r.Count(4))
+	for i := range g.relations {
+		rel := Relation{ID: RelationID(i), Name: r.Str()}
+		if _, dup := g.relationByName[rel.Name]; dup {
+			r.Fail("relation %q twice", rel.Name)
+		}
+		g.relations[i] = rel
 		g.relationByName[rel.Name] = rel.ID
 	}
-	for _, t := range wire.Triples {
+	triples := make([]Triple, r.Count(12))
+	for i := range triples {
+		t := Triple{H: r.I32(), R: r.I32(), T: r.I32()}
 		if err := g.checkTriple(t.H, t.R, t.T); err != nil {
-			return nil, err
+			r.Fail("%v", err)
 		}
+		triples[i] = t
 	}
-	g.triples = trim(wire.Triples)
+	na, prev := r.Count(8), ""
+	for i := 0; i < na; i++ {
+		name := r.Str()
+		if i > 0 && name <= prev {
+			r.Fail("attribute %q after %q", name, prev)
+		}
+		g.attrs[name], prev = r.F64s(), name
+	}
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("kg: decode graph: %w", err)
+	}
+	g.triples = triples
 	g.out = newAdjacency(len(g.names), g.triples, false)
 	if len(g.out.ids) < len(g.triples) {
 		g.triples = firstOccurrences(g.triples, &g.out)
@@ -649,6 +689,24 @@ func Load(r io.Reader) (*Graph, error) {
 	g.in = newAdjacency(len(g.names), g.triples, true)
 	g.byName = nameIndex(g.names)
 	return g, nil
+}
+
+// Save writes the graph to w as a graph file.
+func (g *Graph) Save(w io.Writer) error {
+	var p snapfmt.Writer
+	g.Encode(&p)
+	return snapfmt.WriteOne(w, graphMagic, graphVersion, secGraphFile, p.Bytes())
+}
+
+// Load reads a graph file written by Save. A stream that is not one fails
+// with an error wrapping snapfmt.ErrCorrupt, a graph file of another
+// version with one wrapping snapfmt.ErrVersion.
+func Load(r io.Reader) (*Graph, error) {
+	payload, err := snapfmt.ReadOne(r, graphMagic, graphVersion, secGraphFile)
+	if err != nil {
+		return nil, fmt.Errorf("kg: %w", err)
+	}
+	return Decode(payload)
 }
 
 // firstOccurrences returns triples without the repeats of an earlier

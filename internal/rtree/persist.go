@@ -1,8 +1,6 @@
 package rtree
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 
@@ -19,19 +17,25 @@ import (
 // PointSet rebuilds from the embedding + JL transform on load (both
 // deterministic by seed), and not the boxes. The index is insert-only, so
 // every box is the box of the points below it, and Load derives each one.
-// The gob payload is wrapped in a snapfmt container (magic, version, CRC32)
+// The payload is wrapped in a snapfmt container (magic, version, CRC32)
 // so a torn or bit-rotted file is rejected with a typed error before any
 // byte reaches the decoder.
 //
 // The tree is flattened into packed preorder arrays (kinds, child/entry
-// counts, concatenated id lists), mirroring the arena's
-// index-addressed records: decoding is one gob of a few flat slices, and
-// nodes rebuild straight into arena slabs. This is format version 2, the
-// only one read or written; any other version is rejected with ErrVersion.
+// counts, concatenated id lists), mirroring the arena's index-addressed
+// records, and written with snapfmt's fixed-width codec:
+//
+//	leafCap i64 | fanout i64 | splits i64 | queries i64 | initialN i64
+//	node count u32 | kind u8 per node | count i32 per node
+//	ids: count u32 | int32...
+//
+// Decoding reads the arrays in one pass, and nodes rebuild straight into
+// arena slabs. This is format version 3, the only one read or written; any
+// other version is rejected with ErrVersion.
 
 const (
 	treeMagic   = "VKGRTREE"
-	treeVersion = 2
+	treeVersion = 3
 	secTreeFlat = 2 // flat preorder packed arrays
 )
 
@@ -39,9 +43,6 @@ const (
 // parallel arrays. Kinds[i] is node i's state (0 internal, 1 leaf,
 // 2 pending); Counts[i] its child count (internal) or entry count
 // (leaf/pending); IDs the concatenated leaf/pending id lists in preorder.
-// An older blob also carries each node's box (Mbrs) and, from before the
-// index was insert-only, a Deleted id list (no engine ever wrote a
-// non-empty one); gob skips both.
 type wireFlat struct {
 	Opt      Options
 	Splits   int
@@ -52,8 +53,54 @@ type wireFlat struct {
 	IDs      []int32
 }
 
+// Encode writes the options: leafCap i64 | fanout i64.
+func (o Options) Encode(w *snapfmt.Writer) {
+	w.I64(int64(o.LeafCap))
+	w.I64(int64(o.Fanout))
+}
+
+// DecodeOptions reads options written by Options.Encode.
+func DecodeOptions(r *snapfmt.Reader) Options {
+	return Options{LeafCap: int(r.I64()), Fanout: int(r.I64())}
+}
+
+func (wf *wireFlat) encode(w *snapfmt.Writer) {
+	wf.Opt.Encode(w)
+	w.I64(int64(wf.Splits))
+	w.I64(int64(wf.Queries))
+	w.I64(int64(wf.InitialN))
+	w.Count(len(wf.Kinds))
+	w.Grow(5*len(wf.Kinds) + 4*len(wf.IDs) + 4)
+	for _, k := range wf.Kinds {
+		w.U8(k)
+	}
+	for _, c := range wf.Counts {
+		w.I32(c)
+	}
+	w.I32s(wf.IDs)
+}
+
+// decodeFlatPayload reads a payload written by wireFlat.encode.
+func decodeFlatPayload(b []byte) (wireFlat, error) {
+	r := snapfmt.NewReader(b)
+	wf := wireFlat{Opt: DecodeOptions(r), Splits: int(r.I64()), Queries: int(r.I64()), InitialN: int(r.I64())}
+	wf.Kinds = make([]uint8, r.Count(5))
+	for i := range wf.Kinds {
+		wf.Kinds[i] = r.U8()
+	}
+	wf.Counts = make([]int32, len(wf.Kinds))
+	for i := range wf.Counts {
+		wf.Counts[i] = r.I32()
+	}
+	wf.IDs = r.I32s()
+	if err := r.Finish(); err != nil {
+		return wireFlat{}, fmt.Errorf("rtree: decode tree: %w", err)
+	}
+	return wf, nil
+}
+
 // Save writes the tree structure: a snapfmt header followed by one
-// checksummed gob section in the flat format.
+// checksummed section in the flat format.
 func (t *Tree) Save(w io.Writer) error {
 	t.ensureRoot()
 	wf := wireFlat{
@@ -83,41 +130,29 @@ func (t *Tree) Save(w io.Writer) error {
 		}
 	}
 	flatten(t.root)
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(wf); err != nil {
-		return fmt.Errorf("rtree: encode tree: %w", err)
-	}
-	if err := snapfmt.WriteHeader(w, treeMagic, treeVersion, 1); err != nil {
-		return err
-	}
-	return snapfmt.WriteSection(w, secTreeFlat, payload.Bytes())
+	var payload snapfmt.Writer
+	wf.encode(&payload)
+	return snapfmt.WriteOne(w, treeMagic, treeVersion, secTreeFlat, payload.Bytes())
 }
 
 // Load reads a tree written by Save and attaches it to ps, which must hold
 // the same points the tree was built over (same embedding, same transform,
 // same seed). Pending elements rebuild their sort orders locally; this is
 // proportional to the pending mass only, far cheaper than re-cracking.
-// Every box is derived from the points, and boxes stored by an older
-// release are ignored.
+// Every box is derived from the points.
 //
 // A stream with bad magic, a failed checksum, or a truncation returns an
 // error satisfying errors.Is(err, snapfmt.ErrCorrupt), and so does a tree
 // that does not hold every point of ps exactly once; any other format
 // version returns one satisfying errors.Is(err, snapfmt.ErrVersion).
 func Load(r io.Reader, ps *PointSet) (*Tree, error) {
-	if _, err := snapfmt.ReadHeader(r, treeMagic, treeVersion); err != nil {
-		return nil, fmt.Errorf("rtree: %w", err)
-	}
-	kind, payload, err := snapfmt.ReadSection(r)
+	payload, err := snapfmt.ReadOne(r, treeMagic, treeVersion, secTreeFlat)
 	if err != nil {
 		return nil, fmt.Errorf("rtree: %w", err)
 	}
-	if kind != secTreeFlat {
-		return nil, fmt.Errorf("rtree: unexpected section %d: %w", kind, snapfmt.ErrCorrupt)
-	}
-	var wf wireFlat
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wf); err != nil {
-		return nil, fmt.Errorf("rtree: decode tree: %v: %w", err, snapfmt.ErrCorrupt)
+	wf, err := decodeFlatPayload(payload)
+	if err != nil {
+		return nil, err
 	}
 	t := &Tree{ps: ps, arena: newNodeArena(ps.Dim), scratch: make([]bool, ps.N())}
 	t.opt = wf.Opt.normalize()
@@ -149,8 +184,8 @@ type flatCursor struct {
 // decodeFlat rebuilds the subtree whose preorder starts at c, deriving
 // each node's box and pending count bottom-up: a leaf's box is its points',
 // a pending element's is newPartition's, an internal node's the union of
-// its children's. A pending element that fits in a leaf, which only an
-// older release could save, is made one.
+// its children's. A pending element that fits in a leaf, which Save
+// never writes, is made one.
 func (t *Tree) decodeFlat(c *flatCursor) (*node, error) {
 	wf := c.wf
 	if c.node >= len(wf.Kinds) || c.node >= len(wf.Counts) {

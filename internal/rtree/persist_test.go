@@ -7,7 +7,6 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 
 	"vkgraph/internal/snapfmt"
@@ -61,9 +60,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 // TestLoadRetiredOptions: a tree saved by the release that still had
 // Algorithm 2 carries SplitChoices, MaxCandidatePops, an Explored count, a
-// Deleted list (always empty, so gob writes none of it) and every node's
-// box. It loads to the same shape and cracks on greedily, like the tree it
-// was saved from.
+// Deleted list and every node's box, gob-encoded under a version-2 header.
+// This format has no place for those fields, so the blob is refused with
+// the typed version error and an engine loading it degrades to a cold
+// index instead of guessing.
 func TestLoadRetiredOptions(t *testing.T) {
 	ps := clusteredPointSet(2500, 3, 5, 64)
 	tr := NewCracking(ps, DefaultOptions())
@@ -84,25 +84,13 @@ func TestLoadRetiredOptions(t *testing.T) {
 		Mbrs                                []float64
 		IDs                                 []int32
 	}
-	got, err := Load(encodeTree(t, retiredWire{
+	_, err := Load(gobEraBlob(t, retiredWire{
 		Opt:    retiredOptions{LeafCap: wf.Opt.LeafCap, Fanout: wf.Opt.Fanout, SplitChoices: 2, MaxCandidatePops: 512},
 		Splits: wf.Splits, Explored: 3 * wf.Splits, Queries: wf.Queries, InitialN: wf.InitialN,
 		Kinds: wf.Kinds, Counts: wf.Counts, Mbrs: storedBoxes(tr), IDs: wf.IDs,
 	}), ps)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if got.Opt() != tr.Opt() || got.StructureHash() != tr.StructureHash() {
-		t.Fatal("a tree with retired options loaded to a different tree")
-	}
-	splits := got.Splits()
-	for i := 0; i < 12; i++ {
-		q := BallRect(ps.At(int32(rng.Intn(ps.N()))), 0.3)
-		tr.Crack(q)
-		got.Crack(q)
-	}
-	if got.Splits() == splits || got.StructureHash() != tr.StructureHash() {
-		t.Fatal("a tree with retired options did not crack greedily")
+	if !errors.Is(err, snapfmt.ErrVersion) {
+		t.Fatalf("Load of a tree with retired options = %v, want ErrVersion", err)
 	}
 }
 
@@ -156,18 +144,30 @@ func TestSaveFreshTree(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsOldVersion: a version-1 blob (the retired recursive format)
-// is refused with the typed version error, not misread as the flat format.
+// TestLoadRejectsOldVersion: blobs of the retired formats are refused with
+// the typed version error, not misread as the current one: a version-1
+// header (the recursive format) and version 2's gob-encoded arrays.
+// Version 2's gob payload under this format's header is not misread
+// either: it is ErrCorrupt.
 func TestLoadRejectsOldVersion(t *testing.T) {
 	ps := clusteredPointSet(300, 2, 3, 68)
+	tr := NewCracking(ps, DefaultOptions())
+	tr.Crack(BallRect(ps.At(0), 1))
 	var buf bytes.Buffer
-	if err := NewCracking(ps, DefaultOptions()).Save(&buf); err != nil {
+	if err := tr.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	blob := buf.Bytes()
 	binary.LittleEndian.PutUint16(blob[snapfmt.MagicLen:], 1)
 	if _, err := Load(bytes.NewReader(blob), ps); !errors.Is(err, snapfmt.ErrVersion) {
 		t.Fatalf("Load of a version-1 header = %v, want ErrVersion", err)
+	}
+	wf := decodeTree(t, tr)
+	if _, err := Load(gobEraBlob(t, wf), ps); !errors.Is(err, snapfmt.ErrVersion) {
+		t.Errorf("Load of a version-2 blob = %v, want ErrVersion", err)
+	}
+	if _, err := Load(wrapTree(t, gobBytes(t, wf)), ps); !errors.Is(err, snapfmt.ErrCorrupt) {
+		t.Errorf("Load of a gob payload under a version-%d header = %v, want ErrCorrupt", treeVersion, err)
 	}
 }
 
@@ -234,15 +234,15 @@ func FuzzTreeDecode(f *testing.F) {
 		{Opt: DefaultOptions(), InitialN: 3, Kinds: []uint8{1}, Counts: []int32{3}, IDs: []int32{0, 1, 2}},
 		{Opt: DefaultOptions(), InitialN: 3, Kinds: []uint8{1}, Counts: []int32{3}, IDs: []int32{0, 1, 1}},
 	} {
-		f.Add(gobPayload(f, wf), uint8(1))
+		f.Add(flatPayload(wf), uint8(1))
 	}
 	for _, wf := range []wireFlat{
 		{Opt: Options{LeafCap: 2, Fanout: 2}, InitialN: 3, Kinds: []uint8{0, 1, 1}, Counts: []int32{2, 2, 1}, IDs: []int32{0, 1, 2}},
 		{Opt: Options{LeafCap: 2, Fanout: 2}, InitialN: 3, Kinds: []uint8{0, 1, 1, 1}, Counts: []int32{3, 1, 1, 1}, IDs: []int32{0, 1, 2}},
 	} {
-		f.Add(gobPayload(f, wf), uint8(2))
+		f.Add(flatPayload(wf), uint8(2))
 	}
-	f.Add(gobPayload(f, smallPendingTree), uint8(3))
+	f.Add(flatPayload(smallPendingTree), uint8(3))
 
 	f.Fuzz(func(t *testing.T, payload []byte, set uint8) {
 		ps := sets[int(set)%len(sets)]
@@ -265,15 +265,33 @@ func FuzzTreeDecode(f *testing.F) {
 	})
 }
 
-// gobPayload is the gob encoding of a tree payload (a wireFlat, or a struct
-// gob matches to one).
-func gobPayload(tb testing.TB, wf any) []byte {
+// flatPayload is the payload Save writes for a tree flattened to wf.
+func flatPayload(wf wireFlat) []byte {
+	var w snapfmt.Writer
+	wf.encode(&w)
+	return w.Bytes()
+}
+
+// gobBytes is the gob encoding of v.
+func gobBytes(tb testing.TB, v any) []byte {
 	tb.Helper()
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(wf); err != nil {
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(v); err != nil {
 		tb.Fatal(err)
 	}
-	return payload.Bytes()
+	return b.Bytes()
+}
+
+// gobEraBlob is a blob as the releases of format version 2 wrote it: the
+// gob encoding of a tree payload (a wireFlat, or a struct gob matches to
+// one) under a version-2 header.
+func gobEraBlob(tb testing.TB, wire any) *bytes.Buffer {
+	tb.Helper()
+	var blob bytes.Buffer
+	if err := snapfmt.WriteOne(&blob, treeMagic, 2, secTreeFlat, gobBytes(tb, wire)); err != nil {
+		tb.Fatal(err)
+	}
+	return &blob
 }
 
 // wrapTree wraps a tree payload in a fresh header and section, as Save
@@ -281,32 +299,26 @@ func gobPayload(tb testing.TB, wf any) []byte {
 func wrapTree(tb testing.TB, payload []byte) *bytes.Buffer {
 	tb.Helper()
 	var blob bytes.Buffer
-	if err := snapfmt.WriteHeader(&blob, treeMagic, treeVersion, 1); err != nil {
-		tb.Fatal(err)
-	}
-	if err := snapfmt.WriteSection(&blob, secTreeFlat, payload); err != nil {
+	if err := snapfmt.WriteOne(&blob, treeMagic, treeVersion, secTreeFlat, payload); err != nil {
 		tb.Fatal(err)
 	}
 	return &blob
 }
 
-// encodeTree is wrapTree of wf's gob encoding.
-func encodeTree(tb testing.TB, wf any) *bytes.Buffer {
+// encodeTree is wrapTree of wf's payload.
+func encodeTree(tb testing.TB, wf wireFlat) *bytes.Buffer {
 	tb.Helper()
-	return wrapTree(tb, gobPayload(tb, wf))
+	return wrapTree(tb, flatPayload(wf))
 }
 
-// savedPayload returns the gob payload Save writes for tr.
+// savedPayload returns the payload Save writes for tr.
 func savedPayload(tb testing.TB, tr *Tree) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	if err := tr.Save(&buf); err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := snapfmt.ReadHeader(&buf, treeMagic, treeVersion); err != nil {
-		tb.Fatal(err)
-	}
-	_, payload, err := snapfmt.ReadSection(&buf)
+	payload, err := snapfmt.ReadOne(&buf, treeMagic, treeVersion, secTreeFlat)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -316,8 +328,8 @@ func savedPayload(tb testing.TB, tr *Tree) []byte {
 // decodeTree returns the payload Save writes for tr, decoded.
 func decodeTree(tb testing.TB, tr *Tree) wireFlat {
 	tb.Helper()
-	var wf wireFlat
-	if err := gob.NewDecoder(bytes.NewReader(savedPayload(tb, tr))).Decode(&wf); err != nil {
+	wf, err := decodeFlatPayload(savedPayload(tb, tr))
+	if err != nil {
 		tb.Fatal(err)
 	}
 	return wf
@@ -343,9 +355,9 @@ func TestLoadSizesNoListPastTheRecords(t *testing.T) {
 	}
 }
 
-// previousWire is the tree payload in the layout of the releases that
-// stored each node's box: wireFlat with Mbrs, 2*dim coordinates per node in
-// preorder (lo then hi).
+// previousWire is the gob tree payload of the releases that stored each
+// node's box: wireFlat with Mbrs, 2*dim coordinates per node in preorder
+// (lo then hi).
 type previousWire struct {
 	Opt      Options
 	Splits   int
@@ -371,13 +383,13 @@ func storedBoxes(tr *Tree) []float64 {
 	return mbrs
 }
 
-// TestLoadIgnoresStoredBoxes: the walks and Search prune by the boxes, so a
-// blob in the previous layout whose stored box is not the box of the points
-// below it must not hide those points. The blobs are a saved 2,500-point
-// cracked tree with the last node's box moved to the point 1e6, and with
-// the root's box widened; each loads to the tree it was saved from, whose
-// Search of a ball over the last node equals a scan.
-func TestLoadIgnoresStoredBoxes(t *testing.T) {
+// TestStoredBoxesBlobRefused: the walks and Search prune by the boxes, and
+// the releases before version 3 stored them, so a stored box that is not
+// the box of the points below it could hide those points. Such blobs, a
+// saved 2,500-point cracked tree with the last node's box moved to the
+// point 1e6 or the root's box widened, are version 2's and are refused
+// with ErrVersion: no stored box reaches a tree.
+func TestStoredBoxesBlobRefused(t *testing.T) {
 	ps := clusteredPointSet(2500, 3, 5, 61)
 	tr := NewCracking(ps, DefaultOptions())
 	rng := rand.New(rand.NewSource(62))
@@ -385,12 +397,8 @@ func TestLoadIgnoresStoredBoxes(t *testing.T) {
 		tr.Crack(randomQuery(rng, 3, 0, 10))
 	}
 	wf := decodeTree(t, tr)
-	last := tr.root
-	for last.isInternal() {
-		last = last.children[len(last.children)-1]
-	}
-	q := BallRect(ps.At(last.ids()[0]), 0.5)
 	for name, edit := range map[string]func(mbrs []float64){
+		"boxes as saved": func([]float64) {},
 		"last node moved": func(mbrs []float64) {
 			for i := len(mbrs) - 2*ps.Dim; i < len(mbrs); i++ {
 				mbrs[i] = 1e6
@@ -400,40 +408,27 @@ func TestLoadIgnoresStoredBoxes(t *testing.T) {
 	} {
 		mbrs := storedBoxes(tr)
 		edit(mbrs)
-		got, err := Load(encodeTree(t, previousWire{Opt: wf.Opt, Splits: wf.Splits, Queries: wf.Queries,
-			InitialN: wf.InitialN, Kinds: wf.Kinds, Counts: wf.Counts, Mbrs: mbrs, IDs: wf.IDs}), ps)
-		if err != nil {
-			t.Fatalf("%s: Load: %v", name, err)
-		}
-		if err := got.CheckInvariants(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.StructureHash() != tr.StructureHash() {
-			t.Errorf("%s: the loaded tree is not the tree saved", name)
-		}
-		if want := bruteSearch(ps, q); len(want) == 0 || !equalIDs(sortIDs(got.Search(q)), want) {
-			t.Errorf("%s: Search over the last node differs from a scan of %d points", name, len(want))
+		blob := gobEraBlob(t, previousWire{Opt: wf.Opt, Splits: wf.Splits, Queries: wf.Queries,
+			InitialN: wf.InitialN, Kinds: wf.Kinds, Counts: wf.Counts, Mbrs: mbrs, IDs: wf.IDs})
+		if _, err := Load(blob, ps); !errors.Is(err, snapfmt.ErrVersion) {
+			t.Errorf("%s: Load = %v, want ErrVersion", name, err)
 		}
 	}
 }
 
-// TestNewBlobInPreviousLayout: a release that stored boxes decodes a blob
-// without them to the same arrays and no boxes at all, which its Load
-// refused as ErrCorrupt (a node record short of 2*dim coordinates), so its
-// degraded load rebuilt a cold index.
+// TestNewBlobInPreviousLayout: a release that reads format version 2
+// refuses a blob of this format by its header, before its gob decoder sees
+// a byte, so its degraded load rebuilds a cold index.
 func TestNewBlobInPreviousLayout(t *testing.T) {
 	ps := clusteredPointSet(2500, 3, 5, 63)
 	tr := NewCracking(ps, DefaultOptions())
 	tr.Crack(BallRect(ps.At(0), 1))
-	var old previousWire
-	if err := gob.NewDecoder(bytes.NewReader(savedPayload(t, tr))).Decode(&old); err != nil {
+	var buf bytes.Buffer
+	if err := tr.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	wf := decodeTree(t, tr)
-	if len(old.Mbrs) != 0 || len(old.Kinds) < 2 || !slices.Equal(old.Kinds, wf.Kinds) ||
-		!slices.Equal(old.Counts, wf.Counts) || !slices.Equal(old.IDs, wf.IDs) {
-		t.Fatalf("the previous layout decodes %d kinds and %d box coordinates, want %d and none",
-			len(old.Kinds), len(old.Mbrs), len(wf.Kinds))
+	if _, err := snapfmt.ReadHeader(&buf, treeMagic, 2); !errors.Is(err, snapfmt.ErrVersion) {
+		t.Fatalf("a version-2 reader's header check = %v, want ErrVersion", err)
 	}
 }
 

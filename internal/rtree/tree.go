@@ -487,9 +487,13 @@ type Stats struct {
 	ArenaBytes int
 }
 
-// Stats computes current structural statistics.
+// Stats computes current structural statistics. It is read-only: before
+// the lazy root exists it reports the unbuilt index, no nodes and every
+// point the root will cover still pending.
 func (t *Tree) Stats() Stats {
-	t.ensureRoot()
+	if t.root == nil {
+		return Stats{Queries: int(t.queries.Load()), Points: t.initialN, ArenaBytes: t.arena.slabBytes(), SizeBytes: t.arena.slabBytes()}
+	}
 	in, lf, pd := t.root.countNodes()
 	return Stats{
 		InternalNodes: in,

@@ -168,6 +168,11 @@ func TestBulkLoadedSearchMatchesBruteForce(t *testing.T) {
 func TestCrackingIsLazy(t *testing.T) {
 	ps := randomPointSet(5000, 3, 7)
 	tr := NewCracking(ps, DefaultOptions())
+	if st := tr.Stats(); st.TotalNodes != 0 || st.Points != ps.N() || tr.Ready() {
+		t.Fatalf("fresh cracking tree reports %d nodes over %d points (root built: %v), want none over %d",
+			st.TotalNodes, st.Points, tr.Ready(), ps.N())
+	}
+	tr.Prepare()
 	if got := tr.Stats().TotalNodes; got != 1 {
 		t.Fatalf("fresh cracking tree has %d nodes, want 1", got)
 	}

@@ -5,10 +5,17 @@
 //	kind (uint8) | length (uint32) | CRC32-IEEE (uint32) | payload
 //
 // The framing exists so that a torn write, a truncated copy, or bit rot is
-// detected *before* any payload reaches a gob decoder: readers get a typed
-// error (ErrCorrupt, ErrVersion) instead of a decoder panic or a silently
-// wrong engine, and callers can tell exactly which section was damaged and
-// decide whether it is rebuildable.
+// detected *before* any payload reaches its decoder: readers get a typed
+// error (ErrCorrupt, ErrVersion) instead of a silently wrong engine, and
+// callers can tell exactly which section was damaged and decide whether it
+// is rebuildable.
+//
+// Below the checksum, every payload (and every WAL record body) is written
+// with Writer and read with Reader (codec.go): fixed-width little-endian
+// values, lists as a count and then their entries. Reader checks each count
+// against the bytes left before anything is sized by it, so damage the
+// checksum cannot see still fails with ErrCorrupt rather than a large
+// allocation.
 package snapfmt
 
 import (
@@ -110,4 +117,30 @@ func ReadSection(r io.Reader) (kind uint8, payload []byte, err error) {
 		return kind, payload, fmt.Errorf("snapfmt: section %d checksum mismatch: %w", kind, ErrCorrupt)
 	}
 	return kind, payload, nil
+}
+
+// WriteOne writes a container that holds one section: the header, then the
+// payload framed as kind.
+func WriteOne(w io.Writer, magic string, version uint16, kind uint8, payload []byte) error {
+	if err := WriteHeader(w, magic, version, 1); err != nil {
+		return err
+	}
+	return WriteSection(w, kind, payload)
+}
+
+// ReadOne reads a container written by WriteOne and returns its payload.
+// Besides ReadHeader's and ReadSection's errors, a section of another kind
+// is ErrCorrupt.
+func ReadOne(r io.Reader, magic string, version uint16, kind uint8) ([]byte, error) {
+	if _, err := ReadHeader(r, magic, version); err != nil {
+		return nil, err
+	}
+	got, payload, err := ReadSection(r)
+	if err != nil {
+		return nil, err
+	}
+	if got != kind {
+		return nil, fmt.Errorf("snapfmt: unexpected section %d: %w", got, ErrCorrupt)
+	}
+	return payload, nil
 }

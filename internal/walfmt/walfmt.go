@@ -47,7 +47,7 @@ const (
 	// Magic identifies a vkgraph write-ahead log.
 	Magic = "VKGWAL\x00\x00"
 	// Version is the current format version.
-	Version = 2
+	Version = 3
 	// HeaderLen is the fixed size of the file header.
 	HeaderLen = snapfmt.MagicLen + 2 + 8
 	// recHeaderLen frames every record: kind, length, checksum.
