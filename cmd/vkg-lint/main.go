@@ -1,8 +1,8 @@
 // Command vkg-lint runs the project's custom static-analysis suite
-// (internal/analysis/...), six analyzers: the machine-checked versions of
-// the lock, arena, error-handling, context-propagation and point-set
-// layout invariants DESIGN.md states in prose that neither `go vet` nor
-// the tests would catch. One analyzer, lockgraph, holds both lock rules:
+// (internal/analysis/...), five analyzers: the machine-checked versions of
+// the lock, atomic, arena, error-handling and context-propagation
+// invariants DESIGN.md states in prose that neither the compiler, `go vet`
+// nor the tests would catch. One analyzer, lockgraph, holds both lock rules:
 // the program-wide lock order and no blocking work inside a
 // write-critical section on the query path.
 //
@@ -33,7 +33,6 @@ import (
 	"vkgraph/internal/analysis/checker"
 	"vkgraph/internal/analysis/ctxpropagate"
 	"vkgraph/internal/analysis/lockgraph"
-	"vkgraph/internal/analysis/sealedps"
 	"vkgraph/internal/analysis/sentinelerr"
 )
 
@@ -44,7 +43,6 @@ func main() {
 		arenaescape.Analyzer,
 		sentinelerr.Analyzer,
 		ctxpropagate.Analyzer,
-		sealedps.Analyzer,
 	}
 	os.Exit(checker.Main(suite))
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestRtreeRecords runs the record-type detection on the real index
-// package: it must find the node records and the leaf pages beside them
-// and nothing else. A rule that finds no records reports nothing, so a
+// package: it must find the node records and the leaf pages beside them,
+// whose type package points declares, and nothing else. A rule that finds no records reports nothing, so a
 // change to the arena's shape that the rule no longer matches would
 // silently switch the analyzer off for rtree; this test catches that.
 func TestRtreeRecords(t *testing.T) {
@@ -33,10 +33,10 @@ func TestRtreeRecords(t *testing.T) {
 	}
 	var got []string
 	for rn := range recordTypes(&analysis.Pass{Pkg: pkg.Types}) {
-		got = append(got, rn.Obj().Name())
+		got = append(got, rn.Obj().Pkg().Name()+"."+rn.Obj().Name())
 	}
 	slices.Sort(got)
-	if want := []string{"leafPage", "node"}; !slices.Equal(got, want) {
+	if want := []string{"points.Page", "rtree.node"}; !slices.Equal(got, want) {
 		t.Fatalf("record types of %s = %v, want %v", path, got, want)
 	}
 }

@@ -1,12 +1,13 @@
-// Package arena exercises arenaescape's four sinks on its own record
-// type. Node is exported so sink 4 has something to return; in-tree the
-// real record type (rtree.node) is unexported.
+// Package arena exercises arenaescape's two sinks on its own record types.
 package arena
+
+import "arena/leaf"
 
 type Node struct {
 	Next *Node
 	N    int
-	Page *Page // the record's own slot in slab.pages
+	Page *Page      // the record's own slot in slab.pages
+	Leaf *leaf.Page // the record's own slot in slab.leaves
 }
 
 // Page is a leaf record's page header. It lives in a slab of its own
@@ -18,9 +19,10 @@ type Page struct {
 // slab is the arena: a struct with an alloc method, whose slice fields
 // are slabs of records.
 type slab struct {
-	slabs [][]Node
-	pages [][]Page
-	next  int
+	slabs  [][]Node
+	pages  [][]Page
+	leaves [][]leaf.Page
+	next   int
 }
 
 func (s *slab) alloc() *Node {
@@ -39,9 +41,6 @@ type Tree struct {
 	root *Node
 }
 
-// NewTree returns the tree, not a node — fine.
-func NewTree() *Tree { return &Tree{} }
-
 var lastNode *Node
 
 // bad: stores a node in a package-level variable.
@@ -54,30 +53,12 @@ func (t *Tree) publish(ch chan *Node) {
 	ch <- t.root // want `arena record pointer sent on a channel`
 }
 
-// bad: a goroutine capturing a node runs after the locks are released.
-func (t *Tree) inspect() {
+// ok: a local, a parameter or a field of the arena's own machinery.
+func (t *Tree) descend() *Node {
 	nd := t.root
-	go func() {
-		_ = nd // want `goroutine captures arena record pointer nd`
-	}()
+	t.root = nd.Next
+	return nd
 }
-
-// ok: capturing the tree itself is fine — named structs are not
-// traversed, or the index would indict itself.
-func (t *Tree) stats() {
-	go func() {
-		_ = t
-	}()
-}
-
-// bad: an exported method returning the bare pointer.
-func (t *Tree) Root() *Node { // want `exported Root returns an arena record pointer`
-	return t.root
-}
-
-// ok: an unexported return stays inside the package, where the lifetime
-// rules are known.
-func (t *Tree) rootLocked() *Node { return t.root }
 
 var lastPage *Page
 
@@ -86,10 +67,14 @@ func (t *Tree) rememberPage() {
 	lastPage = t.root.Page // want `arena record pointer stored in package-level lastPage`
 }
 
-// bad: the page escapes across the package boundary.
-func (t *Tree) RootPage() *Page { // want `exported RootPage returns an arena record pointer`
-	return t.root.Page
-}
+// ok: the payload is what may be kept.
+var lastIDs []int32
 
-// ok: the payload is what may cross.
-func (t *Tree) RootIDs() []int32 { return t.root.Page.IDs }
+func (t *Tree) rememberIDs() { lastIDs = t.root.Page.IDs }
+
+var lastLeaf *leaf.Page
+
+// bad: a page header from the package below is a record all the same.
+func (t *Tree) rememberLeaf() {
+	lastLeaf = t.root.Leaf // want `arena record pointer stored in package-level lastLeaf`
+}

@@ -15,17 +15,11 @@
 // though the wal lock is taken two calls down.
 //
 // Each package exports its edges as a package fact; the whole-program
-// Finish step unions them and reports:
-//
-//   - any cycle, with the full witness path (file:line of every edge) —
-//     a potential deadlock;
-//   - any edge that inverts the documented rank order engine(0) →
-//     leaf(1), where the ranks come from a structural shape: an engine is
-//     a mutex-bearing struct with a field of another mutex-bearing struct
-//     type, and each such struct hung off an engine field is a leaf (the
-//     index, the WAL state, the result cache, the trace store). The order
-//     among leaves (index before WAL) is not ranked: an inversion there
-//     closes a cycle with the edge it inverts.
+// Finish step unions them and reports every cycle, with the full witness
+// path (file:line of every edge) — a potential deadlock. An acquisition
+// against the documented order (engine lock, then the index, then the
+// WAL) is reported as the cycle it closes with the edge it inverts; one
+// that closes no cycle cannot deadlock.
 //
 // The same replay keeps write-critical sections short on the query path
 // (DESIGN.md "Concurrency"; import paths containing internal/core or
@@ -82,18 +76,10 @@ type Edge struct {
 	Fn   string // function the acquisition was observed in
 }
 
-// ClassInfo carries a lock class's rank in the documented order:
-// 0 engine, 1 leaf; -1 unknown (no shape evidence).
-type ClassInfo struct {
-	Name string
-	Rank int
-}
-
 // EdgesFact is the package fact carrying a package's contribution to the
 // program lock graph.
 type EdgesFact struct {
-	Edges   []Edge
-	Classes []ClassInfo
+	Edges []Edge
 }
 
 // AFact marks EdgesFact as a fact type.
@@ -102,10 +88,10 @@ func (*EdgesFact) AFact() {}
 var dumpGraph bool
 
 // Analyzer builds the cross-package lock-order graph and verifies it is
-// acyclic and rank-ordered.
+// acyclic.
 var Analyzer = &analysis.Analyzer{
 	Name:      "lockgraph",
-	Doc:       "build the program-wide lock-order graph; report cycles (potential deadlocks), engine→leaf rank inversions, and blocking work inside a write-critical section on the query path",
+	Doc:       "build the program-wide lock-order graph; report cycles (potential deadlocks) and blocking work inside a write-critical section on the query path",
 	Run:       run,
 	FactTypes: []analysis.Fact{new(AcquiresFact), new(EdgesFact)},
 	Finish:    finish,
@@ -220,117 +206,39 @@ func run(pass *analysis.Pass) error {
 		r.replay(fs)
 	}
 
-	if len(r.edges) > 0 || len(classes.info) > 0 {
-		pass.ExportPackageFact(&EdgesFact{Edges: r.edges, Classes: classes.infoList()})
+	if len(r.edges) > 0 {
+		pass.ExportPackageFact(&EdgesFact{Edges: r.edges})
 	}
 	return nil
 }
 
-// classKinds maps lock classes to ranks and mutex field objects to class
-// names for the package under analysis.
+// classKinds maps mutex field objects to class names for the package
+// under analysis.
 type classKinds struct {
-	pkg    *types.Package
 	fields map[*types.Var]string // mutex field -> class
-	info   map[string]int        // class -> rank
 }
 
-// classTable enumerates the package's lock classes and ranks them by the
-// engine/leaf shape.
+// classTable enumerates the package's lock classes: every mutex field of
+// a package-level struct type.
 func classTable(pkg *types.Package) *classKinds {
-	ck := &classKinds{pkg: pkg, fields: make(map[*types.Var]string), info: make(map[string]int)}
+	ck := &classKinds{fields: make(map[*types.Var]string)}
 	scope := pkg.Scope()
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
 		if !ok {
 			continue
 		}
-		named, ok := tn.Type().(*types.Named)
+		st, ok := tn.Type().Underlying().(*types.Struct)
 		if !ok {
 			continue
 		}
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		var own []*types.Var
 		for i := 0; i < st.NumFields(); i++ {
 			if f := st.Field(i); isMutexType(f.Type()) {
-				own = append(own, f)
+				ck.fields[f] = className(pkg, name, f.Name())
 			}
-		}
-		// Leaves: a mutex-bearing struct hung off a field ((possibly
-		// pointer) named struct) of a struct that has a mutex of its own is
-		// one level below it in the documented order. This is how
-		// core.lockedIndex.mu, core.walState.mu, core.resultCache.mu, and
-		// obs.TraceStore.mu get rank 1 from core's own shape, even across
-		// packages — and what makes core.Engine an engine, with its one
-		// own mutex, Engine.mu, at rank 0.
-		leaves := 0
-		for i := 0; len(own) > 0 && i < st.NumFields(); i++ {
-			ft := st.Field(i).Type()
-			if p, ok := ft.(*types.Pointer); ok {
-				ft = p.Elem()
-			}
-			fn, ok := ft.(*types.Named)
-			// Mutexes themselves, and sync's internals (Once, Cond), are
-			// synchronization primitives, not lock-bearing state.
-			if !ok || fn == named || fn.Obj().Pkg() == nil || fn.Obj().Pkg().Path() == "sync" {
-				continue
-			}
-			fst, ok := fn.Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			for j := 0; j < fst.NumFields(); j++ {
-				lf := fst.Field(j)
-				if !isMutexType(lf.Type()) {
-					continue
-				}
-				leaves++
-				class := className(fn.Obj().Pkg(), fn.Obj().Name(), lf.Name())
-				ck.setRank(class, 1)
-				if fn.Obj().Pkg() == pkg {
-					ck.fields[lf] = class
-				}
-			}
-		}
-		rank := -1
-		if leaves > 0 {
-			rank = 0
-		}
-		for _, f := range own {
-			class := className(pkg, name, f.Name())
-			ck.fields[f] = class
-			ck.setRank(class, rank)
 		}
 	}
 	return ck
-}
-
-// setRank records a class's rank, never downgrading: shape evidence
-// (>= 0) beats no evidence (-1), and if two shapes disagree the more
-// senior (lower) rank wins — the scope scan visits types alphabetically,
-// so a leaf ranking from the engine's field walk must survive the later
-// visit of the leaf type itself.
-func (ck *classKinds) setRank(class string, rank int) {
-	old, ok := ck.info[class]
-	switch {
-	case !ok:
-		ck.info[class] = rank
-	case rank < 0:
-		// no new evidence
-	case old < 0 || rank < old:
-		ck.info[class] = rank
-	}
-}
-
-func (ck *classKinds) infoList() []ClassInfo {
-	out := make([]ClassInfo, 0, len(ck.info))
-	for name, rank := range ck.info {
-		out = append(out, ClassInfo{Name: name, Rank: rank})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // className renders a lock class. Package names are unique within this
@@ -717,22 +625,9 @@ func sortedKeys[V any](m map[string]V) []string {
 // --- whole-program step -------------------------------------------------
 
 func finish(fp *analysis.FinalPass) error {
-	edges, ranks := union(fp.PackageFacts)
+	edges := union(fp.PackageFacts)
 	if dumpGraph {
-		dump(edges, ranks)
-	}
-
-	// Rank inversions: an edge from a ranked class to a strictly
-	// lower-ranked class contradicts the documented engine→leaf order even
-	// before it closes a cycle.
-	for _, e := range edges {
-		rf, okF := ranks[e.From]
-		rt, okT := ranks[e.To]
-		if okF && okT && rf >= 0 && rt >= 0 && e.From != e.To && rf > rt {
-			fp.Reportf(posnOf(e.Pos),
-				"lock order inverted: %s (%s) acquired while %s (%s) is held in %s; the documented order is engine → leaf",
-				e.To, rankName(rt), e.From, rankName(rf), e.Fn)
-		}
+		dump(edges)
 	}
 
 	// Cycle detection over the class graph, self-edges excluded.
@@ -749,12 +644,11 @@ func finish(fp *analysis.FinalPass) error {
 	return nil
 }
 
-// union merges the per-package contributions into the program's edges and
-// ranks. First edge per (From,To) wins — package facts arrive in
-// dependency order, so the witness position is stable run to run.
-func union(pfs []analysis.PackageFact) (edges []Edge, ranks map[string]int) {
+// union merges the per-package contributions into the program's edges.
+// First edge per (From,To) wins — package facts arrive in dependency
+// order, so the witness position is stable run to run.
+func union(pfs []analysis.PackageFact) (edges []Edge) {
 	seen := make(map[[2]string]bool)
-	ranks = make(map[string]int)
 	for _, pf := range pfs {
 		ef, ok := pf.Fact.(*EdgesFact)
 		if !ok {
@@ -767,17 +661,8 @@ func union(pfs []analysis.PackageFact) (edges []Edge, ranks map[string]int) {
 				edges = append(edges, e)
 			}
 		}
-		for _, ci := range ef.Classes {
-			old, ok := ranks[ci.Name]
-			switch {
-			case !ok:
-				ranks[ci.Name] = ci.Rank
-			case ci.Rank >= 0 && (old < 0 || ci.Rank < old):
-				ranks[ci.Name] = ci.Rank
-			}
-		}
 	}
-	return edges, ranks
+	return edges
 }
 
 // reportCycles DFS-colors the graph and reports each cycle once with the
@@ -858,7 +743,7 @@ func posnOf(pos string) token.Position {
 }
 
 // dump prints the whole graph, sorted, to stdout.
-func dump(edges []Edge, ranks map[string]int) {
+func dump(edges []Edge) {
 	sorted := append([]Edge{}, edges...)
 	sort.Slice(sorted, func(i, j int) bool {
 		if sorted[i].From != sorted[j].From {
@@ -868,31 +753,9 @@ func dump(edges []Edge, ranks map[string]int) {
 	})
 	fmt.Println("lock graph (A -> B: B acquired while A held):")
 	for _, e := range sorted {
-		fmt.Printf("  %-28s -> %-28s [%s -> %s] %-5s %s (%s)\n",
-			e.From, e.To, rankName(rankOf(ranks, e.From)), rankName(rankOf(ranks, e.To)), e.Op, e.Pos, e.Fn)
+		fmt.Printf("  %-28s -> %-28s %-5s %s (%s)\n", e.From, e.To, e.Op, e.Pos, e.Fn)
 	}
 	if len(sorted) == 0 {
 		fmt.Println("  (no edges: no nested lock acquisitions observed)")
 	}
-	fmt.Println("lock classes:")
-	for _, c := range sortedKeys(ranks) {
-		fmt.Printf("  %-28s rank %s\n", c, rankName(ranks[c]))
-	}
-}
-
-func rankOf(ranks map[string]int, class string) int {
-	if r, ok := ranks[class]; ok {
-		return r
-	}
-	return -1
-}
-
-func rankName(rank int) string {
-	switch rank {
-	case 0:
-		return "engine"
-	case 1:
-		return "leaf"
-	}
-	return "?"
 }

@@ -1,12 +1,12 @@
-// Package locklib is the imported half of the lockgraph corpus: an
-// engine-shaped type whose exported Tick acquires its own lock (the
-// acquire set travels to dependents as AcquiresFact) and a leaf Store
-// with an exported mutex field dependents can — wrongly — lock directly.
+// Package locklib is the imported half of the lockgraph corpus: a Store
+// whose Grab acquires its lock (the acquire set travels to dependents as
+// AcquiresFact) and whose exported mutex field dependents can — wrongly —
+// lock directly.
 package locklib
 
 import "sync"
 
-// Store is a leaf: mutex-bearing state hung off the engine.
+// Store is mutex-bearing state an engine hangs off a field.
 type Store struct {
 	Mu   sync.Mutex
 	data []int
@@ -18,20 +18,4 @@ func (s *Store) Grab() int {
 	n := len(s.data)
 	s.Mu.Unlock()
 	return n
-}
-
-// LibEngine is an engine shape — a mutex plus a field of a mutex-bearing
-// struct — which ranks LibEngine.mu engine(0) and Store.Mu leaf(1) through
-// the engine-field walk.
-type LibEngine struct {
-	mu    sync.RWMutex
-	gen   int
-	store *Store
-}
-
-// Tick takes the engine write lock briefly.
-func (le *LibEngine) Tick() {
-	le.mu.Lock()
-	le.gen++
-	le.mu.Unlock()
 }

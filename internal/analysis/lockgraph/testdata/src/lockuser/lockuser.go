@@ -1,8 +1,7 @@
 // Package lockuser exercises lockgraph's cross-package machinery: a lock
-// class resolved through locklib's exported mutex field, an acquire set
-// imported through AcquiresFact, rank inversions judged against the union
-// of both packages' shape-derived ranks, and an inversion between two
-// leaves, which no rank separates, caught as a cycle.
+// class resolved through locklib's exported mutex field and an acquire set
+// imported through AcquiresFact, each closing a cycle, and an inversion of
+// the engine's index-before-WAL order, caught as a cycle too.
 package lockuser
 
 import (
@@ -43,20 +42,22 @@ func (e *engine) count() int {
 	return e.store.Grab()
 }
 
-// bad: a foreign engine-ranked lock acquired (through Tick's imported
-// acquire set) while the index lock is held.
-func (e *engine) tickUnderIndex(le *locklib.LibEngine) {
+// grabUnderIndex takes the store's lock, seen through Grab's imported
+// acquire set, while the index lock is held. Fine on its own;
+// indexUnderStore inverts it.
+func (e *engine) grabUnderIndex() int {
 	e.idx.mu.Lock()
-	le.Tick() // want `lock order inverted: locklib\.LibEngine\.mu \(engine\) acquired while lockuser\.index\.mu \(leaf\) is held in tickUnderIndex`
+	n := e.store.Grab()
 	e.idx.mu.Unlock()
+	return n
 }
 
-// bad: the engine lock acquired while the leaf store — ranked by
-// locklib's own engine shape — is held directly.
-func (e *engine) storeThenEngine() {
+// bad: the index lock taken while the store's exported mutex is held
+// closes a cycle with grabUnderIndex's edge.
+func (e *engine) indexUnderStore() {
 	e.store.Mu.Lock()
-	e.mu.RLock() // want `lock order inverted: lockuser\.engine\.mu \(engine\) acquired while locklib\.Store\.Mu \(leaf\) is held in storeThenEngine`
-	e.mu.RUnlock()
+	e.idx.mu.Lock() // want `potential deadlock: lock-order cycle locklib\.Store\.Mu → lockuser\.index\.mu .* → locklib\.Store\.Mu \(call at .* in grabUnderIndex\)`
+	e.idx.mu.Unlock()
 	e.store.Mu.Unlock()
 }
 
@@ -73,8 +74,8 @@ func (e *engine) crack() {
 	e.mu.RUnlock()
 }
 
-// bad: the index lock taken after the WAL's. Both are leaves, so no rank is
-// inverted; the cycle with crack's edge is what gives it away.
+// bad: the index lock taken after the WAL's; the cycle with crack's edge
+// gives it away.
 func (e *engine) probeWhileLogging() int {
 	e.wal.mu.Lock()
 	e.idx.mu.RLock()

@@ -9,15 +9,14 @@
 //     validation helper returns them) never compare equal; use errors.Is.
 //  2. fmt.Errorf with a sentinel argument must bind it to a %w verb, so
 //     the sentinel stays in the error chain.
-//  3. An exported function must not return a foreign package's sentinel
-//     verbatim — wrap it with fmt.Errorf("...: %w", ErrX) to add context
-//     at the package boundary. (Returning your own sentinel raw is fine;
-//     that is the io.EOF idiom.)
-//  4. errors.New / fmt.Errorf must not mint a new error whose message
+//  3. errors.New / fmt.Errorf must not mint a new error whose message
 //     duplicates a known sentinel's message ("unknown entity %q", ...):
 //     such errors look like the sentinel to a human but are invisible to
 //     errors.Is. The known messages are the ones collected from the
 //     package itself plus KnownSentinels, the module-wide table.
+//
+// A foreign sentinel returned verbatim from an exported function is not a
+// finding: errors.Is still matches it, and only message context is lost.
 package sentinelerr
 
 import (
@@ -40,7 +39,7 @@ var Analyzer = &analysis.Analyzer{
 
 // SentinelFact records, on a sentinel error variable, the message its
 // errors.New initializer carries. Message strings do not travel in export
-// data, so before facts the cross-package shadow check (rule 4) leaned
+// data, so before facts the cross-package shadow check (rule 3) leaned
 // entirely on the hand-maintained KnownSentinels table; with facts, any
 // imported package's sentinels are checked automatically and the table
 // remains only as a fallback for packages outside the analyzed set.
@@ -102,26 +101,7 @@ func run(pass *analysis.Pass) error {
 
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
-			fd, isFunc := decl.(*ast.FuncDecl)
-			// Return statements lexically inside a func literal return from
-			// the literal, not from fd; rule 3 must not attribute them to it.
-			var litRanges [][2]token.Pos
-			if isFunc && fd.Body != nil {
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if lit, ok := n.(*ast.FuncLit); ok {
-						litRanges = append(litRanges, [2]token.Pos{lit.Pos(), lit.End()})
-					}
-					return true
-				})
-			}
-			inLit := func(pos token.Pos) bool {
-				for _, r := range litRanges {
-					if pos >= r[0] && pos < r[1] {
-						return true
-					}
-				}
-				return false
-			}
+			fd, _ := decl.(*ast.FuncDecl)
 			ast.Inspect(decl, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.BinaryExpr:
@@ -129,10 +109,6 @@ func run(pass *analysis.Pass) error {
 				case *ast.CallExpr:
 					checkErrorf(pass, n)
 					checkShadow(pass, n, messages, initPos)
-				case *ast.ReturnStmt:
-					if isFunc && !inLit(n.Pos()) {
-						checkRawReturn(pass, n, fd)
-					}
 				}
 				return true
 			})
@@ -270,26 +246,8 @@ func checkErrorf(pass *analysis.Pass, call *ast.CallExpr) {
 	}
 }
 
-// checkRawReturn flags `return otherpkg.ErrX` from an exported function
-// (rule 3).
-func checkRawReturn(pass *analysis.Pass, ret *ast.ReturnStmt, fd *ast.FuncDecl) {
-	if fd == nil || !fd.Name.IsExported() {
-		return
-	}
-	for _, res := range ret.Results {
-		obj := sentinelUse(pass, res)
-		if obj == nil || obj.Pkg() == nil {
-			continue
-		}
-		if obj.Pkg().Path() == pass.Pkg.Path() {
-			continue // returning your own sentinel raw is the io.EOF idiom
-		}
-		pass.Reportf(res.Pos(), "exported %s returns foreign sentinel %s.%s verbatim; wrap it with fmt.Errorf(\"...: %%w\", %s) to add context at the package boundary", fd.Name.Name, obj.Pkg().Name(), obj.Name(), obj.Name())
-	}
-}
-
 // checkShadow flags errors.New / fmt.Errorf whose message duplicates a
-// known sentinel message without wrapping the sentinel (rule 4).
+// known sentinel message without wrapping the sentinel (rule 3).
 func checkShadow(pass *analysis.Pass, call *ast.CallExpr, messages map[string]string, initPos map[token.Pos]bool) {
 	var msg string
 	var isErrorf bool

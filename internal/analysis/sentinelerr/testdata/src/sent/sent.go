@@ -1,5 +1,5 @@
 // Package sent exercises the sentinelerr rules against a package's own
-// sentinels: comparison, wrapping, shadowing, and raw returns.
+// sentinels: comparison, wrapping and shadowing.
 package sent
 
 import (
@@ -60,12 +60,4 @@ func shadowf(key string) error {
 // though the message necessarily repeats it.
 func wrapWithDetail(key string) error {
 	return fmt.Errorf("record missing %q: %w", key, ErrMissing)
-}
-
-// Lookup returning its own sentinel raw is the io.EOF idiom — allowed.
-func Lookup(key string) error {
-	if key == "" {
-		return ErrMissing
-	}
-	return nil
 }

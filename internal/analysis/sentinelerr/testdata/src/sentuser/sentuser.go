@@ -1,38 +1,31 @@
-// Package sentuser exercises the cross-package sentinelerr rules: raw
-// foreign-sentinel returns and message-shadowing of the module-wide
-// sentinel table.
+// Package sentuser exercises the sentinelerr rules across a package
+// boundary: another package's sentinels, known through the facts its
+// analysis exported, and the module-wide sentinel table.
 package sentuser
 
 import (
+	"errors"
 	"fmt"
 
 	"sent"
 )
 
-// Fetch is bad: it hands a foreign sentinel across its own package
-// boundary with no context.
-func Fetch(key string) error {
-	if key == "" {
-		return sent.ErrMissing // want `wrap it with fmt.Errorf`
-	}
-	return nil
+// bad: identity comparison with an imported sentinel.
+func missing(err error) bool {
+	return err == sent.ErrMissing // want `use errors.Is`
 }
 
-// FetchWrapped adds context at the boundary — the required shape.
-func FetchWrapped(key string) error {
-	if key == "" {
-		return fmt.Errorf("fetch %q: %w", key, sent.ErrMissing)
-	}
-	return nil
-}
-
-// ok: unexported plumbing may pass the sentinel through raw; the
-// exported caller is where the wrap obligation sits.
+// ok: an imported sentinel wrapped with %w, or returned as it is.
 func fetch(key string) error {
 	if key == "" {
 		return sent.ErrMissing
 	}
-	return nil
+	return fmt.Errorf("fetch %q: %w", key, sent.ErrMissing)
+}
+
+// bad: the message of an imported sentinel, known only through its fact.
+func stale() error {
+	return errors.New("entry stale") // want `sent.ErrStale`
 }
 
 // bad: the message shadows a module-wide sentinel from the known table
@@ -51,10 +44,4 @@ func shed(inflight int) error {
 // message instead of wrapping vkg.ErrDeadlineExceeded breaks 504 mapping.
 func expire(name string) error {
 	return fmt.Errorf("deadline exceeded serving %q", name) // want `vkg.ErrDeadlineExceeded`
-}
-
-// Deferred is ok: the inner return belongs to the func literal, not to
-// this exported function, so rule 3 does not apply to it.
-func Deferred() func() error {
-	return func() error { return sent.ErrMissing }
 }

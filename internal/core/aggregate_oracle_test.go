@@ -102,7 +102,10 @@ func (e *Engine) oracleContourOverlap(center []float64, radius float64) []oracle
 		}
 		ids := flat.IDs[at : at+int(flat.Counts[i])]
 		at += len(ids)
-		mbr := e.ps.MBRof(ids)
+		mbr := rtree.EmptyRect(e.ps.Dim)
+		for _, id := range ids {
+			mbr.Expand(e.ps.At(id))
+		}
 		if !mbr.Overlaps(q) {
 			continue
 		}

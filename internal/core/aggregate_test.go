@@ -59,7 +59,7 @@ func TestAggregateMaxMinNegativeValues(t *testing.T) {
 	if !ok {
 		t.Fatal("year column missing")
 	}
-	eng.ps.RefreshAttr("year", col)
+	eng.ps.BindAttr("year", col)
 
 	likes, _ := g.RelationByName("likes")
 	for _, u := range g.EntitiesOfType("user")[:5] {

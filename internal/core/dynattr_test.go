@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"vkgraph/internal/snapfmt"
@@ -10,7 +11,7 @@ import (
 
 // Regression: InsertEntity (and SetAttr) with an attribute name outside
 // Params.Attrs used to leave the column unregistered with the point set —
-// RefreshAttr silently no-opped on the unknown name — so the value was
+// the re-bind silently no-opped on the unknown name — so the value was
 // stored in the graph but invisible to every aggregate. The write path now
 // registers on miss.
 func TestDynamicAttrAggregatesLive(t *testing.T) {
@@ -148,5 +149,56 @@ func TestLoadEngineDropsMissingAttr(t *testing.T) {
 	}
 	if _, err := got.Aggregate(DirTail, 1, 0, AggQuery{Kind: Max, Attr: "ghost"}); !errors.Is(err, ErrUnknownAttribute) {
 		t.Fatalf("phantom attr: %v, want ErrUnknownAttribute", err)
+	}
+}
+
+// Regression: a build attribute named twice was registered twice — every
+// element's statistics computed twice, EffAttrs saving the name twice, and
+// once a growing SetAttr reallocated the column, the second binding still
+// pointed at the old one. One name is one binding, whatever binds it.
+func TestDuplicateBuildAttrBindsOnce(t *testing.T) {
+	p := defaultTestParams()
+	p.Attrs = []string{"year", "year"}
+	eng, g := testEngine(t, Crack, p)
+	one := []string{"year"}
+	if got := eng.ps.AttrNames(); !slices.Equal(got, one) {
+		t.Fatalf("built with attributes %v, want %v", got, one)
+	}
+
+	var buf bytes.Buffer
+	if err := eng.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadEngine(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded.ps.AttrNames(); !slices.Equal(got, one) {
+		t.Fatalf("loaded with attributes %v, want %v", got, one)
+	}
+
+	// A new entity has no year, so setting one grows the column past its
+	// old end.
+	likes, _ := g.RelationByName("likes")
+	users := g.EntitiesOfType("user")
+	id, err := eng.InsertEntity("late-movie", "movie", []Fact{{Rel: likes, Other: users[0]}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, _ := g.AttrColumn("year")
+	if int(id) < len(col) {
+		t.Fatalf("entity %d already inside the year column of %d", id, len(col))
+	}
+	if err := eng.SetAttr("year", id, 2031); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.ps.AttrNames(); !slices.Equal(got, one) {
+		t.Fatalf("after a growing SetAttr: attributes %v, want %v", got, one)
+	}
+	if v, ok := eng.ps.AttrValue(0, int32(id)); !ok || v != 2031 {
+		t.Fatalf("the year binding reads %v, %v for the new entity, want 2031", v, ok)
+	}
+	if err := eng.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -213,7 +213,7 @@ func NewEngine(g *kg.Graph, m *embedding.Model, mode IndexMode, p Params) (*Engi
 		if !ok {
 			return nil, fmt.Errorf("core: %w: %q", ErrUnknownAttribute, name)
 		}
-		ps.RegisterAttr(name, col)
+		ps.BindAttr(name, col)
 	}
 
 	e := &Engine{g: g, m: m, tf: tf, ps: ps, params: p, mode: mode}

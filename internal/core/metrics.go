@@ -225,7 +225,7 @@ type Metrics struct {
 	WriteLockWait obs.LatencyStats
 
 	// Shards is always 1: the index is one tree. Only bench/ reads it; it
-	// goes when ROADMAP item 0 unfreezes bench/.
+	// goes with ROADMAP item 20, the next change to bench/.
 	Shards int
 
 	// Index is the current index structure (also available via IndexStats).

@@ -219,7 +219,7 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 			droppedAttrs = append(droppedAttrs, name)
 			continue
 		}
-		ps.RegisterAttr(name, col)
+		ps.BindAttr(name, col)
 	}
 
 	var tree *rtree.Tree

@@ -98,9 +98,7 @@ func (e *Engine) SetAttr(name string, id kg.EntityID, v float64) error {
 func (e *Engine) setAttrLocked(name string, id kg.EntityID, v float64) {
 	e.g.SetAttr(name, id, v)
 	if col, ok := e.g.AttrColumn(name); ok {
-		if !e.ps.RefreshAttr(name, col) {
-			e.ps.RegisterAttr(name, col)
-		}
+		e.ps.BindAttr(name, col)
 	}
 	if int(id) < e.ps.N() {
 		e.idx.tree.NoteAttr(int32(id))

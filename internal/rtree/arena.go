@@ -3,6 +3,8 @@ package rtree
 import (
 	"sync/atomic"
 	"unsafe"
+
+	"vkgraph/internal/rtree/points"
 )
 
 // Node arena. Cracking used to allocate every tree node individually, so a
@@ -31,7 +33,7 @@ type nodeArena struct {
 	// pages holds, beside each slab, each record's leaf page header; a
 	// leaf's node.leaf points at its own slot, so becoming a leaf allocates
 	// the page's coordinates and nothing else.
-	pages [][]leafPage
+	pages [][]points.Page
 	next  int // records handed out from the newest slab
 }
 
@@ -53,7 +55,7 @@ func (a *nodeArena) at(idx int32) *node {
 // exact rows copied out of ps.
 func (a *nodeArena) setLeaf(nd *node, ps *PointSet, ids []int32) {
 	nd.leaf = &a.pages[nd.idx/arenaSlabSize][nd.idx%arenaSlabSize]
-	nd.leaf.fill(ps, ids)
+	nd.leaf.Fill(ps, ids)
 }
 
 // statsOf resolves a record to its statistics slot.
@@ -79,7 +81,7 @@ func (a *nodeArena) alloc() *node {
 		}
 		a.slabs = append(a.slabs, slab)
 		a.stats = append(a.stats, make([]atomic.Pointer[[]AttrStats], arenaSlabSize))
-		a.pages = append(a.pages, make([]leafPage, arenaSlabSize))
+		a.pages = append(a.pages, make([]points.Page, arenaSlabSize))
 		a.next = 0
 	}
 	nd := &a.slabs[len(a.slabs)-1][a.next]
@@ -101,7 +103,7 @@ func (a *nodeArena) nodesInUse() int {
 
 func (a *nodeArena) slabBytes() int {
 	per := arenaSlabSize * (int(unsafe.Sizeof(node{})) + 2*a.dim*8 +
-		int(unsafe.Sizeof(a.stats[0][0])) + int(unsafe.Sizeof(leafPage{})))
+		int(unsafe.Sizeof(a.stats[0][0])) + int(unsafe.Sizeof(points.Page{})))
 	return len(a.slabs) * per
 }
 
@@ -109,7 +111,7 @@ func (a *nodeArena) slabBytes() int {
 // ids and coordinates can be collected.
 func (n *node) dropPage() {
 	if n.leaf != nil {
-		*n.leaf = leafPage{}
+		*n.leaf = points.Page{}
 		n.leaf = nil
 	}
 }

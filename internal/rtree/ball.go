@@ -92,7 +92,7 @@ func (s *ballScan) visit(nd *node) {
 		return // meets the bounding box at a corner the ball does not reach
 	}
 	if nd.isLeaf() {
-		s.f.items = nd.leaf.appendWithin(s.f.items[:0], s.center, s.rsq)
+		s.f.items = nd.leaf.AppendWithin(s.f.items[:0], s.center, s.rsq)
 		s.count()
 		return
 	}
@@ -100,7 +100,7 @@ func (s *ballScan) visit(nd *node) {
 	// cold index's pending root can be every point.
 	for ids := nd.part.ids(); len(ids) > 0; ids = ids[min(len(ids), maxPooledItems):] {
 		chunk := ids[:min(len(ids), maxPooledItems)]
-		s.f.items = s.ps.appendWithin(slices.Grow(s.f.items[:0], len(chunk)), chunk, s.center, s.rsq)
+		s.f.items = s.ps.AppendWithin(slices.Grow(s.f.items[:0], len(chunk)), chunk, s.center, s.rsq)
 		s.count()
 	}
 }
@@ -108,12 +108,12 @@ func (s *ballScan) visit(nd *node) {
 // count adds the scanned points in the scratch that bear the attribute.
 func (s *ballScan) count() {
 	for _, p := range s.f.items {
-		if !s.ps.HasAttr(s.attr, p.ref) {
+		if !s.ps.HasAttr(s.attr, p.Ref) {
 			continue
 		}
 		s.out.Count++
 		if s.each != nil {
-			s.each(p.ref, p.d)
+			s.each(p.Ref, p.D)
 		}
 	}
 }
@@ -128,7 +128,7 @@ func (a *nodeArena) attrStats(ps *PointSet, nd *node) []AttrStats {
 	}
 	st := make([]AttrStats, ps.NumAttrs())
 	for ai := range st {
-		st[ai] = ps.attrStats(ai, nd.ids())
+		st[ai] = ps.Stats(ai, nd.ids())
 	}
 	slot.Store(&st)
 	return st

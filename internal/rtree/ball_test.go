@@ -27,7 +27,7 @@ func ballOracle(tr *Tree, center []float64, radius float64, attr int) (BallStats
 		if attr < 0 || !mbr.Overlaps(box) {
 			return
 		}
-		st := ps.attrStats(attr, elem)
+		st := ps.Stats(attr, elem)
 		if st.Count == 0 {
 			return
 		}
@@ -61,7 +61,7 @@ func TestSummarizeBall(t *testing.T) {
 				col[i] = math.NaN()
 			}
 		}
-		ps.RegisterAttr("val", col)
+		ps.BindAttr("val", col)
 		opt := DefaultOptions()
 		if seed%3 == 0 {
 			opt.LeafCap, opt.Fanout = 8, 3
@@ -118,7 +118,7 @@ func TestSummarizeBall(t *testing.T) {
 					pt := slices.Clone(ps.At(int32(rng.Intn(ps.N()))))
 					pt[1] += rng.Float64()
 					col = append(col, float64(5000+c))
-					ps.RefreshAttr("val", col)
+					ps.BindAttr("val", col)
 					tr.Insert(ps.AppendPoint(pt))
 				}
 				check("after Insert")
@@ -127,9 +127,9 @@ func TestSummarizeBall(t *testing.T) {
 				for i := range late {
 					late[i] = -float64(i)
 				}
-				ps.RegisterAttr("late", late)
+				ps.BindAttr("late", late)
 				attrs = 2
-				check("after RegisterAttr")
+				check("after BindAttr")
 			}
 		}
 		if err := tr.CheckInvariants(); err != nil {

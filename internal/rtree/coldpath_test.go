@@ -41,7 +41,7 @@ func oracleOrders(ps *PointSet, ids []int32) [][]int32 {
 // suffix boxes and a third for the query counts; every candidate is ranked
 // by (c_Q, c_O, s, pos), c_O = ||O|| / min(||L||, ||H||) (the paper's
 // beta^h weight is positive and cannot make a zero nonzero), and the list
-// is sorted in full. The winner's boxes are MBRof each half in the order
+// is sorted in full. The winner's boxes are mbrOf each half in the order
 // split, and its counts a rescan. maxCO is the largest c_O of any
 // candidate, which on point data is zero (see bestSplit).
 func oracleBestSplit(ps *PointSet, p *partition, m int, q *Rect, leafCap int) (ch splitChoice, ok bool, maxCO float64) {
@@ -122,7 +122,7 @@ func oracleBestSplit(ps *PointSet, p *partition, m int, q *Rect, leafCap int) (c
 	})
 	ch = all[0].ch
 	order := p.orders[ch.s]
-	ch.mbrL, ch.mbrH = ps.MBRof(order[:ch.pos]), ps.MBRof(order[ch.pos:])
+	ch.mbrL, ch.mbrH = mbrOf(ps, order[:ch.pos]), mbrOf(ps, order[ch.pos:])
 	if q != nil {
 		for i, id := range order {
 			if q.Contains(ps.At(id)) {
@@ -190,11 +190,11 @@ func TestSortedOrdersMatchOracle(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n, dim := sizes[seed%5], 1+rng.Intn(4)
-		coords := make([]float64, n*dim)
-		for i := range coords {
-			coords[i] = awkwardCoord(rng)
+		rows := make([]float64, n*dim)
+		for i := range rows {
+			rows[i] = awkwardCoord(rng)
 		}
-		ps := NewPointSet(dim, coords)
+		ps := NewPointSet(dim, rows)
 
 		all := firstIDs(n)
 		if !sameOrders(sortedOrders(ps, all), oracleOrders(ps, all)) {
@@ -259,11 +259,11 @@ func TestSortedOrdersMatchOracle(t *testing.T) {
 	for ci, c := range cases {
 		rng := rand.New(rand.NewSource(int64(ci)))
 		const dim = 2
-		coords := make([]float64, c.n*dim)
-		for i := range coords {
-			coords[i] = c.coord(rng, i/dim)
+		rows := make([]float64, c.n*dim)
+		for i := range rows {
+			rows[i] = c.coord(rng, i/dim)
 		}
-		ps := NewPointSet(dim, coords)
+		ps := NewPointSet(dim, rows)
 		all := firstIDs(c.n)
 		if !sameOrders(sortedOrders(ps, all), oracleOrders(ps, all)) {
 			t.Fatalf("%s: orders of all %d ids differ from the oracle", c.name, c.n)
@@ -294,11 +294,11 @@ func splitCase(seed int64) (ps *PointSet, p *partition, m int, q *Rect) {
 	dim := 2 + rng.Intn(3)
 	n := 40 + rng.Intn(3000)
 	lattice := func(vals int) *PointSet {
-		coords := make([]float64, n*dim)
-		for i := range coords {
-			coords[i] = math.Copysign(float64(rng.Intn(vals)-vals/2), float64(rng.Intn(2))-0.5)
+		rows := make([]float64, n*dim)
+		for i := range rows {
+			rows[i] = math.Copysign(float64(rng.Intn(vals)-vals/2), float64(rng.Intn(2))-0.5)
 		}
-		return NewPointSet(dim, coords)
+		return NewPointSet(dim, rows)
 	}
 	ids := firstIDs(n)
 	if seed/24%2 == 1 {
@@ -373,7 +373,7 @@ func countInScan(ps *PointSet, ids []int32, q Rect) int {
 
 // TestBestSplitsMatchOracle holds bestSplit to the paper's evaluation on
 // 360 seeds of splitCase: the same choice with the same counts, and boxes
-// equal by value to the halves' MBRof. It also asserts the premise the counting rests on: the
+// equal by value to the halves' mbrOf. It also asserts the premise the counting rests on: the
 // oracle's c_O is zero for every candidate.
 func TestBestSplitsMatchOracle(t *testing.T) {
 	for seed := int64(0); seed < 360; seed++ {
@@ -466,7 +466,7 @@ func TestPrepareParallelMatchesSerial(t *testing.T) {
 // the root is an internal node whose children are the non-empty Morton cells
 // of its MBR: every point of a child bisects to that child's cell (computed
 // here from the definition, not by mortonCells), the cells ascend, and the
-// children's boxes lie in the root's. Every box is the MBRof of its ids.
+// children's boxes lie in the root's. Every box is the mbrOf of its ids.
 // Seeds from 60 on are big enough to
 // bucket on several workers. Builds under the ambient GOMAXPROCS, 1 and 4
 // hash the same. Lemma 1 and the other invariants hold before and after
@@ -484,21 +484,21 @@ func TestPresplitRoot(t *testing.T) {
 		case 0:
 			ps = clusteredPointSet(n, dim, 1+rng.Intn(6), seed)
 		case 1: // a coarse lattice of both zeros, on odd seeds its lowest value
-			coords := make([]float64, n*dim)
-			for i := range coords {
-				coords[i] = float64(rng.Intn(5) - 2*int(seed%2^1))
-				if coords[i] == 0 && rng.Intn(2) == 0 {
-					coords[i] = math.Copysign(0, -1)
+			rows := make([]float64, n*dim)
+			for i := range rows {
+				rows[i] = float64(rng.Intn(5) - 2*int(seed%2^1))
+				if rows[i] == 0 && rng.Intn(2) == 0 {
+					rows[i] = math.Copysign(0, -1)
 				}
 			}
-			ps = NewPointSet(dim, coords)
+			ps = NewPointSet(dim, rows)
 		default: // one to three distinct points
 			distinct := clusteredPointSet(1+rng.Intn(3), dim, 1, seed)
-			coords := make([]float64, 0, n*dim)
+			rows := make([]float64, 0, n*dim)
 			for i := 0; i < n; i++ {
-				coords = append(coords, distinct.At(int32(rng.Intn(distinct.N())))...)
+				rows = append(rows, distinct.At(int32(rng.Intn(distinct.N())))...)
 			}
-			ps = NewPointSet(dim, coords)
+			ps = NewPointSet(dim, rows)
 		}
 		opt := DefaultOptions()
 		opt.Fanout = []int{2, 3, 8, 16}[rng.Intn(4)]
@@ -520,8 +520,8 @@ func TestPresplitRoot(t *testing.T) {
 				t.Fatalf("seed %d: builds under GOMAXPROCS %d and %d hash differently", seed, runtime.GOMAXPROCS(0), procs)
 			}
 		}
-		if !tr.root.mbr.equal(ps.MBRof(firstIDs(n))) {
-			t.Fatalf("seed %d: root box %v is not the MBRof its points %v", seed, tr.root.mbr, ps.MBRof(firstIDs(n)))
+		if !tr.root.mbr.equal(mbrOf(ps, firstIDs(n))) {
+			t.Fatalf("seed %d: root box %v is not the mbrOf its points %v", seed, tr.root.mbr, mbrOf(ps, firstIDs(n)))
 		}
 
 		if n < parallelSortMin {
@@ -560,8 +560,8 @@ func TestPresplitRoot(t *testing.T) {
 			if c.isInternal() || !tr.root.mbr.ContainsRect(c.mbr) {
 				t.Fatalf("seed %d: child %d is not a contour element inside the root's box", seed, i)
 			}
-			if want := ps.MBRof(sortIDs(append([]int32{}, c.ids()...))); !c.mbr.equal(want) {
-				t.Fatalf("seed %d: child %d has box %v, MBRof its ids is %v", seed, i, c.mbr, want)
+			if want := mbrOf(ps, sortIDs(append([]int32{}, c.ids()...))); !c.mbr.equal(want) {
+				t.Fatalf("seed %d: child %d has box %v, mbrOf its ids is %v", seed, i, c.mbr, want)
 			}
 			cell := cellOf(ps.At(c.ids()[0]))
 			for _, id := range c.ids() {
@@ -698,7 +698,7 @@ func contourLists(tr *Tree) [][]int32 {
 	tr.ensureRoot()
 	tr.root.eachElement(nil, func(nd *node) {
 		if nd.isLeaf() {
-			lists = append(lists, nd.leaf.ids)
+			lists = append(lists, nd.leaf.IDs())
 		} else {
 			lists = append(lists, nd.part.orders...)
 		}

@@ -8,14 +8,14 @@ import (
 // twoClusterPointSet puts n/2 points near the origin and n/2 near (10,10),
 // so the obviously correct binary split separates the clusters.
 func twoClusterPointSet(n int) *PointSet {
-	coords := make([]float64, 0, n*2)
+	rows := make([]float64, 0, n*2)
 	for i := 0; i < n/2; i++ {
-		coords = append(coords, float64(i%7)*0.01, float64(i%5)*0.01)
+		rows = append(rows, float64(i%7)*0.01, float64(i%5)*0.01)
 	}
 	for i := 0; i < n-n/2; i++ {
-		coords = append(coords, 10+float64(i%7)*0.01, 10+float64(i%5)*0.01)
+		rows = append(rows, 10+float64(i%7)*0.01, 10+float64(i%5)*0.01)
 	}
-	return NewPointSet(2, coords)
+	return NewPointSet(2, rows)
 }
 
 func TestBestSplitsSeparatesClusters(t *testing.T) {

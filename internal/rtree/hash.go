@@ -66,7 +66,7 @@ func (t *Tree) StructureHash() uint64 {
 			}
 		case nd.isLeaf():
 			putU64(1)
-			putIDs(nd.leaf.ids)
+			putIDs(nd.leaf.IDs())
 		default:
 			putU64(2)
 			putIDs(nd.part.ids())

@@ -1,10 +1,12 @@
 package rtree
 
+import "vkgraph/internal/rtree/points"
+
 // node is a tree node in one of three states:
 //
 //   - internal: children != nil — a fully materialized R-tree node;
 //   - leaf: leaf != nil — at most LeafCap point entries, ids and exact
-//     coordinates together in the leaf's page (leafPage in pointset.go);
+//     coordinates together in the leaf's page (points.Page);
 //   - pending: part != nil — a contour element that still holds raw sorted
 //     data and will be cracked on demand.
 //
@@ -28,7 +30,7 @@ package rtree
 type node struct {
 	mbr      Rect
 	children []*node
-	leaf     *leafPage
+	leaf     *points.Page
 	part     *partition
 	idx      int32 // arena index: slab*arenaSlabSize + offset
 	pending  int32 // pending elements in the subtree, itself included
@@ -41,7 +43,7 @@ func (n *node) isPending() bool  { return n.part != nil }
 // ids returns the point ids of a contour element, in no particular order.
 func (n *node) ids() []int32 {
 	if n.isLeaf() {
-		return n.leaf.ids
+		return n.leaf.IDs()
 	}
 	return n.part.ids()
 }
@@ -51,7 +53,7 @@ func (n *node) ids() []int32 {
 func (n *node) numPoints() int {
 	switch {
 	case n.isLeaf():
-		return len(n.leaf.ids)
+		return len(n.leaf.IDs())
 	case n.isPending():
 		return n.part.count()
 	default:
@@ -90,7 +92,7 @@ func (n *node) countNodes() (internal, leaf, pending int) {
 func (n *node) sizeBytes(dim int) int {
 	switch {
 	case n.isLeaf():
-		return n.leaf.sizeBytes()
+		return n.leaf.SizeBytes()
 	case n.isPending():
 		return n.part.sizeBytes(dim)
 	default:

@@ -7,69 +7,9 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"vkgraph/internal/rtree/points"
 )
-
-// TestLeafScanKernels holds the two scans — a leaf's page, a pending
-// element's ids — to a brute-force pass with SqDistTo: the same pairs, in
-// the same order, every distance bit-equal.
-func TestLeafScanKernels(t *testing.T) {
-	const dim = 3
-	ps := clusteredPointSet(500, dim, 5, 73)
-	rng := rand.New(rand.NewSource(74))
-	for _, batch := range []int{0, 1, 4, 32, 100, 500} {
-		ids := make([]int32, batch)
-		for i := range ids {
-			ids[i] = int32(rng.Intn(ps.N()))
-		}
-		var pg leafPage
-		pg.fill(ps, slices.Clone(ids))
-		if err := pg.check(ps); err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
-		}
-		q := make([]float64, dim)
-		for d := range q {
-			q[d] = rng.Float64() * 10
-		}
-		for _, bound := range []float64{0, 0.5, 4, 1e9, math.Inf(1)} {
-			var want []walkItem
-			for _, id := range ids {
-				if d := ps.SqDistTo(id, q); d <= bound {
-					want = append(want, walkItem{d: d, ref: id})
-				}
-			}
-			if got := ps.appendWithin(nil, ids, q, bound); !slices.Equal(got, want) {
-				t.Fatalf("batch %d bound %v: id scan appended %v, want %v", batch, bound, got, want)
-			}
-			if got := pg.appendWithin(nil, q, bound); !slices.Equal(got, want) {
-				t.Fatalf("batch %d bound %v: page scan appended %v, want %v", batch, bound, got, want)
-			}
-		}
-	}
-}
-
-// TestGatherSqDists pins the bulk kernel to the scalar one.
-func TestGatherSqDists(t *testing.T) {
-	ps := randomPointSet(200, 3, 76)
-	rng := rand.New(rand.NewSource(77))
-	ids := make([]int32, 50)
-	for i := range ids {
-		ids[i] = int32(rng.Intn(ps.N()))
-	}
-	q := []float64{0.3, 0.6, 0.9}
-	out := make([]float64, len(ids))
-	ps.GatherSqDists(ids, q, out)
-	for i, id := range ids {
-		if want := ps.SqDistTo(id, q); out[i] != want {
-			t.Fatalf("id %d: GatherSqDists %v != SqDistTo %v", id, out[i], want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GatherSqDists accepted a mismatched output length")
-		}
-	}()
-	ps.GatherSqDists(ids, q, make([]float64, len(ids)-1))
-}
 
 // TestEnablePackedIdempotent: the deprecated call, once or twice, before or
 // after a tree exists, leaves walks and structure as they were.
@@ -78,7 +18,7 @@ func TestEnablePackedIdempotent(t *testing.T) {
 	tr := NewCracking(ps, DefaultOptions())
 	tr.Crack(BallRect([]float64{0.5, 0.5, 0.5}, 0.2))
 	q := []float64{0.4, 0.5, 0.6}
-	walk := func() []walkItem {
+	walk := func() []points.Item {
 		return walkTree(tr, q, func(int) float64 { return 0.3 }, -1, nil)
 	}
 	before, hash := walk(), tr.StructureHash()
@@ -113,17 +53,17 @@ func TestLeafPagesFollowMutations(t *testing.T) {
 		if seed%50 == 0 {
 			n = parallelSortMin + rng.Intn(200)
 		}
-		coords := make([]float64, 0, n*dim)
+		rows := make([]float64, 0, n*dim)
 		for i := 0; i < n; i++ {
 			for d := 0; d < dim; d++ {
 				if rng.Intn(3) == 0 {
-					coords = append(coords, rng.Float64()*6)
+					rows = append(rows, rng.Float64()*6)
 				} else {
-					coords = append(coords, float64(rng.Intn(7)))
+					rows = append(rows, float64(rng.Intn(7)))
 				}
 			}
 		}
-		ps := NewPointSet(dim, coords)
+		ps := NewPointSet(dim, rows)
 		opt := DefaultOptions()
 		opt.LeafCap = []int{4, 8, 32}[rng.Intn(3)]
 		opt.Fanout = 3 + rng.Intn(6)
@@ -143,14 +83,14 @@ func TestLeafPagesFollowMutations(t *testing.T) {
 			}
 			radius := float64(1+rng.Intn(7)) / 2
 			for _, bound := range []float64{radius * radius, math.Inf(1)} {
-				var want []walkItem
+				var want []points.Item
 				for id := int32(0); int(id) < ps.N(); id++ {
 					if d := ps.SqDistTo(id, q); d <= bound {
-						want = append(want, walkItem{d: d, ref: id})
+						want = append(want, points.Item{D: d, Ref: id})
 					}
 				}
-				slices.SortFunc(want, func(a, b walkItem) int {
-					return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.ref, b.ref))
+				slices.SortFunc(want, func(a, b points.Item) int {
+					return cmp.Or(cmp.Compare(a.D, b.D), cmp.Compare(a.Ref, b.Ref))
 				})
 				got := walkTree(tr, q, func(int) float64 { return bound }, -1, nil)
 				if !slices.Equal(got, want) {
@@ -159,12 +99,12 @@ func TestLeafPagesFollowMutations(t *testing.T) {
 				if math.IsInf(bound, 1) {
 					continue
 				}
-				var ball []walkItem
+				var ball []points.Item
 				st := tr.SummarizeBall(q, radius, -1, func(id int32, d float64) {
-					ball = append(ball, walkItem{d: d, ref: id})
+					ball = append(ball, points.Item{D: d, Ref: id})
 				})
-				slices.SortFunc(ball, func(a, b walkItem) int { return int(a.ref - b.ref) })
-				slices.SortFunc(want, func(a, b walkItem) int { return int(a.ref - b.ref) })
+				slices.SortFunc(ball, func(a, b points.Item) int { return int(a.Ref - b.Ref) })
+				slices.SortFunc(want, func(a, b points.Item) int { return int(a.Ref - b.Ref) })
 				if st.Count != len(ball) || !slices.Equal(ball, want) {
 					t.Fatalf("seed %d after %s: SummarizeBall counts %d, reports %d points, the scan %d", seed, step, st.Count, len(ball), len(want))
 				}

@@ -18,7 +18,7 @@ type partition struct {
 // only global sort the cracking index ever performs; it is part of the first
 // query's cost, not an offline build.
 func newPartition(ps *PointSet, ids []int32) *partition {
-	return &partition{orders: sortedOrders(ps, ids), mbr: ps.MBRof(ids)}
+	return &partition{orders: sortedOrders(ps, ids), mbr: mbrOf(ps, ids)}
 }
 
 // count returns the number of points in the partition.

@@ -120,8 +120,8 @@ func (t *Tree) Save(w io.Writer) error {
 			}
 		case nd.isLeaf():
 			wf.Kinds = append(wf.Kinds, 1)
-			wf.Counts = append(wf.Counts, int32(len(nd.leaf.ids)))
-			wf.IDs = append(wf.IDs, nd.leaf.ids...)
+			wf.Counts = append(wf.Counts, int32(len(nd.leaf.IDs())))
+			wf.IDs = append(wf.IDs, nd.leaf.IDs()...)
 		default:
 			ids := nd.part.ids()
 			wf.Kinds = append(wf.Kinds, 2)
@@ -227,7 +227,7 @@ func (t *Tree) decodeFlat(c *flatCursor) (*node, error) {
 		case kind == 2 && cnt == 0:
 			return nil, fmt.Errorf("rtree: empty pending element: %w", snapfmt.ErrCorrupt)
 		case cnt <= t.opt.LeafCap:
-			nd.setMBR(t.ps.MBRof(ids))
+			nd.setMBR(mbrOf(t.ps, ids))
 			t.arena.setLeaf(nd, t.ps, append([]int32{}, ids...))
 		case kind == 1:
 			return nil, fmt.Errorf("rtree: leaf with %d entries: %w", cnt, snapfmt.ErrCorrupt)

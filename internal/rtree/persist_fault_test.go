@@ -24,7 +24,7 @@ func savedTree(t *testing.T) (*PointSet, []byte) {
 }
 
 // Every flavor of damaged stream must come back as a typed error — never a
-// gob panic, never a silently wrong tree.
+// decoder panic, never a silently wrong tree.
 func TestLoadDamagedSnapshots(t *testing.T) {
 	ps, snap := savedTree(t)
 
@@ -56,7 +56,7 @@ func TestLoadDamagedSnapshots(t *testing.T) {
 	}
 
 	// Bit rot anywhere in the frame or payload fails the checksum (or the
-	// length sanity check) before a byte reaches the gob decoder.
+	// length sanity check) before a byte reaches the tree decoder.
 	for _, off := range []int{13, 20, len(snap) / 2, len(snap) - 1} {
 		bad := append([]byte(nil), snap...)
 		bad[off] ^= 0x40

@@ -108,6 +108,10 @@ type orderJob struct {
 // across its jobs.
 type sortScratch struct{ keys, a, b []uint64 }
 
+// gatherChunk is the batch size of the key gather: big enough to amortize
+// the per-chunk bookkeeping, small enough to live on the stack.
+const gatherChunk = 128
+
 func (s *sortScratch) run(j orderJob) {
 	n := len(j.ids)
 	out := make([]int32, n)
@@ -119,12 +123,12 @@ func (s *sortScratch) run(j orderJob) {
 		s.keys, s.a, s.b = make([]uint64, n), make([]uint64, n), make([]uint64, n)
 	}
 	keys := s.keys[:n]
-	var coords [gatherChunk]float64
+	var col [gatherChunk]float64
 	for lo := 0; lo < n; lo += gatherChunk {
 		ids := j.ids[lo:min(lo+gatherChunk, n)]
-		j.ps.GatherCoord(ids, j.d, coords[:len(ids)])
+		j.ps.GatherCoord(ids, j.d, col[:len(ids)])
 		for i := range ids {
-			keys[lo+i] = sortKey(coords[i])
+			keys[lo+i] = sortKey(col[i])
 		}
 	}
 	var vary uint64

@@ -115,7 +115,7 @@ func (t *Tree) buildRoot() {
 	if t.initialN < parallelSortMin {
 		ids := firstIDs(t.initialN)
 		elems = []*node{t.root}
-		jobs = t.setPending(t.root, ids, t.ps.MBRof(ids), nil)
+		jobs = t.setPending(t.root, ids, mbrOf(t.ps, ids), nil)
 	} else {
 		frame, cells, mbrs := mortonCells(t.ps, t.initialN, bits.Len(uint(t.opt.Fanout))-1)
 		t.root.setMBR(frame)
@@ -549,13 +549,13 @@ func (t *Tree) CheckInvariants() error {
 				pending += c.pending
 			}
 		case nd.isLeaf():
-			if len(nd.leaf.ids) > t.opt.LeafCap {
-				return fmt.Errorf("leaf with %d > N=%d entries", len(nd.leaf.ids), t.opt.LeafCap)
+			if len(nd.leaf.IDs()) > t.opt.LeafCap {
+				return fmt.Errorf("leaf with %d > N=%d entries", len(nd.leaf.IDs()), t.opt.LeafCap)
 			}
-			if err := nd.leaf.check(t.ps); err != nil {
+			if err := nd.leaf.Check(t.ps); err != nil {
 				return err
 			}
-			lists = append(lists, nd.leaf.ids)
+			lists = append(lists, nd.leaf.IDs())
 		case nd.isPending():
 			pending = 1
 			p := nd.part

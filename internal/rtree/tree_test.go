@@ -10,11 +10,11 @@ import (
 // randomPointSet returns n uniform points in [0,1]^dim.
 func randomPointSet(n, dim int, seed int64) *PointSet {
 	rng := rand.New(rand.NewSource(seed))
-	coords := make([]float64, n*dim)
-	for i := range coords {
-		coords[i] = rng.Float64()
+	rows := make([]float64, n*dim)
+	for i := range rows {
+		rows[i] = rng.Float64()
 	}
-	return NewPointSet(dim, coords)
+	return NewPointSet(dim, rows)
 }
 
 // clusteredPointSet returns points drawn from a few Gaussian blobs, a shape
@@ -28,14 +28,14 @@ func clusteredPointSet(n, dim, clusters int, seed int64) *PointSet {
 			centers[c][d] = rng.Float64() * 10
 		}
 	}
-	coords := make([]float64, n*dim)
+	rows := make([]float64, n*dim)
 	for i := 0; i < n; i++ {
 		c := centers[rng.Intn(clusters)]
 		for d := 0; d < dim; d++ {
-			coords[i*dim+d] = c[d] + rng.NormFloat64()*0.5
+			rows[i*dim+d] = c[d] + rng.NormFloat64()*0.5
 		}
 	}
-	return NewPointSet(dim, coords)
+	return NewPointSet(dim, rows)
 }
 
 func bruteSearch(ps *PointSet, q Rect) []int32 {
@@ -256,11 +256,11 @@ func TestIdenticalPoints(t *testing.T) {
 	// All points identical: splits are impossible to improve, but the tree
 	// must stay correct and not loop forever.
 	n := 500
-	coords := make([]float64, n*2)
+	rows := make([]float64, n*2)
 	for i := 0; i < n; i++ {
-		coords[i*2], coords[i*2+1] = 1, 2
+		rows[i*2], rows[i*2+1] = 1, 2
 	}
-	ps := NewPointSet(2, coords)
+	ps := NewPointSet(2, rows)
 	tr := NewCracking(ps, DefaultOptions())
 	q := BallRect([]float64{1, 2}, 0.5)
 	tr.Crack(q)

@@ -38,11 +38,11 @@ func (t *Tree) insertAt(nd *node, id int32) int32 {
 		return delta
 	case nd.isLeaf():
 		t.arena.statsOf(nd).Store(nil)
-		nd.leaf.add(t.ps, id)
-		if len(nd.leaf.ids) > t.opt.LeafCap {
+		nd.leaf.Add(t.ps, id)
+		if len(nd.leaf.IDs()) > t.opt.LeafCap {
 			// Overflow: revert to a pending element; the next query that
 			// touches it will crack it with full cost-model context.
-			nd.part = newPartition(t.ps, nd.leaf.ids)
+			nd.part = newPartition(t.ps, nd.leaf.IDs())
 			nd.dropPage()
 			nd.pending = 1
 			return 1

@@ -5,6 +5,8 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+
+	"vkgraph/internal/rtree/points"
 )
 
 // WalkWithin streams point ids in non-decreasing S2 distance from q
@@ -31,7 +33,7 @@ func (t *Tree) WalkWithin(q []float64, bound func() float64, visit func(id int32
 
 // WalkTreesWithin is WalkWithin over trees[0]; trees must hold exactly one
 // tree, since the frontier names nodes by their index in that tree's arena.
-// The slice survives only because bench/ calls it (ROADMAP item 0a).
+// The slice survives only because bench/ calls it (ROADMAP item 20).
 func WalkTreesWithin(trees []*Tree, q []float64, bound func() float64, visit func(id int32, sqDist float64) bool) {
 	if len(trees) != 1 {
 		panic("rtree: WalkTreesWithin walks exactly one tree")
@@ -65,23 +67,13 @@ func WalkTreesWithin(trees []*Tree, q []float64, bound func() float64, visit fun
 // Node accesses are counted here and flushed once per walk, so the Lemma 3
 // cost counters add no atomics to the per-node fast path.
 type frontier struct {
-	items               []walkItem
+	items               []points.Item
 	head                [64]int32  // 1 + the index of the bucket's first item, 0 if empty
 	notMin              [64]uint64 // ^the bucket's least key, 0 if empty
 	mask                uint64     // bit b-1 set when bucket b is non-empty
 	last                uint64
 	zero                zeroHeap
 	accIn, accLf, accPd uint64
-}
-
-// walkItem is a frontier entry: a point (ref is its id) or a node still to
-// expand (ref is ^its arena index, so negative), at squared distance d.
-// next links the items of one bucket (1 + an index into the slab, 0 ends
-// the list). The scans write items with next 0.
-type walkItem struct {
-	d    float64
-	ref  int32
-	next int32
 }
 
 // Frontiers are pooled so a warm walk allocates nothing. A walk that grew
@@ -113,36 +105,36 @@ func (f *frontier) drain(t *Tree, q []float64, bound func() float64, visit func(
 	for len(f.zero) > 0 || f.refill() {
 		it := f.zero[0]
 		b := bound()
-		if it.d > b {
+		if it.D > b {
 			return // everything left is farther than the bound
 		}
 		f.zero.pop()
-		if it.ref >= 0 {
-			if !visit(it.ref, it.d) {
+		if it.Ref >= 0 {
+			if !visit(it.Ref, it.D) {
 				return
 			}
 			continue
 		}
-		nd := t.arena.at(^it.ref)
+		nd := t.arena.at(^it.Ref)
 		lo := len(f.items)
 		switch {
 		case nd.isInternal():
 			f.accIn++
 			for _, c := range nd.children {
 				if d := c.mbr.MinSqDist(q); d <= b {
-					f.items = append(f.items, walkItem{d: d, ref: ^c.idx})
+					f.items = append(f.items, points.Item{D: d, Ref: ^c.idx})
 				}
 			}
 		case nd.isLeaf():
 			f.accLf++
-			f.items = nd.leaf.appendWithin(f.items, q, b)
+			f.items = nd.leaf.AppendWithin(f.items, q, b)
 		default:
 			f.accPd++
 			ids := nd.part.ids()
 			if math.IsInf(b, 1) {
 				f.items = slices.Grow(f.items, len(ids)) // every point is in bound
 			}
-			f.items = t.ps.appendWithin(f.items, ids, q, b)
+			f.items = t.ps.AppendWithin(f.items, ids, q, b)
 		}
 		for i := lo; i < len(f.items); i++ {
 			f.file(int32(i))
@@ -152,7 +144,7 @@ func (f *frontier) drain(t *Tree, q []float64, bound func() float64, visit func(
 
 // push adds an item at squared distance d to the frontier.
 func (f *frontier) push(d float64, ref int32) {
-	f.items = append(f.items, walkItem{d: d, ref: ref})
+	f.items = append(f.items, points.Item{D: d, Ref: ref})
 	f.file(int32(len(f.items) - 1))
 }
 
@@ -161,7 +153,7 @@ func (f *frontier) push(d float64, ref int32) {
 // builds file it in bucket 0, where it still comes out first.
 func (f *frontier) file(i int32) {
 	it := &f.items[i]
-	key := math.Float64bits(it.d)
+	key := math.Float64bits(it.D)
 	checkFrontierKey(key, f.last)
 	if key <= f.last {
 		f.zero.push(*it)
@@ -170,7 +162,7 @@ func (f *frontier) file(i int32) {
 	b := bits.Len64(key^f.last) - 1
 	f.notMin[b] = max(f.notMin[b], ^key)
 	f.mask |= 1 << b
-	it.next = f.head[b]
+	it.Next = f.head[b]
 	f.head[b] = i + 1
 }
 
@@ -187,7 +179,7 @@ func (f *frontier) refill() bool {
 	i := f.head[b]
 	f.head[b] = 0
 	for i != 0 {
-		next := f.items[i-1].next
+		next := f.items[i-1].Next
 		f.file(i - 1)
 		i = next
 	}
@@ -197,16 +189,16 @@ func (f *frontier) refill() bool {
 // zeroHeap is bucket 0, a min-heap on (d, ref): nodes (negative refs)
 // before points, points by ascending id. It seldom holds more than one
 // item, but exact duplicates can put any number of points in it.
-type zeroHeap []walkItem
+type zeroHeap []points.Item
 
 func (h zeroHeap) less(i, j int) bool {
-	if h[i].d != h[j].d {
-		return h[i].d < h[j].d
+	if h[i].D != h[j].D {
+		return h[i].D < h[j].D
 	}
-	return h[i].ref < h[j].ref
+	return h[i].Ref < h[j].Ref
 }
 
-func (h *zeroHeap) push(it walkItem) {
+func (h *zeroHeap) push(it points.Item) {
 	*h = append(*h, it)
 	s := *h
 	for i := len(s) - 1; i > 0; {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"vkgraph/internal/raceflag"
+	"vkgraph/internal/rtree/points"
 )
 
 // walkOracle is the brute-force reference for a walk: every point sorted
@@ -16,16 +17,16 @@ import (
 // cuts it — before each point the bound is read (as a function of the
 // points visited so far) and the walk ends at the first point beyond it,
 // or after stop points.
-func walkOracle(ps *PointSet, q []float64, bound func(visited int) float64, stop int) []walkItem {
-	var all []walkItem
+func walkOracle(ps *PointSet, q []float64, bound func(visited int) float64, stop int) []points.Item {
+	var all []points.Item
 	for i := int32(0); int(i) < ps.N(); i++ {
-		all = append(all, walkItem{d: ps.SqDistTo(i, q), ref: i})
+		all = append(all, points.Item{D: ps.SqDistTo(i, q), Ref: i})
 	}
-	slices.SortFunc(all, func(a, b walkItem) int {
-		return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.ref, b.ref))
+	slices.SortFunc(all, func(a, b points.Item) int {
+		return cmp.Or(cmp.Compare(a.D, b.D), cmp.Compare(a.Ref, b.Ref))
 	})
 	for i, p := range all {
-		if i == stop || p.d > bound(i) {
+		if i == stop || p.D > bound(i) {
 			return all[:i]
 		}
 	}
@@ -35,10 +36,10 @@ func walkOracle(ps *PointSet, q []float64, bound func(visited int) float64, stop
 // walkTree records the visit sequence of a walk under the same rule as
 // walkOracle. inner, when non-nil, runs from inside the callback of
 // the third visited point.
-func walkTree(tr *Tree, q []float64, bound func(visited int) float64, stop int, inner func()) []walkItem {
-	var got []walkItem
+func walkTree(tr *Tree, q []float64, bound func(visited int) float64, stop int, inner func()) []points.Item {
+	var got []points.Item
 	tr.WalkWithin(q, func() float64 { return bound(len(got)) }, func(id int32, d float64) bool {
-		got = append(got, walkItem{d: d, ref: id})
+		got = append(got, points.Item{D: d, Ref: id})
 		if inner != nil && len(got) == 3 {
 			inner()
 		}
@@ -99,15 +100,15 @@ func TestWalkMatchesSortedScan(t *testing.T) {
 			}
 			return pt
 		}
-		coords := make([]float64, 0, n*dim)
+		rows := make([]float64, 0, n*dim)
 		for i := 0; i < n; i++ {
-			coords = append(coords, point(i, func(j int) []float64 { return coords[j*dim : (j+1)*dim] })...)
+			rows = append(rows, point(i, func(j int) []float64 { return rows[j*dim : (j+1)*dim] })...)
 		}
 		opt := DefaultOptions()
 		if rng.Intn(2) == 0 {
 			opt.LeafCap, opt.Fanout = 4, 3
 		}
-		ps := NewPointSet(dim, coords)
+		ps := NewPointSet(dim, rows)
 		tr := NewCracking(ps, opt)
 		for round := 0; round < 4; round++ {
 			checkWalks(t, rng, ps, tr, scale, seed)
@@ -162,7 +163,7 @@ func checkWalks(t *testing.T, rng *rand.Rand, ps *PointSet, tr *Tree, scale floa
 	}
 	for name, bound := range bounds {
 		want := walkOracle(ps, q, bound, -1)
-		check := func(what string, got, want []walkItem) {
+		check := func(what string, got, want []points.Item) {
 			t.Helper()
 			if !slices.Equal(got, want) {
 				i := 0
@@ -179,7 +180,7 @@ func checkWalks(t *testing.T, rng *rand.Rand, ps *PointSet, tr *Tree, scale floa
 		check("early stop", walkTree(tr, q, bound, stop, nil), walkOracle(ps, q, bound, stop))
 		check("walk after early stop", walkTree(tr, q, bound, -1, nil), want)
 
-		var inner []walkItem
+		var inner []points.Item
 		outer := walkTree(tr, q, bound, -1, func() { inner = walkTree(tr, q, bound, -1, nil) })
 		check("walk around a nested walk", outer, want)
 		if len(want) >= 3 {
@@ -253,7 +254,7 @@ func TestFrontierHoldsNoPointer(t *testing.T) {
 		}
 		return false
 	}
-	if it := reflect.TypeFor[walkItem](); !pointerFree(it) {
+	if it := reflect.TypeFor[points.Item](); !pointerFree(it) {
 		t.Fatalf("%v holds a pointer", it)
 	}
 	ft := reflect.TypeFor[frontier]()

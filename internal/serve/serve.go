@@ -3,8 +3,7 @@
 // shedding, graceful drain, and multi-tenancy.
 //
 // The engine itself is a library built for in-process callers; this package
-// is the process boundary the ROADMAP's "millions of users" need. Its
-// contracts:
+// is its process boundary for remote clients. Its contracts:
 //
 //   - Admission control. At most Config.MaxInFlight requests execute engine
 //     work at once (a bounded semaphore sized off the worker pool), with a
