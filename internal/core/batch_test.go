@@ -311,6 +311,11 @@ func TestDoValidation(t *testing.T) {
 	if !errors.Is(resp.Err, ErrUnknownAttribute) {
 		t.Fatalf("got %v, want ErrUnknownAttribute", resp.Err)
 	}
+	resp = eng.Do(context.Background(), Request{Kind: KindAggregate, Entity: 0, Rel: likes,
+		Agg: AggQuery{Kind: Avg}})
+	if !errors.Is(resp.Err, ErrUnknownAttribute) {
+		t.Fatalf("aggregate without an attribute: got %v, want ErrUnknownAttribute", resp.Err)
+	}
 	resp = eng.Do(context.Background(), Request{Kind: QueryKind(99)})
 	if resp.Err == nil {
 		t.Fatal("unknown query kind accepted")

@@ -80,6 +80,17 @@ func movieEngine(t *testing.T, cfg kggen.MovieConfig, mode IndexMode, p Params) 
 	return eng, g
 }
 
+// TestNewEngineUnknownAttribute: an index built over an attribute the graph
+// does not have is refused with ErrUnknownAttribute.
+func TestNewEngineUnknownAttribute(t *testing.T) {
+	g, m := trainMovie(t, kggen.TinyMovieConfig())
+	p := DefaultParams()
+	p.Attrs = []string{"year", "no-such-attr"}
+	if _, err := NewEngine(g, m, Crack, p); !errors.Is(err, ErrUnknownAttribute) {
+		t.Fatalf("got %v, want ErrUnknownAttribute", err)
+	}
+}
+
 func defaultTestParams() Params {
 	p := DefaultParams()
 	p.Attrs = []string{"year", "age", "popularity"}

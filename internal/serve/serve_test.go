@@ -308,6 +308,8 @@ func TestQueryEndToEnd(t *testing.T) {
 	}{
 		{"unknown entity name", map[string]interface{}{"entity": "nobody", "relation": "likes", "k": 3}, 404, "unknown_entity"},
 		{"unknown relation name", map[string]interface{}{"entity": "user1", "relation": "hates", "k": 3}, 404, "unknown_relation"},
+		{"unknown attribute", map[string]interface{}{"kind": "aggregate", "entity": "user1", "relation": "likes",
+			"agg": map[string]interface{}{"kind": "avg", "attr": "no-such-attr"}}, 404, "unknown_attribute"},
 		{"missing k", map[string]interface{}{"entity": "user1", "relation": "likes"}, 400, "bad_request"},
 		{"bad kind", map[string]interface{}{"kind": "mystery", "entity": "user1", "relation": "likes", "k": 3}, 400, "bad_request"},
 		{"unknown tenant", map[string]interface{}{"tenant": "ghost", "entity": "user1", "relation": "likes", "k": 3}, 404, "unknown_tenant"},

@@ -445,6 +445,22 @@ func TestEpsilonOverride(t *testing.T) {
 	}
 }
 
+// TestDoCancelledContext: Do honours its context, so a query issued on one
+// already cancelled does not run and fails with context.Canceled.
+func TestDoCancelledContext(t *testing.T) {
+	g, ratesHigh, _ := buildTestGraph(t)
+	v, err := Build(g, fastOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, _ := g.EntityByName("user1")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := v.Do(ctx, Query{Entity: u, Relation: ratesHigh, K: 3}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %+v, %v; want context.Canceled", res, err)
+	}
+}
+
 // TestDoBatchWorkersCancel pins down the mid-batch cancellation contract
 // the serving layer depends on: cancelling ctx makes the workers exit
 // promptly without leaking goroutines, queries that already completed keep

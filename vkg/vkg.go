@@ -174,8 +174,12 @@ type EmbeddingParams struct {
 	LearningRate float64 // SGD step (default 0.01)
 	Margin       float64 // ranking margin (default 1.0)
 	L1           bool    // use L1 dissimilarity instead of L2
-	// Workers > 1 trains with lock-free parallel SGD (Hogwild): much
-	// faster on large graphs, at the cost of run-to-run determinism.
+	// Workers > 1 trains with lock-free parallel SGD (Hogwild), at the
+	// cost of run-to-run determinism. It is not faster on a small machine:
+	// on 2 vCPUs, training the 131,064-triple movie graph (d = 50, 50
+	// epochs) took 5.1-5.5 s with Workers = 2 and 3.0-3.3 s with the
+	// default deterministic trainer, which already samples on a second
+	// goroutine.
 	Workers int
 }
 
