@@ -1,6 +1,7 @@
 // Command vkg-train trains a TransE embedding (the prediction algorithm of
 // the virtual knowledge graph) on a dataset produced by vkg-gen and saves
-// the model.
+// the model. It starts from the hyperparameters vkg.Build trains with
+// (embedding.DefaultConfig) and changes only what its flags set.
 //
 // Usage:
 //
@@ -18,18 +19,18 @@ import (
 )
 
 func main() {
+	cfg := embedding.DefaultConfig()
 	var (
 		graphPath = flag.String("graph", "", "input graph file (required)")
 		out       = flag.String("out", "", "output model file (required)")
-		dim       = flag.Int("dim", 50, "embedding dimensionality")
-		epochs    = flag.Int("epochs", 30, "training epochs")
-		lr        = flag.Float64("lr", 0.01, "learning rate")
-		margin    = flag.Float64("margin", 1.0, "ranking margin")
 		l1        = flag.Bool("l1", false, "use L1 dissimilarity")
-		seed      = flag.Int64("seed", 42, "RNG seed")
-		workers   = flag.Int("workers", 1, "parallel SGD goroutines (>1 = Hogwild, non-deterministic)")
 		verbose   = flag.Bool("v", false, "print per-epoch loss")
 	)
+	flag.IntVar(&cfg.Dim, "dim", cfg.Dim, "embedding dimensionality")
+	flag.IntVar(&cfg.Epochs, "epochs", cfg.Epochs, "training epochs")
+	flag.Float64Var(&cfg.LearningRate, "lr", cfg.LearningRate, "learning rate")
+	flag.Float64Var(&cfg.Margin, "margin", cfg.Margin, "ranking margin")
+	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "RNG seed")
 	flag.Parse()
 	if *graphPath == "" || *out == "" {
 		fmt.Fprintln(os.Stderr, "vkg-train: -graph and -out are required")
@@ -42,19 +43,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vkg-train: loading graph: %v\n", err)
 		os.Exit(1)
 	}
-	cfg := embedding.Config{
-		Dim:          *dim,
-		Epochs:       *epochs,
-		LearningRate: *lr,
-		Margin:       *margin,
-		Norm:         embedding.L2,
-		Sampling:     embedding.Bernoulli,
-		Seed:         *seed,
-	}
 	if *l1 {
 		cfg.Norm = embedding.L1
 	}
-	cfg.Workers = *workers
 
 	start := time.Now()
 	res, err := embedding.Train(g, cfg)
@@ -72,6 +63,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("trained %d-dim TransE on %d triples in %v; final loss %.6f; wrote %s\n",
-		*dim, g.NumTriples(), time.Since(start).Round(time.Millisecond),
+		cfg.Dim, g.NumTriples(), time.Since(start).Round(time.Millisecond),
 		res.EpochLosses[len(res.EpochLosses)-1], *out)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"vkgraph/internal/embedding"
 	"vkgraph/internal/kg"
 	"vkgraph/internal/scan"
 )
@@ -27,13 +28,30 @@ func (e *Engine) TopKNoIndex(dir Dir, ent kg.EntityID, rel kg.RelationID, k int)
 	return e.scanTopK(q, k), nil
 }
 
+// scanNorm is the scan norm that ranks like the model's: squared L2 for
+// L2.
+func (e *Engine) scanNorm() scan.Norm {
+	if e.m.NormUsed == embedding.L1 {
+		return scan.L1
+	}
+	return scan.SqL2
+}
+
+// s1 turns a distance under scanNorm into the S1 distance.
+func (e *Engine) s1(scanDist float64) float64 {
+	if e.m.NormUsed == embedding.L1 {
+		return scanDist
+	}
+	return math.Sqrt(scanDist)
+}
+
 func (e *Engine) scanTopK(q query, k int) *TopKResult {
-	nbs := scan.TopK(e.m.Dim, e.m.Entities, q.q1, k, func(id int32) bool { return q.skips(kg.EntityID(id)) })
+	nbs := scan.TopK(e.m.Dim, e.m.Entities, q.q1, k, e.scanNorm(), func(id int32) bool { return q.skips(kg.EntityID(id)) })
 	res := &TopKResult{Predictions: make([]Prediction, 0, len(nbs)), RecallBound: 1, Examined: e.g.NumEntities()}
 	for _, nb := range nbs {
 		res.Predictions = append(res.Predictions, Prediction{
 			Entity: kg.EntityID(nb.ID),
-			Dist:   math.Sqrt(nb.SqDist),
+			Dist:   e.s1(nb.Dist),
 		})
 	}
 	e.finishPredictions(res.Predictions)
@@ -69,20 +87,25 @@ func (e *Engine) aggregateExact(q query, agg AggQuery) (*AggResult, error) {
 	skipFn := func(id int32) bool { return q.skips(kg.EntityID(id)) }
 
 	// Exact d1 and exact S1 ball.
-	nearest := scan.TopK(e.m.Dim, e.m.Entities, q.q1, 1, skipFn)
+	norm := e.scanNorm()
+	nearest := scan.TopK(e.m.Dim, e.m.Entities, q.q1, 1, norm, skipFn)
 	if len(nearest) == 0 {
 		return &AggResult{}, nil
 	}
-	d1 := math.Sqrt(nearest[0].SqDist)
+	d1 := e.s1(nearest[0].Dist)
 	if d1 <= 0 {
 		d1 = 1e-12
 	}
 	rTau := d1 / pTau
-	within := scan.Within(e.m.Dim, e.m.Entities, q.q1, rTau*rTau, skipFn)
+	radius := rTau
+	if norm == scan.SqL2 {
+		radius = rTau * rTau
+	}
+	within := scan.Within(e.m.Dim, e.m.Entities, q.q1, radius, norm, skipFn)
 
 	ball := make([]ballPoint, 0, len(within))
 	for _, nb := range within {
-		bp := ballPoint{id: kg.EntityID(nb.ID), d: math.Sqrt(nb.SqDist), val: 1}
+		bp := ballPoint{id: kg.EntityID(nb.ID), d: e.s1(nb.Dist), val: 1}
 		bp.prob = clampProb(d1 / math.Max(bp.d, 1e-12))
 		if agg.Kind != Count {
 			var has bool

@@ -180,24 +180,19 @@ func (e *Engine) offerTrace(tr *obs.QueryTrace, kind string, err error, desc fun
 	default:
 		status = obs.TraceError
 	}
-	// Keep is deterministic in the record shape, so probing it first means
-	// the Detail string is only built for traces that will be retained.
-	if !e.traces.Keep(tr.TraceID(), tr.Forced(), status, tr.Wall) {
-		return
-	}
-	detail := desc()
-	if err != nil {
-		detail += " err=" + err.Error()
-	}
-	e.traces.Record(obs.TraceRecord{
+	e.traces.Offer(obs.TraceRecord{
 		ID:      tr.TraceID(),
 		Span:    tr.SpanID(),
 		Time:    tr.StartTime(),
 		Kind:    kind,
 		Status:  status,
-		Detail:  detail,
 		Latency: tr.Wall,
 		Trace:   tr,
+	}, tr.Forced(), func() string {
+		if err != nil {
+			return desc() + " err=" + err.Error()
+		}
+		return desc()
 	})
 }
 

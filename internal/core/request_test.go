@@ -12,6 +12,26 @@ import (
 	"vkgraph/internal/obs"
 )
 
+// TestTraceStoreCountsEveryOffer: every finished trace is offered to the
+// store, kept or not, so vkg_trace_records_offered_total counts the fast
+// traces the store drops too. With head sampling and slow retention off,
+// twenty fast, successful, unforced traces are all offered and none kept.
+func TestTraceStoreCountsEveryOffer(t *testing.T) {
+	eng, g := testEngine(t, Crack, defaultTestParams())
+	eng.Traces().SetHeadRate(0)
+	eng.Traces().SetSlowThreshold(0)
+	likes, _ := g.RelationByName("likes")
+	for _, u := range g.EntitiesOfType("user")[:20] {
+		resp := eng.Do(context.Background(), Request{Kind: KindTopK, Dir: DirTail, Entity: u, Rel: likes, K: 5, Trace: true})
+		if resp.Err != nil || resp.Trace == nil {
+			t.Fatalf("traced Do: err %v, trace %v", resp.Err, resp.Trace)
+		}
+	}
+	if st := eng.Traces().Stats(); st.Offered != 20 || st.Kept != 0 {
+		t.Fatalf("Offered %d, Kept %d; want 20 and 0", st.Offered, st.Kept)
+	}
+}
+
 // TestCancelledFollowerTraced pins the coalescing edge case: a follower that
 // gives up on a still-running leader must still finish its trace (so span
 // durations sum to Wall) and offer it to the trace store — a cancelled wait

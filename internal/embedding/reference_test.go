@@ -17,7 +17,8 @@ import (
 // refTrain is the deterministic trainer as it was before the sample stream
 // and the fused SGD step: one loop that shuffles, corrupts and steps in turn.
 // It and the three functions below are kept verbatim (methods turned into
-// functions of the model) as the reference Train must equal bit for bit.
+// functions of the model, and the per-epoch renormalization unconditional,
+// as its switch is gone) as the reference Train must equal bit for bit.
 func refTrain(g *kg.Graph, cfg Config) *TrainResult {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nE, nR, d := g.NumEntities(), g.NumRelations(), cfg.Dim
@@ -50,10 +51,8 @@ func refTrain(g *kg.Graph, cfg Config) *TrainResult {
 	grad := make([]float64, d)
 	losses := make([]float64, 0, cfg.Epochs)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if !cfg.NoEntityRenorm || epoch == 0 {
-			for e := 0; e < nE; e++ {
-				normalizeRow(m.Entities[e*d : (e+1)*d])
-			}
+		for e := 0; e < nE; e++ {
+			normalizeRow(m.Entities[e*d : (e+1)*d])
 		}
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
@@ -65,10 +64,8 @@ func refTrain(g *kg.Graph, cfg Config) *TrainResult {
 		}
 		losses = append(losses, lossSum/float64(len(order)))
 	}
-	if !cfg.NoEntityRenorm {
-		for e := 0; e < nE; e++ {
-			normalizeRow(m.Entities[e*d : (e+1)*d])
-		}
+	for e := 0; e < nE; e++ {
+		normalizeRow(m.Entities[e*d : (e+1)*d])
 	}
 	return &TrainResult{Model: m, EpochLosses: losses}
 }
@@ -163,11 +160,10 @@ func modelDigest(m *Model) string {
 
 // TestTrainMatchesSerialReference holds the deterministic trainer to the
 // serial loop it replaced: the same entity rows, relation rows and epoch
-// losses, bit for bit, under every norm, sampling strategy and pull, and
-// with renormalization off. One model is also pinned to its digest under
-// the serial loop, so a change to the reference, to corrupt or to the
-// RNG's use shows too. The sample stream's goroutine must be gone once
-// Train returns.
+// losses, bit for bit, under every norm, sampling strategy and pull. One
+// model is also pinned to its digest under the serial loop, so a change to
+// the reference, to corrupt or to the RNG's use shows too. The sample
+// stream's goroutine must be gone once Train returns.
 func TestTrainMatchesSerialReference(t *testing.T) {
 	g := multiChunkGraph()
 	if n := g.NumTriples(); n <= 2*sampleChunk || n%sampleChunk == 0 {
@@ -191,7 +187,6 @@ func TestTrainMatchesSerialReference(t *testing.T) {
 			}
 		}
 	}
-	variants = append(variants, variant{"no-renorm", func(c *Config) { c.NoEntityRenorm = true }})
 	pinned := map[string]string{
 		"L2/Bernoulli/pull0.5": "8abca4629e8ee5237230f9a3257259d0be211a6a5867801136e899e9aaf24302",
 	}

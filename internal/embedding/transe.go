@@ -55,21 +55,9 @@ type Config struct {
 	Norm         Norm
 	Sampling     Sampling
 	Seed         int64
-	// NoEntityRenorm disables the per-epoch L2 renormalization of entity
-	// vectors. Bordes et al. renormalize every epoch; leaving vectors free
-	// lets well-separated communities drift apart in the embedding space,
-	// which sharpens the distance contrast that spatial indexing exploits.
-	NoEntityRenorm bool
-	// Workers sets the number of parallel SGD goroutines. 1 (default) is
-	// fully deterministic; higher values run lock-free "Hogwild" updates,
-	// with benign races that only perturb the embedding slightly (and
-	// therefore give non-deterministic but equivalent-quality models).
-	// Hogwild is not faster on a small machine: on 2 vCPUs (go1.24, the
-	// 131,064-triple movie graph, d = 50, 50 epochs) Workers = 2 took
-	// 5.1-5.5 s and the deterministic trainer 3.0-3.3 s, since that trainer
-	// already runs its sampling on a second goroutine. Note that the race
-	// detector flags Hogwild's intentional races: run -race test builds
-	// with Workers = 1.
+	// Workers must be 0 or 1: Train refuses more. Training runs on one
+	// goroutine plus its sample stream. Only bench/ sets it; it goes with
+	// ROADMAP item 20, the next change to bench/.
 	Workers int
 	// PositivePull adds lambda * d(h+r, t) for true triples to the margin
 	// ranking loss. Pure margin ranking stops optimizing a positive triple
@@ -176,10 +164,10 @@ type TrainResult struct {
 
 // Train fits a TransE model to the graph's triples.
 //
-// With one worker (the default) training is deterministic: a sample stream
-// (see sampleStream) draws every shuffle and corruption on a goroutine of its
-// own, in the same order as a single loop would, while this goroutine runs
-// the SGD steps, so the model depends on cfg and the graph alone.
+// Training is deterministic: a sample stream (see sampleStream) draws every
+// shuffle and corruption on a goroutine of its own, in the same order as a
+// single loop would, while this goroutine runs the SGD steps, so the model
+// depends on cfg and the graph alone.
 func Train(g *kg.Graph, cfg Config) (*TrainResult, error) {
 	if g.NumEntities() == 0 {
 		return nil, errors.New("embedding: graph has no entities")
@@ -192,6 +180,9 @@ func Train(g *kg.Graph, cfg Config) (*TrainResult, error) {
 	}
 	if cfg.Epochs <= 0 {
 		return nil, fmt.Errorf("embedding: invalid epoch count %d", cfg.Epochs)
+	}
+	if cfg.Workers > 1 {
+		return nil, fmt.Errorf("embedding: %d workers: training runs on one", cfg.Workers)
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -221,40 +212,26 @@ func Train(g *kg.Graph, cfg Config) (*TrainResult, error) {
 	// tph / (tph + hpt) for each relation.
 	corruptHeadProb := bernoulliProbs(g)
 
-	triples := g.Triples()
-	order := make([]int, len(triples))
+	order := make([]int, g.NumTriples())
 	for i := range order {
 		order[i] = i
 	}
 
 	// From here on the stream owns rng and order.
-	var stream *sampleStream
-	if cfg.Workers <= 1 {
-		stream = startSampleStream(g, cfg, rng, corruptHeadProb, order)
-		defer stream.close()
-	}
+	stream := startSampleStream(g, cfg, rng, corruptHeadProb, order)
+	defer stream.close()
 
 	grad := make([]float64, d)
 	losses := make([]float64, 0, cfg.Epochs)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if !cfg.NoEntityRenorm || epoch == 0 {
-			for e := 0; e < nE; e++ {
-				normalizeRow(m.Entities[e*d : (e+1)*d])
-			}
-		}
-		var lossSum float64
-		if stream != nil {
-			lossSum = stream.epoch(m, cfg, len(order), grad)
-		} else {
-			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-			lossSum = trainEpochParallel(g, m, cfg, corruptHeadProb, triples, order, int64(epoch))
-		}
-		losses = append(losses, lossSum/float64(len(order)))
-	}
-	if !cfg.NoEntityRenorm {
 		for e := 0; e < nE; e++ {
 			normalizeRow(m.Entities[e*d : (e+1)*d])
 		}
+		lossSum := stream.epoch(m, cfg, len(order), grad)
+		losses = append(losses, lossSum/float64(len(order)))
+	}
+	for e := 0; e < nE; e++ {
+		normalizeRow(m.Entities[e*d : (e+1)*d])
 	}
 	return &TrainResult{Model: m, EpochLosses: losses}, nil
 }
@@ -271,7 +248,7 @@ const (
 	streamDepth = 4
 )
 
-// sampleStream is the deterministic trainer's sampler. A goroutine owns the
+// sampleStream is the trainer's sampler. A goroutine owns the
 // RNG: each epoch it shuffles the triple order and corrupts every triple in
 // that order, and sends the samples in chunks; the SGD loop consumes them in
 // the order sent. The RNG call sequence is the one a single loop makes,
@@ -367,39 +344,6 @@ func corrupt(g *kg.Graph, rng *rand.Rand, tr kg.Triple, nE int, headProb float64
 			return neg
 		}
 	}
-}
-
-// trainEpochParallel runs one SGD epoch with lock-free parallel updates
-// (Hogwild: Recht et al., 2011). Each worker owns a shard of the shuffled
-// order and its own RNG; vector updates race benignly.
-func trainEpochParallel(g *kg.Graph, m *Model, cfg Config, corruptHeadProb []float64, triples []kg.Triple, order []int, epoch int64) float64 {
-	nE := g.NumEntities()
-	workers := cfg.Workers
-	shard := (len(order) + workers - 1) / workers
-	lossCh := make(chan float64, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * shard
-		hi := lo + shard
-		if hi > len(order) {
-			hi = len(order)
-		}
-		go func(w int, part []int) {
-			rng := rand.New(rand.NewSource(cfg.Seed ^ (epoch+1)*7919 ^ int64(w)*104729))
-			grad := make([]float64, cfg.Dim)
-			var sum float64
-			for _, ti := range part {
-				tr := triples[ti]
-				neg := corrupt(g, rng, tr, nE, corruptProb(cfg, corruptHeadProb, tr.R, rng))
-				sum += m.sgdStep(tr, neg, cfg, grad)
-			}
-			lossCh <- sum
-		}(w, order[lo:hi])
-	}
-	var total float64
-	for w := 0; w < workers; w++ {
-		total += <-lossCh
-	}
-	return total
 }
 
 // sgdStep applies one margin-ranking update for (pos, neg) and returns the

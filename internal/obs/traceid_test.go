@@ -128,10 +128,11 @@ func TestHeadSamplingDeterministic(t *testing.T) {
 	b.SetHeadRate(0.5)
 	for i := 0; i < 256; i++ {
 		id := NewTraceID()
-		if a.Keep(id, false, TraceOK, 0) != b.Keep(id, false, TraceOK, 0) {
+		rec := TraceRecord{ID: id, Status: TraceOK}
+		if a.Offer(rec, false, nil) != b.Offer(rec, false, nil) {
 			t.Fatalf("stores disagree on head sampling for %s", id)
 		}
-		if a.Keep(id, false, TraceOK, 0) != a.Keep(id, false, TraceOK, 0) {
+		if a.Offer(rec, false, nil) != a.Offer(rec, false, nil) {
 			t.Fatalf("head sampling not deterministic for %s", id)
 		}
 	}

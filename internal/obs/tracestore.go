@@ -77,7 +77,7 @@ type TraceStoreStats struct {
 //
 // The ring overwrites oldest-first, so retention bounds memory: capacity
 // records, each holding at most one query's span tree. A nil *TraceStore is
-// valid; every method no-ops (Keep reports false).
+// valid; every method no-ops (Offer reports false).
 type TraceStore struct {
 	headRate atomic.Uint64 // math.Float64bits of the keep fraction in [0,1]
 	slowNS   atomic.Int64  // slow-retention threshold; 0 disables
@@ -169,19 +169,6 @@ func (s *TraceStore) headKeep(id TraceID) bool {
 	return float64(id.sampleWord()) < rate*(1<<64)
 }
 
-// Keep reports whether a record with the given shape would be retained,
-// without recording anything. Callers use it to skip building the record's
-// Detail string for traces that will be dropped; the decision is
-// deterministic in (id, forced, status, latency), so a later Record with
-// the same inputs agrees. False on a nil store.
-func (s *TraceStore) Keep(id TraceID, forced bool, status string, lat time.Duration) bool {
-	if s == nil {
-		return false
-	}
-	keep, _ := s.decide(id, forced, status, lat)
-	return keep
-}
-
 // decide applies the retention policy and names the rule that fired.
 func (s *TraceStore) decide(id TraceID, forced bool, status string, lat time.Duration) (bool, *atomic.Uint64) {
 	// One load: a concurrent SetSlowThreshold(0) between a "> 0" check and
@@ -200,20 +187,14 @@ func (s *TraceStore) decide(id TraceID, forced bool, status string, lat time.Dur
 	return false, nil
 }
 
-// Record offers a record to the store; it is retained (true) or dropped
-// (false) per the retention policy. forced comes from the record's trace
-// when one is attached; envelope records pass their own flag via
-// RecordForced. No-op (false) on a nil store.
-func (s *TraceStore) Record(rec TraceRecord) bool {
-	if s == nil {
-		return false
-	}
-	return s.RecordForced(rec, rec.Trace.Forced())
-}
-
-// RecordForced is Record with an explicit forced-retention flag, for
-// envelope records that carry no *QueryTrace.
-func (s *TraceStore) RecordForced(rec TraceRecord, forced bool) bool {
+// Offer offers a record to the store and reports whether it was retained.
+// Every offer is counted. The retention policy decides once, from the
+// record's id, status and latency and from forced, which marks a trace that
+// was asked for or carries a sampled inbound traceparent. detail, when not
+// nil, fills the record's Detail and runs only for a record the store
+// keeps: the common case is a fast trace the store drops, and then no
+// formatting happens at all. No-op (false) on a nil store.
+func (s *TraceStore) Offer(rec TraceRecord, forced bool, detail func() string) bool {
 	if s == nil {
 		return false
 	}
@@ -223,6 +204,9 @@ func (s *TraceStore) RecordForced(rec TraceRecord, forced bool) bool {
 		return false
 	}
 	reason.Add(1)
+	if detail != nil {
+		rec.Detail = detail()
+	}
 	s.mu.Lock()
 	if s.n == len(s.buf) {
 		s.evicted.Add(1)

@@ -10,14 +10,8 @@ func TestTraceStoreNilSafe(t *testing.T) {
 	var s *TraceStore
 	s.SetHeadRate(1)
 	s.SetSlowThreshold(time.Second)
-	if s.Keep(NewTraceID(), true, TraceError, time.Hour) {
+	if s.Offer(TraceRecord{ID: NewTraceID(), Status: TraceError}, true, func() string { panic("detail built") }) {
 		t.Error("nil store kept a record")
-	}
-	if s.Record(TraceRecord{ID: NewTraceID()}) {
-		t.Error("nil store recorded")
-	}
-	if s.RecordForced(TraceRecord{ID: NewTraceID()}, true) {
-		t.Error("nil store recorded forced")
 	}
 	if s.Entries() != nil || s.Find(NewTraceID()) != nil || s.Len() != 0 {
 		t.Error("nil store returned entries")
@@ -37,28 +31,28 @@ func TestTraceStoreRetention(t *testing.T) {
 		return TraceRecord{ID: NewTraceID(), Time: time.Now(), Kind: "topk", Status: status, Latency: lat}
 	}
 
-	if s.Record(rec(TraceOK, time.Millisecond)) {
+	if s.Offer(rec(TraceOK, time.Millisecond), false, nil) {
 		t.Error("fast OK record kept with head sampling off")
 	}
 	for _, status := range []string{TraceError, TraceShed, TraceDeadline, TraceCanceled} {
-		if !s.Record(rec(status, time.Millisecond)) {
+		if !s.Offer(rec(status, time.Millisecond), false, nil) {
 			t.Errorf("fast %s record dropped, want tail-kept", status)
 		}
 	}
-	if !s.Record(rec(TraceOK, DefaultTraceSlow+time.Millisecond)) {
+	if !s.Offer(rec(TraceOK, DefaultTraceSlow+time.Millisecond), false, nil) {
 		t.Error("slow OK record dropped, want slow-kept")
 	}
-	if !s.RecordForced(rec(TraceOK, time.Millisecond), true) {
+	if !s.Offer(rec(TraceOK, time.Millisecond), true, nil) {
 		t.Error("forced fast OK record dropped")
 	}
 
 	s.SetSlowThreshold(time.Minute)
-	if s.Record(rec(TraceOK, time.Second)) {
+	if s.Offer(rec(TraceOK, time.Second), false, nil) {
 		t.Error("sub-threshold record kept after raising the slow threshold")
 	}
 
 	s.SetHeadRate(1)
-	if !s.Record(rec(TraceOK, time.Nanosecond)) {
+	if !s.Offer(rec(TraceOK, time.Nanosecond), false, nil) {
 		t.Error("head rate 1.0 dropped a record")
 	}
 
@@ -83,7 +77,7 @@ func TestTraceStoreEviction(t *testing.T) {
 	ids := make([]TraceID, 10)
 	for i := range ids {
 		ids[i] = NewTraceID()
-		s.Record(TraceRecord{ID: ids[i], Time: time.Now(), Status: TraceOK})
+		s.Offer(TraceRecord{ID: ids[i], Time: time.Now(), Status: TraceOK}, false, nil)
 	}
 	if s.Len() != 4 {
 		t.Fatalf("Len = %d, want capacity 4", s.Len())
@@ -108,9 +102,9 @@ func TestTraceStoreEviction(t *testing.T) {
 func TestTraceStoreFindMultiRecord(t *testing.T) {
 	s := NewTraceStore(16)
 	id := NewTraceID()
-	s.RecordForced(TraceRecord{ID: id, Kind: "query", Status: TraceOK}, true)
-	s.RecordForced(TraceRecord{ID: id, Kind: "topk", Status: TraceOK}, true)
-	s.RecordForced(TraceRecord{ID: NewTraceID(), Kind: "query", Status: TraceOK}, true)
+	s.Offer(TraceRecord{ID: id, Kind: "query", Status: TraceOK}, true, nil)
+	s.Offer(TraceRecord{ID: id, Kind: "topk", Status: TraceOK}, true, nil)
+	s.Offer(TraceRecord{ID: NewTraceID(), Kind: "query", Status: TraceOK}, true, nil)
 	got := s.Find(id)
 	if len(got) != 2 || got[0].Kind != "query" || got[1].Kind != "topk" {
 		t.Fatalf("Find(%s) = %+v, want [query topk] oldest-first", id, got)
@@ -134,8 +128,8 @@ func TestTraceStoreRace(t *testing.T) {
 				if i%3 == 0 {
 					st = TraceError
 				}
-				s.Record(TraceRecord{ID: NewTraceID(), Time: time.Now(), Status: st, Latency: time.Duration(i)})
-				s.RecordForced(TraceRecord{ID: shared, Time: time.Now(), Status: TraceOK}, true)
+				s.Offer(TraceRecord{ID: NewTraceID(), Time: time.Now(), Status: st, Latency: time.Duration(i)}, false, nil)
+				s.Offer(TraceRecord{ID: shared, Time: time.Now(), Status: TraceOK}, true, nil)
 				if i%10 == 0 {
 					s.SetHeadRate(float64(i%5) / 5)
 					s.SetSlowThreshold(time.Duration(i) * time.Millisecond)
@@ -181,8 +175,8 @@ func TestTraceStoreRace(t *testing.T) {
 
 // TestTraceStoreSlowThresholdOneLoad pins the single read of the slow
 // threshold: with head sampling off, a 1ns OK record is rejected under both
-// 0 (disabled) and 1h, so a Keep that answers true while another goroutine
-// flips between them has mixed the two values.
+// 0 (disabled) and 1h, so an Offer that answers true while another
+// goroutine flips between them has mixed the two values.
 func TestTraceStoreSlowThresholdOneLoad(t *testing.T) {
 	s := NewTraceStore(8)
 	s.SetHeadRate(0)
@@ -203,10 +197,10 @@ func TestTraceStoreSlowThresholdOneLoad(t *testing.T) {
 	}()
 	id := NewTraceID()
 	for i := 0; i < 1_000_000; i++ {
-		if s.Keep(id, false, TraceOK, time.Nanosecond) {
+		if s.Offer(TraceRecord{ID: id, Status: TraceOK, Latency: time.Nanosecond}, false, nil) {
 			close(stop)
 			flipper.Wait()
-			t.Fatalf("Keep kept a 1ns record at iteration %d: the threshold was read twice", i)
+			t.Fatalf("Offer kept a 1ns record at iteration %d: the threshold was read twice", i)
 		}
 	}
 	close(stop)

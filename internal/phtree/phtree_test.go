@@ -31,14 +31,14 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 				q[j] = rng.NormFloat64()
 			}
 			got, _ := tr.KNN(q, 10, nil)
-			want := scan.TopK(dim, data, q, 10, nil)
+			want := scan.TopK(dim, data, q, 10, scan.SqL2, nil)
 			if len(got) != len(want) {
 				t.Fatalf("dim=%d: got %d results, want %d", dim, len(got), len(want))
 			}
 			for i := range got {
 				// Compare distances, not ids: ties may order differently.
-				if diff := got[i].SqDist - want[i].SqDist; diff > 1e-9 || diff < -1e-9 {
-					t.Fatalf("dim=%d q=%d rank %d: dist %v, want %v", dim, qi, i, got[i].SqDist, want[i].SqDist)
+				if diff := got[i].SqDist - want[i].Dist; diff > 1e-9 || diff < -1e-9 {
+					t.Fatalf("dim=%d q=%d rank %d: dist %v, want %v", dim, qi, i, got[i].SqDist, want[i].Dist)
 				}
 			}
 		}
@@ -61,10 +61,10 @@ func TestKNNSkip(t *testing.T) {
 			t.Fatalf("skipped id %d returned", banned)
 		}
 	}
-	want := scan.TopK(dim, data, q, 5, func(id int32) bool { return id == banned })
+	want := scan.TopK(dim, data, q, 5, scan.SqL2, func(id int32) bool { return id == banned })
 	for i := range res {
-		if diff := res[i].SqDist - want[i].SqDist; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("rank %d: dist %v, want %v", i, res[i].SqDist, want[i].SqDist)
+		if diff := res[i].SqDist - want[i].Dist; diff > 1e-9 || diff < -1e-9 {
+			t.Fatalf("rank %d: dist %v, want %v", i, res[i].SqDist, want[i].Dist)
 		}
 	}
 }
@@ -146,11 +146,11 @@ func TestQuickKNNTopDistance(t *testing.T) {
 			q[j] = rng.NormFloat64()
 		}
 		got, _ := tr.KNN(q, 1, nil)
-		want := scan.TopK(dim, data, q, 1, nil)
+		want := scan.TopK(dim, data, q, 1, scan.SqL2, nil)
 		if len(got) != 1 || len(want) != 1 {
 			return false
 		}
-		d := got[0].SqDist - want[0].SqDist
+		d := got[0].SqDist - want[0].Dist
 		return d < 1e-9 && d > -1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

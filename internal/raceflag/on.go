@@ -1,10 +1,9 @@
 //go:build race
 
 // Package raceflag tells tests whether the race detector is compiled in.
-// Two kinds of test need to know: ones that exercise intentional data races
-// (the Hogwild trainer's lock-free updates, which -race would correctly but
-// unhelpfully flag), and allocation guards over sync.Pool, which drops
-// items at random under the detector.
+// Allocation and memory guards need to know: sync.Pool drops items at
+// random under the detector, and the detector changes what an allocation
+// costs.
 package raceflag
 
 // Enabled reports whether the race detector is active.

@@ -7,19 +7,47 @@ package scan
 
 import (
 	"container/heap"
+	"math"
 	"sort"
 )
 
+// Norm is the distance a scan ranks by.
+type Norm int
+
+const (
+	// SqL2 is the squared Euclidean distance, which ranks like L2.
+	SqL2 Norm = iota
+	// L1 is the Manhattan distance.
+	L1
+)
+
+// dist returns the distance between q and row under n.
+func (n Norm) dist(q, row []float64) float64 {
+	var s float64
+	if n == L1 {
+		for j, v := range q {
+			s += math.Abs(row[j] - v)
+		}
+		return s
+	}
+	for j, v := range q {
+		d := row[j] - v
+		s += d * d
+	}
+	return s
+}
+
 // Neighbor is one ranked answer.
 type Neighbor struct {
-	ID     int32
-	SqDist float64
+	ID   int32
+	Dist float64 // distance to the query under the scan's Norm
 }
 
 // TopK scans all n vectors (row-major in data, stride dim) and returns the k
-// nearest to q in ascending distance order, skipping ids for which skip
-// returns true. Ties are broken by id so results are deterministic.
-func TopK(dim int, data []float64, q []float64, k int, skip func(int32) bool) []Neighbor {
+// nearest to q under norm in ascending distance order, skipping ids for
+// which skip returns true. Ties are broken by id so results are
+// deterministic.
+func TopK(dim int, data []float64, q []float64, k int, norm Norm, skip func(int32) bool) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
@@ -30,13 +58,7 @@ func TopK(dim int, data []float64, q []float64, k int, skip func(int32) bool) []
 		if skip != nil && skip(id) {
 			continue
 		}
-		var s float64
-		base := i * dim
-		for j, v := range q {
-			d := data[base+j] - v
-			s += d * d
-		}
-		cand := Neighbor{ID: id, SqDist: s}
+		cand := Neighbor{ID: id, Dist: norm.dist(q, data[i*dim:(i+1)*dim])}
 		if len(h) < k {
 			heap.Push(&h, cand)
 		} else if less(cand, h[0]) {
@@ -49,9 +71,10 @@ func TopK(dim int, data []float64, q []float64, k int, skip func(int32) bool) []
 	return out
 }
 
-// Within returns all points with squared distance at most sqRadius from q,
-// ascending by distance. Used as ground truth for aggregate queries.
-func Within(dim int, data []float64, q []float64, sqRadius float64, skip func(int32) bool) []Neighbor {
+// Within returns all points at most radius from q under norm (a squared
+// radius for SqL2), ascending by distance. Used as ground truth for
+// aggregate queries.
+func Within(dim int, data []float64, q []float64, radius float64, norm Norm, skip func(int32) bool) []Neighbor {
 	n := len(data) / dim
 	var out []Neighbor
 	for i := 0; i < n; i++ {
@@ -59,14 +82,8 @@ func Within(dim int, data []float64, q []float64, sqRadius float64, skip func(in
 		if skip != nil && skip(id) {
 			continue
 		}
-		var s float64
-		base := i * dim
-		for j, v := range q {
-			d := data[base+j] - v
-			s += d * d
-		}
-		if s <= sqRadius {
-			out = append(out, Neighbor{ID: id, SqDist: s})
+		if d := norm.dist(q, data[i*dim:(i+1)*dim]); d <= radius {
+			out = append(out, Neighbor{ID: id, Dist: d})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
@@ -74,8 +91,8 @@ func Within(dim int, data []float64, q []float64, sqRadius float64, skip func(in
 }
 
 func less(a, b Neighbor) bool {
-	if a.SqDist != b.SqDist {
-		return a.SqDist < b.SqDist
+	if a.Dist != b.Dist {
+		return a.Dist < b.Dist
 	}
 	return a.ID < b.ID
 }

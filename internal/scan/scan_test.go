@@ -17,7 +17,7 @@ func randomData(n, dim int, seed int64) []float64 {
 	return data
 }
 
-func naiveTopK(dim int, data, q []float64, k int, skip func(int32) bool) []Neighbor {
+func naiveTopK(dim int, data, q []float64, k int, norm Norm, skip func(int32) bool) []Neighbor {
 	n := len(data) / dim
 	var all []Neighbor
 	for i := 0; i < n; i++ {
@@ -27,9 +27,13 @@ func naiveTopK(dim int, data, q []float64, k int, skip func(int32) bool) []Neigh
 		var s float64
 		for j, v := range q {
 			d := data[i*dim+j] - v
-			s += d * d
+			if norm == L1 {
+				s += math.Abs(d)
+			} else {
+				s += d * d
+			}
 		}
-		all = append(all, Neighbor{ID: int32(i), SqDist: s})
+		all = append(all, Neighbor{ID: int32(i), Dist: s})
 	}
 	sort.Slice(all, func(a, b int) bool { return less(all[a], all[b]) })
 	if len(all) > k {
@@ -47,14 +51,16 @@ func TestTopKMatchesNaive(t *testing.T) {
 		for j := range q {
 			q[j] = rng.NormFloat64()
 		}
-		got := TopK(dim, data, q, 7, nil)
-		want := naiveTopK(dim, data, q, 7, nil)
-		if len(got) != len(want) {
-			t.Fatalf("lengths: %d vs %d", len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("rank %d: %+v vs %+v", j, got[j], want[j])
+		for _, norm := range []Norm{SqL2, L1} {
+			got := TopK(dim, data, q, 7, norm, nil)
+			want := naiveTopK(dim, data, q, 7, norm, nil)
+			if len(got) != len(want) {
+				t.Fatalf("norm %d: lengths: %d vs %d", norm, len(got), len(want))
+			}
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("norm %d rank %d: %+v vs %+v", norm, j, got[j], want[j])
+				}
 			}
 		}
 	}
@@ -64,15 +70,15 @@ func TestTopKSkipAndEdgeCases(t *testing.T) {
 	dim := 3
 	data := randomData(50, dim, 3)
 	q := []float64{0, 0, 0}
-	if got := TopK(dim, data, q, 0, nil); got != nil {
+	if got := TopK(dim, data, q, 0, SqL2, nil); got != nil {
 		t.Fatalf("k=0 returned %v", got)
 	}
-	all := TopK(dim, data, q, 100, nil)
+	all := TopK(dim, data, q, 100, SqL2, nil)
 	if len(all) != 50 {
 		t.Fatalf("k > n returned %d", len(all))
 	}
 	banned := all[0].ID
-	filtered := TopK(dim, data, q, 5, func(id int32) bool { return id == banned })
+	filtered := TopK(dim, data, q, 5, SqL2, func(id int32) bool { return id == banned })
 	for _, nb := range filtered {
 		if nb.ID == banned {
 			t.Fatal("skip ignored")
@@ -83,17 +89,24 @@ func TestTopKSkipAndEdgeCases(t *testing.T) {
 func TestWithin(t *testing.T) {
 	dim := 2
 	data := []float64{0, 0, 1, 0, 3, 0, 0, 2}
-	got := Within(dim, data, []float64{0, 0}, 4.0, nil)
+	got := Within(dim, data, []float64{0, 0}, 4.0, SqL2, nil)
 	if len(got) != 3 {
 		t.Fatalf("Within returned %d, want 3", len(got))
 	}
 	for i := 1; i < len(got); i++ {
-		if got[i-1].SqDist > got[i].SqDist {
+		if got[i-1].Dist > got[i].Dist {
 			t.Fatal("Within not sorted")
 		}
 	}
-	if got[0].ID != 0 || got[0].SqDist != 0 {
+	if got[0].ID != 0 || got[0].Dist != 0 {
 		t.Fatalf("closest = %+v", got[0])
+	}
+	// Under L1 the point (1, 1) is 2 away, beyond a radius of 1.9, though
+	// its Euclidean distance is only 1.41.
+	data = []float64{0, 0, 1, 1, 0, 1.5}
+	got = Within(dim, data, []float64{0, 0}, 1.9, L1, nil)
+	if len(got) != 2 || got[1].ID != 2 || got[1].Dist != 1.5 {
+		t.Fatalf("L1 Within = %+v, want ids 0 and 2", got)
 	}
 }
 
@@ -106,12 +119,12 @@ func TestQuickTopKIsSubsetOfWithin(t *testing.T) {
 		for j := range q {
 			q[j] = rng.NormFloat64()
 		}
-		top := TopK(dim, data, q, 10, nil)
+		top := TopK(dim, data, q, 10, SqL2, nil)
 		if len(top) != 10 {
 			return false
 		}
-		r := top[len(top)-1].SqDist
-		within := Within(dim, data, q, r, nil)
+		r := top[len(top)-1].Dist
+		within := Within(dim, data, q, r, SqL2, nil)
 		// Every top-k member is inside the radius-r ball.
 		set := map[int32]bool{}
 		for _, nb := range within {
@@ -124,7 +137,7 @@ func TestQuickTopKIsSubsetOfWithin(t *testing.T) {
 		}
 		// And distances are monotone.
 		for i := 1; i < len(top); i++ {
-			if top[i-1].SqDist > top[i].SqDist {
+			if top[i-1].Dist > top[i].Dist {
 				return false
 			}
 		}

@@ -111,19 +111,18 @@ func (rc *reqCtx) finish() {
 	lat := time.Since(rc.start)
 	rc.s.met.latency.Observe(lat.Seconds())
 	status := rc.traceStatus()
-	if rc.t != nil && rc.t.Traces != nil {
-		store := rc.t.Traces
-		if store.Keep(rc.id, rc.forced, status, lat) {
+	if rc.t != nil {
+		rc.t.Traces.Offer(obs.TraceRecord{
+			ID: rc.id, Span: rc.span, Time: rc.start,
+			Kind: rc.kind, Tenant: rc.tenant, Status: status,
+			Latency: lat,
+		}, rc.forced, func() string {
 			detail := rc.r.Method + " " + rc.r.URL.Path
 			if rc.errText != "" {
 				detail += " err=" + rc.errText
 			}
-			store.RecordForced(obs.TraceRecord{
-				ID: rc.id, Span: rc.span, Time: rc.start,
-				Kind: rc.kind, Tenant: rc.tenant, Status: status,
-				Detail: detail, Latency: lat,
-			}, rc.forced)
-		}
+			return detail
+		})
 	}
 	rc.s.accessLog(rc, lat)
 }

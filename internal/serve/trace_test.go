@@ -478,10 +478,10 @@ func TestServeTracesEndpoint(t *testing.T) {
 	follower.LinkLeader(leader)
 	follower.Step(obs.StageWait)
 	follower.Finish()
-	v.Engine().Traces().Record(obs.TraceRecord{
+	v.Engine().Traces().Offer(obs.TraceRecord{
 		ID: follower.TraceID(), Span: follower.SpanID(), Time: follower.StartTime(),
 		Kind: "topk", Status: obs.TraceOK, Latency: follower.Wall, Trace: follower,
-	})
+	}, follower.Forced(), nil)
 	doc = getTrace(t, ts.URL, follower.TraceID().String())
 	if r := doc.Records[0]; r.Coalesced == nil || !*r.Coalesced || r.LeaderTrace != leader.String() {
 		t.Errorf("follower record coalesced %v leader_trace %q, want true and %s", r.Coalesced, r.LeaderTrace, leader)

@@ -66,9 +66,7 @@
 // InsertEntity, Save, and IndexStats may run from multiple goroutines.
 // Queries run under a shared engine lock and write-lock the index only when
 // their region still holds a pending element to split, so a converged index
-// serves reads without serializing. The exception is embedding
-// training with EmbeddingParams.Workers > 1 (Hogwild SGD, deliberately
-// lock-free and racy); it happens inside Build, before the VKG exists.
+// serves reads without serializing.
 //
 // Save/SaveFile write checksummed, versioned snapshots; SaveFile is atomic
 // (temp file + rename), so a crash mid-save never destroys the previous
@@ -141,14 +139,6 @@ func (gr *Graph) HasEdge(h EntityID, r RelationID, t EntityID) bool { return gr.
 // ready to pass to WithAttributes.
 func (gr *Graph) AttrNames() []string { return gr.g.AttrNames() }
 
-// Internal returns the underlying store, for use by this module's
-// command-line tools and experiments.
-//
-// Deprecated: the returned store is unsynchronized and its API is not
-// stable. External callers should stay on the Graph methods; Internal
-// remains only for the cmd/ tools of this module.
-func (gr *Graph) Internal() *kg.Graph { return gr.g }
-
 // WrapGraph adopts an already-built internal graph (used by the CLI tools
 // that load graphs from disk).
 func WrapGraph(g *kg.Graph) *Graph { return &Graph{g: g} }
@@ -174,13 +164,6 @@ type EmbeddingParams struct {
 	LearningRate float64 // SGD step (default 0.01)
 	Margin       float64 // ranking margin (default 1.0)
 	L1           bool    // use L1 dissimilarity instead of L2
-	// Workers > 1 trains with lock-free parallel SGD (Hogwild), at the
-	// cost of run-to-run determinism. It is not faster on a small machine:
-	// on 2 vCPUs, training the 131,064-triple movie graph (d = 50, 50
-	// epochs) took 5.1-5.5 s with Workers = 2 and 3.0-3.3 s with the
-	// default deterministic trainer, which already samples on a second
-	// goroutine.
-	Workers int
 }
 
 type options struct {
@@ -273,9 +256,6 @@ func Build(gr *Graph, opts ...Option) (*VKG, error) {
 		}
 		if o.emb.L1 {
 			cfg.Norm = embedding.L1
-		}
-		if o.emb.Workers > 1 {
-			cfg.Workers = o.emb.Workers
 		}
 		tr, err := embedding.Train(gr.g, cfg)
 		if err != nil {

@@ -262,9 +262,6 @@ func TestWrapGraph(t *testing.T) {
 	if g.NumEntities() != inner.NumEntities() {
 		t.Fatal("WrapGraph lost entities")
 	}
-	if g.Internal() != inner {
-		t.Fatal("Internal() does not round-trip")
-	}
 	v, err := Build(g, WithSeed(7), WithEmbedding(EmbeddingParams{Dim: 16, Epochs: 5}), WithAttributes("year"))
 	if err != nil {
 		t.Fatalf("Build over wrapped graph: %v", err)
