@@ -30,12 +30,12 @@ import (
 // included; leaf pages are derived data, rebuilt from the points as the tree
 // loads. Every section is written with snapfmt's fixed-width codec: the
 // meta layout is below, the graph's is kg.Graph.Encode's and the model's
-// embedding.Model.Encode's. This is format version 5, the only one read or
+// embedding.Model.Encode's. This is format version 6, the only one read or
 // written; any other version fails the load with snapfmt.ErrVersion.
 
 const (
 	engineMagic   = "VKGSNAP\x00"
-	engineVersion = 5
+	engineVersion = 6
 
 	secMeta  = 1
 	secGraph = 2

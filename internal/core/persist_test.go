@@ -172,8 +172,9 @@ func TestOldSnapshotVersionsRejected(t *testing.T) {
 // TestRetiredParamsSnapshotRefused: a snapshot as version 4 wrote it —
 // sections in gob, its Params still carrying fields retired since (the
 // float32 mirror, the shard count, Algorithm 2's options) — is refused by
-// its header with ErrVersion; the same gob meta under a version-5 header
-// is ErrCorrupt, not a misread engine.
+// its header with ErrVersion, as is a version-5 header (the graph section
+// without its stored layout); the same gob meta under the current header is
+// ErrCorrupt, not a misread engine.
 func TestRetiredParamsSnapshotRefused(t *testing.T) {
 	eng, _ := testEngine(t, Crack, defaultTestParams())
 	var buf bytes.Buffer
@@ -209,7 +210,7 @@ func TestRetiredParamsSnapshotRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for version, want := range map[uint16]error{4: snapfmt.ErrVersion, engineVersion: snapfmt.ErrCorrupt} {
+	for version, want := range map[uint16]error{4: snapfmt.ErrVersion, 5: snapfmt.ErrVersion, engineVersion: snapfmt.ErrCorrupt} {
 		snap := replaceSection(t, buf.Bytes(), secMeta, gobMeta.Bytes())
 		binary.LittleEndian.PutUint16(snap[snapfmt.MagicLen:], version)
 		if _, err := LoadEngine(bytes.NewReader(snap)); !errors.Is(err, want) {

@@ -54,14 +54,17 @@ func (m *mapGraph) addTriple(h EntityID, r RelationID, t EntityID) {
 	m.heads[edgeKey{t, r}] = append(m.heads[edgeKey{t, r}], h)
 }
 
-func (m *mapGraph) degree(id EntityID) int {
-	n := 0
-	for _, t := range m.triples {
-		if t.H == id || t.T == id {
-			n++
-		}
+// degrees returns each entity's out-degree plus in-degree, so a self-loop
+// counts twice.
+func (m *mapGraph) degrees() []int {
+	deg := make([]int, len(m.ents))
+	for k, l := range m.tails {
+		deg[k.E] += len(l)
 	}
-	return n
+	for k, l := range m.heads {
+		deg[k.E] += len(l)
+	}
+	return deg
 }
 
 // flatCase builds one random graph in both forms.
@@ -149,12 +152,13 @@ func (c *flatCase) check(t *testing.T, stage string, g *Graph) {
 		}
 		return l
 	}
+	deg, wantDeg := g.Degrees(), m.degrees()
 	for id := EntityID(0); int(id) < len(m.ents); id++ {
 		if got := g.Entity(id); got != m.ents[id] {
 			t.Fatalf("%s: Entity(%d) = %+v, want %+v", stage, id, got, m.ents[id])
 		}
-		if got, want := g.Degree(id), m.degree(id); got != want {
-			t.Fatalf("%s: Degree(%d) = %d, want %d", stage, id, got, want)
+		if got, want := deg[id], wantDeg[id]; got != want {
+			t.Fatalf("%s: Degrees()[%d] = %d, want %d", stage, id, got, want)
 		}
 		for r := RelationID(0); int(r) < c.nRel; r++ {
 			if got, want := g.Tails(id, r), sorted(m.tails[edgeKey{id, r}]); !slices.Equal(got, want) {
@@ -256,43 +260,51 @@ func TestFlatGraphMatchesMapForm(t *testing.T) {
 	}
 }
 
-// TestLoadKeepsFirstOccurrence feeds Decode a graph whose triple list
-// repeats triples, as no Save writes: each is kept once, at its first
-// position.
+// TestLoadKeepsFirstOccurrence: a triple added twice is stored once, at
+// its first position, and Save and Load keep that order. A payload cannot
+// repeat a triple: the triple order would name one position twice, which
+// Decode refuses.
 func TestLoadKeepsFirstOccurrence(t *testing.T) {
-	g, err := Decode(repeatsPayload(nil))
+	g, err := Decode(smallPayload(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Triple{{1, 0, 0}, {0, 1, 0}, {0, 0, 2}, {2, 0, 1}}
+	want := []Triple{{1, 0, 0}, {0, 1, 0}, {0, 0, 2}, {2, 0, 1}, {0, 0, 0}, {3, 1, 3}}
 	if !slices.Equal(g.Triples(), want) {
 		t.Fatalf("Triples = %v, want %v", g.Triples(), want)
 	}
 	if got := g.Heads(0, 1); !slices.Equal(got, []EntityID{0}) {
 		t.Fatalf("Heads(0, s) = %v, want [0]", got)
 	}
+	if got := g.Tails(0, 0); !slices.Equal(got, []EntityID{0, 2}) {
+		t.Fatalf("Tails(0, r) = %v, want [0 2]", got)
+	}
 	if id, ok := g.EntityByName("a"); !ok || id != 0 {
 		t.Fatalf("EntityByName(a) = %d, %v; the first entity named a is 0", id, ok)
 	}
 
-	bad := repeatsPayload(func(g *Graph) { g.types[1] = 7 })
+	bad := smallPayload(func(g *Graph) { g.types[1] = 7 })
 	if _, err := Decode(bad); !errors.Is(err, snapfmt.ErrCorrupt) {
 		t.Fatalf("Decode of an entity with an unknown type = %v, want ErrCorrupt", err)
+	}
+	repeat := layoutPayload(func(l *layout) { l.order[2] = l.order[0] })
+	if _, err := Decode(repeat); !errors.Is(err, snapfmt.ErrCorrupt) {
+		t.Fatalf("Decode of a repeated triple = %v, want ErrCorrupt", err)
 	}
 }
 
 // TestTripleCountPastPayload: a triple count the bytes left cannot hold
 // fails with ErrCorrupt before the triple list is sized by it.
 func TestTripleCountPastPayload(t *testing.T) {
-	payload := repeatsPayload(nil)
-	// The payload ends with the triple count, six triples of 12 bytes and
+	payload := smallPayload(nil)
+	// The payload ends with the triple order (a count and six int32s) and
 	// an attribute count of 0.
-	binary.LittleEndian.PutUint32(payload[len(payload)-4-6*12-4:], 1<<30)
+	binary.LittleEndian.PutUint32(payload[len(payload)-4-6*4-4:], 1<<30)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := Decode(payload)
 	runtime.ReadMemStats(&after)
-	if !errors.Is(err, snapfmt.ErrCorrupt) || !strings.Contains(err.Error(), "count 1073741824 of 12-byte entries") {
+	if !errors.Is(err, snapfmt.ErrCorrupt) || !strings.Contains(err.Error(), "count 1073741824 of 4-byte entries") {
 		t.Fatalf("Decode = %v, want ErrCorrupt for the triple count", err)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<16 {
@@ -300,20 +312,186 @@ func TestTripleCountPastPayload(t *testing.T) {
 	}
 }
 
-// repeatsPayload is the payload of a three-entity graph whose triple list
-// repeats triples, edited by edit first if it is not nil.
-func repeatsPayload(edit func(*Graph)) []byte {
+// smallGraph is a frozen four-entity graph over two relations, with a
+// repeated name, a self-loop and triples added twice:
+//
+//	out: 0 -r-> [0 2], 0 -s-> [0], 1 -r-> [0], 2 -r-> [1], 3 -s-> [3]
+func smallGraph() *Graph {
 	g := NewGraph()
 	g.AddEntity("a", "t")
 	g.AddEntity("b", "t")
 	g.AddEntity("a", "u")
+	g.AddEntity("c", "t")
 	g.AddRelation("r")
 	g.AddRelation("s")
-	g.triples = []Triple{{1, 0, 0}, {0, 1, 0}, {1, 0, 0}, {0, 0, 2}, {0, 1, 0}, {2, 0, 1}}
+	for _, tr := range []Triple{{1, 0, 0}, {0, 1, 0}, {1, 0, 0}, {0, 0, 2}, {0, 1, 0}, {2, 0, 1}, {0, 0, 0}, {3, 1, 3}} {
+		g.MustAddTriple(tr.H, tr.R, tr.T)
+	}
+	g.Freeze()
+	return g
+}
+
+// smallPayload is smallGraph's payload, edited by edit first if it is not
+// nil.
+func smallPayload(edit func(*Graph)) []byte {
+	g := smallGraph()
 	if edit != nil {
 		edit(g)
 	}
 	var w snapfmt.Writer
 	g.Encode(&w)
 	return w.Bytes()
+}
+
+// layoutPayload is smallGraph's payload with its stored layout edited by
+// edit, on a copy.
+func layoutPayload(edit func(*layout)) []byte {
+	g := smallGraph()
+	l := g.layout()
+	for _, a := range []*adjacency{&l.out, &l.in} {
+		a.start, a.runs, a.ids = slices.Clone(a.start), slices.Clone(a.runs), slices.Clone(a.ids)
+	}
+	l.byName, l.order = slices.Clone(l.byName), slices.Clone(l.order)
+	edit(&l)
+	var w snapfmt.Writer
+	g.encode(&w, l)
+	return w.Bytes()
+}
+
+// badLayouts breaks each check Decode makes of a stored layout, once, in
+// smallGraph's payload; want is a piece of the error each must give.
+var badLayouts = []struct {
+	name, want string
+	edit       func(*layout)
+}{
+	{"start length", "run starts for", func(l *layout) { l.out.start = l.out.start[:4] }},
+	{"start not from 0", "run starts for", func(l *layout) { l.in.start[0] = 1 }},
+	{"start not monotone", "start before", func(l *layout) { l.out.start[1] = 4 }},
+	{"start not ending at len(runs)", "run starts for", func(l *layout) { l.out.start[4] = 4 }},
+	{"empty run", "run ends at", func(l *layout) { l.out.runs[1].End = l.out.runs[0].End }},
+	{"relation out of range", "of 2 relations", func(l *layout) { l.out.runs[4].R = 2 }},
+	{"relations not increasing", "relation 0 after 1", func(l *layout) { l.out.runs[0].R, l.out.runs[1].R = 1, 0 }},
+	{"runs not ending at len(ids)", "runs end at", func(l *layout) { l.in.ids = append(l.in.ids, 0) }},
+	{"id out of range", "of 4 entities", func(l *layout) { l.out.ids[5] = 4 }},
+	{"ids not increasing", "id 0 after 2", func(l *layout) { l.out.ids[0], l.out.ids[1] = 2, 0 }},
+	{"in not the transpose", "is in out but not in in", func(l *layout) { l.in.ids[5] = 2 }},
+	{"in a relation short", "in out but not in in", func(l *layout) { l.in.runs[len(l.in.runs)-1].R = 0 }},
+	{"order length", "5 triples for 6 ids", func(l *layout) { l.order = l.order[:5] }},
+	{"order out of range", "out of range or taken", func(l *layout) { l.order[0] = 6 }},
+	{"order not a permutation", "out of range or taken", func(l *layout) { l.order[1] = l.order[0] }},
+	{"name index length", "name index holds", func(l *layout) { l.byName = l.byName[:3] }},
+	{"name index out of range", "of 4 entities", func(l *layout) { l.byName[3] = 4 }},
+	{"name index unsorted", "name index: id", func(l *layout) { l.byName[0], l.byName[3] = l.byName[3], l.byName[0] }},
+	{"name index repeat", "name index: id", func(l *layout) { l.byName[1] = l.byName[0] }},
+}
+
+// TestDecodeRefusesBadLayout plants each broken layout check: every one is
+// ErrCorrupt, for the check it breaks.
+func TestDecodeRefusesBadLayout(t *testing.T) {
+	if _, err := Decode(layoutPayload(func(*layout) {})); err != nil {
+		t.Fatalf("Decode of the unedited layout: %v", err)
+	}
+	for _, c := range badLayouts {
+		_, err := Decode(layoutPayload(c.edit))
+		if !errors.Is(err, snapfmt.ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Decode = %v, want ErrCorrupt containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestFoldMatchesFreeze holds the folds to Freeze's layout over random
+// graphs with 1, 4 and 120 relations, self-loops and two hub entities:
+// after every edge fold the adjacency equals newAdjacency of the triples,
+// allocated at its length, and after every name fold the name index
+// equals nameIndex of the names. Save and Load then give back that
+// adjacency, name index and triple order.
+func TestFoldMatchesFreeze(t *testing.T) {
+	for _, nRel := range []int{1, 4, 120} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed*100 + int64(nRel)))
+			g := NewGraph()
+			for r := 0; r < nRel; r++ {
+				g.AddRelation(fmt.Sprintf("r%d", r))
+			}
+			addEntity := func() { g.AddEntity(fmt.Sprintf("n%d", rng.Intn(1000)), "t") }
+			for i := 0; i < 200; i++ {
+				addEntity()
+			}
+			edge := func() (EntityID, RelationID, EntityID) {
+				n := g.NumEntities()
+				h, tl := EntityID(rng.Intn(n)), EntityID(rng.Intn(n))
+				switch rng.Intn(8) {
+				case 0:
+					h = EntityID(rng.Intn(2)) // hubs: entities 0 and 1
+				case 1, 2:
+					tl = EntityID(rng.Intn(2))
+				case 3:
+					tl = h
+				}
+				return h, RelationID(rng.Intn(nRel)), tl
+			}
+			for i := 0; i < 600; i++ {
+				g.MustAddTriple(edge())
+			}
+			g.Freeze()
+
+			var edgeFolds, nameFolds int
+			for step := 0; step < 4000 && (edgeFolds < 4 || nameFolds < 4); step++ {
+				overlay, names := g.overlayIDs, len(g.nameMap)
+				if rng.Intn(4) == 0 {
+					addEntity()
+				} else if err := g.InsertTripleDynamic(edge()); err != nil {
+					t.Fatal(err)
+				}
+				if g.overlayIDs < overlay {
+					edgeFolds++
+					wantEdges(t, fmt.Sprintf("%d relations, seed %d, fold %d", nRel, seed, edgeFolds), g, g)
+				}
+				if len(g.nameMap) < names {
+					nameFolds++
+					if want := nameIndex(g.names); !slices.Equal(g.byName, want) {
+						t.Fatalf("%d relations, seed %d, name fold %d: byName = %v, want %v", nRel, seed, nameFolds, g.byName, want)
+					}
+				}
+			}
+			if edgeFolds < 4 || nameFolds < 4 {
+				t.Fatalf("%d relations, seed %d: %d edge folds, %d name folds; want 4 each", nRel, seed, edgeFolds, nameFolds)
+			}
+
+			var buf bytes.Buffer
+			if err := g.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := Load(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantEdges(t, fmt.Sprintf("%d relations, seed %d, loaded", nRel, seed), loaded, g)
+			if want := nameIndex(g.names); !slices.Equal(loaded.byName, want) {
+				t.Fatalf("%d relations, seed %d: loaded byName = %v, want %v", nRel, seed, loaded.byName, want)
+			}
+			if !slices.Equal(loaded.Triples(), g.Triples()) {
+				t.Fatalf("%d relations, seed %d: Load changed the triple order", nRel, seed)
+			}
+		}
+	}
+}
+
+// wantEdges fails unless got's adjacency is what Freeze lays out from
+// src's triples, with no spare capacity.
+func wantEdges(t *testing.T, stage string, got, src *Graph) {
+	t.Helper()
+	for _, dir := range []struct {
+		a      *adjacency
+		byTail bool
+	}{{&got.out, false}, {&got.in, true}} {
+		want := newAdjacency(src.NumEntities(), src.Triples(), dir.byTail)
+		a := dir.a
+		if !slices.Equal(a.start, want.start) || !slices.Equal(a.runs, want.runs) || !slices.Equal(a.ids, want.ids) {
+			t.Fatalf("%s: adjacency (by tail %v) differs from newAdjacency's", stage, dir.byTail)
+		}
+		if cap(a.runs) != len(a.runs) || cap(a.ids) != len(a.ids) {
+			t.Fatalf("%s: adjacency (by tail %v) has spare capacity", stage, dir.byTail)
+		}
+	}
 }

@@ -13,10 +13,12 @@
 // direction, the adjacency as three arrays (see adjacency): per entity a run
 // of (relation, end) pairs over one id array sorted by (relation, id). A
 // frozen graph keeps no per-edge or per-entity map. Facts added after Freeze
-// go to a small overlay that Freeze's arrays are read through; it is folded
-// back into them once it holds more than 1/foldDiv of the edges. Names of
-// entities added after Freeze go to a name map, which is sorted into the
-// name index once it holds more than 1/foldDiv of the entities.
+// go to a small overlay that Freeze's arrays are read through; it is merged
+// into them once it holds more than 1/foldDiv of the edges. Names of
+// entities added after Freeze go to a name map, and those entities are
+// merged into the name index once the map holds more than 1/foldDiv of the
+// entities. A saved graph stores the arrays, and a load checks them
+// instead of sorting again.
 package kg
 
 import (
@@ -223,7 +225,8 @@ func (g *Graph) MustAddTriple(h EntityID, r RelationID, t EntityID) {
 // Freeze lays the graph out as flat arrays, so HasEdge runs in
 // O(log degree), trims the triple list and entity columns to their length,
 // and marks the graph immutable except through InsertTripleDynamic and
-// AddEntity. Freeze is idempotent.
+// AddEntity. Freeze is idempotent. It is the only place the layout is
+// sorted from scratch: a fold merges into it and Decode checks a stored one.
 func (g *Graph) Freeze() {
 	if g.frozen {
 		return
@@ -232,8 +235,9 @@ func (g *Graph) Freeze() {
 	g.triples = trim(g.triples)
 	g.names = trim(g.names)
 	g.types = trim(g.types)
-	g.foldEdges()
-	g.foldNames()
+	g.out = newAdjacency(len(g.names), g.triples, false)
+	g.in = newAdjacency(len(g.names), g.triples, true)
+	g.byName, g.nameMap = nameIndex(g.names), nil
 	g.frozen = true
 }
 
@@ -245,19 +249,19 @@ func trim[S ~[]E, E any](s S) S {
 	return append(S(nil), s...)
 }
 
-// foldEdges lays out the adjacency arrays from the triple list and empties
-// the edge overlay. It leaves the name index alone, so an edge insert never
-// writes what EntityByName reads.
+// foldEdges merges the edge overlay into the adjacency arrays and empties
+// it. It leaves the name index alone, so an edge insert never writes what
+// EntityByName reads.
 func (g *Graph) foldEdges() {
-	g.out = newAdjacency(len(g.names), g.triples, false)
-	g.in = newAdjacency(len(g.names), g.triples, true)
+	g.out = g.out.merge(len(g.names), g.outOver)
+	g.in = g.in.merge(len(g.names), g.inOver)
 	g.outOver, g.inOver, g.overlayIDs = nil, nil, 0
 }
 
-// foldNames sorts every entity into the name index and empties the name
-// map.
+// foldNames merges the entities added since the name index was laid out
+// into it and empties the name map.
 func (g *Graph) foldNames() {
-	g.byName = nameIndex(g.names)
+	g.byName = mergeNames(g.names, g.byName)
 	g.nameMap = nil
 }
 
@@ -303,6 +307,67 @@ func newAdjacency(n int, triples []Triple, byTail bool) adjacency {
 	return a
 }
 
+// merge returns a laid out for n entities (n at least a's) with the lists
+// of over in place of its own. A key of over holds its whole sorted list,
+// so a list of a is replaced, not merged id by id. The keys are sorted
+// once; between two of them a's starts, runs and ids are copied in bulk,
+// shifted by what the keys before added. The result is allocated at its
+// exact size, and a is left as it was, so a list handed out from it stays
+// valid.
+func (a *adjacency) merge(n int, over map[edgeKey][]EntityID) adjacency {
+	type keyed struct {
+		k     edgeKey
+		l     []EntityID
+		j     int32 // where k's run is, or would go, in a.runs
+		found bool
+	}
+	ks := make([]keyed, 0, len(over))
+	nRuns, nIDs := len(a.runs), len(a.ids)
+	for k, l := range over {
+		j, found := a.search(k.E, k.R)
+		ks = append(ks, keyed{k, l, j, found})
+		nIDs += len(l)
+		if found {
+			nIDs -= int(a.runs[j].End - a.begin(j))
+		} else {
+			nRuns++
+		}
+	}
+	slices.SortFunc(ks, func(x, y keyed) int {
+		if c := cmp.Compare(x.k.E, y.k.E); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.k.R, y.k.R)
+	})
+	m := adjacency{start: make([]int32, n+1), runs: make([]run, 0, nRuns), ids: make([]EntityID, 0, nIDs)}
+	laid := EntityID(len(a.start) - 1)
+	var e EntityID // the first entity whose start is not written yet
+	var j int32    // the first of a's runs not copied or replaced yet
+	// copyTo copies a's runs [j, j1) with their ids, and the starts of the
+	// entities [e, e1).
+	copyTo := func(e1 EntityID, j1 int32) {
+		lo := a.begin(j)
+		runShift, idShift := int32(len(m.runs))-j, int32(len(m.ids))-lo
+		for ; e < e1; e++ {
+			m.start[e] = a.start[min(e, laid)] + runShift
+		}
+		for ; j < j1; j++ {
+			m.runs = append(m.runs, run{R: a.runs[j].R, End: a.runs[j].End + idShift})
+		}
+		m.ids = append(m.ids, a.ids[lo:a.begin(j)]...)
+	}
+	for _, x := range ks {
+		copyTo(x.k.E+1, x.j)
+		m.ids = append(m.ids, x.l...)
+		m.runs = append(m.runs, run{R: x.k.R, End: int32(len(m.ids))})
+		if x.found {
+			j++
+		}
+	}
+	copyTo(EntityID(n)+1, int32(len(a.runs)))
+	return m
+}
+
 // ends returns the entity t is listed under in one direction, and the
 // entity it lists there.
 func ends(t Triple, byTail bool) (e, other EntityID) {
@@ -312,11 +377,12 @@ func ends(t Triple, byTail bool) (e, other EntityID) {
 	return t.H, t.T
 }
 
-// span returns the bounds in a.ids of e's list under relation r, empty when
-// e has none or is not laid out.
-func (a *adjacency) span(e EntityID, r RelationID) (lo, hi int32) {
+// search returns where e's run under relation r is in a.runs, or where it
+// would go, and whether it is there. An entity a does not lay out has no
+// runs, and its place is after all of them.
+func (a *adjacency) search(e EntityID, r RelationID) (int32, bool) {
 	if e < 0 || int(e) >= len(a.start)-1 {
-		return 0, 0
+		return int32(len(a.runs)), false
 	}
 	i, j := a.start[e], a.start[e+1]
 	end := j
@@ -328,13 +394,25 @@ func (a *adjacency) span(e EntityID, r RelationID) (lo, hi int32) {
 			j = m
 		}
 	}
-	if i == end || a.runs[i].R != r {
+	return i, i < end && a.runs[i].R == r
+}
+
+// begin returns where run j starts in a.ids.
+func (a *adjacency) begin(j int32) int32 {
+	if j == 0 {
+		return 0
+	}
+	return a.runs[j-1].End
+}
+
+// span returns the bounds in a.ids of e's list under relation r, empty when
+// e has none or is not laid out.
+func (a *adjacency) span(e EntityID, r RelationID) (lo, hi int32) {
+	i, ok := a.search(e, r)
+	if !ok {
 		return 0, 0
 	}
-	if i > 0 {
-		lo = a.runs[i-1].End
-	}
-	return lo, a.runs[i].End
+	return a.begin(i), a.runs[i].End
 }
 
 // list returns e's sorted list under relation r, nil when empty. The slice
@@ -348,19 +426,45 @@ func (a *adjacency) list(e EntityID, r RelationID) []EntityID {
 	return a.ids[lo:hi:hi]
 }
 
+// byNameID orders entity ids by (name, id).
+func byNameID(names []string) func(a, b EntityID) int {
+	return func(a, b EntityID) int {
+		if c := strings.Compare(names[a], names[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+}
+
 // nameIndex returns the ids of names sorted by (name, id).
 func nameIndex(names []string) []EntityID {
 	idx := make([]EntityID, len(names))
 	for i := range idx {
 		idx[i] = EntityID(i)
 	}
-	slices.SortFunc(idx, func(a, b EntityID) int {
-		if c := strings.Compare(names[a], names[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	slices.SortFunc(idx, byNameID(names))
 	return idx
+}
+
+// mergeNames returns the name index of names, given byName, that of the
+// first len(byName) entities: it sorts only the ids added since and merges
+// them in. An added id is larger than any in byName, so on a tie byName's
+// comes first.
+func mergeNames(names []string, byName []EntityID) []EntityID {
+	add := make([]EntityID, len(names)-len(byName))
+	for i := range add {
+		add[i] = EntityID(len(byName) + i)
+	}
+	slices.SortFunc(add, byNameID(names))
+	m := make([]EntityID, 0, len(names))
+	for len(byName) > 0 && len(add) > 0 {
+		if names[add[0]] < names[byName[0]] {
+			m, add = append(m, add[0]), add[1:]
+		} else {
+			m, byName = append(m, byName[0]), byName[1:]
+		}
+	}
+	return append(append(m, byName...), add...)
 }
 
 // Frozen reports whether Freeze has been called.
@@ -528,18 +632,6 @@ func (g *Graph) AttrNames() []string {
 	return names
 }
 
-// Degree returns in-degree + out-degree of entity id across all relations.
-// The paper's Freebase "popularity" attribute is exactly this quantity.
-func (g *Graph) Degree(id EntityID) int {
-	n := 0
-	for _, t := range g.triples {
-		if t.H == id || t.T == id {
-			n++
-		}
-	}
-	return n
-}
-
 // Degrees returns the degree (in + out) of every entity in one pass.
 func (g *Graph) Degrees() []int {
 	deg := make([]int, len(g.names))
@@ -586,22 +678,64 @@ func (g *Graph) Stats() Stats {
 // file in any other format is refused with a typed error.
 const (
 	graphMagic   = "VKGGRAPH"
-	graphVersion = 1
+	graphVersion = 2
 	secGraphFile = 1
 )
 
-// Encode writes the graph's payload to w, column by column:
+// layout is what Encode writes of a graph beside its columns: the arrays
+// Freeze lays out, with any overlay merged in, and the triple list as
+// order, where order[i] is triple i's position in out.ids.
+type layout struct {
+	out, in adjacency
+	byName  []EntityID
+	order   []int32
+}
+
+// layout returns g's layout without changing g. An unfrozen graph is laid
+// out as Freeze would lay it out.
+func (g *Graph) layout() layout {
+	if !g.frozen {
+		c := *g
+		c.Freeze()
+		return c.layout()
+	}
+	n := len(g.names)
+	l := layout{out: g.out, in: g.in, byName: g.byName}
+	if g.overlayIDs > 0 || len(g.out.start) != n+1 {
+		l.out, l.in = g.out.merge(n, g.outOver), g.in.merge(n, g.inOver)
+	}
+	if len(g.byName) != n {
+		l.byName = mergeNames(g.names, g.byName)
+	}
+	l.order = make([]int32, len(g.triples))
+	for i, t := range g.triples {
+		lo, hi := l.out.span(t.H, t.R)
+		p, _ := slices.BinarySearch(l.out.ids[lo:hi], t.T)
+		l.order[i] = lo + int32(p)
+	}
+	return l
+}
+
+// Encode writes the graph's payload to w:
 //
 //	type names          strings
 //	entity names        strings
 //	entity types        int32s, indexes into the type names
 //	relation names      strings, in id order
-//	triples             count | (h, r, t int32)...
+//	out, then in        start int32s | runs count | (r, end int32)... | ids int32s
+//	name index          int32s, the ids sorted by (name, id)
+//	triple order        int32s, each triple's position in out's ids, in insertion order
 //	attribute columns   count | (name, float64s)..., in name order
 //
 // The bytes are a function of the graph's contents: the attribute map is
-// written in name order, everything else in id order.
+// written in name order, everything else in id order or as laid out.
 func (g *Graph) Encode(w *snapfmt.Writer) {
+	g.encode(w, g.layout())
+}
+
+// encode writes g's payload with l as its layout, which tests plant faults
+// in.
+func (g *Graph) encode(w *snapfmt.Writer, l layout) {
 	w.Strings(g.typeNames)
 	w.Strings(g.names)
 	w.I32s(g.types)
@@ -609,13 +743,18 @@ func (g *Graph) Encode(w *snapfmt.Writer) {
 	for _, rel := range g.relations {
 		w.Str(rel.Name)
 	}
-	w.Count(len(g.triples))
-	w.Grow(12 * len(g.triples))
-	for _, t := range g.triples {
-		w.I32(t.H)
-		w.I32(t.R)
-		w.I32(t.T)
+	for _, a := range []*adjacency{&l.out, &l.in} {
+		w.I32s(a.start)
+		w.Count(len(a.runs))
+		w.Grow(8 * len(a.runs))
+		for _, ru := range a.runs {
+			w.I32(ru.R)
+			w.I32(ru.End)
+		}
+		w.I32s(a.ids)
 	}
+	w.I32s(l.byName)
+	w.I32s(l.order)
 	names := g.AttrNames()
 	w.Count(len(names))
 	for _, name := range names {
@@ -624,10 +763,9 @@ func (g *Graph) Encode(w *snapfmt.Writer) {
 	}
 }
 
-// Decode reads a payload written by Encode and lays the graph out frozen.
-// It builds the flat arrays straight from the decoded triples: a repeated
-// triple is kept at its first position only. Any failure wraps
-// snapfmt.ErrCorrupt.
+// Decode reads a payload written by Encode into a frozen graph. It sorts
+// nothing: it checks the stored layout in linear passes and rebuilds the
+// triple list from it. Any failure wraps snapfmt.ErrCorrupt.
 func Decode(b []byte) (*Graph, error) {
 	r := snapfmt.NewReader(b)
 	g := &Graph{
@@ -662,14 +800,9 @@ func Decode(b []byte) (*Graph, error) {
 		g.relations[i] = rel
 		g.relationByName[rel.Name] = rel.ID
 	}
-	triples := make([]Triple, r.Count(12))
-	for i := range triples {
-		t := Triple{H: r.I32(), R: r.I32(), T: r.I32()}
-		if err := g.checkTriple(t.H, t.R, t.T); err != nil {
-			r.Fail("%v", err)
-		}
-		triples[i] = t
-	}
+	g.out, g.in = decodeAdjacency(r), decodeAdjacency(r)
+	g.byName = r.I32s()
+	order := r.I32s()
 	na, prev := r.Count(8), ""
 	for i := 0; i < na; i++ {
 		name := r.Str()
@@ -678,17 +811,162 @@ func Decode(b []byte) (*Graph, error) {
 		}
 		g.attrs[name], prev = r.F64s(), name
 	}
+	if r.Err() == nil {
+		if err := g.adopt(order); err != nil {
+			r.Fail("%v", err)
+		}
+	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("kg: decode graph: %w", err)
 	}
-	g.triples = triples
-	g.out = newAdjacency(len(g.names), g.triples, false)
-	if len(g.out.ids) < len(g.triples) {
-		g.triples = firstOccurrences(g.triples, &g.out)
-	}
-	g.in = newAdjacency(len(g.names), g.triples, true)
-	g.byName = nameIndex(g.names)
 	return g, nil
+}
+
+// adopt checks the decoded layout against g's columns, each check one
+// linear pass, and rebuilds the triple list from order.
+func (g *Graph) adopt(order []int32) error {
+	n, nRel := len(g.names), len(g.relations)
+	if err := g.out.check(n, nRel); err != nil {
+		return fmt.Errorf("out: %w", err)
+	}
+	if err := g.in.check(n, nRel); err != nil {
+		return fmt.Errorf("in: %w", err)
+	}
+	if err := transposes(&g.out, &g.in); err != nil {
+		return err
+	}
+	if err := checkNameIndex(g.names, g.byName); err != nil {
+		return err
+	}
+	var err error
+	g.triples, err = triplesAt(&g.out, order)
+	return err
+}
+
+func decodeAdjacency(r *snapfmt.Reader) adjacency {
+	a := adjacency{start: r.I32s()}
+	a.runs = make([]run, r.Count(8))
+	for i := range a.runs {
+		a.runs[i] = run{R: r.I32(), End: r.I32()}
+	}
+	a.ids = r.I32s()
+	return a
+}
+
+// check returns the first way a is not the layout of an n-entity graph
+// over nRel relations: start must rise from 0 to len(runs); each entity's
+// runs must be non-empty, with relations in range and strictly increasing,
+// and end at len(ids); each run's ids must be in range and strictly
+// increasing.
+func (a *adjacency) check(n, nRel int) error {
+	if len(a.start) != n+1 || a.start[0] != 0 || int(a.start[n]) != len(a.runs) {
+		return fmt.Errorf("%d run starts for %d entities and %d runs", len(a.start), n, len(a.runs))
+	}
+	for e := 0; e < n; e++ {
+		if a.start[e+1] < a.start[e] {
+			return fmt.Errorf("entity %d's runs start before entity %d's", e+1, e)
+		}
+	}
+	var lo int32
+	for e := 0; e < n; e++ {
+		prevR := RelationID(-1)
+		for _, ru := range a.runs[a.start[e]:a.start[e+1]] {
+			if ru.R <= prevR || int(ru.R) >= nRel {
+				return fmt.Errorf("entity %d: relation %d after %d, of %d relations", e, ru.R, prevR, nRel)
+			}
+			if ru.End <= lo || int(ru.End) > len(a.ids) {
+				return fmt.Errorf("entity %d, relation %d: run ends at %d, after %d, of %d ids", e, ru.R, ru.End, lo, len(a.ids))
+			}
+			prev := EntityID(-1)
+			for _, id := range a.ids[lo:ru.End] {
+				if id <= prev || int(id) >= n {
+					return fmt.Errorf("entity %d, relation %d: id %d after %d, of %d entities", e, ru.R, id, prev, n)
+				}
+				prev = id
+			}
+			prevR, lo = ru.R, ru.End
+		}
+	}
+	if int(lo) != len(a.ids) {
+		return fmt.Errorf("runs end at %d of %d ids", lo, len(a.ids))
+	}
+	return nil
+}
+
+// transposes returns an error unless in, a checked layout, is the
+// transpose of out: for each of out's ids x under entity e and relation r,
+// in lists e under (x, r). One walk over out in entity order meets the ids
+// of each of in's runs in sorted order, so a cursor per run of in checks
+// them; with as many ids on each side, every id of in is met once.
+func transposes(out, in *adjacency) error {
+	if len(out.ids) != len(in.ids) {
+		return fmt.Errorf("in holds %d ids, out %d", len(in.ids), len(out.ids))
+	}
+	next := make([]int32, len(in.runs))
+	for j := 1; j < len(in.runs); j++ {
+		next[j] = in.runs[j-1].End
+	}
+	var lo int32
+	for e := 0; e < len(out.start)-1; e++ {
+		for _, ru := range out.runs[out.start[e]:out.start[e+1]] {
+			for _, x := range out.ids[lo:ru.End] {
+				j, ok := in.search(x, ru.R)
+				if !ok || next[j] == in.runs[j].End || in.ids[next[j]] != EntityID(e) {
+					return fmt.Errorf("(%d, %d, %d) is in out but not in in", e, ru.R, x)
+				}
+				next[j]++
+			}
+			lo = ru.End
+		}
+	}
+	return nil
+}
+
+// checkNameIndex returns an error unless byName is names' ids sorted by
+// (name, id). It checks that byName holds len(names) ids in range, each
+// pair strictly after the one before, which makes byName a permutation:
+// two equal ids would be two equal pairs.
+func checkNameIndex(names []string, byName []EntityID) error {
+	if len(byName) != len(names) {
+		return fmt.Errorf("name index holds %d ids for %d entities", len(byName), len(names))
+	}
+	compare := byNameID(names)
+	for i, id := range byName {
+		if id < 0 || int(id) >= len(names) {
+			return fmt.Errorf("name index: id %d of %d entities", id, len(names))
+		}
+		if i > 0 && compare(byName[i-1], id) >= 0 {
+			return fmt.Errorf("name index: id %d after %d", id, byName[i-1])
+		}
+	}
+	return nil
+}
+
+// triplesAt returns the triples out lays out, triple i at position
+// order[i] of out.ids. order must name every position once; the inverse
+// the rebuild needs records which positions it has named.
+func triplesAt(out *adjacency, order []int32) ([]Triple, error) {
+	if len(order) != len(out.ids) {
+		return nil, fmt.Errorf("%d triples for %d ids", len(order), len(out.ids))
+	}
+	at := make([]int32, len(order)) // at[p] is 1 + the triple at position p, 0 if none yet
+	for i, p := range order {
+		if p < 0 || int(p) >= len(at) || at[p] != 0 {
+			return nil, fmt.Errorf("triple %d at position %d: out of range or taken", i, p)
+		}
+		at[p] = int32(i) + 1
+	}
+	triples := make([]Triple, len(order))
+	var lo int32
+	for e := 0; e < len(out.start)-1; e++ {
+		for _, ru := range out.runs[out.start[e]:out.start[e+1]] {
+			for p := lo; p < ru.End; p++ {
+				triples[at[p]-1] = Triple{H: EntityID(e), R: ru.R, T: out.ids[p]}
+			}
+			lo = ru.End
+		}
+	}
+	return triples, nil
 }
 
 // Save writes the graph to w as a graph file.
@@ -707,22 +985,6 @@ func Load(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("kg: %w", err)
 	}
 	return Decode(payload)
-}
-
-// firstOccurrences returns triples without the repeats of an earlier
-// triple, in order; out is their adjacency by head.
-func firstOccurrences(triples []Triple, out *adjacency) []Triple {
-	kept := make([]bool, len(out.ids))
-	var uniq []Triple
-	for _, t := range triples {
-		lo, hi := out.span(t.H, t.R)
-		p := lo + int32(sort.Search(int(hi-lo), func(i int) bool { return out.ids[lo+int32(i)] >= t.T }))
-		if !kept[p] {
-			kept[p] = true
-			uniq = append(uniq, t)
-		}
-	}
-	return trim(uniq)
 }
 
 // SaveFile writes the graph to path atomically (temp file + rename): a

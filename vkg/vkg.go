@@ -166,6 +166,11 @@ type EmbeddingParams struct {
 	L1           bool    // use L1 dissimilarity instead of L2
 }
 
+// DefaultSeed is the seed Build uses unless WithSeed sets one. vkg-train
+// trains with it by default too, so with default flags it writes the model
+// Build trains.
+const DefaultSeed = 1
+
 type options struct {
 	mode  IndexMode
 	alpha int
@@ -190,7 +195,8 @@ func WithAlpha(alpha int) Option { return func(o *options) { o.alpha = alpha } }
 // 0.75). Larger values improve the Theorem 2 recall bound at higher cost.
 func WithEpsilon(eps float64) Option { return func(o *options) { o.eps = eps } }
 
-// WithSeed fixes all randomized components (embedding init, JL projection).
+// WithSeed fixes all randomized components (embedding init, JL projection;
+// default DefaultSeed).
 func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
 
 // WithEmbedding overrides the TransE hyperparameters.
@@ -229,7 +235,7 @@ func Build(gr *Graph, opts ...Option) (*VKG, error) {
 		mode:  ModeCrack,
 		alpha: 3,
 		eps:   0.75,
-		seed:  1,
+		seed:  DefaultSeed,
 		emb:   EmbeddingParams{},
 	}
 	for _, opt := range opts {
