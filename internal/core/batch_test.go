@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"vkgraph/internal/kg"
+	"vkgraph/internal/kg/kggen"
 	"vkgraph/internal/obs"
 )
 
@@ -101,11 +103,11 @@ func TestDoBatchCoalescesDuplicates(t *testing.T) {
 	}
 }
 
-// parkSlot installs a pending slot for key at the current generation, as a
-// leader does before it executes, and returns it for the test to finish.
+// parkSlot installs a pending slot for key, as a leader does before it
+// executes, and returns it for the test to finish.
 func parkSlot(t *testing.T, eng *Engine, key topkKey, leader obs.TraceID) *slot {
 	t.Helper()
-	_, s, lead := eng.cache.acquire(key, eng.gen.Load(), leader)
+	_, s, lead := eng.cache.acquire(key, leader)
 	if !lead {
 		t.Fatal("the key already has a slot")
 	}
@@ -129,7 +131,7 @@ func followParked(t *testing.T, eng *Engine, c *slot, res *TopKResult, err error
 		case <-time.After(time.Millisecond):
 		}
 	}
-	eng.cache.finish(c, res, err)
+	eng.cache.finish(c, res, walkReach{}, err)
 	<-done
 }
 
@@ -140,61 +142,143 @@ func slotOf(eng *Engine, key topkKey) *slot {
 	return eng.cache.m[key]
 }
 
-// TestStaleFinishedSlotReplaced: an answer its leader finished before a
-// write is never returned to a request issued after the write returned.
-func TestStaleFinishedSlotReplaced(t *testing.T) {
-	eng, g := testEngine(t, Crack, defaultTestParams())
-	likes, _ := g.RelationByName("likes")
-	users, movies := g.EntitiesOfType("user"), g.EntitiesOfType("movie")
-	req := Request{Kind: KindTopK, Dir: DirTail, Entity: users[0], Rel: likes, K: 5}
-	key := topkKey{dir: req.Dir, ent: req.Entity, rel: req.Rel, k: req.K, eps: eng.params.Eps}
-
-	stale := &TopKResult{}
-	eng.cache.finish(parkSlot(t, eng, key, obs.TraceID{}), stale, nil)
-	if resp := eng.Do(context.Background(), req); resp.TopK != stale {
-		t.Fatalf("before the write the finished slot was not a hit: %+v", resp)
-	}
-	if err := eng.AddFact(users[1], likes, movies[0]); err != nil {
-		t.Fatal(err)
-	}
-	resp := eng.Do(context.Background(), req)
-	if resp.Err != nil || resp.TopK == stale || len(resp.TopK.Predictions) != req.K {
-		t.Fatalf("after the write: (%+v, %v), want a fresh answer", resp.TopK, resp.Err)
-	}
-	if s := slotOf(eng, key); s == nil || s.res != resp.TopK || s.gen != eng.Generation() {
-		t.Fatal("the fresh answer did not replace the stale slot")
+// staleSlotWrites are the writes that must drop the slot of (DirTail,
+// user, likes): a fact of that key, and a new entity placed on the key's
+// query point, inside the reach of any walk from it.
+func staleSlotWrites(user kg.EntityID, likes kg.RelationID, movie kg.EntityID) map[string]func(*Engine) error {
+	return map[string]func(*Engine) error{
+		"AddFact": func(eng *Engine) error { return eng.AddFact(user, likes, movie) },
+		"InsertEntity": func(eng *Engine) error {
+			_, err := eng.InsertEntity("stale-probe", "movie", []Fact{{Rel: likes, Other: user}}, nil)
+			return err
+		},
 	}
 }
 
-// TestStalePendingSlotReplaced: a call still in flight when a write returns
-// is not shared with a request issued after the write, however its leader
-// finishes.
+// TestStaleFinishedSlotReplaced: an answer its leader finished before a
+// write that can change it is never returned to a request issued after the
+// write returned.
+func TestStaleFinishedSlotReplaced(t *testing.T) {
+	g0, _ := trainMovie(t, kggen.TinyMovieConfig())
+	likes, _ := g0.RelationByName("likes")
+	users, movies := g0.EntitiesOfType("user"), g0.EntitiesOfType("movie")
+	for name, write := range staleSlotWrites(users[0], likes, movies[0]) {
+		t.Run(name, func(t *testing.T) {
+			eng, _ := testEngine(t, Crack, defaultTestParams())
+			req := Request{Kind: KindTopK, Dir: DirTail, Entity: users[0], Rel: likes, K: 5}
+			key := topkKey{dir: req.Dir, ent: req.Entity, rel: req.Rel, k: req.K, eps: eng.params.Eps}
+
+			// The stale answer carries the key's true reach, so the insert
+			// is dropped by the reach rule, not for want of one.
+			_, w, err := eng.topKQuery(nil, req.Dir, req.Entity, req.Rel, req.K, key.eps, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !w.holds(eng.tf.Apply(eng.m.TailQueryPoint(users[0], likes))) {
+				t.Fatal("the walk's reach does not hold its own query point")
+			}
+			stale := &TopKResult{}
+			eng.cache.finish(parkSlot(t, eng, key, obs.TraceID{}), stale, w, nil)
+			if resp := eng.Do(context.Background(), req); resp.TopK != stale {
+				t.Fatalf("before the write the finished slot was not a hit: %+v", resp)
+			}
+			if err := write(eng); err != nil {
+				t.Fatal(err)
+			}
+			resp := eng.Do(context.Background(), req)
+			if resp.Err != nil || resp.TopK == stale || len(resp.TopK.Predictions) != req.K {
+				t.Fatalf("after the write: (%+v, %v), want a fresh answer", resp.TopK, resp.Err)
+			}
+			if s := slotOf(eng, key); s == nil || s.res != resp.TopK {
+				t.Fatal("the fresh answer did not replace the stale slot")
+			}
+		})
+	}
+}
+
+// TestStalePendingSlotReplaced: a call still in flight when a write that
+// can change its answer returns is not shared with a request issued after
+// the write, however its leader finishes.
 func TestStalePendingSlotReplaced(t *testing.T) {
+	g0, _ := trainMovie(t, kggen.TinyMovieConfig())
+	likes, _ := g0.RelationByName("likes")
+	users, movies := g0.EntitiesOfType("user"), g0.EntitiesOfType("movie")
+	for name, write := range staleSlotWrites(users[0], likes, movies[0]) {
+		t.Run(name, func(t *testing.T) {
+			eng, _ := testEngine(t, Crack, defaultTestParams())
+			req := Request{Kind: KindTopK, Dir: DirTail, Entity: users[0], Rel: likes, K: 5}
+			key := topkKey{dir: req.Dir, ent: req.Entity, rel: req.Rel, k: req.K, eps: eng.params.Eps}
+
+			c := parkSlot(t, eng, key, obs.TraceID{})
+			if err := write(eng); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan Response)
+			go func() { done <- eng.Do(context.Background(), req) }()
+			// Finish the parked leader once the request has either replaced
+			// its slot or coalesced onto it.
+			for slotOf(eng, key) == c && eng.Metrics().Coalesced == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			stale := &TopKResult{}
+			eng.cache.finish(c, stale, walkReach{sq: math.Inf(1)}, nil)
+			resp := <-done
+			if resp.Err != nil || resp.TopK == stale || len(resp.TopK.Predictions) != req.K {
+				t.Fatalf("after the write: (%+v, %v), want a fresh answer", resp.TopK, resp.Err)
+			}
+			if s := slotOf(eng, key); s == nil || s == c || s.res != resp.TopK {
+				t.Fatal("the stale leader's answer was left in the cache")
+			}
+		})
+	}
+}
+
+// TestUnrelatedWriteKeepsSlot: a write that cannot change a cached answer
+// leaves it a hit — a fact of another (entity, relation), and a new entity
+// beyond the reach of the answer's walk.
+func TestUnrelatedWriteKeepsSlot(t *testing.T) {
 	eng, g := testEngine(t, Crack, defaultTestParams())
 	likes, _ := g.RelationByName("likes")
 	users, movies := g.EntitiesOfType("user"), g.EntitiesOfType("movie")
 	req := Request{Kind: KindTopK, Dir: DirTail, Entity: users[0], Rel: likes, K: 5}
 	key := topkKey{dir: req.Dir, ent: req.Entity, rel: req.Rel, k: req.K, eps: eng.params.Eps}
+	r1 := eng.Do(context.Background(), req)
+	if r1.Err != nil {
+		t.Fatal(r1.Err)
+	}
+	reach := slotOf(eng, key).reach
 
-	c := parkSlot(t, eng, key, obs.TraceID{})
+	// A new head of (?, likes, m) sits on m's head query point; take the
+	// first movie whose point lies beyond the slot's reach.
+	var far kg.EntityID = -1
+	for _, m := range movies {
+		if !reach.holds(eng.tf.Apply(eng.m.HeadQueryPoint(m, likes))) {
+			far = m
+			break
+		}
+	}
+	if far < 0 {
+		t.Fatal("no movie's head query point lies beyond the slot's reach")
+	}
+	gen := eng.Generation()
 	if err := eng.AddFact(users[1], likes, movies[0]); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan Response)
-	go func() { done <- eng.Do(context.Background(), req) }()
-	// Finish the parked leader once the request has either replaced its
-	// slot or coalesced onto it.
-	for slotOf(eng, key) == c && eng.Metrics().Coalesced == 0 {
-		time.Sleep(time.Millisecond)
+	if _, err := eng.InsertEntity("far-probe", "user", []Fact{{Rel: likes, Other: far, NewIsHead: true}}, nil); err != nil {
+		t.Fatal(err)
 	}
-	stale := &TopKResult{}
-	eng.cache.finish(c, stale, nil)
-	resp := <-done
-	if resp.Err != nil || resp.TopK == stale || len(resp.TopK.Predictions) != req.K {
-		t.Fatalf("after the write: (%+v, %v), want a fresh answer", resp.TopK, resp.Err)
+	if eng.Generation() != gen+2 {
+		t.Fatalf("generation %d after two writes from %d", eng.Generation(), gen)
 	}
-	if s := slotOf(eng, key); s == nil || s == c || s.res != resp.TopK {
-		t.Fatal("the stale leader's answer was left in the cache")
+	if r2 := eng.Do(context.Background(), req); r2.Err != nil || r2.TopK != r1.TopK {
+		t.Fatalf("the cached answer did not survive writes that cannot change it (err %v)", r2.Err)
+	}
+	fresh, _, err := eng.topKQuery(nil, req.Dir, req.Entity, req.Rel, req.K, key.eps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh, r1.TopK) {
+		t.Fatalf("the kept answer %+v differs from a fresh one %+v", r1.TopK, fresh)
 	}
 }
 

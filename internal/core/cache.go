@@ -14,8 +14,7 @@ import (
 const defaultCacheSize = 4096
 
 // topkKey identifies a top-k answer: everything the result depends on
-// besides the graph contents (whose changes are tracked by the engine
-// generation counter instead).
+// besides the graph contents, whose writes drop the slots they can change.
 type topkKey struct {
 	dir Dir
 	ent kg.EntityID
@@ -25,14 +24,12 @@ type topkKey struct {
 }
 
 // slot is the one record of a top-k key: the call in flight while its
-// leader computes, the cached answer once it has. A mutation bumps the
-// generation, so a slot from before it, finished or pending, is replaced
-// rather than shared — invalidation correct by construction, not by
-// enumerating the keys a mutation touches (a new fact (h, r, t) changes the
-// answer of any query whose ball held t).
+// leader computes, the cached answer once it has. A write drops the slots
+// whose answer it can change (dropFact, dropInsert) before it returns, so
+// no slot from before a write answers a request issued after it if the
+// write could change the answer.
 type slot struct {
 	key    topkKey
-	gen    uint64      // the graph generation the answer is computed at
 	leader obs.TraceID // the leader's trace id, for followers to link to
 	// The fields below change under the cache lock. res is set by a leader
 	// that succeeded (a top-k answer is never nil), so a slot with res nil
@@ -40,6 +37,7 @@ type slot struct {
 	// done is made by the first follower, so a cached answer nobody waited
 	// for holds no channel, and closed when the leader has set res or err.
 	res        *TopKResult
+	reach      walkReach // how far res's walk looked, set with res
 	err        error
 	done       chan struct{}
 	prev, next *slot // the LRU list
@@ -67,15 +65,14 @@ func newResultCache(capacity int, hits, misses *obs.Counter) *resultCache {
 	return c
 }
 
-// acquire looks key up at generation gen and counts the hit or miss. A
-// finished slot is a hit and returns its answer. A pending one is returned
-// for the caller to wait on its done. Otherwise (no slot, or one from
-// another generation) the caller installs a pending slot stamped with its
-// trace id and leads it.
-func (c *resultCache) acquire(key topkKey, gen uint64, leader obs.TraceID) (res *TopKResult, s *slot, lead bool) {
+// acquire looks key up and counts the hit or miss. A finished slot is a
+// hit and returns its answer. A pending one is returned for the caller to
+// wait on its done. Otherwise the caller installs a pending slot stamped
+// with its trace id and leads it.
+func (c *resultCache) acquire(key topkKey, leader obs.TraceID) (res *TopKResult, s *slot, lead bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if s = c.m[key]; s != nil && s.gen == gen {
+	if s = c.m[key]; s != nil {
 		c.unlink(s)
 		c.pushFront(s)
 		if s.res != nil {
@@ -89,19 +86,17 @@ func (c *resultCache) acquire(key topkKey, gen uint64, leader obs.TraceID) (res 
 		return nil, s, false
 	}
 	c.misses.Inc()
-	if s != nil {
-		c.unlink(s)
-	}
-	s = &slot{key: key, gen: gen, leader: leader}
+	s = &slot{key: key, leader: leader}
 	c.m[key] = s
 	c.pushFront(s)
 	return nil, s, true
 }
 
-// finish publishes the leader's answer and wakes the slot's followers. A
-// success evicts least recently used slots down to the capacity; a failure
-// takes the slot out, unless the key's slot is another one by now.
-func (c *resultCache) finish(s *slot, res *TopKResult, err error) {
+// finish publishes the leader's answer, computed by a walk of reach w,
+// and wakes the slot's followers. A success evicts least recently used
+// slots down to the capacity; a failure takes the slot out, unless the
+// key's slot is another one by now.
+func (c *resultCache) finish(s *slot, res *TopKResult, w walkReach, err error) {
 	c.mu.Lock()
 	if err != nil {
 		s.err = err
@@ -109,7 +104,7 @@ func (c *resultCache) finish(s *slot, res *TopKResult, err error) {
 			c.remove(s)
 		}
 	} else {
-		s.res = res
+		s.res, s.reach = res, w
 		for len(c.m) > c.cap {
 			c.remove(c.lru.prev)
 		}
@@ -133,6 +128,38 @@ func (c *resultCache) unlink(s *slot) {
 func (c *resultCache) remove(s *slot) {
 	c.unlink(s)
 	delete(c.m, s.key)
+}
+
+// dropFact drops the slots a new fact (h, r, t) can change: those of the
+// keys (DirTail, h, r) and (DirHead, t, r), at any k and eps. A top-k
+// answer reads the graph only through its key's known edges, and the fact
+// adds to those two lists alone.
+func (c *resultCache) dropFact(h kg.EntityID, r kg.RelationID, t kg.EntityID) {
+	c.dropIf(func(s *slot) bool {
+		return s.key.rel == r && (s.key.dir == DirTail && s.key.ent == h || s.key.dir == DirHead && s.key.ent == t)
+	})
+}
+
+// dropInsert drops the slots a new point at S2 position p2 can change:
+// every pending slot, whose reach is not known yet, and every finished one
+// whose walk could have reached p2. The new entity's facts add its id to
+// other keys' known edges, which only a walk that reaches it reads.
+func (c *resultCache) dropInsert(p2 []float64) {
+	c.dropIf(func(s *slot) bool { return s.res == nil || s.reach.holds(p2) })
+}
+
+// dropIf removes every slot drop selects. It walks the LRU list, not the
+// map: on a full cache that is about four times faster.
+func (c *resultCache) dropIf(drop func(*slot) bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for s := c.lru.next; s != &c.lru; {
+		next := s.next
+		if drop(s) {
+			c.remove(s)
+		}
+		s = next
+	}
 }
 
 // reset drops every slot, pending ones included (their leaders and
@@ -170,7 +197,6 @@ func (e *Engine) CacheStats() CacheStats {
 func (e *Engine) ResetCache() { e.cache.reset() }
 
 // Generation returns the graph mutation counter: it increases on every
-// AddFact and InsertEntity, and cached answers are only served while the
-// generation they were computed at is still current. SetAttr leaves it
-// alone: no cached answer reads an attribute.
+// AddFact and InsertEntity. SetAttr leaves it alone, as it changes no
+// prediction.
 func (e *Engine) Generation() uint64 { return e.gen.Load() }

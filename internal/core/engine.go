@@ -117,13 +117,11 @@ type Engine struct {
 	mode   IndexMode
 
 	// gen counts the graph mutations a top-k answer can see (AddFact,
-	// InsertEntity; SetAttr changes no prediction). The result cache pins
-	// every slot to the generation it was computed at, so a mutation
-	// invalidates all cached answers at once — any of them could have held
-	// the mutated entity in its ball.
+	// InsertEntity; SetAttr changes no prediction).
 	gen atomic.Uint64
 	// cache holds one slot per top-k key: the call in flight duplicates
-	// wait on, then the answer later callers hit.
+	// wait on, then the answer later callers hit until a write that can
+	// change it drops it.
 	cache *resultCache
 
 	// met is the engine's metric surface (counters, gauges, latency

@@ -240,8 +240,7 @@ type Metrics struct {
 	DroppedAttributes []string
 
 	// Generation counts the graph mutations a top-k answer can see
-	// (AddFact, InsertEntity); cached answers are pinned to the generation
-	// they were computed at.
+	// (AddFact, InsertEntity).
 	Generation uint64
 }
 

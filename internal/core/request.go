@@ -214,10 +214,10 @@ func (e *Engine) doTopK(ctx context.Context, req Request) (*TopKResult, *obs.Que
 	tr := e.startTrace(req)
 
 	key := topkKey{dir: req.Dir, ent: req.Entity, rel: req.Rel, k: req.K, eps: eps}
-	// The generation is read before executing: if a mutation lands while the
-	// query runs, the slot keeps the old generation and the next lookup
-	// replaces it.
-	res, s, lead := e.cache.acquire(key, e.gen.Load(), tr.TraceID())
+	// The slot is in the cache before the query reads the graph, so a write
+	// that lands while the query runs, and can change its answer, finds it
+	// pending and drops it.
+	res, s, lead := e.cache.acquire(key, tr.TraceID())
 	tr.Step(obs.StageCache)
 	var err error
 	switch {
@@ -226,8 +226,9 @@ func (e *Engine) doTopK(ctx context.Context, req Request) (*TopKResult, *obs.Que
 			tr.CacheHit = true
 		}
 	case lead:
-		res, err = e.topKQuery(ctx, req.Dir, req.Entity, req.Rel, req.K, eps, tr)
-		e.cache.finish(s, res, err)
+		var w walkReach
+		res, w, err = e.topKQuery(ctx, req.Dir, req.Entity, req.Rel, req.K, eps, tr)
+		e.cache.finish(s, res, w, err)
 	default:
 		e.met.sfCoalesced.Inc()
 		if tr != nil {
@@ -271,7 +272,8 @@ func (e *Engine) follow(ctx context.Context, s *slot, req Request, eps float64, 
 	}
 	tr.Step(obs.StageWait)
 	if errors.Is(s.err, context.Canceled) || errors.Is(s.err, context.DeadlineExceeded) {
-		return e.topKQuery(ctx, req.Dir, req.Entity, req.Rel, req.K, eps, tr)
+		res, _, err := e.topKQuery(ctx, req.Dir, req.Entity, req.Rel, req.K, eps, tr)
+		return res, err
 	}
 	return s.res, s.err
 }

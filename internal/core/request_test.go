@@ -45,7 +45,7 @@ func TestCancelledFollowerTraced(t *testing.T) {
 	// coalesces onto it, then hand it an already-cancelled context.
 	key := topkKey{dir: DirTail, ent: u, rel: likes, k: 5, eps: eng.params.Eps}
 	c := parkSlot(t, eng, key, obs.TraceID{})
-	defer eng.cache.finish(c, nil, context.Canceled)
+	defer eng.cache.finish(c, nil, walkReach{}, context.Canceled)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

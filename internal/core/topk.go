@@ -47,7 +47,8 @@ type TopKResult struct {
 // the symmetric query searching around t - r. Edges already in E are
 // excluded. Safe for concurrent use; see the Engine concurrency notes.
 func (e *Engine) TopK(dir Dir, ent kg.EntityID, rel kg.RelationID, k int) (*TopKResult, error) {
-	return e.topKQuery(context.Background(), dir, ent, rel, k, e.params.Eps, nil)
+	res, _, err := e.topKQuery(context.Background(), dir, ent, rel, k, e.params.Eps, nil)
+	return res, err
 }
 
 // topKQuery is the body of the indexed top-k: run Algorithm 3 with the
@@ -55,23 +56,50 @@ func (e *Engine) TopK(dir Dir, ent kg.EntityID, rel kg.RelationID, k int) (*TopK
 // parameter lets Do apply a per-request override without touching the
 // engine parameters; tr, when non-nil, collects the per-stage breakdown. A
 // query whose ctx expires (a nil one, as for Do, never does) returns
-// ctx.Err().
-func (e *Engine) topKQuery(ctx context.Context, dir Dir, ent kg.EntityID, rel kg.RelationID, k int, eps float64, tr *obs.QueryTrace) (*TopKResult, error) {
+// ctx.Err(). The walk's reach goes to the result cache with the answer.
+func (e *Engine) topKQuery(ctx context.Context, dir Dir, ent kg.EntityID, rel kg.RelationID, k int, eps float64, tr *obs.QueryTrace) (*TopKResult, walkReach, error) {
 	start := time.Now()
 	q, err := e.beginQuery(dir, ent, rel, tr)
 	if err != nil {
-		return nil, err
+		return nil, walkReach{}, err
 	}
-	res, region, doCrack, err := e.findTopK(ctx, q, k, eps, tr)
+	res, w, region, doCrack, err := e.findTopK(ctx, q, k, eps, tr)
 	if err != nil {
 		e.mu.RUnlock() // given up: no crack
 		e.met.queryErrors.Inc()
-		return nil, err
+		return nil, walkReach{}, err
 	}
 	e.finishQuery(region, doCrack, tr) // releases the read lock
 	e.met.topkQueries.Inc()
 	e.met.latTopK.Observe(time.Since(start).Seconds())
-	return res, nil
+	return res, w, nil
+}
+
+// walkReach is how far a top-k walk looked: its query point q2 in S2 and
+// a squared S2 distance sq. A point inserted farther than sq from q2 would
+// not have been examined: the walk yields points in (S2 distance, id)
+// order whatever the tree's shape, so over the grown tree it yields the
+// same prefix and stops where it did, and the answer stays bit for bit the
+// same. sq is the larger of the final squared radius and the squared
+// distance of the last point the walk yielded. The radius alone is too
+// short: it shrinks as the walk goes, so points beyond the final radius
+// may have been examined. The last point alone is too short when the walk
+// ran out of points: it would go on to a new one within the radius. sq is
+// +Inf when there was no walk or the radius never became finite.
+type walkReach struct {
+	q2 []float64
+	sq float64
+}
+
+// holds reports whether a point at S2 position p2 lies within the reach.
+// A reach of +Inf holds every point, q2 nil or not.
+func (w walkReach) holds(p2 []float64) bool {
+	var s float64
+	for j, v := range w.q2 {
+		d := p2[j] - v
+		s += d * d
+	}
+	return s <= w.sq
 }
 
 // findTopK implements FindTopKEntities (Algorithm 3):
@@ -93,14 +121,14 @@ func (e *Engine) topKQuery(ctx context.Context, dir Dir, ent kg.EntityID, rel kg
 //
 // findTopK runs entirely under the engine read lock (held by the caller),
 // takes the index read lock for the walk, and never mutates the engine; it
-// returns the final query region and whether the caller should complete the
-// cracking step. The walk looks at ctx every 256 visits and gives up with
-// ctx.Err() once it has expired.
-func (e *Engine) findTopK(ctx context.Context, q query, k int, eps float64, tr *obs.QueryTrace) (*TopKResult, rtree.Rect, bool, error) {
+// returns the walk's reach, the final query region and whether the caller
+// should complete the cracking step. The walk looks at ctx every 256
+// visits and gives up with ctx.Err() once it has expired.
+func (e *Engine) findTopK(ctx context.Context, q query, k int, eps float64, tr *obs.QueryTrace) (*TopKResult, walkReach, rtree.Rect, bool, error) {
 	res := &TopKResult{Predictions: []Prediction{}}
 	if k <= 0 || e.ps.N() == 0 {
 		res.RecallBound = 1
-		return res, rtree.Rect{}, false, nil
+		return res, walkReach{sq: math.Inf(1)}, rtree.Rect{}, false, nil
 	}
 	q2 := e.tf.Apply(q.q1)
 	tr.Step(obs.StageTransform)
@@ -128,14 +156,15 @@ func (e *Engine) findTopK(ctx context.Context, q query, k int, eps float64, tr *
 	e.idx.mu.RUnlock()
 	tr.Step(obs.StageSearch)
 	if cancelled != nil {
-		return nil, rtree.Rect{}, false, cancelled
+		return nil, walkReach{}, rtree.Rect{}, false, cancelled
 	}
+	w := walkReach{q2: q2, sq: max(rr.b, rr.last)}
 	top := rr.top
 	res.Examined = rr.examined
 	if top.len() == 0 {
 		res.RecallBound = 1
 		e.met.examined.Add(uint64(res.Examined))
-		return res, rtree.Rect{}, false, nil
+		return res, w, rtree.Rect{}, false, nil
 	}
 
 	// Line 9's index update happens in the caller with this final region.
@@ -155,7 +184,7 @@ func (e *Engine) findTopK(ctx context.Context, q query, k int, eps float64, tr *
 		tr.Examined = res.Examined
 		tr.PrunedByBound = rr.pruned
 	}
-	return res, finalQ, true, nil
+	return res, w, finalQ, true, nil
 }
 
 // reRankBatch is how many walk points the re-ranker holds before it
@@ -188,6 +217,7 @@ type reRanker struct {
 	l1  bool
 	b   float64 // squared radius as of the last examined point
 
+	last             float64 // squared S2 distance of the walk's last point
 	examined, pruned int
 
 	n   int
@@ -203,6 +233,7 @@ type candidate struct {
 
 // add buffers the walk's next point and reports whether the walk goes on.
 func (r *reRanker) add(id int32, sqD float64) bool {
+	r.last = sqD
 	r.buf[r.n] = candidate{id: id, sqD: sqD}
 	r.n++
 	if r.n < reRankBatch && r.top.len() >= r.k {

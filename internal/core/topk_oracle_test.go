@@ -139,7 +139,7 @@ func comparePredictions(a, b Prediction) int {
 // oracle's.
 func (e *Engine) checkTopKOracle(dir Dir, ent kg.EntityID, rel kg.RelationID, k int, eps float64) error {
 	tr := obs.StartTrace()
-	got, err := e.topKQuery(nil, dir, ent, rel, k, eps, tr)
+	got, _, err := e.topKQuery(nil, dir, ent, rel, k, eps, tr)
 	if err != nil {
 		return err
 	}
@@ -250,7 +250,7 @@ func checkAlgorithm3Seed(seed int64) error {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				ent, rel := kg.EntityID(wrng.Intn(n)), kg.RelationID(wrng.Intn(rels))
-				if _, err := eng.topKQuery(nil, Dir(wrng.Intn(2)), ent, rel, 1, 0, nil); err != nil {
+				if _, _, err := eng.topKQuery(nil, Dir(wrng.Intn(2)), ent, rel, 1, 0, nil); err != nil {
 					errs[w] = err
 					return
 				}

@@ -37,16 +37,21 @@ type Fact struct {
 
 // AddFact records the fact (h, r, t) on the live engine. It is a writer:
 // it takes the engine write lock and fully serializes against queries and
-// other updates.
+// other updates. Once the lock is released it drops the cached answers the
+// fact can change, before it returns.
 func (e *Engine) AddFact(h kg.EntityID, r kg.RelationID, t kg.EntityID) error {
 	w0 := time.Now()
 	e.mu.Lock()
 	e.met.lockWriteWait.Observe(time.Since(w0).Seconds())
-	defer e.mu.Unlock()
-	if err := e.addFactLocked(h, r, t); err != nil {
+	err := e.addFactLocked(h, r, t)
+	if err == nil {
+		e.walAppendAddFact(h, r, t)
+	}
+	e.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	e.walAppendAddFact(h, r, t)
+	e.cache.dropFact(h, r, t)
 	return nil
 }
 
@@ -66,7 +71,7 @@ func (e *Engine) addFactLocked(h kg.EntityID, r kg.RelationID, t kg.EntityID) er
 	if err := e.g.InsertTripleDynamic(h, r, t); err != nil {
 		return err
 	}
-	e.gen.Add(1) // invalidates cached answers that may predict (h, r, t)
+	e.gen.Add(1)
 	return nil
 }
 
@@ -83,7 +88,7 @@ func (e *Engine) SetAttr(name string, id kg.EntityID, v float64) error {
 		return err
 	}
 	// No cached answer reads an attribute (aggregates are not cached), so
-	// the result cache's generation stays as it is.
+	// the result cache stays as it is.
 	e.setAttrLocked(name, id, v)
 	e.walAppendSetAttr(name, id, v)
 	return nil
@@ -112,39 +117,43 @@ func (e *Engine) setAttrLocked(name string, id kg.EntityID, v float64) {
 // and the S2 point is inserted into the index without any rebuilding.
 //
 // InsertEntity is a writer: it takes the engine write lock and fully
-// serializes against queries and other updates.
+// serializes against queries and other updates. Once the lock is released
+// it drops the cached answers the new point can change, before it returns.
 func (e *Engine) InsertEntity(name, typ string, facts []Fact, attrs map[string]float64) (kg.EntityID, error) {
 	w0 := time.Now()
 	e.mu.Lock()
 	e.met.lockWriteWait.Observe(time.Since(w0).Seconds())
-	defer e.mu.Unlock()
 	// Sort the attribute map into parallel slices before anything touches
 	// the engine: the same canonical order goes into the mutation and the
 	// WAL record, so replay registers columns in the order the live call
 	// did.
 	attrNames, attrVals := sortAttrs(attrs)
-	id, err := e.insertEntityLocked(name, typ, facts, attrNames, attrVals)
+	id, p2, err := e.insertEntityLocked(name, typ, facts, attrNames, attrVals)
+	if err == nil {
+		e.walAppendInsert(name, typ, facts, attrNames, attrVals)
+	}
+	e.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	e.walAppendInsert(name, typ, facts, attrNames, attrVals)
+	e.cache.dropInsert(p2)
 	return id, nil
 }
 
 // insertEntityLocked is the shared body of InsertEntity and WAL replay:
 // full validation before the first mutation, then graph, model, point set,
-// and index grow in lockstep. Caller holds the engine write lock (or is the
-// single-threaded replay).
-func (e *Engine) insertEntityLocked(name, typ string, facts []Fact, attrNames []string, attrVals []float64) (kg.EntityID, error) {
+// and index grow in lockstep. It returns the new id and its S2 point.
+// Caller holds the engine write lock (or is the single-threaded replay).
+func (e *Engine) insertEntityLocked(name, typ string, facts []Fact, attrNames []string, attrVals []float64) (kg.EntityID, []float64, error) {
 	if len(facts) == 0 {
-		return 0, errors.New("core: InsertEntity needs at least one fact to place the entity")
+		return 0, nil, errors.New("core: InsertEntity needs at least one fact to place the entity")
 	}
 	for _, f := range facts {
 		if err := e.validateEntity(f.Other); err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		if err := e.validateRelation(f.Rel); err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 	}
 	// All validation happens before the first mutation, so a rejected call
@@ -155,10 +164,10 @@ func (e *Engine) insertEntityLocked(name, typ string, facts []Fact, attrNames []
 	// being freshly allocated) rule out; duplicate facts are no-ops for it,
 	// so they need no pre-screening.
 	if e.g.NumEntities()*e.m.Dim != len(e.m.Entities) {
-		return 0, fmt.Errorf("core: model/graph desynchronized at %d entities", e.g.NumEntities())
+		return 0, nil, fmt.Errorf("core: model/graph desynchronized at %d entities", e.g.NumEntities())
 	}
 	if e.ps.N() != e.g.NumEntities() {
-		return 0, fmt.Errorf("core: point set desynchronized: %d points for %d entities", e.ps.N(), e.g.NumEntities())
+		return 0, nil, fmt.Errorf("core: point set desynchronized: %d points for %d entities", e.ps.N(), e.g.NumEntities())
 	}
 
 	// Solve the new vector locally from the translation constraints.
@@ -205,6 +214,6 @@ func (e *Engine) insertEntityLocked(name, typ string, facts []Fact, attrNames []
 	p2 := e.tf.Apply(vec)
 	pid := e.ps.AppendPoint(p2)
 	e.idx.tree.Insert(pid)
-	e.gen.Add(1) // the new entity may belong in any cached answer
-	return id, nil
+	e.gen.Add(1)
+	return id, p2, nil
 }

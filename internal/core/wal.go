@@ -633,7 +633,7 @@ func (e *Engine) applyWALRecord(rec walfmt.Record) error {
 		if err != nil {
 			return err
 		}
-		_, err = e.insertEntityLocked(ir.Name, ir.Typ, ir.Facts, ir.AttrNames, ir.AttrVals)
+		_, _, err = e.insertEntityLocked(ir.Name, ir.Typ, ir.Facts, ir.AttrNames, ir.AttrVals)
 		return err
 
 	case walRecSetAttr:

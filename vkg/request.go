@@ -79,10 +79,10 @@ type Query struct {
 // Trace.TraceID() is the handle for /traces/<id> on the ops page.
 type Result = core.Response
 
-// Do answers one query, honoring ctx cancellation. Repeat top-k queries on
-// an unchanged graph are served from an LRU result cache (invalidated by
-// AddFact and InsertEntity), and identical queries issued concurrently are
-// coalesced into one index descent.
+// Do answers one query, honoring ctx cancellation. Repeat top-k queries are
+// served from an LRU result cache, from which AddFact and InsertEntity drop
+// the answers they can change, and identical queries issued concurrently
+// are coalesced into one index descent.
 func (v *VKG) Do(ctx context.Context, q Query) (*Result, error) {
 	req, err := v.toRequest(q)
 	if err != nil {
